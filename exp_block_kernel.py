@@ -50,8 +50,8 @@ def run(exact):
     js, b2 = [], []
     for r in range(N_SWEEP):
         rng_k = stream(cfg.seed, 1, r, 0)
-        new_atoms, move, acc = update_time_block(0, tuple(atoms), cache, ctx,
-                                                 state.hypers, cfg, rng_k, None)
+        new_atoms, move, acc, _ = update_time_block(0, tuple(atoms), cache, ctx,
+                                                    state.hypers, cfg, rng_k, None)
         atoms[0] = new_atoms
         js.append(new_atoms.count)
         b2.append(float(np.mean(new_atoms.beta**2)))

@@ -75,7 +75,7 @@ def _sampler_config(cfg: dict) -> SamplerConfig:
         j_max=cfg.get("jmax", 50),
         scale=cfg.get("scale", 0.05),
         shrink=cfg.get("shrink", 0.01),
-        workers=cfg.get("workers", os.cpu_count() or 1),
+        workers=cfg.get("workers", 1),
         seed=cfg.get("seed", 0),
     )
 

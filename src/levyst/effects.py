@@ -35,14 +35,34 @@ def phi0_training_matrix(locations: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def phi0_predict(locations: np.ndarray, times: np.ndarray, y: np.ndarray,
-                 s_new: np.ndarray, t_new: float) -> float:
-    """Baseline at a prediction point: joint space-time nearest neighbor."""
+                 s_new: np.ndarray, t_new) -> np.ndarray:
+    """Baselines at prediction points: joint space-time nearest neighbor.
+
+    `s_new` holds q points (or one point of length p) and `t_new` mt times
+    (or one).  Entry (a, b) of the (q, mt) result averages y over the cells
+    (i, k) nearest to (s_new[a], t_new[b]), ties taken in cell order.
+    """
     if y.size == 0:
         raise InvalidStateError("empty candidate set for baseline search")
-    d_sp = np.sum((locations - np.asarray(s_new, dtype=float)) ** 2, axis=1)   # (n,)
-    d = d_sp[:, None] + (times[None, :] - t_new) ** 2                          # (n, m)
-    idx = _argmin_set(d.ravel())
-    return float(y.ravel()[idx].mean())
+    s_new = np.atleast_2d(np.asarray(s_new, dtype=float))
+    t_new = np.atleast_1d(np.asarray(t_new, dtype=float))
+    d_sp = np.sum((locations[None, :, :] - s_new[:, None, :]) ** 2, axis=2)   # (q, n)
+    d_t = (times[None, :] - t_new[:, None]) ** 2                               # (mt, m)
+    # A cell's distance is the rounded sum d_sp[a, i] + d_t[b, k].  Rounding
+    # is monotone, so the least distance is the rounded sum of the two
+    # minima, and a cell (i, k) at that distance has d_sp[a, i] + min d_t and
+    # min d_sp + d_t[b, k] at it as well.  Ties are sought only among those
+    # rows i and columns k; most points have one of each.
+    sp_min, t_min = d_sp.min(axis=1), d_t.min(axis=1)
+    best = sp_min[:, None] + t_min[None, :]                                     # (q, mt)
+    near_i = d_sp[:, None, :] + t_min[None, :, None] == best[:, :, None]        # (q, mt, n)
+    near_k = sp_min[:, None, None] + d_t[None, :, :] == best[:, :, None]        # (q, mt, m)
+    out = y[near_i.argmax(axis=2), near_k.argmax(axis=2)]
+    for a, b in zip(*np.nonzero((near_i.sum(axis=2) > 1) | (near_k.sum(axis=2) > 1))):
+        rows, cols = np.flatnonzero(near_i[a, b]), np.flatnonzero(near_k[a, b])
+        ties = d_sp[a, rows][:, None] + d_t[b, cols][None, :] == best[a, b]
+        out[a, b] = y[np.ix_(rows, cols)][ties].mean()
+    return out
 
 
 def compute_phi0(locations: np.ndarray, times: np.ndarray, y: np.ndarray,
@@ -61,7 +81,7 @@ def compute_phi0(locations: np.ndarray, times: np.ndarray, y: np.ndarray,
         if not np.isfinite(d.min()):
             raise InvalidStateError("no candidate neighbors")
         return float(y[_argmin_set(d), k].mean())
-    return phi0_predict(locations, times, y, s_target, t_target)
+    return float(phi0_predict(locations, times, y, s_target, t_target)[0, 0])
 
 
 def gibbs_update_phi(y: float, f: float, alpha: float, sigma_sq_phi: float,

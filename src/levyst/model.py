@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .ar import ArMode, ArSpec, ar_initial_log_density, ar_transition_log_density, rho_from_transformed
+from .ar import (ArMode, ArSpec, ar_initial_log_density, ar_transition_log_density, rho_from_transformed,
+                 transition_moments)
 from .errors import InvalidArgumentError, InvalidStateError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -208,20 +209,26 @@ def monotone_map_fit(coords_per_dim, mp: MonotoneMapParams) -> MonotoneMapFit:
     return MonotoneMapFit(tuple(knots), tuple(values))
 
 
-def monotone_map_extend(s_new: float, dim: int, fit: MonotoneMapFit, mp: MonotoneMapParams) -> float:
-    """Map value at an unseen coordinate via the nearest-lower-knot increment.
+def monotone_map_extend(s_new, dim: int, fit: MonotoneMapFit, mp: MonotoneMapParams) -> np.ndarray:
+    """Map values at unseen coordinates via the nearest-lower-knot increment.
 
     Exact at training knots, monotone between consecutive knots; below the
-    smallest knot the same increment is subtracted.
+    smallest knot the same increment is subtracted.  Takes one coordinate or
+    an array of them and returns an array of the same shape.
     """
-    if not np.isfinite(s_new):
+    s = np.asarray(s_new, dtype=float)
+    if not np.all(np.isfinite(s)):
         raise InvalidArgumentError("s_new must be finite")
     knots, values = fit.knots[dim], fit.values[dim]
     slope = mp.C[dim] * mp.X[dim]
-    if s_new < knots[0]:
-        return float(values[0] - slope * (knots[0] - s_new) ** mp.r)
-    i = int(np.searchsorted(knots, s_new, side="right")) - 1
-    return float(values[i] + slope * (s_new - knots[i]) ** mp.r)
+    below = s < knots[0]
+    i = np.maximum(np.searchsorted(knots, s, side="right") - 1, 0)
+    offset = np.where(below, knots[0] - s, s - knots[i])
+    # A float64 scalar power calls libm pow, which in rare cases rounds
+    # differently from the squaring an array power does; the scalar power
+    # keeps each value equal to extending its coordinate alone.
+    powered = np.array([d ** mp.r for d in offset.ravel()]).reshape(s.shape)
+    return np.where(below, values[0] - slope * powered, values[i] + slope * powered)
 
 
 def f_eval(mapped_s: np.ndarray, t: float, atoms: LatentAtoms, kp: KernelParams) -> float:
@@ -484,6 +491,67 @@ def atom_block_log_density(atoms_k: LatentAtoms, atoms_prev: LatentAtoms | None,
     for ell, spec in enumerate(mu_specs):
         total += chain_factor(atoms_k.mu[:, ell], atoms_prev.mu[:, ell], atoms_prev.count, gap, spec)
     return total
+
+
+def _chain_rows(atoms: LatentAtoms, count: int) -> np.ndarray:
+    """[beta | mu] of the first `count` atoms as a C-ordered (p+1, count)
+    array, so that reductions along a row sum pairwise like a 1-d np.sum."""
+    rows = np.empty((atoms.mu.shape[1] + 1, count))
+    rows[0] = atoms.beta[:count]
+    rows[1:] = atoms.mu[:count].T
+    return rows
+
+
+@dataclass(frozen=True)
+class ProcessTable:
+    """The Gaussian terms of every process factor under one theta, tabled.
+
+    Rows follow the distinct time gaps of a dataset, columns the coordinate
+    chains [beta | mu_1 .. mu_p].  `block_log_density` returns what
+    `atom_block_log_density` returns, bit for bit: it keeps that function's
+    elementwise operation order, sums each column's terms contiguously and
+    adds the column totals left to right.
+    """
+
+    mult: np.ndarray       # (G, p+1) transition mean multipliers rho**gap
+    var: np.ndarray        # (G, p+1) transition variances
+    norm: np.ndarray       # (G, p+1) log(2 pi) + log(var)
+    init_var: np.ndarray   # (p+1,) initial-law variances
+    init_norm: np.ndarray  # (p+1,) log(2 pi) + log(init_var)
+
+    @classmethod
+    def build(cls, gaps: np.ndarray, beta_spec: ArSpec, mu_specs) -> "ProcessTable":
+        specs = (beta_spec, *mu_specs)
+        shape = (len(gaps), len(specs))
+        mult, var, norm = np.empty(shape), np.empty(shape), np.empty(shape)
+        for g, gap in enumerate(gaps):
+            for c, spec in enumerate(specs):
+                mult[g, c], var[g, c] = transition_moments(gap, spec)
+                norm[g, c] = _LOG_2PI + np.log(var[g, c])
+        init_var = np.array([spec.initial_variance for spec in specs])
+        init_norm = np.array([_LOG_2PI + np.log(v) for v in init_var])
+        return cls(mult, var, norm, init_var, init_norm)
+
+    def block_log_density(self, atoms_k: LatentAtoms, atoms_prev: LatentAtoms | None, g: int) -> float:
+        """Incoming process factors of one block; `g` indexes the gap from
+        `atoms_prev`, which is None at the first time."""
+        if not atoms_in_bounds(atoms_k):
+            return -np.inf
+        J = atoms_k.count
+        x = _chain_rows(atoms_k, J)
+        shared = 0 if atoms_prev is None else min(J, atoms_prev.count)
+        cols = np.zeros(x.shape[0])
+        if shared > 0:
+            prev = _chain_rows(atoms_prev, shared)
+            d = x[:, :shared] - self.mult[g, :, None] * prev
+            cols = cols + (-0.5 * (self.norm[g, :, None] + d ** 2 / self.var[g, :, None])).sum(axis=1)
+        if J > shared:
+            tail = x[:, shared:]
+            cols = cols + (-0.5 * (self.init_norm[:, None] + tail ** 2 / self.init_var[:, None])).sum(axis=1)
+        total = float(cols[0])
+        for col in cols[1:]:
+            total += float(col)
+        return total
 
 
 def atom_process_log_density(atoms: list[LatentAtoms], times: np.ndarray,

@@ -3,10 +3,25 @@ block updates of the fixed-dimension parameters via shared-draw proposals, a
 mixing-enhancement pass, and exact Gibbs draws for the remaining scalars.
 
 Per iteration: odd time blocks (parallel) -> even time blocks (parallel) ->
-fixed-dimension block -> enhancement -> broadcast -> random effects
-(explicit mode, parallel) -> scalar Gibbs -> broadcast.  Every block owns a
-dedicated random stream keyed by (seed, stream id, iteration, index), so the
-stored chain is bit-identical for any worker count.
+fixed-dimension block -> enhancement -> random effects (explicit mode,
+parallel) -> scalar Gibbs.  Every block owns a dedicated random stream keyed
+by (seed, stream id, iteration, index), so the stored chain is bit-identical
+for any worker count.
+
+The state carries the terms of its current theta (`StateTerms`): the
+theta's `ThetaCache`, each block's incoming process factor
+P_k = log p(atoms_k | atoms_{k-1}) and each block's field column f_k.  Only
+proposals are scored.  A block move values the current block at its count
+factor + P_k + P_{k+1} + the likelihood of the stored f_k, and an accepted
+move writes back its proposal's P_k, P_{k+1} and f_k; blocks of one parity
+touch disjoint entries.  The theta phase values the current theta at its
+prior + sum_k P_k + the likelihood of the stored columns, and an accepted
+proposal hands over its own cache, factors and columns.  The cache holds the
+AR transition table (mean multiplier, variance and log variance for every
+distinct time gap and coordinate chain), so a block's process factor is one
+array expression over [beta | mu].  Nothing in the terms reads the Gibbs
+scalars or the effects, so they carry over to the next iteration; only the
+likelihood is recomputed from the stored columns.
 """
 
 from __future__ import annotations
@@ -25,6 +40,7 @@ from .model import (
     COORD_BOUND,
     LatentAtoms,
     PriorConfig,
+    ProcessTable,
     ScalarHypers,
     ThetaLayout,
     atom_block_log_density,
@@ -39,6 +55,10 @@ from .model import (
     unpack_theta,
 )
 from .runtime import WorkerPool, reduce_sum, schedule_parity
+
+# `atom_block_log_density` and `atom_process_log_density` are the reference
+# process densities that `ProcessTable` reproduces; they stay importable from
+# this module, where perfbench's traced runs look them up.
 
 # Random stream identifiers.
 _S_INIT, _S_BLOCK, _S_THETA, _S_PHI, _S_ZETA, _S_PREDICT = range(6)
@@ -133,6 +153,9 @@ class SamplerState:
     nu: np.ndarray
     omega_sq: np.ndarray
     phi: np.ndarray | None = None
+    # Terms of theta and the atoms, kept by `Sampler.iterate`, which computes
+    # them when None.  Reset to None after changing theta or atoms elsewhere.
+    terms: StateTerms | None = None
 
     def snapshot_atoms(self) -> tuple[LatentAtoms, ...]:
         return tuple(self.atoms)
@@ -178,6 +201,8 @@ class ModelContext:
     ar_mode: ArMode
     knots: tuple[np.ndarray, ...]
     knot_inverse: tuple[np.ndarray, ...]
+    gaps: np.ndarray              # distinct gaps between consecutive times, sorted
+    gap_index: tuple[int, ...]    # gap_index[k]: row of times[k] - times[k-1] in gaps (-1 at k=0)
 
     @property
     def n(self) -> int:
@@ -204,6 +229,16 @@ class ModelContext:
         return hypers.sigma_sq_eps
 
 
+def _map_knots(locations: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Sorted unique coordinates per dimension, and each location's index into them."""
+    knots, inverse = [], []
+    for ell in range(locations.shape[1]):
+        uniq, inv = np.unique(locations[:, ell], return_inverse=True)
+        knots.append(uniq)
+        inverse.append(inv)
+    return tuple(knots), tuple(inverse)
+
+
 def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool = True,
                   alpha_pinned: bool | None = None, phi0_override: np.ndarray | None = None) -> ModelContext:
     if alpha_pinned is None:
@@ -214,28 +249,30 @@ def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool
             raise InvalidArgumentError("phi0 override must match the response shape")
     else:
         phi0 = effects.phi0_training_matrix(data.locations, data.y)
-    knots, inverse = [], []
-    for ell in range(data.p):
-        uniq, inv = np.unique(data.locations[:, ell], return_inverse=True)
-        knots.append(uniq)
-        inverse.append(inv)
+    knots, inverse = _map_knots(data.locations)
+    gaps, gap_rows = np.unique(np.diff(data.times), return_inverse=True)
     return ModelContext(
         y=data.y, locations=data.locations, times=data.times, phi0=phi0,
         prior=prior, marginalized=marginalized, alpha_pinned=alpha_pinned,
-        ar_mode=mode_for_times(data.times), knots=tuple(knots), knot_inverse=tuple(inverse),
+        ar_mode=mode_for_times(data.times), knots=knots, knot_inverse=inverse,
+        gaps=gaps, gap_index=(-1, *(int(g) for g in gap_rows)),
     )
 
 
 @dataclass
 class ThetaCache:
-    """Natural-scale parameters and mapped locations for one theta value."""
+    """Natural-scale parameters, mapped locations and the AR transition
+    table for one theta value.
+
+    Nothing kept here depends on nu, omega_sq or the Gibbs scalars, so a
+    cache stays valid for its theta while those change.
+    """
 
     kp: object
-    mp: object
     beta_spec: ArSpec
     mu_specs: list[ArSpec]
     mapped: np.ndarray
-    fit: object
+    table: ProcessTable
 
     @classmethod
     def build(cls, theta: np.ndarray, ctx: ModelContext, nu: np.ndarray, omega_sq: np.ndarray) -> "ThetaCache":
@@ -244,44 +281,124 @@ class ThetaCache:
         mapped = np.empty((ctx.n, ctx.p))
         for ell in range(ctx.p):
             mapped[:, ell] = fit.values[ell][ctx.knot_inverse[ell]]
-        return cls(kp=kp, mp=mp, beta_spec=beta_spec, mu_specs=mu_specs, mapped=mapped, fit=fit)
+        return cls(kp=kp, beta_spec=beta_spec, mu_specs=mu_specs, mapped=mapped,
+                   table=ProcessTable.build(ctx.gaps, beta_spec, mu_specs))
 
 
 # ---------------------------------------------------------------------------
-# block conditional
+# carried terms and the block conditional
 # ---------------------------------------------------------------------------
 
-def loglik_slice(k: int, atoms_k: LatentAtoms, cache: ThetaCache, ctx: ModelContext,
-                 hypers: ScalarHypers, phi: np.ndarray | None) -> float:
-    f = field_values(cache.mapped, ctx.times[k], atoms_k, cache.kp)
+@dataclass
+class BlockTerms:
+    """What one block's atoms contribute to its conditional under one theta.
+
+    `p_in` is the block's incoming process factor, `p_out` the next block's
+    (None at the last block) and `field` the block's field column.  Terms
+    after a factor that is not finite are left out (None): the conditional
+    is -inf without them.
+    """
+
+    p_in: float
+    p_out: float | None
+    field: np.ndarray | None
+
+
+@dataclass
+class StateTerms:
+    """Terms of the atoms under one theta: the theta's cache, every block's
+    incoming process factor P_k, and the (n, m) field matrix with columns f_k."""
+
+    cache: ThetaCache
+    process: list[float]
+    field: np.ndarray
+
+    @classmethod
+    def build(cls, cache: ThetaCache, atoms: list[LatentAtoms], ctx: ModelContext,
+              pool: WorkerPool) -> "StateTerms":
+        """Process factors and field columns of every block under the theta of `cache`."""
+        process = [cache.table.block_log_density(atoms[k], atoms[k - 1] if k > 0 else None, ctx.gap_index[k])
+                   for k in range(ctx.m)]
+        cols = pool.map_indices(
+            range(ctx.m), lambda k: field_values(cache.mapped, ctx.times[k], atoms[k], cache.kp))
+        return cls(cache=cache, process=process, field=np.column_stack(cols))
+
+    def block(self, k: int) -> BlockTerms:
+        p_out = self.process[k + 1] if k + 1 < len(self.process) else None
+        return BlockTerms(self.process[k], p_out, self.field[:, k])
+
+    def store(self, k: int, terms: BlockTerms) -> None:
+        """Write back the terms of block k's accepted atoms."""
+        self.process[k] = terms.p_in
+        if terms.p_out is not None:
+            self.process[k + 1] = terms.p_out
+        self.field[:, k] = terms.field
+
+
+def loglik_slice(k: int, f: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
+                 phi: np.ndarray | None) -> float:
+    """Time-k log likelihood of the field column f."""
     phi_col = ctx.phi_effective(phi)[:, k]
     return float(np.sum(log_observation_density(
         ctx.y[:, k], hypers.alpha, phi_col, f, ctx.var_effective(hypers))))
 
 
-def block_logpost(k: int, atoms_k: LatentAtoms, neighbors: tuple, cache: ThetaCache,
-                  ctx: ModelContext, hypers: ScalarHypers, phi: np.ndarray | None,
-                  j_max: int) -> float:
-    """Log full conditional of time block k (boundary blocks one-sided).
+def block_terms(k: int, atoms_k: LatentAtoms, neighbors: tuple, cache: ThetaCache,
+                ctx: ModelContext) -> BlockTerms:
+    """Terms of time block k holding `atoms_k`, between fixed neighbors."""
+    atoms_prev, atoms_next = neighbors
+    p_in = cache.table.block_log_density(atoms_k, atoms_prev, ctx.gap_index[k])
+    if not np.isfinite(p_in):
+        return BlockTerms(p_in, None, None)
+    p_out = None
+    if atoms_next is not None:
+        p_out = cache.table.block_log_density(atoms_next, atoms_k, ctx.gap_index[k + 1])
+        if not np.isfinite(p_out):
+            return BlockTerms(p_in, p_out, None)
+    return BlockTerms(p_in, p_out, field_values(cache.mapped, ctx.times[k], atoms_k, cache.kp))
+
+
+def block_score(k: int, count: int, terms: BlockTerms, ctx: ModelContext, hypers: ScalarHypers,
+                phi: np.ndarray | None, j_max: int) -> float:
+    """Log full conditional of time block k from its terms (boundary blocks one-sided).
 
     Contains the count factor, the incoming process factors of block k, the
     outgoing factors of block k+1 (whose transition-vs-initial split depends
     on this block's count), and the time-k likelihood slice.
     """
-    atoms_prev, atoms_next = neighbors
-    if not 1 <= atoms_k.count <= j_max:
+    if not 1 <= count <= j_max:
         return -np.inf
-    lp = count_log_factor(atoms_k.count, hypers.lam)
-    gap_in = None if k == 0 else ctx.times[k] - ctx.times[k - 1]
-    lp += atom_block_log_density(atoms_k, atoms_prev, gap_in, cache.beta_spec, cache.mu_specs)
+    lp = count_log_factor(count, hypers.lam)
+    lp += terms.p_in
     if not np.isfinite(lp):
         return -np.inf
-    if atoms_next is not None:
-        lp += atom_block_log_density(atoms_next, atoms_k, ctx.times[k + 1] - ctx.times[k],
-                                     cache.beta_spec, cache.mu_specs)
+    if terms.p_out is not None:
+        lp += terms.p_out
     if not np.isfinite(lp):
         return -np.inf
-    return lp + loglik_slice(k, atoms_k, cache, ctx, hypers, phi)
+    return lp + loglik_slice(k, terms.field, ctx, hypers, phi)
+
+
+def block_logpost(k: int, atoms_k: LatentAtoms, neighbors: tuple, cache: ThetaCache,
+                  ctx: ModelContext, hypers: ScalarHypers, phi: np.ndarray | None,
+                  j_max: int) -> float:
+    """Log full conditional of time block k holding `atoms_k`: the score of its fresh terms."""
+    return block_score(k, atoms_k.count, block_terms(k, atoms_k, neighbors, cache, ctx),
+                       ctx, hypers, phi, j_max)
+
+
+def _score_pair(k, atoms_k, proposal, neighbors, cache, ctx, hypers, phi, j_max, cur):
+    """Log conditionals and terms of the current block and of a proposal.
+
+    `cur` holds the current block's carried terms; without them (a move
+    called on its own) they are computed here.
+    """
+    if cur is None:
+        cur = block_terms(k, atoms_k, neighbors, cache, ctx)
+    prop = block_terms(k, proposal, neighbors, cache, ctx)
+    lp_cur = block_score(k, atoms_k.count, cur, ctx, hypers, phi, j_max)
+    lp_prop = block_score(k, proposal.count, prop, ctx, hypers, phi, j_max)
+    return lp_cur, lp_prop, cur, prop
 
 
 def _draw_mult_eps(rng: np.random.Generator, floor: float) -> float:
@@ -303,8 +420,10 @@ def _log_half_normal(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # transdimensional moves
 # ---------------------------------------------------------------------------
+# Each move takes the current block's carried terms as `cur` (None: computed
+# from scratch) and returns the terms of the atoms it returns in info["terms"].
 
-def ttmcmc_birth(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None):
+def ttmcmc_birth(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
     """Split one atom into two; dimension J -> J + 1.
 
     Additive branch: the selected atom splits into (x + a|e|, x - a|e|) per
@@ -366,15 +485,16 @@ def ttmcmc_birth(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None):
     if not cfg.exact_acceptance:
         # printed selection factor: child pair chosen among all J+1 atoms
         log_struct -= math.log(J + 1)
-    lp_cur = block_logpost(k, atoms_k, neighbors, cache, ctx, hypers, phi, cfg.j_max)
-    lp_prop = block_logpost(k, proposal, neighbors, cache, ctx, hypers, phi, cfg.j_max)
+    lp_cur, lp_prop, cur, prop = _score_pair(k, atoms_k, proposal, neighbors, cache, ctx, hypers,
+                                             phi, cfg.j_max, cur)
     log_alpha = lp_prop - lp_cur + log_struct
     info.update(log_struct=log_struct, log_alpha=log_alpha, lp_cur=lp_cur, lp_prop=lp_prop)
     accepted = _mh_accept(log_alpha, rng)
+    info["terms"] = prop if accepted else cur
     return (proposal if accepted else atoms_k), accepted, info
 
 
-def ttmcmc_death(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None):
+def ttmcmc_death(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
     """Merge two atoms into one; dimension J -> J - 1.
 
     Additive branch merges the selected pair to its midpoint; the
@@ -440,16 +560,17 @@ def ttmcmc_death(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None):
     log_struct += math.log(wb_new) - math.log(wd)
     if not cfg.exact_acceptance:
         log_struct += math.log(J)
-    lp_cur = block_logpost(k, atoms_k, neighbors, cache, ctx, hypers, phi, cfg.j_max)
-    lp_prop = block_logpost(k, proposal, neighbors, cache, ctx, hypers, phi, cfg.j_max)
+    lp_cur, lp_prop, cur, prop = _score_pair(k, atoms_k, proposal, neighbors, cache, ctx, hypers,
+                                             phi, cfg.j_max, cur)
     log_alpha = -np.inf if unreachable else lp_prop - lp_cur + log_struct
     info.update(log_struct=log_struct, log_alpha=log_alpha, lp_cur=lp_cur,
                 lp_prop=lp_prop, unreachable=unreachable)
     accepted = _mh_accept(log_alpha, rng)
+    info["terms"] = prop if accepted else cur
     return (proposal if accepted else atoms_k), accepted, info
 
 
-def ttmcmc_no_change(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None):
+def ttmcmc_no_change(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
     """Jointly perturb all (p+1)J atom coordinates; dimension unchanged."""
     J, p = atoms_k.count, ctx.p
     d = (p + 1) * J
@@ -473,11 +594,12 @@ def ttmcmc_no_change(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=No
         info.update(eps=eps, b=b)
 
     proposal = LatentAtoms(v_new[J:].reshape(J, p), v_new[:J])
-    lp_cur = block_logpost(k, atoms_k, neighbors, cache, ctx, hypers, phi, cfg.j_max)
-    lp_prop = block_logpost(k, proposal, neighbors, cache, ctx, hypers, phi, cfg.j_max)
+    lp_cur, lp_prop, cur, prop = _score_pair(k, atoms_k, proposal, neighbors, cache, ctx, hypers,
+                                             phi, cfg.j_max, cur)
     log_alpha = lp_prop - lp_cur + log_jac
     info.update(log_jac=log_jac, log_alpha=log_alpha, lp_cur=lp_cur, lp_prop=lp_prop)
     accepted = _mh_accept(log_alpha, rng)
+    info["terms"] = prop if accepted else cur
     return (proposal if accepted else atoms_k), accepted, info
 
 
@@ -492,8 +614,12 @@ def _mh_accept(log_alpha: float, rng: np.random.Generator) -> bool:
     return math.log(rng.random()) < log_alpha
 
 
-def update_time_block(k, atoms_snapshot, cache, ctx, hypers, cfg, rng, phi=None):
-    """One multinomial move-type draw and the corresponding move at index k."""
+def update_time_block(k, atoms_snapshot, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
+    """One multinomial move-type draw and the corresponding move at index k.
+
+    Returns the block's new atoms, the move, the acceptance and the terms of
+    the new atoms; `cur` holds the current block's carried terms, if any.
+    """
     atoms_k = atoms_snapshot[k]
     neighbors = (
         atoms_snapshot[k - 1] if k > 0 else None,
@@ -502,38 +628,44 @@ def update_time_block(k, atoms_snapshot, cache, ctx, hypers, cfg, rng, phi=None)
     wb, wd, _ = move_weights(atoms_k.count, cfg)
     u = rng.random()
     if u < wb:
-        move = "birth"
-        new_atoms, accepted, _ = ttmcmc_birth(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi)
+        move, fn = "birth", ttmcmc_birth
     elif u < wb + wd:
-        move = "death"
-        new_atoms, accepted, _ = ttmcmc_death(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi)
+        move, fn = "death", ttmcmc_death
     else:
-        move = "no_change"
-        new_atoms, accepted, _ = ttmcmc_no_change(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi)
-    return new_atoms, move, accepted
+        move, fn = "no_change", ttmcmc_no_change
+    new_atoms, accepted, info = fn(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)
+    return new_atoms, move, accepted, info["terms"]
 
 
 # ---------------------------------------------------------------------------
 # fixed-dimension block update
 # ---------------------------------------------------------------------------
 
-def theta_logpost(theta, state, ctx, pool, cache=None):
-    """Log conditional of the fixed-dimension block given everything else."""
-    layout = ctx.layout
-    if not theta_in_bounds(theta, layout):
-        return -np.inf, None
-    if cache is None:
-        cache = ThetaCache.build(theta, ctx, state.nu, state.omega_sq)
-    lp = log_prior_theta(theta, layout, state.nu, state.omega_sq, ctx.prior)
-    lp += atom_process_log_density(state.atoms, ctx.times, cache.beta_spec, cache.mu_specs)
+def theta_score(theta, terms: StateTerms, state, ctx, pool) -> float:
+    """Log conditional of the fixed-dimension block at theta, from the terms
+    of the state's atoms under theta."""
+    lp = log_prior_theta(theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
+    process = terms.process[0]
+    for factor in terms.process[1:]:
+        process += factor
+    lp += process
     if not np.isfinite(lp):
-        return -np.inf, cache
+        return -np.inf
     partials = pool.map_indices(
-        range(ctx.m), lambda k: loglik_slice(k, state.atoms[k], cache, ctx, state.hypers, state.phi))
-    return lp + reduce_sum(partials), cache
+        range(ctx.m), lambda k: loglik_slice(k, terms.field[:, k], ctx, state.hypers, state.phi))
+    return lp + reduce_sum(partials)
 
 
-def tmcmc_update_theta(state, ctx, cfg, pool, rng, cur_lp, cur_cache):
+def theta_logpost(theta, state, ctx, pool):
+    """Log conditional of the fixed-dimension block given everything else,
+    with the state's terms under theta ((-inf, None) outside the bounds)."""
+    if not theta_in_bounds(theta, ctx.layout):
+        return -np.inf, None
+    terms = StateTerms.build(ThetaCache.build(theta, ctx, state.nu, state.omega_sq), state.atoms, ctx, pool)
+    return theta_score(theta, terms, state, ctx, pool), terms
+
+
+def tmcmc_update_theta(state, ctx, cfg, pool, rng, cur_lp, cur_terms):
     """Whole-block proposal driven by one scalar draw with per-coordinate
     signs (additive) or factors (multiplicative)."""
     d = ctx.layout.dim
@@ -553,16 +685,16 @@ def tmcmc_update_theta(state, ctx, cfg, pool, rng, cur_lp, cur_cache):
         proposal[b == -1] /= eps
         log_jac = float(b.sum()) * math.log(abs(eps))
         info.update(branch="multiplicative", eps=eps, b=b)
-    lp_prop, cache_prop = theta_logpost(proposal, state, ctx, pool)
+    lp_prop, terms_prop = theta_logpost(proposal, state, ctx, pool)
     log_alpha = lp_prop - cur_lp + log_jac
     info.update(proposal=proposal, log_jac=log_jac, log_alpha=log_alpha,
                 lp_prop=lp_prop, lp_cur=cur_lp)
     if _mh_accept(log_alpha, rng):
-        return proposal, lp_prop, cache_prop, True, info
-    return theta, cur_lp, cur_cache, False, info
+        return proposal, lp_prop, terms_prop, True, info
+    return theta, cur_lp, cur_terms, False, info
 
 
-def mixing_enhancement(state, ctx, cfg, pool, rng, cur_lp, cur_cache):
+def mixing_enhancement(state, ctx, cfg, pool, rng, cur_lp, cur_terms):
     """Second pass over the block with common-direction proposals."""
     d = ctx.layout.dim
     theta = state.theta
@@ -584,13 +716,13 @@ def mixing_enhancement(state, ctx, cfg, pool, rng, cur_lp, cur_cache):
             proposal = theta / eps
             log_jac = -d * math.log(abs(eps))
         info.update(branch="multiplicative", eps=eps, up=u_dir < 0.5)
-    lp_prop, cache_prop = theta_logpost(proposal, state, ctx, pool)
+    lp_prop, terms_prop = theta_logpost(proposal, state, ctx, pool)
     log_alpha = lp_prop - cur_lp + log_jac
     info.update(proposal=proposal, log_jac=log_jac, log_alpha=log_alpha,
                 lp_prop=lp_prop, lp_cur=cur_lp)
     if _mh_accept(log_alpha, rng):
-        return proposal, lp_prop, cache_prop, True, info
-    return theta, cur_lp, cur_cache, False, info
+        return proposal, lp_prop, terms_prop, True, info
+    return theta, cur_lp, cur_terms, False, info
 
 
 # ---------------------------------------------------------------------------
@@ -708,17 +840,12 @@ class Sampler:
 
     # -- one full iteration --------------------------------------------------
 
-    def field_matrix(self, state: SamplerState, cache: ThetaCache | None = None) -> np.ndarray:
-        if cache is None:
-            cache = ThetaCache.build(state.theta, self.ctx, state.nu, state.omega_sq)
-        cols = self.pool.map_indices(
-            range(self.ctx.m),
-            lambda k: field_values(cache.mapped, self.ctx.times[k], state.atoms[k], cache.kp))
-        return np.column_stack(cols)
-
     def iterate(self, state: SamplerState, r: int, stats: MoveStats) -> SamplerState:
         ctx, cfg = self.ctx, self.cfg
-        cache = ThetaCache.build(state.theta, ctx, state.nu, state.omega_sq)
+        if state.terms is None:
+            state.terms = StateTerms.build(ThetaCache.build(state.theta, ctx, state.nu, state.omega_sq),
+                                           state.atoms, ctx, self.pool)
+        terms = state.terms
 
         # transdimensional phases: odd (1-based) indices first, then even
         for parity in ("odd", "even"):
@@ -728,26 +855,29 @@ class Sampler:
 
             def work(k):
                 rng = stream(cfg.seed, _S_BLOCK, r, k)
-                return update_time_block(k, snapshot, cache, ctx, hypers, cfg, rng, phi)
+                return update_time_block(k, snapshot, terms.cache, ctx, hypers, cfg, rng, phi, terms.block(k))
 
             results = self.pool.run_phase(plan, work)
             for k in plan.indices:
-                new_atoms, move, accepted = results[k]
+                new_atoms, move, accepted, block = results[k]
                 state.atoms[k] = new_atoms
+                if accepted:
+                    terms.store(k, block)
                 stats.record(move, accepted)
 
         # fixed-dimension block plus enhancement at the coordinator
         rng_t = stream(cfg.seed, _S_THETA, r)
-        cur_lp, cache = theta_logpost(state.theta, state, ctx, self.pool, cache=None)
-        state.theta, cur_lp, cache, acc, _ = tmcmc_update_theta(
-            state, ctx, cfg, self.pool, rng_t, cur_lp, cache)
+        cur_lp = theta_score(state.theta, terms, state, ctx, self.pool)
+        state.theta, cur_lp, terms, acc, _ = tmcmc_update_theta(
+            state, ctx, cfg, self.pool, rng_t, cur_lp, terms)
         stats.record("tmcmc", acc)
-        state.theta, cur_lp, cache, acc, _ = mixing_enhancement(
-            state, ctx, cfg, self.pool, rng_t, cur_lp, cache)
+        state.theta, cur_lp, terms, acc, _ = mixing_enhancement(
+            state, ctx, cfg, self.pool, rng_t, cur_lp, terms)
         stats.record("enhance", acc)
+        state.terms = terms
 
         # random-effect draws (explicit mode), then the scalar Gibbs block
-        fmat = self.field_matrix(state, cache)
+        fmat = terms.field
         if not ctx.marginalized:
             hypers = state.hypers
 
@@ -866,25 +996,19 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
         raise InvalidArgumentError("empty chain")
     new_locations = np.atleast_2d(np.asarray(new_locations, dtype=float))
     new_times = np.atleast_1d(np.asarray(new_times, dtype=float))
-    ctx = build_context(data, PriorConfig(), marginalized=marginalized)
-    layout = ctx.layout
+    layout, ar_mode = ThetaLayout(p=data.p), mode_for_times(data.times)
+    knots, _ = _map_knots(data.locations)
     time_idx = [_grid_index(t, data.times) for t in new_times]
     q, mt = new_locations.shape[0], new_times.size
-
-    phi0_new = np.empty((q, mt))
-    for a in range(q):
-        for b, t in enumerate(new_times):
-            phi0_new[a, b] = effects.phi0_predict(
-                data.locations, data.times, data.y, new_locations[a], float(t))
+    phi0_new = effects.phi0_predict(data.locations, data.times, data.y, new_locations, new_times)
 
     rng = stream(seed, _S_PREDICT)
     draws = np.empty((len(samples), q, mt))
     for s_i, smp in enumerate(samples):
-        kp, mp, _, _ = unpack_theta(smp.theta, layout, ctx.ar_mode, smp.nu, smp.omega_sq)
-        fit = monotone_map_fit(list(ctx.knots), mp)
-        mapped_new = np.empty((q, ctx.p))
-        for ell in range(ctx.p):
-            mapped_new[:, ell] = [monotone_map_extend(s, ell, fit, mp) for s in new_locations[:, ell]]
+        kp, mp, _, _ = unpack_theta(smp.theta, layout, ar_mode, smp.nu, smp.omega_sq)
+        fit = monotone_map_fit(list(knots), mp)
+        mapped_new = np.column_stack([monotone_map_extend(new_locations[:, ell], ell, fit, mp)
+                                      for ell in range(data.p)])
         for b, k in enumerate(time_idx):
             f = field_values(mapped_new, data.times[k], smp.atoms[k], kp)
             mean = smp.alpha + phi0_new[:, b] + f

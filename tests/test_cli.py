@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from levyst.chainio import read_chain
 from levyst.cli import main
 from levyst.data import load_csv
 
@@ -68,6 +69,15 @@ def test_fit_does_not_mutate_input(sim_dir, tmp_path):
     _run("fit", "--data", str(sim_dir / "train.csv"), "--out", str(out),
          "--seed", "1", "--iters", "12", "--burnin", "2", "--thin", "2", "--jmax", "4")
     assert (sim_dir / "train.csv").read_bytes() == before
+
+
+def test_fit_defaults_to_one_worker(sim_dir, tmp_path):
+    out = tmp_path / "fit1"
+    code = _run("fit", "--data", str(sim_dir / "train.csv"), "--out", str(out),
+                "--seed", "1", "--iters", "6", "--burnin", "0", "--thin", "2", "--jmax", "4")
+    assert code == 0
+    _, meta = read_chain(out / "chain.txt")
+    assert meta["workers"] == 1
 
 
 def test_predict_round_trip(sim_dir, fit_dir, tmp_path):

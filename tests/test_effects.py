@@ -50,6 +50,30 @@ def test_phi0_prediction_tie_average():
     assert got == pytest.approx(2.0)
 
 
+def _phi0_predict_scan(locations, times, y, s_new, t_new):
+    """One point at a time: scan every training cell's distance."""
+    d_sp = np.sum((locations - s_new) ** 2, axis=1)
+    d = d_sp[:, None] + (times[None, :] - t_new) ** 2
+    return float(y.ravel()[np.flatnonzero(d.ravel() == d.min())].mean())
+
+
+@pytest.mark.parametrize("grid", [True, False])
+def test_phi0_prediction_matches_pointwise_scan(grid):
+    rng = np.random.default_rng(8)
+    if grid:  # integer coordinates and half-way times: many exact ties
+        locs = rng.integers(0, 4, size=(12, 2)).astype(float)
+        pts = rng.integers(0, 8, size=(10, 2)) / 2.0
+        t_new = np.array([1.0, 1.5, 3.0, 4.5, 7.0])
+    else:
+        locs = rng.random((12, 2))
+        pts = rng.random((10, 2)) * 1.4 - 0.2
+        t_new = np.array([1.0, 2.2, 5.0])
+    times = np.arange(1.0, 6.0)
+    y = rng.standard_normal((12, 5))
+    want = np.array([[_phi0_predict_scan(locs, times, y, s, t) for t in t_new] for s in pts])
+    np.testing.assert_array_equal(phi0_predict(locs, times, y, pts, t_new), want)
+
+
 def test_compute_phi0_permutation_invariant():
     rng = np.random.default_rng(2)
     locs = rng.random((6, 2))

@@ -14,8 +14,10 @@ from levyst.model import (
     LatentAtoms,
     MonotoneMapParams,
     PriorConfig,
+    ProcessTable,
     ScalarHypers,
     ThetaLayout,
+    atom_block_log_density,
     atom_process_log_density,
     count_log_factor,
     f_eval,
@@ -100,6 +102,48 @@ def test_map_extend():
     lo = monotone_map_extend(0.10, 0, fit, mp)
     hi = monotone_map_extend(0.45, 0, fit, mp)
     assert 1.0 <= lo <= hi <= 1.5
+
+
+def _extend_pointwise(s, dim, fit, mp):
+    """One coordinate at a time, with the scalar power of each offset."""
+    knots, values = fit.knots[dim], fit.values[dim]
+    slope = mp.C[dim] * mp.X[dim]
+    if s < knots[0]:
+        return float(values[0] - slope * (knots[0] - s) ** mp.r)
+    i = int(np.searchsorted(knots, s, side="right")) - 1
+    return float(values[i] + slope * (s - knots[i]) ** mp.r)
+
+
+def test_map_extend_array_matches_pointwise():
+    # enough points that squaring in place of the scalar power would show
+    rng = np.random.default_rng(4)
+    mp = _map_params(1.7, 0.9, 2.3)
+    fit = monotone_map_fit([np.sort(rng.random(15))], mp)
+    pts = np.concatenate([rng.uniform(-1.0, 2.0, 20_000), fit.knots[0]])
+    want = np.array([_extend_pointwise(s, 0, fit, mp) for s in pts])
+    np.testing.assert_array_equal(monotone_map_extend(pts, 0, fit, mp), want)
+    with pytest.raises(InvalidArgumentError):
+        monotone_map_extend(np.array([0.2, np.nan]), 0, fit, mp)
+
+
+@pytest.mark.parametrize("mode", [ArMode.IAR, ArMode.REGULAR_AR1])
+def test_process_table_matches_reference_density(mode):
+    rng = np.random.default_rng(6)
+    gaps = np.array([1.0, 2.0, 3.0]) if mode is ArMode.REGULAR_AR1 else np.array([0.3, 1.0, 2.7])
+    for _ in range(300):
+        p = int(rng.integers(1, 4))
+        rho_lo = 0.05 if mode is ArMode.IAR else -0.95
+        specs = [ArSpec(rho=float(rng.uniform(rho_lo, 0.95)), sigma_sq=float(np.exp(rng.uniform(-3, 2))),
+                        mode=mode) for _ in range(p + 1)]
+        table = ProcessTable.build(gaps, specs[0], specs[1:])
+        J, J_prev = (int(v) for v in rng.integers(1, 60, size=2))
+        atoms = LatentAtoms(rng.normal(scale=4.0, size=(J, p)), rng.normal(size=J))
+        prev = LatentAtoms(rng.normal(scale=4.0, size=(J_prev, p)), rng.normal(size=J_prev))
+        g = int(rng.integers(gaps.size))
+        assert table.block_log_density(atoms, prev, g) == atom_block_log_density(
+            atoms, prev, gaps[g], specs[0], specs[1:])
+        assert table.block_log_density(atoms, None, -1) == atom_block_log_density(
+            atoms, None, None, specs[0], specs[1:])
 
 
 def test_f_eval_cases():

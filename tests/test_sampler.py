@@ -421,7 +421,7 @@ def test_update_time_block_invalid_rate_guard(tame_prior):
     ctx = _tiny_ctx(tame_prior, n=1, m=1, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=2)
     stats = MoveStats()
-    new_atoms, move, accepted = update_time_block(
+    new_atoms, move, accepted, _ = update_time_block(
         0, tuple(atoms), cache, ctx, hypers, CFG, stream(5, 16))
     stats.record(move, accepted)
     assert move in ("birth", "death", "no_change")
@@ -477,6 +477,58 @@ def test_worker_count_invariance(tiny_dataset, tame_prior):
             for xa, xb in zip(sa.atoms, sb.atoms):
                 np.testing.assert_array_equal(xa.mu, xb.mu)
                 np.testing.assert_array_equal(xa.beta, xb.beta)
+
+
+@pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
+@pytest.mark.parametrize("times", [np.arange(1.0, 7.0), np.array([0.0, 1.0, 2.5, 3.0, 4.5, 7.0])],
+                         ids=["regular", "irregular"])
+def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypatch, marginalized, times):
+    """After every iteration each carried process factor and field column
+    equals a fresh evaluation, and the theta cache is built only for
+    in-bounds proposals (plus once at the start)."""
+    import levyst.sampler as sampler_module
+    from levyst.model import atom_block_log_density, field_values, theta_in_bounds
+
+    data = SpaceTimeDataset(tiny_dataset.locations, times, tiny_dataset.y)
+    cfg = SamplerConfig(iterations=30, burn_in=0, thin=1, j_max=5, seed=3)
+    sampler = Sampler(data, cfg, tame_prior, marginalized=marginalized)
+    ctx = sampler.ctx
+    assert len(ctx.gaps) == (1 if ctx.ar_mode is ArMode.REGULAR_AR1 else 4)
+
+    builds, in_bounds = [], []
+    build = vars(ThetaCache)["build"].__func__
+
+    def counting_build(cls, *args):
+        builds.append(1)
+        return build(cls, *args)
+
+    def counting(move):
+        def proposal_move(*args):
+            out = move(*args)
+            in_bounds.append(theta_in_bounds(out[-1]["proposal"], ctx.layout))
+            return out
+        return proposal_move
+
+    monkeypatch.setattr(ThetaCache, "build", classmethod(counting_build))
+    for name in ("tmcmc_update_theta", "mixing_enhancement"):
+        monkeypatch.setattr(sampler_module, name, counting(getattr(sampler_module, name)))
+    state, stats = sampler.initial_state(), MoveStats()
+    for r in range(cfg.iterations):
+        builds.clear()
+        in_bounds.clear()
+        state = sampler.iterate(state, r, stats)
+        assert len(in_bounds) == 2
+        assert len(builds) <= sum(in_bounds) + (r == 0)
+        fresh = build(ThetaCache, state.theta, ctx, state.nu, state.omega_sq)
+        terms = state.terms
+        np.testing.assert_array_equal(terms.cache.mapped, fresh.mapped)
+        for k in range(ctx.m):
+            prev, gap = (None, None) if k == 0 else (state.atoms[k - 1], ctx.times[k] - ctx.times[k - 1])
+            assert terms.process[k] == atom_block_log_density(
+                state.atoms[k], prev, gap, fresh.beta_spec, fresh.mu_specs)
+            assert np.array_equal(terms.field[:, k],
+                                  field_values(fresh.mapped, ctx.times[k], state.atoms[k], fresh.kp))
+    assert stats.accepts["no_change"] > 0 and stats.accepts["tmcmc"] > 0
 
 
 def test_explicit_mode_runs_and_tracks_phi(tiny_dataset, tame_prior):
