@@ -252,6 +252,29 @@ def field_values(mapped: np.ndarray, t: float, atoms: LatentAtoms, kp: KernelPar
     return np.exp(logk) @ atoms.beta
 
 
+def field_rows(mapped: np.ndarray, times: np.ndarray, blocks, kp: KernelParams) -> np.ndarray:
+    """Fields of several atom blocks over the rows of an (n, p) mapped-location
+    matrix, one (B, n) row per block, where block b sits at times[b].
+
+    Row b equals `field_values(mapped, times[b], blocks[b], kp)` bit for bit.
+    One (n, sum J) kernel matrix covers every block's atoms, each atom with
+    its block's time term; each row is then its block's own column slice
+    times its beta, because padding the blocks to one count or summing the
+    concatenated products by segment would change the summation order.
+    """
+    counts = [atoms.count for atoms in blocks]
+    rows = np.empty((len(blocks), mapped.shape[0]))
+    mu = np.concatenate([atoms.mu for atoms in blocks])
+    time_term = np.repeat(kp.xi * np.abs(np.asarray(times, dtype=float) - kp.tau), counts)
+    d = mapped[:, None, :] - mu[None, :, :]             # (n, sum J, p)
+    kernel = np.exp(-0.5 * np.einsum("njp,p->nj", d * d, kp.tilde_sigma_sq) - time_term)
+    end = 0
+    for b, atoms in enumerate(blocks):
+        start, end = end, end + atoms.count
+        rows[b] = kernel[:, start:end] @ atoms.beta
+    return rows
+
+
 def log_observation_density(y, alpha: float, phi, f, sigma_sq_eff: float):
     """Gaussian log density of y around alpha + phi + f."""
     if sigma_sq_eff <= 0.0:
@@ -493,65 +516,93 @@ def atom_block_log_density(atoms_k: LatentAtoms, atoms_prev: LatentAtoms | None,
     return total
 
 
-def _chain_rows(atoms: LatentAtoms, count: int) -> np.ndarray:
-    """[beta | mu] of the first `count` atoms as a C-ordered (p+1, count)
-    array, so that reductions along a row sum pairwise like a 1-d np.sum."""
-    rows = np.empty((atoms.mu.shape[1] + 1, count))
-    rows[0] = atoms.beta[:count]
-    rows[1:] = atoms.mu[:count].T
-    return rows
-
-
 @dataclass(frozen=True)
 class ProcessTable:
     """The Gaussian terms of every process factor under one theta, tabled.
 
-    Rows follow the distinct time gaps of a dataset, columns the coordinate
-    chains [beta | mu_1 .. mu_p].  `block_log_density` returns what
-    `atom_block_log_density` returns, bit for bit: it keeps that function's
-    elementwise operation order, sums each column's terms contiguously and
-    adds the column totals left to right.
+    Rows follow the coordinate chains [beta | mu_1 .. mu_p], columns the
+    distinct time gaps of a dataset and, last, the initial law (mean
+    multiplier 0), so gap index -1 selects the initial law.
+    `log_densities` returns what `atom_block_log_density` returns, bit for
+    bit: it keeps that function's elementwise operation order, sums each
+    chain's terms as one contiguous run and adds the chain totals left to
+    right.
     """
 
-    mult: np.ndarray       # (G, p+1) transition mean multipliers rho**gap
-    var: np.ndarray        # (G, p+1) transition variances
-    norm: np.ndarray       # (G, p+1) log(2 pi) + log(var)
-    init_var: np.ndarray   # (p+1,) initial-law variances
-    init_norm: np.ndarray  # (p+1,) log(2 pi) + log(init_var)
+    mult: np.ndarray   # (p+1, G+1) transition mean multipliers rho**gap; 0 for the initial law
+    var: np.ndarray    # (p+1, G+1) transition variances, then the initial-law variances
+    norm: np.ndarray   # (p+1, G+1) log(2 pi) + log(var)
 
     @classmethod
     def build(cls, gaps: np.ndarray, beta_spec: ArSpec, mu_specs) -> "ProcessTable":
         specs = (beta_spec, *mu_specs)
-        shape = (len(gaps), len(specs))
-        mult, var, norm = np.empty(shape), np.empty(shape), np.empty(shape)
-        for g, gap in enumerate(gaps):
-            for c, spec in enumerate(specs):
-                mult[g, c], var[g, c] = transition_moments(gap, spec)
-                norm[g, c] = _LOG_2PI + np.log(var[g, c])
-        init_var = np.array([spec.initial_variance for spec in specs])
-        init_norm = np.array([_LOG_2PI + np.log(v) for v in init_var])
-        return cls(mult, var, norm, init_var, init_norm)
+        shape = (len(specs), len(gaps) + 1)
+        mult, var, norm = np.zeros(shape), np.empty(shape), np.empty(shape)
+        for c, spec in enumerate(specs):
+            for g, gap in enumerate(gaps):
+                mult[c, g], var[c, g] = transition_moments(gap, spec)
+            var[c, -1] = spec.initial_variance
+            for g in range(shape[1]):
+                norm[c, g] = _LOG_2PI + np.log(var[c, g])
+        return cls(mult, var, norm)
 
     def block_log_density(self, atoms_k: LatentAtoms, atoms_prev: LatentAtoms | None, g: int) -> float:
         """Incoming process factors of one block; `g` indexes the gap from
         `atoms_prev`, which is None at the first time."""
-        if not atoms_in_bounds(atoms_k):
-            return -np.inf
-        J = atoms_k.count
-        x = _chain_rows(atoms_k, J)
-        shared = 0 if atoms_prev is None else min(J, atoms_prev.count)
-        cols = np.zeros(x.shape[0])
-        if shared > 0:
-            prev = _chain_rows(atoms_prev, shared)
-            d = x[:, :shared] - self.mult[g, :, None] * prev
-            cols = cols + (-0.5 * (self.norm[g, :, None] + d ** 2 / self.var[g, :, None])).sum(axis=1)
-        if J > shared:
-            tail = x[:, shared:]
-            cols = cols + (-0.5 * (self.init_norm[:, None] + tail ** 2 / self.init_var[:, None])).sum(axis=1)
-        total = float(cols[0])
-        for col in cols[1:]:
-            total += float(col)
+        return float(self.log_densities([(atoms_k, atoms_prev, g)])[0])
+
+    def log_densities(self, blocks) -> np.ndarray:
+        """Incoming process factors of several blocks in one pass.
+
+        Each block is an (atoms_k, atoms_prev, g) triple as
+        `block_log_density` takes it; blocks with an atom out of bounds get
+        -inf.  Atom j of a block follows atom j of its predecessor while
+        both exist and starts from the initial law beyond that.
+        """
+        counts = np.array([atoms.count for atoms, _, _ in blocks])
+        prev_counts = np.array([0 if prev is None else prev.count for _, prev, _ in blocks])
+        shared = np.minimum(counts, prev_counts)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        x = _chain_rows([atoms for atoms, _, _ in blocks])
+        # Predecessor values and table columns per term; initial-law terms
+        # read the zero column appended to the predecessors and column -1.
+        prevs = [prev for _, prev, _ in blocks if prev is not None]
+        prev = np.zeros((x.shape[0], 1))
+        if prevs:
+            prev = np.concatenate([_chain_rows(prevs), prev], axis=1)
+        pos = np.arange(ends[-1]) - np.repeat(starts, counts)
+        linked = pos < np.repeat(shared, counts)
+        src = np.where(linked, np.repeat(np.cumsum(prev_counts) - prev_counts, counts) + pos, prev.shape[1] - 1)
+        col = np.where(linked, np.repeat([g for _, _, g in blocks], counts), -1)
+        d = x - self.mult[:, col] * prev[:, src]
+        terms = np.ascontiguousarray(-0.5 * (self.norm[:, col] + d ** 2 / self.var[:, col]))
+        linked_sums = np.zeros((len(blocks), x.shape[0]))
+        initial_sums = np.zeros((len(blocks), x.shape[0]))
+        for b, (start, s, end) in enumerate(zip(starts, starts + shared, ends)):
+            if s > start:
+                linked_sums[b] = terms[:, start:s].sum(axis=1)
+            if end > s:
+                initial_sums[b] = terms[:, s:end].sum(axis=1)
+        # zero start, then linked, then initial sums, as one block adds them
+        # (the zero start turns a -0.0 sum into +0.0)
+        cols = (np.zeros_like(linked_sums) + linked_sums) + initial_sums
+        total = cols[:, 0]
+        for c in range(1, cols.shape[1]):
+            total = total + cols[:, c]
+        out_of_bounds = np.concatenate([[0], np.cumsum(~np.all(np.abs(x[1:]) <= COORD_BOUND, axis=0))])
+        total[out_of_bounds[ends] > out_of_bounds[starts]] = -np.inf
         return total
+
+
+def _chain_rows(blocks) -> np.ndarray:
+    """[beta | mu] of several blocks side by side, as a C-ordered (p+1, sum J)
+    array, so that reductions along a row sum pairwise like a 1-d np.sum."""
+    mu = np.concatenate([atoms.mu for atoms in blocks])
+    rows = np.empty((mu.shape[1] + 1, mu.shape[0]))
+    rows[0] = np.concatenate([atoms.beta for atoms in blocks])
+    rows[1:] = mu.T
+    return rows
 
 
 def atom_process_log_density(atoms: list[LatentAtoms], times: np.ndarray,

@@ -2,11 +2,24 @@
 block updates of the fixed-dimension parameters via shared-draw proposals, a
 mixing-enhancement pass, and exact Gibbs draws for the remaining scalars.
 
-Per iteration: odd time blocks (parallel) -> even time blocks (parallel) ->
-fixed-dimension block -> enhancement -> random effects (explicit mode,
-parallel) -> scalar Gibbs.  Every block owns a dedicated random stream keyed
-by (seed, stream id, iteration, index), so the stored chain is bit-identical
-for any worker count.
+Per iteration: odd time blocks -> even time blocks -> fixed-dimension block
+-> enhancement -> random effects (explicit mode) -> scalar Gibbs.  Every
+block owns a dedicated random stream keyed by (seed, stream id, iteration,
+index), so the stored chain does not depend on the order in which blocks
+are processed, nor on the worker count.
+
+Blocks of one parity are conditionally independent given the other parity,
+so each parity phase runs in three steps.  Propose: each block draws its
+move type and the move's draws from its own stream and forms its proposal
+with the proposal's log ratio (`propose_block`).  Score: one batched pass
+(`score_blocks`) computes, for every proposal of the parity, its incoming
+and outgoing process factors, its field row and its likelihood, and the
+likelihood of every current block from its stored field.  Accept: each
+block makes its acceptance draw from its own stream (`settle_blocks`).  A
+multiplicative merge that no birth can undo is rejected without a score; it
+still makes its acceptance draw.  The single-block moves (`ttmcmc_birth`,
+`ttmcmc_death`, `ttmcmc_no_change`, `update_time_block`) run the same three
+steps on a batch of one.
 
 The state carries the terms of its current theta (`StateTerms`): the
 theta's `ThetaCache`, each block's incoming process factor
@@ -15,13 +28,17 @@ proposals are scored.  A block move values the current block at its count
 factor + P_k + P_{k+1} + the likelihood of the stored f_k, and an accepted
 move writes back its proposal's P_k, P_{k+1} and f_k; blocks of one parity
 touch disjoint entries.  The theta phase values the current theta at its
-prior + sum_k P_k + the likelihood of the stored columns, and an accepted
-proposal hands over its own cache, factors and columns.  The cache holds the
-AR transition table (mean multiplier, variance and log variance for every
-distinct time gap and coordinate chain), so a block's process factor is one
-array expression over [beta | mu].  Nothing in the terms reads the Gibbs
-scalars or the effects, so they carry over to the next iteration; only the
-likelihood is recomputed from the stored columns.
+prior + sum_k P_k + the likelihood of the stored columns; each in-bounds
+proposal builds one cache and scores all m blocks in one batched pass, and
+an accepted proposal hands over its own cache, factors and columns.  The
+cache holds the AR transition table (mean multiplier, variance and log
+variance for every distinct time gap and coordinate chain).  Nothing in the
+terms reads the Gibbs scalars or the effects, so they carry over to the next
+iteration; only the likelihood is recomputed from the stored columns.
+
+Batching keeps every bit: each batched value is computed with the same
+elementwise operations and the same summation order as the per-block
+references `atom_block_log_density`, `field_values` and `loglik_slice`.
 """
 
 from __future__ import annotations
@@ -46,6 +63,7 @@ from .model import (
     atom_block_log_density,
     atom_process_log_density,
     count_log_factor,
+    field_rows,
     field_values,
     log_observation_density,
     log_prior_theta,
@@ -54,7 +72,7 @@ from .model import (
     theta_in_bounds,
     unpack_theta,
 )
-from .runtime import WorkerPool, reduce_sum, schedule_parity
+from .runtime import WorkerPool, reduce_sum
 
 # `atom_block_log_density` and `atom_process_log_density` are the reference
 # process densities that `ProcessTable` reproduces; they stay importable from
@@ -156,9 +174,6 @@ class SamplerState:
     # Terms of theta and the atoms, kept by `Sampler.iterate`, which computes
     # them when None.  Reset to None after changing theta or atoms elsewhere.
     terms: StateTerms | None = None
-
-    def snapshot_atoms(self) -> tuple[LatentAtoms, ...]:
-        return tuple(self.atoms)
 
 
 @dataclass
@@ -294,34 +309,34 @@ class BlockTerms:
     """What one block's atoms contribute to its conditional under one theta.
 
     `p_in` is the block's incoming process factor, `p_out` the next block's
-    (None at the last block) and `field` the block's field column.  Terms
-    after a factor that is not finite are left out (None): the conditional
-    is -inf without them.
+    (None at the last block) and `field` the block's field column.
     """
 
     p_in: float
     p_out: float | None
-    field: np.ndarray | None
+    field: np.ndarray
 
 
 @dataclass
 class StateTerms:
     """Terms of the atoms under one theta: the theta's cache, every block's
-    incoming process factor P_k, and the (n, m) field matrix with columns f_k."""
+    incoming process factor P_k, and the (n, m) field matrix with columns f_k.
+
+    The field matrix is the transpose of C-ordered (m, n) rows, so that each
+    column is contiguous and `field.T` feeds `loglik_rows` without a copy.
+    """
 
     cache: ThetaCache
     process: list[float]
     field: np.ndarray
 
     @classmethod
-    def build(cls, cache: ThetaCache, atoms: list[LatentAtoms], ctx: ModelContext,
-              pool: WorkerPool) -> "StateTerms":
+    def build(cls, cache: ThetaCache, atoms: list[LatentAtoms], ctx: ModelContext) -> "StateTerms":
         """Process factors and field columns of every block under the theta of `cache`."""
-        process = [cache.table.block_log_density(atoms[k], atoms[k - 1] if k > 0 else None, ctx.gap_index[k])
-                   for k in range(ctx.m)]
-        cols = pool.map_indices(
-            range(ctx.m), lambda k: field_values(cache.mapped, ctx.times[k], atoms[k], cache.kp))
-        return cls(cache=cache, process=process, field=np.column_stack(cols))
+        process = cache.table.log_densities(
+            [(atoms[k], atoms[k - 1] if k > 0 else None, ctx.gap_index[k]) for k in range(ctx.m)])
+        rows = field_rows(cache.mapped, ctx.times, atoms, cache.kp)
+        return cls(cache=cache, process=process.tolist(), field=rows.T)
 
     def block(self, k: int) -> BlockTerms:
         p_out = self.process[k + 1] if k + 1 < len(self.process) else None
@@ -343,24 +358,53 @@ def loglik_slice(k: int, f: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
         ctx.y[:, k], hypers.alpha, phi_col, f, ctx.var_effective(hypers))))
 
 
-def block_terms(k: int, atoms_k: LatentAtoms, neighbors: tuple, cache: ThetaCache,
-                ctx: ModelContext) -> BlockTerms:
-    """Terms of time block k holding `atoms_k`, between fixed neighbors."""
-    atoms_prev, atoms_next = neighbors
-    p_in = cache.table.block_log_density(atoms_k, atoms_prev, ctx.gap_index[k])
-    if not np.isfinite(p_in):
-        return BlockTerms(p_in, None, None)
-    p_out = None
-    if atoms_next is not None:
-        p_out = cache.table.block_log_density(atoms_next, atoms_k, ctx.gap_index[k + 1])
-        if not np.isfinite(p_out):
-            return BlockTerms(p_in, p_out, None)
-    return BlockTerms(p_in, p_out, field_values(cache.mapped, ctx.times[k], atoms_k, cache.kp))
+def loglik_rows(ks, rows: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
+                phi: np.ndarray | None) -> np.ndarray:
+    """Log likelihoods of several field rows: entry b is
+    `loglik_slice(ks[b], rows[b], ...)` bit for bit.
+
+    The densities form a C-ordered (B, n) array before the row sums: a
+    reduction over rows of a transposed layout adds them sequentially
+    instead of pairwise.
+    """
+    ks = list(ks)
+    y = ctx.y.T[ks]
+    phi_rows = ctx.phi_effective(phi).T[ks]
+    dens = log_observation_density(y, hypers.alpha, phi_rows, rows, ctx.var_effective(hypers))
+    return np.ascontiguousarray(dens).sum(axis=1)
 
 
-def block_score(k: int, count: int, terms: BlockTerms, ctx: ModelContext, hypers: ScalarHypers,
-                phi: np.ndarray | None, j_max: int) -> float:
-    """Log full conditional of time block k from its terms (boundary blocks one-sided).
+def score_blocks(blocks, cache: ThetaCache, ctx: ModelContext, hypers: ScalarHypers,
+                 phi: np.ndarray | None) -> list[tuple[BlockTerms, float]]:
+    """Terms and likelihoods of several time blocks in one batched pass.
+
+    Each entry of `blocks` is (k, atoms_k, (atoms_prev, atoms_next), terms).
+    A block with carried `terms` needs only the likelihood of its stored
+    field; one without (None) gets its incoming and outgoing process factors
+    and its field row computed here first.  Returns (terms, likelihood) per
+    entry.
+    """
+    terms = [carried for *_, carried in blocks]
+    fresh = [b for b, carried in enumerate(terms) if carried is None]
+    if fresh:
+        ks = [blocks[b][0] for b in fresh]
+        atoms = [blocks[b][1] for b in fresh]
+        prevs, nexts = zip(*(blocks[b][2] for b in fresh))
+        linked = [i for i, nxt in enumerate(nexts) if nxt is not None]
+        factors = cache.table.log_densities(
+            [(a, prev, ctx.gap_index[k]) for k, a, prev in zip(ks, atoms, prevs)]
+            + [(nexts[i], atoms[i], ctx.gap_index[ks[i] + 1]) for i in linked]).tolist()
+        p_out = dict(zip(linked, factors[len(fresh):]))
+        rows = field_rows(cache.mapped, ctx.times[ks], atoms, cache.kp)
+        for i, b in enumerate(fresh):
+            terms[b] = BlockTerms(factors[i], p_out.get(i), rows[i])
+    logliks = loglik_rows([k for k, *_ in blocks], np.stack([t.field for t in terms]), ctx, hypers, phi)
+    return list(zip(terms, logliks.tolist()))
+
+
+def block_score(count: int, terms: BlockTerms, loglik: float, hypers: ScalarHypers, j_max: int) -> float:
+    """Log full conditional of a time block from its terms and likelihood
+    (boundary blocks one-sided).
 
     Contains the count factor, the incoming process factors of block k, the
     outgoing factors of block k+1 (whose transition-vs-initial split depends
@@ -376,29 +420,15 @@ def block_score(k: int, count: int, terms: BlockTerms, ctx: ModelContext, hypers
         lp += terms.p_out
     if not np.isfinite(lp):
         return -np.inf
-    return lp + loglik_slice(k, terms.field, ctx, hypers, phi)
+    return lp + loglik
 
 
 def block_logpost(k: int, atoms_k: LatentAtoms, neighbors: tuple, cache: ThetaCache,
                   ctx: ModelContext, hypers: ScalarHypers, phi: np.ndarray | None,
                   j_max: int) -> float:
     """Log full conditional of time block k holding `atoms_k`: the score of its fresh terms."""
-    return block_score(k, atoms_k.count, block_terms(k, atoms_k, neighbors, cache, ctx),
-                       ctx, hypers, phi, j_max)
-
-
-def _score_pair(k, atoms_k, proposal, neighbors, cache, ctx, hypers, phi, j_max, cur):
-    """Log conditionals and terms of the current block and of a proposal.
-
-    `cur` holds the current block's carried terms; without them (a move
-    called on its own) they are computed here.
-    """
-    if cur is None:
-        cur = block_terms(k, atoms_k, neighbors, cache, ctx)
-    prop = block_terms(k, proposal, neighbors, cache, ctx)
-    lp_cur = block_score(k, atoms_k.count, cur, ctx, hypers, phi, j_max)
-    lp_prop = block_score(k, proposal.count, prop, ctx, hypers, phi, j_max)
-    return lp_cur, lp_prop, cur, prop
+    [(terms, loglik)] = score_blocks([(k, atoms_k, neighbors, None)], cache, ctx, hypers, phi)
+    return block_score(atoms_k.count, terms, loglik, hypers, j_max)
 
 
 def _draw_mult_eps(rng: np.random.Generator, floor: float) -> float:
@@ -420,20 +450,11 @@ def _log_half_normal(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # transdimensional moves
 # ---------------------------------------------------------------------------
-# Each move takes the current block's carried terms as `cur` (None: computed
-# from scratch) and returns the terms of the atoms it returns in info["terms"].
+# A move is proposed, scored and accepted in three steps.  The proposers
+# make every draw of a move but the acceptance draw and return the proposal,
+# its log ratio beyond the two conditionals, and the draws in `info`.
 
-def ttmcmc_birth(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
-    """Split one atom into two; dimension J -> J + 1.
-
-    Additive branch: the selected atom splits into (x + a|e|, x - a|e|) per
-    coordinate with independent standard-normal draws; multiplicative branch
-    into (x e, x / e) with uniform draws above the floor.  With exact
-    acceptance the additive split signs are symmetrized, the second child is
-    appended at the end (no index shifts, so cross-time chain pairings of
-    untouched atoms are preserved), and the acceptance carries the auxiliary
-    densities, making the move pair exactly reversible.
-    """
+def _propose_birth(atoms_k, ctx, cfg, rng):
     J = atoms_k.count
     if J >= cfg.j_max:
         raise InvalidStateError("birth proposed at the count ceiling")
@@ -478,32 +499,17 @@ def ttmcmc_birth(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, 
             log_struct += (p + 1) * (math.log(2.0) + math.log(1.0 - cfg.eps_floor))
         info.update(eps1=eps1, eps_mu=eps_mu)
 
-    proposal = LatentAtoms(mu_new, beta_new)
     wb, _, _ = move_weights(J, cfg)
     _, wd_new, _ = move_weights(J + 1, cfg)
     log_struct += math.log(wd_new) - math.log(wb)
     if not cfg.exact_acceptance:
         # printed selection factor: child pair chosen among all J+1 atoms
         log_struct -= math.log(J + 1)
-    lp_cur, lp_prop, cur, prop = _score_pair(k, atoms_k, proposal, neighbors, cache, ctx, hypers,
-                                             phi, cfg.j_max, cur)
-    log_alpha = lp_prop - lp_cur + log_struct
-    info.update(log_struct=log_struct, log_alpha=log_alpha, lp_cur=lp_cur, lp_prop=lp_prop)
-    accepted = _mh_accept(log_alpha, rng)
-    info["terms"] = prop if accepted else cur
-    return (proposal if accepted else atoms_k), accepted, info
+    info["log_struct"] = log_struct
+    return LatentAtoms(mu_new, beta_new), log_struct, info
 
 
-def ttmcmc_death(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
-    """Merge two atoms into one; dimension J -> J - 1.
-
-    Additive branch merges the selected pair to its midpoint; the
-    multiplicative branch to +-sqrt(|x_j x_j'|) with independent signs.  With
-    exact acceptance the partner is always the last atom (the only pairing
-    reachable by the append-at-end birth) and the factors mirror the matching
-    birth, including the implied auxiliary densities; multiplicative merges
-    of pairs no multiplicative birth can produce are rejected outright.
-    """
+def _propose_death(atoms_k, ctx, cfg, rng):
     J = atoms_k.count
     if J < 2:
         raise InvalidStateError("death proposed with a single atom")
@@ -553,25 +559,17 @@ def ttmcmc_death(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, 
     beta_new[lo] = merged_beta
     mu_new = np.delete(mu, hi, axis=0)
     mu_new[lo] = merged_mu
-    proposal = LatentAtoms(mu_new, beta_new)
 
     _, wd, _ = move_weights(J, cfg)
     wb_new, _, _ = move_weights(J - 1, cfg)
     log_struct += math.log(wb_new) - math.log(wd)
     if not cfg.exact_acceptance:
         log_struct += math.log(J)
-    lp_cur, lp_prop, cur, prop = _score_pair(k, atoms_k, proposal, neighbors, cache, ctx, hypers,
-                                             phi, cfg.j_max, cur)
-    log_alpha = -np.inf if unreachable else lp_prop - lp_cur + log_struct
-    info.update(log_struct=log_struct, log_alpha=log_alpha, lp_cur=lp_cur,
-                lp_prop=lp_prop, unreachable=unreachable)
-    accepted = _mh_accept(log_alpha, rng)
-    info["terms"] = prop if accepted else cur
-    return (proposal if accepted else atoms_k), accepted, info
+    info.update(log_struct=log_struct, unreachable=unreachable)
+    return LatentAtoms(mu_new, beta_new), log_struct, info
 
 
-def ttmcmc_no_change(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
-    """Jointly perturb all (p+1)J atom coordinates; dimension unchanged."""
+def _propose_no_change(atoms_k, ctx, cfg, rng):
     J, p = atoms_k.count, ctx.p
     d = (p + 1) * J
     additive = rng.random() <= cfg.p_add
@@ -583,7 +581,6 @@ def ttmcmc_no_change(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=No
         b = rng.integers(0, 2, size=d) * 2 - 1
         v_new = v + b * (cfg.shrink * cfg.scale) * abs(eps)
         log_jac = 0.0
-        info.update(eps=eps, b=b)
     else:
         eps = _draw_mult_eps(rng, cfg.eps_floor)
         b = rng.integers(-1, 2, size=d)
@@ -591,16 +588,126 @@ def ttmcmc_no_change(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=No
         v_new[b == 1] *= eps
         v_new[b == -1] /= eps
         log_jac = float(b.sum()) * math.log(abs(eps))
-        info.update(eps=eps, b=b)
+    info.update(eps=eps, b=b, log_jac=log_jac)
+    return LatentAtoms(v_new[J:].reshape(J, p), v_new[:J]), log_jac, info
 
-    proposal = LatentAtoms(v_new[J:].reshape(J, p), v_new[:J])
-    lp_cur, lp_prop, cur, prop = _score_pair(k, atoms_k, proposal, neighbors, cache, ctx, hypers,
-                                             phi, cfg.j_max, cur)
-    log_alpha = lp_prop - lp_cur + log_jac
-    info.update(log_jac=log_jac, log_alpha=log_alpha, lp_cur=lp_cur, lp_prop=lp_prop)
-    accepted = _mh_accept(log_alpha, rng)
-    info["terms"] = prop if accepted else cur
-    return (proposal if accepted else atoms_k), accepted, info
+
+_PROPOSERS = {"birth": _propose_birth, "death": _propose_death, "no_change": _propose_no_change}
+
+
+@dataclass
+class BlockMove:
+    """One time block's move between its propose and accept steps.
+
+    `log_ratio` is every term of the log acceptance ratio besides the two
+    conditionals (log_struct or log_jac), and `rng` the block's stream, which
+    still owes the acceptance draw.
+    """
+
+    k: int
+    move: str
+    current: LatentAtoms
+    proposal: LatentAtoms
+    log_ratio: float
+    info: dict
+    rng: np.random.Generator
+
+    @property
+    def reachable(self) -> bool:
+        """False for a merge no birth can undo, which is rejected unscored."""
+        return not self.info.get("unreachable", False)
+
+    def accept(self, lp_cur: float, lp_prop: float | None) -> bool:
+        """The acceptance draw; `lp_prop` is None for an unreachable merge."""
+        log_alpha = lp_prop - lp_cur + self.log_ratio if self.reachable else -np.inf
+        self.info.update(log_alpha=log_alpha, lp_cur=lp_cur, lp_prop=lp_prop)
+        return _mh_accept(log_alpha, self.rng)
+
+
+def propose_block(k: int, atoms_k: LatentAtoms, ctx: ModelContext, cfg: SamplerConfig,
+                  rng: np.random.Generator) -> BlockMove:
+    """The multinomial move-type draw and that move's proposal at block k."""
+    wb, wd, _ = move_weights(atoms_k.count, cfg)
+    u = rng.random()
+    if u < wb:
+        move = "birth"
+    elif u < wb + wd:
+        move = "death"
+    else:
+        move = "no_change"
+    return BlockMove(k, move, atoms_k, *_PROPOSERS[move](atoms_k, ctx, cfg, rng), rng)
+
+
+def settle_blocks(moves: list[BlockMove], neighbors: list[tuple], current: list[BlockTerms | None],
+                  cache: ThetaCache, ctx: ModelContext, hypers: ScalarHypers,
+                  phi: np.ndarray | None, j_max: int) -> list[tuple[bool, BlockTerms]]:
+    """Score the moves in one `score_blocks` pass, then accept or reject each.
+
+    `neighbors[b]` holds the (previous, next) atoms of move b's block and
+    `current[b]` its carried terms (None: computed in the same pass).
+    Unreachable merges are left out of the pass.  Returns, per move, the
+    acceptance and the terms of the block's atoms after it.
+    """
+    blocks = [(mv.k, mv.current, nb, cur) for mv, nb, cur in zip(moves, neighbors, current)]
+    scored = [b for b, mv in enumerate(moves) if mv.reachable]
+    blocks += [(moves[b].k, moves[b].proposal, neighbors[b], None) for b in scored]
+    scores = score_blocks(blocks, cache, ctx, hypers, phi)
+    proposed = dict(zip(scored, scores[len(moves):]))
+    out = []
+    for b, mv in enumerate(moves):
+        cur_terms, cur_loglik = scores[b]
+        lp_cur = block_score(mv.current.count, cur_terms, cur_loglik, hypers, j_max)
+        prop_terms, lp_prop = None, None
+        if b in proposed:
+            prop_terms, prop_loglik = proposed[b]
+            lp_prop = block_score(mv.proposal.count, prop_terms, prop_loglik, hypers, j_max)
+        accepted = mv.accept(lp_cur, lp_prop)
+        out.append((accepted, prop_terms if accepted else cur_terms))
+    return out
+
+
+def _move(move, k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur):
+    """One move at block k on its own: propose, score the batch of one, accept."""
+    mv = BlockMove(k, move, atoms_k, *_PROPOSERS[move](atoms_k, ctx, cfg, rng), rng)
+    [(accepted, terms)] = settle_blocks([mv], [neighbors], [cur], cache, ctx, hypers, phi, cfg.j_max)
+    mv.info["terms"] = terms
+    return (mv.proposal if accepted else atoms_k), accepted, mv.info
+
+
+# Each move takes the current block's carried terms as `cur` (None: computed
+# from scratch) and returns the terms of the atoms it returns in info["terms"].
+
+def ttmcmc_birth(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
+    """Split one atom into two; dimension J -> J + 1.
+
+    Additive branch: the selected atom splits into (x + a|e|, x - a|e|) per
+    coordinate with independent standard-normal draws; multiplicative branch
+    into (x e, x / e) with uniform draws above the floor.  With exact
+    acceptance the additive split signs are symmetrized, the second child is
+    appended at the end (no index shifts, so cross-time chain pairings of
+    untouched atoms are preserved), and the acceptance carries the auxiliary
+    densities, making the move pair exactly reversible.
+    """
+    return _move("birth", k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)
+
+
+def ttmcmc_death(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
+    """Merge two atoms into one; dimension J -> J - 1.
+
+    Additive branch merges the selected pair to its midpoint; the
+    multiplicative branch to +-sqrt(|x_j x_j'|) with independent signs.  With
+    exact acceptance the partner is always the last atom (the only pairing
+    reachable by the append-at-end birth) and the factors mirror the matching
+    birth, including the implied auxiliary densities; multiplicative merges
+    of pairs no multiplicative birth can produce are rejected outright,
+    without scoring the proposal (info["lp_prop"] is then None).
+    """
+    return _move("death", k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)
+
+
+def ttmcmc_no_change(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
+    """Jointly perturb all (p+1)J atom coordinates; dimension unchanged."""
+    return _move("no_change", k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)
 
 
 def _mh_accept(log_alpha: float, rng: np.random.Generator) -> bool:
@@ -614,34 +721,27 @@ def _mh_accept(log_alpha: float, rng: np.random.Generator) -> bool:
     return math.log(rng.random()) < log_alpha
 
 
+def _neighbors(atoms, k: int) -> tuple:
+    return (atoms[k - 1] if k > 0 else None, atoms[k + 1] if k < len(atoms) - 1 else None)
+
+
 def update_time_block(k, atoms_snapshot, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
     """One multinomial move-type draw and the corresponding move at index k.
 
     Returns the block's new atoms, the move, the acceptance and the terms of
     the new atoms; `cur` holds the current block's carried terms, if any.
     """
-    atoms_k = atoms_snapshot[k]
-    neighbors = (
-        atoms_snapshot[k - 1] if k > 0 else None,
-        atoms_snapshot[k + 1] if k < len(atoms_snapshot) - 1 else None,
-    )
-    wb, wd, _ = move_weights(atoms_k.count, cfg)
-    u = rng.random()
-    if u < wb:
-        move, fn = "birth", ttmcmc_birth
-    elif u < wb + wd:
-        move, fn = "death", ttmcmc_death
-    else:
-        move, fn = "no_change", ttmcmc_no_change
-    new_atoms, accepted, info = fn(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)
-    return new_atoms, move, accepted, info["terms"]
+    mv = propose_block(k, atoms_snapshot[k], ctx, cfg, rng)
+    [(accepted, terms)] = settle_blocks([mv], [_neighbors(atoms_snapshot, k)], [cur], cache, ctx,
+                                        hypers, phi, cfg.j_max)
+    return (mv.proposal if accepted else mv.current), mv.move, accepted, terms
 
 
 # ---------------------------------------------------------------------------
 # fixed-dimension block update
 # ---------------------------------------------------------------------------
 
-def theta_score(theta, terms: StateTerms, state, ctx, pool) -> float:
+def theta_score(theta, terms: StateTerms, state, ctx) -> float:
     """Log conditional of the fixed-dimension block at theta, from the terms
     of the state's atoms under theta."""
     lp = log_prior_theta(theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
@@ -651,21 +751,19 @@ def theta_score(theta, terms: StateTerms, state, ctx, pool) -> float:
     lp += process
     if not np.isfinite(lp):
         return -np.inf
-    partials = pool.map_indices(
-        range(ctx.m), lambda k: loglik_slice(k, terms.field[:, k], ctx, state.hypers, state.phi))
-    return lp + reduce_sum(partials)
+    return lp + reduce_sum(loglik_rows(range(ctx.m), terms.field.T, ctx, state.hypers, state.phi))
 
 
-def theta_logpost(theta, state, ctx, pool):
+def theta_logpost(theta, state, ctx):
     """Log conditional of the fixed-dimension block given everything else,
     with the state's terms under theta ((-inf, None) outside the bounds)."""
     if not theta_in_bounds(theta, ctx.layout):
         return -np.inf, None
-    terms = StateTerms.build(ThetaCache.build(theta, ctx, state.nu, state.omega_sq), state.atoms, ctx, pool)
-    return theta_score(theta, terms, state, ctx, pool), terms
+    terms = StateTerms.build(ThetaCache.build(theta, ctx, state.nu, state.omega_sq), state.atoms, ctx)
+    return theta_score(theta, terms, state, ctx), terms
 
 
-def tmcmc_update_theta(state, ctx, cfg, pool, rng, cur_lp, cur_terms):
+def tmcmc_update_theta(state, ctx, cfg, rng, cur_lp, cur_terms):
     """Whole-block proposal driven by one scalar draw with per-coordinate
     signs (additive) or factors (multiplicative)."""
     d = ctx.layout.dim
@@ -685,7 +783,7 @@ def tmcmc_update_theta(state, ctx, cfg, pool, rng, cur_lp, cur_terms):
         proposal[b == -1] /= eps
         log_jac = float(b.sum()) * math.log(abs(eps))
         info.update(branch="multiplicative", eps=eps, b=b)
-    lp_prop, terms_prop = theta_logpost(proposal, state, ctx, pool)
+    lp_prop, terms_prop = theta_logpost(proposal, state, ctx)
     log_alpha = lp_prop - cur_lp + log_jac
     info.update(proposal=proposal, log_jac=log_jac, log_alpha=log_alpha,
                 lp_prop=lp_prop, lp_cur=cur_lp)
@@ -694,7 +792,7 @@ def tmcmc_update_theta(state, ctx, cfg, pool, rng, cur_lp, cur_terms):
     return theta, cur_lp, cur_terms, False, info
 
 
-def mixing_enhancement(state, ctx, cfg, pool, rng, cur_lp, cur_terms):
+def mixing_enhancement(state, ctx, cfg, rng, cur_lp, cur_terms):
     """Second pass over the block with common-direction proposals."""
     d = ctx.layout.dim
     theta = state.theta
@@ -716,7 +814,7 @@ def mixing_enhancement(state, ctx, cfg, pool, rng, cur_lp, cur_terms):
             proposal = theta / eps
             log_jac = -d * math.log(abs(eps))
         info.update(branch="multiplicative", eps=eps, up=u_dir < 0.5)
-    lp_prop, terms_prop = theta_logpost(proposal, state, ctx, pool)
+    lp_prop, terms_prop = theta_logpost(proposal, state, ctx)
     log_alpha = lp_prop - cur_lp + log_jac
     info.update(proposal=proposal, log_jac=log_jac, log_alpha=log_alpha,
                 lp_prop=lp_prop, lp_cur=cur_lp)
@@ -844,35 +942,31 @@ class Sampler:
         ctx, cfg = self.ctx, self.cfg
         if state.terms is None:
             state.terms = StateTerms.build(ThetaCache.build(state.theta, ctx, state.nu, state.omega_sq),
-                                           state.atoms, ctx, self.pool)
+                                           state.atoms, ctx)
         terms = state.terms
 
-        # transdimensional phases: odd (1-based) indices first, then even
-        for parity in ("odd", "even"):
-            plan = schedule_parity(ctx.m, parity, cfg.workers)
-            snapshot = state.snapshot_atoms()
-            hypers, phi = state.hypers, state.phi
-
-            def work(k):
-                rng = stream(cfg.seed, _S_BLOCK, r, k)
-                return update_time_block(k, snapshot, terms.cache, ctx, hypers, cfg, rng, phi, terms.block(k))
-
-            results = self.pool.run_phase(plan, work)
-            for k in plan.indices:
-                new_atoms, move, accepted, block = results[k]
-                state.atoms[k] = new_atoms
+        # transdimensional phases: odd (1-based) indices first, then even;
+        # blocks of one parity are independent given the other parity, so
+        # each phase proposes every move, scores them in one batched pass
+        # and then accepts or rejects each
+        for first in (0, 1):
+            ks = range(first, ctx.m, 2)
+            moves = [propose_block(k, state.atoms[k], ctx, cfg, stream(cfg.seed, _S_BLOCK, r, k)) for k in ks]
+            outcomes = settle_blocks(moves, [_neighbors(state.atoms, k) for k in ks],
+                                     [terms.block(k) for k in ks], terms.cache, ctx,
+                                     state.hypers, state.phi, cfg.j_max)
+            for mv, (accepted, block) in zip(moves, outcomes):
                 if accepted:
-                    terms.store(k, block)
-                stats.record(move, accepted)
+                    state.atoms[mv.k] = mv.proposal
+                    terms.store(mv.k, block)
+                stats.record(mv.move, accepted)
 
         # fixed-dimension block plus enhancement at the coordinator
         rng_t = stream(cfg.seed, _S_THETA, r)
-        cur_lp = theta_score(state.theta, terms, state, ctx, self.pool)
-        state.theta, cur_lp, terms, acc, _ = tmcmc_update_theta(
-            state, ctx, cfg, self.pool, rng_t, cur_lp, terms)
+        cur_lp = theta_score(state.theta, terms, state, ctx)
+        state.theta, cur_lp, terms, acc, _ = tmcmc_update_theta(state, ctx, cfg, rng_t, cur_lp, terms)
         stats.record("tmcmc", acc)
-        state.theta, cur_lp, terms, acc, _ = mixing_enhancement(
-            state, ctx, cfg, self.pool, rng_t, cur_lp, terms)
+        state.theta, cur_lp, terms, acc, _ = mixing_enhancement(state, ctx, cfg, rng_t, cur_lp, terms)
         stats.record("enhance", acc)
         state.terms = terms
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from levyst.ar import ArMode
@@ -30,7 +32,6 @@ from levyst.sampler import (
     ttmcmc_no_change,
     update_time_block,
 )
-from levyst.runtime import WorkerPool
 
 CFG = SamplerConfig(iterations=10, burn_in=0, thin=1, j_max=6, seed=0)
 
@@ -269,10 +270,9 @@ def test_theta_logpost_ratio_matches_joint_difference(tame_prior):
     theta2 = theta.copy()
     theta2[0] += 0.15
     theta2[-1] -= 0.2
-    with WorkerPool(1) as pool:
-        lp1, _ = theta_logpost(theta, state, ctx, pool)
-        state2 = SamplerState(atoms=atoms, theta=theta2, hypers=hypers, nu=nu, omega_sq=omega)
-        lp2, _ = theta_logpost(theta2, state2, ctx, pool)
+    lp1, _ = theta_logpost(theta, state, ctx)
+    state2 = SamplerState(atoms=atoms, theta=theta2, hypers=hypers, nu=nu, omega_sq=omega)
+    lp2, _ = theta_logpost(theta2, state2, ctx)
     args = dict(hypers=hypers, nu=nu, omega_sq=omega, phi=None, y=ctx.y,
                 mapped=cache.mapped, times=ctx.times, phi0=ctx.phi0,
                 prior=ctx.prior, mode=ctx.ar_mode, marginalized=True)
@@ -289,21 +289,20 @@ def test_tmcmc_rejects_out_of_bounds_and_accepts_identity(tame_prior):
     ctx = _tiny_ctx(tame_prior, n=2, m=2, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=1)
     state = SamplerState(atoms=atoms, theta=theta, hypers=hypers, nu=nu, omega_sq=omega)
-    with WorkerPool(1) as pool:
-        bad = theta.copy()
-        bad[ctx.layout.i_log_tau] = 7.0
-        lp_bad, _ = theta_logpost(bad, state, ctx, pool)
-        assert lp_bad == -np.inf
+    bad = theta.copy()
+    bad[ctx.layout.i_log_tau] = 7.0
+    lp_bad, _ = theta_logpost(bad, state, ctx)
+    assert lp_bad == -np.inf
 
-        lp, cache0 = theta_logpost(theta, state, ctx, pool)
-        cfg = replace(CFG, p_add=0.0)
-        scripted = _ScriptedRng(uniforms=[0.9, 0.5, 0.2],
-                                integer_arrays=[np.zeros(ctx.layout.dim, dtype=int)])
-        new_theta, *_rest, accepted, info = tmcmc_update_theta(
-            state, ctx, cfg, pool, scripted, lp, cache0)
-        assert np.all(info["b"] == 0)
-        assert accepted
-        np.testing.assert_array_equal(info["proposal"], theta)
+    lp, cache0 = theta_logpost(theta, state, ctx)
+    cfg = replace(CFG, p_add=0.0)
+    scripted = _ScriptedRng(uniforms=[0.9, 0.5, 0.2],
+                            integer_arrays=[np.zeros(ctx.layout.dim, dtype=int)])
+    new_theta, *_rest, accepted, info = tmcmc_update_theta(
+        state, ctx, cfg, scripted, lp, cache0)
+    assert np.all(info["b"] == 0)
+    assert accepted
+    np.testing.assert_array_equal(info["proposal"], theta)
 
 
 def test_enhancement_jacobian(tame_prior):
@@ -313,13 +312,12 @@ def test_enhancement_jacobian(tame_prior):
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=1)
     state = SamplerState(atoms=atoms, theta=theta, hypers=hypers, nu=nu, omega_sq=omega)
     d = ctx.layout.dim
-    with WorkerPool(1) as pool:
-        lp, cache0 = theta_logpost(theta, state, ctx, pool)
-        cfg = replace(CFG, q_add=0.0)
-        for seed in range(8):
-            *_ignore, info = mixing_enhancement(state, ctx, cfg, pool, stream(seed, 15), lp, cache0)
-            expected = (d if info["up"] else -d) * math.log(abs(info["eps"]))
-            assert info["log_jac"] == pytest.approx(expected, rel=1e-12)
+    lp, cache0 = theta_logpost(theta, state, ctx)
+    cfg = replace(CFG, q_add=0.0)
+    for seed in range(8):
+        *_ignore, info = mixing_enhancement(state, ctx, cfg, stream(seed, 15), lp, cache0)
+        expected = (d if info["up"] else -d) * math.log(abs(info["eps"]))
+        assert info["log_jac"] == pytest.approx(expected, rel=1e-12)
     # spec example: d=3, eps=0.5, multiply branch -> |J| = 0.125
     assert math.exp(3 * math.log(0.5)) == pytest.approx(0.125)
 
@@ -463,11 +461,12 @@ def test_posterior_predict_off_grid_time(tiny_dataset, tame_prior):
                           tiny_dataset, marginalized=True)
 
 
-def test_worker_count_invariance(tiny_dataset, tame_prior):
+@pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
+def test_worker_count_invariance(tiny_dataset, tame_prior, marginalized):
     results = []
     for w in (1, 2, 4):
         cfg = SamplerConfig(iterations=40, burn_in=10, thin=3, j_max=5, seed=9, workers=w)
-        results.append(run_chain(tiny_dataset, cfg, tame_prior, marginalized=True))
+        results.append(run_chain(tiny_dataset, cfg, tame_prior, marginalized=marginalized))
     a = results[0]
     for other in results[1:]:
         assert len(a.samples) == len(other.samples)
@@ -477,6 +476,119 @@ def test_worker_count_invariance(tiny_dataset, tame_prior):
             for xa, xb in zip(sa.atoms, sb.atoms):
                 np.testing.assert_array_equal(xa.mu, xb.mu)
                 np.testing.assert_array_equal(xa.beta, xb.beta)
+            assert (sa.phi is None) == marginalized and (sb.phi is None) == marginalized
+            if not marginalized:
+                np.testing.assert_array_equal(sa.phi, sb.phi)
+
+
+def _assert_same_chain(a, b):
+    assert a.stats == b.stats and len(a.samples) == len(b.samples)
+    for sa, sb in zip(a.samples, b.samples):
+        np.testing.assert_array_equal(sa.theta, sb.theta)
+        assert (sa.lam, sa.sigma_sq_eps, sa.alpha) == (sb.lam, sb.sigma_sq_eps, sb.alpha)
+        for xa, xb in zip(sa.atoms, sb.atoms):
+            np.testing.assert_array_equal(xa.mu, xb.mu)
+            np.testing.assert_array_equal(xa.beta, xb.beta)
+
+
+def test_unreachable_merges_are_never_scored(tiny_dataset, tame_prior, monkeypatch):
+    """A merge no birth can undo is rejected without a score, and the chain
+    equals one in which such merges are scored and then rejected."""
+    import levyst.sampler as sampler_module
+
+    cfg = SamplerConfig(iterations=40, burn_in=0, thin=1, j_max=5, seed=9, p_add=0.2)
+    propose, score = sampler_module.propose_block, sampler_module.score_blocks
+    unreachable, scored = [], []
+
+    def recording_propose(*args):
+        mv = propose(*args)
+        if not mv.reachable:
+            unreachable.append(mv.proposal)
+        return mv
+
+    def counting_score(blocks, *args):
+        scored.extend(atoms for _, atoms, _, terms in blocks if terms is None)
+        return score(blocks, *args)
+
+    monkeypatch.setattr(sampler_module, "score_blocks", counting_score)
+    monkeypatch.setattr(sampler_module, "propose_block", recording_propose)
+    skipped = run_chain(tiny_dataset, cfg, tame_prior)
+    # the lists hold the atoms, so their ids stay unique
+    assert len(unreachable) > 10
+    assert not {id(a) for a in unreachable} & {id(a) for a in scored}
+
+    def scoring_propose(*args):
+        mv = propose(*args)
+        if not mv.reachable:
+            mv.info["unreachable"] = False
+            mv.log_ratio = -np.inf
+            unreachable.append(mv.proposal)
+        return mv
+
+    unreachable.clear()
+    scored.clear()
+    monkeypatch.setattr(sampler_module, "propose_block", scoring_propose)
+    _assert_same_chain(run_chain(tiny_dataset, cfg, tame_prior), skipped)
+    assert unreachable and {id(a) for a in unreachable} <= {id(a) for a in scored}
+
+
+_IRREGULAR_TIMES = np.array([0.0, 1.0, 2.5, 3.0, 4.5, 7.0])
+_NEIGHBOR_COUNTS = (3, 25, 1, 30, 12, 40)
+# (k, J, an atom out of bounds, carried terms) per block; together the
+# examples cover the first and the last block, J above and below the
+# predecessor's count, J = 1 and an atom out of bounds.  Counts and the
+# location count reach past 8, where numpy's sums stop running sequentially.
+_BLOCK = st.tuples(st.integers(0, 5), st.integers(1, 45), st.booleans(), st.booleans())
+
+
+@pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
+@given(batch=st.lists(_BLOCK, min_size=1, max_size=8), seed=st.integers(0, 2 ** 32 - 1))
+@example(batch=[(0, 1, False, False), (1, 7, False, False), (2, 2, True, False),
+                (4, 2, False, True), (5, 33, False, False), (3, 1, True, False), (4, 2, False, False)], seed=0)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, batch, seed):
+    """`score_blocks` gives each block the per-block reference values, `==`."""
+    from levyst.model import atom_block_log_density, field_values
+    from levyst.sampler import BlockTerms, loglik_slice, score_blocks
+
+    rng = np.random.default_rng(seed)
+    n = 37
+    data = SpaceTimeDataset(rng.random((n, 2)), _IRREGULAR_TIMES, rng.standard_normal((n, 6)))
+    ctx = build_context(data, tame_prior, marginalized=marginalized, alpha_pinned=False,
+                        phi0_override=rng.standard_normal((n, 6)))
+    assert len(ctx.gaps) == 4
+    theta, nu, omega, cache, _, _ = _state_pieces(ctx)
+    hypers = ScalarHypers(lam=2.0, sigma_sq_eps=0.7, alpha=0.3, sigma_sq_phi=0.0 if marginalized else 0.4)
+    phi = None if marginalized else rng.standard_normal((n, 6))
+    state = [LatentAtoms(rng.normal(scale=3.0, size=(J, 2)), rng.normal(size=J)) for J in _NEIGHBOR_COUNTS]
+    gaps = np.diff(ctx.times)
+
+    blocks = []
+    for k, J, out_of_bounds, carried in batch:
+        mu = rng.normal(scale=3.0, size=(J, 2))
+        if out_of_bounds:
+            mu[rng.integers(J), rng.integers(2)] = 10.5
+        atoms = LatentAtoms(mu, rng.normal(size=J))
+        neighbors = (state[k - 1] if k > 0 else None, state[k + 1] if k < 5 else None)
+        terms = BlockTerms(0.0, None, rng.normal(size=n)) if carried else None
+        blocks.append((k, atoms, neighbors, terms))
+
+    scores = score_blocks(blocks, cache, ctx, hypers, phi)
+    assert len(scores) == len(blocks)
+    for (k, atoms, (prev, nxt), carried), (terms, loglik) in zip(blocks, scores):
+        assert loglik == loglik_slice(k, terms.field, ctx, hypers, phi)
+        if carried is not None:
+            assert terms is carried
+            continue
+        p_in = atom_block_log_density(atoms, prev, None if prev is None else gaps[k - 1],
+                                      cache.beta_spec, cache.mu_specs)
+        assert terms.p_in == p_in
+        assert np.all(np.abs(atoms.mu) <= 10.0) == np.isfinite(p_in)
+        if nxt is None:
+            assert terms.p_out is None
+        else:
+            assert terms.p_out == atom_block_log_density(nxt, atoms, gaps[k], cache.beta_spec, cache.mu_specs)
+        assert np.array_equal(terms.field, field_values(cache.mapped, ctx.times[k], atoms, cache.kp))
 
 
 @pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
