@@ -17,7 +17,7 @@ JMAX = 15
 N_SWEEP = 60_000
 
 
-def run(exact):
+def run():
     rng = np.random.default_rng(42)
     data = SpaceTimeDataset(np.array([[0.2], [0.8]]), np.array([1.0]),
                             np.zeros((2, 1)))
@@ -25,8 +25,7 @@ def run(exact):
                         lambda_a=6.0, lambda_b=2.0, nu_var=1.0, rho_var=1.0)
     ctx = build_context(data, prior, marginalized=True, alpha_pinned=True,
                         phi0_override=np.zeros((2, 1)))
-    cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=JMAX,
-                        seed=1, exact_acceptance=exact)
+    cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=JMAX, seed=1)
     # fixed theta from one prior draw; huge observation variance flattens the likelihood
     state = draw_prior_state(ctx, cfg, rng)
     state.hypers = ScalarHypers(lam=LAM, sigma_sq_eps=1e12, sigma_sq_phi=0.0)
@@ -74,11 +73,10 @@ def run(exact):
 
     zJ = (js.mean() - ref_mean) / batch_se(js)
     zb = (b2.mean() - sigma0) / batch_se(b2)
-    print(f"exact={exact}: E[J]={js.mean():.3f} (ref {ref_mean:.3f}, z={zJ:+.1f}) "
+    print(f"E[J]={js.mean():.3f} (ref {ref_mean:.3f}, z={zJ:+.1f}) "
           f"Var[J]={js.var():.2f} (ref {ref_var:.2f}) "
           f"E[beta^2]={b2.mean():.3f} (ref {sigma0:.3f}, z={zb:+.1f})")
 
 
 if __name__ == "__main__":
-    run(exact=False)
-    run(exact=True)
+    run()

@@ -22,7 +22,7 @@ def make_sampler(marginalized, n_iter_unused=None, seed=11, scale=0.05, shrink=0
     times = np.array([1.0, 2.2, 3.0])
     data = SpaceTimeDataset(locs, times, np.zeros((2, 3)))
     cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=15, seed=seed,
-                        scale=scale, shrink=shrink, workers=1, exact_acceptance=True)
+                        scale=scale, shrink=shrink, workers=1)
     return Sampler(data, cfg, geweke_priors(), marginalized=marginalized,
                    alpha_pinned=False, phi0_override=np.zeros((2, 3)))
 
@@ -31,7 +31,7 @@ def summaries(state, ctx):
     layout = ctx.layout
     ssq_beta = math.exp(state.theta[layout.i_log_ssq_beta])
     rho_beta = rho_from_transformed(state.theta[layout.i_logit_rho_beta], ctx.ar_mode)
-    jbar = np.mean([a.count for a in state.atoms])
+    jbar = np.mean(state.atoms.counts)
     return np.array([state.hypers.lam, ssq_beta, rho_beta, jbar,
                      state.hypers.sigma_sq_eps, float(state.theta[layout.sl_x][0])])
 

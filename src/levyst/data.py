@@ -99,7 +99,9 @@ def gqn_simulate(cfg: GqnConfig) -> GqnResult:
     interaction term with g(x) = x^2, and fresh process noise each step.
     All fields are independent draws from the exponential-covariance process;
     the interaction coefficients are N(0, coef_sd^2).  tan values are clamped
-    at +-tan_clamp, and the count of clamped cells is reported.
+    at +-tan_clamp, and the count of clamped cells is reported.  The
+    quadratic recursion can diverge; a latent field that is no longer finite
+    raises NumericError naming the seed and the step.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     n_all = cfg.n_train + cfg.n_test
@@ -113,7 +115,11 @@ def gqn_simulate(cfg: GqnConfig) -> GqnResult:
     y = np.empty((n_all, cfg.m))
     n_clamped = 0
     for k in range(cfg.m):
-        beta = a @ beta + np.einsum("ijl,j,l->i", b, beta, beta**2) + gp_sample(locations, rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta = a @ beta + np.einsum("ijl,j,l->i", b, beta, beta**2) + gp_sample(locations, rng)
+        if not np.all(np.isfinite(beta)):
+            raise NumericError(f"simulator diverged: the latent field is not finite after step {k + 1} "
+                               f"of {cfg.m} (seed {cfg.seed})")
         f1 = gp_sample(locations, rng)
         f2 = gp_sample(locations, rng)
         eps = gp_sample(locations, rng)

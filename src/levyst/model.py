@@ -131,6 +131,61 @@ class LatentAtoms:
         return LatentAtoms(self.mu.copy(), self.beta.copy())
 
 
+@dataclass
+class AtomStore:
+    """The atoms of several time blocks in one padded array.
+
+    `values[:, k, :counts[k]]` holds block k as chain rows [beta | mu_1 ..
+    mu_p]; slots from `counts[k]` on are unused and never read, so a block
+    changes count by writing one slot and its count, without shifting.
+    A count of 0 stands for an absent block (no predecessor or successor).
+    """
+
+    values: np.ndarray  # (p+1, blocks, width)
+    counts: np.ndarray  # (blocks,) int
+
+    @classmethod
+    def from_blocks(cls, blocks, width: int | None = None) -> "AtomStore":
+        """Pad a sequence of `LatentAtoms` (None: an absent block) to `width`
+        slots, by default the largest count."""
+        p = next(a.mu.shape[1] for a in blocks if a is not None)
+        counts = np.array([0 if a is None else a.count for a in blocks], dtype=np.int64)
+        width = int(counts.max()) if width is None else width
+        if width < counts.max():
+            raise InvalidArgumentError("atom store narrower than its largest block")
+        values = np.zeros((p + 1, len(blocks), width))
+        for k, a in enumerate(blocks):
+            if a is not None:
+                values[0, k, :a.count] = a.beta
+                values[1:, k, :a.count] = a.mu.T
+        return cls(values, counts)
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[2]
+
+    def block(self, k: int) -> LatentAtoms:
+        """A copy of block k."""
+        J = self.counts[k]
+        return LatentAtoms(self.values[1:, k, :J].T.copy(), self.values[0, k, :J].copy())
+
+    def blocks(self) -> list[LatentAtoms]:
+        return [self.block(k) for k in range(self.counts.size)]
+
+    def take(self, index) -> "AtomStore":
+        """The blocks at `index`, copied."""
+        return AtomStore(self.values[:, index], self.counts[index])
+
+    def put(self, index, blocks: "AtomStore") -> None:
+        """Overwrite the blocks at `index` with those of `blocks`."""
+        self.values[:, index] = blocks.values
+        self.counts[index] = blocks.counts
+
+    def slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(block, slot) of every atom in use, block by block, slots ascending."""
+        return np.nonzero(np.arange(self.width) < self.counts[:, None])
+
+
 @dataclass(frozen=True)
 class PriorConfig:
     """Hyperparameters of the independent priors.
@@ -243,35 +298,55 @@ def f_eval(mapped_s: np.ndarray, t: float, atoms: LatentAtoms, kp: KernelParams)
     return float(np.exp(logk) @ atoms.beta)
 
 
+def kernel_matrix(mapped: np.ndarray, mu_rows: np.ndarray, kp: KernelParams, time_term) -> np.ndarray:
+    """Kernel values exp(-0.5 * sum_l ksq_l (M_l - mu_l)^2 - time_term) of
+    every (location, atom) pair: an (n, N) array for the rows of an (n, p)
+    mapped-location matrix and the N atom coordinates in the (p, N) `mu_rows`.
+
+    The spatial sum runs one coordinate at a time, l = 0 .. p-1, left to
+    right, in one (n, N) array; at p <= 2 this adds the terms in the only
+    order there is.
+    """
+    acc = None
+    for ell, ksq in enumerate(kp.tilde_sigma_sq.tolist()):
+        term = mapped[:, ell, None] - mu_rows[ell]
+        term *= term
+        term *= ksq
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    acc *= -0.5
+    acc -= time_term
+    return np.exp(acc, out=acc)
+
+
 def field_values(mapped: np.ndarray, t: float, atoms: LatentAtoms, kp: KernelParams) -> np.ndarray:
     """Vectorized f over the rows of an (n, p) mapped-location matrix."""
     if atoms.count == 0:
         return np.zeros(mapped.shape[0])
-    d = mapped[:, None, :] - atoms.mu[None, :, :]       # (n, J, p)
-    logk = -0.5 * np.einsum("njp,p->nj", d * d, kp.tilde_sigma_sq) - kp.xi * abs(t - kp.tau)
-    return np.exp(logk) @ atoms.beta
+    return kernel_matrix(mapped, atoms.mu.T, kp, kp.xi * abs(t - kp.tau)) @ atoms.beta
 
 
-def field_rows(mapped: np.ndarray, times: np.ndarray, blocks, kp: KernelParams) -> np.ndarray:
-    """Fields of several atom blocks over the rows of an (n, p) mapped-location
-    matrix, one (B, n) row per block, where block b sits at times[b].
+def field_rows(mapped: np.ndarray, times: np.ndarray, atoms: AtomStore, kp: KernelParams) -> np.ndarray:
+    """Fields of the blocks of a store over the rows of an (n, p)
+    mapped-location matrix, one (B, n) row per block, where block b sits at
+    times[b].
 
-    Row b equals `field_values(mapped, times[b], blocks[b], kp)` bit for bit.
-    One (n, sum J) kernel matrix covers every block's atoms, each atom with
-    its block's time term; each row is then its block's own column slice
-    times its beta, because padding the blocks to one count or summing the
-    concatenated products by segment would change the summation order.
+    Row b equals `field_values(mapped, times[b], atoms.block(b), kp)` bit
+    for bit.  One (n, sum J) kernel matrix covers every block's atoms, each
+    atom with its block's time term; each row is then its block's own column
+    slice times its beta, because summing padded or concatenated products
+    by segment would change the summation order.
     """
-    counts = [atoms.count for atoms in blocks]
-    rows = np.empty((len(blocks), mapped.shape[0]))
-    mu = np.concatenate([atoms.mu for atoms in blocks])
-    time_term = np.repeat(kp.xi * np.abs(np.asarray(times, dtype=float) - kp.tau), counts)
-    d = mapped[:, None, :] - mu[None, :, :]             # (n, sum J, p)
-    kernel = np.exp(-0.5 * np.einsum("njp,p->nj", d * d, kp.tilde_sigma_sq) - time_term)
+    block, slot = atoms.slots()
+    time_term = (kp.xi * np.abs(np.asarray(times, dtype=float) - kp.tau))[block]
+    kernel = kernel_matrix(mapped, atoms.values[1:, block, slot], kp, time_term)
+    rows = np.empty((atoms.counts.size, mapped.shape[0]))
     end = 0
-    for b, atoms in enumerate(blocks):
-        start, end = end, end + atoms.count
-        rows[b] = kernel[:, start:end] @ atoms.beta
+    for b, count in enumerate(atoms.counts.tolist()):
+        start, end = end, end + count
+        rows[b] = kernel[:, start:end] @ atoms.values[0, b, :count]
     return rows
 
 
@@ -549,60 +624,47 @@ class ProcessTable:
     def block_log_density(self, atoms_k: LatentAtoms, atoms_prev: LatentAtoms | None, g: int) -> float:
         """Incoming process factors of one block; `g` indexes the gap from
         `atoms_prev`, which is None at the first time."""
-        return float(self.log_densities([(atoms_k, atoms_prev, g)])[0])
+        both = AtomStore.from_blocks([atoms_k, atoms_prev])
+        return float(self.log_densities(both.take([0]), both.take([1]), np.array([g]))[0])
 
-    def log_densities(self, blocks) -> np.ndarray:
-        """Incoming process factors of several blocks in one pass.
+    def log_densities(self, atoms: AtomStore, prev: AtomStore, g: np.ndarray) -> np.ndarray:
+        """Incoming process factors of the blocks of a store in one pass.
 
-        Each block is an (atoms_k, atoms_prev, g) triple as
-        `block_log_density` takes it; blocks with an atom out of bounds get
-        -inf.  Atom j of a block follows atom j of its predecessor while
-        both exist and starts from the initial law beyond that.
+        Block b follows block b of `prev` (a count of 0: no predecessor, the
+        first time) across the gap of table column g[b].
+        Blocks with an atom out of bounds get -inf.  Atom j of a block
+        follows atom j of its predecessor while both exist and starts from
+        the initial law beyond that.
         """
-        counts = np.array([atoms.count for atoms, _, _ in blocks])
-        prev_counts = np.array([0 if prev is None else prev.count for _, prev, _ in blocks])
-        shared = np.minimum(counts, prev_counts)
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        x = _chain_rows([atoms for atoms, _, _ in blocks])
-        # Predecessor values and table columns per term; initial-law terms
-        # read the zero column appended to the predecessors and column -1.
-        prevs = [prev for _, prev, _ in blocks if prev is not None]
-        prev = np.zeros((x.shape[0], 1))
-        if prevs:
-            prev = np.concatenate([_chain_rows(prevs), prev], axis=1)
-        pos = np.arange(ends[-1]) - np.repeat(starts, counts)
-        linked = pos < np.repeat(shared, counts)
-        src = np.where(linked, np.repeat(np.cumsum(prev_counts) - prev_counts, counts) + pos, prev.shape[1] - 1)
-        col = np.where(linked, np.repeat([g for _, _, g in blocks], counts), -1)
-        d = x - self.mult[:, col] * prev[:, src]
+        counts = atoms.counts
+        shared = np.minimum(counts, prev.counts)
+        block, slot = atoms.slots()
+        x = atoms.values[:, block, slot]
+        linked = slot < shared[block]
+        # Initial-law terms take predecessor 0 and column -1 (multiplier 0).
+        prev_x = np.zeros(x.shape)
+        prev_x[:, linked] = prev.values[:, block[linked], slot[linked]]
+        col = np.where(linked, np.asarray(g)[block], -1)
+        d = x - self.mult[:, col] * prev_x
         terms = np.ascontiguousarray(-0.5 * (self.norm[:, col] + d ** 2 / self.var[:, col]))
-        linked_sums = np.zeros((len(blocks), x.shape[0]))
-        initial_sums = np.zeros((len(blocks), x.shape[0]))
-        for b, (start, s, end) in enumerate(zip(starts, starts + shared, ends)):
-            if s > start:
-                linked_sums[b] = terms[:, start:s].sum(axis=1)
-            if end > s:
-                initial_sums[b] = terms[:, s:end].sum(axis=1)
+        linked_sums = np.zeros((counts.size, x.shape[0]))
+        initial_sums = np.zeros((counts.size, x.shape[0]))
+        end = 0
+        for b, (count, s) in enumerate(zip(counts.tolist(), shared.tolist())):
+            start, end = end, end + count
+            if s > 0:
+                linked_sums[b] = terms[:, start:start + s].sum(axis=1)
+            if count > s:
+                initial_sums[b] = terms[:, start + s:end].sum(axis=1)
         # zero start, then linked, then initial sums, as one block adds them
         # (the zero start turns a -0.0 sum into +0.0)
         cols = (np.zeros_like(linked_sums) + linked_sums) + initial_sums
         total = cols[:, 0]
         for c in range(1, cols.shape[1]):
             total = total + cols[:, c]
-        out_of_bounds = np.concatenate([[0], np.cumsum(~np.all(np.abs(x[1:]) <= COORD_BOUND, axis=0))])
-        total[out_of_bounds[ends] > out_of_bounds[starts]] = -np.inf
+        out_of_bounds = ~np.all(np.abs(x[1:]) <= COORD_BOUND, axis=0)
+        total[np.bincount(block[out_of_bounds], minlength=counts.size) > 0] = -np.inf
         return total
-
-
-def _chain_rows(blocks) -> np.ndarray:
-    """[beta | mu] of several blocks side by side, as a C-ordered (p+1, sum J)
-    array, so that reductions along a row sum pairwise like a 1-d np.sum."""
-    mu = np.concatenate([atoms.mu for atoms in blocks])
-    rows = np.empty((mu.shape[1] + 1, mu.shape[0]))
-    rows[0] = np.concatenate([atoms.beta for atoms in blocks])
-    rows[1:] = mu.T
-    return rows
 
 
 def atom_process_log_density(atoms: list[LatentAtoms], times: np.ndarray,
@@ -616,13 +678,14 @@ def atom_process_log_density(atoms: list[LatentAtoms], times: np.ndarray,
     return total
 
 
-def count_log_factor(J: int, lam: float) -> float:
-    """Unnormalized Poisson count factor J log(lam) - log(J!).
+def count_log_factor(J, lam: float):
+    """Unnormalized Poisson count factor J log(lam) - log(J!), of one count
+    or elementwise of an array of counts.
 
     The exp(-lam) normalization is constant across J moves and enters the
     lambda update through its conjugate rate instead.
     """
-    return J * math.log(lam) - float(gammaln(J + 1))
+    return J * math.log(lam) - gammaln(J + 1)
 
 
 def log_joint_parts(atoms: list[LatentAtoms], theta: np.ndarray, hypers: ScalarHypers,

@@ -21,6 +21,7 @@ from .model import (
     LOGIT_BOUND,
     X_HI,
     X_LO,
+    AtomStore,
     LatentAtoms,
     ScalarHypers,
 )
@@ -87,7 +88,7 @@ def draw_prior_state(ctx: ModelContext, cfg: SamplerConfig, rng: np.random.Gener
         phi = None
         if not ctx.marginalized:
             phi = ctx.phi0 + math.sqrt(sigma_sq_phi) * rng.standard_normal(ctx.phi0.shape)
-        return SamplerState(atoms=atoms, theta=theta, hypers=hypers, nu=nu,
+        return SamplerState(atoms=AtomStore.from_blocks(atoms, cfg.j_max), theta=theta, hypers=hypers, nu=nu,
                             omega_sq=omega_sq, phi=phi)
     raise InvalidArgumentError("prior rejection sampling failed; priors too diffuse for the bounds")
 
@@ -134,6 +135,6 @@ def draw_observations(state: SamplerState, ctx: ModelContext, rng: np.random.Gen
     from .model import field_values
 
     for k in range(ctx.m):
-        f = field_values(cache.mapped, ctx.times[k], state.atoms[k], cache.kp)
+        f = field_values(cache.mapped, ctx.times[k], state.atoms.block(k), cache.kp)
         y[:, k] = state.hypers.alpha + phi_eff[:, k] + f + sd * rng.standard_normal(ctx.n)
     return y

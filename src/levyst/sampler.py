@@ -8,16 +8,19 @@ block owns a dedicated random stream keyed by (seed, stream id, iteration,
 index), so the stored chain does not depend on the order in which blocks
 are processed, nor on the worker count.
 
-Blocks of one parity are conditionally independent given the other parity,
-so each parity phase runs in three steps.  Propose: each block draws its
-move type and the move's draws from its own stream and forms its proposal
-with the proposal's log ratio (`propose_block`).  Score: one batched pass
-(`score_blocks`) computes, for every proposal of the parity, its incoming
-and outgoing process factors, its field row and its likelihood, and the
-likelihood of every current block from its stored field.  Accept: each
-block makes its acceptance draw from its own stream (`settle_blocks`).  A
-multiplicative merge that no birth can undo is rejected without a score; it
-still makes its acceptance draw.  The single-block moves (`ttmcmc_birth`,
+The atoms of every block live in one padded store (`AtomStore`): chain rows
+[beta | mu] per block and slot, plus a count per block.  Blocks of one
+parity are conditionally independent given the other parity, so each parity
+phase runs in three steps.  Propose: each block draws its move type and the
+move's draws from its own stream, then every proposal of the parity and its
+log ratio are formed at once as masked array arithmetic on the store
+(`propose_blocks`).  Score: one batched pass (`score_blocks`) computes, for
+every proposal of the parity, its incoming and outgoing process factors and
+its field row; one more computes the likelihood of every proposal and of
+every current block from its stored field.  Accept: each block makes its
+acceptance draw from its own stream (`settle_blocks`).  A multiplicative
+merge that no birth can undo is rejected without a score; it still makes
+its acceptance draw.  The single-block moves (`ttmcmc_birth`,
 `ttmcmc_death`, `ttmcmc_no_change`, `update_time_block`) run the same three
 steps on a batch of one.
 
@@ -55,6 +58,7 @@ from .data import SpaceTimeDataset
 from .errors import ConfigError, InvalidArgumentError, InvalidStateError, UnsupportedPredictionError
 from .model import (
     COORD_BOUND,
+    AtomStore,
     LatentAtoms,
     PriorConfig,
     ProcessTable,
@@ -107,10 +111,6 @@ class SamplerConfig:
     base_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
     workers: int = 1
     seed: int = 0
-    # Include the auxiliary-draw densities in the birth/death acceptance so
-    # the dimension moves are exactly reversible (see decisions ledger); the
-    # printed-form factors remain available for fidelity comparisons.
-    exact_acceptance: bool = True
 
     def __post_init__(self):
         if self.iterations < 0 or not 0 <= self.burn_in <= self.iterations:
@@ -165,7 +165,7 @@ class MoveStats:
 
 @dataclass
 class SamplerState:
-    atoms: list[LatentAtoms]
+    atoms: AtomStore  # every time block's atoms; iterating needs j_max slots per block
     theta: np.ndarray
     hypers: ScalarHypers
     nu: np.ndarray
@@ -217,7 +217,7 @@ class ModelContext:
     knots: tuple[np.ndarray, ...]
     knot_inverse: tuple[np.ndarray, ...]
     gaps: np.ndarray              # distinct gaps between consecutive times, sorted
-    gap_index: tuple[int, ...]    # gap_index[k]: row of times[k] - times[k-1] in gaps (-1 at k=0)
+    gap_index: np.ndarray         # gap_index[k]: row of times[k] - times[k-1] in gaps (-1 at k=0)
 
     @property
     def n(self) -> int:
@@ -270,7 +270,7 @@ def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool
         y=data.y, locations=data.locations, times=data.times, phi0=phi0,
         prior=prior, marginalized=marginalized, alpha_pinned=alpha_pinned,
         ar_mode=mode_for_times(data.times), knots=knots, knot_inverse=inverse,
-        gaps=gaps, gap_index=(-1, *(int(g) for g in gap_rows)),
+        gaps=gaps, gap_index=np.concatenate([[-1], gap_rows]).astype(np.int64),
     )
 
 
@@ -306,15 +306,21 @@ class ThetaCache:
 
 @dataclass
 class BlockTerms:
-    """What one block's atoms contribute to its conditional under one theta.
+    """What the atoms of a batch of time blocks contribute to their
+    conditionals under one theta.
 
-    `p_in` is the block's incoming process factor, `p_out` the next block's
-    (None at the last block) and `field` the block's field column.
+    `p_in[b]` is block b's incoming process factor, `p_out[b]` the next
+    block's (0.0 where `has_next[b]` is False: no next block) and `field[b]`
+    the block's field row.
     """
 
-    p_in: float
-    p_out: float | None
-    field: np.ndarray
+    p_in: np.ndarray      # (B,)
+    p_out: np.ndarray     # (B,)
+    has_next: np.ndarray  # (B,) bool
+    field: np.ndarray     # (B, n)
+
+    def take(self, index) -> "BlockTerms":
+        return BlockTerms(self.p_in[index], self.p_out[index], self.has_next[index], self.field[index])
 
 
 @dataclass
@@ -327,27 +333,34 @@ class StateTerms:
     """
 
     cache: ThetaCache
-    process: list[float]
+    process: np.ndarray
     field: np.ndarray
 
     @classmethod
-    def build(cls, cache: ThetaCache, atoms: list[LatentAtoms], ctx: ModelContext) -> "StateTerms":
+    def build(cls, cache: ThetaCache, atoms: AtomStore, ctx: ModelContext) -> "StateTerms":
         """Process factors and field columns of every block under the theta of `cache`."""
-        process = cache.table.log_densities(
-            [(atoms[k], atoms[k - 1] if k > 0 else None, ctx.gap_index[k]) for k in range(ctx.m)])
+        process = cache.table.log_densities(atoms, _shifted(atoms, np.arange(ctx.m), -1), ctx.gap_index)
         rows = field_rows(cache.mapped, ctx.times, atoms, cache.kp)
-        return cls(cache=cache, process=process.tolist(), field=rows.T)
+        return cls(cache=cache, process=process, field=rows.T)
 
-    def block(self, k: int) -> BlockTerms:
-        p_out = self.process[k + 1] if k + 1 < len(self.process) else None
-        return BlockTerms(self.process[k], p_out, self.field[:, k])
+    def blocks(self, ks: np.ndarray) -> BlockTerms:
+        has_next = ks + 1 < self.process.size
+        p_out = np.where(has_next, self.process[np.minimum(ks + 1, self.process.size - 1)], 0.0)
+        return BlockTerms(self.process[ks], p_out, has_next, self.field[:, ks].T)
 
-    def store(self, k: int, terms: BlockTerms) -> None:
-        """Write back the terms of block k's accepted atoms."""
-        self.process[k] = terms.p_in
-        if terms.p_out is not None:
-            self.process[k + 1] = terms.p_out
-        self.field[:, k] = terms.field
+    def store(self, ks: np.ndarray, terms: BlockTerms) -> None:
+        """Write back the terms of blocks ks' accepted atoms."""
+        self.process[ks] = terms.p_in
+        self.process[ks[terms.has_next] + 1] = terms.p_out[terms.has_next]
+        self.field[:, ks] = terms.field.T
+
+
+def _shifted(atoms: AtomStore, ks: np.ndarray, step: int) -> AtomStore:
+    """Blocks ks + step of a store, with count 0 beyond either end."""
+    index = ks + step
+    inside = (index >= 0) & (index < atoms.counts.size)
+    index = np.where(inside, index, 0)
+    return AtomStore(atoms.values[:, index], np.where(inside, atoms.counts[index], 0))
 
 
 def loglik_slice(k: int, f: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
@@ -367,68 +380,64 @@ def loglik_rows(ks, rows: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
     reduction over rows of a transposed layout adds them sequentially
     instead of pairwise.
     """
-    ks = list(ks)
+    ks = np.asarray(ks)
     y = ctx.y.T[ks]
     phi_rows = ctx.phi_effective(phi).T[ks]
     dens = log_observation_density(y, hypers.alpha, phi_rows, rows, ctx.var_effective(hypers))
     return np.ascontiguousarray(dens).sum(axis=1)
 
 
-def score_blocks(blocks, cache: ThetaCache, ctx: ModelContext, hypers: ScalarHypers,
-                 phi: np.ndarray | None) -> list[tuple[BlockTerms, float]]:
-    """Terms and likelihoods of several time blocks in one batched pass.
+def score_blocks(ks: np.ndarray, atoms: AtomStore, prev: AtomStore, nxt: AtomStore,
+                 cache: ThetaCache, ctx: ModelContext) -> BlockTerms:
+    """Terms of several time blocks in one batched pass.
 
-    Each entry of `blocks` is (k, atoms_k, (atoms_prev, atoms_next), terms).
-    A block with carried `terms` needs only the likelihood of its stored
-    field; one without (None) gets its incoming and outgoing process factors
-    and its field row computed here first.  Returns (terms, likelihood) per
-    entry.
+    Block b sits at time ks[b], holds the atoms of block b of `atoms` and
+    has neighbours block b of `prev` and `nxt` (count 0: none).  Its
+    incoming and outgoing process factors come from one
+    `ProcessTable.log_densities` call and its field row from one
+    `field_rows` call.
     """
-    terms = [carried for *_, carried in blocks]
-    fresh = [b for b, carried in enumerate(terms) if carried is None]
-    if fresh:
-        ks = [blocks[b][0] for b in fresh]
-        atoms = [blocks[b][1] for b in fresh]
-        prevs, nexts = zip(*(blocks[b][2] for b in fresh))
-        linked = [i for i, nxt in enumerate(nexts) if nxt is not None]
-        factors = cache.table.log_densities(
-            [(a, prev, ctx.gap_index[k]) for k, a, prev in zip(ks, atoms, prevs)]
-            + [(nexts[i], atoms[i], ctx.gap_index[ks[i] + 1]) for i in linked]).tolist()
-        p_out = dict(zip(linked, factors[len(fresh):]))
-        rows = field_rows(cache.mapped, ctx.times[ks], atoms, cache.kp)
-        for i, b in enumerate(fresh):
-            terms[b] = BlockTerms(factors[i], p_out.get(i), rows[i])
-    logliks = loglik_rows([k for k, *_ in blocks], np.stack([t.field for t in terms]), ctx, hypers, phi)
-    return list(zip(terms, logliks.tolist()))
+    has_next = nxt.counts > 0
+    linked = np.flatnonzero(has_next)
+    factors = cache.table.log_densities(
+        AtomStore(np.concatenate([atoms.values, nxt.values[:, linked]], axis=1),
+                  np.concatenate([atoms.counts, nxt.counts[linked]])),
+        AtomStore(np.concatenate([prev.values, atoms.values[:, linked]], axis=1),
+                  np.concatenate([prev.counts, atoms.counts[linked]])),
+        np.concatenate([ctx.gap_index[ks], ctx.gap_index[ks[linked] + 1]]))
+    p_out = np.zeros(ks.size)
+    p_out[linked] = factors[ks.size:]
+    return BlockTerms(factors[:ks.size], p_out, has_next, field_rows(cache.mapped, ctx.times[ks], atoms, cache.kp))
 
 
-def block_score(count: int, terms: BlockTerms, loglik: float, hypers: ScalarHypers, j_max: int) -> float:
-    """Log full conditional of a time block from its terms and likelihood
+def block_scores(counts: np.ndarray, terms: BlockTerms, loglik: np.ndarray, hypers: ScalarHypers,
+                 j_max: int) -> np.ndarray:
+    """Log full conditionals of time blocks from their terms and likelihoods
     (boundary blocks one-sided).
 
-    Contains the count factor, the incoming process factors of block k, the
-    outgoing factors of block k+1 (whose transition-vs-initial split depends
-    on this block's count), and the time-k likelihood slice.
+    Each contains the count factor, the incoming process factors of block k,
+    the outgoing factors of block k+1 (whose transition-vs-initial split
+    depends on this block's count), and the time-k likelihood slice; -inf
+    outside the count range or the bounds.
     """
-    if not 1 <= count <= j_max:
-        return -np.inf
-    lp = count_log_factor(count, hypers.lam)
-    lp += terms.p_in
-    if not np.isfinite(lp):
-        return -np.inf
-    if terms.p_out is not None:
-        lp += terms.p_out
-    if not np.isfinite(lp):
-        return -np.inf
-    return lp + loglik
+    with np.errstate(invalid="ignore"):
+        lp = count_log_factor(counts, hypers.lam) + terms.p_in
+        lp = np.where(np.isfinite(lp), lp, -np.inf)
+        lp = np.where(terms.has_next, lp + terms.p_out, lp)
+        valid = np.isfinite(lp) & (counts >= 1) & (counts <= j_max)
+        return np.where(valid, lp + loglik, -np.inf)
 
 
 def block_logpost(k: int, atoms_k: LatentAtoms, neighbors: tuple, cache: ThetaCache,
                   ctx: ModelContext, hypers: ScalarHypers, phi: np.ndarray | None,
                   j_max: int) -> float:
     """Log full conditional of time block k holding `atoms_k`: the score of its fresh terms."""
-    [(terms, loglik)] = score_blocks([(k, atoms_k, neighbors, None)], cache, ctx, hypers, phi)
-    return block_score(atoms_k.count, terms, loglik, hypers, j_max)
+    ks = np.array([k])
+    store = AtomStore.from_blocks([neighbors[0], atoms_k, neighbors[1]])
+    prev, atoms, nxt = (store.take(np.array([b])) for b in range(3))
+    terms = score_blocks(ks, atoms, prev, nxt, cache, ctx)
+    loglik = loglik_rows(ks, terms.field, ctx, hypers, phi)
+    return float(block_scores(atoms.counts, terms, loglik, hypers, j_max)[0])
 
 
 def _draw_mult_eps(rng: np.random.Generator, floor: float) -> float:
@@ -450,264 +459,257 @@ def _log_half_normal(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # transdimensional moves
 # ---------------------------------------------------------------------------
-# A move is proposed, scored and accepted in three steps.  The proposers
-# make every draw of a move but the acceptance draw and return the proposal,
-# its log ratio beyond the two conditionals, and the draws in `info`.
+# A batch of moves is proposed, scored and accepted in three steps.  Each
+# block makes every draw of its move but the acceptance draw from its own
+# stream, one block after another; the proposals and their log ratios are
+# then formed for the whole batch as masked array arithmetic on the padded
+# atoms.  A birth splits atom j into slot j and the new slot J, a death
+# merges atom lo with the last atom J-1 into slot lo, so no atom moves.
 
-def _propose_birth(atoms_k, ctx, cfg, rng):
-    J = atoms_k.count
-    if J >= cfg.j_max:
-        raise InvalidStateError("birth proposed at the count ceiling")
-    additive = rng.random() <= cfg.p_add
-    j = int(rng.integers(J))
-    p = ctx.p
-    child_pos = J if cfg.exact_acceptance else j + 1
-    info = {"branch": "additive" if additive else "multiplicative", "j": j,
-            "child_pos": child_pos}
-
-    mu, beta = atoms_k.mu, atoms_k.beta
-    if additive:
-        eps1 = rng.standard_normal()
-        eps_mu = rng.standard_normal(p)
-        steps = cfg.scale * np.abs(np.concatenate([[eps1], eps_mu]))
-        if cfg.exact_acceptance:
-            signs = rng.integers(0, 2, size=p + 1) * 2.0 - 1.0
-        else:
-            signs = np.ones(p + 1)
-        beta_new = np.insert(beta, child_pos, beta[j] - signs[0] * steps[0])
-        beta_new[j] = beta[j] + signs[0] * steps[0]
-        mu_new = np.insert(mu, child_pos, mu[j] - signs[1:] * steps[1:], axis=0)
-        mu_new[j] = mu[j] + signs[1:] * steps[1:]
-        if cfg.exact_acceptance:
-            u = np.abs(np.concatenate([[eps1], eps_mu]))
-            log_struct = float(np.sum(math.log(4.0 * cfg.scale) - _log_half_normal(u)))
-        else:
-            log_struct = (p + 1) * (math.log(2.0) + math.log(cfg.scale))
-        info.update(eps1=eps1, eps_mu=eps_mu, signs=signs)
-    else:
-        eps1 = _draw_mult_eps(rng, cfg.eps_floor)
-        eps_mu = np.array([_draw_mult_eps(rng, cfg.eps_floor) for _ in range(p)])
-        beta_new = np.insert(beta, child_pos, beta[j] / eps1)
-        beta_new[j] = beta[j] * eps1
-        mu_new = np.insert(mu, child_pos, mu[j] / eps_mu, axis=0)
-        mu_new[j] = mu[j] * eps_mu
-        with np.errstate(divide="ignore"):
-            log_struct = float(np.log(abs(beta[j])) - np.log(abs(eps1))
-                               + np.sum(np.log(np.abs(mu[j])) - np.log(np.abs(eps_mu))))
-        if cfg.exact_acceptance:
-            # pair Jacobian 2|x|/|eps| per coordinate times the draw densities
-            log_struct += (p + 1) * (math.log(2.0) + math.log(1.0 - cfg.eps_floor))
-        info.update(eps1=eps1, eps_mu=eps_mu)
-
-    wb, _, _ = move_weights(J, cfg)
-    _, wd_new, _ = move_weights(J + 1, cfg)
-    log_struct += math.log(wd_new) - math.log(wb)
-    if not cfg.exact_acceptance:
-        # printed selection factor: child pair chosen among all J+1 atoms
-        log_struct -= math.log(J + 1)
-    info["log_struct"] = log_struct
-    return LatentAtoms(mu_new, beta_new), log_struct, info
-
-
-def _propose_death(atoms_k, ctx, cfg, rng):
-    J = atoms_k.count
-    if J < 2:
-        raise InvalidStateError("death proposed with a single atom")
-    additive = rng.random() <= cfg.p_add
-    if cfg.exact_acceptance:
-        lo = int(rng.integers(J - 1))
-        hi = J - 1
-    else:
-        j = int(rng.integers(J))
-        j2 = int(rng.integers(J - 1))
-        if j2 >= j:
-            j2 += 1
-        lo, hi = min(j, j2), max(j, j2)
-    p = ctx.p
-    info = {"branch": "additive" if additive else "multiplicative", "lo": lo, "hi": hi}
-
-    mu, beta = atoms_k.mu, atoms_k.beta
-    pair_lo = np.concatenate([[beta[lo]], mu[lo]])
-    pair_hi = np.concatenate([[beta[hi]], mu[hi]])
-    unreachable = False
-    if additive:
-        merged_beta = 0.5 * (beta[lo] + beta[hi])
-        merged_mu = 0.5 * (mu[lo] + mu[hi])
-        if cfg.exact_acceptance:
-            u = np.abs(pair_lo - pair_hi) / (2.0 * cfg.scale)
-            log_struct = float(np.sum(_log_half_normal(u) - math.log(4.0 * cfg.scale)))
-        else:
-            log_struct = -(p + 1) * (math.log(2.0) + math.log(cfg.scale))
-    else:
-        sign_beta = 1.0 if rng.random() < 0.5 else -1.0
-        signs_mu = np.where(rng.random(p) < 0.5, 1.0, -1.0)
-        merged_beta = sign_beta * math.sqrt(abs(beta[lo] * beta[hi]))
-        merged_mu = signs_mu * np.sqrt(np.abs(mu[lo] * mu[hi]))
-        with np.errstate(divide="ignore"):
-            log_struct = float(-np.log(abs(beta[hi])) - np.sum(np.log(np.abs(mu[hi]))))
-        if cfg.exact_acceptance:
-            log_struct -= (p + 1) * (math.log(2.0) + math.log(1.0 - cfg.eps_floor))
-            same_sign = pair_lo * pair_hi > 0.0
-            ratio_ok = np.abs(pair_lo) < np.abs(pair_hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                implied = np.sqrt(np.abs(pair_lo) / np.abs(pair_hi))
-            unreachable = not (np.all(same_sign) and np.all(ratio_ok)
-                               and np.all(implied > cfg.eps_floor))
-        info.update(sign_beta=sign_beta, signs_mu=signs_mu)
-
-    beta_new = np.delete(beta, hi)
-    beta_new[lo] = merged_beta
-    mu_new = np.delete(mu, hi, axis=0)
-    mu_new[lo] = merged_mu
-
-    _, wd, _ = move_weights(J, cfg)
-    wb_new, _, _ = move_weights(J - 1, cfg)
-    log_struct += math.log(wb_new) - math.log(wd)
-    if not cfg.exact_acceptance:
-        log_struct += math.log(J)
-    info.update(log_struct=log_struct, unreachable=unreachable)
-    return LatentAtoms(mu_new, beta_new), log_struct, info
-
-
-def _propose_no_change(atoms_k, ctx, cfg, rng):
-    J, p = atoms_k.count, ctx.p
-    d = (p + 1) * J
-    additive = rng.random() <= cfg.p_add
-    v = np.concatenate([atoms_k.beta, atoms_k.mu.ravel()])
-    info = {"branch": "additive" if additive else "multiplicative"}
-
-    if additive:
-        eps = rng.standard_normal()
-        b = rng.integers(0, 2, size=d) * 2 - 1
-        v_new = v + b * (cfg.shrink * cfg.scale) * abs(eps)
-        log_jac = 0.0
-    else:
-        eps = _draw_mult_eps(rng, cfg.eps_floor)
-        b = rng.integers(-1, 2, size=d)
-        v_new = v.copy()
-        v_new[b == 1] *= eps
-        v_new[b == -1] /= eps
-        log_jac = float(b.sum()) * math.log(abs(eps))
-    info.update(eps=eps, b=b, log_jac=log_jac)
-    return LatentAtoms(v_new[J:].reshape(J, p), v_new[:J]), log_jac, info
-
-
-_PROPOSERS = {"birth": _propose_birth, "death": _propose_death, "no_change": _propose_no_change}
+BIRTH, DEATH, NO_CHANGE = range(3)  # indices into MOVE_NAMES
 
 
 @dataclass
-class BlockMove:
-    """One time block's move between its propose and accept steps.
+class BlockMoves:
+    """The moves of a batch of time blocks between their propose and accept
+    steps.
 
-    `log_ratio` is every term of the log acceptance ratio besides the two
-    conditionals (log_struct or log_jac), and `rng` the block's stream, which
-    still owes the acceptance draw.
+    Block b sits at time ks[b] and makes move `move[b]` (an index into
+    MOVE_NAMES) from `current` to `proposal`.  `log_ratio[b]` is every term
+    of its log acceptance ratio besides the two conditionals (log_struct or
+    log_jac).  A merge that no birth can undo is not `reachable` and is
+    rejected unscored.  `rngs[b]` is the block's stream, which still owes
+    the acceptance draw.  The draws: the `additive` branch; `slot`, the atom
+    split (birth) or merged with the last one (death); `eps`, a birth's
+    (eps1, eps_mu) or a no-change move's eps in column 0; `signs`, an
+    additive birth's split signs or a multiplicative death's merge signs;
+    `flips`, a no-change move's coordinate indicators in the store's layout.
     """
 
-    k: int
-    move: str
-    current: LatentAtoms
-    proposal: LatentAtoms
-    log_ratio: float
-    info: dict
-    rng: np.random.Generator
+    ks: np.ndarray
+    move: np.ndarray
+    current: AtomStore
+    proposal: AtomStore
+    log_ratio: np.ndarray
+    reachable: np.ndarray
+    rngs: list
+    additive: np.ndarray
+    slot: np.ndarray
+    eps: np.ndarray     # (B, p+1)
+    signs: np.ndarray   # (B, p+1)
+    flips: np.ndarray   # (p+1, B, width)
 
-    @property
-    def reachable(self) -> bool:
-        """False for a merge no birth can undo, which is rejected unscored."""
-        return not self.info.get("unreachable", False)
-
-    def accept(self, lp_cur: float, lp_prop: float | None) -> bool:
-        """The acceptance draw; `lp_prop` is None for an unreachable merge."""
-        log_alpha = lp_prop - lp_cur + self.log_ratio if self.reachable else -np.inf
-        self.info.update(log_alpha=log_alpha, lp_cur=lp_cur, lp_prop=lp_prop)
-        return _mh_accept(log_alpha, self.rng)
-
-
-def propose_block(k: int, atoms_k: LatentAtoms, ctx: ModelContext, cfg: SamplerConfig,
-                  rng: np.random.Generator) -> BlockMove:
-    """The multinomial move-type draw and that move's proposal at block k."""
-    wb, wd, _ = move_weights(atoms_k.count, cfg)
-    u = rng.random()
-    if u < wb:
-        move = "birth"
-    elif u < wb + wd:
-        move = "death"
-    else:
-        move = "no_change"
-    return BlockMove(k, move, atoms_k, *_PROPOSERS[move](atoms_k, ctx, cfg, rng), rng)
+    def info(self, b: int) -> dict:
+        """The draws and the log ratio of move b, by name."""
+        J = int(self.current.counts[b])
+        info = {"branch": "additive" if self.additive[b] else "multiplicative"}
+        if self.move[b] == BIRTH:
+            info.update(j=int(self.slot[b]), child_pos=J, eps1=float(self.eps[b, 0]),
+                        eps_mu=self.eps[b, 1:].copy(), log_struct=float(self.log_ratio[b]))
+            if self.additive[b]:
+                info["signs"] = self.signs[b].copy()
+        elif self.move[b] == DEATH:
+            info.update(lo=int(self.slot[b]), hi=J - 1, log_struct=float(self.log_ratio[b]),
+                        unreachable=not self.reachable[b])
+            if not self.additive[b]:
+                info.update(sign_beta=float(self.signs[b, 0]), signs_mu=self.signs[b, 1:].copy())
+        else:
+            flips = self.flips[:, b, :J]
+            info.update(eps=float(self.eps[b, 0]), b=np.concatenate([flips[0], flips[1:].T.ravel()]),
+                        log_jac=float(self.log_ratio[b]))
+        return info
 
 
-def settle_blocks(moves: list[BlockMove], neighbors: list[tuple], current: list[BlockTerms | None],
+def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: SamplerConfig,
+                   rngs: list, move: int | None = None) -> BlockMoves:
+    """The moves of blocks ks, which hold the atoms of `current`.
+
+    Each block draws its move type (unless `move` sets it for every block)
+    and that move's draws from its own stream, in a fixed order.  Then every
+    proposal and log ratio of the batch is formed at once.
+    """
+    counts = current.counts
+    B, p1 = counts.size, ctx.p + 1
+    moves, additive, slot = [], [], []
+    eps = np.ones((B, p1))
+    signs = np.ones((B, p1))
+    flips = np.zeros((p1, B, current.width), dtype=np.int64)
+    log_w = []  # the move-weight ratio of a birth or death, a no-change move's log_jac
+    for b, (J, rng) in enumerate(zip(counts.tolist(), rngs)):
+        wb, wd, _ = move_weights(J, cfg)
+        if move is None:
+            u = rng.random()
+            mv = BIRTH if u < wb else DEATH if u < wb + wd else NO_CHANGE
+        else:
+            mv = move
+        if mv == BIRTH and J >= cfg.j_max:
+            raise InvalidStateError("birth proposed at the count ceiling")
+        if mv == DEATH and J < 2:
+            raise InvalidStateError("death proposed with a single atom")
+        add = rng.random() <= cfg.p_add
+        moves.append(mv)
+        additive.append(add)
+        if mv == BIRTH:
+            slot.append(rng.integers(J))
+            if add:
+                eps[b, 0] = rng.standard_normal()
+                eps[b, 1:] = rng.standard_normal(p1 - 1)
+                signs[b] = rng.integers(0, 2, size=p1) * 2.0 - 1.0
+            else:
+                eps[b] = [_draw_mult_eps(rng, cfg.eps_floor) for _ in range(p1)]
+            log_w.append(math.log(move_weights(J + 1, cfg)[1]) - math.log(wb))
+        elif mv == DEATH:
+            slot.append(rng.integers(J - 1))
+            if not add:
+                signs[b, 0] = 1.0 if rng.random() < 0.5 else -1.0
+                signs[b, 1:] = np.where(rng.random(p1 - 1) < 0.5, 1.0, -1.0)
+            log_w.append(math.log(move_weights(J - 1, cfg)[0]) - math.log(wd))
+        else:
+            slot.append(0)
+            if add:
+                eps[b, 0] = rng.standard_normal()
+                draws = rng.integers(0, 2, size=p1 * J) * 2 - 1
+                log_w.append(0.0)
+            else:
+                eps[b, 0] = e = _draw_mult_eps(rng, cfg.eps_floor)
+                draws = rng.integers(-1, 2, size=p1 * J)
+                log_w.append(float(draws.sum()) * math.log(abs(e)))
+            # drawn as [beta_1 .. beta_J, mu_1,1 .. mu_1,p, .. mu_J,p]
+            flips[0, b, :J] = draws[:J]
+            flips[1:, b, :J] = draws[J:].reshape(J, p1 - 1).T
+    moves, slot = np.array(moves, dtype=np.int64), np.array(slot, dtype=np.int64)
+    additive, log_w = np.array(additive, dtype=bool), np.array(log_w, dtype=float)
+    birth, death, no_change = moves == BIRTH, moves == DEATH, moves == NO_CHANGE
+    # Every block's birth and death arithmetic at once on its picked atom x
+    # (birth: j, death: lo) and its last atom y, as C-ordered (B, p+1) rows,
+    # whose row sums add like one block's sums; each block keeps its move's.
+    rows, add = np.arange(B), additive[:, None]
+    x = np.ascontiguousarray(current.values[:, rows, slot].T)
+    y = np.ascontiguousarray(current.values[:, rows, np.maximum(counts - 1, 0)].T)
+    log_4a, pair_factor = math.log(4.0 * cfg.scale), p1 * (math.log(2.0) + math.log(1.0 - cfg.eps_floor))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a birth splits x into (keep, child), a death merges x and y
+        size = np.abs(eps)
+        step = signs * (cfg.scale * size)
+        keep = np.where(add, x + step, x * eps)
+        child = np.where(add, x - step, x / eps)
+        merged = np.where(add, 0.5 * (x + y), signs * np.sqrt(np.abs(x * y)))
+        log_x, log_e, log_y = np.log(np.abs(x)), np.log(size), np.log(np.abs(y))
+        mult_split = (log_x[:, 0] - log_e[:, 0] + (log_x[:, 1:] - log_e[:, 1:]).sum(axis=1)) + pair_factor
+        split_ratio = np.where(additive, (log_4a - _log_half_normal(size)).sum(axis=1), mult_split)
+        u = np.abs(x - y) / (2.0 * cfg.scale)
+        mult_merge = (-log_y[:, 0] - log_y[:, 1:].sum(axis=1)) - pair_factor
+        merge_ratio = np.where(additive, (_log_half_normal(u) - log_4a).sum(axis=1), mult_merge)
+        # a multiplicative birth makes a same-sign pair (x e, x / e) with
+        # |x e| < |x / e| and |e| above the floor
+        reachable = ~death | additive | np.all((x * y > 0.0) & (np.abs(x) < np.abs(y))
+                                                & (np.sqrt(np.abs(x) / np.abs(y)) > cfg.eps_floor), axis=1)
+        values = current.values.copy()
+        values[:, rows, slot] = np.where(birth[:, None], keep, np.where(death[:, None], merged, x)).T
+        grow = np.flatnonzero(birth)
+        values[:, grow, counts[grow]] = child[grow].T
+        sel = np.flatnonzero(no_change)
+        if sel.size:
+            z, f, e = values[:, sel], flips[:, sel], eps[sel, 0][:, None]
+            values[:, sel] = np.where(additive[sel][:, None], z + f * (cfg.shrink * cfg.scale) * np.abs(e),
+                                      np.where(f == 1, z * e, np.where(f == -1, z / e, z)))
+    log_ratio = np.where(birth, split_ratio + log_w, np.where(death, merge_ratio + log_w, log_w))
+    new_counts = counts + birth - death
+    return BlockMoves(ks, moves, current, AtomStore(values, new_counts), log_ratio, reachable, list(rngs),
+                      additive, slot, eps, signs, flips)
+
+
+def settle_blocks(moves: BlockMoves, prev: AtomStore, nxt: AtomStore, current: BlockTerms | None,
                   cache: ThetaCache, ctx: ModelContext, hypers: ScalarHypers,
-                  phi: np.ndarray | None, j_max: int) -> list[tuple[bool, BlockTerms]]:
+                  phi: np.ndarray | None, j_max: int) -> tuple[np.ndarray, BlockTerms, dict]:
     """Score the moves in one `score_blocks` pass, then accept or reject each.
 
-    `neighbors[b]` holds the (previous, next) atoms of move b's block and
-    `current[b]` its carried terms (None: computed in the same pass).
-    Unreachable merges are left out of the pass.  Returns, per move, the
-    acceptance and the terms of the block's atoms after it.
+    `prev` and `nxt` hold the neighbours of the moved blocks (count 0: none)
+    and `current` the carried terms of their current atoms (None: computed
+    in the same pass).  Unreachable merges are left out of the pass.
+    Returns the acceptances, the terms of each block's atoms after its move,
+    and the arrays lp_cur, lp_prop (NaN where unscored) and log_alpha.
     """
-    blocks = [(mv.k, mv.current, nb, cur) for mv, nb, cur in zip(moves, neighbors, current)]
-    scored = [b for b, mv in enumerate(moves) if mv.reachable]
-    blocks += [(moves[b].k, moves[b].proposal, neighbors[b], None) for b in scored]
-    scores = score_blocks(blocks, cache, ctx, hypers, phi)
-    proposed = dict(zip(scored, scores[len(moves):]))
-    out = []
-    for b, mv in enumerate(moves):
-        cur_terms, cur_loglik = scores[b]
-        lp_cur = block_score(mv.current.count, cur_terms, cur_loglik, hypers, j_max)
-        prop_terms, lp_prop = None, None
-        if b in proposed:
-            prop_terms, prop_loglik = proposed[b]
-            lp_prop = block_score(mv.proposal.count, prop_terms, prop_loglik, hypers, j_max)
-        accepted = mv.accept(lp_cur, lp_prop)
-        out.append((accepted, prop_terms if accepted else cur_terms))
-    return out
+    ks, B = moves.ks, moves.ks.size
+    scored = np.flatnonzero(moves.reachable)
+    proposal = moves.proposal.take(scored)
+    if current is None:
+        both = np.concatenate([np.arange(B), scored])
+        atoms = AtomStore(np.concatenate([moves.current.values, proposal.values], axis=1),
+                          np.concatenate([moves.current.counts, proposal.counts]))
+        terms = score_blocks(ks[both], atoms, prev.take(both), nxt.take(both), cache, ctx)
+        current, proposed = terms.take(slice(0, B)), terms.take(slice(B, None))
+    else:
+        proposed = score_blocks(ks[scored], proposal, prev.take(scored), nxt.take(scored), cache, ctx)
+    logliks = loglik_rows(np.concatenate([ks, ks[scored]]), np.concatenate([current.field, proposed.field]),
+                          ctx, hypers, phi)
+    lp_cur = block_scores(moves.current.counts, current, logliks[:B], hypers, j_max)
+    lp_prop = np.full(B, np.nan)
+    lp_prop[scored] = block_scores(proposal.counts, proposed, logliks[B:], hypers, j_max)
+    with np.errstate(invalid="ignore"):
+        log_alpha = np.where(moves.reachable, lp_prop - lp_cur + moves.log_ratio, -np.inf)
+    accepted = np.array([_mh_accept(a, rng) for a, rng in zip(log_alpha.tolist(), moves.rngs)], dtype=bool)
+    after = current.take(np.arange(B))
+    won = np.flatnonzero(accepted[scored])
+    after.p_in[scored[won]] = proposed.p_in[won]
+    after.p_out[scored[won]] = proposed.p_out[won]
+    after.field[scored[won]] = proposed.field[won]
+    return accepted, after, {"lp_cur": lp_cur, "lp_prop": lp_prop, "log_alpha": log_alpha}
 
 
 def _move(move, k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur):
-    """One move at block k on its own: propose, score the batch of one, accept."""
-    mv = BlockMove(k, move, atoms_k, *_PROPOSERS[move](atoms_k, ctx, cfg, rng), rng)
-    [(accepted, terms)] = settle_blocks([mv], [neighbors], [cur], cache, ctx, hypers, phi, cfg.j_max)
-    mv.info["terms"] = terms
-    return (mv.proposal if accepted else atoms_k), accepted, mv.info
+    """One move at block k on its own: propose, score and accept a batch of
+    one (`move` None: drawn).  Returns the block's atoms after the move, the
+    acceptance, the move's info and the move."""
+    ks = np.array([k])
+    blocks = [neighbors[0], atoms_k, neighbors[1]]
+    store = AtomStore.from_blocks(blocks, max(cfg.j_max, *(a.count for a in blocks if a is not None)))
+    prev, current, nxt = (store.take(np.array([b])) for b in range(3))
+    moves = propose_blocks(ks, current, ctx, cfg, [rng], move)
+    accepted, after, scores = settle_blocks(moves, prev, nxt, cur, cache, ctx, hypers, phi, cfg.j_max)
+    info = moves.info(0)
+    lp_prop = float(scores["lp_prop"][0]) if moves.reachable[0] else None
+    info.update(log_alpha=float(scores["log_alpha"][0]), lp_cur=float(scores["lp_cur"][0]), lp_prop=lp_prop,
+                terms=after)
+    atoms = moves.proposal.block(0) if accepted[0] else atoms_k
+    return atoms, bool(accepted[0]), info, MOVE_NAMES[moves.move[0]]
 
 
-# Each move takes the current block's carried terms as `cur` (None: computed
-# from scratch) and returns the terms of the atoms it returns in info["terms"].
+# Each move takes the current block's carried terms as `cur` (a batch of
+# one; None: computed from scratch) and returns the terms of the atoms it
+# returns in info["terms"].
 
 def ttmcmc_birth(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
     """Split one atom into two; dimension J -> J + 1.
 
-    Additive branch: the selected atom splits into (x + a|e|, x - a|e|) per
-    coordinate with independent standard-normal draws; multiplicative branch
-    into (x e, x / e) with uniform draws above the floor.  With exact
-    acceptance the additive split signs are symmetrized, the second child is
-    appended at the end (no index shifts, so cross-time chain pairings of
-    untouched atoms are preserved), and the acceptance carries the auxiliary
-    densities, making the move pair exactly reversible.
+    Additive branch: the selected atom splits into (x + s a|e|, x - s a|e|)
+    per coordinate with independent standard-normal draws e and random
+    signs s; multiplicative branch into (x e, x / e) with uniform draws
+    above the floor.  The second child is appended at the end (no index
+    shifts, so cross-time chain pairings of untouched atoms are preserved),
+    and the acceptance carries the auxiliary densities, making the move
+    pair exactly reversible.
     """
-    return _move("birth", k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)
+    return _move(BIRTH, k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)[:3]
 
 
 def ttmcmc_death(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
     """Merge two atoms into one; dimension J -> J - 1.
 
     Additive branch merges the selected pair to its midpoint; the
-    multiplicative branch to +-sqrt(|x_j x_j'|) with independent signs.  With
-    exact acceptance the partner is always the last atom (the only pairing
-    reachable by the append-at-end birth) and the factors mirror the matching
-    birth, including the implied auxiliary densities; multiplicative merges
-    of pairs no multiplicative birth can produce are rejected outright,
+    multiplicative branch to +-sqrt(|x_j x_j'|) with independent signs.  The
+    partner is always the last atom (the only pairing reachable by the
+    append-at-end birth) and the factors mirror the matching birth,
+    including the implied auxiliary densities; multiplicative merges of
+    pairs no multiplicative birth can produce are rejected outright,
     without scoring the proposal (info["lp_prop"] is then None).
     """
-    return _move("death", k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)
+    return _move(DEATH, k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)[:3]
 
 
 def ttmcmc_no_change(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
     """Jointly perturb all (p+1)J atom coordinates; dimension unchanged."""
-    return _move("no_change", k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)
+    return _move(NO_CHANGE, k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)[:3]
 
 
 def _mh_accept(log_alpha: float, rng: np.random.Generator) -> bool:
@@ -721,20 +723,17 @@ def _mh_accept(log_alpha: float, rng: np.random.Generator) -> bool:
     return math.log(rng.random()) < log_alpha
 
 
-def _neighbors(atoms, k: int) -> tuple:
-    return (atoms[k - 1] if k > 0 else None, atoms[k + 1] if k < len(atoms) - 1 else None)
-
-
 def update_time_block(k, atoms_snapshot, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
     """One multinomial move-type draw and the corresponding move at index k.
 
     Returns the block's new atoms, the move, the acceptance and the terms of
     the new atoms; `cur` holds the current block's carried terms, if any.
     """
-    mv = propose_block(k, atoms_snapshot[k], ctx, cfg, rng)
-    [(accepted, terms)] = settle_blocks([mv], [_neighbors(atoms_snapshot, k)], [cur], cache, ctx,
-                                        hypers, phi, cfg.j_max)
-    return (mv.proposal if accepted else mv.current), mv.move, accepted, terms
+    neighbors = (atoms_snapshot[k - 1] if k > 0 else None,
+                 atoms_snapshot[k + 1] if k < len(atoms_snapshot) - 1 else None)
+    atoms, accepted, info, move = _move(None, k, atoms_snapshot[k], neighbors, cache, ctx, hypers, cfg, rng, phi,
+                                        cur)
+    return atoms, move, accepted, info["terms"]
 
 
 # ---------------------------------------------------------------------------
@@ -745,8 +744,8 @@ def theta_score(theta, terms: StateTerms, state, ctx) -> float:
     """Log conditional of the fixed-dimension block at theta, from the terms
     of the state's atoms under theta."""
     lp = log_prior_theta(theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
-    process = terms.process[0]
-    for factor in terms.process[1:]:
+    process, *rest = terms.process.tolist()
+    for factor in rest:
         process += factor
     lp += process
     if not np.isfinite(lp):
@@ -933,16 +932,18 @@ class Sampler:
                 for spec in mu_specs])
             atoms.append(LatentAtoms(mu, beta))
         phi = ctx.phi0.copy() if not ctx.marginalized else None
-        return SamplerState(atoms=atoms, theta=theta, hypers=hypers, nu=nu,
+        return SamplerState(atoms=AtomStore.from_blocks(atoms, cfg.j_max), theta=theta, hypers=hypers, nu=nu,
                             omega_sq=omega_sq, phi=phi)
 
     # -- one full iteration --------------------------------------------------
 
     def iterate(self, state: SamplerState, r: int, stats: MoveStats) -> SamplerState:
-        ctx, cfg = self.ctx, self.cfg
+        ctx, cfg, atoms = self.ctx, self.cfg, state.atoms
         if state.terms is None:
+            if atoms.width < cfg.j_max:
+                raise InvalidStateError("the atom store has fewer slots than j_max")
             state.terms = StateTerms.build(ThetaCache.build(state.theta, ctx, state.nu, state.omega_sq),
-                                           state.atoms, ctx)
+                                           atoms, ctx)
         terms = state.terms
 
         # transdimensional phases: odd (1-based) indices first, then even;
@@ -950,16 +951,16 @@ class Sampler:
         # each phase proposes every move, scores them in one batched pass
         # and then accepts or rejects each
         for first in (0, 1):
-            ks = range(first, ctx.m, 2)
-            moves = [propose_block(k, state.atoms[k], ctx, cfg, stream(cfg.seed, _S_BLOCK, r, k)) for k in ks]
-            outcomes = settle_blocks(moves, [_neighbors(state.atoms, k) for k in ks],
-                                     [terms.block(k) for k in ks], terms.cache, ctx,
-                                     state.hypers, state.phi, cfg.j_max)
-            for mv, (accepted, block) in zip(moves, outcomes):
-                if accepted:
-                    state.atoms[mv.k] = mv.proposal
-                    terms.store(mv.k, block)
-                stats.record(mv.move, accepted)
+            ks = np.arange(first, ctx.m, 2)
+            moves = propose_blocks(ks, atoms.take(ks), ctx, cfg,
+                                   [stream(cfg.seed, _S_BLOCK, r, k) for k in ks.tolist()])
+            accepted, after, _ = settle_blocks(moves, _shifted(atoms, ks, -1), _shifted(atoms, ks, 1),
+                                               terms.blocks(ks), terms.cache, ctx, state.hypers, state.phi,
+                                               cfg.j_max)
+            atoms.put(ks[accepted], moves.proposal.take(accepted))
+            terms.store(ks[accepted], after.take(accepted))
+            for move, acc in zip(moves.move.tolist(), accepted.tolist()):
+                stats.record(MOVE_NAMES[move], acc)
 
         # fixed-dimension block plus enhancement at the coordinator
         rng_t = stream(cfg.seed, _S_THETA, r)
@@ -1003,7 +1004,7 @@ class Sampler:
 
         parts = self.pool.map_indices(range(ctx.m), col_sums)
         reduced = {
-            "j_total": sum(a.count for a in state.atoms),
+            "j_total": int(state.atoms.counts.sum()),
             "resid_sq": reduce_sum(p[0] for p in parts),
             "resid_alpha": reduce_sum(p[1] for p in parts),
         }
@@ -1036,7 +1037,7 @@ class Sampler:
         hyp = state.hypers
         return ChainSample(
             iteration=r,
-            atoms=[a.copy() for a in state.atoms],
+            atoms=state.atoms.blocks(),
             theta=state.theta.copy(),
             lam=hyp.lam, sigma_sq_eps=hyp.sigma_sq_eps, alpha=hyp.alpha,
             sigma_sq_alpha=hyp.sigma_sq_alpha, sigma_sq_phi=hyp.sigma_sq_phi,

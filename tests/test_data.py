@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from levyst.data import (
     standardize,
     write_csv,
 )
-from levyst.errors import DegenerateDataError, InvalidArgumentError, ParseError
+from levyst.errors import DegenerateDataError, InvalidArgumentError, NumericError, ParseError
 
 
 def test_dataset_validation():
@@ -55,6 +56,19 @@ def test_gqn_negligible_coefficients_reduce_to_noise():
     y1 = gqn_simulate(GqnConfig(n_train=6, n_test=2, m=4, seed=2, coef_sd=1e-30)).train.y
     y2 = gqn_simulate(GqnConfig(n_train=6, n_test=2, m=4, seed=2, coef_sd=1e-200)).train.y
     np.testing.assert_allclose(y1, y2, rtol=0, atol=1e-12)
+
+
+def test_gqn_divergence_raises_numeric_error():
+    """The default-size recursion diverges at seed 1: a NumericError names
+    the seed and the step, with no overflow warning; seeds 0 and 2 stay
+    finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"after step \d+ of 50 \(seed 1\)"):
+            gqn_simulate(GqnConfig(seed=1))
+        for seed in (0, 2):
+            sim = gqn_simulate(GqnConfig(seed=seed))
+            assert np.all(np.isfinite(sim.train.y)) and np.all(np.isfinite(sim.test.y))
 
 
 def test_gqn_clamp_counts():

@@ -10,6 +10,7 @@ from scipy.stats import invgamma, norm, poisson
 from levyst.ar import ArMode, ArSpec
 from levyst.errors import InvalidArgumentError, InvalidStateError
 from levyst.model import (
+    AtomStore,
     KernelParams,
     LatentAtoms,
     MonotoneMapParams,
@@ -21,8 +22,10 @@ from levyst.model import (
     atom_process_log_density,
     count_log_factor,
     f_eval,
+    field_rows,
     field_values,
     kernel_eval,
+    kernel_matrix,
     log_ig_transformed,
     log_joint_parts,
     log_joint_posterior,
@@ -189,6 +192,41 @@ def test_field_values_matches_f_eval():
     vec = field_values(mapped, 2.0, atoms, kp)
     for i in range(7):
         assert vec[i] == pytest.approx(f_eval(mapped[i], 2.0, atoms, kp), rel=1e-12)
+
+
+def _einsum_kernel(mapped, times, mu, kp):
+    """The kernel matrix as one (n, N, p) difference array and an einsum, the
+    form the per-coordinate kernel replaced."""
+    d = mapped[:, None, :] - mu[None, :, :]
+    return np.exp(-0.5 * np.einsum("njp,p->nj", d * d, kp.tilde_sigma_sq) - kp.xi * np.abs(times - kp.tau))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_field_kernel_matches_einsum_reference(p):
+    """`field_rows` and `field_values` equal the einsum form (`==`) at p <= 2,
+    where the spatial sum has one order; beyond, einsum's order depends on
+    the CPU, and kernel values agree within 1e-13 relative."""
+    rng = np.random.default_rng(20 + p)
+    for _ in range(25):
+        kp = KernelParams(tilde_sigma_sq=np.exp(rng.uniform(-1.0, 1.0, p)), tau=float(rng.uniform(0.1, 3.0)),
+                          xi=float(rng.uniform(0.1, 2.0)))
+        mapped = rng.normal(size=(int(rng.integers(1, 40)), p))
+        blocks = [LatentAtoms(rng.normal(size=(J, p)), rng.normal(size=J))
+                  for J in rng.integers(1, 30, size=int(rng.integers(1, 6)))]
+        times = rng.uniform(0.0, 5.0, size=len(blocks))
+        rows = field_rows(mapped, times, AtomStore.from_blocks(blocks, width=35), kp)
+        for b, atoms in enumerate(blocks):
+            want_kernel = _einsum_kernel(mapped, times[b], atoms.mu, kp)
+            got_kernel = kernel_matrix(mapped, atoms.mu.T, kp, kp.xi * abs(times[b] - kp.tau))
+            want = want_kernel @ atoms.beta
+            assert np.array_equal(rows[b], field_values(mapped, times[b], atoms, kp))
+            if p <= 2:
+                assert np.array_equal(got_kernel, want_kernel)
+                assert np.array_equal(rows[b], want)
+            else:
+                np.testing.assert_allclose(got_kernel, want_kernel, rtol=1e-13, atol=0.0)
+                scale = np.abs(want_kernel) @ np.abs(atoms.beta)
+                assert np.all(np.abs(rows[b] - want) <= 1e-13 * scale)
 
 
 def test_log_observation_density():

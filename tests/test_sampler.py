@@ -10,7 +10,7 @@ from scipy.stats import norm
 from levyst.ar import ArMode
 from levyst.data import SpaceTimeDataset, standardize
 from levyst.errors import ConfigError, InvalidStateError, UnsupportedPredictionError
-from levyst.model import LatentAtoms, PriorConfig, ScalarHypers, count_log_factor
+from levyst.model import AtomStore, LatentAtoms, PriorConfig, ScalarHypers, count_log_factor
 from levyst.sampler import (
     ChainSample,
     MoveStats,
@@ -266,12 +266,12 @@ def test_theta_logpost_ratio_matches_joint_difference(tame_prior):
 
     ctx = _tiny_ctx(tame_prior, n=2, m=3, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=2)
-    state = SamplerState(atoms=atoms, theta=theta, hypers=hypers, nu=nu, omega_sq=omega)
+    state = SamplerState(atoms=AtomStore.from_blocks(atoms), theta=theta, hypers=hypers, nu=nu, omega_sq=omega)
     theta2 = theta.copy()
     theta2[0] += 0.15
     theta2[-1] -= 0.2
     lp1, _ = theta_logpost(theta, state, ctx)
-    state2 = SamplerState(atoms=atoms, theta=theta2, hypers=hypers, nu=nu, omega_sq=omega)
+    state2 = SamplerState(atoms=state.atoms, theta=theta2, hypers=hypers, nu=nu, omega_sq=omega)
     lp2, _ = theta_logpost(theta2, state2, ctx)
     args = dict(hypers=hypers, nu=nu, omega_sq=omega, phi=None, y=ctx.y,
                 mapped=cache.mapped, times=ctx.times, phi0=ctx.phi0,
@@ -288,7 +288,7 @@ def test_tmcmc_rejects_out_of_bounds_and_accepts_identity(tame_prior):
 
     ctx = _tiny_ctx(tame_prior, n=2, m=2, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=1)
-    state = SamplerState(atoms=atoms, theta=theta, hypers=hypers, nu=nu, omega_sq=omega)
+    state = SamplerState(atoms=AtomStore.from_blocks(atoms), theta=theta, hypers=hypers, nu=nu, omega_sq=omega)
     bad = theta.copy()
     bad[ctx.layout.i_log_tau] = 7.0
     lp_bad, _ = theta_logpost(bad, state, ctx)
@@ -310,7 +310,7 @@ def test_enhancement_jacobian(tame_prior):
 
     ctx = _tiny_ctx(tame_prior, n=2, m=2, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=1)
-    state = SamplerState(atoms=atoms, theta=theta, hypers=hypers, nu=nu, omega_sq=omega)
+    state = SamplerState(atoms=AtomStore.from_blocks(atoms), theta=theta, hypers=hypers, nu=nu, omega_sq=omega)
     d = ctx.layout.dim
     lp, cache0 = theta_logpost(theta, state, ctx)
     cfg = replace(CFG, q_add=0.0)
@@ -405,6 +405,14 @@ def test_run_chain_schedule_contracts(tiny_dataset, tame_prior):
             assert np.all(np.abs(a.mu) <= 10.0)
 
 
+def test_single_time_dataset_runs(tame_prior):
+    """With one time block the second parity phase has no blocks."""
+    data = SpaceTimeDataset(np.array([[0.1], [0.5], [0.9]]), np.array([1.0]), np.array([[0.3], [-0.2], [0.5]]))
+    res = run_chain(data, SamplerConfig(iterations=20, burn_in=0, thin=1, j_max=4, seed=1), tame_prior)
+    assert sum(res.stats.proposals[m] for m in ("birth", "death", "no_change")) == 20
+    assert all(len(s.atoms) == 1 for s in res.samples)
+
+
 def test_run_chain_move_frequencies(tiny_dataset, tame_prior):
     cfg = SamplerConfig(iterations=300, burn_in=0, thin=300, j_max=4, seed=2)
     res = run_chain(tiny_dataset, cfg, tame_prior)
@@ -497,47 +505,50 @@ def test_unreachable_merges_are_never_scored(tiny_dataset, tame_prior, monkeypat
     import levyst.sampler as sampler_module
 
     cfg = SamplerConfig(iterations=40, burn_in=0, thin=1, j_max=5, seed=9, p_add=0.2)
-    propose, score = sampler_module.propose_block, sampler_module.score_blocks
+    propose, score = sampler_module.propose_blocks, sampler_module.score_blocks
     unreachable, scored = [], []
 
-    def recording_propose(*args):
-        mv = propose(*args)
-        if not mv.reachable:
-            unreachable.append(mv.proposal)
-        return mv
+    def key(ks, atoms, b):
+        """A proposal by its time block and its atoms' bytes."""
+        return int(ks[b]), atoms.values[:, b, :atoms.counts[b]].tobytes()
 
-    def counting_score(blocks, *args):
-        scored.extend(atoms for _, atoms, _, terms in blocks if terms is None)
-        return score(blocks, *args)
+    def recording_propose(*args):
+        moves = propose(*args)
+        unreachable.extend(key(moves.ks, moves.proposal, b) for b in np.flatnonzero(~moves.reachable))
+        return moves
+
+    def counting_score(ks, atoms, *args):
+        scored.extend(key(ks, atoms, b) for b in range(ks.size))
+        return score(ks, atoms, *args)
 
     monkeypatch.setattr(sampler_module, "score_blocks", counting_score)
-    monkeypatch.setattr(sampler_module, "propose_block", recording_propose)
+    monkeypatch.setattr(sampler_module, "propose_blocks", recording_propose)
     skipped = run_chain(tiny_dataset, cfg, tame_prior)
-    # the lists hold the atoms, so their ids stay unique
     assert len(unreachable) > 10
-    assert not {id(a) for a in unreachable} & {id(a) for a in scored}
+    assert not set(unreachable) & set(scored)
 
     def scoring_propose(*args):
-        mv = propose(*args)
-        if not mv.reachable:
-            mv.info["unreachable"] = False
-            mv.log_ratio = -np.inf
-            unreachable.append(mv.proposal)
-        return mv
+        moves = propose(*args)
+        unscored = ~moves.reachable
+        unreachable.extend(key(moves.ks, moves.proposal, b) for b in np.flatnonzero(unscored))
+        moves.reachable[:] = True
+        moves.log_ratio[unscored] = -np.inf
+        return moves
 
     unreachable.clear()
     scored.clear()
-    monkeypatch.setattr(sampler_module, "propose_block", scoring_propose)
+    monkeypatch.setattr(sampler_module, "propose_blocks", scoring_propose)
     _assert_same_chain(run_chain(tiny_dataset, cfg, tame_prior), skipped)
-    assert unreachable and {id(a) for a in unreachable} <= {id(a) for a in scored}
+    assert unreachable and set(unreachable) <= set(scored)
 
 
 _IRREGULAR_TIMES = np.array([0.0, 1.0, 2.5, 3.0, 4.5, 7.0])
 _NEIGHBOR_COUNTS = (3, 25, 1, 30, 12, 40)
-# (k, J, an atom out of bounds, carried terms) per block; together the
-# examples cover the first and the last block, J above and below the
-# predecessor's count, J = 1 and an atom out of bounds.  Counts and the
-# location count reach past 8, where numpy's sums stop running sequentially.
+# (k, J, an atom out of bounds, a stored field in place of the fresh one)
+# per block; together the examples cover the first and the last block, J
+# above and below the predecessor's count, J = 1 and an atom out of bounds.
+# Counts and the location count reach past 8, where numpy's sums stop
+# running sequentially.
 _BLOCK = st.tuples(st.integers(0, 5), st.integers(1, 45), st.booleans(), st.booleans())
 
 
@@ -547,9 +558,10 @@ _BLOCK = st.tuples(st.integers(0, 5), st.integers(1, 45), st.booleans(), st.bool
                 (4, 2, False, True), (5, 33, False, False), (3, 1, True, False), (4, 2, False, False)], seed=0)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, batch, seed):
-    """`score_blocks` gives each block the per-block reference values, `==`."""
+    """`score_blocks` on padded atoms and `loglik_rows` give each block the
+    per-block reference values, `==`."""
     from levyst.model import atom_block_log_density, field_values
-    from levyst.sampler import BlockTerms, loglik_slice, score_blocks
+    from levyst.sampler import loglik_rows, loglik_slice, score_blocks
 
     rng = np.random.default_rng(seed)
     n = 37
@@ -563,32 +575,189 @@ def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, b
     state = [LatentAtoms(rng.normal(scale=3.0, size=(J, 2)), rng.normal(size=J)) for J in _NEIGHBOR_COUNTS]
     gaps = np.diff(ctx.times)
 
-    blocks = []
-    for k, J, out_of_bounds, carried in batch:
+    ks, atoms, stored = np.array([k for k, *_ in batch]), [], []
+    for k, J, out_of_bounds, from_store in batch:
         mu = rng.normal(scale=3.0, size=(J, 2))
         if out_of_bounds:
             mu[rng.integers(J), rng.integers(2)] = 10.5
-        atoms = LatentAtoms(mu, rng.normal(size=J))
-        neighbors = (state[k - 1] if k > 0 else None, state[k + 1] if k < 5 else None)
-        terms = BlockTerms(0.0, None, rng.normal(size=n)) if carried else None
-        blocks.append((k, atoms, neighbors, terms))
-
-    scores = score_blocks(blocks, cache, ctx, hypers, phi)
-    assert len(scores) == len(blocks)
-    for (k, atoms, (prev, nxt), carried), (terms, loglik) in zip(blocks, scores):
-        assert loglik == loglik_slice(k, terms.field, ctx, hypers, phi)
-        if carried is not None:
-            assert terms is carried
-            continue
-        p_in = atom_block_log_density(atoms, prev, None if prev is None else gaps[k - 1],
+        atoms.append(LatentAtoms(mu, rng.normal(size=J)))
+        stored.append(from_store)
+    prevs = [state[k - 1] if k > 0 else None for k in ks]
+    nexts = [state[k + 1] if k < 5 else None for k in ks]
+    B = len(batch)
+    padded = AtomStore.from_blocks(atoms + prevs + nexts)
+    terms = score_blocks(ks, *(padded.take(np.arange(i * B, (i + 1) * B)) for i in range(3)), cache, ctx)
+    rows = np.where(np.array(stored)[:, None], rng.normal(size=(B, n)), terms.field)
+    logliks = loglik_rows(ks, rows, ctx, hypers, phi)
+    for b, (k, a, prev, nxt) in enumerate(zip(ks, atoms, prevs, nexts)):
+        assert logliks[b] == loglik_slice(k, rows[b], ctx, hypers, phi)
+        p_in = atom_block_log_density(a, prev, None if prev is None else gaps[k - 1],
                                       cache.beta_spec, cache.mu_specs)
-        assert terms.p_in == p_in
-        assert np.all(np.abs(atoms.mu) <= 10.0) == np.isfinite(p_in)
-        if nxt is None:
-            assert terms.p_out is None
-        else:
-            assert terms.p_out == atom_block_log_density(nxt, atoms, gaps[k], cache.beta_spec, cache.mu_specs)
-        assert np.array_equal(terms.field, field_values(cache.mapped, ctx.times[k], atoms, cache.kp))
+        assert terms.p_in[b] == p_in
+        assert np.all(np.abs(a.mu) <= 10.0) == np.isfinite(p_in)
+        assert terms.has_next[b] == (nxt is not None)
+        if nxt is not None:
+            assert terms.p_out[b] == atom_block_log_density(nxt, a, gaps[k], cache.beta_spec, cache.mu_specs)
+        assert np.array_equal(terms.field[b], field_values(cache.mapped, ctx.times[k], a, cache.kp))
+
+
+# The per-block proposers that the array proposals replaced, kept as their
+# oracle: each draws from the block's stream and inserts or deletes atoms.
+
+def _oracle_mult_eps(rng, floor):
+    while True:
+        eps = rng.uniform(-1.0, 1.0)
+        if abs(eps) > floor:
+            return eps
+
+
+def _oracle_log_half_normal(u):
+    return 0.5 * math.log(2.0 / math.pi) - 0.5 * u * u
+
+
+def _oracle_birth(atoms_k, p, cfg, rng):
+    J = atoms_k.count
+    additive = rng.random() <= cfg.p_add
+    j = int(rng.integers(J))
+    info = {"branch": "additive" if additive else "multiplicative", "j": j, "child_pos": J}
+    mu, beta = atoms_k.mu, atoms_k.beta
+    if additive:
+        eps1 = rng.standard_normal()
+        eps_mu = rng.standard_normal(p)
+        steps = cfg.scale * np.abs(np.concatenate([[eps1], eps_mu]))
+        signs = rng.integers(0, 2, size=p + 1) * 2.0 - 1.0
+        beta_new = np.insert(beta, J, beta[j] - signs[0] * steps[0])
+        beta_new[j] = beta[j] + signs[0] * steps[0]
+        mu_new = np.insert(mu, J, mu[j] - signs[1:] * steps[1:], axis=0)
+        mu_new[j] = mu[j] + signs[1:] * steps[1:]
+        u = np.abs(np.concatenate([[eps1], eps_mu]))
+        log_struct = float(np.sum(math.log(4.0 * cfg.scale) - _oracle_log_half_normal(u)))
+        info.update(eps1=eps1, eps_mu=eps_mu, signs=signs)
+    else:
+        eps1 = _oracle_mult_eps(rng, cfg.eps_floor)
+        eps_mu = np.array([_oracle_mult_eps(rng, cfg.eps_floor) for _ in range(p)])
+        beta_new = np.insert(beta, J, beta[j] / eps1)
+        beta_new[j] = beta[j] * eps1
+        mu_new = np.insert(mu, J, mu[j] / eps_mu, axis=0)
+        mu_new[j] = mu[j] * eps_mu
+        log_struct = float(np.log(abs(beta[j])) - np.log(abs(eps1))
+                           + np.sum(np.log(np.abs(mu[j])) - np.log(np.abs(eps_mu))))
+        log_struct += (p + 1) * (math.log(2.0) + math.log(1.0 - cfg.eps_floor))
+        info.update(eps1=eps1, eps_mu=eps_mu)
+    wb, _, _ = move_weights(J, cfg)
+    _, wd_new, _ = move_weights(J + 1, cfg)
+    log_struct += math.log(wd_new) - math.log(wb)
+    info["log_struct"] = log_struct
+    return LatentAtoms(mu_new, beta_new), log_struct, info
+
+
+def _oracle_death(atoms_k, p, cfg, rng):
+    J = atoms_k.count
+    additive = rng.random() <= cfg.p_add
+    lo, hi = int(rng.integers(J - 1)), J - 1
+    info = {"branch": "additive" if additive else "multiplicative", "lo": lo, "hi": hi}
+    mu, beta = atoms_k.mu, atoms_k.beta
+    pair_lo = np.concatenate([[beta[lo]], mu[lo]])
+    pair_hi = np.concatenate([[beta[hi]], mu[hi]])
+    unreachable = False
+    if additive:
+        merged_beta = 0.5 * (beta[lo] + beta[hi])
+        merged_mu = 0.5 * (mu[lo] + mu[hi])
+        u = np.abs(pair_lo - pair_hi) / (2.0 * cfg.scale)
+        log_struct = float(np.sum(_oracle_log_half_normal(u) - math.log(4.0 * cfg.scale)))
+    else:
+        sign_beta = 1.0 if rng.random() < 0.5 else -1.0
+        signs_mu = np.where(rng.random(p) < 0.5, 1.0, -1.0)
+        merged_beta = sign_beta * math.sqrt(abs(beta[lo] * beta[hi]))
+        merged_mu = signs_mu * np.sqrt(np.abs(mu[lo] * mu[hi]))
+        log_struct = float(-np.log(abs(beta[hi])) - np.sum(np.log(np.abs(mu[hi]))))
+        log_struct -= (p + 1) * (math.log(2.0) + math.log(1.0 - cfg.eps_floor))
+        implied = np.sqrt(np.abs(pair_lo) / np.abs(pair_hi))
+        unreachable = not (np.all(pair_lo * pair_hi > 0.0) and np.all(np.abs(pair_lo) < np.abs(pair_hi))
+                           and np.all(implied > cfg.eps_floor))
+        info.update(sign_beta=sign_beta, signs_mu=signs_mu)
+    beta_new = np.delete(beta, hi)
+    beta_new[lo] = merged_beta
+    mu_new = np.delete(mu, hi, axis=0)
+    mu_new[lo] = merged_mu
+    _, wd, _ = move_weights(J, cfg)
+    wb_new, _, _ = move_weights(J - 1, cfg)
+    log_struct += math.log(wb_new) - math.log(wd)
+    info.update(log_struct=log_struct, unreachable=unreachable)
+    return LatentAtoms(mu_new, beta_new), log_struct, info
+
+
+def _oracle_no_change(atoms_k, p, cfg, rng):
+    J = atoms_k.count
+    d = (p + 1) * J
+    additive = rng.random() <= cfg.p_add
+    v = np.concatenate([atoms_k.beta, atoms_k.mu.ravel()])
+    info = {"branch": "additive" if additive else "multiplicative"}
+    if additive:
+        eps = rng.standard_normal()
+        b = rng.integers(0, 2, size=d) * 2 - 1
+        v_new = v + b * (cfg.shrink * cfg.scale) * abs(eps)
+        log_jac = 0.0
+    else:
+        eps = _oracle_mult_eps(rng, cfg.eps_floor)
+        b = rng.integers(-1, 2, size=d)
+        v_new = v.copy()
+        v_new[b == 1] *= eps
+        v_new[b == -1] /= eps
+        log_jac = float(b.sum()) * math.log(abs(eps))
+    info.update(eps=eps, b=b, log_jac=log_jac)
+    return LatentAtoms(v_new[J:].reshape(J, p), v_new[:J]), log_jac, info
+
+
+_ORACLES = {"birth": _oracle_birth, "death": _oracle_death, "no_change": _oracle_no_change}
+# (J, an atom out of bounds, every pair of the block reachable by a
+# multiplicative birth: one sign, the last atom the largest)
+_MOVE_BLOCK = st.tuples(st.integers(1, 6), st.booleans(), st.booleans())
+
+
+@given(p=st.integers(1, 3), blocks=st.lists(_MOVE_BLOCK, min_size=1, max_size=10),
+       p_add=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+@example(p=2, blocks=[(1, False, False), (5, False, True), (6, True, False), (6, False, True), (5, False, False),
+                      (2, False, True), (2, False, False), (3, True, True)], p_add=0.0, seed=0)
+@example(p=1, blocks=[(1, False, False), (5, True, False), (6, False, False), (2, False, True)], p_add=1.0, seed=1)
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_array_proposals_match_per_block_oracle(tame_prior, p, blocks, p_add, seed):
+    """Each block's move type, proposal, log ratio, reachability and draws
+    equal those of the per-block proposers from the same keyed stream
+    (`==`), and so does the stream's next draw."""
+    from levyst.sampler import MOVE_NAMES, propose_blocks
+
+    cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=6, seed=0, p_add=p_add)
+    ctx = _tiny_ctx(tame_prior, n=2, m=1, p=p)
+    rng = np.random.default_rng(seed)
+    atoms = []
+    for J, out_of_bounds, reachable in blocks:
+        mu, beta = rng.normal(scale=3.0, size=(J, p)), rng.normal(size=J)
+        if reachable:
+            mu, beta = np.abs(mu) + 0.5, np.abs(beta) + 0.5
+            mu[-1], beta[-1] = 2.0 * mu.max(axis=0), 2.0 * beta.max()
+        if out_of_bounds:
+            mu[rng.integers(J), rng.integers(p)] = 10.5
+        atoms.append(LatentAtoms(mu, beta))
+    ks = np.arange(len(blocks))
+    moves = propose_blocks(ks, AtomStore.from_blocks(atoms, cfg.j_max), ctx, cfg,
+                           [stream(seed, 1, 0, k) for k in ks.tolist()])
+    for b, atoms_b in enumerate(atoms):
+        oracle_rng = stream(seed, 1, 0, b)
+        wb, wd, _ = move_weights(atoms_b.count, cfg)
+        u = oracle_rng.random()
+        move = "birth" if u < wb else "death" if u < wb + wd else "no_change"
+        proposal, log_ratio, info = _ORACLES[move](atoms_b, p, cfg, oracle_rng)
+        assert MOVE_NAMES[moves.move[b]] == move
+        got = moves.proposal.block(b)
+        assert np.array_equal(got.beta, proposal.beta) and np.array_equal(got.mu, proposal.mu)
+        assert moves.log_ratio[b] == log_ratio
+        assert moves.reachable[b] == (not info.get("unreachable", False))
+        drawn = moves.info(b)
+        assert drawn.keys() == info.keys()
+        for name, value in info.items():
+            assert np.array_equal(drawn[name], value), name
+        assert moves.rngs[b].random() == oracle_rng.random()
 
 
 @pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
@@ -635,11 +804,12 @@ def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypa
         terms = state.terms
         np.testing.assert_array_equal(terms.cache.mapped, fresh.mapped)
         for k in range(ctx.m):
-            prev, gap = (None, None) if k == 0 else (state.atoms[k - 1], ctx.times[k] - ctx.times[k - 1])
+            atoms = state.atoms.blocks()
+            prev, gap = (None, None) if k == 0 else (atoms[k - 1], ctx.times[k] - ctx.times[k - 1])
             assert terms.process[k] == atom_block_log_density(
-                state.atoms[k], prev, gap, fresh.beta_spec, fresh.mu_specs)
+                atoms[k], prev, gap, fresh.beta_spec, fresh.mu_specs)
             assert np.array_equal(terms.field[:, k],
-                                  field_values(fresh.mapped, ctx.times[k], state.atoms[k], fresh.kp))
+                                  field_values(fresh.mapped, ctx.times[k], atoms[k], fresh.kp))
     assert stats.accepts["no_change"] > 0 and stats.accepts["tmcmc"] > 0
 
 

@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Digest of the chains, predictive draws and move counts of fixed problems.
+
+    python3 tools/chain_digest.py > digest.txt
+
+Run from the root of a source checkout: the program is imported from that
+checkout's `src/`.  Each line names one problem and gives a SHA-256 prefix of
+the `write_chain` bytes, one of the `posterior_predict` draws, and the
+accepted/proposed count of every move; the last line digests all lines.  Two
+commits that sample the same chains print the same output, so comparing the
+output of two checkouts with `diff` checks that a change kept every bit.
+
+Problems: the three benchmark shapes (desk size marginalized and explicit,
+paper size marginalized) with seeds 101 and 202, and the 4 x 6 test fixture on
+a regular and on an irregular time grid in both modes with seeds 1 and 2, each
+with one and two workers.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import levyst  # noqa: E402
+from levyst.chainio import write_chain  # noqa: E402
+
+# (name, n_train, n_test, m, simulator seed, marginalized, iterations); the
+# shapes are those of perfbench's workloads, run for about twice as long.
+SHAPES = (
+    ("desk-marginalized", 30, 10, 20, 7, True, 60),
+    ("paper-marginalized", 100, 20, 50, 0, True, 50),
+    ("desk-explicit", 30, 10, 20, 7, False, 40),
+)
+SHAPE_SEEDS = (101, 202)
+FIXTURE_TIMES = {"regular": np.arange(1.0, 7.0), "irregular": np.array([0.0, 1.0, 2.5, 3.0, 4.5, 7.0])}
+FIXTURE_SEEDS = (1, 2)
+FIXTURE_POINTS = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
+WORKERS = (1, 2)
+
+
+def _hash(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def fixture(times: np.ndarray) -> levyst.SpaceTimeDataset:
+    """The tests' 4 x 6 fixture (4 locations, p = 2), standardized."""
+    rng = np.random.default_rng(123)
+    locs = rng.random((4, 2))
+    y = rng.standard_normal((4, 6))
+    data, _ = levyst.standardize(levyst.SpaceTimeDataset(locs, times, y))
+    return data
+
+
+def tame_prior() -> levyst.PriorConfig:
+    """The tests' informative prior."""
+    return levyst.PriorConfig(ig_a=3.0, ig_b=2.0, ig_a_tight=3.0, ig_b_tight=2.0,
+                              lambda_a=6.0, lambda_b=2.0, nu_var=1.0, rho_var=1.0)
+
+
+def digest(train, cfg, prior, marginalized, points, times, predict_seed, workdir: Path) -> str:
+    chain = levyst.run_chain(train, cfg, prior, marginalized=marginalized)
+    path = workdir / "chain.txt"
+    write_chain(path, chain.samples, chain.meta)
+    bands = levyst.posterior_predict(chain.samples, points, times, train, marginalized=marginalized,
+                                     seed=predict_seed, keep_draws=True)
+    moves = " ".join(f"{m}={chain.stats.accepts[m]}/{chain.stats.proposals[m]}" for m in chain.stats.proposals)
+    return f"chain={_hash(path.read_bytes())} draws={_hash(bands.draws.tobytes())} {moves}"
+
+
+def cases():
+    """(label, train, config, prior, marginalized, points, times, predict seed) per problem."""
+    for name, n_train, n_test, m, gqn_seed, marginalized, iterations in SHAPES:
+        sim = levyst.gqn_simulate(levyst.GqnConfig(n_train=n_train, n_test=n_test, m=m, seed=gqn_seed))
+        train, _ = levyst.standardize(sim.train)
+        for seed in SHAPE_SEEDS:
+            for workers in WORKERS:
+                cfg = levyst.SamplerConfig(iterations=iterations, burn_in=0, thin=1, seed=seed, workers=workers)
+                yield (f"{name} seed={seed} workers={workers}", train, cfg, levyst.PriorConfig(),
+                       marginalized, sim.test.locations, sim.test.times, seed + 1)
+    for grid, times in FIXTURE_TIMES.items():
+        train = fixture(times)
+        for marginalized in (True, False):
+            mode = "marginalized" if marginalized else "explicit"
+            for seed in FIXTURE_SEEDS:
+                for workers in WORKERS:
+                    cfg = levyst.SamplerConfig(iterations=200, burn_in=0, thin=1, j_max=5, seed=seed,
+                                               workers=workers)
+                    yield (f"fixture-{grid}-{mode} seed={seed} workers={workers}", train, cfg, tame_prior(),
+                           marginalized, FIXTURE_POINTS, times, seed + 1)
+
+
+def main() -> None:
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, train, cfg, prior, marginalized, points, times, predict_seed in cases():
+            line = f"{label}: " + digest(train, cfg, prior, marginalized, points, times, predict_seed, Path(tmp))
+            print(line, flush=True)
+            lines.append(line)
+    print("all: " + _hash("\n".join(lines).encode()))
+
+
+if __name__ == "__main__":
+    main()
