@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParseError
-from .model import LatentAtoms, ThetaLayout
+from .model import AtomStore, ThetaLayout
 from .sampler import ChainSample, MoveStats
 
 _FMT = "%.17g"
@@ -41,6 +41,21 @@ def scalar_header(p: int) -> list[str]:
     return names
 
 
+def _group_cells(store: AtomStore) -> tuple[np.ndarray, ...]:
+    """Where a row's atom groups put the blocks of a store.
+
+    Returns the offset of every group's count cell from the first group's,
+    plus the end of the last group; the store slots (block, slot) of every
+    atom, as `AtomStore.slots` lists them; and the offsets of their beta
+    cells and of their (p, N) mu cells.
+    """
+    counts, p = store.counts, store.values.shape[0] - 1
+    group_at = np.concatenate([[0], np.cumsum(1 + counts * (p + 1))])
+    block, slot = store.slots()
+    first = group_at[block] + 1
+    return group_at, block, slot, first + counts[block] * p + slot, first + slot * p + np.arange(p)[:, None]
+
+
 def write_chain(path, samples: list[ChainSample], meta: dict) -> None:
     p, m = int(meta["p"]), int(meta["m"])
     store_phi = any(s.phi is not None for s in samples)
@@ -54,18 +69,31 @@ def write_chain(path, samples: list[ChainSample], meta: dict) -> None:
             scalars = [s.lam, s.sigma_sq_eps, s.alpha, s.sigma_sq_alpha, s.sigma_sq_phi]
             scalars += list(s.nu) + list(s.omega_sq) + list(s.theta)
             cells += [_FMT % v for v in scalars]
-            for a in s.atoms:
-                cells.append(str(a.count))
-                cells += [_FMT % v for v in a.mu.ravel()]
-                cells += [_FMT % v for v in a.beta]
+            # a count J prints the same through _FMT as through str
+            group_at, block, slot, beta_at, mu_at = _group_cells(s.store)
+            groups = np.empty(group_at[-1])
+            groups[group_at[:-1]] = s.store.counts
+            groups[beta_at] = s.store.values[0, block, slot]
+            groups[mu_at] = s.store.values[1:, block, slot]
+            cells += [_FMT % v for v in groups.tolist()]
             if store_phi:
                 cells += [_FMT % v for v in s.phi.ravel()]
             fh.write(" ".join(cells) + "\n")
 
 
+def _meta_int(meta: dict, key: str, lowest: int, default: int | None = None) -> int:
+    value = meta.get(key, default)
+    if not isinstance(value, int) or value < lowest:
+        raise ParseError(f"chain metadata {key}={meta.get(key, '')} is not an integer >= {lowest}")
+    return value
+
+
 def read_chain(path) -> tuple[list[ChainSample], dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ParseError("chain file is not UTF-8 text") from None
     if len(lines) < 2 or not lines[0].startswith("# "):
         raise ParseError("missing chain metadata line")
     meta: dict = {}
@@ -75,10 +103,10 @@ def read_chain(path) -> tuple[list[ChainSample], dict]:
             meta[key] = int(value)
         except ValueError:
             meta[key] = value
-    p, m = int(meta["p"]), int(meta["m"])
-    n = int(meta.get("n", 0))
-    store_phi = bool(meta.get("phi_stored", 0))
-    n_scalars = len(scalar_header(p))
+    p, m = _meta_int(meta, "p", 1), _meta_int(meta, "m", 1)
+    n = _meta_int(meta, "n", 0, default=0)
+    store_phi = bool(_meta_int(meta, "phi_stored", 0, default=0))
+    n_scalars = 6 + 2 * p + ThetaLayout(p=p).dim  # len(scalar_header(p)), without building it
 
     samples: list[ChainSample] = []
     for row_no, line in enumerate(lines[2:], start=3):
@@ -91,23 +119,29 @@ def read_chain(path) -> tuple[list[ChainSample], dict]:
         except ValueError:
             raise ParseError(f"row {row_no}: non-numeric cell") from None
         pos = n_scalars - 1
+        if len(vals) < pos:
+            raise ParseError(f"row {row_no}: truncated scalars")
         lam, ssq_eps, alpha, ssq_alpha, ssq_phi = vals[0:5]
         nu = np.array(vals[5:5 + p])
         omega_sq = np.array(vals[5 + p:5 + 2 * p])
         theta = np.array(vals[5 + 2 * p:pos])
-        atoms = []
+        first, counts = pos, []
         for _ in range(m):
             if pos >= len(vals):
                 raise ParseError(f"row {row_no}: truncated atom groups")
-            J = int(vals[pos])
-            pos += 1
-            need = J * p + J
-            if pos + need > len(vals):
+            J = vals[pos]
+            if not (J.is_integer() and J >= 1):
+                raise ParseError(f"row {row_no}: atom count {cells[pos + 1]} is not a whole number >= 1")
+            J = int(J)
+            pos += 1 + J * (p + 1)
+            if pos > len(vals):
                 raise ParseError(f"row {row_no}: truncated atom group (J={J})")
-            mu = np.array(vals[pos:pos + J * p]).reshape(J, p)
-            beta = np.array(vals[pos + J * p:pos + need])
-            atoms.append(LatentAtoms(mu, beta))
-            pos += need
+            counts.append(J)
+        store = AtomStore(np.zeros((p + 1, m, max(counts))), np.array(counts, dtype=np.int64))
+        _, block, slot, beta_at, mu_at = _group_cells(store)
+        groups = np.array(vals[first:pos])
+        store.values[0, block, slot] = groups[beta_at]
+        store.values[1:, block, slot] = groups[mu_at]
         phi = None
         if store_phi:
             if pos + n * m > len(vals):
@@ -117,11 +151,9 @@ def read_chain(path) -> tuple[list[ChainSample], dict]:
         if pos != len(vals):
             raise ParseError(f"row {row_no}: {len(vals) - pos} trailing cells")
         samples.append(ChainSample(
-            iteration=it, atoms=atoms, theta=theta, lam=lam, sigma_sq_eps=ssq_eps,
+            iteration=it, store=store, theta=theta, lam=lam, sigma_sq_eps=ssq_eps,
             alpha=alpha, sigma_sq_alpha=ssq_alpha, sigma_sq_phi=ssq_phi,
             nu=nu, omega_sq=omega_sq, phi=phi))
-    if samples and samples[0].theta.size != ThetaLayout(p=p).dim:
-        raise ParseError("theta length disagrees with the declared dimension")
     return samples, meta
 
 

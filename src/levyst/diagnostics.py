@@ -88,23 +88,28 @@ def recursive_stationarity_test(regions: list[np.ndarray], c0: float,
     return StationarityResult(mean, var, thresholds, distances, _verdict(float(mean[-1])))
 
 
-def _region_lag_cov(series: np.ndarray, times: np.ndarray, lag_lo: float, lag_hi: float,
-                    center: float) -> tuple[float, int]:
-    """Centered product moment over pairs whose |time lag| falls in the bin.
+def _lag_pairs(times: np.ndarray, lag_lo: float, lag_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i <= j, whose |time lag| falls in the bin, in
+    upper-triangle order.
 
     Self-pairs enter when the bin includes lag zero, making the statistic the
     plain variance there.
     """
-    x = series - center
     lag = np.abs(times[:, None] - times[None, :])
     mask = (lag >= lag_lo) & (lag < lag_hi)
-    iu = np.triu_indices(series.size, k=0)
+    iu = np.triu_indices(times.size, k=0)
     sel = mask[iu]
-    count = int(sel.sum())
-    if count == 0:
+    return iu[0][sel], iu[1][sel]
+
+
+def _region_lag_cov(series: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
+                    center: float) -> tuple[float, int]:
+    """Centered product moment over the lag pairs of `_lag_pairs`."""
+    i, j = pairs
+    if i.size == 0:
         return math.nan, 0
-    prods = (x[iu[0]] * x[iu[1]])[sel]
-    return float(prods.mean()), count
+    x = series - center
+    return float((x[i] * x[j]).mean()), int(i.size)
 
 
 def recursive_cov_stationarity_test(regions: list[np.ndarray], times: np.ndarray,
@@ -116,18 +121,20 @@ def recursive_cov_stationarity_test(regions: list[np.ndarray], times: np.ndarray
         raise InvalidArgumentError("at least two regions required")
     lo, hi = lag_bin
     times = np.asarray(times, dtype=float)
+    regions = [np.asarray(r, dtype=float).ravel() for r in regions]
+    if any(r.size != times.size for r in regions):
+        raise InvalidArgumentError("every region needs one value per time")
+    pairs = _lag_pairs(times, lo, hi)
     local = []
     counts = []
     for r in regions:
-        r = np.asarray(r, dtype=float).ravel()
-        cov, cnt = _region_lag_cov(r, times, lo, hi, float(r.mean()))
+        cov, cnt = _region_lag_cov(r, pairs, float(r.mean()))
         local.append(cov)
         counts.append(cnt)
     if min(counts) < 2:
         raise UndefinedBinError(f"lag bin [{lo}, {hi}) has fewer than 2 pairs in some region")
-    pooled_mean = float(np.mean(np.concatenate([np.asarray(r).ravel() for r in regions])))
-    global_parts = [_region_lag_cov(np.asarray(r, dtype=float).ravel(), times, lo, hi, pooled_mean)
-                    for r in regions]
+    pooled_mean = float(np.mean(np.concatenate(regions)))
+    global_parts = [_region_lag_cov(r, pairs, pooled_mean) for r in regions]
     total_pairs = sum(c for _, c in global_parts)
     global_cov = sum(v * c for v, c in global_parts) / total_pairs
     distances = np.abs(np.array(local) - global_cov)

@@ -172,6 +172,10 @@ class AtomStore:
     def blocks(self) -> list[LatentAtoms]:
         return [self.block(k) for k in range(self.counts.size)]
 
+    def trimmed(self) -> "AtomStore":
+        """A copy cut to the largest count."""
+        return AtomStore(self.values[:, :, :int(self.counts.max())].copy(), self.counts.copy())
+
     def take(self, index) -> "AtomStore":
         """The blocks at `index`, copied."""
         return AtomStore(self.values[:, index], self.counts[index])

@@ -10,6 +10,7 @@ are bit-identical for every worker count.
 from __future__ import annotations
 
 import copy
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -50,9 +51,10 @@ def reduce_sum(partials) -> float:
     worker completion order by construction."""
     total = 0.0
     for x in partials:
-        if not np.isfinite(x):
+        x = float(x)
+        if not math.isfinite(x):
             raise NumericError(f"non-finite partial in reduction: {x}")
-        total += float(x)
+        total += x
     return total
 
 

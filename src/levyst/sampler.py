@@ -6,7 +6,9 @@ Per iteration: odd time blocks -> even time blocks -> fixed-dimension block
 -> enhancement -> random effects (explicit mode) -> scalar Gibbs.  Every
 block owns a dedicated random stream keyed by (seed, stream id, iteration,
 index), so the stored chain does not depend on the order in which blocks
-are processed, nor on the worker count.
+are processed, nor on the worker count.  A phase builds the streams of all
+its blocks in one pass (`streams`), bit for bit the generators `stream`
+builds one at a time.
 
 The atoms of every block live in one padded store (`AtomStore`): chain rows
 [beta | mu] per block and slot, plus a count per block.  Blocks of one
@@ -50,6 +52,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.stats import invgamma, norm
 
 from . import effects
@@ -79,7 +82,8 @@ from .model import (
 from .runtime import WorkerPool, reduce_sum
 
 # `atom_block_log_density` and `atom_process_log_density` are the reference
-# process densities that `ProcessTable` reproduces; they stay importable from
+# process densities that `ProcessTable` reproduces, and `field_values` the
+# reference field that `field_rows` reproduces; they stay importable from
 # this module, where perfbench's traced runs look them up.
 
 # Random stream identifiers.
@@ -91,6 +95,111 @@ MOVE_NAMES = ("birth", "death", "no_change", "tmcmc", "enhance")
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Dedicated generator for one (stream id, iteration, index) slot."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+# numpy's `SeedSequence` hash (numpy/random/bit_generator.pyx): its pool
+# size, its hash and mix constants, and its 32-bit word mask.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFF_FFFF
+
+
+def _uint32_words(x: int) -> list[int]:
+    """A non-negative int as `SeedSequence` reads it: 32-bit words, least
+    significant first (0: one zero word)."""
+    if x < 0:
+        raise InvalidArgumentError(f"stream seeds and keys must be non-negative, got {x}")
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _hash_steps(h: int, mult: int, n: int) -> np.ndarray:
+    """The next n steps of a hash constant from h, as a (2, n) uint32 array:
+    each step's constant before (the xor) and after (the multiplier) it is
+    multiplied by `mult`."""
+    steps = []
+    for _ in range(n):
+        steps.append((h, h * mult & _MASK32))
+        h = steps[-1][1]
+    return np.array(steps, dtype=np.uint32).T.copy()
+
+
+# generate_state(4, uint64) hashes eight uint32 words with these steps
+_GEN_XOR, _GEN_MULT = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+class _SeedState(ISeedSequence):
+    """Hands the four precomputed `generate_state(4, uint64)` words of one
+    `SeedSequence` to a bit generator."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):  # what PCG64 reads
+            raise InvalidArgumentError("a seed state holds exactly four uint64 words")
+        return self.words
+
+
+def streams(seed: int, key: tuple[int, ...], ks) -> list[np.random.Generator]:
+    """`[stream(seed, *key, k) for k in ks]`, bit for bit, in one pass.
+
+    `SeedSequence` hashes the seed's words, zero-padded to its pool size,
+    then the key's words, in order; every block index k in [0, 2**32) is one
+    word and comes last.  So the pool is mixed up to k once, in Python ints,
+    and the rest of the hash -- mixing in k, then `generate_state(4,
+    uint64)` -- runs as uint32 array arithmetic over all ks at once.  Each
+    PCG64 then seeds itself from its four words in its own C code.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    if ks.size == 0:
+        return []
+    if ks.min() < 0 or ks.max() > _MASK32:
+        raise InvalidArgumentError("stream indices must lie in [0, 2**32)")
+    seed_words = _uint32_words(seed)
+    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words))
+    for word in key:
+        entropy += _uint32_words(word)
+    h = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * _MULT_A & _MASK32
+        value = value * h & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(v) for v in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for v in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(v))
+    # mix in k: one hashmix of k per pool word, with the next hash constants
+    xor, mult = _hash_steps(h, _MULT_A, _POOL_SIZE)
+    v = ks.astype(np.uint32)[:, None] ^ xor
+    v *= mult
+    v ^= v >> 16
+    mixed = np.array(pool, dtype=np.uint32) * np.uint32(_MIX_MULT_L) - v * np.uint32(_MIX_MULT_R)
+    mixed ^= mixed >> 16
+    # generate_state: eight uint32 words cycling over the pool, read as four
+    # little-endian uint64 words
+    state = np.concatenate((mixed, mixed), axis=1) ^ _GEN_XOR
+    state *= _GEN_MULT
+    state ^= state >> 16
+    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_SeedState(w))) for w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +239,8 @@ class SamplerConfig:
             raise ConfigError("base move weights must be nonnegative and sum to one")
         if self.workers < 1:
             raise ConfigError("worker count must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def move_weights(J: int, cfg: SamplerConfig) -> tuple[float, float, float]:
@@ -179,7 +290,7 @@ class SamplerState:
 @dataclass
 class ChainSample:
     iteration: int
-    atoms: list[LatentAtoms]
+    store: AtomStore  # every time block's atoms, trimmed to the largest count
     theta: np.ndarray
     lam: float
     sigma_sq_eps: float
@@ -189,6 +300,14 @@ class ChainSample:
     nu: np.ndarray
     omega_sq: np.ndarray
     phi: np.ndarray | None = None
+    _atoms: list[LatentAtoms] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def atoms(self) -> list[LatentAtoms]:
+        """The store's blocks as per-time `LatentAtoms`, built on first read."""
+        if self._atoms is None:
+            self._atoms = self.store.blocks()
+        return self._atoms
 
 
 @dataclass
@@ -952,8 +1071,7 @@ class Sampler:
         # and then accepts or rejects each
         for first in (0, 1):
             ks = np.arange(first, ctx.m, 2)
-            moves = propose_blocks(ks, atoms.take(ks), ctx, cfg,
-                                   [stream(cfg.seed, _S_BLOCK, r, k) for k in ks.tolist()])
+            moves = propose_blocks(ks, atoms.take(ks), ctx, cfg, streams(cfg.seed, (_S_BLOCK, r), ks))
             accepted, after, _ = settle_blocks(moves, _shifted(atoms, ks, -1), _shifted(atoms, ks, 1),
                                                terms.blocks(ks), terms.cache, ctx, state.hypers, state.phi,
                                                cfg.j_max)
@@ -975,12 +1093,12 @@ class Sampler:
         fmat = terms.field
         if not ctx.marginalized:
             hypers = state.hypers
+            rngs = streams(cfg.seed, (_S_PHI, r), np.arange(ctx.m))
 
             def phi_work(k):
-                rng = stream(cfg.seed, _S_PHI, r, k)
                 return effects.gibbs_update_phi_column(
                     ctx.y[:, k], fmat[:, k], hypers.alpha, hypers.sigma_sq_phi,
-                    hypers.sigma_sq_eps, ctx.phi0[:, k], rng)
+                    hypers.sigma_sq_eps, ctx.phi0[:, k], rngs[k])
 
             cols = self.pool.map_indices(range(ctx.m), phi_work)
             state.phi = np.column_stack(cols)
@@ -1037,7 +1155,7 @@ class Sampler:
         hyp = state.hypers
         return ChainSample(
             iteration=r,
-            atoms=state.atoms.blocks(),
+            store=state.atoms.trimmed(),
             theta=state.theta.copy(),
             lam=hyp.lam, sigma_sq_eps=hyp.sigma_sq_eps, alpha=hyp.alpha,
             sigma_sq_alpha=hyp.sigma_sq_alpha, sigma_sq_phi=hyp.sigma_sq_phi,
@@ -1093,7 +1211,7 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
     new_times = np.atleast_1d(np.asarray(new_times, dtype=float))
     layout, ar_mode = ThetaLayout(p=data.p), mode_for_times(data.times)
     knots, _ = _map_knots(data.locations)
-    time_idx = [_grid_index(t, data.times) for t in new_times]
+    time_idx = np.array([_grid_index(t, data.times) for t in new_times])
     q, mt = new_locations.shape[0], new_times.size
     phi0_new = effects.phi0_predict(data.locations, data.times, data.y, new_locations, new_times)
 
@@ -1104,9 +1222,9 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
         fit = monotone_map_fit(list(knots), mp)
         mapped_new = np.column_stack([monotone_map_extend(new_locations[:, ell], ell, fit, mp)
                                       for ell in range(data.p)])
-        for b, k in enumerate(time_idx):
-            f = field_values(mapped_new, data.times[k], smp.atoms[k], kp)
-            mean = smp.alpha + phi0_new[:, b] + f
+        fields = field_rows(mapped_new, data.times[time_idx], smp.store.take(time_idx), kp)
+        for b in range(mt):
+            mean = smp.alpha + phi0_new[:, b] + fields[b]
             if marginalized:
                 noise_sd = math.sqrt(smp.sigma_sq_eps + smp.sigma_sq_phi)
                 draws[s_i, :, b] = mean + noise_sd * rng.standard_normal(q)

@@ -119,7 +119,7 @@ def test_config_file_with_flag_override(sim_dir, tmp_path):
     assert manifest["config"]["seed"] == 8    # file value kept
 
 
-def test_usage_errors(sim_dir, tmp_path):
+def test_usage_errors(sim_dir, tmp_path, capsys):
     # missing data file
     assert _run("fit", "--data", str(tmp_path / "none.csv"),
                 "--out", str(tmp_path / "x")) == 2
@@ -131,6 +131,11 @@ def test_usage_errors(sim_dir, tmp_path):
     # inconsistent sampler settings
     assert _run("fit", "--data", str(sim_dir / "train.csv"),
                 "--out", str(tmp_path / "z"), "--iters", "5", "--burnin", "9") == 2
+    # a negative seed is a configuration error, named in the message
+    capsys.readouterr()
+    assert _run("fit", "--data", str(sim_dir / "train.csv"),
+                "--out", str(tmp_path / "s"), "--seed", "-1") == 2
+    assert "seed" in capsys.readouterr().err
     # unknown flag exits 2 via argparse
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--nonsense"])

@@ -1,6 +1,8 @@
 import math
 from dataclasses import replace
 
+import levyst.sampler as sampler_module
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -9,7 +11,8 @@ from scipy.stats import norm
 
 from levyst.ar import ArMode
 from levyst.data import SpaceTimeDataset, standardize
-from levyst.errors import ConfigError, InvalidStateError, UnsupportedPredictionError
+from levyst.chainio import read_chain, write_chain
+from levyst.errors import ConfigError, InvalidArgumentError, InvalidStateError, UnsupportedPredictionError
 from levyst.model import AtomStore, LatentAtoms, PriorConfig, ScalarHypers, count_log_factor
 from levyst.sampler import (
     ChainSample,
@@ -25,6 +28,7 @@ from levyst.sampler import (
     posterior_predict,
     run_chain,
     stream,
+    streams,
     theta_logpost,
     tmcmc_update_theta,
     ttmcmc_birth,
@@ -86,6 +90,8 @@ def test_config_validation():
         SamplerConfig(iterations=10, burn_in=0, thin=1, shrink=1.5)
     with pytest.raises(ConfigError):
         SamplerConfig(iterations=10, burn_in=0, thin=1, base_weights=(0.5, 0.5, 0.5))
+    with pytest.raises(ConfigError, match="seed"):
+        SamplerConfig(iterations=10, burn_in=0, thin=1, seed=-1)
 
 
 def _independent_block_logpost(atoms_k, neighbors, cache, ctx, hypers):
@@ -436,7 +442,7 @@ def test_update_time_block_invalid_rate_guard(tame_prior):
 
 def _degenerate_chain_sample(ctx, theta, nu, omega, m):
     atoms = [LatentAtoms(np.zeros((1, ctx.p)), np.zeros(1)) for _ in range(m)]
-    return ChainSample(iteration=0, atoms=atoms, theta=theta, lam=1.0,
+    return ChainSample(iteration=0, store=AtomStore.from_blocks(atoms), theta=theta, lam=1.0,
                        sigma_sq_eps=1e-18, alpha=0.0, sigma_sq_alpha=1.0,
                        sigma_sq_phi=0.0, nu=nu, omega_sq=omega)
 
@@ -819,3 +825,85 @@ def test_explicit_mode_runs_and_tracks_phi(tiny_dataset, tame_prior):
     assert all(s.phi is not None and s.phi.shape == tiny_dataset.y.shape
                for s in res.samples)
     assert all(s.sigma_sq_phi > 0 for s in res.samples)
+
+
+_WORDS = st.one_of(st.just(0), st.integers(1, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1))
+
+
+@given(seed=st.one_of(_WORDS, st.integers(2 ** 128, 2 ** 160 - 1)), stream_id=st.integers(0, 5), r=_WORDS,
+       ks=st.lists(st.integers(0, 2 ** 32 - 1), max_size=6))
+@example(seed=0, stream_id=1, r=0, ks=[0])
+@example(seed=2 ** 128, stream_id=3, r=2 ** 32, ks=[0, 2 ** 32 - 1])
+@example(seed=5, stream_id=1, r=7, ks=[])
+@settings(max_examples=150, deadline=None)
+def test_batched_streams_match_keyed_streams(seed, stream_id, r, ks):
+    """Seeds of one to five words (beyond four, a seed's words overflow the
+    pool and are mixed in after it) and one- or two-word iterations."""
+    rngs = streams(seed, (stream_id, r), np.array(ks, dtype=np.int64))
+    assert len(rngs) == len(ks)
+    for k, got in zip(ks, rngs):
+        want = stream(seed, stream_id, r, k)
+        assert got.bit_generator.state == want.bit_generator.state
+        for draw in (lambda g: g.random(3), lambda g: g.integers(0, 7, size=5), lambda g: g.standard_normal(4),
+                     lambda g: g.gamma(2.5, size=2), lambda g: g.integers(-1, 2, size=9), lambda g: g.random()):
+            assert np.array_equal(draw(got), draw(want))
+
+
+def test_batched_streams_reject_keys_out_of_range():
+    with pytest.raises(InvalidArgumentError):
+        streams(-1, (1, 0), [0])
+    with pytest.raises(InvalidArgumentError):
+        streams(0, (1, -2), [0])
+    for k in (-1, 2 ** 32):
+        with pytest.raises(InvalidArgumentError):
+            streams(0, (1, 0), [0, k])
+
+
+@pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
+def test_iterate_batches_every_block_stream(tiny_dataset, tame_prior, monkeypatch, marginalized):
+    """One `streams` call per parity phase (and for the effect columns);
+    `stream` only for the theta and zeta keys."""
+    m = tiny_dataset.m
+    sampler = Sampler(tiny_dataset, SamplerConfig(iterations=3, burn_in=0, thin=1, j_max=5, seed=4), tame_prior,
+                      marginalized=marginalized)
+    state = sampler.initial_state()
+    single, batched = [], []
+    real_stream, real_streams = sampler_module.stream, sampler_module.streams
+    monkeypatch.setattr(sampler_module, "stream", lambda seed, *key: single.append(key) or real_stream(seed, *key))
+    monkeypatch.setattr(sampler_module, "streams",
+                        lambda seed, key, ks: batched.append((key, list(ks))) or real_streams(seed, key, ks))
+    for r in range(3):
+        state = sampler.iterate(state, r, MoveStats())
+    S = sampler_module
+    assert single == [key for r in range(3) for key in ((S._S_THETA, r), (S._S_ZETA, r))]
+    assert batched == [call for r in range(3) for call in
+                       [((S._S_BLOCK, r), list(range(first, m, 2))) for first in (0, 1)]
+                       + ([] if marginalized else [((S._S_PHI, r), list(range(m)))])]
+
+
+def test_fit_and_prediction_build_no_latent_atoms(tiny_dataset, tame_prior, monkeypatch, tmp_path):
+    """After `initial_state`, neither the fit nor a chain write, read and
+    prediction builds per-time `LatentAtoms`: samples hold store copies."""
+    built = []
+    real_init, real_post, real_block = Sampler.initial_state, LatentAtoms.__post_init__, AtomStore.block
+
+    def initial_state(self):
+        state = real_init(self)
+        built.clear()
+        return state
+
+    monkeypatch.setattr(Sampler, "initial_state", initial_state)
+    monkeypatch.setattr(LatentAtoms, "__post_init__", lambda self: built.append("atoms") or real_post(self))
+    monkeypatch.setattr(AtomStore, "block", lambda self, k: built.append("block") or real_block(self, k))
+    res = run_chain(tiny_dataset, SamplerConfig(iterations=12, burn_in=2, thin=2, j_max=5, seed=6), tame_prior)
+    write_chain(tmp_path / "chain.txt", res.samples, res.meta)
+    stored, _ = read_chain(tmp_path / "chain.txt")
+    posterior_predict(stored, tiny_dataset.locations[:2], tiny_dataset.times[[1, 1, 4]], tiny_dataset, seed=2)
+    assert built == []
+    # the per-time view is still there on request, built once
+    atoms = stored[0].atoms
+    assert stored[0].atoms is atoms and len(atoms) == tiny_dataset.m
+    for k, a in enumerate(atoms):
+        J = stored[0].store.counts[k]
+        np.testing.assert_array_equal(a.beta, stored[0].store.values[0, k, :J])
+        np.testing.assert_array_equal(a.mu, stored[0].store.values[1:, k, :J].T)
