@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateDataError, InvalidArgumentError, NumericError, ParseError
+from .errors import ConfigError, DegenerateDataError, InvalidArgumentError, NumericError, ParseError
 
 
 @dataclass
@@ -61,9 +61,12 @@ class GqnConfig:
 
     def __post_init__(self):
         if self.n_train < 1 or self.m < 1 or self.n_test < 0:
-            raise InvalidArgumentError("n_train, m must be >= 1 and n_test >= 0")
-        if self.coef_sd <= 0.0:
-            raise InvalidArgumentError("coefficient sd must be positive")
+            raise ConfigError(f"need n_train >= 1, m >= 1 and n_test >= 0, got n_train={self.n_train}, "
+                              f"m={self.m}, n_test={self.n_test}")
+        if not 0.0 < self.coef_sd < math.inf:
+            raise ConfigError(f"coef_sd must be positive and finite, got {self.coef_sd}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -73,8 +76,8 @@ class GqnResult:
     n_clamped: int
 
 
-def gp_sample(locations: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the zero-mean process with covariance exp(-||s1 - s2||).
+def gp_factor(locations: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the covariance exp(-||s1 - s2||) at the locations.
 
     Dense Cholesky with escalating jitter; meant for desk-scale n.
     """
@@ -84,11 +87,16 @@ def gp_sample(locations: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n = locs.shape[0]
     for jitter in (0.0, 1e-12, 1e-10, 1e-8, 1e-6):
         try:
-            chol = np.linalg.cholesky(cov + jitter * np.eye(n))
-            return chol @ rng.standard_normal(n)
+            return np.linalg.cholesky(cov + jitter * np.eye(n))
         except np.linalg.LinAlgError:
             continue
     raise NumericError("covariance factorization failed despite jitter escalation")
+
+
+def gp_sample(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw from the zero-mean process whose covariance `factor` factors
+    (see `gp_factor`)."""
+    return factor @ rng.standard_normal(factor.shape[0])
 
 
 def gqn_simulate(cfg: GqnConfig) -> GqnResult:
@@ -97,11 +105,12 @@ def gqn_simulate(cfg: GqnConfig) -> GqnResult:
     y(s_i, t_k) = f1_tk(s_i) + f2_tk(s_i) * tan(beta_tk(s_i)) + eps_tk(s_i),
     with the latent beta field evolving through a linear term, a quadratic
     interaction term with g(x) = x^2, and fresh process noise each step.
-    All fields are independent draws from the exponential-covariance process;
-    the interaction coefficients are N(0, coef_sd^2).  tan values are clamped
-    at +-tan_clamp, and the count of clamped cells is reported.  The
-    quadratic recursion can diverge; a latent field that is no longer finite
-    raises NumericError naming the seed and the step.
+    All fields are independent draws from the exponential-covariance process,
+    whose covariance is factored once per simulation; the interaction
+    coefficients are N(0, coef_sd^2).  tan values are clamped at +-tan_clamp,
+    and the count of clamped cells is reported.  The quadratic recursion can
+    diverge; a latent field that is no longer finite raises NumericError
+    naming the seed and the step.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     n_all = cfg.n_train + cfg.n_test
@@ -111,18 +120,19 @@ def gqn_simulate(cfg: GqnConfig) -> GqnResult:
     a = rng.normal(0.0, cfg.coef_sd, size=(n_all, n_all))
     b = rng.normal(0.0, cfg.coef_sd, size=(n_all, n_all, n_all))
 
-    beta = gp_sample(locations, rng)
+    chol = gp_factor(locations)
+    beta = gp_sample(chol, rng)
     y = np.empty((n_all, cfg.m))
     n_clamped = 0
     for k in range(cfg.m):
         with np.errstate(over="ignore", invalid="ignore"):
-            beta = a @ beta + np.einsum("ijl,j,l->i", b, beta, beta**2) + gp_sample(locations, rng)
+            beta = a @ beta + np.einsum("ijl,j,l->i", b, beta, beta**2) + gp_sample(chol, rng)
         if not np.all(np.isfinite(beta)):
             raise NumericError(f"simulator diverged: the latent field is not finite after step {k + 1} "
                                f"of {cfg.m} (seed {cfg.seed})")
-        f1 = gp_sample(locations, rng)
-        f2 = gp_sample(locations, rng)
-        eps = gp_sample(locations, rng)
+        f1 = gp_sample(chol, rng)
+        f2 = gp_sample(chol, rng)
+        eps = gp_sample(chol, rng)
         t = np.tan(beta)
         n_clamped += int(np.sum(np.abs(t) > cfg.tan_clamp))
         t = np.clip(t, -cfg.tan_clamp, cfg.tan_clamp)

@@ -105,6 +105,20 @@ def gibbs_update_phi_column(y_col: np.ndarray, f_col: np.ndarray, alpha: float,
     return post_mean + math.sqrt(post_var) * rng.standard_normal(y_col.size)
 
 
+def gibbs_update_phi_matrix(y: np.ndarray, f: np.ndarray, alpha: float, sigma_sq_phi: float,
+                            sigma_sq_eps: float, phi0: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Conditional draws for every effect at once, from given standard normals.
+
+    Elementwise, so column k equals `gibbs_update_phi_column` on column k
+    with a generator whose `standard_normal(n)` returns `normals[:, k]`.
+    """
+    if sigma_sq_phi <= 0.0 or sigma_sq_eps <= 0.0:
+        raise InvalidStateError("phi updates require positive variances (explicit mode)")
+    post_var = 1.0 / (1.0 / sigma_sq_phi + 1.0 / sigma_sq_eps)
+    post_mean = post_var * (phi0 / sigma_sq_phi + (y - alpha - f) / sigma_sq_eps)
+    return post_mean + math.sqrt(post_var) * normals
+
+
 def gibbs_update_alpha(resid_sum: float, n_obs: int, sigma_sq_eps: float,
                        sigma_sq_alpha: float, mu_alpha: float,
                        rng: np.random.Generator) -> float:

@@ -20,6 +20,7 @@ all Metropolis ratios).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -422,16 +423,26 @@ class ThetaLayout:
         return 6 * self.p + 3
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.empty(self.dim)
-        hi = np.empty(self.dim)
-        lo[self.sl_x], hi[self.sl_x] = X_LO, X_HI
-        for sl in (self.sl_log_c_tilde, self.sl_log_c, self.sl_log_ksq, self.sl_log_ssq):
-            lo[sl], hi[sl] = LOG_LO, LOG_HI
-        lo[self.i_log_tau] = lo[self.i_log_xi] = lo[self.i_log_ssq_beta] = LOG_LO
-        hi[self.i_log_tau] = hi[self.i_log_xi] = hi[self.i_log_ssq_beta] = LOG_HI
-        lo[self.sl_logit_rho], hi[self.sl_logit_rho] = -LOGIT_BOUND, LOGIT_BOUND
-        lo[self.i_logit_rho_beta], hi[self.i_logit_rho_beta] = -LOGIT_BOUND, LOGIT_BOUND
-        return lo, hi
+        """Lower and upper truncation bounds per coordinate: read-only
+        arrays, built once per p and shared by every layout of that p."""
+        return _theta_bounds(self.p)
+
+
+@functools.cache
+def _theta_bounds(p: int) -> tuple[np.ndarray, np.ndarray]:
+    layout = ThetaLayout(p=p)
+    lo = np.empty(layout.dim)
+    hi = np.empty(layout.dim)
+    lo[layout.sl_x], hi[layout.sl_x] = X_LO, X_HI
+    for sl in (layout.sl_log_c_tilde, layout.sl_log_c, layout.sl_log_ksq, layout.sl_log_ssq):
+        lo[sl], hi[sl] = LOG_LO, LOG_HI
+    lo[layout.i_log_tau] = lo[layout.i_log_xi] = lo[layout.i_log_ssq_beta] = LOG_LO
+    hi[layout.i_log_tau] = hi[layout.i_log_xi] = hi[layout.i_log_ssq_beta] = LOG_HI
+    lo[layout.sl_logit_rho], hi[layout.sl_logit_rho] = -LOGIT_BOUND, LOGIT_BOUND
+    lo[layout.i_logit_rho_beta], hi[layout.i_logit_rho_beta] = -LOGIT_BOUND, LOGIT_BOUND
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return lo, hi
 
 
 def theta_in_bounds(theta: np.ndarray, layout: ThetaLayout) -> bool:
@@ -514,18 +525,28 @@ def log_prior_theta(theta: np.ndarray, layout: ThetaLayout, nu: np.ndarray,
     """
     if not theta_in_bounds(theta, layout):
         return -np.inf
+    th, nu, omega_sq = theta.tolist(), np.asarray(nu).tolist(), np.asarray(omega_sq).tolist()
+    a, b = prior.ig_a, prior.ig_b
+    ig_const = a * math.log(b) - gammaln(a)
+
+    def ig(phi):  # log_ig_transformed(phi, a, b), same operations in the same order
+        return ig_const - (a + 1.0) * phi - b * math.exp(-phi) + phi
+
+    x, c_tilde, c, ksq, rho, ssq = (sl.start for sl in (
+        layout.sl_x, layout.sl_log_c_tilde, layout.sl_log_c, layout.sl_log_ksq, layout.sl_logit_rho,
+        layout.sl_log_ssq))
     total = 0.0
     for ell in range(layout.p):
-        total += _gauss_logpdf_scalar(float(theta[layout.sl_x][ell]), float(nu[ell]), float(omega_sq[ell]))
-        total += log_ig_transformed(float(theta[layout.sl_log_c_tilde][ell]), prior.ig_a, prior.ig_b)
-        total += log_ig_transformed(float(theta[layout.sl_log_c][ell]), prior.ig_a, prior.ig_b)
-        total += log_ig_transformed(float(theta[layout.sl_log_ksq][ell]), prior.ig_a, prior.ig_b)
-        total += _gauss_logpdf_scalar(float(theta[layout.sl_logit_rho][ell]), 0.0, prior.rho_var)
-        total += log_ig_transformed(float(theta[layout.sl_log_ssq][ell]), prior.ig_a, prior.ig_b)
-    total += log_ig_transformed(float(theta[layout.i_log_tau]), prior.ig_a, prior.ig_b)
-    total += log_ig_transformed(float(theta[layout.i_log_xi]), prior.ig_a, prior.ig_b)
-    total += _gauss_logpdf_scalar(float(theta[layout.i_logit_rho_beta]), 0.0, prior.rho_var)
-    total += log_ig_transformed(float(theta[layout.i_log_ssq_beta]), prior.ig_a, prior.ig_b)
+        total += _gauss_logpdf_scalar(th[x + ell], nu[ell], omega_sq[ell])
+        total += ig(th[c_tilde + ell])
+        total += ig(th[c + ell])
+        total += ig(th[ksq + ell])
+        total += _gauss_logpdf_scalar(th[rho + ell], 0.0, prior.rho_var)
+        total += ig(th[ssq + ell])
+    total += ig(th[layout.i_log_tau])
+    total += ig(th[layout.i_log_xi])
+    total += _gauss_logpdf_scalar(th[layout.i_logit_rho_beta], 0.0, prior.rho_var)
+    total += ig(th[layout.i_log_ssq_beta])
     return total
 
 

@@ -79,7 +79,7 @@ from .model import (
     theta_in_bounds,
     unpack_theta,
 )
-from .runtime import WorkerPool, reduce_sum
+from .runtime import reduce_sum
 
 # `atom_block_log_density` and `atom_process_log_density` are the reference
 # process densities that `ProcessTable` reproduces, and `field_values` the
@@ -218,7 +218,7 @@ class SamplerConfig:
     q_add: float = 0.5         # additive weight in the enhancement step
     eps_floor: float = 0.01    # |eps| floor for multiplicative draws
     base_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    workers: int = 1
+    workers: int = 1           # recorded in the chain's metadata; a chain runs in one thread
     seed: int = 0
 
     def __post_init__(self):
@@ -337,6 +337,7 @@ class ModelContext:
     knot_inverse: tuple[np.ndarray, ...]
     gaps: np.ndarray              # distinct gaps between consecutive times, sorted
     gap_index: np.ndarray         # gap_index[k]: row of times[k] - times[k-1] in gaps (-1 at k=0)
+    layout: ThetaLayout
 
     @property
     def n(self) -> int:
@@ -349,10 +350,6 @@ class ModelContext:
     @property
     def p(self) -> int:
         return self.locations.shape[1]
-
-    @property
-    def layout(self) -> ThetaLayout:
-        return ThetaLayout(p=self.p)
 
     def phi_effective(self, phi: np.ndarray | None) -> np.ndarray:
         return self.phi0 if self.marginalized else phi
@@ -390,6 +387,7 @@ def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool
         prior=prior, marginalized=marginalized, alpha_pinned=alpha_pinned,
         ar_mode=mode_for_times(data.times), knots=knots, knot_inverse=inverse,
         gaps=gaps, gap_index=np.concatenate([[-1], gap_rows]).astype(np.int64),
+        layout=ThetaLayout(p=data.p),
     )
 
 
@@ -949,7 +947,7 @@ def gibbs_update_zeta(state: SamplerState, ctx: ModelContext, rng: np.random.Gen
                       reduced: dict) -> None:
     """Exact draws from the printed full conditionals, in a fixed scan order.
 
-    `reduced` carries the parallel-reduced sums: total atom count, squared
+    `reduced` carries the column-reduced sums: total atom count, squared
     residuals, unsquared residuals, and squared effect deviations.
     """
     prior = ctx.prior
@@ -986,24 +984,24 @@ def gibbs_update_zeta(state: SamplerState, ctx: ModelContext, rng: np.random.Gen
         state.omega_sq[ell] = rate / rng.gamma(shape)
 
 
+def _row_dots(rows: np.ndarray) -> list[float]:
+    """Each row's dot product with itself, for C-ordered rows: `row @ row`
+    bit for bit, since a (1, n) @ (n, 1) matmul reaches the same ddot."""
+    return np.matmul(rows[:, None, :], rows[:, :, None]).ravel().tolist()
+
+
 # ---------------------------------------------------------------------------
 # sampler driver
 # ---------------------------------------------------------------------------
 
 class Sampler:
-    """Owns the iteration schedule, worker pool and random streams."""
+    """Owns the iteration schedule and the random streams of one chain."""
 
     def __init__(self, data: SpaceTimeDataset, cfg: SamplerConfig, prior: PriorConfig,
                  marginalized: bool = True, alpha_pinned: bool | None = None,
-                 phi0_override: np.ndarray | None = None, pool: WorkerPool | None = None):
+                 phi0_override: np.ndarray | None = None):
         self.cfg = cfg
         self.ctx = build_context(data, prior, marginalized, alpha_pinned, phi0_override)
-        self.pool = pool if pool is not None else WorkerPool(cfg.workers)
-        self._owns_pool = pool is None
-
-    def close(self):
-        if self._owns_pool:
-            self.pool.close()
 
     # -- initialization ----------------------------------------------------
 
@@ -1089,45 +1087,32 @@ class Sampler:
         stats.record("enhance", acc)
         state.terms = terms
 
-        # random-effect draws (explicit mode), then the scalar Gibbs block
+        # random-effect draws (explicit mode): each column's normals from its
+        # own stream, then one elementwise conjugate draw for every column
         fmat = terms.field
         if not ctx.marginalized:
-            hypers = state.hypers
-            rngs = streams(cfg.seed, (_S_PHI, r), np.arange(ctx.m))
+            hyp = state.hypers
+            normals = np.stack([g.standard_normal(ctx.n) for g in streams(cfg.seed, (_S_PHI, r), np.arange(ctx.m))])
+            state.phi = effects.gibbs_update_phi_matrix(ctx.y, fmat, hyp.alpha, hyp.sigma_sq_phi, hyp.sigma_sq_eps,
+                                                        ctx.phi0, normals.T)
 
-            def phi_work(k):
-                return effects.gibbs_update_phi_column(
-                    ctx.y[:, k], fmat[:, k], hypers.alpha, hypers.sigma_sq_phi,
-                    hypers.sigma_sq_eps, ctx.phi0[:, k], rngs[k])
-
-            cols = self.pool.map_indices(range(ctx.m), phi_work)
-            state.phi = np.column_stack(cols)
-
-        reduced = self._reduced_sums(state, fmat)
-        gibbs_update_zeta(state, ctx, stream(cfg.seed, _S_ZETA, r), reduced)
+        gibbs_update_zeta(state, ctx, stream(cfg.seed, _S_ZETA, r), self._reduced_sums(state, fmat))
         return state
 
     def _reduced_sums(self, state: SamplerState, fmat: np.ndarray) -> dict:
-        ctx = self.ctx
-        phi_eff = ctx.phi_effective(state.phi)
-        hyp = state.hypers
-
-        def col_sums(k):
-            resid = ctx.y[:, k] - hyp.alpha - phi_eff[:, k] - fmat[:, k]
-            out = [float(resid @ resid), float(resid.sum()) + ctx.n * hyp.alpha]
-            if not ctx.marginalized:
-                dev = state.phi[:, k] - ctx.phi0[:, k]
-                out.append(float(dev @ dev))
-            return out
-
-        parts = self.pool.map_indices(range(ctx.m), col_sums)
+        """Per-column residual sums, each the column's `resid @ resid` and
+        `resid.sum()` bit for bit, added over columns in index order.  The
+        columns become the rows of C-ordered (m, n) arrays: a row sum over a
+        transposed layout would add sequentially instead of pairwise."""
+        ctx, hyp = self.ctx, state.hypers
+        resid = np.ascontiguousarray((ctx.y - hyp.alpha - ctx.phi_effective(state.phi) - fmat).T)
         reduced = {
             "j_total": int(state.atoms.counts.sum()),
-            "resid_sq": reduce_sum(p[0] for p in parts),
-            "resid_alpha": reduce_sum(p[1] for p in parts),
+            "resid_sq": reduce_sum(_row_dots(resid)),
+            "resid_alpha": reduce_sum((resid.sum(axis=1) + ctx.n * hyp.alpha).tolist()),
         }
         if not ctx.marginalized:
-            reduced["phi_dev_sq"] = reduce_sum(p[2] for p in parts)
+            reduced["phi_dev_sq"] = reduce_sum(_row_dots(np.ascontiguousarray((state.phi - ctx.phi0).T)))
         return reduced
 
     # -- full run ------------------------------------------------------------
@@ -1167,11 +1152,7 @@ class Sampler:
 def run_chain(data: SpaceTimeDataset, cfg: SamplerConfig, prior: PriorConfig,
               marginalized: bool = True, alpha_pinned: bool | None = None) -> ChainResult:
     """Run the full schedule and return the thinned post-burn-in chain."""
-    sampler = Sampler(data, cfg, prior, marginalized=marginalized, alpha_pinned=alpha_pinned)
-    try:
-        return sampler.run()
-    finally:
-        sampler.close()
+    return Sampler(data, cfg, prior, marginalized=marginalized, alpha_pinned=alpha_pinned).run()
 
 
 # ---------------------------------------------------------------------------
@@ -1207,6 +1188,8 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
     """
     if not samples:
         raise InvalidArgumentError("empty chain")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     new_locations = np.atleast_2d(np.asarray(new_locations, dtype=float))
     new_times = np.atleast_1d(np.asarray(new_times, dtype=float))
     layout, ar_mode = ThetaLayout(p=data.p), mode_for_times(data.times)

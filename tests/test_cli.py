@@ -119,7 +119,7 @@ def test_config_file_with_flag_override(sim_dir, tmp_path):
     assert manifest["config"]["seed"] == 8    # file value kept
 
 
-def test_usage_errors(sim_dir, tmp_path, capsys):
+def test_usage_errors(sim_dir, fit_dir, tmp_path, capsys):
     # missing data file
     assert _run("fit", "--data", str(tmp_path / "none.csv"),
                 "--out", str(tmp_path / "x")) == 2
@@ -135,6 +135,14 @@ def test_usage_errors(sim_dir, tmp_path, capsys):
     capsys.readouterr()
     assert _run("fit", "--data", str(sim_dir / "train.csv"),
                 "--out", str(tmp_path / "s"), "--seed", "-1") == 2
+    assert "seed" in capsys.readouterr().err
+    # simulator settings out of range, named in the message
+    for flags, cause in ((["--seed", "-1"], "seed"), (["--m", "0"], "m=0"), (["--coef-sd", "0"], "coef_sd")):
+        assert _run("simulate", "--out", str(tmp_path / "sim"), "--n-train", "4", "--n-test", "1", *flags) == 2
+        assert cause in capsys.readouterr().err
+    # a negative prediction seed
+    assert _run("predict", "--chain", str(fit_dir / "chain.txt"), "--data", str(sim_dir / "train.csv"),
+                "--points", str(sim_dir / "test.csv"), "--out", str(tmp_path / "p"), "--seed", "-1") == 2
     assert "seed" in capsys.readouterr().err
     # unknown flag exits 2 via argparse
     with pytest.raises(SystemExit) as exc:

@@ -1,13 +1,19 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from levyst.data import (
     GqnConfig,
+    GqnResult,
     SpaceTimeDataset,
     apply_stats,
+    gp_factor,
     gp_sample,
     gqn_simulate,
     inverse_transform,
@@ -15,7 +21,7 @@ from levyst.data import (
     standardize,
     write_csv,
 )
-from levyst.errors import DegenerateDataError, InvalidArgumentError, NumericError, ParseError
+from levyst.errors import ConfigError, DegenerateDataError, InvalidArgumentError, NumericError, ParseError
 
 
 def test_dataset_validation():
@@ -30,7 +36,8 @@ def test_gp_cov_at_log2_distance():
     locs = np.array([[0.0, 0.0], [math.log(2.0), 0.0], [5.0, 5.0]])
     rng = np.random.default_rng(3)
     n = 30_000
-    draws = np.array([gp_sample(locs, rng) for _ in range(n)])
+    chol = gp_factor(locs)
+    draws = np.array([gp_sample(chol, rng) for _ in range(n)])
     prods = draws[:, 0] * draws[:, 1]
     se = prods.std(ddof=1) / math.sqrt(n)
     assert abs(prods.mean() - 0.5) < 4 * se
@@ -69,6 +76,94 @@ def test_gqn_divergence_raises_numeric_error():
         for seed in (0, 2):
             sim = gqn_simulate(GqnConfig(seed=seed))
             assert np.all(np.isfinite(sim.train.y)) and np.all(np.isfinite(sim.test.y))
+
+
+def _gqn_reference(cfg: GqnConfig) -> GqnResult:
+    """The simulator as first written: it builds and factors the covariance
+    again for every field draw."""
+    def draw(locations, rng):
+        diff = locations[:, None, :] - locations[None, :, :]
+        cov = np.exp(-np.sqrt(np.sum(diff * diff, axis=2)))
+        for jitter in (0.0, 1e-12, 1e-10, 1e-8, 1e-6):
+            try:
+                return np.linalg.cholesky(cov + jitter * np.eye(len(locations))) @ rng.standard_normal(len(locations))
+            except np.linalg.LinAlgError:
+                continue
+        raise NumericError("covariance factorization failed despite jitter escalation")
+
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    n_all = cfg.n_train + cfg.n_test
+    locations = rng.random((n_all, 2))
+    times = np.arange(1.0, cfg.m + 1.0)
+    a = rng.normal(0.0, cfg.coef_sd, size=(n_all, n_all))
+    b = rng.normal(0.0, cfg.coef_sd, size=(n_all, n_all, n_all))
+    beta = draw(locations, rng)
+    y = np.empty((n_all, cfg.m))
+    n_clamped = 0
+    for k in range(cfg.m):
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta = a @ beta + np.einsum("ijl,j,l->i", b, beta, beta**2) + draw(locations, rng)
+        if not np.all(np.isfinite(beta)):
+            raise NumericError(f"simulator diverged: the latent field is not finite after step {k + 1} "
+                               f"of {cfg.m} (seed {cfg.seed})")
+        f1, f2, eps = draw(locations, rng), draw(locations, rng), draw(locations, rng)
+        t = np.tan(beta)
+        n_clamped += int(np.sum(np.abs(t) > cfg.tan_clamp))
+        y[:, k] = f1 + f2 * np.clip(t, -cfg.tan_clamp, cfg.tan_clamp) + eps
+    return GqnResult(SpaceTimeDataset(locations[: cfg.n_train], times, y[: cfg.n_train]),
+                     SpaceTimeDataset(locations[cfg.n_train:], times, y[cfg.n_train:]), n_clamped)
+
+
+@pytest.mark.parametrize("cfg", [
+    GqnConfig(n_train=6, n_test=2, m=4, seed=0),
+    GqnConfig(n_train=6, n_test=0, m=5, seed=3),
+    GqnConfig(n_train=12, n_test=4, m=6, seed=5),
+    GqnConfig(n_train=30, n_test=10, m=20, seed=7),
+    GqnConfig(n_train=30, n_test=10, m=20, seed=11, tan_clamp=1.0),
+], ids=lambda cfg: f"{cfg.n_train}x{cfg.m}-seed{cfg.seed}")
+def test_gqn_matches_per_draw_factor_reference(cfg):
+    """Factoring the covariance once per simulation keeps every bit of the
+    per-draw factorization."""
+    got, want = gqn_simulate(cfg), _gqn_reference(cfg)
+    for part in ("train", "test"):
+        for name in ("locations", "times", "y"):
+            assert np.array_equal(getattr(getattr(got, part), name), getattr(getattr(want, part), name))
+    assert got.n_clamped == want.n_clamped
+
+
+def test_gqn_divergence_message_matches_reference():
+    cfg = GqnConfig(seed=1)
+    with pytest.raises(NumericError) as want:
+        _gqn_reference(cfg)
+    with pytest.raises(NumericError, match=r"after step \d+ of 50 \(seed 1\)") as got:
+        gqn_simulate(cfg)
+    assert str(got.value) == str(want.value)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), coef_sd=st.sampled_from([0.001, 0.003, 0.01]))
+@settings(max_examples=60, deadline=None)
+def test_gqn_desk_size_finite_or_named_divergence(seed, coef_sd):
+    """At desk size every seed gives finite data or a NumericError naming
+    the seed and the step; neither path warns.  At coef_sd 0.001 no seed in
+    0..1999 diverges; at 0.01 almost every seed does."""
+    cfg = GqnConfig(n_train=30, n_test=10, m=20, coef_sd=coef_sd, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sim = gqn_simulate(cfg)
+        except NumericError as exc:
+            assert re.search(rf"after step ([1-9]|1\d|20) of 20 \(seed {seed}\)$", str(exc)), str(exc)
+            return
+    for part in (sim.train, sim.test):
+        assert np.all(np.isfinite(part.y))
+
+
+def test_gqn_config_rejects_bad_values():
+    for bad in (dict(seed=-1), dict(m=0), dict(n_train=0), dict(n_test=-1), dict(coef_sd=0.0),
+                dict(coef_sd=float("nan")), dict(coef_sd=float("inf"))):
+        name = next(iter(bad))
+        with pytest.raises(ConfigError, match=name):
+            GqnConfig(**bad)
 
 
 def test_gqn_clamp_counts():

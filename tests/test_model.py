@@ -303,6 +303,56 @@ def test_log_prior_additivity():
     assert total == pytest.approx(pieces, rel=1e-10)
 
 
+def _log_prior_theta_reference(theta, layout, nu, omega_sq, prior):
+    """`log_prior_theta` as first written: per-coordinate reads and the
+    inverse-gamma constant recomputed in every term."""
+    def gauss(x, mean, var):
+        return -0.5 * (math.log(2.0 * math.pi) + math.log(var) + (x - mean) ** 2 / var)
+
+    if not theta_in_bounds(theta, layout):
+        return -np.inf
+    total = 0.0
+    for ell in range(layout.p):
+        total += gauss(float(theta[layout.sl_x][ell]), float(nu[ell]), float(omega_sq[ell]))
+        total += log_ig_transformed(float(theta[layout.sl_log_c_tilde][ell]), prior.ig_a, prior.ig_b)
+        total += log_ig_transformed(float(theta[layout.sl_log_c][ell]), prior.ig_a, prior.ig_b)
+        total += log_ig_transformed(float(theta[layout.sl_log_ksq][ell]), prior.ig_a, prior.ig_b)
+        total += gauss(float(theta[layout.sl_logit_rho][ell]), 0.0, prior.rho_var)
+        total += log_ig_transformed(float(theta[layout.sl_log_ssq][ell]), prior.ig_a, prior.ig_b)
+    total += log_ig_transformed(float(theta[layout.i_log_tau]), prior.ig_a, prior.ig_b)
+    total += log_ig_transformed(float(theta[layout.i_log_xi]), prior.ig_a, prior.ig_b)
+    total += gauss(float(theta[layout.i_logit_rho_beta]), 0.0, prior.rho_var)
+    total += log_ig_transformed(float(theta[layout.i_log_ssq_beta]), prior.ig_a, prior.ig_b)
+    return total
+
+
+@given(p=st.integers(1, 3), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_log_prior_theta_matches_reference(p, data):
+    layout = ThetaLayout(p=p)
+    lo, hi = layout.bounds()
+    spread = data.draw(st.sampled_from([1.0, 1.1]))  # 1.1: some coordinates fall outside the box
+    u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=layout.dim, max_size=layout.dim)))
+    mid = 0.5 * (lo + hi)
+    theta = mid + spread * (u - 0.5) * (hi - lo)
+    positive = st.floats(0.05, 20.0)
+    nu = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p)))
+    omega_sq = np.array(data.draw(st.lists(positive, min_size=p, max_size=p)))
+    prior = PriorConfig(ig_a=data.draw(positive), ig_b=data.draw(positive), rho_var=data.draw(positive))
+    got = log_prior_theta(theta, layout, nu, omega_sq, prior)
+    assert got == _log_prior_theta_reference(theta, layout, nu, omega_sq, prior)
+
+
+def test_theta_bounds_are_shared_and_read_only():
+    lo, hi = ThetaLayout(p=2).bounds()
+    again = ThetaLayout(p=2).bounds()
+    assert again[0] is lo and again[1] is hi
+    for arr in (lo, hi):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    assert np.all(lo < hi) and lo.size == ThetaLayout(p=2).dim
+
+
 def _tiny_joint_inputs():
     layout = ThetaLayout(p=1)
     theta = _theta_for(1, layout)

@@ -907,3 +907,67 @@ def test_fit_and_prediction_build_no_latent_atoms(tiny_dataset, tame_prior, monk
         J = stored[0].store.counts[k]
         np.testing.assert_array_equal(a.beta, stored[0].store.values[0, k, :J])
         np.testing.assert_array_equal(a.mu, stored[0].store.values[1:, k, :J].T)
+
+
+@pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
+@pytest.mark.parametrize("n", [1, 7, 30, 100, 257])
+def test_gibbs_block_matches_per_column_references(tame_prior, monkeypatch, marginalized, n):
+    """The effect draws and the reduced sums, formed as whole-matrix
+    expressions, equal per-column references: `gibbs_update_phi_column`
+    with each column's own stream, `resid @ resid` and `resid.sum()`."""
+    from levyst import effects
+    from levyst.runtime import reduce_sum
+
+    m = 4
+    rng = np.random.default_rng(n)
+    data = SpaceTimeDataset(rng.random((n, 2)), np.arange(1.0, m + 1.0), 2.0 + rng.standard_normal((n, m)))
+    cfg = SamplerConfig(iterations=3, burn_in=0, thin=1, j_max=4, seed=8)
+    sampler = Sampler(data, cfg, tame_prior, marginalized=marginalized, alpha_pinned=False,
+                      phi0_override=rng.standard_normal((n, m)))
+    ctx = sampler.ctx
+    seen = []
+    real_zeta = sampler_module.gibbs_update_zeta
+
+    def capture(state, ctx_, rng_, reduced):
+        hyp = state.hypers
+        seen.append((None if state.phi is None else state.phi.copy(), state.terms.field.copy(), hyp.alpha,
+                     hyp.sigma_sq_phi, hyp.sigma_sq_eps, state.atoms.counts.copy(), dict(reduced)))
+        return real_zeta(state, ctx_, rng_, reduced)
+
+    monkeypatch.setattr(sampler_module, "gibbs_update_zeta", capture)
+    state, stats = sampler.initial_state(), MoveStats()
+    phi = state.phi
+    for r in range(cfg.iterations):
+        state = sampler.iterate(state, r, stats)
+        new_phi, fmat, alpha, ssq_phi, ssq_eps, counts, reduced = seen[r]
+        if not marginalized:
+            # hypers are unchanged between the effect draws and the Gibbs block
+            want = np.column_stack([effects.gibbs_update_phi_column(
+                ctx.y[:, k], fmat[:, k], alpha, ssq_phi, ssq_eps, ctx.phi0[:, k],
+                sampler_module.stream(cfg.seed, sampler_module._S_PHI, r, k)) for k in range(m)])
+            assert np.array_equal(new_phi, want)
+            phi = new_phi
+        phi_eff = ctx.phi0 if marginalized else phi
+        sq, sums, dev = [], [], []
+        for k in range(m):
+            resid = ctx.y[:, k] - alpha - phi_eff[:, k] - fmat[:, k]
+            sq.append(float(resid @ resid))
+            sums.append(float(resid.sum()) + ctx.n * alpha)
+            if not marginalized:
+                d = phi[:, k] - ctx.phi0[:, k]
+                dev.append(float(d @ d))
+        want = {"j_total": int(counts.sum()), "resid_sq": reduce_sum(sq), "resid_alpha": reduce_sum(sums)}
+        if not marginalized:
+            want["phi_dev_sq"] = reduce_sum(dev)
+        assert reduced == want
+    assert seen[-1][2] != 0.0  # alpha is drawn, so its term is exercised
+
+
+@given(n=st.integers(1, 300), m=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_row_dots_and_sums_match_vector_forms(n, m, seed):
+    """Batched row dots and row sums of a C-ordered matrix equal each row's
+    `row @ row` and `row.sum()`."""
+    rows = np.random.default_rng(seed).standard_normal((m, n)) * 10.0 ** (seed % 7 - 3)
+    assert sampler_module._row_dots(rows) == [float(row @ row) for row in rows]
+    assert rows.sum(axis=1).tolist() == [float(row.sum()) for row in rows]
