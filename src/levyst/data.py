@@ -153,18 +153,6 @@ def standardize(data: SpaceTimeDataset) -> tuple[SpaceTimeDataset, tuple[float, 
     return out, (mean, sd)
 
 
-def inverse_transform(values: np.ndarray, stats: tuple[float, float]) -> np.ndarray:
-    """Back-transform standardized values to the original location and scale."""
-    mean, sd = stats
-    return np.asarray(values, dtype=float) * sd + mean
-
-
-def apply_stats(values: np.ndarray, stats: tuple[float, float]) -> np.ndarray:
-    """Standardize values with previously computed statistics."""
-    mean, sd = stats
-    return (np.asarray(values, dtype=float) - mean) / sd
-
-
 def write_csv(data: SpaceTimeDataset, path) -> None:
     """Long format, one row per (location, time): s1..sp, t, y."""
     p = data.p

@@ -1,19 +1,18 @@
 """Empirical validation tooling: recursive stationarity detection, lagged
 correlations, the same-time covariance identity checked by double Monte
-Carlo, normality summaries, and acceptance-rate reporting.
+Carlo, and normality summaries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
 
 from .errors import InvalidArgumentError, UndefinedBinError
 from .model import KernelParams
-from .sampler import MoveStats
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +44,6 @@ class StationarityResult:
     thresholds: np.ndarray
     distances: np.ndarray
     verdict: str                 # stationary | nonstationary | inconclusive
-
-    @property
-    def terminal_mean(self) -> float:
-        return float(self.posterior_mean[-1])
 
 
 def _beta_recursion(indicators: np.ndarray, a0: float, b0: float):
@@ -153,9 +148,6 @@ class LagBins:
     edges: np.ndarray            # (B+1,)
     counts: np.ndarray           # (B,)
     correlation: np.ndarray      # (B,), NaN where undefined
-
-    def defined(self) -> np.ndarray:
-        return ~np.isnan(self.correlation)
 
 
 def lagged_correlation(locations: np.ndarray, times: np.ndarray, y: np.ndarray,
@@ -292,7 +284,7 @@ def covariance_oracle_check(lam: float, kp: KernelParams, sigma_sq_mu: np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# normality summary and acceptance reporting
+# normality summary
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -318,9 +310,3 @@ def normality_summary(sample: np.ndarray, n_probs: int = 19) -> NormalitySummary
     dev = float(np.max(np.abs(sq - nq)))
     return NormalitySummary(probs, sq, nq, dev)
 
-
-def acceptance_report(stats: MoveStats) -> dict[str, float | None]:
-    """Per-move acceptance rates plus the pooled transdimensional rate."""
-    report: dict[str, float | None] = {m: stats.rate(m) for m in stats.proposals}
-    report["overall_ttmcmc"] = stats.overall_ttmcmc_rate()
-    return report

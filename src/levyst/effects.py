@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidStateError
+from .errors import InvalidStateError
 
 
 def _argmin_set(dist_sq: np.ndarray) -> np.ndarray:
@@ -65,53 +65,18 @@ def phi0_predict(locations: np.ndarray, times: np.ndarray, y: np.ndarray,
     return out
 
 
-def compute_phi0(locations: np.ndarray, times: np.ndarray, y: np.ndarray,
-                 s_target: np.ndarray, t_target: float,
-                 training_index: int | None = None) -> float:
-    """Baseline at one target point.
-
-    With `training_index` set, the target is the training cell (i, k) with
-    that location index; the search runs over other locations at the same
-    time.  Otherwise the joint space-time rule applies.
-    """
-    if training_index is not None:
-        k = int(np.flatnonzero(times == t_target)[0])
-        d = np.sum((locations - locations[training_index]) ** 2, axis=1)
-        d[training_index] = np.inf
-        if not np.isfinite(d.min()):
-            raise InvalidStateError("no candidate neighbors")
-        return float(y[_argmin_set(d), k].mean())
-    return float(phi0_predict(locations, times, y, s_target, t_target)[0, 0])
-
-
-def gibbs_update_phi(y: float, f: float, alpha: float, sigma_sq_phi: float,
-                     sigma_sq_eps: float, phi0: float, rng: np.random.Generator) -> float:
-    """Exact draw from the effect's normal full conditional."""
-    if sigma_sq_phi <= 0.0 or sigma_sq_eps <= 0.0:
-        raise InvalidStateError("phi updates require positive variances (explicit mode)")
-    post_var = 1.0 / (1.0 / sigma_sq_phi + 1.0 / sigma_sq_eps)
-    post_mean = post_var * (phi0 / sigma_sq_phi + (y - alpha - f) / sigma_sq_eps)
-    return post_mean + math.sqrt(post_var) * rng.standard_normal()
-
-
 def gibbs_update_phi_column(y_col: np.ndarray, f_col: np.ndarray, alpha: float,
                             sigma_sq_phi: float, sigma_sq_eps: float,
                             phi0_col: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized conditional draws for one time column of effects."""
-    if sigma_sq_phi <= 0.0 or sigma_sq_eps <= 0.0:
-        raise InvalidStateError("phi updates require positive variances (explicit mode)")
-    post_var = 1.0 / (1.0 / sigma_sq_phi + 1.0 / sigma_sq_eps)
-    post_mean = post_var * (phi0_col / sigma_sq_phi + (y_col - alpha - f_col) / sigma_sq_eps)
-    return post_mean + math.sqrt(post_var) * rng.standard_normal(y_col.size)
+    """Conditional draws for one time column of effects, from the column's stream."""
+    return gibbs_update_phi_matrix(y_col, f_col, alpha, sigma_sq_phi, sigma_sq_eps, phi0_col,
+                                   rng.standard_normal(y_col.size))
 
 
 def gibbs_update_phi_matrix(y: np.ndarray, f: np.ndarray, alpha: float, sigma_sq_phi: float,
                             sigma_sq_eps: float, phi0: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Conditional draws for every effect at once, from given standard normals.
-
-    Elementwise, so column k equals `gibbs_update_phi_column` on column k
-    with a generator whose `standard_normal(n)` returns `normals[:, k]`.
-    """
+    """Exact draws from the effects' normal full conditionals, elementwise,
+    from given standard normals (arrays of one shape, or scalars)."""
     if sigma_sq_phi <= 0.0 or sigma_sq_eps <= 0.0:
         raise InvalidStateError("phi updates require positive variances (explicit mode)")
     post_var = 1.0 / (1.0 / sigma_sq_phi + 1.0 / sigma_sq_eps)

@@ -45,18 +45,6 @@ X_LO, X_HI = 0.0, 10.0          # map slope variables X_l
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SpaceTimePoint:
-    s: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.s, dtype=float))
-        if s.ndim != 1 or s.size < 1 or not np.all(np.isfinite(s)) or not np.isfinite(self.t):
-            raise InvalidArgumentError("space-time point must have finite coordinates, p >= 1")
-        object.__setattr__(self, "s", s)
-
-
-@dataclass(frozen=True)
 class KernelParams:
     """Diagonal-precision spatial decay plus exponential temporal decay."""
 
@@ -224,12 +212,6 @@ class ScalarHypers:
     alpha: float = 0.0
     sigma_sq_alpha: float = 1.0
     sigma_sq_phi: float = 0.0
-
-    def validate(self, marginalized: bool) -> None:
-        if self.lam <= 0.0 or self.sigma_sq_eps <= 0.0 or self.sigma_sq_alpha <= 0.0:
-            raise InvalidArgumentError("lambda and variances must be positive")
-        if self.sigma_sq_phi < 0.0 or (self.sigma_sq_phi == 0.0 and not marginalized):
-            raise InvalidArgumentError("sigma_sq_phi must be positive in explicit mode")
 
 
 # ---------------------------------------------------------------------------
@@ -645,12 +627,6 @@ class ProcessTable:
             for g in range(shape[1]):
                 norm[c, g] = _LOG_2PI + np.log(var[c, g])
         return cls(mult, var, norm)
-
-    def block_log_density(self, atoms_k: LatentAtoms, atoms_prev: LatentAtoms | None, g: int) -> float:
-        """Incoming process factors of one block; `g` indexes the gap from
-        `atoms_prev`, which is None at the first time."""
-        both = AtomStore.from_blocks([atoms_k, atoms_prev])
-        return float(self.log_densities(both.take([0]), both.take([1]), np.array([g]))[0])
 
     def log_densities(self, atoms: AtomStore, prev: AtomStore, g: np.ndarray) -> np.ndarray:
         """Incoming process factors of the blocks of a store in one pass.

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .ar import ArMode
+from .ar import transition_moments
 from .errors import InvalidArgumentError
 from .model import (
     COORD_BOUND,
@@ -24,6 +24,7 @@ from .model import (
     AtomStore,
     LatentAtoms,
     ScalarHypers,
+    field_values,
 )
 from .sampler import ModelContext, SamplerConfig, SamplerState, ThetaCache
 
@@ -121,9 +122,8 @@ def _draw_atoms(counts, ctx, cache, rng):
 
 
 def _trans_draw(prev_vals, gap, spec, rng):
-    mult = spec.rho**gap
-    sd = math.sqrt(spec.sigma_sq * (1.0 - spec.rho ** (2.0 * gap)))
-    return mult * prev_vals + sd * rng.standard_normal(prev_vals.size)
+    mult, var = transition_moments(gap, spec)
+    return mult * prev_vals + math.sqrt(var) * rng.standard_normal(prev_vals.size)
 
 
 def draw_observations(state: SamplerState, ctx: ModelContext, rng: np.random.Generator) -> np.ndarray:
@@ -132,8 +132,6 @@ def draw_observations(state: SamplerState, ctx: ModelContext, rng: np.random.Gen
     phi_eff = ctx.phi_effective(state.phi)
     sd = math.sqrt(ctx.var_effective(state.hypers))
     y = np.empty((ctx.n, ctx.m))
-    from .model import field_values
-
     for k in range(ctx.m):
         f = field_values(cache.mapped, ctx.times[k], state.atoms.block(k), cache.kp)
         y[:, k] = state.hypers.alpha + phi_eff[:, k] + f + sd * rng.standard_normal(ctx.n)

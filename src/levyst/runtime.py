@@ -1,20 +1,16 @@
-"""Execution fabric: parity scheduling, ordered reductions, snapshots.
+"""Ordered reductions, and a deterministic worker pool.
 
-The sampler's data flow mimics a message-passing design with shared-memory
-workers: time blocks of one parity update concurrently against a frozen
-snapshot of the opposite parity, partial sums are combined in fixed index
-order, and coordinator state is rebroadcast as immutable snapshots.  Results
-are bit-identical for every worker count.
+`reduce_sum` adds partial sums in fixed index order, so a total does not
+depend on how the terms were split.  The sampler runs each chain in one
+thread and does not use `WorkerPool`; the pool stays only while the
+benchmark's traced run still patches it.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
 
@@ -29,23 +25,6 @@ class WorkPlan:
         return tuple(k for chunk in self.assignments for k in chunk)
 
 
-def schedule_parity(m: int, parity: str, workers: int) -> WorkPlan:
-    """Balanced contiguous-chunk assignment of one parity class."""
-    if workers < 1:
-        raise InvalidArgumentError("worker count must be >= 1")
-    if parity not in ("odd", "even"):
-        raise InvalidArgumentError("parity must be 'odd' or 'even'")
-    indices = [k for k in range(m) if ((k + 1) % 2 == 1) == (parity == "odd")]
-    w = min(workers, max(1, len(indices)))
-    base, extra = divmod(len(indices), w)
-    chunks, start = [], 0
-    for i in range(w):
-        size = base + (1 if i < extra else 0)
-        chunks.append(tuple(indices[start:start + size]))
-        start += size
-    return WorkPlan(parity=parity, assignments=tuple(chunks))
-
-
 def reduce_sum(partials) -> float:
     """Fixed left-to-right summation in index order; order-independent of
     worker completion order by construction."""
@@ -56,31 +35,6 @@ def reduce_sum(partials) -> float:
             raise NumericError(f"non-finite partial in reduction: {x}")
         total += x
     return total
-
-
-def snapshot_broadcast(obj):
-    """Deep copy with every numpy array frozen read-only.
-
-    Workers holding the returned handle observe the values at broadcast time
-    regardless of later coordinator mutation.
-    """
-    snap = copy.deepcopy(obj)
-
-    def _freeze(x):
-        if isinstance(x, np.ndarray):
-            x.setflags(write=False)
-        elif isinstance(x, dict):
-            for v in x.values():
-                _freeze(v)
-        elif isinstance(x, (list, tuple)):
-            for v in x:
-                _freeze(v)
-        elif hasattr(x, "__dict__"):
-            for v in vars(x).values():
-                _freeze(v)
-
-    _freeze(snap)
-    return snap
 
 
 class WorkerPool:

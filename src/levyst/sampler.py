@@ -76,7 +76,6 @@ from .model import (
     log_prior_theta,
     monotone_map_extend,
     monotone_map_fit,
-    theta_in_bounds,
     unpack_theta,
 )
 from .runtime import reduce_sum
@@ -736,28 +735,21 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
                       additive, slot, eps, signs, flips)
 
 
-def settle_blocks(moves: BlockMoves, prev: AtomStore, nxt: AtomStore, current: BlockTerms | None,
+def settle_blocks(moves: BlockMoves, prev: AtomStore, nxt: AtomStore, current: BlockTerms,
                   cache: ThetaCache, ctx: ModelContext, hypers: ScalarHypers,
                   phi: np.ndarray | None, j_max: int) -> tuple[np.ndarray, BlockTerms, dict]:
     """Score the moves in one `score_blocks` pass, then accept or reject each.
 
     `prev` and `nxt` hold the neighbours of the moved blocks (count 0: none)
-    and `current` the carried terms of their current atoms (None: computed
-    in the same pass).  Unreachable merges are left out of the pass.
-    Returns the acceptances, the terms of each block's atoms after its move,
-    and the arrays lp_cur, lp_prop (NaN where unscored) and log_alpha.
+    and `current` the terms of their current atoms.  Unreachable merges are
+    left out of the pass.  Returns the acceptances, the terms of each
+    block's atoms after its move, and the arrays lp_cur, lp_prop (NaN where
+    unscored) and log_alpha.
     """
     ks, B = moves.ks, moves.ks.size
     scored = np.flatnonzero(moves.reachable)
     proposal = moves.proposal.take(scored)
-    if current is None:
-        both = np.concatenate([np.arange(B), scored])
-        atoms = AtomStore(np.concatenate([moves.current.values, proposal.values], axis=1),
-                          np.concatenate([moves.current.counts, proposal.counts]))
-        terms = score_blocks(ks[both], atoms, prev.take(both), nxt.take(both), cache, ctx)
-        current, proposed = terms.take(slice(0, B)), terms.take(slice(B, None))
-    else:
-        proposed = score_blocks(ks[scored], proposal, prev.take(scored), nxt.take(scored), cache, ctx)
+    proposed = score_blocks(ks[scored], proposal, prev.take(scored), nxt.take(scored), cache, ctx)
     logliks = loglik_rows(np.concatenate([ks, ks[scored]]), np.concatenate([current.field, proposed.field]),
                           ctx, hypers, phi)
     lp_cur = block_scores(moves.current.counts, current, logliks[:B], hypers, j_max)
@@ -783,6 +775,8 @@ def _move(move, k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur):
     store = AtomStore.from_blocks(blocks, max(cfg.j_max, *(a.count for a in blocks if a is not None)))
     prev, current, nxt = (store.take(np.array([b])) for b in range(3))
     moves = propose_blocks(ks, current, ctx, cfg, [rng], move)
+    if cur is None:
+        cur = score_blocks(ks, current, prev, nxt, cache, ctx)
     accepted, after, scores = settle_blocks(moves, prev, nxt, cur, cache, ctx, hypers, phi, cfg.j_max)
     info = moves.info(0)
     lp_prop = float(scores["lp_prop"][0]) if moves.reachable[0] else None
@@ -857,10 +851,10 @@ def update_time_block(k, atoms_snapshot, cache, ctx, hypers, cfg, rng, phi=None,
 # fixed-dimension block update
 # ---------------------------------------------------------------------------
 
-def theta_score(theta, terms: StateTerms, state, ctx) -> float:
-    """Log conditional of the fixed-dimension block at theta, from the terms
-    of the state's atoms under theta."""
-    lp = log_prior_theta(theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
+def theta_score(log_prior: float, terms: StateTerms, state, ctx) -> float:
+    """Log conditional of the fixed-dimension block at a theta, from its
+    prior `log_prior_theta` and the terms of the state's atoms under it."""
+    lp = log_prior
     process, *rest = terms.process.tolist()
     for factor in rest:
         process += factor
@@ -873,10 +867,23 @@ def theta_score(theta, terms: StateTerms, state, ctx) -> float:
 def theta_logpost(theta, state, ctx):
     """Log conditional of the fixed-dimension block given everything else,
     with the state's terms under theta ((-inf, None) outside the bounds)."""
-    if not theta_in_bounds(theta, ctx.layout):
+    log_prior = log_prior_theta(theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
+    if not math.isfinite(log_prior):
         return -np.inf, None
     terms = StateTerms.build(ThetaCache.build(theta, ctx, state.nu, state.omega_sq), state.atoms, ctx)
-    return theta_score(theta, terms, state, ctx), terms
+    return theta_score(log_prior, terms, state, ctx), terms
+
+
+def _theta_accept(proposal, log_jac, info, state, ctx, rng, cur_lp, cur_terms):
+    """Score a proposed theta and accept or reject it.  Returns the theta,
+    its log conditional and terms after the step, the acceptance and info."""
+    lp_prop, terms_prop = theta_logpost(proposal, state, ctx)
+    log_alpha = lp_prop - cur_lp + log_jac
+    info.update(proposal=proposal, log_jac=log_jac, log_alpha=log_alpha,
+                lp_prop=lp_prop, lp_cur=cur_lp)
+    if _mh_accept(log_alpha, rng):
+        return proposal, lp_prop, terms_prop, True, info
+    return state.theta, cur_lp, cur_terms, False, info
 
 
 def tmcmc_update_theta(state, ctx, cfg, rng, cur_lp, cur_terms):
@@ -884,13 +891,12 @@ def tmcmc_update_theta(state, ctx, cfg, rng, cur_lp, cur_terms):
     signs (additive) or factors (multiplicative)."""
     d = ctx.layout.dim
     theta = state.theta
-    info = {}
     if rng.random() <= cfg.p_add:
         eps = rng.standard_normal()
         b = rng.integers(0, 2, size=d) * 2 - 1
         proposal = theta + b * cfg.scale * abs(eps)
         log_jac = 0.0
-        info.update(branch="additive", eps=eps, b=b)
+        info = dict(branch="additive", eps=eps, b=b)
     else:
         eps = _draw_mult_eps(rng, cfg.eps_floor)
         b = rng.integers(-1, 2, size=d)
@@ -898,28 +904,21 @@ def tmcmc_update_theta(state, ctx, cfg, rng, cur_lp, cur_terms):
         proposal[b == 1] *= eps
         proposal[b == -1] /= eps
         log_jac = float(b.sum()) * math.log(abs(eps))
-        info.update(branch="multiplicative", eps=eps, b=b)
-    lp_prop, terms_prop = theta_logpost(proposal, state, ctx)
-    log_alpha = lp_prop - cur_lp + log_jac
-    info.update(proposal=proposal, log_jac=log_jac, log_alpha=log_alpha,
-                lp_prop=lp_prop, lp_cur=cur_lp)
-    if _mh_accept(log_alpha, rng):
-        return proposal, lp_prop, terms_prop, True, info
-    return theta, cur_lp, cur_terms, False, info
+        info = dict(branch="multiplicative", eps=eps, b=b)
+    return _theta_accept(proposal, log_jac, info, state, ctx, rng, cur_lp, cur_terms)
 
 
 def mixing_enhancement(state, ctx, cfg, rng, cur_lp, cur_terms):
     """Second pass over the block with common-direction proposals."""
     d = ctx.layout.dim
     theta = state.theta
-    info = {}
     if rng.random() <= cfg.q_add:
         u_dir = rng.random()
         eps = rng.standard_normal()
         step = (cfg.shrink * cfg.scale) * abs(eps)
         proposal = theta + step if u_dir < 0.5 else theta - step
         log_jac = 0.0
-        info.update(branch="additive", eps=eps, up=u_dir < 0.5)
+        info = dict(branch="additive", eps=eps, up=u_dir < 0.5)
     else:
         eps = _draw_mult_eps(rng, cfg.eps_floor)
         u_dir = rng.random()
@@ -929,14 +928,8 @@ def mixing_enhancement(state, ctx, cfg, rng, cur_lp, cur_terms):
         else:
             proposal = theta / eps
             log_jac = -d * math.log(abs(eps))
-        info.update(branch="multiplicative", eps=eps, up=u_dir < 0.5)
-    lp_prop, terms_prop = theta_logpost(proposal, state, ctx)
-    log_alpha = lp_prop - cur_lp + log_jac
-    info.update(proposal=proposal, log_jac=log_jac, log_alpha=log_alpha,
-                lp_prop=lp_prop, lp_cur=cur_lp)
-    if _mh_accept(log_alpha, rng):
-        return proposal, lp_prop, terms_prop, True, info
-    return theta, cur_lp, cur_terms, False, info
+        info = dict(branch="multiplicative", eps=eps, up=u_dir < 0.5)
+    return _theta_accept(proposal, log_jac, info, state, ctx, rng, cur_lp, cur_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -1080,7 +1073,8 @@ class Sampler:
 
         # fixed-dimension block plus enhancement at the coordinator
         rng_t = stream(cfg.seed, _S_THETA, r)
-        cur_lp = theta_score(state.theta, terms, state, ctx)
+        log_prior = log_prior_theta(state.theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
+        cur_lp = theta_score(log_prior, terms, state, ctx)
         state.theta, cur_lp, terms, acc, _ = tmcmc_update_theta(state, ctx, cfg, rng_t, cur_lp, terms)
         stats.record("tmcmc", acc)
         state.theta, cur_lp, terms, acc, _ = mixing_enhancement(state, ctx, cfg, rng_t, cur_lp, terms)

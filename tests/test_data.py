@@ -12,16 +12,16 @@ from levyst.data import (
     GqnConfig,
     GqnResult,
     SpaceTimeDataset,
-    apply_stats,
     gp_factor,
     gp_sample,
     gqn_simulate,
-    inverse_transform,
     load_csv,
     standardize,
     write_csv,
 )
 from levyst.errors import ConfigError, DegenerateDataError, InvalidArgumentError, NumericError, ParseError
+from levyst.model import AtomStore, LatentAtoms
+from levyst.sampler import ChainSample, posterior_predict
 
 
 def test_dataset_validation():
@@ -176,9 +176,10 @@ def test_standardize_round_trip():
     data = SpaceTimeDataset(np.array([[0.0], [1.0]]), np.array([1.0]),
                             np.array([[1.0], [3.0]]))
     std, stats = standardize(data)
-    assert stats == (2.0, 1.0)
+    assert stats == (2.0, 1.0) == (std.mean, std.sd)
     assert std.y.mean() == pytest.approx(0.0)
-    np.testing.assert_allclose(inverse_transform(std.y, stats), data.y, atol=1e-12)
+    # prediction's back-transform: standardized values * sd + mean
+    np.testing.assert_allclose(std.y * std.sd + std.mean, data.y, atol=1e-12)
 
     rng = np.random.default_rng(0)
     big = SpaceTimeDataset(rng.random((5, 1)), np.arange(4.0),
@@ -187,8 +188,8 @@ def test_standardize_round_trip():
     again, stats3 = standardize(std2)
     assert stats3[0] == pytest.approx(0.0, abs=1e-12)
     assert stats3[1] == pytest.approx(1.0, rel=1e-12)
-    np.testing.assert_allclose(inverse_transform(std2.y, stats2), big.y, rtol=1e-12)
-    np.testing.assert_allclose(apply_stats(big.y, stats2), std2.y, rtol=1e-12)
+    assert (std2.mean, std2.sd) == stats2
+    np.testing.assert_allclose(std2.y * std2.sd + std2.mean, big.y, rtol=1e-12)
 
 
 def test_standardize_rejects_constant():
@@ -199,8 +200,14 @@ def test_standardize_rejects_constant():
 
 
 def test_prediction_back_transform_worked_pair():
-    stats = (2.0, 3.0)
-    assert inverse_transform(np.array([0.5]), stats)[0] == pytest.approx(3.5)
+    # a model-scale prediction of 0.5 (alpha 0.5, zero baseline and field,
+    # no noise to speak of) is 3.5 in original units of mean 2 and sd 3
+    data = SpaceTimeDataset(np.array([[0.0], [1.0]]), np.array([1.0]), np.zeros((2, 1)), mean=2.0, sd=3.0)
+    sample = ChainSample(iteration=0, store=AtomStore.from_blocks([LatentAtoms(np.zeros((1, 1)), np.zeros(1))]),
+                         theta=np.zeros(10), lam=1.0, sigma_sq_eps=1e-18, alpha=0.5, sigma_sq_alpha=1.0,
+                         sigma_sq_phi=0.0, nu=np.zeros(1), omega_sq=np.ones(1))
+    bands = posterior_predict([sample], np.array([[0.5]]), data.times, data, seed=0)
+    assert bands.quantiles[0.5][0, 0] == pytest.approx(3.5, abs=1e-6)
 
 
 def test_csv_round_trip(tmp_path):

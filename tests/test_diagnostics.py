@@ -6,7 +6,6 @@ from scipy.stats import ks_2samp
 
 from levyst.diagnostics import (
     CovOracleResult,
-    acceptance_report,
     covariance_oracle_check,
     ks_distance,
     lagged_correlation,
@@ -59,7 +58,7 @@ def test_recursive_stationarity_zero_threshold():
     rng = np.random.default_rng(1)
     regions = [rng.standard_normal(60) for _ in range(60)]
     res = recursive_stationarity_test(regions, c0=0.0)
-    assert res.terminal_mean < 0.05
+    assert res.posterior_mean[-1] < 0.05
     assert res.verdict == "nonstationary"
 
 
@@ -196,10 +195,9 @@ def test_acceptance_report():
     stats = MoveStats()
     stats.proposals.update(birth=100, death=0, no_change=50, tmcmc=10, enhance=10)
     stats.accepts.update(birth=9, death=0, no_change=25, tmcmc=5, enhance=1)
-    rep = acceptance_report(stats)
-    assert rep["birth"] == pytest.approx(0.09)
-    assert rep["death"] is None
-    assert rep["overall_ttmcmc"] == pytest.approx(34 / 150)
+    assert stats.rate("birth") == pytest.approx(0.09)
+    assert stats.rate("death") is None
+    assert stats.overall_ttmcmc_rate() == pytest.approx(34 / 150)
 
 
 def test_acceptance_report_reproduces_reference_rates():
@@ -207,8 +205,7 @@ def test_acceptance_report_reproduces_reference_rates():
     stats = MoveStats()
     stats.proposals.update(birth=4186, death=1628, no_change=4186)
     stats.accepts.update(birth=377, death=1182, no_change=2591)
-    rep = acceptance_report(stats)
-    assert rep["birth"] == pytest.approx(0.09, abs=5e-4)
-    assert rep["death"] == pytest.approx(0.726, abs=5e-4)
-    assert rep["no_change"] == pytest.approx(0.619, abs=5e-4)
-    assert rep["overall_ttmcmc"] == pytest.approx(0.415, abs=1e-12)
+    assert stats.rate("birth") == pytest.approx(0.09, abs=5e-4)
+    assert stats.rate("death") == pytest.approx(0.726, abs=5e-4)
+    assert stats.rate("no_change") == pytest.approx(0.619, abs=5e-4)
+    assert stats.overall_ttmcmc_rate() == pytest.approx(0.415, abs=1e-12)

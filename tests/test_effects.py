@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from levyst.effects import (
-    compute_phi0,
-    gibbs_update_phi,
+    gibbs_update_phi_matrix,
     gibbs_update_sigma_sq_alpha,
     gibbs_update_sigma_sq_phi,
     phi0_predict,
@@ -79,22 +78,20 @@ def test_compute_phi0_permutation_invariant():
     locs = rng.random((6, 2))
     times = np.array([1.0, 2.0, 3.0])
     y = rng.standard_normal((6, 3))
-    base = compute_phi0(locs, times, y, np.array([0.4, 0.4]), 2.0)
+    base = phi0_predict(locs, times, y, np.array([0.4, 0.4]), 2.0)
     perm = rng.permutation(6)
-    got = compute_phi0(locs[perm], times, y[perm], np.array([0.4, 0.4]), 2.0)
+    got = phi0_predict(locs[perm], times, y[perm], np.array([0.4, 0.4]), 2.0)
     assert got == pytest.approx(base)
 
 
 def test_gibbs_phi_limits():
     rng = np.random.default_rng(0)
-    draws = np.array([gibbs_update_phi(2.0, 0.5, 0.0, 1e-10, 1.0, 7.0, rng)
-                      for _ in range(200)])
+    draws = gibbs_update_phi_matrix(2.0, 0.5, 0.0, 1e-10, 1.0, 7.0, rng.standard_normal(200))
     assert np.allclose(draws, 7.0, atol=1e-3)
 
     # equal variances: posterior mean is the average of phi0 and (y - alpha - f)
     y, f, alpha, phi0 = 2.0, 0.5, 0.1, 1.0
-    draws = np.array([gibbs_update_phi(y, f, alpha, 0.3, 0.3, phi0, rng)
-                      for _ in range(40_000)])
+    draws = gibbs_update_phi_matrix(y, f, alpha, 0.3, 0.3, phi0, rng.standard_normal(40_000))
     expected_mean = 0.5 * (phi0 + (y - alpha - f))
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - expected_mean) < 4 * se
@@ -105,8 +102,8 @@ def test_gibbs_phi_closed_form_moments():
     y, f, alpha, phi0 = 1.2, 0.3, 0.0, -0.4
     ssq_phi, ssq_eps = 0.7, 0.2
     n = 50_000
-    draws = np.array([gibbs_update_phi(y, f, alpha, ssq_phi, ssq_eps, phi0, rng)
-                      for _ in range(n)])
+    draws = gibbs_update_phi_matrix(np.full(n, y), np.full(n, f), alpha, ssq_phi, ssq_eps, np.full(n, phi0),
+                                    rng.standard_normal(n))
     post_var = 1.0 / (1.0 / ssq_phi + 1.0 / ssq_eps)
     post_mean = post_var * (phi0 / ssq_phi + (y - alpha - f) / ssq_eps)
     assert abs(draws.mean() - post_mean) < 4 * draws.std(ddof=1) / math.sqrt(n)
@@ -116,7 +113,7 @@ def test_gibbs_phi_closed_form_moments():
 
 def test_gibbs_phi_requires_explicit_mode():
     with pytest.raises(InvalidStateError):
-        gibbs_update_phi(0.0, 0.0, 0.0, 0.0, 1.0, 0.0, np.random.default_rng(0))
+        gibbs_update_phi_matrix(np.zeros(3), np.zeros(3), 0.0, 0.0, 1.0, np.zeros(3), np.zeros(3))
 
 
 def test_sigma_sq_phi_zero_deviation_shape():

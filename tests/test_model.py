@@ -143,10 +143,12 @@ def test_process_table_matches_reference_density(mode):
         atoms = LatentAtoms(rng.normal(scale=4.0, size=(J, p)), rng.normal(size=J))
         prev = LatentAtoms(rng.normal(scale=4.0, size=(J_prev, p)), rng.normal(size=J_prev))
         g = int(rng.integers(gaps.size))
-        assert table.block_log_density(atoms, prev, g) == atom_block_log_density(
-            atoms, prev, gaps[g], specs[0], specs[1:])
-        assert table.block_log_density(atoms, None, -1) == atom_block_log_density(
-            atoms, None, None, specs[0], specs[1:])
+        # block 0 follows `prev` across gap g, block 1 starts from the initial law
+        store = AtomStore.from_blocks([atoms, atoms])
+        before = AtomStore.from_blocks([prev, None])
+        got = table.log_densities(store, before, np.array([g, -1]))
+        assert got[0] == atom_block_log_density(atoms, prev, gaps[g], specs[0], specs[1:])
+        assert got[1] == atom_block_log_density(atoms, None, None, specs[0], specs[1:])
 
 
 def test_f_eval_cases():

@@ -3,42 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyst.errors import InvalidArgumentError, NumericError
-from levyst.runtime import WorkerPool, reduce_sum, schedule_parity, snapshot_broadcast
-
-
-def test_schedule_odd_indices():
-    plan = schedule_parity(5, "odd", 2)
-    assert sorted(plan.indices) == [0, 2, 4]  # 1-based {1, 3, 5}
-    plan = schedule_parity(5, "even", 1)
-    assert sorted(plan.indices) == [1, 3]
-
-
-def test_schedule_single_worker_gets_all():
-    plan = schedule_parity(8, "odd", 1)
-    assert len(plan.assignments) == 1
-    assert plan.assignments[0] == (0, 2, 4, 6)
-
-
-def test_schedule_fifty_over_twenty_five():
-    plan = schedule_parity(50, "odd", 25)
-    assert len(plan.assignments) == 25
-    assert all(len(chunk) == 1 for chunk in plan.assignments)
-
-
-def test_schedule_covers_each_index_once():
-    for m in (1, 2, 7, 12):
-        for w in (1, 2, 3, 8):
-            odd = schedule_parity(m, "odd", w).indices
-            even = schedule_parity(m, "even", w).indices
-            assert sorted(odd + even) == list(range(m))
-
-
-def test_schedule_validation():
-    with pytest.raises(InvalidArgumentError):
-        schedule_parity(4, "odd", 0)
-    with pytest.raises(InvalidArgumentError):
-        schedule_parity(4, "diagonal", 1)
+from levyst.errors import NumericError
+from levyst.runtime import WorkerPool, WorkPlan, reduce_sum
 
 
 def test_reduce_sum_fixed_order():
@@ -73,20 +39,9 @@ def test_reduce_sum_chunking_property(parts, w):
     assert reduce_sum([x for c in splits for x in c]) == serial
 
 
-def test_snapshot_immutable():
-    state = {"a": np.array([1.0, 2.0]), "b": [np.zeros(2)]}
-    snap = snapshot_broadcast(state)
-    state["a"][0] = 99.0
-    assert snap["a"][0] == 1.0
-    with pytest.raises(ValueError):
-        snap["a"][0] = 5.0
-    snap2 = snapshot_broadcast(state)
-    assert snap2["a"][0] == 99.0  # sequential broadcasts observe the latest
-
-
 def test_pool_run_phase_and_map():
     with WorkerPool(3) as pool:
-        plan = schedule_parity(9, "odd", 3)
+        plan = WorkPlan(parity="odd", assignments=((0, 2), (4, 6), (8,)))
         results = pool.run_phase(plan, lambda k: k * k)
         assert results == {k: k * k for k in plan.indices}
         out = pool.map_indices([4, 1, 7], lambda k: -k)
@@ -97,8 +52,8 @@ def test_pool_serial_equivalence():
     def fn(k):
         return k * 0.5 + 1.0
 
-    plan1 = schedule_parity(12, "even", 1)
-    plan4 = schedule_parity(12, "even", 4)
+    plan1 = WorkPlan(parity="even", assignments=((1, 3, 5, 7, 9, 11),))
+    plan4 = WorkPlan(parity="even", assignments=((1, 3), (5, 7), (9,), (11,)))
     with WorkerPool(1) as p1, WorkerPool(4) as p4:
         r1 = p1.run_phase(plan1, fn)
         r4 = p4.run_phase(plan4, fn)

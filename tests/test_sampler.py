@@ -971,3 +971,24 @@ def test_row_dots_and_sums_match_vector_forms(n, m, seed):
     rows = np.random.default_rng(seed).standard_normal((m, n)) * 10.0 ** (seed % 7 - 3)
     assert sampler_module._row_dots(rows) == [float(row @ row) for row in rows]
     assert rows.sum(axis=1).tolist() == [float(row.sum()) for row in rows]
+
+
+def test_theta_phase_checks_bounds_once_per_theta(tiny_dataset, tame_prior, monkeypatch):
+    """An iteration values three thetas (the current one and two proposals),
+    and each one's bounds are checked once, inside its prior."""
+    import levyst.model as model_module
+
+    calls = []
+    real = model_module.theta_in_bounds
+
+    def counted(theta, layout):
+        calls.append(1)
+        return real(theta, layout)
+
+    # wherever the name is looked up
+    for module in (model_module, sampler_module):
+        if hasattr(module, "theta_in_bounds"):
+            monkeypatch.setattr(module, "theta_in_bounds", counted)
+    iterations = 20
+    run_chain(tiny_dataset, SamplerConfig(iterations=iterations, burn_in=0, thin=1, j_max=6, seed=3), tame_prior)
+    assert 0 < len(calls) <= 3 * iterations
