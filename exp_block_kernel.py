@@ -7,8 +7,8 @@ Run many kernel sweeps from an exact draw and compare the marginals.
 import numpy as np
 
 from levyst.data import SpaceTimeDataset
-from levyst.model import PriorConfig, ScalarHypers
-from levyst.sampler import (SamplerConfig, ThetaCache, build_context,
+from levyst.model import AtomStore, PriorConfig, ScalarHypers
+from levyst.sampler import (SamplerConfig, StateTerms, ThetaCache, build_context,
                             update_time_block, stream)
 from levyst.priorsim import draw_prior_state
 
@@ -45,15 +45,16 @@ def run():
             for spec in cache.mu_specs])
         return LatentAtoms(mu, beta)
 
-    atoms = [draw_block()]
+    atoms = AtomStore.from_blocks([draw_block()], JMAX)
+    terms = StateTerms.build(cache, atoms, ctx)
+    ks = np.array([0])
     js, b2 = [], []
     for r in range(N_SWEEP):
         rng_k = stream(cfg.seed, 1, r, 0)
-        new_atoms, move, acc, _ = update_time_block(0, tuple(atoms), cache, ctx,
-                                                    state.hypers, cfg, rng_k, None)
-        atoms[0] = new_atoms
-        js.append(new_atoms.count)
-        b2.append(float(np.mean(new_atoms.beta**2)))
+        update_time_block(ks, atoms, terms, ctx, state.hypers, cfg, [rng_k], None)
+        block = atoms.block(0)
+        js.append(block.count)
+        b2.append(float(np.mean(block.beta**2)))
 
     js = np.array(js[2000:], dtype=float)
     b2 = np.array(b2[2000:])

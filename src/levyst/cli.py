@@ -67,27 +67,21 @@ def _write_manifest(out_dir: str, command: str, cfg: dict) -> None:
         fh.write("\n")
 
 
+# configuration keys -> the config fields they set; a key the user did not
+# give leaves the field at its default
+_SAMPLER_FIELDS = {"iters": "iterations", "burnin": "burn_in", "thin": "thin", "jmax": "j_max",
+                   "scale": "scale", "shrink": "shrink", "workers": "workers", "seed": "seed"}
+_GQN_FIELDS = ("n_train", "n_test", "m", "coef_sd", "seed")
+
+
 def _sampler_config(cfg: dict) -> SamplerConfig:
-    return SamplerConfig(
-        iterations=cfg.get("iters", 110_000),
-        burn_in=cfg.get("burnin", 10_000),
-        thin=cfg.get("thin", 10),
-        j_max=cfg.get("jmax", 50),
-        scale=cfg.get("scale", 0.05),
-        shrink=cfg.get("shrink", 0.01),
-        workers=cfg.get("workers", 1),
-        seed=cfg.get("seed", 0),
-    )
+    return SamplerConfig(**{name: cfg[key] for key, name in _SAMPLER_FIELDS.items() if key in cfg})
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     os.makedirs(args.out, exist_ok=True)
-    gqn = GqnConfig(
-        n_train=cfg.get("n_train", 100), n_test=cfg.get("n_test", 20),
-        m=cfg.get("m", 50), coef_sd=cfg.get("coef_sd", 0.001),
-        seed=cfg.get("seed", 0))
-    result = gqn_simulate(gqn)
+    result = gqn_simulate(GqnConfig(**{key: cfg[key] for key in _GQN_FIELDS if key in cfg}))
     write_csv(result.train, os.path.join(args.out, "train.csv"))
     write_csv(result.test, os.path.join(args.out, "test.csv"))
     cfg["n_clamped"] = result.n_clamped

@@ -14,18 +14,7 @@ import numpy as np
 
 from .ar import transition_moments
 from .errors import InvalidArgumentError
-from .model import (
-    COORD_BOUND,
-    LOG_HI,
-    LOG_LO,
-    LOGIT_BOUND,
-    X_HI,
-    X_LO,
-    AtomStore,
-    LatentAtoms,
-    ScalarHypers,
-    field_values,
-)
+from .model import COORD_BOUND, AtomStore, LatentAtoms, ScalarHypers, field_rows, theta_in_bounds
 from .sampler import ModelContext, SamplerConfig, SamplerState, ThetaCache
 
 _MAX_TRIES = 200_000
@@ -63,16 +52,7 @@ def draw_prior_state(ctx: ModelContext, cfg: SamplerConfig, rng: np.random.Gener
         theta[layout.i_logit_rho_beta] = math.sqrt(prior.rho_var) * rng.standard_normal()
         theta[layout.i_log_ssq_beta] = math.log(_ig_draw(rng, prior.ig_a, prior.ig_b))
 
-        if np.any(theta[layout.sl_x] < X_LO) or np.any(theta[layout.sl_x] > X_HI):
-            continue
-        log_slices = [layout.sl_log_c_tilde, layout.sl_log_c, layout.sl_log_ksq, layout.sl_log_ssq]
-        logs = np.concatenate([theta[sl] for sl in log_slices]
-                              + [[theta[layout.i_log_tau], theta[layout.i_log_xi],
-                                  theta[layout.i_log_ssq_beta]]])
-        if np.any(logs < LOG_LO) or np.any(logs > LOG_HI):
-            continue
-        logits = np.append(theta[layout.sl_logit_rho], theta[layout.i_logit_rho_beta])
-        if np.any(np.abs(logits) > LOGIT_BOUND):
+        if not theta_in_bounds(theta, layout):
             continue
 
         counts = rng.poisson(lam, size=m)
@@ -131,8 +111,6 @@ def draw_observations(state: SamplerState, ctx: ModelContext, rng: np.random.Gen
     cache = ThetaCache.build(state.theta, ctx, state.nu, state.omega_sq)
     phi_eff = ctx.phi_effective(state.phi)
     sd = math.sqrt(ctx.var_effective(state.hypers))
-    y = np.empty((ctx.n, ctx.m))
-    for k in range(ctx.m):
-        f = field_values(cache.mapped, ctx.times[k], state.atoms.block(k), cache.kp)
-        y[:, k] = state.hypers.alpha + phi_eff[:, k] + f + sd * rng.standard_normal(ctx.n)
-    return y
+    # column k's noise is the k-th run of n normals, as drawn column by column
+    noise = rng.standard_normal((ctx.m, ctx.n)).T
+    return state.hypers.alpha + phi_eff + field_rows(cache.mapped, ctx.times, state.atoms, cache.kp).T + sd * noise

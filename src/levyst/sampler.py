@@ -22,9 +22,10 @@ its field row; one more computes the likelihood of every proposal and of
 every current block from its stored field.  Accept: each block makes its
 acceptance draw from its own stream (`settle_blocks`).  A multiplicative
 merge that no birth can undo is rejected without a score; it still makes
-its acceptance draw.  The single-block moves (`ttmcmc_birth`,
-`ttmcmc_death`, `ttmcmc_no_change`, `update_time_block`) run the same three
-steps on a batch of one.
+its acceptance draw.  `update_time_block` runs the three steps for one
+parity and writes the accepted proposals and their terms back into the
+state; `Sampler.iterate` calls it once per parity, and a single block is
+a batch of one.
 
 The state carries the terms of its current theta (`StateTerms`): the
 theta's `ThetaCache`, each block's incoming process factor
@@ -236,6 +237,10 @@ class SamplerConfig:
         wb, wd, wnc = self.base_weights
         if min(wb, wd, wnc) < 0.0 or not math.isclose(wb + wd + wnc, 1.0, rel_tol=1e-9):
             raise ConfigError("base move weights must be nonnegative and sum to one")
+        # every count needs a move to draw, and a birth's or a death's ratio
+        # holds the reverse move's weight
+        if wb == 0.0 or wd == 0.0 or (wnc == 0.0 and self.j_max == 1):
+            raise ConfigError("birth and death weights must be > 0, and the no-change weight too when j_max == 1")
         if self.workers < 1:
             raise ConfigError("worker count must be >= 1")
         if self.seed < 0:
@@ -544,18 +549,6 @@ def block_scores(counts: np.ndarray, terms: BlockTerms, loglik: np.ndarray, hype
         return np.where(valid, lp + loglik, -np.inf)
 
 
-def block_logpost(k: int, atoms_k: LatentAtoms, neighbors: tuple, cache: ThetaCache,
-                  ctx: ModelContext, hypers: ScalarHypers, phi: np.ndarray | None,
-                  j_max: int) -> float:
-    """Log full conditional of time block k holding `atoms_k`: the score of its fresh terms."""
-    ks = np.array([k])
-    store = AtomStore.from_blocks([neighbors[0], atoms_k, neighbors[1]])
-    prev, atoms, nxt = (store.take(np.array([b])) for b in range(3))
-    terms = score_blocks(ks, atoms, prev, nxt, cache, ctx)
-    loglik = loglik_rows(ks, terms.field, ctx, hypers, phi)
-    return float(block_scores(atoms.counts, terms, loglik, hypers, j_max)[0])
-
-
 def _draw_mult_eps(rng: np.random.Generator, floor: float) -> float:
     while True:
         eps = rng.uniform(-1.0, 1.0)
@@ -595,11 +588,7 @@ class BlockMoves:
     of its log acceptance ratio besides the two conditionals (log_struct or
     log_jac).  A merge that no birth can undo is not `reachable` and is
     rejected unscored.  `rngs[b]` is the block's stream, which still owes
-    the acceptance draw.  The draws: the `additive` branch; `slot`, the atom
-    split (birth) or merged with the last one (death); `eps`, a birth's
-    (eps1, eps_mu) or a no-change move's eps in column 0; `signs`, an
-    additive birth's split signs or a multiplicative death's merge signs;
-    `flips`, a no-change move's coordinate indicators in the store's layout.
+    the acceptance draw.
     """
 
     ks: np.ndarray
@@ -609,40 +598,25 @@ class BlockMoves:
     log_ratio: np.ndarray
     reachable: np.ndarray
     rngs: list
-    additive: np.ndarray
-    slot: np.ndarray
-    eps: np.ndarray     # (B, p+1)
-    signs: np.ndarray   # (B, p+1)
-    flips: np.ndarray   # (p+1, B, width)
-
-    def info(self, b: int) -> dict:
-        """The draws and the log ratio of move b, by name."""
-        J = int(self.current.counts[b])
-        info = {"branch": "additive" if self.additive[b] else "multiplicative"}
-        if self.move[b] == BIRTH:
-            info.update(j=int(self.slot[b]), child_pos=J, eps1=float(self.eps[b, 0]),
-                        eps_mu=self.eps[b, 1:].copy(), log_struct=float(self.log_ratio[b]))
-            if self.additive[b]:
-                info["signs"] = self.signs[b].copy()
-        elif self.move[b] == DEATH:
-            info.update(lo=int(self.slot[b]), hi=J - 1, log_struct=float(self.log_ratio[b]),
-                        unreachable=not self.reachable[b])
-            if not self.additive[b]:
-                info.update(sign_beta=float(self.signs[b, 0]), signs_mu=self.signs[b, 1:].copy())
-        else:
-            flips = self.flips[:, b, :J]
-            info.update(eps=float(self.eps[b, 0]), b=np.concatenate([flips[0], flips[1:].T.ravel()]),
-                        log_jac=float(self.log_ratio[b]))
-        return info
 
 
 def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: SamplerConfig,
-                   rngs: list, move: int | None = None) -> BlockMoves:
+                   rngs: list) -> BlockMoves:
     """The moves of blocks ks, which hold the atoms of `current`.
 
-    Each block draws its move type (unless `move` sets it for every block)
-    and that move's draws from its own stream, in a fixed order.  Then every
-    proposal and log ratio of the batch is formed at once.
+    Each block draws its move type and that move's draws from its own
+    stream, in a fixed order.  Then every proposal and log ratio of the
+    batch is formed at once.
+
+    A birth splits the picked atom x per coordinate into (x + s a|e|,
+    x - s a|e|) with standard-normal e and random signs s (additive), or
+    into (x e, x / e) with e uniform above the floor (multiplicative); the
+    second child is appended as the last atom, so the cross-time pairing
+    of untouched atoms is kept.  A death merges the picked atom with the
+    last one, to their midpoint or to +-sqrt(|x y|) with random signs.
+    Each log ratio carries the auxiliary densities, which makes every
+    birth/death pair exactly reversible.  A no-change move perturbs all
+    (p+1)J coordinates with one shared draw.
     """
     counts = current.counts
     B, p1 = counts.size, ctx.p + 1
@@ -653,15 +627,8 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
     log_w = []  # the move-weight ratio of a birth or death, a no-change move's log_jac
     for b, (J, rng) in enumerate(zip(counts.tolist(), rngs)):
         wb, wd, _ = move_weights(J, cfg)
-        if move is None:
-            u = rng.random()
-            mv = BIRTH if u < wb else DEATH if u < wb + wd else NO_CHANGE
-        else:
-            mv = move
-        if mv == BIRTH and J >= cfg.j_max:
-            raise InvalidStateError("birth proposed at the count ceiling")
-        if mv == DEATH and J < 2:
-            raise InvalidStateError("death proposed with a single atom")
+        u = rng.random()
+        mv = BIRTH if u < wb else DEATH if u < wb + wd else NO_CHANGE
         add = rng.random() <= cfg.p_add
         moves.append(mv)
         additive.append(add)
@@ -731,20 +698,19 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
                                       np.where(f == 1, z * e, np.where(f == -1, z / e, z)))
     log_ratio = np.where(birth, split_ratio + log_w, np.where(death, merge_ratio + log_w, log_w))
     new_counts = counts + birth - death
-    return BlockMoves(ks, moves, current, AtomStore(values, new_counts), log_ratio, reachable, list(rngs),
-                      additive, slot, eps, signs, flips)
+    return BlockMoves(ks, moves, current, AtomStore(values, new_counts), log_ratio, reachable, list(rngs))
 
 
 def settle_blocks(moves: BlockMoves, prev: AtomStore, nxt: AtomStore, current: BlockTerms,
                   cache: ThetaCache, ctx: ModelContext, hypers: ScalarHypers,
-                  phi: np.ndarray | None, j_max: int) -> tuple[np.ndarray, BlockTerms, dict]:
+                  phi: np.ndarray | None, j_max: int) -> tuple[np.ndarray, BlockTerms, np.ndarray]:
     """Score the moves in one `score_blocks` pass, then accept or reject each.
 
     `prev` and `nxt` hold the neighbours of the moved blocks (count 0: none)
     and `current` the terms of their current atoms.  Unreachable merges are
     left out of the pass.  Returns the acceptances, the terms of each
-    block's atoms after its move, and the arrays lp_cur, lp_prop (NaN where
-    unscored) and log_alpha.
+    block's atoms after its move, and the log acceptance ratios (-inf for
+    an unreachable merge).
     """
     ks, B = moves.ks, moves.ks.size
     scored = np.flatnonzero(moves.reachable)
@@ -763,64 +729,7 @@ def settle_blocks(moves: BlockMoves, prev: AtomStore, nxt: AtomStore, current: B
     after.p_in[scored[won]] = proposed.p_in[won]
     after.p_out[scored[won]] = proposed.p_out[won]
     after.field[scored[won]] = proposed.field[won]
-    return accepted, after, {"lp_cur": lp_cur, "lp_prop": lp_prop, "log_alpha": log_alpha}
-
-
-def _move(move, k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur):
-    """One move at block k on its own: propose, score and accept a batch of
-    one (`move` None: drawn).  Returns the block's atoms after the move, the
-    acceptance, the move's info and the move."""
-    ks = np.array([k])
-    blocks = [neighbors[0], atoms_k, neighbors[1]]
-    store = AtomStore.from_blocks(blocks, max(cfg.j_max, *(a.count for a in blocks if a is not None)))
-    prev, current, nxt = (store.take(np.array([b])) for b in range(3))
-    moves = propose_blocks(ks, current, ctx, cfg, [rng], move)
-    if cur is None:
-        cur = score_blocks(ks, current, prev, nxt, cache, ctx)
-    accepted, after, scores = settle_blocks(moves, prev, nxt, cur, cache, ctx, hypers, phi, cfg.j_max)
-    info = moves.info(0)
-    lp_prop = float(scores["lp_prop"][0]) if moves.reachable[0] else None
-    info.update(log_alpha=float(scores["log_alpha"][0]), lp_cur=float(scores["lp_cur"][0]), lp_prop=lp_prop,
-                terms=after)
-    atoms = moves.proposal.block(0) if accepted[0] else atoms_k
-    return atoms, bool(accepted[0]), info, MOVE_NAMES[moves.move[0]]
-
-
-# Each move takes the current block's carried terms as `cur` (a batch of
-# one; None: computed from scratch) and returns the terms of the atoms it
-# returns in info["terms"].
-
-def ttmcmc_birth(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
-    """Split one atom into two; dimension J -> J + 1.
-
-    Additive branch: the selected atom splits into (x + s a|e|, x - s a|e|)
-    per coordinate with independent standard-normal draws e and random
-    signs s; multiplicative branch into (x e, x / e) with uniform draws
-    above the floor.  The second child is appended at the end (no index
-    shifts, so cross-time chain pairings of untouched atoms are preserved),
-    and the acceptance carries the auxiliary densities, making the move
-    pair exactly reversible.
-    """
-    return _move(BIRTH, k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)[:3]
-
-
-def ttmcmc_death(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
-    """Merge two atoms into one; dimension J -> J - 1.
-
-    Additive branch merges the selected pair to its midpoint; the
-    multiplicative branch to +-sqrt(|x_j x_j'|) with independent signs.  The
-    partner is always the last atom (the only pairing reachable by the
-    append-at-end birth) and the factors mirror the matching birth,
-    including the implied auxiliary densities; multiplicative merges of
-    pairs no multiplicative birth can produce are rejected outright,
-    without scoring the proposal (info["lp_prop"] is then None).
-    """
-    return _move(DEATH, k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)[:3]
-
-
-def ttmcmc_no_change(k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
-    """Jointly perturb all (p+1)J atom coordinates; dimension unchanged."""
-    return _move(NO_CHANGE, k, atoms_k, neighbors, cache, ctx, hypers, cfg, rng, phi, cur)[:3]
+    return accepted, after, log_alpha
 
 
 def _mh_accept(log_alpha: float, rng: np.random.Generator) -> bool:
@@ -834,17 +743,23 @@ def _mh_accept(log_alpha: float, rng: np.random.Generator) -> bool:
     return math.log(rng.random()) < log_alpha
 
 
-def update_time_block(k, atoms_snapshot, cache, ctx, hypers, cfg, rng, phi=None, cur=None):
-    """One multinomial move-type draw and the corresponding move at index k.
+def update_time_block(ks: np.ndarray, atoms: AtomStore, terms: StateTerms, ctx: ModelContext,
+                      hypers: ScalarHypers, cfg: SamplerConfig, rngs: list,
+                      phi: np.ndarray | None) -> tuple[BlockMoves, np.ndarray, np.ndarray]:
+    """One parity phase: move blocks ks, which are conditionally independent
+    given the other blocks of `atoms`, each with its stream in `rngs`.
 
-    Returns the block's new atoms, the move, the acceptance and the terms of
-    the new atoms; `cur` holds the current block's carried terms, if any.
+    Proposes every move (`propose_blocks`), scores and accepts them
+    (`settle_blocks`), and writes the accepted proposals into `atoms` and
+    their terms into `terms`.  Returns the moves, the acceptances and the
+    log acceptance ratios.
     """
-    neighbors = (atoms_snapshot[k - 1] if k > 0 else None,
-                 atoms_snapshot[k + 1] if k < len(atoms_snapshot) - 1 else None)
-    atoms, accepted, info, move = _move(None, k, atoms_snapshot[k], neighbors, cache, ctx, hypers, cfg, rng, phi,
-                                        cur)
-    return atoms, move, accepted, info["terms"]
+    moves = propose_blocks(ks, atoms.take(ks), ctx, cfg, rngs)
+    accepted, after, log_alpha = settle_blocks(moves, _shifted(atoms, ks, -1), _shifted(atoms, ks, 1),
+                                               terms.blocks(ks), terms.cache, ctx, hypers, phi, cfg.j_max)
+    atoms.put(ks[accepted], moves.proposal.take(accepted))
+    terms.store(ks[accepted], after.take(accepted))
+    return moves, accepted, log_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -1062,12 +977,8 @@ class Sampler:
         # and then accepts or rejects each
         for first in (0, 1):
             ks = np.arange(first, ctx.m, 2)
-            moves = propose_blocks(ks, atoms.take(ks), ctx, cfg, streams(cfg.seed, (_S_BLOCK, r), ks))
-            accepted, after, _ = settle_blocks(moves, _shifted(atoms, ks, -1), _shifted(atoms, ks, 1),
-                                               terms.blocks(ks), terms.cache, ctx, state.hypers, state.phi,
-                                               cfg.j_max)
-            atoms.put(ks[accepted], moves.proposal.take(accepted))
-            terms.store(ks[accepted], after.take(accepted))
+            moves, accepted, _ = update_time_block(ks, atoms, terms, ctx, state.hypers, cfg,
+                                                   streams(cfg.seed, (_S_BLOCK, r), ks), state.phi)
             for move, acc in zip(moves.move.tolist(), accepted.tolist()):
                 stats.record(MOVE_NAMES[move], acc)
 

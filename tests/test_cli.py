@@ -1,12 +1,15 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import levyst.cli as cli
 from levyst.chainio import read_chain
-from levyst.cli import main
-from levyst.data import load_csv
+from levyst.cli import _sampler_config, main
+from levyst.data import GqnConfig, gqn_simulate, load_csv
+from levyst.sampler import SamplerConfig
 
 
 def _run(*argv):
@@ -148,3 +151,23 @@ def test_usage_errors(sim_dir, fit_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--nonsense"])
     assert exc.value.code == 2
+
+
+def test_sampler_config_takes_only_given_keys():
+    assert _sampler_config({}) == SamplerConfig()
+    given = {"iters": 40, "burnin": 10, "thin": 3, "jmax": 5, "scale": 0.1, "shrink": 0.2, "workers": 2, "seed": 5}
+    assert _sampler_config(given) == SamplerConfig(iterations=40, burn_in=10, thin=3, j_max=5, scale=0.1,
+                                                   shrink=0.2, workers=2, seed=5)
+    assert _sampler_config({"seed": 4}) == replace(SamplerConfig(), seed=4)
+
+
+def test_simulate_without_flags_uses_simulator_defaults(monkeypatch, tmp_path):
+    seen = []
+
+    def recording_simulate(gqn):
+        seen.append(gqn)
+        return gqn_simulate(GqnConfig(n_train=3, n_test=1, m=2))
+
+    monkeypatch.setattr(cli, "gqn_simulate", recording_simulate)
+    assert _run("simulate", "--out", str(tmp_path / "sim")) == 0
+    assert seen == [GqnConfig()]

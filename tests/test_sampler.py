@@ -15,25 +15,27 @@ from levyst.chainio import read_chain, write_chain
 from levyst.errors import ConfigError, InvalidArgumentError, InvalidStateError, UnsupportedPredictionError
 from levyst.model import AtomStore, LatentAtoms, PriorConfig, ScalarHypers, count_log_factor
 from levyst.sampler import (
+    MOVE_NAMES,
     ChainSample,
     MoveStats,
     Sampler,
     SamplerConfig,
+    StateTerms,
     ThetaCache,
-    block_logpost,
+    block_scores,
     build_context,
     gibbs_update_zeta,
+    loglik_rows,
     mixing_enhancement,
     move_weights,
     posterior_predict,
+    propose_blocks,
     run_chain,
+    score_blocks,
     stream,
     streams,
     theta_logpost,
     tmcmc_update_theta,
-    ttmcmc_birth,
-    ttmcmc_death,
-    ttmcmc_no_change,
     update_time_block,
 )
 
@@ -92,9 +94,15 @@ def test_config_validation():
         SamplerConfig(iterations=10, burn_in=0, thin=1, base_weights=(0.5, 0.5, 0.5))
     with pytest.raises(ConfigError, match="seed"):
         SamplerConfig(iterations=10, burn_in=0, thin=1, seed=-1)
+    # a zero birth or death weight, or a zero no-change weight with a single
+    # count, leaves a move without its reverse or a count without a move
+    for weights, j_max in (((0.0, 0.5, 0.5), 5), ((1.0, 0.0, 0.0), 5), ((0.5, 0.5, 0.0), 1)):
+        with pytest.raises(ConfigError, match="weight"):
+            SamplerConfig(iterations=10, burn_in=0, thin=1, j_max=j_max, base_weights=weights)
+    SamplerConfig(iterations=10, burn_in=0, thin=1, j_max=2, base_weights=(0.5, 0.5, 0.0))
 
 
-def _independent_block_logpost(atoms_k, neighbors, cache, ctx, hypers):
+def _independent_block_conditional(atoms_k, cache, ctx, hypers):
     """scipy reassembly of the block conditional for a single-time instance."""
     lp = count_log_factor(atoms_k.count, hypers.lam)
     bspec, mspecs = cache.beta_spec, cache.mu_specs
@@ -112,16 +120,47 @@ def _independent_block_logpost(atoms_k, neighbors, cache, ctx, hypers):
     return lp
 
 
+def _one_block_update(atoms_k, cache, ctx, hypers, cfg, key):
+    """The block update on a one-block store with the stream `stream(*key)`.
+
+    Returns the moves, the acceptance, log_alpha, the store after the move,
+    and the move type, proposal and draws of the per-block oracle replaying
+    the same stream.
+    """
+    store = AtomStore.from_blocks([atoms_k], cfg.j_max)
+    terms = StateTerms.build(cache, store, ctx)
+    moves, accepted, log_alpha = update_time_block(np.array([0]), store, terms, ctx, hypers, cfg, [stream(*key)],
+                                                   None)
+    move, proposal, _, info = _oracle_draw(atoms_k, ctx.p, cfg, stream(*key))
+    assert MOVE_NAMES[moves.move[0]] == move
+    got = moves.proposal.block(0)
+    assert np.array_equal(got.beta, proposal.beta) and np.array_equal(got.mu, proposal.mu)
+    return moves, bool(accepted[0]), float(log_alpha[0]), store, move, info
+
+
+def _fresh_block_conditionals(ks, store, cache, ctx, hypers, j_max=6):
+    """Log full conditionals of blocks ks of `store`, scored afresh, and their terms."""
+    ks = np.asarray(ks)
+    terms = score_blocks(ks, store.take(ks), sampler_module._shifted(store, ks, -1),
+                         sampler_module._shifted(store, ks, 1), cache, ctx)
+    return block_scores(store.counts[ks], terms, loglik_rows(ks, terms.field, ctx, hypers, None), hypers,
+                        j_max), terms
+
+
 def test_birth_acceptance_matches_oracle(tame_prior):
     ctx = _tiny_ctx(tame_prior, n=1, m=1, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=1)
+    lp_cur = _independent_block_conditional(atoms[0], cache, ctx, hypers)
+    store = AtomStore.from_blocks(atoms)
+    assert _fresh_block_conditionals([0], store, cache, ctx, hypers)[0][0] == pytest.approx(lp_cur, rel=1e-10)
     for branch_cfg in (replace(CFG, p_add=1.0), replace(CFG, p_add=0.0)):
-        for seed in range(12):
-            rng = stream(seed, 9)
-            proposal, accepted, info = ttmcmc_birth(
-                0, atoms[0], (None, None), cache, ctx, hypers, branch_cfg, rng)
-            lp_cur = _independent_block_logpost(atoms[0], (None, None), cache, ctx, hypers)
-            assert info["lp_cur"] == pytest.approx(lp_cur, rel=1e-10)
+        births = 0
+        for seed in range(24):
+            moves, accepted, log_alpha, after, move, info = _one_block_update(
+                atoms[0], cache, ctx, hypers, branch_cfg, (seed, 9))
+            if move != "birth":
+                continue
+            births += 1
             # independent recomputation of the full log acceptance ratio
             J, p = 1, 1
             wb = move_weights(J, branch_cfg)[0]
@@ -136,25 +175,29 @@ def test_birth_acceptance_matches_oracle(tame_prior):
                 struct = (math.log(wd_new / wb)
                           + float(np.sum(np.log(np.abs(x)) - np.log(np.abs(eps))))
                           + (p + 1) * (math.log(2.0) + math.log(1 - branch_cfg.eps_floor)))
-            assert info["log_struct"] == pytest.approx(struct, rel=1e-10)
-            if accepted:
-                lp_prop = _independent_block_logpost(proposal, (None, None), cache, ctx, hypers)
-                assert info["log_alpha"] == pytest.approx(lp_prop - lp_cur + struct, rel=1e-9)
+            assert moves.log_ratio[0] == pytest.approx(struct, rel=1e-10)
+            lp_prop = _independent_block_conditional(moves.proposal.block(0), cache, ctx, hypers)
+            assert log_alpha == pytest.approx(lp_prop - lp_cur + struct, rel=1e-9)
+            assert after.counts[0] == (2 if accepted else 1)
+        assert births >= 8
 
 
 def test_death_acceptance_matches_oracle(tame_prior):
     ctx = _tiny_ctx(tame_prior, n=1, m=1, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=3)
+    lp_cur = _independent_block_conditional(atoms[0], cache, ctx, hypers)
     for branch_cfg in (replace(CFG, p_add=1.0), replace(CFG, p_add=0.0)):
-        for seed in range(12):
-            rng = stream(seed, 10)
-            proposal, accepted, info = ttmcmc_death(
-                0, atoms[0], (None, None), cache, ctx, hypers, branch_cfg, rng)
+        deaths = 0
+        for seed in range(36):
+            moves, accepted, log_alpha, _, move, info = _one_block_update(
+                atoms[0], cache, ctx, hypers, branch_cfg, (seed, 10))
+            if move != "death":
+                continue
+            deaths += 1
             J, p = 3, 1
             wd = move_weights(J, branch_cfg)[1]
             wb_new = move_weights(J - 1, branch_cfg)[0]
-            lo, hi = info["lo"], info["hi"]
-            assert hi == J - 1  # exact mode pairs with the last atom
+            lo, hi = info["lo"], J - 1  # the partner is always the last atom
             if info["branch"] == "additive":
                 pair_lo = np.array([atoms[0].beta[lo], atoms[0].mu[lo, 0]])
                 pair_hi = np.array([atoms[0].beta[hi], atoms[0].mu[hi, 0]])
@@ -165,7 +208,13 @@ def test_death_acceptance_matches_oracle(tame_prior):
                 y_hi = np.array([atoms[0].beta[hi], atoms[0].mu[hi, 0]])
                 struct = (math.log(wb_new / wd) - float(np.sum(np.log(np.abs(y_hi))))
                           - (p + 1) * (math.log(2.0) + math.log(1 - branch_cfg.eps_floor)))
-            assert info["log_struct"] == pytest.approx(struct, rel=1e-10)
+            assert moves.log_ratio[0] == pytest.approx(struct, rel=1e-10)
+            if info["unreachable"]:
+                assert log_alpha == -np.inf and not accepted
+            else:
+                lp_prop = _independent_block_conditional(moves.proposal.block(0), cache, ctx, hypers)
+                assert log_alpha == pytest.approx(lp_prop - lp_cur + struct, rel=1e-9)
+        assert deaths >= 8
 
 
 def test_birth_death_structural_reciprocity(tame_prior):
@@ -176,34 +225,37 @@ def test_birth_death_structural_reciprocity(tame_prior):
     cfg = replace(CFG, p_add=1.0, scale=0.5)
     restored = 0
     for seed in range(400):
-        rng = stream(seed, 11)
-        proposal, accepted, binfo = ttmcmc_birth(
-            0, atoms[0], (None, None), cache, ctx, hypers, cfg, rng)
-        if not accepted:
+        births, accepted, _, born, move, binfo = _one_block_update(atoms[0], cache, ctx, hypers, cfg, (seed, 11))
+        if move != "birth" or not accepted:
             continue
         # matched death: merge the parent with the appended child
         for dseed in range(2000):
-            rng_d = stream(dseed, 12)
-            merged, d_acc, dinfo = ttmcmc_death(
-                0, proposal, (None, None), cache, ctx, hypers, cfg, rng_d)
-            if dinfo["branch"] == "additive" and dinfo["lo"] == binfo["j"]:
-                assert binfo["log_struct"] + dinfo["log_struct"] == pytest.approx(0.0, abs=1e-9)
+            deaths, d_acc, _, merged, dmove, dinfo = _one_block_update(born.block(0), cache, ctx, hypers, cfg,
+                                                                      (dseed, 12))
+            if dmove == "death" and dinfo["lo"] == binfo["j"]:
+                assert births.log_ratio[0] + deaths.log_ratio[0] == pytest.approx(0.0, abs=1e-9)
                 if d_acc:
-                    np.testing.assert_allclose(merged.beta, atoms[0].beta, atol=1e-12)
-                    np.testing.assert_allclose(merged.mu, atoms[0].mu, atol=1e-12)
+                    np.testing.assert_allclose(merged.block(0).beta, atoms[0].beta, atol=1e-12)
+                    np.testing.assert_allclose(merged.block(0).mu, atoms[0].mu, atol=1e-12)
                     restored += 1
                 break
     assert restored >= 1
 
 
 def test_birth_death_guards(tame_prior):
+    """The move-type draw never proposes a birth at the count ceiling nor a
+    death with a single atom."""
     ctx = _tiny_ctx(tame_prior, n=1, m=1, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=1)
-    cfg = replace(CFG, j_max=1)
-    with pytest.raises(InvalidStateError):
-        ttmcmc_birth(0, atoms[0], (None, None), cache, ctx, hypers, cfg, stream(0, 1))
-    with pytest.raises(InvalidStateError):
-        ttmcmc_death(0, atoms[0], (None, None), cache, ctx, hypers, CFG, stream(0, 1))
+    full = LatentAtoms(np.linspace(-1.0, 1.0, CFG.j_max)[:, None], np.linspace(0.5, 1.5, CFG.j_max))
+    for cfg, block in ((CFG, atoms[0]), (CFG, full), (replace(CFG, j_max=1), atoms[0])):
+        ks = np.zeros(200, dtype=np.int64)
+        moves = propose_blocks(ks, AtomStore.from_blocks([block] * ks.size, cfg.j_max), ctx, cfg,
+                               streams(0, (1, 0), np.arange(ks.size)))
+        drawn = {MOVE_NAMES[mv] for mv in moves.move.tolist()}
+        assert "no_change" in drawn
+        assert ("birth" in drawn) == (block.count < cfg.j_max)
+        assert ("death" in drawn) == (block.count > 1)
 
 
 def test_no_change_jacobian_and_identity(tame_prior):
@@ -212,16 +264,18 @@ def test_no_change_jacobian_and_identity(tame_prior):
     cfg = replace(CFG, p_add=0.0)
     seen_identity = False
     for seed in range(400):
-        rng = stream(seed, 13)
-        proposal, accepted, info = ttmcmc_no_change(
-            0, atoms[0], (None, None), cache, ctx, hypers, cfg, rng)
+        moves, accepted, log_alpha, after, move, info = _one_block_update(
+            atoms[0], cache, ctx, hypers, cfg, (seed, 13))
+        if move != "no_change":
+            continue
         b = info["b"]
-        assert info["log_jac"] == pytest.approx(b.sum() * math.log(abs(info["eps"])), rel=1e-12)
+        assert moves.log_ratio[0] == pytest.approx(b.sum() * math.log(abs(info["eps"])), rel=1e-12)
         if np.all(b == 0):
             # identity proposal: Jacobian 1, always accepted
-            assert info["log_jac"] == 0.0
+            assert moves.log_ratio[0] == 0.0 and log_alpha == 0.0
             assert accepted
-            np.testing.assert_array_equal(proposal.beta, atoms[0].beta)
+            np.testing.assert_array_equal(after.block(0).beta, atoms[0].beta)
+            np.testing.assert_array_equal(after.block(0).mu, atoms[0].mu)
             seen_identity = True
             break
     assert seen_identity
@@ -229,24 +283,28 @@ def test_no_change_jacobian_and_identity(tame_prior):
     assert math.exp(np.array([1, 1, -1]).sum() * math.log(0.5)) == pytest.approx(0.5)
 
 
-def test_block_logpost_boundary_structure(tame_prior):
+def test_block_scores_boundary_structure(tame_prior):
+    from levyst.model import atom_block_log_density
+
     ctx = _tiny_ctx(tame_prior, n=2, m=3, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=2)
-    # k=0 includes the initial factor and the forward factor only
-    lp0 = block_logpost(0, atoms[0], (None, atoms[1]), cache, ctx, hypers, None, 6)
-    # k=m-1 omits the forward factor
-    lp2 = block_logpost(2, atoms[2], (atoms[1], None), cache, ctx, hypers, None, 6)
-    assert np.isfinite(lp0) and np.isfinite(lp2)
+    store = AtomStore.from_blocks(atoms)
+    lp, terms = _fresh_block_conditionals([0, 2], store, cache, ctx, hypers)
+    assert np.all(np.isfinite(lp))
+    # k=0 holds the initial factor and the forward factor; k=m-1 no forward factor
+    assert terms.p_in[0] == atom_block_log_density(atoms[0], None, None, cache.beta_spec, cache.mu_specs)
+    assert terms.has_next.tolist() == [True, False] and terms.p_out[1] == 0.0
+    assert terms.p_out[0] == atom_block_log_density(atoms[1], atoms[0], 1.0, cache.beta_spec, cache.mu_specs)
 
     # changing y at an unrelated time leaves the block conditional unchanged
     y_saved = ctx.y.copy()
     ctx.y[:, 2] += 5.0
-    lp0_after = block_logpost(0, atoms[0], (None, atoms[1]), cache, ctx, hypers, None, 6)
+    lp0_after = _fresh_block_conditionals([0], store, cache, ctx, hypers)[0][0]
     ctx.y[:] = y_saved
-    assert lp0_after == lp0
+    assert lp0_after == lp[0]
 
 
-def test_block_logpost_ratio_matches_joint_difference(tame_prior):
+def test_block_scores_ratio_matches_joint_difference(tame_prior):
     """Move-target consistency: a block-k change shifts the joint by exactly
     the block conditional difference."""
     from levyst.model import log_joint_posterior
@@ -261,8 +319,8 @@ def test_block_logpost_ratio_matches_joint_difference(tame_prior):
     joint_before = log_joint_posterior(atoms, **args)
     swapped = [atoms[0], new_atoms_1, atoms[2]]
     joint_after = log_joint_posterior(swapped, **args)
-    lp_before = block_logpost(1, atoms[1], (atoms[0], atoms[2]), cache, ctx, hypers, None, 6)
-    lp_after = block_logpost(1, new_atoms_1, (atoms[0], atoms[2]), cache, ctx, hypers, None, 6)
+    lp_before = _fresh_block_conditionals([1], AtomStore.from_blocks(atoms), cache, ctx, hypers)[0][0]
+    lp_after = _fresh_block_conditionals([1], AtomStore.from_blocks(swapped), cache, ctx, hypers)[0][0]
     assert joint_after - joint_before == pytest.approx(lp_after - lp_before, rel=1e-9)
 
 
@@ -433,11 +491,16 @@ def test_update_time_block_invalid_rate_guard(tame_prior):
     ctx = _tiny_ctx(tame_prior, n=1, m=1, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=2)
     stats = MoveStats()
-    new_atoms, move, accepted, _ = update_time_block(
-        0, tuple(atoms), cache, ctx, hypers, CFG, stream(5, 16))
-    stats.record(move, accepted)
+    store = AtomStore.from_blocks(atoms, CFG.j_max)
+    before = store.block(0)
+    moves, accepted, _ = update_time_block(np.array([0]), store, StateTerms.build(cache, store, ctx), ctx, hypers,
+                                           CFG, [stream(5, 16)], None)
+    move = MOVE_NAMES[moves.move[0]]
+    stats.record(move, bool(accepted[0]))
     assert move in ("birth", "death", "no_change")
     assert stats.accepts[move] <= stats.proposals[move]
+    assert np.array_equal(store.block(0).beta, (moves.proposal if accepted[0] else moves.current).block(0).beta)
+    assert np.array_equal(moves.current.block(0).beta, before.beta)
 
 
 def _degenerate_chain_sample(ctx, theta, nu, omega, m):
@@ -716,6 +779,14 @@ def _oracle_no_change(atoms_k, p, cfg, rng):
 
 
 _ORACLES = {"birth": _oracle_birth, "death": _oracle_death, "no_change": _oracle_no_change}
+
+
+def _oracle_draw(atoms_k, p, cfg, rng):
+    """The move-type draw, then that move's oracle: (move, proposal, log ratio, draws)."""
+    wb, wd, _ = move_weights(atoms_k.count, cfg)
+    u = rng.random()
+    move = "birth" if u < wb else "death" if u < wb + wd else "no_change"
+    return (move, *_ORACLES[move](atoms_k, p, cfg, rng))
 # (J, an atom out of bounds, every pair of the block reachable by a
 # multiplicative birth: one sign, the last atom the largest)
 _MOVE_BLOCK = st.tuples(st.integers(1, 6), st.booleans(), st.booleans())
@@ -728,10 +799,9 @@ _MOVE_BLOCK = st.tuples(st.integers(1, 6), st.booleans(), st.booleans())
 @example(p=1, blocks=[(1, False, False), (5, True, False), (6, False, False), (2, False, True)], p_add=1.0, seed=1)
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_array_proposals_match_per_block_oracle(tame_prior, p, blocks, p_add, seed):
-    """Each block's move type, proposal, log ratio, reachability and draws
-    equal those of the per-block proposers from the same keyed stream
-    (`==`), and so does the stream's next draw."""
-    from levyst.sampler import MOVE_NAMES, propose_blocks
+    """Each block's move type, proposal, log ratio and reachability equal
+    those of the per-block proposers from the same keyed stream (`==`), and
+    so does the stream's next draw: each block made the oracle's draws."""
 
     cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=6, seed=0, p_add=p_add)
     ctx = _tiny_ctx(tame_prior, n=2, m=1, p=p)
@@ -750,19 +820,12 @@ def test_array_proposals_match_per_block_oracle(tame_prior, p, blocks, p_add, se
                            [stream(seed, 1, 0, k) for k in ks.tolist()])
     for b, atoms_b in enumerate(atoms):
         oracle_rng = stream(seed, 1, 0, b)
-        wb, wd, _ = move_weights(atoms_b.count, cfg)
-        u = oracle_rng.random()
-        move = "birth" if u < wb else "death" if u < wb + wd else "no_change"
-        proposal, log_ratio, info = _ORACLES[move](atoms_b, p, cfg, oracle_rng)
+        move, proposal, log_ratio, info = _oracle_draw(atoms_b, p, cfg, oracle_rng)
         assert MOVE_NAMES[moves.move[b]] == move
         got = moves.proposal.block(b)
         assert np.array_equal(got.beta, proposal.beta) and np.array_equal(got.mu, proposal.mu)
         assert moves.log_ratio[b] == log_ratio
         assert moves.reachable[b] == (not info.get("unreachable", False))
-        drawn = moves.info(b)
-        assert drawn.keys() == info.keys()
-        for name, value in info.items():
-            assert np.array_equal(drawn[name], value), name
         assert moves.rngs[b].random() == oracle_rng.random()
 
 
@@ -790,11 +853,11 @@ def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypa
         return build(cls, *args)
 
     def counting(move):
-        def proposal_move(*args):
+        def counted_step(*args):
             out = move(*args)
             in_bounds.append(theta_in_bounds(out[-1]["proposal"], ctx.layout))
             return out
-        return proposal_move
+        return counted_step
 
     monkeypatch.setattr(ThetaCache, "build", classmethod(counting_build))
     for name in ("tmcmc_update_theta", "mixing_enhancement"):

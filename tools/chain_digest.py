@@ -88,12 +88,17 @@ def cases():
                 cfg = levyst.SamplerConfig(iterations=iterations, burn_in=0, thin=1, seed=seed, workers=workers)
                 yield (f"{name} seed={seed} workers={workers}", train, cfg, levyst.PriorConfig(),
                        marginalized, sim.test.locations, sim.test.times, seed + 1)
+    yield from fixture_cases(WORKERS)
+
+
+def fixture_cases(workers_counts):
+    """The fixture problems of `cases`, with each of the given worker counts."""
     for grid, times in FIXTURE_TIMES.items():
         train = fixture(times)
         for marginalized in (True, False):
             mode = "marginalized" if marginalized else "explicit"
             for seed in FIXTURE_SEEDS:
-                for workers in WORKERS:
+                for workers in workers_counts:
                     cfg = levyst.SamplerConfig(iterations=200, burn_in=0, thin=1, j_max=5, seed=seed,
                                                workers=workers)
                     yield (f"fixture-{grid}-{mode} seed={seed} workers={workers}", train, cfg, tame_prior(),
