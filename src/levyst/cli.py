@@ -113,6 +113,23 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_training_data(data, meta: dict) -> None:
+    """Raise ConfigError unless the standardized `data` has the shape and
+    standardization recorded in the chain's metadata (keys it lacks are
+    not checked)."""
+    found = {"n": data.n, "m": data.m, "p": data.p, "standardize_mean": data.mean, "standardize_sd": data.sd}
+    for key, value in found.items():
+        if key not in meta:
+            continue
+        try:
+            recorded = float(meta[key])
+        except ValueError:
+            raise ParseError(f"chain metadata {key}={meta[key]} is not a number") from None
+        if recorded != value:
+            raise ConfigError(f"--data is not the data the chain was fitted on: its {key} is {value!r}, "
+                              f"the chain's is {meta[key]}")
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     os.makedirs(args.out, exist_ok=True)
@@ -121,6 +138,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ConfigError("chain file holds no samples")
     raw = load_csv(args.data)
     data, _ = standardize(raw)
+    _check_training_data(data, meta)
     new = load_csv(args.points)
     marginalized = meta.get("mode", "marginalized") == "marginalized"
     probs = [1 / 16, 0.5, 15 / 16]
@@ -243,6 +261,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericError, LevystError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

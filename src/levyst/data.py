@@ -48,9 +48,17 @@ class SpaceTimeDataset:
         return self.mean is not None
 
 
+MAX_COEF_BYTES = 2 ** 30  # see GqnConfig
+
+
 @dataclass(frozen=True)
 class GqnConfig:
-    """Quadratic nonlinear state-space generator settings."""
+    """Quadratic nonlinear state-space generator settings.
+
+    The simulator draws an (n_all, n_all, n_all) coefficient tensor, n_all =
+    n_train + n_test, so it needs 8 n_all^3 bytes; a configuration needing
+    more than MAX_COEF_BYTES (1 GiB, n_all <= 512) raises ConfigError.
+    """
 
     n_train: int = 100
     n_test: int = 20
@@ -67,6 +75,11 @@ class GqnConfig:
             raise ConfigError(f"coef_sd must be positive and finite, got {self.coef_sd}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        n_all = self.n_train + self.n_test
+        if 8 * n_all ** 3 > MAX_COEF_BYTES:
+            raise ConfigError(f"n_train + n_test = {n_all} needs a {n_all}^3 coefficient tensor of "
+                              f"{8 * n_all ** 3 / 2 ** 30:.1f} GiB; the simulator allows at most "
+                              f"{MAX_COEF_BYTES / 2 ** 30:g} GiB (n_train + n_test <= 512)")
 
 
 @dataclass
@@ -169,10 +182,13 @@ def load_csv(path) -> SpaceTimeDataset:
     """Parse the long CSV format back into a gridded dataset.
 
     Rows must cover the full location-by-time grid exactly once; violations
-    raise ParseError naming the row.
+    raise ParseError naming the row, as does a file that is not UTF-8 text.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ParseError("data file is not UTF-8 text") from None
     if not lines:
         raise ParseError("empty file")
     header = [h.strip() for h in lines[0].split(",")]

@@ -290,22 +290,28 @@ def kernel_matrix(mapped: np.ndarray, mu_rows: np.ndarray, kp: KernelParams, tim
     every (location, atom) pair: an (n, N) array for the rows of an (n, p)
     mapped-location matrix and the N atom coordinates in the (p, N) `mu_rows`.
 
-    The spatial sum runs one coordinate at a time, l = 0 .. p-1, left to
-    right, in one (n, N) array; at p <= 2 this adds the terms in the only
-    order there is.
+    The exponent is expanded into one (n, p+2) @ (p+2, N) product, rows
+    [ksq * M, -0.5 sum ksq M^2, 1] times columns
+    [mu, 1, -0.5 sum ksq mu^2 - time_term], and exponentiated in place.
+    Expanding the square cancels, so the exponent's rounding error scales
+    with sum_l ksq_l (M_l^2 + mu_l^2) + time_term rather than with its own
+    size: it is within 4 (p+2) eps (that sum + 1) of the per-coordinate
+    form -0.5 * sum_l ksq_l (M_l - mu_l)^2 - time_term, which the values
+    therefore match in all but the last bits.
     """
-    acc = None
-    for ell, ksq in enumerate(kp.tilde_sigma_sq.tolist()):
-        term = mapped[:, ell, None] - mu_rows[ell]
-        term *= term
-        term *= ksq
-        if acc is None:
-            acc = term
-        else:
-            acc += term
-    acc *= -0.5
-    acc -= time_term
-    return np.exp(acc, out=acc)
+    ksq = kp.tilde_sigma_sq
+    p = ksq.size
+    left = np.empty((mapped.shape[0], p + 2))
+    left[:, :p] = mapped * ksq
+    left[:, p] = -0.5 * np.einsum("ij,ij->i", left[:, :p], mapped)
+    left[:, p + 1] = 1.0
+    right = np.empty((p + 2, mu_rows.shape[1]))
+    right[:p] = mu_rows
+    right[p] = 1.0
+    right[p + 1] = -0.5 * (ksq @ (mu_rows * mu_rows))
+    right[p + 1] -= time_term
+    out = left @ right
+    return np.exp(out, out=out)
 
 
 def field_values(mapped: np.ndarray, t: float, atoms: LatentAtoms, kp: KernelParams) -> np.ndarray:
@@ -320,11 +326,12 @@ def field_rows(mapped: np.ndarray, times: np.ndarray, atoms: AtomStore, kp: Kern
     mapped-location matrix, one (B, n) row per block, where block b sits at
     times[b].
 
-    Row b equals `field_values(mapped, times[b], atoms.block(b), kp)` bit
-    for bit.  One (n, sum J) kernel matrix covers every block's atoms, each
-    atom with its block's time term; each row is then its block's own column
-    slice times its beta, because summing padded or concatenated products
-    by segment would change the summation order.
+    One (n, sum J) kernel matrix covers every block's atoms, each atom with
+    its block's time term; each row is then its block's own column slice
+    times its beta.  Row b agrees with `field_values(mapped, times[b],
+    atoms.block(b), kp)` within the kernel's rounding bound (see
+    `kernel_matrix`), not bit for bit: the product's rounding for a column
+    can depend on the other columns it is computed with.
     """
     block, slot = atoms.slots()
     time_term = (kp.xi * np.abs(np.asarray(times, dtype=float) - kp.tau))[block]
@@ -605,10 +612,12 @@ class ProcessTable:
     Rows follow the coordinate chains [beta | mu_1 .. mu_p], columns the
     distinct time gaps of a dataset and, last, the initial law (mean
     multiplier 0), so gap index -1 selects the initial law.
-    `log_densities` returns what `atom_block_log_density` returns, bit for
-    bit: it keeps that function's elementwise operation order, sums each
-    chain's terms as one contiguous run and adds the chain totals left to
-    right.
+    `log_densities` computes each term with the elementwise operations of
+    `atom_block_log_density` but sums a block's terms in another order: per
+    chain over the padded slots (linked and initial-law terms together),
+    then over chains.  Its values agree with that reference within
+    2 L eps sum|t| over the block's L = (p+1) J terms t, not bit for bit;
+    the -inf of a block with an atom out of bounds is exact.
     """
 
     mult: np.ndarray   # (p+1, G+1) transition mean multipliers rho**gap; 0 for the initial law
@@ -635,36 +644,37 @@ class ProcessTable:
         first time) across the gap of table column g[b].
         Blocks with an atom out of bounds get -inf.  Atom j of a block
         follows atom j of its predecessor while both exist and starts from
-        the initial law beyond that.
+        the initial law beyond that.  The terms form one (p+1, B, W) array
+        over the first W slots, W the largest count of the batch; slots at
+        or past a block's count are zeroed before the sums.  An empty batch
+        gives an empty array.
         """
         counts = atoms.counts
-        shared = np.minimum(counts, prev.counts)
-        block, slot = atoms.slots()
-        x = atoms.values[:, block, slot]
-        linked = slot < shared[block]
+        if counts.size == 0:
+            return np.zeros(0)
+        width = int(counts.max())
+        slot = np.arange(width)
+        used = slot < counts[:, None]
+        linked = slot < np.minimum(counts, prev.counts)[:, None]
+        x = atoms.values[:, :, :width]
         # Initial-law terms take predecessor 0 and column -1 (multiplier 0).
         prev_x = np.zeros(x.shape)
-        prev_x[:, linked] = prev.values[:, block[linked], slot[linked]]
-        col = np.where(linked, np.asarray(g)[block], -1)
-        d = x - self.mult[:, col] * prev_x
-        terms = np.ascontiguousarray(-0.5 * (self.norm[:, col] + d ** 2 / self.var[:, col]))
-        linked_sums = np.zeros((counts.size, x.shape[0]))
-        initial_sums = np.zeros((counts.size, x.shape[0]))
-        end = 0
-        for b, (count, s) in enumerate(zip(counts.tolist(), shared.tolist())):
-            start, end = end, end + count
-            if s > 0:
-                linked_sums[b] = terms[:, start:start + s].sum(axis=1)
-            if count > s:
-                initial_sums[b] = terms[:, start + s:end].sum(axis=1)
-        # zero start, then linked, then initial sums, as one block adds them
-        # (the zero start turns a -0.0 sum into +0.0)
-        cols = (np.zeros_like(linked_sums) + linked_sums) + initial_sums
-        total = cols[:, 0]
-        for c in range(1, cols.shape[1]):
-            total = total + cols[:, c]
+        shared = min(width, prev.width)
+        np.copyto(prev_x[:, :, :shared], prev.values[:, :, :shared], where=linked[:, :shared])
+        col = np.where(linked, np.asarray(g)[:, None], -1).ravel()
+
+        def lookup(table):
+            return table.take(col, axis=1).reshape(x.shape)
+
+        terms = x - lookup(self.mult) * prev_x
+        terms *= terms
+        terms /= lookup(self.var)
+        terms += lookup(self.norm)
+        terms *= -0.5
+        terms[:, ~used] = 0.0
+        total = terms.sum(axis=2).sum(axis=0)
         out_of_bounds = ~np.all(np.abs(x[1:]) <= COORD_BOUND, axis=0)
-        total[np.bincount(block[out_of_bounds], minlength=counts.size) > 0] = -np.inf
+        total[np.any(out_of_bounds & used, axis=1)] = -np.inf
         return total
 
 

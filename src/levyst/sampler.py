@@ -42,9 +42,15 @@ variance for every distinct time gap and coordinate chain).  Nothing in the
 terms reads the Gibbs scalars or the effects, so they carry over to the next
 iteration; only the likelihood is recomputed from the stored columns.
 
-Batching keeps every bit: each batched value is computed with the same
-elementwise operations and the same summation order as the per-block
-references `atom_block_log_density`, `field_values` and `loglik_slice`.
+Batching keeps the terms, not every bit.  Each batched likelihood equals
+its per-block reference `loglik_slice` bit for bit.  Each batched process
+factor adds the same elementwise terms as `atom_block_log_density` in
+another order, within 2 L eps sum|t| of it over a block's L = (p+1) J
+terms t; each field row is built from the one-product kernel, whose
+exponent is within 4 (p+2) eps (sum_l ksq_l (M_l^2 + mu_l^2) + time term
++ 1) of the per-coordinate form, and agrees with `field_values` to the
+field error those kernel errors allow.  Carried terms are the values a
+batched evaluation gives, so carrying changes no bit.
 """
 
 from __future__ import annotations
@@ -82,9 +88,10 @@ from .model import (
 from .runtime import reduce_sum
 
 # `atom_block_log_density` and `atom_process_log_density` are the reference
-# process densities that `ProcessTable` reproduces, and `field_values` the
-# reference field that `field_rows` reproduces; they stay importable from
-# this module, where perfbench's traced runs look them up.
+# process densities that `ProcessTable` reproduces within rounding, and
+# `field_values` the reference field that `field_rows` reproduces within
+# rounding; they stay importable from this module, where perfbench's traced
+# runs look them up.
 
 # Random stream identifiers.
 _S_INIT, _S_BLOCK, _S_THETA, _S_PHI, _S_ZETA, _S_PREDICT = range(6)

@@ -14,22 +14,22 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 EXPECTED = [
-    "fixture-regular-marginalized seed=1 workers=1: chain=ce9800a6c4c70158 "
-    "draws=553e1471ed0b1c0c birth=5/408 death=6/395 no_change=267/397 tmcmc=103/200 enhance=111/200",
-    "fixture-regular-marginalized seed=2 workers=1: chain=db7e7b6e2981765c "
-    "draws=5d92eeb6564eb43a birth=3/414 death=3/411 no_change=242/375 tmcmc=98/200 enhance=119/200",
-    "fixture-regular-explicit seed=1 workers=1: chain=0a2d42f92d56b5a4 "
-    "draws=c3831fd5fe04edcc birth=4/408 death=6/395 no_change=261/397 tmcmc=91/200 enhance=109/200",
-    "fixture-regular-explicit seed=2 workers=1: chain=e052fc44e2ef2e27 "
-    "draws=0a0b26d5b59085d4 birth=2/414 death=3/411 no_change=237/375 tmcmc=100/200 enhance=121/200",
-    "fixture-irregular-marginalized seed=1 workers=1: chain=f28e56a23525b937 "
-    "draws=b653a859257c05b8 birth=2/408 death=3/395 no_change=244/397 tmcmc=96/200 enhance=110/200",
-    "fixture-irregular-marginalized seed=2 workers=1: chain=45c8de778bdbe56f "
-    "draws=23145ce3bd83096c birth=3/414 death=3/411 no_change=241/375 tmcmc=93/200 enhance=120/200",
-    "fixture-irregular-explicit seed=1 workers=1: chain=52dd76c9d24068d1 "
-    "draws=dec4612c87164d63 birth=1/408 death=3/395 no_change=240/397 tmcmc=103/200 enhance=110/200",
-    "fixture-irregular-explicit seed=2 workers=1: chain=443a275ed56e356b "
-    "draws=8bf40dc61c7c45cb birth=2/414 death=2/411 no_change=241/375 tmcmc=96/200 enhance=123/200",
+    "fixture-regular-marginalized seed=1 workers=1: chain=9e0d6c14d3d5d8ec "
+    "draws=aff7dbd4587b9d66 birth=5/408 death=6/395 no_change=267/397 tmcmc=103/200 enhance=111/200",
+    "fixture-regular-marginalized seed=2 workers=1: chain=2585ab2765fd2438 "
+    "draws=dacb231ff40c3569 birth=3/414 death=3/411 no_change=242/375 tmcmc=98/200 enhance=119/200",
+    "fixture-regular-explicit seed=1 workers=1: chain=6bcd21a88bf1d946 "
+    "draws=4d32e28fbb22363d birth=4/408 death=6/395 no_change=261/397 tmcmc=91/200 enhance=109/200",
+    "fixture-regular-explicit seed=2 workers=1: chain=fa357562565be39d "
+    "draws=f8aeb9f50926ed1c birth=2/414 death=3/411 no_change=237/375 tmcmc=100/200 enhance=121/200",
+    "fixture-irregular-marginalized seed=1 workers=1: chain=1da48297fd6a50f8 "
+    "draws=348a8b294878c2c9 birth=2/408 death=3/395 no_change=244/397 tmcmc=96/200 enhance=110/200",
+    "fixture-irregular-marginalized seed=2 workers=1: chain=80f94d392c68e3db "
+    "draws=809761d181c980a2 birth=3/414 death=3/411 no_change=241/375 tmcmc=93/200 enhance=120/200",
+    "fixture-irregular-explicit seed=1 workers=1: chain=e45029ddadc5bb73 "
+    "draws=0cdbfe4f710dd74a birth=1/408 death=3/395 no_change=240/397 tmcmc=103/200 enhance=110/200",
+    "fixture-irregular-explicit seed=2 workers=1: chain=be5275c2a792d8e3 "
+    "draws=7c9bdb67d218e299 birth=2/414 death=2/411 no_change=241/375 tmcmc=96/200 enhance=123/200",
 ]
 
 

@@ -8,7 +8,7 @@ import pytest
 import levyst.cli as cli
 from levyst.chainio import read_chain
 from levyst.cli import _sampler_config, main
-from levyst.data import GqnConfig, gqn_simulate, load_csv
+from levyst.data import GqnConfig, gqn_simulate, load_csv, write_csv
 from levyst.sampler import SamplerConfig
 
 
@@ -126,6 +126,10 @@ def test_usage_errors(sim_dir, fit_dir, tmp_path, capsys):
     # missing data file
     assert _run("fit", "--data", str(tmp_path / "none.csv"),
                 "--out", str(tmp_path / "x")) == 2
+    # a data file that is not UTF-8 text
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"s1,t,y\n0,1,\xff\n")
+    assert _run("fit", "--data", str(latin), "--out", str(tmp_path / "u")) == 2
     # bad config key
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")
@@ -140,17 +144,35 @@ def test_usage_errors(sim_dir, fit_dir, tmp_path, capsys):
                 "--out", str(tmp_path / "s"), "--seed", "-1") == 2
     assert "seed" in capsys.readouterr().err
     # simulator settings out of range, named in the message
-    for flags, cause in ((["--seed", "-1"], "seed"), (["--m", "0"], "m=0"), (["--coef-sd", "0"], "coef_sd")):
+    for flags, cause in ((["--seed", "-1"], "seed"), (["--m", "0"], "m=0"), (["--coef-sd", "0"], "coef_sd"),
+                         (["--n-train", "2800"], "163.7 GiB")):
         assert _run("simulate", "--out", str(tmp_path / "sim"), "--n-train", "4", "--n-test", "1", *flags) == 2
         assert cause in capsys.readouterr().err
     # a negative prediction seed
     assert _run("predict", "--chain", str(fit_dir / "chain.txt"), "--data", str(sim_dir / "train.csv"),
                 "--points", str(sim_dir / "test.csv"), "--out", str(tmp_path / "p"), "--seed", "-1") == 2
     assert "seed" in capsys.readouterr().err
+    # predicting with data the chain was not fitted on: another shape, or
+    # the same grid with other responses (another standardization)
+    shifted = tmp_path / "shifted.csv"
+    data = load_csv(sim_dir / "train.csv")
+    write_csv(replace(data, y=data.y + 1.0), shifted)
+    for other, cause in ((sim_dir / "test.csv", "its n is 2, the chain's is 6"), (shifted, "standardize_mean")):
+        assert _run("predict", "--chain", str(fit_dir / "chain.txt"), "--data", str(other),
+                    "--points", str(sim_dir / "test.csv"), "--out", str(tmp_path / "p")) == 2
+        assert cause in capsys.readouterr().err
     # unknown flag exits 2 via argparse
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--nonsense"])
     assert exc.value.code == 2
+
+
+def test_out_of_memory_exits_1(monkeypatch, tmp_path, capsys):
+    def exhausted(_cfg):
+        raise MemoryError
+    monkeypatch.setattr(cli, "gqn_simulate", exhausted)
+    assert _run("simulate", "--out", str(tmp_path / "sim")) == 1
+    assert "out of memory" in capsys.readouterr().err
 
 
 def test_sampler_config_takes_only_given_keys():

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyst.data import (
+    MAX_COEF_BYTES,
     GqnConfig,
     GqnResult,
     SpaceTimeDataset,
@@ -160,10 +161,18 @@ def test_gqn_desk_size_finite_or_named_divergence(seed, coef_sd):
 
 def test_gqn_config_rejects_bad_values():
     for bad in (dict(seed=-1), dict(m=0), dict(n_train=0), dict(n_test=-1), dict(coef_sd=0.0),
-                dict(coef_sd=float("nan")), dict(coef_sd=float("inf"))):
+                dict(coef_sd=float("nan")), dict(coef_sd=float("inf")), dict(n_train=2800),
+                dict(n_test=13, n_train=500)):
         name = next(iter(bad))
         with pytest.raises(ConfigError, match=name):
             GqnConfig(**bad)
+    # the coefficient-tensor bound, checked before anything is allocated
+    assert 8 * 512 ** 3 == MAX_COEF_BYTES
+    GqnConfig(n_train=500, n_test=12)
+    with pytest.raises(ConfigError, match="1.0 GiB"):
+        GqnConfig(n_train=500, n_test=13)
+    with pytest.raises(ConfigError, match="n_train \\+ n_test = 2820 needs a 2820\\^3 coefficient tensor of 167.1 GiB"):
+        GqnConfig(n_train=2800)
 
 
 def test_gqn_clamp_counts():
@@ -249,3 +258,39 @@ def test_csv_ragged_grid(tmp_path):
     path.write_text("s1,t,y\n0,1,10\n0,2,20\n1,1,30\n")
     with pytest.raises(ParseError, match="ragged"):
         load_csv(path)
+
+
+_CSV_TEXT = "s1,s2,t,y\n" + "".join(f"{s1},{s2},{t},{0.5 * t - s1}\n"
+                                   for s1, s2 in ((0, 0.5), (1, 0.25), (0.75, 1)) for t in (1, 2.5, 4))
+_CSV_TOKENS = st.sampled_from(["nan", "inf", "-1", "0", "1e400", "x", "", ",", "\n", " ", "1,2", "é",
+                               "١", "1_0", "0x10", "\x00"])
+
+
+@given(op=st.sampled_from(["truncate", "insert", "replace", "delete", "corrupt"]),
+       where=st.floats(0.0, 1.0, exclude_max=True), token=_CSV_TOKENS, byte=st.integers(0, 255))
+@example(op="corrupt", where=0.5, token="", byte=0xFF)  # not UTF-8
+@settings(max_examples=300, deadline=None)
+def test_load_csv_fuzzed_loads_or_raises(tmp_path_factory, op, where, token, byte):
+    """A truncated, edited or byte-corrupted data file either loads as a
+    finite gridded dataset or raises ParseError; nothing else escapes."""
+    raw = _CSV_TEXT.encode()
+    i = int(where * len(raw))
+    if op == "truncate":
+        raw = raw[:i]
+    elif op == "insert":
+        raw = raw[:i] + token.encode() + raw[i:]
+    elif op == "replace":
+        raw = raw[:i] + token.encode() + raw[i + 1:]
+    elif op == "delete":
+        raw = raw[:i] + raw[i + 1:]
+    else:
+        raw = raw[:i] + bytes([byte]) + raw[i + 1:]
+    path = tmp_path_factory.mktemp("fuzz") / "d.csv"
+    path.write_bytes(raw)
+    try:
+        data = load_csv(path)
+    except ParseError:
+        return
+    assert data.y.shape == (data.n, data.m)
+    assert np.all(np.isfinite(data.y)) and np.all(np.isfinite(data.locations))
+

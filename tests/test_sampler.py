@@ -13,7 +13,7 @@ from levyst.ar import ArMode
 from levyst.data import SpaceTimeDataset, standardize
 from levyst.chainio import read_chain, write_chain
 from levyst.errors import ConfigError, InvalidArgumentError, InvalidStateError, UnsupportedPredictionError
-from levyst.model import AtomStore, LatentAtoms, PriorConfig, ScalarHypers, count_log_factor
+from levyst.model import AtomStore, LatentAtoms, PriorConfig, ScalarHypers, count_log_factor, kernel_matrix
 from levyst.sampler import (
     MOVE_NAMES,
     ChainSample,
@@ -38,6 +38,7 @@ from levyst.sampler import (
     tmcmc_update_theta,
     update_time_block,
 )
+from rounding import assert_factor_close, exponent_tolerance, field_tolerance, process_tolerance
 
 CFG = SamplerConfig(iterations=10, burn_in=0, thin=1, j_max=6, seed=0)
 
@@ -628,7 +629,9 @@ _BLOCK = st.tuples(st.integers(0, 5), st.integers(1, 45), st.booleans(), st.bool
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, batch, seed):
     """`score_blocks` on padded atoms and `loglik_rows` give each block the
-    per-block reference values, `==`."""
+    per-block reference values: the likelihoods and the out-of-bounds and
+    neighbour patterns `==`, the process factors and field rows within their
+    rounding bounds (`tests/rounding.py`)."""
     from levyst.model import atom_block_log_density, field_values
     from levyst.sampler import loglik_rows, loglik_slice, score_blocks
 
@@ -658,16 +661,24 @@ def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, b
     terms = score_blocks(ks, *(padded.take(np.arange(i * B, (i + 1) * B)) for i in range(3)), cache, ctx)
     rows = np.where(np.array(stored)[:, None], rng.normal(size=(B, n)), terms.field)
     logliks = loglik_rows(ks, rows, ctx, hypers, phi)
+    specs = (cache.beta_spec, *cache.mu_specs)
+    ksq = cache.kp.tilde_sigma_sq
     for b, (k, a, prev, nxt) in enumerate(zip(ks, atoms, prevs, nexts)):
         assert logliks[b] == loglik_slice(k, rows[b], ctx, hypers, phi)
-        p_in = atom_block_log_density(a, prev, None if prev is None else gaps[k - 1],
-                                      cache.beta_spec, cache.mu_specs)
-        assert terms.p_in[b] == p_in
+        gap = None if prev is None else gaps[k - 1]
+        p_in = atom_block_log_density(a, prev, gap, cache.beta_spec, cache.mu_specs)
+        assert_factor_close(terms.p_in[b], p_in, process_tolerance(a, prev, gap, specs))
         assert np.all(np.abs(a.mu) <= 10.0) == np.isfinite(p_in)
         assert terms.has_next[b] == (nxt is not None)
         if nxt is not None:
-            assert terms.p_out[b] == atom_block_log_density(nxt, a, gaps[k], cache.beta_spec, cache.mu_specs)
-        assert np.array_equal(terms.field[b], field_values(cache.mapped, ctx.times[k], a, cache.kp))
+            p_out = atom_block_log_density(nxt, a, gaps[k], cache.beta_spec, cache.mu_specs)
+            assert_factor_close(terms.p_out[b], p_out, process_tolerance(nxt, a, gaps[k], specs))
+        want = field_values(cache.mapped, ctx.times[k], a, cache.kp)
+        time_term = cache.kp.xi * abs(ctx.times[k] - cache.kp.tau)
+        tol = exponent_tolerance(cache.mapped, a.mu.T, ksq, time_term)
+        # both sides carry the expanded kernel's error, so twice its bound
+        bound = field_tolerance(kernel_matrix(cache.mapped, a.mu.T, cache.kp, time_term), 2.0 * tol, a.beta)
+        assert np.all(np.abs(terms.field[b] - want) <= bound)
 
 
 # The per-block proposers that the array proposals replaced, kept as their
