@@ -42,7 +42,8 @@ class WorkerPool:
 
     `run_phase` applies fn to every index of a plan and returns results keyed
     by index; with one worker everything runs inline.  Determinism relies on
-    per-index random streams, not on execution order.
+    keyed random streams, not on execution order: each phase draws
+    fixed-shape arrays, one row per index, from its own generator.
     """
 
     def __init__(self, workers: int = 1):

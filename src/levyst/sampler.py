@@ -4,27 +4,28 @@ mixing-enhancement pass, and exact Gibbs draws for the remaining scalars.
 
 Per iteration: odd time blocks -> even time blocks -> fixed-dimension block
 -> enhancement -> random effects (explicit mode) -> scalar Gibbs.  Every
-block owns a dedicated random stream keyed by (seed, stream id, iteration,
-index), so the stored chain does not depend on the order in which blocks
-are processed, nor on the worker count.  A phase builds the streams of all
-its blocks in one pass (`streams`), bit for bit the generators `stream`
-builds one at a time.
+phase draws from a dedicated generator keyed by (seed, stream id,
+iteration[, parity]) (`stream`), in arrays whose shapes depend on the
+problem's size alone, so each draw is a function of its key and its place
+in the array: the stored chain does not depend on the worker count, and a
+longer chain begins with a shorter one.
 
 The atoms of every block live in one padded store (`AtomStore`): chain rows
 [beta | mu] per block and slot, plus a count per block.  Blocks of one
 parity are conditionally independent given the other parity, so each parity
-phase runs in three steps.  Propose: each block draws its move type and the
-move's draws from its own stream, then every proposal of the parity and its
-log ratio are formed at once as masked array arithmetic on the store
-(`propose_blocks`).  Score: one batched pass (`score_blocks`) computes, for
-every proposal of the parity, its incoming and outgoing process factors and
-its field row; one more computes the likelihood of every proposal and of
-every current block from its stored field.  Accept: each block makes its
-acceptance draw from its own stream (`settle_blocks`).  A multiplicative
-merge that no birth can undo is rejected without a score; it still makes
-its acceptance draw.  `update_time_block` runs the three steps for one
-parity and writes the accepted proposals and their terms back into the
-state; `Sampler.iterate` calls it once per parity, and a single block is
+phase runs in three steps.  Propose: the phase's generator draws one row of
+uniforms and one row of normals per block, with a column for every draw a
+move can need, whatever each block's count or move; the move types, every
+proposal of the parity and their log ratios are then formed at once as
+masked array arithmetic on the store (`propose_blocks`).  Score: one batched
+pass (`score_blocks`) computes, for every proposal of the parity, its
+incoming and outgoing process factors and its field row; one more computes
+the likelihood of every proposal and of every current block from its stored
+field.  Accept: one comparison of each block's log acceptance uniform with
+its log ratio (`settle_blocks`).  A multiplicative merge that no birth can
+undo is rejected without a score.  `update_time_block` runs the three steps
+for one parity and writes the accepted proposals and their terms back into
+the state; `Sampler.iterate` calls it once per parity, and a single block is
 a batch of one.
 
 The state carries the terms of its current theta (`StateTerms`): the
@@ -59,7 +60,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 from scipy.stats import invgamma, norm
 
 from . import effects
@@ -102,111 +102,6 @@ MOVE_NAMES = ("birth", "death", "no_change", "tmcmc", "enhance")
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Dedicated generator for one (stream id, iteration, index) slot."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
-# numpy's `SeedSequence` hash (numpy/random/bit_generator.pyx): its pool
-# size, its hash and mix constants, and its 32-bit word mask.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFF_FFFF
-
-
-def _uint32_words(x: int) -> list[int]:
-    """A non-negative int as `SeedSequence` reads it: 32-bit words, least
-    significant first (0: one zero word)."""
-    if x < 0:
-        raise InvalidArgumentError(f"stream seeds and keys must be non-negative, got {x}")
-    words = [x & _MASK32]
-    while x > _MASK32:
-        x >>= 32
-        words.append(x & _MASK32)
-    return words
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ (r >> 16)
-
-
-def _hash_steps(h: int, mult: int, n: int) -> np.ndarray:
-    """The next n steps of a hash constant from h, as a (2, n) uint32 array:
-    each step's constant before (the xor) and after (the multiplier) it is
-    multiplied by `mult`."""
-    steps = []
-    for _ in range(n):
-        steps.append((h, h * mult & _MASK32))
-        h = steps[-1][1]
-    return np.array(steps, dtype=np.uint32).T.copy()
-
-
-# generate_state(4, uint64) hashes eight uint32 words with these steps
-_GEN_XOR, _GEN_MULT = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-
-
-class _SeedState(ISeedSequence):
-    """Hands the four precomputed `generate_state(4, uint64)` words of one
-    `SeedSequence` to a bit generator."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, dtype) != (4, np.uint64):  # what PCG64 reads
-            raise InvalidArgumentError("a seed state holds exactly four uint64 words")
-        return self.words
-
-
-def streams(seed: int, key: tuple[int, ...], ks) -> list[np.random.Generator]:
-    """`[stream(seed, *key, k) for k in ks]`, bit for bit, in one pass.
-
-    `SeedSequence` hashes the seed's words, zero-padded to its pool size,
-    then the key's words, in order; every block index k in [0, 2**32) is one
-    word and comes last.  So the pool is mixed up to k once, in Python ints,
-    and the rest of the hash -- mixing in k, then `generate_state(4,
-    uint64)` -- runs as uint32 array arithmetic over all ks at once.  Each
-    PCG64 then seeds itself from its four words in its own C code.
-    """
-    ks = np.asarray(ks, dtype=np.int64)
-    if ks.size == 0:
-        return []
-    if ks.min() < 0 or ks.max() > _MASK32:
-        raise InvalidArgumentError("stream indices must lie in [0, 2**32)")
-    seed_words = _uint32_words(seed)
-    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words))
-    for word in key:
-        entropy += _uint32_words(word)
-    h = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
-        return value ^ (value >> 16)
-
-    pool = [hashmix(v) for v in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for v in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(v))
-    # mix in k: one hashmix of k per pool word, with the next hash constants
-    xor, mult = _hash_steps(h, _MULT_A, _POOL_SIZE)
-    v = ks.astype(np.uint32)[:, None] ^ xor
-    v *= mult
-    v ^= v >> 16
-    mixed = np.array(pool, dtype=np.uint32) * np.uint32(_MIX_MULT_L) - v * np.uint32(_MIX_MULT_R)
-    mixed ^= mixed >> 16
-    # generate_state: eight uint32 words cycling over the pool, read as four
-    # little-endian uint64 words
-    state = np.concatenate((mixed, mixed), axis=1) ^ _GEN_XOR
-    state *= _GEN_MULT
-    state ^= state >> 16
-    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-    return [np.random.Generator(np.random.PCG64(_SeedState(w))) for w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +149,13 @@ class SamplerConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def move_weights(J: int, cfg: SamplerConfig) -> tuple[float, float, float]:
-    """(birth, death, no-change) probabilities at the current count."""
+def move_weights(J, cfg: SamplerConfig):
+    """(birth, death, no-change) probabilities at the current count J, or
+    elementwise at an array of counts."""
     wb, wd, wnc = cfg.base_weights
-    if J <= 1:
-        wd = 0.0
-    if J >= cfg.j_max:
-        wb = 0.0
+    J = np.asarray(J)
+    wb = np.where(J >= cfg.j_max, 0.0, wb)
+    wd = np.where(J <= 1, 0.0, wd)
     total = wb + wd + wnc
     return wb / total, wd / total, wnc / total
 
@@ -274,6 +169,14 @@ class MoveStats:
         self.proposals[move] += 1
         if accepted:
             self.accepts[move] += 1
+
+    def record_blocks(self, move: np.ndarray, accepted: np.ndarray) -> None:
+        """Record a batch of block moves (indices into MOVE_NAMES)."""
+        proposed = np.bincount(move, minlength=3).tolist()
+        won = np.bincount(move[accepted], minlength=3).tolist()
+        for name, n, a in zip(MOVE_NAMES, proposed, won):
+            self.proposals[name] += n
+            self.accepts[name] += a
 
     def rate(self, move: str) -> float | None:
         n = self.proposals[move]
@@ -556,11 +459,13 @@ def block_scores(counts: np.ndarray, terms: BlockTerms, loglik: np.ndarray, hype
         return np.where(valid, lp + loglik, -np.inf)
 
 
-def _draw_mult_eps(rng: np.random.Generator, floor: float) -> float:
-    while True:
-        eps = rng.uniform(-1.0, 1.0)
-        if abs(eps) > floor:
-            return eps
+def _mult_eps(u, floor: float):
+    """Multiplicative factors from uniforms u in [0, 1): |e| uniform on
+    (floor, 1] and a fair sign, the law of a uniform on (-1, 1) conditioned
+    on |e| > floor.  The lower half of [0, 1) gives the negative factors;
+    each half, stretched to [0, 1), maps linearly onto |e| from 1 down."""
+    upper = np.asarray(u) >= 0.5
+    return np.where(upper, 1.0, -1.0) * (1.0 - (1.0 - floor) * (2.0 * u - upper))
 
 
 _LOG_HALF_NORMAL_CONST = 0.5 * math.log(2.0 / math.pi)
@@ -575,10 +480,10 @@ def _log_half_normal(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # transdimensional moves
 # ---------------------------------------------------------------------------
-# A batch of moves is proposed, scored and accepted in three steps.  Each
-# block makes every draw of its move but the acceptance draw from its own
-# stream, one block after another; the proposals and their log ratios are
-# then formed for the whole batch as masked array arithmetic on the padded
+# A batch of moves is proposed, scored and accepted in three steps.  The
+# batch draws from one generator, as fixed-shape arrays with one row per
+# block; the move types, proposals, log ratios and acceptances are then
+# formed for the whole batch as masked array arithmetic on the padded
 # atoms.  A birth splits atom j into slot j and the new slot J, a death
 # merges atom lo with the last atom J-1 into slot lo, so no atom moves.
 
@@ -594,8 +499,7 @@ class BlockMoves:
     MOVE_NAMES) from `current` to `proposal`.  `log_ratio[b]` is every term
     of its log acceptance ratio besides the two conditionals (log_struct or
     log_jac).  A merge that no birth can undo is not `reachable` and is
-    rejected unscored.  `rngs[b]` is the block's stream, which still owes
-    the acceptance draw.
+    rejected unscored.  `u_accept[b]` is the block's acceptance uniform.
     """
 
     ks: np.ndarray
@@ -604,16 +508,21 @@ class BlockMoves:
     proposal: AtomStore
     log_ratio: np.ndarray
     reachable: np.ndarray
-    rngs: list
+    u_accept: np.ndarray
 
 
 def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: SamplerConfig,
-                   rngs: list) -> BlockMoves:
+                   rng: np.random.Generator) -> BlockMoves:
     """The moves of blocks ks, which hold the atoms of `current`.
 
-    Each block draws its move type and that move's draws from its own
-    stream, in a fixed order.  Then every proposal and log ratio of the
-    batch is formed at once.
+    The batch makes two draws from `rng`, of a shape fixed by the batch
+    size B, p and the store's width W alone: a (B, 4 + (p+1)(2 + W))
+    uniform array, whose row b holds block b's move-type, branch, slot and
+    acceptance uniforms, p+1 multiplicative-factor uniforms, p+1 sign
+    uniforms and (p+1) x W no-change flip uniforms (coordinate chain major),
+    then a (B, p+1) standard-normal array.  A block's move and count decide
+    which of its row's draws it reads.  Every proposal and log ratio of the
+    batch is then formed at once.
 
     A birth splits the picked atom x per coordinate into (x + s a|e|,
     x - s a|e|) with standard-normal e and random signs s (additive), or
@@ -623,57 +532,36 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
     last one, to their midpoint or to +-sqrt(|x y|) with random signs.
     Each log ratio carries the auxiliary densities, which makes every
     birth/death pair exactly reversible.  A no-change move perturbs all
-    (p+1)J coordinates with one shared draw.
+    (p+1)J coordinates with one shared draw: each moves by +-c a|e|
+    (additive), or is multiplied by e, divided by e or kept
+    (multiplicative).
     """
     counts = current.counts
-    B, p1 = counts.size, ctx.p + 1
-    moves, additive, slot = [], [], []
-    eps = np.ones((B, p1))
-    signs = np.ones((B, p1))
-    flips = np.zeros((p1, B, current.width), dtype=np.int64)
-    log_w = []  # the move-weight ratio of a birth or death, a no-change move's log_jac
-    for b, (J, rng) in enumerate(zip(counts.tolist(), rngs)):
-        wb, wd, _ = move_weights(J, cfg)
-        u = rng.random()
-        mv = BIRTH if u < wb else DEATH if u < wb + wd else NO_CHANGE
-        add = rng.random() <= cfg.p_add
-        moves.append(mv)
-        additive.append(add)
-        if mv == BIRTH:
-            slot.append(rng.integers(J))
-            if add:
-                eps[b, 0] = rng.standard_normal()
-                eps[b, 1:] = rng.standard_normal(p1 - 1)
-                signs[b] = rng.integers(0, 2, size=p1) * 2.0 - 1.0
-            else:
-                eps[b] = [_draw_mult_eps(rng, cfg.eps_floor) for _ in range(p1)]
-            log_w.append(math.log(move_weights(J + 1, cfg)[1]) - math.log(wb))
-        elif mv == DEATH:
-            slot.append(rng.integers(J - 1))
-            if not add:
-                signs[b, 0] = 1.0 if rng.random() < 0.5 else -1.0
-                signs[b, 1:] = np.where(rng.random(p1 - 1) < 0.5, 1.0, -1.0)
-            log_w.append(math.log(move_weights(J - 1, cfg)[0]) - math.log(wd))
-        else:
-            slot.append(0)
-            if add:
-                eps[b, 0] = rng.standard_normal()
-                draws = rng.integers(0, 2, size=p1 * J) * 2 - 1
-                log_w.append(0.0)
-            else:
-                eps[b, 0] = e = _draw_mult_eps(rng, cfg.eps_floor)
-                draws = rng.integers(-1, 2, size=p1 * J)
-                log_w.append(float(draws.sum()) * math.log(abs(e)))
-            # drawn as [beta_1 .. beta_J, mu_1,1 .. mu_1,p, .. mu_J,p]
-            flips[0, b, :J] = draws[:J]
-            flips[1:, b, :J] = draws[J:].reshape(J, p1 - 1).T
-    moves, slot = np.array(moves, dtype=np.int64), np.array(slot, dtype=np.int64)
-    additive, log_w = np.array(additive, dtype=bool), np.array(log_w, dtype=float)
+    B, p1, W = counts.size, ctx.p + 1, current.width
+    u = rng.random((B, 4 + p1 * (2 + W)))
+    normals = rng.standard_normal((B, p1))
+    wb, wd, _ = move_weights(counts, cfg)
+    moves = np.where(u[:, 0] < wb, BIRTH, np.where(u[:, 0] < wb + wd, DEATH, NO_CHANGE))
     birth, death, no_change = moves == BIRTH, moves == DEATH, moves == NO_CHANGE
+    additive = u[:, 1] < cfg.p_add
+    # a birth picks one of the J atoms, a death one of the J-1 below the last
+    slot = np.where(no_change, 0, (u[:, 2] * (counts - death)).astype(np.int64))
+    rows, add = np.arange(B), additive[:, None]
+    eps = np.where(add, normals, _mult_eps(u[:, 4:4 + p1], cfg.eps_floor))
+    signs = np.where(u[:, 4 + p1:4 + 2 * p1] < 0.5, 1.0, -1.0)
+    # no-change flips of the coordinates in use, as (p+1, S, W): +-1 or -1, 0, 1
+    sel = np.flatnonzero(no_change)
+    u_flip = u[sel, 4 + 2 * p1:].reshape(sel.size, p1, W).transpose(1, 0, 2)
+    flips = np.where(add[sel], 2.0 * np.floor(2.0 * u_flip) - 1.0, np.floor(3.0 * u_flip) - 1.0)
+    flips *= np.arange(W) < counts[sel, None]
+    # the move-weight ratio of a birth or death, a no-change move's log_jac
+    with np.errstate(divide="ignore"):
+        log_w = np.where(birth, np.log(move_weights(counts + 1, cfg)[1]) - np.log(wb),
+                         np.log(move_weights(counts - 1, cfg)[0]) - np.log(wd))
+        log_w[sel] = np.where(additive[sel], 0.0, flips.sum(axis=(0, 2)) * np.log(np.abs(eps[sel, 0])))
     # Every block's birth and death arithmetic at once on its picked atom x
     # (birth: j, death: lo) and its last atom y, as C-ordered (B, p+1) rows,
     # whose row sums add like one block's sums; each block keeps its move's.
-    rows, add = np.arange(B), additive[:, None]
     x = np.ascontiguousarray(current.values[:, rows, slot].T)
     y = np.ascontiguousarray(current.values[:, rows, np.maximum(counts - 1, 0)].T)
     log_4a, pair_factor = math.log(4.0 * cfg.scale), p1 * (math.log(2.0) + math.log(1.0 - cfg.eps_floor))
@@ -687,9 +575,9 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
         log_x, log_e, log_y = np.log(np.abs(x)), np.log(size), np.log(np.abs(y))
         mult_split = (log_x[:, 0] - log_e[:, 0] + (log_x[:, 1:] - log_e[:, 1:]).sum(axis=1)) + pair_factor
         split_ratio = np.where(additive, (log_4a - _log_half_normal(size)).sum(axis=1), mult_split)
-        u = np.abs(x - y) / (2.0 * cfg.scale)
+        u_merge = np.abs(x - y) / (2.0 * cfg.scale)
         mult_merge = (-log_y[:, 0] - log_y[:, 1:].sum(axis=1)) - pair_factor
-        merge_ratio = np.where(additive, (_log_half_normal(u) - log_4a).sum(axis=1), mult_merge)
+        merge_ratio = np.where(additive, (_log_half_normal(u_merge) - log_4a).sum(axis=1), mult_merge)
         # a multiplicative birth makes a same-sign pair (x e, x / e) with
         # |x e| < |x / e| and |e| above the floor
         reachable = ~death | additive | np.all((x * y > 0.0) & (np.abs(x) < np.abs(y))
@@ -698,20 +586,20 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
         values[:, rows, slot] = np.where(birth[:, None], keep, np.where(death[:, None], merged, x)).T
         grow = np.flatnonzero(birth)
         values[:, grow, counts[grow]] = child[grow].T
-        sel = np.flatnonzero(no_change)
         if sel.size:
-            z, f, e = values[:, sel], flips[:, sel], eps[sel, 0][:, None]
-            values[:, sel] = np.where(additive[sel][:, None], z + f * (cfg.shrink * cfg.scale) * np.abs(e),
-                                      np.where(f == 1, z * e, np.where(f == -1, z / e, z)))
+            z, e = values[:, sel], eps[sel, 0][:, None]
+            values[:, sel] = np.where(add[sel], z + flips * (cfg.shrink * cfg.scale) * np.abs(e),
+                                      np.where(flips == 1, z * e, np.where(flips == -1, z / e, z)))
     log_ratio = np.where(birth, split_ratio + log_w, np.where(death, merge_ratio + log_w, log_w))
     new_counts = counts + birth - death
-    return BlockMoves(ks, moves, current, AtomStore(values, new_counts), log_ratio, reachable, list(rngs))
+    return BlockMoves(ks, moves, current, AtomStore(values, new_counts), log_ratio, reachable, u[:, 3].copy())
 
 
 def settle_blocks(moves: BlockMoves, prev: AtomStore, nxt: AtomStore, current: BlockTerms,
                   cache: ThetaCache, ctx: ModelContext, hypers: ScalarHypers,
                   phi: np.ndarray | None, j_max: int) -> tuple[np.ndarray, BlockTerms, np.ndarray]:
-    """Score the moves in one `score_blocks` pass, then accept or reject each.
+    """Score the moves in one `score_blocks` pass, then accept or reject
+    them all with one comparison of log(u) and log_alpha (a NaN rejects).
 
     `prev` and `nxt` hold the neighbours of the moved blocks (count 0: none)
     and `current` the terms of their current atoms.  Unreachable merges are
@@ -728,9 +616,9 @@ def settle_blocks(moves: BlockMoves, prev: AtomStore, nxt: AtomStore, current: B
     lp_cur = block_scores(moves.current.counts, current, logliks[:B], hypers, j_max)
     lp_prop = np.full(B, np.nan)
     lp_prop[scored] = block_scores(proposal.counts, proposed, logliks[B:], hypers, j_max)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
         log_alpha = np.where(moves.reachable, lp_prop - lp_cur + moves.log_ratio, -np.inf)
-    accepted = np.array([_mh_accept(a, rng) for a, rng in zip(log_alpha.tolist(), moves.rngs)], dtype=bool)
+        accepted = np.log(moves.u_accept) < log_alpha
     after = current.take(np.arange(B))
     won = np.flatnonzero(accepted[scored])
     after.p_in[scored[won]] = proposed.p_in[won]
@@ -751,17 +639,17 @@ def _mh_accept(log_alpha: float, rng: np.random.Generator) -> bool:
 
 
 def update_time_block(ks: np.ndarray, atoms: AtomStore, terms: StateTerms, ctx: ModelContext,
-                      hypers: ScalarHypers, cfg: SamplerConfig, rngs: list,
+                      hypers: ScalarHypers, cfg: SamplerConfig, rng: np.random.Generator,
                       phi: np.ndarray | None) -> tuple[BlockMoves, np.ndarray, np.ndarray]:
     """One parity phase: move blocks ks, which are conditionally independent
-    given the other blocks of `atoms`, each with its stream in `rngs`.
+    given the other blocks of `atoms`, with the phase's draws from `rng`.
 
     Proposes every move (`propose_blocks`), scores and accepts them
     (`settle_blocks`), and writes the accepted proposals into `atoms` and
     their terms into `terms`.  Returns the moves, the acceptances and the
     log acceptance ratios.
     """
-    moves = propose_blocks(ks, atoms.take(ks), ctx, cfg, rngs)
+    moves = propose_blocks(ks, atoms.take(ks), ctx, cfg, rng)
     accepted, after, log_alpha = settle_blocks(moves, _shifted(atoms, ks, -1), _shifted(atoms, ks, 1),
                                                terms.blocks(ks), terms.cache, ctx, hypers, phi, cfg.j_max)
     atoms.put(ks[accepted], moves.proposal.take(accepted))
@@ -813,14 +701,14 @@ def tmcmc_update_theta(state, ctx, cfg, rng, cur_lp, cur_terms):
     signs (additive) or factors (multiplicative)."""
     d = ctx.layout.dim
     theta = state.theta
-    if rng.random() <= cfg.p_add:
+    if rng.random() < cfg.p_add:
         eps = rng.standard_normal()
         b = rng.integers(0, 2, size=d) * 2 - 1
         proposal = theta + b * cfg.scale * abs(eps)
         log_jac = 0.0
         info = dict(branch="additive", eps=eps, b=b)
     else:
-        eps = _draw_mult_eps(rng, cfg.eps_floor)
+        eps = float(_mult_eps(rng.random(), cfg.eps_floor))
         b = rng.integers(-1, 2, size=d)
         proposal = theta.copy()
         proposal[b == 1] *= eps
@@ -834,7 +722,7 @@ def mixing_enhancement(state, ctx, cfg, rng, cur_lp, cur_terms):
     """Second pass over the block with common-direction proposals."""
     d = ctx.layout.dim
     theta = state.theta
-    if rng.random() <= cfg.q_add:
+    if rng.random() < cfg.q_add:
         u_dir = rng.random()
         eps = rng.standard_normal()
         step = (cfg.shrink * cfg.scale) * abs(eps)
@@ -842,7 +730,7 @@ def mixing_enhancement(state, ctx, cfg, rng, cur_lp, cur_terms):
         log_jac = 0.0
         info = dict(branch="additive", eps=eps, up=u_dir < 0.5)
     else:
-        eps = _draw_mult_eps(rng, cfg.eps_floor)
+        eps = float(_mult_eps(rng.random(), cfg.eps_floor))
         u_dir = rng.random()
         if u_dir < 0.5:
             proposal = theta * eps
@@ -982,12 +870,11 @@ class Sampler:
         # blocks of one parity are independent given the other parity, so
         # each phase proposes every move, scores them in one batched pass
         # and then accepts or rejects each
-        for first in (0, 1):
-            ks = np.arange(first, ctx.m, 2)
+        for parity in (0, 1):
+            ks = np.arange(parity, ctx.m, 2)
             moves, accepted, _ = update_time_block(ks, atoms, terms, ctx, state.hypers, cfg,
-                                                   streams(cfg.seed, (_S_BLOCK, r), ks), state.phi)
-            for move, acc in zip(moves.move.tolist(), accepted.tolist()):
-                stats.record(MOVE_NAMES[move], acc)
+                                                   stream(cfg.seed, _S_BLOCK, r, parity), state.phi)
+            stats.record_blocks(moves.move, accepted)
 
         # fixed-dimension block plus enhancement at the coordinator
         rng_t = stream(cfg.seed, _S_THETA, r)
@@ -999,12 +886,12 @@ class Sampler:
         stats.record("enhance", acc)
         state.terms = terms
 
-        # random-effect draws (explicit mode): each column's normals from its
-        # own stream, then one elementwise conjugate draw for every column
+        # random-effect draws (explicit mode): one (m, n) normal array, row k
+        # for column k, then one elementwise conjugate draw for every column
         fmat = terms.field
         if not ctx.marginalized:
             hyp = state.hypers
-            normals = np.stack([g.standard_normal(ctx.n) for g in streams(cfg.seed, (_S_PHI, r), np.arange(ctx.m))])
+            normals = stream(cfg.seed, _S_PHI, r).standard_normal((ctx.m, ctx.n))
             state.phi = effects.gibbs_update_phi_matrix(ctx.y, fmat, hyp.alpha, hyp.sigma_sq_phi, hyp.sigma_sq_eps,
                                                         ctx.phi0, normals.T)
 

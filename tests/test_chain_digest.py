@@ -14,22 +14,22 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 EXPECTED = [
-    "fixture-regular-marginalized seed=1 workers=1: chain=9e0d6c14d3d5d8ec "
-    "draws=aff7dbd4587b9d66 birth=5/408 death=6/395 no_change=267/397 tmcmc=103/200 enhance=111/200",
-    "fixture-regular-marginalized seed=2 workers=1: chain=2585ab2765fd2438 "
-    "draws=dacb231ff40c3569 birth=3/414 death=3/411 no_change=242/375 tmcmc=98/200 enhance=119/200",
-    "fixture-regular-explicit seed=1 workers=1: chain=6bcd21a88bf1d946 "
-    "draws=4d32e28fbb22363d birth=4/408 death=6/395 no_change=261/397 tmcmc=91/200 enhance=109/200",
-    "fixture-regular-explicit seed=2 workers=1: chain=fa357562565be39d "
-    "draws=f8aeb9f50926ed1c birth=2/414 death=3/411 no_change=237/375 tmcmc=100/200 enhance=121/200",
-    "fixture-irregular-marginalized seed=1 workers=1: chain=1da48297fd6a50f8 "
-    "draws=348a8b294878c2c9 birth=2/408 death=3/395 no_change=244/397 tmcmc=96/200 enhance=110/200",
-    "fixture-irregular-marginalized seed=2 workers=1: chain=80f94d392c68e3db "
-    "draws=809761d181c980a2 birth=3/414 death=3/411 no_change=241/375 tmcmc=93/200 enhance=120/200",
-    "fixture-irregular-explicit seed=1 workers=1: chain=e45029ddadc5bb73 "
-    "draws=0cdbfe4f710dd74a birth=1/408 death=3/395 no_change=240/397 tmcmc=103/200 enhance=110/200",
-    "fixture-irregular-explicit seed=2 workers=1: chain=be5275c2a792d8e3 "
-    "draws=7c9bdb67d218e299 birth=2/414 death=2/411 no_change=241/375 tmcmc=96/200 enhance=123/200",
+    "fixture-regular-marginalized seed=1 workers=1: chain=d8edcd0776972132 "
+    "draws=4ea9b2e5ac9072ab birth=5/423 death=3/399 no_change=230/378 tmcmc=101/200 enhance=114/200",
+    "fixture-regular-marginalized seed=2 workers=1: chain=51ea34221f377a62 "
+    "draws=3adf050b361e35e5 birth=5/397 death=5/384 no_change=279/419 tmcmc=106/200 enhance=122/200",
+    "fixture-regular-explicit seed=1 workers=1: chain=07c25417fe681b71 "
+    "draws=3aedf37e1b34f66f birth=8/419 death=7/399 no_change=245/382 tmcmc=100/200 enhance=113/200",
+    "fixture-regular-explicit seed=2 workers=1: chain=d5f8e18c6bd7773b "
+    "draws=9c1d91e0b1f2e688 birth=5/405 death=7/371 no_change=296/424 tmcmc=101/200 enhance=119/200",
+    "fixture-irregular-marginalized seed=1 workers=1: chain=d9677da59bdfc82d "
+    "draws=fb6ce27ebb1fa57d birth=3/423 death=2/399 no_change=227/378 tmcmc=99/200 enhance=112/200",
+    "fixture-irregular-marginalized seed=2 workers=1: chain=7463f9292fc307a0 "
+    "draws=366429b7ccbda702 birth=4/397 death=4/384 no_change=253/419 tmcmc=98/200 enhance=118/200",
+    "fixture-irregular-explicit seed=1 workers=1: chain=ef8d2ffa0519f3e8 "
+    "draws=feca1778e99e4c81 birth=3/423 death=3/399 no_change=225/378 tmcmc=99/200 enhance=114/200",
+    "fixture-irregular-explicit seed=2 workers=1: chain=76658422dc08ddb8 "
+    "draws=12598e0d35d06674 birth=3/397 death=2/384 no_change=253/419 tmcmc=92/200 enhance=120/200",
 ]
 
 

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
+from scipy.stats import chisquare, kstest, norm
 
 from levyst.ar import ArMode
 from levyst.data import SpaceTimeDataset, standardize
 from levyst.chainio import read_chain, write_chain
-from levyst.errors import ConfigError, InvalidArgumentError, InvalidStateError, UnsupportedPredictionError
+from levyst.errors import ConfigError, InvalidStateError, UnsupportedPredictionError
 from levyst.model import AtomStore, LatentAtoms, PriorConfig, ScalarHypers, count_log_factor, kernel_matrix
 from levyst.sampler import (
     MOVE_NAMES,
@@ -33,7 +33,6 @@ from levyst.sampler import (
     run_chain,
     score_blocks,
     stream,
-    streams,
     theta_logpost,
     tmcmc_update_theta,
     update_time_block,
@@ -122,17 +121,17 @@ def _independent_block_conditional(atoms_k, cache, ctx, hypers):
 
 
 def _one_block_update(atoms_k, cache, ctx, hypers, cfg, key):
-    """The block update on a one-block store with the stream `stream(*key)`.
+    """The block update on a one-block store with the phase generator
+    `stream(*key)`.
 
     Returns the moves, the acceptance, log_alpha, the store after the move,
     and the move type, proposal and draws of the per-block oracle replaying
-    the same stream.
+    the block's row of the same draws.
     """
     store = AtomStore.from_blocks([atoms_k], cfg.j_max)
     terms = StateTerms.build(cache, store, ctx)
-    moves, accepted, log_alpha = update_time_block(np.array([0]), store, terms, ctx, hypers, cfg, [stream(*key)],
-                                                   None)
-    move, proposal, _, info = _oracle_draw(atoms_k, ctx.p, cfg, stream(*key))
+    moves, accepted, log_alpha = update_time_block(np.array([0]), store, terms, ctx, hypers, cfg, stream(*key), None)
+    move, proposal, _, info = _oracle_draw(atoms_k, cfg, _PhaseRow(stream(*key), 1, ctx.p, cfg.j_max, 0))
     assert MOVE_NAMES[moves.move[0]] == move
     got = moves.proposal.block(0)
     assert np.array_equal(got.beta, proposal.beta) and np.array_equal(got.mu, proposal.mu)
@@ -251,8 +250,7 @@ def test_birth_death_guards(tame_prior):
     full = LatentAtoms(np.linspace(-1.0, 1.0, CFG.j_max)[:, None], np.linspace(0.5, 1.5, CFG.j_max))
     for cfg, block in ((CFG, atoms[0]), (CFG, full), (replace(CFG, j_max=1), atoms[0])):
         ks = np.zeros(200, dtype=np.int64)
-        moves = propose_blocks(ks, AtomStore.from_blocks([block] * ks.size, cfg.j_max), ctx, cfg,
-                               streams(0, (1, 0), np.arange(ks.size)))
+        moves = propose_blocks(ks, AtomStore.from_blocks([block] * ks.size, cfg.j_max), ctx, cfg, stream(0, 1, 0))
         drawn = {MOVE_NAMES[mv] for mv in moves.move.tolist()}
         assert "no_change" in drawn
         assert ("birth" in drawn) == (block.count < cfg.j_max)
@@ -397,9 +395,6 @@ class _ScriptedRng:
     def random(self):
         return self._uniforms.pop(0)
 
-    def uniform(self, lo, hi):
-        return self._uniforms.pop(0)
-
     def integers(self, *args, **kwargs):
         return self._ints.pop(0)
 
@@ -495,7 +490,7 @@ def test_update_time_block_invalid_rate_guard(tame_prior):
     store = AtomStore.from_blocks(atoms, CFG.j_max)
     before = store.block(0)
     moves, accepted, _ = update_time_block(np.array([0]), store, StateTerms.build(cache, store, ctx), ctx, hypers,
-                                           CFG, [stream(5, 16)], None)
+                                           CFG, stream(5, 16), None)
     move = MOVE_NAMES[moves.move[0]]
     stats.record(move, bool(accepted[0]))
     assert move in ("birth", "death", "no_change")
@@ -682,30 +677,45 @@ def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, b
 
 
 # The per-block proposers that the array proposals replaced, kept as their
-# oracle: each draws from the block's stream and inserts or deletes atoms.
+# oracle: each reads its block's row of the phase draws and inserts or
+# deletes atoms.
 
-def _oracle_mult_eps(rng, floor):
-    while True:
-        eps = rng.uniform(-1.0, 1.0)
-        if abs(eps) > floor:
-            return eps
+class _PhaseRow:
+    """Row b of the draws a batch of B blocks makes from `rng`, named by the
+    documented layout: a (B, 4 + (p+1)(2 + width)) uniform array, then a
+    (B, p+1) normal array."""
+
+    def __init__(self, rng, B, p, width, b):
+        p1 = p + 1
+        u = rng.random((B, 4 + p1 * (2 + width)))[b]
+        self.normals = rng.standard_normal((B, p1))[b]
+        self.move, self.branch, self.slot, self.accept = u[:4].tolist()
+        self.eps = u[4:4 + p1].tolist()
+        self.sign = u[4 + p1:4 + 2 * p1].tolist()
+        self.flip = u[4 + 2 * p1:].reshape(p1, width)
+
+
+def _oracle_mult_eps(u, floor):
+    """|e| uniform on (floor, 1], sign from the half of [0, 1) holding u."""
+    if u < 0.5:
+        return -(1.0 - (1.0 - floor) * (2.0 * u))
+    return 1.0 - (1.0 - floor) * (2.0 * u - 1.0)
 
 
 def _oracle_log_half_normal(u):
     return 0.5 * math.log(2.0 / math.pi) - 0.5 * u * u
 
 
-def _oracle_birth(atoms_k, p, cfg, rng):
-    J = atoms_k.count
-    additive = rng.random() <= cfg.p_add
-    j = int(rng.integers(J))
+def _oracle_birth(atoms_k, cfg, row):
+    J, p = atoms_k.count, atoms_k.mu.shape[1]
+    additive = row.branch < cfg.p_add
+    j = int(row.slot * J)
     info = {"branch": "additive" if additive else "multiplicative", "j": j, "child_pos": J}
     mu, beta = atoms_k.mu, atoms_k.beta
     if additive:
-        eps1 = rng.standard_normal()
-        eps_mu = rng.standard_normal(p)
+        eps1, eps_mu = row.normals[0], row.normals[1:]
         steps = cfg.scale * np.abs(np.concatenate([[eps1], eps_mu]))
-        signs = rng.integers(0, 2, size=p + 1) * 2.0 - 1.0
+        signs = np.array([1.0 if u < 0.5 else -1.0 for u in row.sign])
         beta_new = np.insert(beta, J, beta[j] - signs[0] * steps[0])
         beta_new[j] = beta[j] + signs[0] * steps[0]
         mu_new = np.insert(mu, J, mu[j] - signs[1:] * steps[1:], axis=0)
@@ -714,8 +724,8 @@ def _oracle_birth(atoms_k, p, cfg, rng):
         log_struct = float(np.sum(math.log(4.0 * cfg.scale) - _oracle_log_half_normal(u)))
         info.update(eps1=eps1, eps_mu=eps_mu, signs=signs)
     else:
-        eps1 = _oracle_mult_eps(rng, cfg.eps_floor)
-        eps_mu = np.array([_oracle_mult_eps(rng, cfg.eps_floor) for _ in range(p)])
+        eps1 = _oracle_mult_eps(row.eps[0], cfg.eps_floor)
+        eps_mu = np.array([_oracle_mult_eps(u, cfg.eps_floor) for u in row.eps[1:]])
         beta_new = np.insert(beta, J, beta[j] / eps1)
         beta_new[j] = beta[j] * eps1
         mu_new = np.insert(mu, J, mu[j] / eps_mu, axis=0)
@@ -726,15 +736,15 @@ def _oracle_birth(atoms_k, p, cfg, rng):
         info.update(eps1=eps1, eps_mu=eps_mu)
     wb, _, _ = move_weights(J, cfg)
     _, wd_new, _ = move_weights(J + 1, cfg)
-    log_struct += math.log(wd_new) - math.log(wb)
+    log_struct += np.log(wd_new) - np.log(wb)
     info["log_struct"] = log_struct
     return LatentAtoms(mu_new, beta_new), log_struct, info
 
 
-def _oracle_death(atoms_k, p, cfg, rng):
-    J = atoms_k.count
-    additive = rng.random() <= cfg.p_add
-    lo, hi = int(rng.integers(J - 1)), J - 1
+def _oracle_death(atoms_k, cfg, row):
+    J, p = atoms_k.count, atoms_k.mu.shape[1]
+    additive = row.branch < cfg.p_add
+    lo, hi = int(row.slot * (J - 1)), J - 1
     info = {"branch": "additive" if additive else "multiplicative", "lo": lo, "hi": hi}
     mu, beta = atoms_k.mu, atoms_k.beta
     pair_lo = np.concatenate([[beta[lo]], mu[lo]])
@@ -746,8 +756,8 @@ def _oracle_death(atoms_k, p, cfg, rng):
         u = np.abs(pair_lo - pair_hi) / (2.0 * cfg.scale)
         log_struct = float(np.sum(_oracle_log_half_normal(u) - math.log(4.0 * cfg.scale)))
     else:
-        sign_beta = 1.0 if rng.random() < 0.5 else -1.0
-        signs_mu = np.where(rng.random(p) < 0.5, 1.0, -1.0)
+        sign_beta = 1.0 if row.sign[0] < 0.5 else -1.0
+        signs_mu = np.array([1.0 if u < 0.5 else -1.0 for u in row.sign[1:]])
         merged_beta = sign_beta * math.sqrt(abs(beta[lo] * beta[hi]))
         merged_mu = signs_mu * np.sqrt(np.abs(mu[lo] * mu[hi]))
         log_struct = float(-np.log(abs(beta[hi])) - np.sum(np.log(np.abs(mu[hi]))))
@@ -762,29 +772,31 @@ def _oracle_death(atoms_k, p, cfg, rng):
     mu_new[lo] = merged_mu
     _, wd, _ = move_weights(J, cfg)
     wb_new, _, _ = move_weights(J - 1, cfg)
-    log_struct += math.log(wb_new) - math.log(wd)
+    log_struct += np.log(wb_new) - np.log(wd)
     info.update(log_struct=log_struct, unreachable=unreachable)
     return LatentAtoms(mu_new, beta_new), log_struct, info
 
 
-def _oracle_no_change(atoms_k, p, cfg, rng):
-    J = atoms_k.count
-    d = (p + 1) * J
-    additive = rng.random() <= cfg.p_add
+def _oracle_no_change(atoms_k, cfg, row):
+    J, p = atoms_k.count, atoms_k.mu.shape[1]
+    additive = row.branch < cfg.p_add
     v = np.concatenate([atoms_k.beta, atoms_k.mu.ravel()])
     info = {"branch": "additive" if additive else "multiplicative"}
+    # one flip per coordinate in use, in the order of v: beta_1 .. beta_J,
+    # then mu_1,1 .. mu_1,p, mu_2,1 ..
+    u = np.concatenate([row.flip[0, :J], row.flip[1:, :J].T.ravel()]).tolist()
     if additive:
-        eps = rng.standard_normal()
-        b = rng.integers(0, 2, size=d) * 2 - 1
+        eps = row.normals[0]
+        b = np.array([1 if x >= 0.5 else -1 for x in u])
         v_new = v + b * (cfg.shrink * cfg.scale) * abs(eps)
         log_jac = 0.0
     else:
-        eps = _oracle_mult_eps(rng, cfg.eps_floor)
-        b = rng.integers(-1, 2, size=d)
+        eps = _oracle_mult_eps(row.eps[0], cfg.eps_floor)
+        b = np.array([int(3.0 * x) - 1 for x in u])
         v_new = v.copy()
         v_new[b == 1] *= eps
         v_new[b == -1] /= eps
-        log_jac = float(b.sum()) * math.log(abs(eps))
+        log_jac = float(b.sum()) * np.log(abs(eps))
     info.update(eps=eps, b=b, log_jac=log_jac)
     return LatentAtoms(v_new[J:].reshape(J, p), v_new[:J]), log_jac, info
 
@@ -792,12 +804,13 @@ def _oracle_no_change(atoms_k, p, cfg, rng):
 _ORACLES = {"birth": _oracle_birth, "death": _oracle_death, "no_change": _oracle_no_change}
 
 
-def _oracle_draw(atoms_k, p, cfg, rng):
+def _oracle_draw(atoms_k, cfg, row):
     """The move-type draw, then that move's oracle: (move, proposal, log ratio, draws)."""
     wb, wd, _ = move_weights(atoms_k.count, cfg)
-    u = rng.random()
-    move = "birth" if u < wb else "death" if u < wb + wd else "no_change"
-    return (move, *_ORACLES[move](atoms_k, p, cfg, rng))
+    move = "birth" if row.move < wb else "death" if row.move < wb + wd else "no_change"
+    return (move, *_ORACLES[move](atoms_k, cfg, row))
+
+
 # (J, an atom out of bounds, every pair of the block reachable by a
 # multiplicative birth: one sign, the last atom the largest)
 _MOVE_BLOCK = st.tuples(st.integers(1, 6), st.booleans(), st.booleans())
@@ -810,9 +823,9 @@ _MOVE_BLOCK = st.tuples(st.integers(1, 6), st.booleans(), st.booleans())
 @example(p=1, blocks=[(1, False, False), (5, True, False), (6, False, False), (2, False, True)], p_add=1.0, seed=1)
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_array_proposals_match_per_block_oracle(tame_prior, p, blocks, p_add, seed):
-    """Each block's move type, proposal, log ratio and reachability equal
-    those of the per-block proposers from the same keyed stream (`==`), and
-    so does the stream's next draw: each block made the oracle's draws."""
+    """Each block's move type, proposal, log ratio, reachability and
+    acceptance uniform equal those of the per-block proposers replaying the
+    block's row of the same phase draws (`==`)."""
 
     cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=6, seed=0, p_add=p_add)
     ctx = _tiny_ctx(tame_prior, n=2, m=1, p=p)
@@ -827,17 +840,63 @@ def test_array_proposals_match_per_block_oracle(tame_prior, p, blocks, p_add, se
             mu[rng.integers(J), rng.integers(p)] = 10.5
         atoms.append(LatentAtoms(mu, beta))
     ks = np.arange(len(blocks))
-    moves = propose_blocks(ks, AtomStore.from_blocks(atoms, cfg.j_max), ctx, cfg,
-                           [stream(seed, 1, 0, k) for k in ks.tolist()])
+    moves = propose_blocks(ks, AtomStore.from_blocks(atoms, cfg.j_max), ctx, cfg, stream(seed, 1, 0, 1))
     for b, atoms_b in enumerate(atoms):
-        oracle_rng = stream(seed, 1, 0, b)
-        move, proposal, log_ratio, info = _oracle_draw(atoms_b, p, cfg, oracle_rng)
+        row = _PhaseRow(stream(seed, 1, 0, 1), ks.size, p, cfg.j_max, b)
+        move, proposal, log_ratio, info = _oracle_draw(atoms_b, cfg, row)
         assert MOVE_NAMES[moves.move[b]] == move
         got = moves.proposal.block(b)
         assert np.array_equal(got.beta, proposal.beta) and np.array_equal(got.mu, proposal.mu)
         assert moves.log_ratio[b] == log_ratio
         assert moves.reachable[b] == (not info.get("unreachable", False))
-        assert moves.rngs[b].random() == oracle_rng.random()
+        assert moves.u_accept[b] == row.accept
+
+
+def _proposals(J, cfg, ctx, size, seed):
+    """`size` proposals from one block of J distinct atoms, in one batch."""
+    block = LatentAtoms(np.linspace(1.0, 2.0, J * ctx.p).reshape(J, ctx.p), np.linspace(0.5, 1.5, J))
+    current = AtomStore.from_blocks([block] * size, cfg.j_max)
+    return propose_blocks(np.zeros(size, dtype=np.int64), current, ctx, cfg, stream(seed, 1, 0, 0))
+
+
+@pytest.mark.parametrize("J", [1, 3, 6])
+def test_move_type_frequencies_match_move_weights(tame_prior, J):
+    """Chi-square of the drawn move types against `move_weights`, at J = 1,
+    a middle count and j_max; a move of weight 0 is never drawn."""
+    cfg = replace(CFG, j_max=6)
+    moves = _proposals(J, cfg, _tiny_ctx(tame_prior, n=1, m=1, p=1), 6000, J)
+    counts = np.bincount(moves.move, minlength=3)
+    weights = np.array(move_weights(J, cfg), dtype=float)
+    allowed = weights > 0.0
+    assert np.all(counts[~allowed] == 0)
+    assert chisquare(counts[allowed], 6000 * weights[allowed]).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("floor", [0.01, 0.3])
+def test_multiplicative_eps_is_uniform_above_the_floor(floor):
+    """From uniform draws, |e| follows Uniform(floor, 1) (KS) with a fair
+    sign; the extreme uniforms stay in (floor, 1]."""
+    e = sampler_module._mult_eps(np.random.default_rng(0).random(20000), floor)
+    assert kstest(np.abs(e), "uniform", args=(floor, 1.0 - floor)).pvalue > 1e-4
+    assert abs(np.mean(e > 0) - 0.5) < 4 * 0.5 / math.sqrt(e.size)
+    edges = sampler_module._mult_eps(np.array([0.0, 0.5 - 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]), floor)
+    assert np.all((np.abs(edges) > floor) & (np.abs(edges) <= 1.0))
+    assert edges.tolist()[::2] == [-1.0, 1.0]
+
+
+@pytest.mark.parametrize("move, J", [("birth", 5), ("death", 5)])
+def test_picked_slot_is_uniform(tame_prior, move, J):
+    """A birth splits each of the J atoms, a death merges each of the J - 1
+    below the last, equally often (chi-square)."""
+    cfg = replace(CFG, j_max=6)
+    moves = _proposals(J, cfg, _tiny_ctx(tame_prior, n=1, m=1, p=1), 6000, 11)
+    picked = np.flatnonzero(moves.move == MOVE_NAMES.index(move))
+    before = moves.current.values[:, picked, :J - 1 if move == "death" else J]
+    after = moves.proposal.values[:, picked, :before.shape[2]]
+    changed = np.any(after != before, axis=0)
+    assert np.all(changed.sum(axis=1) == 1)
+    slots = np.bincount(np.argmax(changed, axis=1), minlength=before.shape[2])
+    assert chisquare(slots).pvalue > 1e-4
 
 
 @pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
@@ -901,58 +960,22 @@ def test_explicit_mode_runs_and_tracks_phi(tiny_dataset, tame_prior):
     assert all(s.sigma_sq_phi > 0 for s in res.samples)
 
 
-_WORDS = st.one_of(st.just(0), st.integers(1, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1))
-
-
-@given(seed=st.one_of(_WORDS, st.integers(2 ** 128, 2 ** 160 - 1)), stream_id=st.integers(0, 5), r=_WORDS,
-       ks=st.lists(st.integers(0, 2 ** 32 - 1), max_size=6))
-@example(seed=0, stream_id=1, r=0, ks=[0])
-@example(seed=2 ** 128, stream_id=3, r=2 ** 32, ks=[0, 2 ** 32 - 1])
-@example(seed=5, stream_id=1, r=7, ks=[])
-@settings(max_examples=150, deadline=None)
-def test_batched_streams_match_keyed_streams(seed, stream_id, r, ks):
-    """Seeds of one to five words (beyond four, a seed's words overflow the
-    pool and are mixed in after it) and one- or two-word iterations."""
-    rngs = streams(seed, (stream_id, r), np.array(ks, dtype=np.int64))
-    assert len(rngs) == len(ks)
-    for k, got in zip(ks, rngs):
-        want = stream(seed, stream_id, r, k)
-        assert got.bit_generator.state == want.bit_generator.state
-        for draw in (lambda g: g.random(3), lambda g: g.integers(0, 7, size=5), lambda g: g.standard_normal(4),
-                     lambda g: g.gamma(2.5, size=2), lambda g: g.integers(-1, 2, size=9), lambda g: g.random()):
-            assert np.array_equal(draw(got), draw(want))
-
-
-def test_batched_streams_reject_keys_out_of_range():
-    with pytest.raises(InvalidArgumentError):
-        streams(-1, (1, 0), [0])
-    with pytest.raises(InvalidArgumentError):
-        streams(0, (1, -2), [0])
-    for k in (-1, 2 ** 32):
-        with pytest.raises(InvalidArgumentError):
-            streams(0, (1, 0), [0, k])
-
-
 @pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
-def test_iterate_batches_every_block_stream(tiny_dataset, tame_prior, monkeypatch, marginalized):
-    """One `streams` call per parity phase (and for the effect columns);
-    `stream` only for the theta and zeta keys."""
-    m = tiny_dataset.m
+def test_iterate_draws_from_one_stream_per_phase(tiny_dataset, tame_prior, monkeypatch, marginalized):
+    """Each iteration builds one generator per phase: the two parity phases,
+    the theta block, the effect columns (explicit mode) and the Gibbs block."""
     sampler = Sampler(tiny_dataset, SamplerConfig(iterations=3, burn_in=0, thin=1, j_max=5, seed=4), tame_prior,
                       marginalized=marginalized)
     state = sampler.initial_state()
-    single, batched = [], []
-    real_stream, real_streams = sampler_module.stream, sampler_module.streams
-    monkeypatch.setattr(sampler_module, "stream", lambda seed, *key: single.append(key) or real_stream(seed, *key))
-    monkeypatch.setattr(sampler_module, "streams",
-                        lambda seed, key, ks: batched.append((key, list(ks))) or real_streams(seed, key, ks))
+    keys = []
+    real_stream = sampler_module.stream
+    monkeypatch.setattr(sampler_module, "stream", lambda seed, *key: keys.append(key) or real_stream(seed, *key))
     for r in range(3):
         state = sampler.iterate(state, r, MoveStats())
     S = sampler_module
-    assert single == [key for r in range(3) for key in ((S._S_THETA, r), (S._S_ZETA, r))]
-    assert batched == [call for r in range(3) for call in
-                       [((S._S_BLOCK, r), list(range(first, m, 2))) for first in (0, 1)]
-                       + ([] if marginalized else [((S._S_PHI, r), list(range(m)))])]
+    assert keys == [key for r in range(3) for key in
+                    [(S._S_BLOCK, r, 0), (S._S_BLOCK, r, 1), (S._S_THETA, r)]
+                    + ([] if marginalized else [(S._S_PHI, r)]) + [(S._S_ZETA, r)]]
 
 
 def test_fit_and_prediction_build_no_latent_atoms(tiny_dataset, tame_prior, monkeypatch, tmp_path):
@@ -983,12 +1006,24 @@ def test_fit_and_prediction_build_no_latent_atoms(tiny_dataset, tame_prior, monk
         np.testing.assert_array_equal(a.mu, stored[0].store.values[1:, k, :J].T)
 
 
+class _FixedNormals:
+    """Stand-in generator handing out given standard normals."""
+
+    def __init__(self, normals):
+        self.normals = normals
+
+    def standard_normal(self, size):
+        assert size == self.normals.size
+        return self.normals
+
+
 @pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
 @pytest.mark.parametrize("n", [1, 7, 30, 100, 257])
 def test_gibbs_block_matches_per_column_references(tame_prior, monkeypatch, marginalized, n):
     """The effect draws and the reduced sums, formed as whole-matrix
     expressions, equal per-column references: `gibbs_update_phi_column`
-    with each column's own stream, `resid @ resid` and `resid.sum()`."""
+    with row k of the iteration's (m, n) effect normals for column k,
+    `resid @ resid` and `resid.sum()`."""
     from levyst import effects
     from levyst.runtime import reduce_sum
 
@@ -1016,9 +1051,10 @@ def test_gibbs_block_matches_per_column_references(tame_prior, monkeypatch, marg
         new_phi, fmat, alpha, ssq_phi, ssq_eps, counts, reduced = seen[r]
         if not marginalized:
             # hypers are unchanged between the effect draws and the Gibbs block
+            normals = sampler_module.stream(cfg.seed, sampler_module._S_PHI, r).standard_normal((m, n))
             want = np.column_stack([effects.gibbs_update_phi_column(
-                ctx.y[:, k], fmat[:, k], alpha, ssq_phi, ssq_eps, ctx.phi0[:, k],
-                sampler_module.stream(cfg.seed, sampler_module._S_PHI, r, k)) for k in range(m)])
+                ctx.y[:, k], fmat[:, k], alpha, ssq_phi, ssq_eps, ctx.phi0[:, k], _FixedNormals(normals[k]))
+                for k in range(m)])
             assert np.array_equal(new_phi, want)
             phi = new_phi
         phi_eff = ctx.phi0 if marginalized else phi
