@@ -12,21 +12,25 @@ longer chain begins with a shorter one.
 
 The atoms of every block live in one padded store (`AtomStore`): chain rows
 [beta | mu] per block and slot, plus a count per block.  Blocks of one
-parity are conditionally independent given the other parity, so each parity
-phase runs in three steps.  Propose: the phase's generator draws one row of
-uniforms and one row of normals per block, with a column for every draw a
-move can need, whatever each block's count or move; the move types, every
-proposal of the parity and their log ratios are then formed at once as
-masked array arithmetic on the store (`propose_blocks`).  Score: one batched
-pass (`score_blocks`) computes, for every proposal of the parity, its
-incoming and outgoing process factors and its field row; one more computes
-the likelihood of every proposal and of every current block from its stored
-field.  Accept: one comparison of each block's log acceptance uniform with
-its log ratio (`settle_blocks`).  A multiplicative merge that no birth can
-undo is rejected without a score.  `update_time_block` runs the three steps
-for one parity and writes the accepted proposals and their terms back into
-the state; `Sampler.iterate` calls it once per parity, and a single block is
-a batch of one.
+parity are conditionally independent given the other parity, and only a
+block's process factors read another block's atoms, so the two parity
+phases run as one sweep (`update_time_block`).  Draw: each phase's
+generator draws one row of uniforms and one row of normals per block, with
+a column for every draw a move can need, whatever each block's count or
+move (`draw_blocks`); the two phases' arrays are stacked, odd blocks first.
+Propose: the move types, every proposal of both parities and their log
+ratios are formed at once as masked array arithmetic on the store
+(`propose_blocks`).  Field and likelihood: one `field_rows` call builds the
+field row of every proposal, and one `loglik_rows` call the likelihood of
+every proposal and of every current block from its stored field.  An
+earlier phase writes no atom and no field column of a later one, so these
+are the values each phase would compute for itself.  Then, phase by phase:
+one `ProcessTable.log_densities` call gives the incoming and outgoing
+process factors of the phase's proposals against their neighbours as they
+stand (`block_factors`), and one comparison of each block's log acceptance
+uniform with its log ratio accepts or rejects.  A multiplicative merge that
+no birth can undo is rejected without a score.  `Sampler.iterate` sweeps
+once per iteration; a single block is a sweep of one phase of one.
 
 The state carries the terms of its current theta (`StateTerms`): the
 theta's `ThetaCache`, each block's incoming process factor
@@ -35,13 +39,14 @@ proposals are scored.  A block move values the current block at its count
 factor + P_k + P_{k+1} + the likelihood of the stored f_k, and an accepted
 move writes back its proposal's P_k, P_{k+1} and f_k; blocks of one parity
 touch disjoint entries.  The theta phase values the current theta at its
-prior + sum_k P_k + the likelihood of the stored columns; each in-bounds
-proposal builds one cache and scores all m blocks in one batched pass, and
-an accepted proposal hands over its own cache, factors and columns.  The
-cache holds the AR transition table (mean multiplier, variance and log
-variance for every distinct time gap and coordinate chain).  Nothing in the
-terms reads the Gibbs scalars or the effects, so they carry over to the next
-iteration; only the likelihood is recomputed from the stored columns.
+prior + sum_k P_k + the likelihoods of the columns after the sweep, which
+the sweep returns; each in-bounds proposal builds one cache and scores all
+m blocks in one batched pass, and an accepted proposal hands over its own
+cache, factors and columns.  The cache holds the AR transition table (mean
+multiplier, variance and log variance for every distinct time gap and
+coordinate chain).  Nothing in the terms reads the Gibbs scalars or the
+effects, so they carry over to the next iteration; only the likelihood is
+recomputed from the stored columns.
 
 Batching keeps the terms, not every bit.  Each batched likelihood equals
 its per-block reference `loglik_slice` bit for bit.  Each batched process
@@ -336,22 +341,17 @@ class ThetaCache:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BlockTerms:
-    """What the atoms of a batch of time blocks contribute to their
-    conditionals under one theta.
+class BlockFactors:
+    """The process factors that the atoms of a batch of time blocks
+    contribute to their conditionals under one theta.
 
-    `p_in[b]` is block b's incoming process factor, `p_out[b]` the next
-    block's (0.0 where `has_next[b]` is False: no next block) and `field[b]`
-    the block's field row.
+    `p_in[b]` is block b's incoming process factor and `p_out[b]` the next
+    block's (0.0 where `has_next[b]` is False: no next block).
     """
 
     p_in: np.ndarray      # (B,)
     p_out: np.ndarray     # (B,)
     has_next: np.ndarray  # (B,) bool
-    field: np.ndarray     # (B, n)
-
-    def take(self, index) -> "BlockTerms":
-        return BlockTerms(self.p_in[index], self.p_out[index], self.has_next[index], self.field[index])
 
 
 @dataclass
@@ -370,28 +370,46 @@ class StateTerms:
     @classmethod
     def build(cls, cache: ThetaCache, atoms: AtomStore, ctx: ModelContext) -> "StateTerms":
         """Process factors and field columns of every block under the theta of `cache`."""
-        process = cache.table.log_densities(atoms, _shifted(atoms, np.arange(ctx.m), -1), ctx.gap_index)
+        # block k - 1 of the pool, the empty last block for k = 0
+        process = cache.table.log_densities(atoms, _pool(atoms).take(np.arange(ctx.m) - 1), ctx.gap_index)
         rows = field_rows(cache.mapped, ctx.times, atoms, cache.kp)
         return cls(cache=cache, process=process, field=rows.T)
 
-    def blocks(self, ks: np.ndarray) -> BlockTerms:
+    def factors(self, ks: np.ndarray) -> BlockFactors:
         has_next = ks + 1 < self.process.size
         p_out = np.where(has_next, self.process[np.minimum(ks + 1, self.process.size - 1)], 0.0)
-        return BlockTerms(self.process[ks], p_out, has_next, self.field[:, ks].T)
-
-    def store(self, ks: np.ndarray, terms: BlockTerms) -> None:
-        """Write back the terms of blocks ks' accepted atoms."""
-        self.process[ks] = terms.p_in
-        self.process[ks[terms.has_next] + 1] = terms.p_out[terms.has_next]
-        self.field[:, ks] = terms.field.T
+        return BlockFactors(self.process[ks], p_out, has_next)
 
 
-def _shifted(atoms: AtomStore, ks: np.ndarray, step: int) -> AtomStore:
-    """Blocks ks + step of a store, with count 0 beyond either end."""
-    index = ks + step
-    inside = (index >= 0) & (index < atoms.counts.size)
-    index = np.where(inside, index, 0)
-    return AtomStore(atoms.values[:, index], np.where(inside, atoms.counts[index], 0))
+def _pool(*stores: AtomStore) -> AtomStore:
+    """The blocks of several stores, then one empty block (count 0), cut to
+    the largest count: one array that every pair of a process factor is
+    gathered from, with index -1 for a missing predecessor."""
+    counts = np.concatenate([s.counts for s in stores] + [[0]])
+    width = int(counts.max())
+    empty = np.zeros((stores[0].values.shape[0], 1, width))
+    return AtomStore(np.concatenate([s.values[:, :, :width] for s in stores] + [empty], axis=1), counts)
+
+
+def block_factors(table: ProcessTable, pool: AtomStore, src: np.ndarray, ks: np.ndarray, at: np.ndarray,
+                  gap_index: np.ndarray) -> BlockFactors:
+    """Incoming and outgoing process factors of several time blocks in one
+    `ProcessTable.log_densities` pass.
+
+    Block b sits at time ks[b] and holds the atoms of pool block at[b]; the
+    atoms of every time block k as they stand are pool block src[k], and the
+    last pool block is empty (`_pool`).  Block b thus follows pool block
+    src[ks[b] - 1] (none at the first time) and precedes src[ks[b] + 1].
+    """
+    has_next = ks + 1 < src.size
+    linked = np.flatnonzero(has_next)
+    prev = np.where(ks > 0, src[ks - 1], -1)
+    factors = table.log_densities(pool.take(np.concatenate([at, src[ks[linked] + 1]])),
+                                  pool.take(np.concatenate([prev, at[linked]])),
+                                  np.concatenate([gap_index[ks], gap_index[ks[linked] + 1]]))
+    p_out = np.zeros(ks.size)
+    p_out[linked] = factors[ks.size:]
+    return BlockFactors(factors[:ks.size], p_out, has_next)
 
 
 def loglik_slice(k: int, f: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
@@ -418,33 +436,10 @@ def loglik_rows(ks, rows: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
     return np.ascontiguousarray(dens).sum(axis=1)
 
 
-def score_blocks(ks: np.ndarray, atoms: AtomStore, prev: AtomStore, nxt: AtomStore,
-                 cache: ThetaCache, ctx: ModelContext) -> BlockTerms:
-    """Terms of several time blocks in one batched pass.
-
-    Block b sits at time ks[b], holds the atoms of block b of `atoms` and
-    has neighbours block b of `prev` and `nxt` (count 0: none).  Its
-    incoming and outgoing process factors come from one
-    `ProcessTable.log_densities` call and its field row from one
-    `field_rows` call.
-    """
-    has_next = nxt.counts > 0
-    linked = np.flatnonzero(has_next)
-    factors = cache.table.log_densities(
-        AtomStore(np.concatenate([atoms.values, nxt.values[:, linked]], axis=1),
-                  np.concatenate([atoms.counts, nxt.counts[linked]])),
-        AtomStore(np.concatenate([prev.values, atoms.values[:, linked]], axis=1),
-                  np.concatenate([prev.counts, atoms.counts[linked]])),
-        np.concatenate([ctx.gap_index[ks], ctx.gap_index[ks[linked] + 1]]))
-    p_out = np.zeros(ks.size)
-    p_out[linked] = factors[ks.size:]
-    return BlockTerms(factors[:ks.size], p_out, has_next, field_rows(cache.mapped, ctx.times[ks], atoms, cache.kp))
-
-
-def block_scores(counts: np.ndarray, terms: BlockTerms, loglik: np.ndarray, hypers: ScalarHypers,
+def block_scores(counts: np.ndarray, factors: BlockFactors, loglik: np.ndarray, hypers: ScalarHypers,
                  j_max: int) -> np.ndarray:
-    """Log full conditionals of time blocks from their terms and likelihoods
-    (boundary blocks one-sided).
+    """Log full conditionals of time blocks from their process factors and
+    likelihoods (boundary blocks one-sided).
 
     Each contains the count factor, the incoming process factors of block k,
     the outgoing factors of block k+1 (whose transition-vs-initial split
@@ -452,9 +447,9 @@ def block_scores(counts: np.ndarray, terms: BlockTerms, loglik: np.ndarray, hype
     outside the count range or the bounds.
     """
     with np.errstate(invalid="ignore"):
-        lp = count_log_factor(counts, hypers.lam) + terms.p_in
+        lp = count_log_factor(counts, hypers.lam) + factors.p_in
         lp = np.where(np.isfinite(lp), lp, -np.inf)
-        lp = np.where(terms.has_next, lp + terms.p_out, lp)
+        lp = np.where(factors.has_next, lp + factors.p_out, lp)
         valid = np.isfinite(lp) & (counts >= 1) & (counts <= j_max)
         return np.where(valid, lp + loglik, -np.inf)
 
@@ -480,10 +475,10 @@ def _log_half_normal(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # transdimensional moves
 # ---------------------------------------------------------------------------
-# A batch of moves is proposed, scored and accepted in three steps.  The
-# batch draws from one generator, as fixed-shape arrays with one row per
-# block; the move types, proposals, log ratios and acceptances are then
-# formed for the whole batch as masked array arithmetic on the padded
+# A batch of moves is proposed, scored and accepted in three steps.  Each
+# phase of the batch draws from its own generator, as fixed-shape arrays with
+# one row per block (`draw_blocks`); the move types, proposals, log ratios
+# and acceptances are then formed as masked array arithmetic on the padded
 # atoms.  A birth splits atom j into slot j and the new slot J, a death
 # merges atom lo with the last atom J-1 into slot lo, so no atom moves.
 
@@ -511,18 +506,25 @@ class BlockMoves:
     u_accept: np.ndarray
 
 
-def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: SamplerConfig,
-                   rng: np.random.Generator) -> BlockMoves:
-    """The moves of blocks ks, which hold the atoms of `current`.
+def draw_blocks(rng: np.random.Generator, B: int, p: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of B block moves from `rng`, of a shape fixed by B, p and
+    the store's width W alone: a (B, 4 + (p+1)(2 + W)) uniform array, whose
+    row b holds block b's move-type, branch, slot and acceptance uniforms,
+    p+1 multiplicative-factor uniforms, p+1 sign uniforms and (p+1) x W
+    no-change flip uniforms (coordinate chain major), then a (B, p+1)
+    standard-normal array."""
+    p1 = p + 1
+    return rng.random((B, 4 + p1 * (2 + width))), rng.standard_normal((B, p1))
 
-    The batch makes two draws from `rng`, of a shape fixed by the batch
-    size B, p and the store's width W alone: a (B, 4 + (p+1)(2 + W))
-    uniform array, whose row b holds block b's move-type, branch, slot and
-    acceptance uniforms, p+1 multiplicative-factor uniforms, p+1 sign
-    uniforms and (p+1) x W no-change flip uniforms (coordinate chain major),
-    then a (B, p+1) standard-normal array.  A block's move and count decide
-    which of its row's draws it reads.  Every proposal and log ratio of the
-    batch is then formed at once.
+
+def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: SamplerConfig,
+                   u: np.ndarray, normals: np.ndarray) -> BlockMoves:
+    """The moves of blocks ks, which hold the atoms of `current`, from their
+    rows of the uniforms `u` and the `normals` laid out by `draw_blocks`.
+
+    A block's move and count decide which of its row's draws it reads.
+    Every proposal and log ratio of the batch is then formed at once, and
+    each block's depends on its own row and atoms alone.
 
     A birth splits the picked atom x per coordinate into (x + s a|e|,
     x - s a|e|) with standard-normal e and random signs s (additive), or
@@ -538,8 +540,6 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
     """
     counts = current.counts
     B, p1, W = counts.size, ctx.p + 1, current.width
-    u = rng.random((B, 4 + p1 * (2 + W)))
-    normals = rng.standard_normal((B, p1))
     wb, wd, _ = move_weights(counts, cfg)
     moves = np.where(u[:, 0] < wb, BIRTH, np.where(u[:, 0] < wb + wd, DEATH, NO_CHANGE))
     birth, death, no_change = moves == BIRTH, moves == DEATH, moves == NO_CHANGE
@@ -595,38 +595,6 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
     return BlockMoves(ks, moves, current, AtomStore(values, new_counts), log_ratio, reachable, u[:, 3].copy())
 
 
-def settle_blocks(moves: BlockMoves, prev: AtomStore, nxt: AtomStore, current: BlockTerms,
-                  cache: ThetaCache, ctx: ModelContext, hypers: ScalarHypers,
-                  phi: np.ndarray | None, j_max: int) -> tuple[np.ndarray, BlockTerms, np.ndarray]:
-    """Score the moves in one `score_blocks` pass, then accept or reject
-    them all with one comparison of log(u) and log_alpha (a NaN rejects).
-
-    `prev` and `nxt` hold the neighbours of the moved blocks (count 0: none)
-    and `current` the terms of their current atoms.  Unreachable merges are
-    left out of the pass.  Returns the acceptances, the terms of each
-    block's atoms after its move, and the log acceptance ratios (-inf for
-    an unreachable merge).
-    """
-    ks, B = moves.ks, moves.ks.size
-    scored = np.flatnonzero(moves.reachable)
-    proposal = moves.proposal.take(scored)
-    proposed = score_blocks(ks[scored], proposal, prev.take(scored), nxt.take(scored), cache, ctx)
-    logliks = loglik_rows(np.concatenate([ks, ks[scored]]), np.concatenate([current.field, proposed.field]),
-                          ctx, hypers, phi)
-    lp_cur = block_scores(moves.current.counts, current, logliks[:B], hypers, j_max)
-    lp_prop = np.full(B, np.nan)
-    lp_prop[scored] = block_scores(proposal.counts, proposed, logliks[B:], hypers, j_max)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        log_alpha = np.where(moves.reachable, lp_prop - lp_cur + moves.log_ratio, -np.inf)
-        accepted = np.log(moves.u_accept) < log_alpha
-    after = current.take(np.arange(B))
-    won = np.flatnonzero(accepted[scored])
-    after.p_in[scored[won]] = proposed.p_in[won]
-    after.p_out[scored[won]] = proposed.p_out[won]
-    after.field[scored[won]] = proposed.field[won]
-    return accepted, after, log_alpha
-
-
 def _mh_accept(log_alpha: float, rng: np.random.Generator) -> bool:
     if math.isnan(log_alpha):
         return False
@@ -638,32 +606,81 @@ def _mh_accept(log_alpha: float, rng: np.random.Generator) -> bool:
     return math.log(rng.random()) < log_alpha
 
 
-def update_time_block(ks: np.ndarray, atoms: AtomStore, terms: StateTerms, ctx: ModelContext,
-                      hypers: ScalarHypers, cfg: SamplerConfig, rng: np.random.Generator,
-                      phi: np.ndarray | None) -> tuple[BlockMoves, np.ndarray, np.ndarray]:
-    """One parity phase: move blocks ks, which are conditionally independent
-    given the other blocks of `atoms`, with the phase's draws from `rng`.
+def update_time_block(phases: list[tuple[np.ndarray, np.random.Generator]], atoms: AtomStore, terms: StateTerms,
+                      ctx: ModelContext, hypers: ScalarHypers, cfg: SamplerConfig,
+                      phi: np.ndarray | None) -> tuple[BlockMoves, np.ndarray, np.ndarray, np.ndarray]:
+    """One sweep of block moves over `phases`, a sequence of (blocks ks,
+    generator) pairs run in order; the blocks of one phase are
+    conditionally independent given the other blocks of `atoms`, and no
+    block is in two phases.
 
-    Proposes every move (`propose_blocks`), scores and accepts them
-    (`settle_blocks`), and writes the accepted proposals into `atoms` and
-    their terms into `terms`.  Returns the moves, the acceptances and the
-    log acceptance ratios.
+    Each phase's draws come from its generator (`draw_blocks`).  Every move
+    of the sweep is proposed at once (`propose_blocks`), the field rows of
+    all reachable proposals are built in one `field_rows` call, and the
+    likelihoods of the current and proposed rows come from one `loglik_rows`
+    call: none of these read another block's atoms, so an earlier phase
+    changes none of them.  Each phase then scores its proposals' process
+    factors against its neighbours as they stand (`block_factors`), accepts
+    with one comparison of log(u) and log_alpha (a NaN rejects), and writes
+    back its accepted factors; a multiplicative merge that no birth can
+    undo is rejected unscored.  The accepted atoms go into `atoms` and
+    their field columns into `terms` at the end.
+
+    Returns the moves of the phases' blocks in phase order, their
+    acceptances, their log acceptance ratios (-inf for an unreachable
+    merge) and the likelihoods of their field rows after the sweep.
     """
-    moves = propose_blocks(ks, atoms.take(ks), ctx, cfg, rng)
-    accepted, after, log_alpha = settle_blocks(moves, _shifted(atoms, ks, -1), _shifted(atoms, ks, 1),
-                                               terms.blocks(ks), terms.cache, ctx, hypers, phi, cfg.j_max)
-    atoms.put(ks[accepted], moves.proposal.take(accepted))
-    terms.store(ks[accepted], after.take(accepted))
-    return moves, accepted, log_alpha
+    ks = np.concatenate([blocks for blocks, _ in phases])
+    drawn = [draw_blocks(rng, len(blocks), ctx.p, atoms.width) for blocks, rng in phases]
+    moves = propose_blocks(ks, atoms.take(ks), ctx, cfg, *(np.concatenate(d) for d in zip(*drawn)))
+    B, m, cache = ks.size, ctx.m, terms.cache
+    scored = np.flatnonzero(moves.reachable)
+    rows = field_rows(cache.mapped, ctx.times[ks[scored]], moves.proposal.take(scored), cache.kp)
+    logliks = loglik_rows(np.concatenate([ks, ks[scored]]), np.concatenate([terms.field.T[ks], rows]),
+                          ctx, hypers, phi)
+    # pool blocks: the store's, then the proposals', then an empty one;
+    # src[k] is the pool block that holds time block k's atoms as they stand
+    pool, src = _pool(atoms, moves.proposal), np.arange(m)
+    with np.errstate(divide="ignore"):
+        log_u = np.log(moves.u_accept)
+    log_alpha, accepted = np.empty(B), np.zeros(B, dtype=bool)
+    end = 0
+    for blocks, _ in phases:
+        start, end = end, end + len(blocks)
+        phase = slice(start, end)
+        lo, hi = np.searchsorted(scored, [start, end])
+        mine = scored[lo:hi]
+        lp_cur = block_scores(moves.current.counts[phase], terms.factors(ks[phase]), logliks[phase], hypers,
+                              cfg.j_max)
+        proposed = block_factors(cache.table, pool, src, ks[mine], m + mine, ctx.gap_index)
+        lp_prop = np.full(end - start, np.nan)
+        lp_prop[mine - start] = block_scores(moves.proposal.counts[mine], proposed, logliks[B + lo:B + hi],
+                                             hypers, cfg.j_max)
+        with np.errstate(invalid="ignore"):
+            log_alpha[phase] = np.where(moves.reachable[phase], lp_prop - lp_cur + moves.log_ratio[phase], -np.inf)
+            accepted[phase] = log_u[phase] < log_alpha[phase]
+        won = np.flatnonzero(accepted[mine])
+        k_won = ks[mine[won]]
+        terms.process[k_won] = proposed.p_in[won]
+        linked = proposed.has_next[won]
+        terms.process[k_won[linked] + 1] = proposed.p_out[won[linked]]
+        src[k_won] = m + mine[won]
+    won = np.flatnonzero(accepted[scored])
+    atoms.put(ks[scored[won]], moves.proposal.take(scored[won]))
+    terms.field[:, ks[scored[won]]] = rows[won].T
+    loglik = logliks[:B].copy()
+    loglik[scored[won]] = logliks[B + won]
+    return moves, accepted, log_alpha, loglik
 
 
 # ---------------------------------------------------------------------------
 # fixed-dimension block update
 # ---------------------------------------------------------------------------
 
-def theta_score(log_prior: float, terms: StateTerms, state, ctx) -> float:
+def theta_score(log_prior: float, terms: StateTerms, loglik: np.ndarray) -> float:
     """Log conditional of the fixed-dimension block at a theta, from its
-    prior `log_prior_theta` and the terms of the state's atoms under it."""
+    prior `log_prior_theta`, the terms of the state's atoms under it and
+    the likelihoods of their field columns, in time order."""
     lp = log_prior
     process, *rest = terms.process.tolist()
     for factor in rest:
@@ -671,7 +688,7 @@ def theta_score(log_prior: float, terms: StateTerms, state, ctx) -> float:
     lp += process
     if not np.isfinite(lp):
         return -np.inf
-    return lp + reduce_sum(loglik_rows(range(ctx.m), terms.field.T, ctx, state.hypers, state.phi))
+    return lp + reduce_sum(loglik)
 
 
 def theta_logpost(theta, state, ctx):
@@ -681,7 +698,8 @@ def theta_logpost(theta, state, ctx):
     if not math.isfinite(log_prior):
         return -np.inf, None
     terms = StateTerms.build(ThetaCache.build(theta, ctx, state.nu, state.omega_sq), state.atoms, ctx)
-    return theta_score(log_prior, terms, state, ctx), terms
+    loglik = loglik_rows(range(ctx.m), terms.field.T, ctx, state.hypers, state.phi)
+    return theta_score(log_prior, terms, loglik), terms
 
 
 def _theta_accept(proposal, log_jac, info, state, ctx, rng, cur_lp, cur_terms):
@@ -866,20 +884,19 @@ class Sampler:
                                            atoms, ctx)
         terms = state.terms
 
-        # transdimensional phases: odd (1-based) indices first, then even;
-        # blocks of one parity are independent given the other parity, so
-        # each phase proposes every move, scores them in one batched pass
-        # and then accepts or rejects each
-        for parity in (0, 1):
-            ks = np.arange(parity, ctx.m, 2)
-            moves, accepted, _ = update_time_block(ks, atoms, terms, ctx, state.hypers, cfg,
-                                                   stream(cfg.seed, _S_BLOCK, r, parity), state.phi)
-            stats.record_blocks(moves.move, accepted)
+        # transdimensional sweep: odd (1-based) indices first, then even;
+        # blocks of one parity are independent given the other parity
+        phases = [(np.arange(parity, ctx.m, 2), stream(cfg.seed, _S_BLOCK, r, parity)) for parity in (0, 1)]
+        moves, accepted, _, swept = update_time_block(phases, atoms, terms, ctx, state.hypers, cfg, state.phi)
+        stats.record_blocks(moves.move, accepted)
+        loglik = np.empty(ctx.m)
+        loglik[moves.ks] = swept
 
-        # fixed-dimension block plus enhancement at the coordinator
+        # fixed-dimension block plus enhancement at the coordinator; the
+        # current value takes the sweep's likelihoods of the stored columns
         rng_t = stream(cfg.seed, _S_THETA, r)
         log_prior = log_prior_theta(state.theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
-        cur_lp = theta_score(log_prior, terms, state, ctx)
+        cur_lp = theta_score(log_prior, terms, loglik)
         state.theta, cur_lp, terms, acc, _ = tmcmc_update_theta(state, ctx, cfg, rng_t, cur_lp, terms)
         stats.record("tmcmc", acc)
         state.theta, cur_lp, terms, acc, _ = mixing_enhancement(state, ctx, cfg, rng_t, cur_lp, terms)

@@ -56,7 +56,7 @@ def test_one_block_kernel_keeps_its_target():
     ks = np.array([0])
     counts, beta_sq = np.empty(SWEEPS), np.empty(SWEEPS)
     for r in range(SWEEPS):
-        update_time_block(ks, atoms, terms, ctx, hypers, cfg, stream(cfg.seed, 1, r, 0), None)
+        update_time_block([(ks, stream(cfg.seed, 1, r, 0))], atoms, terms, ctx, hypers, cfg, None)
         J = int(atoms.counts[0])
         counts[r] = J
         beta_sq[r] = np.mean(atoms.values[0, 0, :J] ** 2)

@@ -22,8 +22,10 @@ from levyst.sampler import (
     SamplerConfig,
     StateTerms,
     ThetaCache,
+    block_factors,
     block_scores,
     build_context,
+    draw_blocks,
     gibbs_update_zeta,
     loglik_rows,
     mixing_enhancement,
@@ -31,7 +33,6 @@ from levyst.sampler import (
     posterior_predict,
     propose_blocks,
     run_chain,
-    score_blocks,
     stream,
     theta_logpost,
     tmcmc_update_theta,
@@ -130,7 +131,8 @@ def _one_block_update(atoms_k, cache, ctx, hypers, cfg, key):
     """
     store = AtomStore.from_blocks([atoms_k], cfg.j_max)
     terms = StateTerms.build(cache, store, ctx)
-    moves, accepted, log_alpha = update_time_block(np.array([0]), store, terms, ctx, hypers, cfg, stream(*key), None)
+    moves, accepted, log_alpha, _ = update_time_block([(np.array([0]), stream(*key))], store, terms, ctx, hypers, cfg,
+                                                      None)
     move, proposal, _, info = _oracle_draw(atoms_k, cfg, _PhaseRow(stream(*key), 1, ctx.p, cfg.j_max, 0))
     assert MOVE_NAMES[moves.move[0]] == move
     got = moves.proposal.block(0)
@@ -139,12 +141,12 @@ def _one_block_update(atoms_k, cache, ctx, hypers, cfg, key):
 
 
 def _fresh_block_conditionals(ks, store, cache, ctx, hypers, j_max=6):
-    """Log full conditionals of blocks ks of `store`, scored afresh, and their terms."""
+    """Log full conditionals of blocks ks of `store`, scored afresh, and their process factors."""
     ks = np.asarray(ks)
-    terms = score_blocks(ks, store.take(ks), sampler_module._shifted(store, ks, -1),
-                         sampler_module._shifted(store, ks, 1), cache, ctx)
-    return block_scores(store.counts[ks], terms, loglik_rows(ks, terms.field, ctx, hypers, None), hypers,
-                        j_max), terms
+    factors = block_factors(cache.table, sampler_module._pool(store), np.arange(ctx.m), ks, ks, ctx.gap_index)
+    rows = sampler_module.field_rows(cache.mapped, ctx.times[ks], store.take(ks), cache.kp)
+    return block_scores(store.counts[ks], factors, loglik_rows(ks, rows, ctx, hypers, None), hypers,
+                        j_max), factors
 
 
 def test_birth_acceptance_matches_oracle(tame_prior):
@@ -250,7 +252,8 @@ def test_birth_death_guards(tame_prior):
     full = LatentAtoms(np.linspace(-1.0, 1.0, CFG.j_max)[:, None], np.linspace(0.5, 1.5, CFG.j_max))
     for cfg, block in ((CFG, atoms[0]), (CFG, full), (replace(CFG, j_max=1), atoms[0])):
         ks = np.zeros(200, dtype=np.int64)
-        moves = propose_blocks(ks, AtomStore.from_blocks([block] * ks.size, cfg.j_max), ctx, cfg, stream(0, 1, 0))
+        moves = propose_blocks(ks, AtomStore.from_blocks([block] * ks.size, cfg.j_max), ctx, cfg,
+                               *draw_blocks(stream(0, 1, 0), ks.size, ctx.p, cfg.j_max))
         drawn = {MOVE_NAMES[mv] for mv in moves.move.tolist()}
         assert "no_change" in drawn
         assert ("birth" in drawn) == (block.count < cfg.j_max)
@@ -489,8 +492,8 @@ def test_update_time_block_invalid_rate_guard(tame_prior):
     stats = MoveStats()
     store = AtomStore.from_blocks(atoms, CFG.j_max)
     before = store.block(0)
-    moves, accepted, _ = update_time_block(np.array([0]), store, StateTerms.build(cache, store, ctx), ctx, hypers,
-                                           CFG, stream(5, 16), None)
+    moves, accepted, _, _ = update_time_block([(np.array([0]), stream(5, 16))], store,
+                                              StateTerms.build(cache, store, ctx), ctx, hypers, CFG, None)
     move = MOVE_NAMES[moves.move[0]]
     stats.record(move, bool(accepted[0]))
     assert move in ("birth", "death", "no_change")
@@ -565,46 +568,53 @@ def _assert_same_chain(a, b):
 
 
 def test_unreachable_merges_are_never_scored(tiny_dataset, tame_prior, monkeypatch):
-    """A merge no birth can undo is rejected without a score, and the chain
-    equals one in which such merges are scored and then rejected."""
-    import levyst.sampler as sampler_module
-
+    """A merge no birth can undo is rejected without a score: neither its
+    process factors (`block_factors`) nor its field row (`field_rows`) is
+    computed, and the chain equals one in which such merges are scored and
+    then rejected."""
     cfg = SamplerConfig(iterations=40, burn_in=0, thin=1, j_max=5, seed=9, p_add=0.2)
-    propose, score = sampler_module.propose_blocks, sampler_module.score_blocks
-    unreachable, scored = [], []
+    propose, factors, rows = sampler_module.propose_blocks, sampler_module.block_factors, sampler_module.field_rows
+    times = tiny_dataset.times
+    unreachable, factored, fielded = [], [], []
 
-    def key(ks, atoms, b):
-        """A proposal by its time block and its atoms' bytes."""
-        return int(ks[b]), atoms.values[:, b, :atoms.counts[b]].tobytes()
+    def key(t, atoms, b):
+        """A proposal by its time and its atoms' bytes."""
+        return float(t), atoms.values[:, b, :atoms.counts[b]].tobytes()
 
     def recording_propose(*args):
         moves = propose(*args)
-        unreachable.extend(key(moves.ks, moves.proposal, b) for b in np.flatnonzero(~moves.reachable))
+        unreachable.extend(key(times[moves.ks[b]], moves.proposal, b) for b in np.flatnonzero(~moves.reachable))
         return moves
 
-    def counting_score(ks, atoms, *args):
-        scored.extend(key(ks, atoms, b) for b in range(ks.size))
-        return score(ks, atoms, *args)
+    def counting_factors(table, pool, src, ks, at, gap_index):
+        factored.extend(key(times[k], pool, b) for k, b in zip(ks, at))
+        return factors(table, pool, src, ks, at, gap_index)
 
-    monkeypatch.setattr(sampler_module, "score_blocks", counting_score)
+    def counting_rows(mapped, t, atoms, kp):
+        fielded.extend(key(t[b], atoms, b) for b in range(atoms.counts.size))
+        return rows(mapped, t, atoms, kp)
+
+    monkeypatch.setattr(sampler_module, "block_factors", counting_factors)
+    monkeypatch.setattr(sampler_module, "field_rows", counting_rows)
     monkeypatch.setattr(sampler_module, "propose_blocks", recording_propose)
     skipped = run_chain(tiny_dataset, cfg, tame_prior)
     assert len(unreachable) > 10
-    assert not set(unreachable) & set(scored)
+    assert not set(unreachable) & set(factored)
+    assert not set(unreachable) & set(fielded)
 
     def scoring_propose(*args):
         moves = propose(*args)
         unscored = ~moves.reachable
-        unreachable.extend(key(moves.ks, moves.proposal, b) for b in np.flatnonzero(unscored))
+        unreachable.extend(key(times[moves.ks[b]], moves.proposal, b) for b in np.flatnonzero(unscored))
         moves.reachable[:] = True
         moves.log_ratio[unscored] = -np.inf
         return moves
 
-    unreachable.clear()
-    scored.clear()
+    for seen in (unreachable, factored, fielded):
+        seen.clear()
     monkeypatch.setattr(sampler_module, "propose_blocks", scoring_propose)
     _assert_same_chain(run_chain(tiny_dataset, cfg, tame_prior), skipped)
-    assert unreachable and set(unreachable) <= set(scored)
+    assert unreachable and set(unreachable) <= set(factored) and set(unreachable) <= set(fielded)
 
 
 _IRREGULAR_TIMES = np.array([0.0, 1.0, 2.5, 3.0, 4.5, 7.0])
@@ -623,12 +633,12 @@ _BLOCK = st.tuples(st.integers(0, 5), st.integers(1, 45), st.booleans(), st.bool
                 (4, 2, False, True), (5, 33, False, False), (3, 1, True, False), (4, 2, False, False)], seed=0)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, batch, seed):
-    """`score_blocks` on padded atoms and `loglik_rows` give each block the
-    per-block reference values: the likelihoods and the out-of-bounds and
-    neighbour patterns `==`, the process factors and field rows within their
-    rounding bounds (`tests/rounding.py`)."""
-    from levyst.model import atom_block_log_density, field_values
-    from levyst.sampler import loglik_rows, loglik_slice, score_blocks
+    """`block_factors` and `field_rows` on padded atoms and `loglik_rows`
+    give each block the per-block reference values: the likelihoods and the
+    out-of-bounds and neighbour patterns `==`, the process factors and field
+    rows within their rounding bounds (`tests/rounding.py`)."""
+    from levyst.model import atom_block_log_density, field_rows, field_values
+    from levyst.sampler import loglik_rows, loglik_slice
 
     rng = np.random.default_rng(seed)
     n = 37
@@ -652,9 +662,12 @@ def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, b
     prevs = [state[k - 1] if k > 0 else None for k in ks]
     nexts = [state[k + 1] if k < 5 else None for k in ks]
     B = len(batch)
-    padded = AtomStore.from_blocks(atoms + prevs + nexts)
-    terms = score_blocks(ks, *(padded.take(np.arange(i * B, (i + 1) * B)) for i in range(3)), cache, ctx)
-    rows = np.where(np.array(stored)[:, None], rng.normal(size=(B, n)), terms.field)
+    # pool blocks: the batch's atoms, then the state's, then the empty one
+    padded = AtomStore.from_blocks(atoms + state)
+    terms = block_factors(cache.table, sampler_module._pool(padded), B + np.arange(6), ks, np.arange(B),
+                          ctx.gap_index)
+    field = field_rows(cache.mapped, ctx.times[ks], padded.take(np.arange(B)), cache.kp)
+    rows = np.where(np.array(stored)[:, None], rng.normal(size=(B, n)), field)
     logliks = loglik_rows(ks, rows, ctx, hypers, phi)
     specs = (cache.beta_spec, *cache.mu_specs)
     ksq = cache.kp.tilde_sigma_sq
@@ -673,7 +686,7 @@ def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, b
         tol = exponent_tolerance(cache.mapped, a.mu.T, ksq, time_term)
         # both sides carry the expanded kernel's error, so twice its bound
         bound = field_tolerance(kernel_matrix(cache.mapped, a.mu.T, cache.kp, time_term), 2.0 * tol, a.beta)
-        assert np.all(np.abs(terms.field[b] - want) <= bound)
+        assert np.all(np.abs(field[b] - want) <= bound)
 
 
 # The per-block proposers that the array proposals replaced, kept as their
@@ -840,7 +853,8 @@ def test_array_proposals_match_per_block_oracle(tame_prior, p, blocks, p_add, se
             mu[rng.integers(J), rng.integers(p)] = 10.5
         atoms.append(LatentAtoms(mu, beta))
     ks = np.arange(len(blocks))
-    moves = propose_blocks(ks, AtomStore.from_blocks(atoms, cfg.j_max), ctx, cfg, stream(seed, 1, 0, 1))
+    moves = propose_blocks(ks, AtomStore.from_blocks(atoms, cfg.j_max), ctx, cfg,
+                           *draw_blocks(stream(seed, 1, 0, 1), ks.size, p, cfg.j_max))
     for b, atoms_b in enumerate(atoms):
         row = _PhaseRow(stream(seed, 1, 0, 1), ks.size, p, cfg.j_max, b)
         move, proposal, log_ratio, info = _oracle_draw(atoms_b, cfg, row)
@@ -856,7 +870,8 @@ def _proposals(J, cfg, ctx, size, seed):
     """`size` proposals from one block of J distinct atoms, in one batch."""
     block = LatentAtoms(np.linspace(1.0, 2.0, J * ctx.p).reshape(J, ctx.p), np.linspace(0.5, 1.5, J))
     current = AtomStore.from_blocks([block] * size, cfg.j_max)
-    return propose_blocks(np.zeros(size, dtype=np.int64), current, ctx, cfg, stream(seed, 1, 0, 0))
+    return propose_blocks(np.zeros(size, dtype=np.int64), current, ctx, cfg,
+                          *draw_blocks(stream(seed, 1, 0, 0), size, ctx.p, cfg.j_max))
 
 
 @pytest.mark.parametrize("J", [1, 3, 6])
@@ -905,9 +920,12 @@ def test_picked_slot_is_uniform(tame_prior, move, J):
 def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypatch, marginalized, times):
     """After every iteration each carried process factor and field column
     equals a fresh evaluation, and the theta cache is built only for
-    in-bounds proposals (plus once at the start)."""
+    in-bounds proposals (plus once at the start).  The likelihoods the
+    block sweep returns equal a fresh `loglik_rows` pass over the columns
+    it leaves, and the theta phase starts from `theta_score` on those."""
     import levyst.sampler as sampler_module
-    from levyst.model import atom_block_log_density, field_values, theta_in_bounds
+    from levyst.model import atom_block_log_density, field_values, log_prior_theta, theta_in_bounds
+    from levyst.sampler import theta_score
 
     data = SpaceTimeDataset(tiny_dataset.locations, times, tiny_dataset.y)
     cfg = SamplerConfig(iterations=30, burn_in=0, thin=1, j_max=5, seed=3)
@@ -929,6 +947,26 @@ def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypa
             return out
         return counted_step
 
+    fresh_logliks, starts = [], []
+    sweep, tmcmc = sampler_module.update_time_block, sampler_module.tmcmc_update_theta
+
+    def checked_sweep(phases, atoms, terms, ctx_, hypers, cfg_, phi):
+        moves, accepted, log_alpha, swept = sweep(phases, atoms, terms, ctx_, hypers, cfg_, phi)
+        loglik = np.empty(ctx.m)
+        loglik[moves.ks] = swept
+        fresh = loglik_rows(range(ctx.m), terms.field.T, ctx, hypers, phi)
+        assert np.array_equal(loglik, fresh)
+        fresh_logliks.append(fresh)
+        return moves, accepted, log_alpha, swept
+
+    def checked_tmcmc(state_, ctx_, cfg_, rng, cur_lp, cur_terms):
+        log_prior = log_prior_theta(state_.theta, ctx.layout, state_.nu, state_.omega_sq, ctx.prior)
+        assert cur_lp == theta_score(log_prior, cur_terms, fresh_logliks[-1])
+        starts.append(cur_lp)
+        return tmcmc(state_, ctx_, cfg_, rng, cur_lp, cur_terms)
+
+    monkeypatch.setattr(sampler_module, "update_time_block", checked_sweep)
+    monkeypatch.setattr(sampler_module, "tmcmc_update_theta", checked_tmcmc)
     monkeypatch.setattr(ThetaCache, "build", classmethod(counting_build))
     for name in ("tmcmc_update_theta", "mixing_enhancement"):
         monkeypatch.setattr(sampler_module, name, counting(getattr(sampler_module, name)))
@@ -939,6 +977,7 @@ def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypa
         state = sampler.iterate(state, r, stats)
         assert len(in_bounds) == 2
         assert len(builds) <= sum(in_bounds) + (r == 0)
+        assert len(fresh_logliks) == len(starts) == r + 1 and np.isfinite(starts[-1])
         fresh = build(ThetaCache, state.theta, ctx, state.nu, state.omega_sq)
         terms = state.terms
         np.testing.assert_array_equal(terms.cache.mapped, fresh.mapped)
@@ -950,6 +989,51 @@ def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypa
             assert np.array_equal(terms.field[:, k],
                                   field_values(fresh.mapped, ctx.times[k], atoms[k], fresh.kp))
     assert stats.accepts["no_change"] > 0 and stats.accepts["tmcmc"] > 0
+
+
+@pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
+@pytest.mark.parametrize("times", [np.arange(1.0, 7.0), _IRREGULAR_TIMES, np.array([1.0])],
+                         ids=["regular", "irregular", "single-time"])
+def test_sweep_equals_phase_by_phase(tiny_dataset, tame_prior, marginalized, times):
+    """One sweep over both parities, [(ks0, g0), (ks1, g1)], equals the two
+    one-phase sweeps [(ks0, g0)] then [(ks1, g1)] (`==`): the store, the
+    carried factors and field columns, the acceptances, the log ratios and
+    the likelihoods after the move.  The states come from 20 or more
+    iterations into a chain, and some accepted phase-0 move is the
+    neighbour of a block that phase 1 scores."""
+    data = SpaceTimeDataset(tiny_dataset.locations, times, tiny_dataset.y[:, :times.size])
+    cfg = SamplerConfig(iterations=30, burn_in=0, thin=1, j_max=5, seed=7)
+    sampler = Sampler(data, cfg, tame_prior, marginalized=marginalized)
+    ctx = sampler.ctx
+    state, stats = sampler.initial_state(), MoveStats()
+    neighbours = 0
+    for r in range(cfg.iterations):
+        state = sampler.iterate(state, r, stats)
+        if r < 20:
+            continue
+        ks0, ks1 = np.arange(0, ctx.m, 2), np.arange(1, ctx.m, 2)
+        runs = []
+        for split in (False, True):
+            atoms = state.atoms.take(np.arange(ctx.m))
+            terms = StateTerms(state.terms.cache, state.terms.process.copy(), state.terms.field.copy(order="K"))
+            phases = [(ks0, stream(100 + r, 0)), (ks1, stream(100 + r, 1))]
+            calls = [[phase] for phase in phases] if split else [phases]
+            outs = [update_time_block(call, atoms, terms, ctx, state.hypers, cfg, state.phi) for call in calls]
+            moves = [out[0] for out in outs]
+            runs.append((atoms, terms, np.concatenate([mv.ks for mv in moves]),
+                         np.concatenate([mv.reachable for mv in moves]),
+                         *(np.concatenate([out[i] for out in outs]) for i in (1, 2, 3))))
+        (atoms, terms, ks, reachable, *rest), (atoms2, terms2, ks2, _, *rest2) = runs
+        assert np.array_equal(atoms.values, atoms2.values) and np.array_equal(atoms.counts, atoms2.counts)
+        assert np.array_equal(terms.process, terms2.process) and np.array_equal(terms.field, terms2.field)
+        assert np.array_equal(ks, ks2)
+        for got, want in zip(rest, rest2):
+            assert np.array_equal(got, want)
+        accepted = rest[0]
+        won0 = ks[:ks0.size][accepted[:ks0.size]]
+        scored1 = ks[ks0.size:][reachable[ks0.size:]]
+        neighbours += np.sum(np.abs(won0[:, None] - scored1[None, :]) == 1)
+    assert neighbours > 0 if ctx.m > 1 else ks1.size == 0
 
 
 def test_explicit_mode_runs_and_tracks_phi(tiny_dataset, tame_prior):
