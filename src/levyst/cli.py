@@ -3,8 +3,10 @@
 Configuration comes from a flat `key = value` text file plus command-line
 flags; flags override file values.  Every run writes a JSON manifest with
 the full configuration echo, the seed and the package version, sufficient to
-reproduce it.  Exit codes: 0 success, 2 usage/configuration errors, 1
-runtime numeric failures.
+reproduce it.  Exit codes: 0 success; 2 for bad input (usage, configuration,
+data or file errors: every `ValueError`-kind package error and every
+`OSError`); 1 for numeric failures, inconsistent states and running out of
+memory.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import __version__, chainio, diagnostics
 from .data import GqnConfig, gqn_simulate, load_csv, standardize, write_csv
-from .errors import LevystError, ConfigError, NumericError, ParseError, UnsupportedPredictionError
+from .errors import ConfigError, LevystError, ParseError
 from .model import PriorConfig
 from .sampler import SamplerConfig, posterior_predict, run_chain
 
@@ -50,8 +52,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         file_values = _read_config_file(args.config)
         for key, raw in file_values.items():
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key: {key}")
+            if key not in _CONFIG_KEYS or not hasattr(args, key):
+                raise ConfigError(f"config key {key} does not apply to {args.command}")
             merged[key] = _CONFIG_KEYS[key](raw)
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -256,12 +258,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParseError, FileNotFoundError, UnsupportedPredictionError) as exc:
+    except (LevystError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericError, LevystError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # bad input is a ValueError-kind package error or a file error;
+        # NumericError and InvalidStateError are failures of the run
+        return 2 if isinstance(exc, (ValueError, OSError)) else 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1

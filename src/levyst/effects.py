@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import InvalidArgumentError, InvalidStateError
 
 
 def _argmin_set(dist_sq: np.ndarray) -> np.ndarray:
@@ -24,7 +24,7 @@ def phi0_training_matrix(locations: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Baselines for every training cell: nearest other location's response."""
     n = locations.shape[0]
     if n < 2:
-        raise InvalidStateError("training baselines need at least two locations")
+        raise InvalidArgumentError(f"training baselines need at least two locations, got {n}")
     phi0 = np.empty_like(y)
     for i in range(n):
         d = np.sum((locations - locations[i]) ** 2, axis=1)

@@ -38,6 +38,7 @@ LOG_LO, LOG_HI = -20.0, 5.0     # log-scale nonnegative parameters
 LOGIT_BOUND = 10.0              # transformed autoregression coefficients
 COORD_BOUND = 10.0              # atom coordinates mu
 X_LO, X_HI = 0.0, 10.0          # map slope variables X_l
+MAP_EXPONENT = 2                # exponent r of the map increments C_l X_l (delta s)^r
 
 
 # ---------------------------------------------------------------------------
@@ -67,24 +68,20 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class MonotoneMapParams:
-    """Per-dimension increments C_l * X_l * (delta s)^r plus anchor C~_l."""
+    """Per-dimension increments C_l * X_l * (delta s)^r plus anchor C~_l,
+    with r = MAP_EXPONENT."""
 
     C: np.ndarray
     C_tilde: np.ndarray
     X: np.ndarray
-    nu: np.ndarray
-    omega_sq: np.ndarray
-    r: int = 2
 
     def __post_init__(self):
-        for name in ("C", "C_tilde", "X", "nu", "omega_sq"):
+        for name in ("C", "C_tilde", "X"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        if np.any(self.C <= 0.0) or np.any(self.C_tilde <= 0.0) or np.any(self.omega_sq <= 0.0):
-            raise InvalidArgumentError("C, C_tilde, omega_sq must be positive")
+        if np.any(self.C <= 0.0) or np.any(self.C_tilde <= 0.0):
+            raise InvalidArgumentError("C, C_tilde must be positive")
         if np.any(self.X < 0.0):
             raise InvalidArgumentError("X entries are |Z| and must be nonnegative")
-        if self.r < 1:
-            raise InvalidArgumentError("exponent r must be >= 1")
 
     @property
     def p(self) -> int:
@@ -243,9 +240,9 @@ def monotone_map_fit(coords_per_dim, mp: MonotoneMapParams) -> MonotoneMapFit:
             raise InvalidArgumentError(f"coordinates for dimension {ell} are not sorted")
         slope = mp.C[ell] * mp.X[ell]
         m = np.empty_like(c)
-        m[0] = mp.C_tilde[ell] - slope * abs(c[0]) ** mp.r
+        m[0] = mp.C_tilde[ell] - slope * abs(c[0]) ** MAP_EXPONENT
         if c.size > 1:
-            m[1:] = m[0] + np.cumsum(slope * np.diff(c) ** mp.r)
+            m[1:] = m[0] + np.cumsum(slope * np.diff(c) ** MAP_EXPONENT)
         knots.append(c)
         values.append(m)
     return MonotoneMapFit(tuple(knots), tuple(values))
@@ -269,7 +266,7 @@ def monotone_map_extend(s_new, dim: int, fit: MonotoneMapFit, mp: MonotoneMapPar
     # A float64 scalar power calls libm pow, which in rare cases rounds
     # differently from the squaring an array power does; the scalar power
     # keeps each value equal to extending its coordinate alone.
-    powered = np.array([d ** mp.r for d in offset.ravel()]).reshape(s.shape)
+    powered = np.array([d ** MAP_EXPONENT for d in offset.ravel()]).reshape(s.shape)
     return np.where(below, values[0] - slope * powered, values[i] + slope * powered)
 
 
@@ -439,14 +436,11 @@ def theta_in_bounds(theta: np.ndarray, layout: ThetaLayout) -> bool:
     return bool(np.all(theta >= lo) and np.all(theta <= hi))
 
 
-def unpack_theta(theta: np.ndarray, layout: ThetaLayout, mode: ArMode, nu=None, omega_sq=None):
+def unpack_theta(theta: np.ndarray, layout: ThetaLayout, mode: ArMode):
     """Split the sampling-scale vector into natural-scale parameter groups.
 
     Returns (KernelParams, MonotoneMapParams, beta ArSpec, list of mu ArSpecs).
-    nu/omega_sq default to zeros/ones placeholders when only the map values
-    are needed.
     """
-    p = layout.p
     kp = KernelParams(
         tilde_sigma_sq=np.exp(theta[layout.sl_log_ksq]),
         tau=float(np.exp(theta[layout.i_log_tau])),
@@ -456,8 +450,6 @@ def unpack_theta(theta: np.ndarray, layout: ThetaLayout, mode: ArMode, nu=None, 
         C=np.exp(theta[layout.sl_log_c]),
         C_tilde=np.exp(theta[layout.sl_log_c_tilde]),
         X=np.asarray(theta[layout.sl_x], dtype=float).copy(),
-        nu=np.zeros(p) if nu is None else np.asarray(nu, dtype=float),
-        omega_sq=np.ones(p) if omega_sq is None else np.asarray(omega_sq, dtype=float),
     )
     beta_spec = ArSpec(
         rho=rho_from_transformed(float(theta[layout.i_logit_rho_beta]), mode),
@@ -470,7 +462,7 @@ def unpack_theta(theta: np.ndarray, layout: ThetaLayout, mode: ArMode, nu=None, 
             sigma_sq=float(np.exp(theta[layout.sl_log_ssq][ell])),
             mode=mode,
         )
-        for ell in range(p)
+        for ell in range(layout.p)
     ]
     return kp, mp, beta_spec, mu_specs
 
@@ -712,7 +704,7 @@ def log_joint_parts(atoms: list[LatentAtoms], theta: np.ndarray, hypers: ScalarH
     layout = ThetaLayout(p=mapped.shape[1])
     if len(atoms) != times.size:
         raise InvalidStateError("one atom block per time index required")
-    kp, _, beta_spec, mu_specs = unpack_theta(theta, layout, mode, nu, omega_sq)
+    kp, _, beta_spec, mu_specs = unpack_theta(theta, layout, mode)
     parts: dict[str, float] = {}
 
     if marginalized:

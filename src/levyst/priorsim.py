@@ -59,7 +59,7 @@ def draw_prior_state(ctx: ModelContext, cfg: SamplerConfig, rng: np.random.Gener
         if np.any(counts < 1) or np.any(counts > cfg.j_max):
             continue
 
-        cache = ThetaCache.build(theta, ctx, nu, omega_sq)
+        cache = ThetaCache.build(theta, ctx)
         atoms, ok = _draw_atoms(counts, ctx, cache, rng)
         if not ok:
             continue
@@ -108,7 +108,7 @@ def _trans_draw(prev_vals, gap, spec, rng):
 
 def draw_observations(state: SamplerState, ctx: ModelContext, rng: np.random.Generator) -> np.ndarray:
     """Responses given the latent state, on the context's grid."""
-    cache = ThetaCache.build(state.theta, ctx, state.nu, state.omega_sq)
+    cache = ThetaCache.build(state.theta, ctx)
     phi_eff = ctx.phi_effective(state.phi)
     sd = math.sqrt(ctx.var_effective(state.hypers))
     # column k's noise is the k-th run of n normals, as drawn column by column

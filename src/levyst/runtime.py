@@ -1,18 +1,15 @@
-"""Ordered reductions, and a deterministic worker pool.
+"""A deterministic worker pool.
 
-`reduce_sum` adds partial sums in fixed index order, so a total does not
-depend on how the terms were split.  The sampler runs each chain in one
-thread and does not use `WorkerPool`; the pool stays only while the
-benchmark's traced run still patches it.
+The sampler runs each chain in one thread and does not use `WorkerPool`;
+the pool stays only while the benchmark's traced run still patches it.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -23,18 +20,6 @@ class WorkPlan:
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(k for chunk in self.assignments for k in chunk)
-
-
-def reduce_sum(partials) -> float:
-    """Fixed left-to-right summation in index order; order-independent of
-    worker completion order by construction."""
-    total = 0.0
-    for x in partials:
-        x = float(x)
-        if not math.isfinite(x):
-            raise NumericError(f"non-finite partial in reduction: {x}")
-        total += x
-    return total
 
 
 class WorkerPool:

@@ -40,10 +40,14 @@ factor + P_k + P_{k+1} + the likelihood of the stored f_k, and an accepted
 move writes back its proposal's P_k, P_{k+1} and f_k; blocks of one parity
 touch disjoint entries.  The theta phase values the current theta at its
 prior + sum_k P_k + the likelihoods of the columns after the sweep, which
-the sweep returns; each in-bounds proposal builds one cache and scores all
-m blocks in one batched pass, and an accepted proposal hands over its own
-cache, factors and columns.  The cache holds the AR transition table (mean
-multiplier, variance and log variance for every distinct time gap and
+the sweep returns.  Its two proposals (`tmcmc_proposal`, then
+`enhancement_proposal`) are pure functions of theta and the phase's
+generator; each in-bounds proposal builds one cache and scores all m blocks
+in one batched pass (`theta_logpost`), one uniform drawn after its draws
+accepts it by the sweep's rule, log(u) < log_alpha with a NaN rejecting,
+and an accepted proposal hands over its own cache, factors and columns.
+The cache is a function of theta alone and holds the AR transition table
+(mean multiplier, variance and log variance for every distinct time gap and
 coordinate chain).  Nothing in the terms reads the Gibbs scalars or the
 effects, so they carry over to the next iteration; only the likelihood is
 recomputed from the stored columns.
@@ -70,7 +74,7 @@ from scipy.stats import invgamma, norm
 from . import effects
 from .ar import ArMode, ArSpec, mode_for_times
 from .data import SpaceTimeDataset
-from .errors import ConfigError, InvalidArgumentError, InvalidStateError, UnsupportedPredictionError
+from .errors import ConfigError, InvalidArgumentError, InvalidStateError, NumericError, UnsupportedPredictionError
 from .model import (
     COORD_BOUND,
     AtomStore,
@@ -90,7 +94,6 @@ from .model import (
     monotone_map_fit,
     unpack_theta,
 )
-from .runtime import reduce_sum
 
 # `atom_block_log_density` and `atom_process_log_density` are the reference
 # process densities that `ProcessTable` reproduces within rounding, and
@@ -315,8 +318,9 @@ class ThetaCache:
     """Natural-scale parameters, mapped locations and the AR transition
     table for one theta value.
 
-    Nothing kept here depends on nu, omega_sq or the Gibbs scalars, so a
-    cache stays valid for its theta while those change.
+    It is built from theta alone: nothing kept here depends on nu, omega_sq
+    or the Gibbs scalars, so a cache stays valid for its theta while those
+    change.
     """
 
     kp: object
@@ -326,8 +330,8 @@ class ThetaCache:
     table: ProcessTable
 
     @classmethod
-    def build(cls, theta: np.ndarray, ctx: ModelContext, nu: np.ndarray, omega_sq: np.ndarray) -> "ThetaCache":
-        kp, mp, beta_spec, mu_specs = unpack_theta(theta, ctx.layout, ctx.ar_mode, nu, omega_sq)
+    def build(cls, theta: np.ndarray, ctx: ModelContext) -> "ThetaCache":
+        kp, mp, beta_spec, mu_specs = unpack_theta(theta, ctx.layout, ctx.ar_mode)
         fit = monotone_map_fit(list(ctx.knots), mp)
         mapped = np.empty((ctx.n, ctx.p))
         for ell in range(ctx.p):
@@ -595,17 +599,6 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
     return BlockMoves(ks, moves, current, AtomStore(values, new_counts), log_ratio, reachable, u[:, 3].copy())
 
 
-def _mh_accept(log_alpha: float, rng: np.random.Generator) -> bool:
-    if math.isnan(log_alpha):
-        return False
-    if log_alpha >= 0.0:
-        # Still consume one uniform so the draw sequence does not depend on
-        # the acceptance outcome.
-        rng.random()
-        return True
-    return math.log(rng.random()) < log_alpha
-
-
 def update_time_block(phases: list[tuple[np.ndarray, np.random.Generator]], atoms: AtomStore, terms: StateTerms,
                       ctx: ModelContext, hypers: ScalarHypers, cfg: SamplerConfig,
                       phi: np.ndarray | None) -> tuple[BlockMoves, np.ndarray, np.ndarray, np.ndarray]:
@@ -677,6 +670,18 @@ def update_time_block(phases: list[tuple[np.ndarray, np.random.Generator]], atom
 # fixed-dimension block update
 # ---------------------------------------------------------------------------
 
+def reduce_sum(partials) -> float:
+    """Left-to-right sum in index order; a non-finite partial raises
+    NumericError."""
+    total = 0.0
+    for x in partials:
+        x = float(x)
+        if not math.isfinite(x):
+            raise NumericError(f"non-finite partial in reduction: {x}")
+        total += x
+    return total
+
+
 def theta_score(log_prior: float, terms: StateTerms, loglik: np.ndarray) -> float:
     """Log conditional of the fixed-dimension block at a theta, from its
     prior `log_prior_theta`, the terms of the state's atoms under it and
@@ -697,67 +702,46 @@ def theta_logpost(theta, state, ctx):
     log_prior = log_prior_theta(theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
     if not math.isfinite(log_prior):
         return -np.inf, None
-    terms = StateTerms.build(ThetaCache.build(theta, ctx, state.nu, state.omega_sq), state.atoms, ctx)
+    terms = StateTerms.build(ThetaCache.build(theta, ctx), state.atoms, ctx)
     loglik = loglik_rows(range(ctx.m), terms.field.T, ctx, state.hypers, state.phi)
     return theta_score(log_prior, terms, loglik), terms
 
 
-def _theta_accept(proposal, log_jac, info, state, ctx, rng, cur_lp, cur_terms):
-    """Score a proposed theta and accept or reject it.  Returns the theta,
-    its log conditional and terms after the step, the acceptance and info."""
-    lp_prop, terms_prop = theta_logpost(proposal, state, ctx)
-    log_alpha = lp_prop - cur_lp + log_jac
-    info.update(proposal=proposal, log_jac=log_jac, log_alpha=log_alpha,
-                lp_prop=lp_prop, lp_cur=cur_lp)
-    if _mh_accept(log_alpha, rng):
-        return proposal, lp_prop, terms_prop, True, info
-    return state.theta, cur_lp, cur_terms, False, info
-
-
-def tmcmc_update_theta(state, ctx, cfg, rng, cur_lp, cur_terms):
+def tmcmc_proposal(theta: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Whole-block proposal driven by one scalar draw with per-coordinate
-    signs (additive) or factors (multiplicative)."""
-    d = ctx.layout.dim
-    theta = state.theta
+    signs (additive) or factors (multiplicative); returns the proposal and
+    its log Jacobian."""
+    d = theta.size
     if rng.random() < cfg.p_add:
         eps = rng.standard_normal()
         b = rng.integers(0, 2, size=d) * 2 - 1
-        proposal = theta + b * cfg.scale * abs(eps)
-        log_jac = 0.0
-        info = dict(branch="additive", eps=eps, b=b)
-    else:
-        eps = float(_mult_eps(rng.random(), cfg.eps_floor))
-        b = rng.integers(-1, 2, size=d)
-        proposal = theta.copy()
-        proposal[b == 1] *= eps
-        proposal[b == -1] /= eps
-        log_jac = float(b.sum()) * math.log(abs(eps))
-        info = dict(branch="multiplicative", eps=eps, b=b)
-    return _theta_accept(proposal, log_jac, info, state, ctx, rng, cur_lp, cur_terms)
+        return theta + b * cfg.scale * abs(eps), 0.0
+    eps = float(_mult_eps(rng.random(), cfg.eps_floor))
+    b = rng.integers(-1, 2, size=d)
+    proposal = theta.copy()
+    proposal[b == 1] *= eps
+    proposal[b == -1] /= eps
+    return proposal, float(b.sum()) * math.log(abs(eps))
 
 
-def mixing_enhancement(state, ctx, cfg, rng, cur_lp, cur_terms):
-    """Second pass over the block with common-direction proposals."""
-    d = ctx.layout.dim
-    theta = state.theta
+def enhancement_proposal(theta: np.ndarray, cfg: SamplerConfig,
+                         rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """Common-direction proposal of the mixing-enhancement pass: every
+    coordinate shifted by one step, or multiplied or divided by one factor;
+    returns the proposal and its log Jacobian."""
     if rng.random() < cfg.q_add:
         u_dir = rng.random()
-        eps = rng.standard_normal()
-        step = (cfg.shrink * cfg.scale) * abs(eps)
-        proposal = theta + step if u_dir < 0.5 else theta - step
-        log_jac = 0.0
-        info = dict(branch="additive", eps=eps, up=u_dir < 0.5)
-    else:
-        eps = float(_mult_eps(rng.random(), cfg.eps_floor))
-        u_dir = rng.random()
-        if u_dir < 0.5:
-            proposal = theta * eps
-            log_jac = d * math.log(abs(eps))
-        else:
-            proposal = theta / eps
-            log_jac = -d * math.log(abs(eps))
-        info = dict(branch="multiplicative", eps=eps, up=u_dir < 0.5)
-    return _theta_accept(proposal, log_jac, info, state, ctx, rng, cur_lp, cur_terms)
+        step = (cfg.shrink * cfg.scale) * abs(rng.standard_normal())
+        return (theta + step if u_dir < 0.5 else theta - step), 0.0
+    eps = float(_mult_eps(rng.random(), cfg.eps_floor))
+    if rng.random() < 0.5:
+        return theta * eps, theta.size * math.log(abs(eps))
+    return theta / eps, -theta.size * math.log(abs(eps))
+
+
+def _log_uniform(u: float) -> float:
+    """log u of an acceptance uniform u in [0, 1), -inf at u == 0."""
+    return math.log(u) if u > 0.0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +843,7 @@ class Sampler:
         omega_sq = np.full(ctx.p, omega0)
 
         rng = stream(cfg.seed, _S_INIT)
-        _, _, beta_spec, mu_specs = unpack_theta(theta, layout, ctx.ar_mode, nu, omega_sq)
+        _, _, beta_spec, mu_specs = unpack_theta(theta, layout, ctx.ar_mode)
         j0 = max(1, min(cfg.j_max, round(lam0)))
         atoms = []
         for _ in range(ctx.m):
@@ -880,8 +864,7 @@ class Sampler:
         if state.terms is None:
             if atoms.width < cfg.j_max:
                 raise InvalidStateError("the atom store has fewer slots than j_max")
-            state.terms = StateTerms.build(ThetaCache.build(state.theta, ctx, state.nu, state.omega_sq),
-                                           atoms, ctx)
+            state.terms = StateTerms.build(ThetaCache.build(state.theta, ctx), atoms, ctx)
         terms = state.terms
 
         # transdimensional sweep: odd (1-based) indices first, then even;
@@ -892,15 +875,20 @@ class Sampler:
         loglik = np.empty(ctx.m)
         loglik[moves.ks] = swept
 
-        # fixed-dimension block plus enhancement at the coordinator; the
-        # current value takes the sweep's likelihoods of the stored columns
+        # fixed-dimension block, then enhancement; the current value takes
+        # the sweep's likelihoods of the stored columns.  Each proposal's
+        # draws are followed by its acceptance uniform, accepted as in the
+        # block sweep: log(u) < log_alpha, where a NaN rejects.
         rng_t = stream(cfg.seed, _S_THETA, r)
         log_prior = log_prior_theta(state.theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
         cur_lp = theta_score(log_prior, terms, loglik)
-        state.theta, cur_lp, terms, acc, _ = tmcmc_update_theta(state, ctx, cfg, rng_t, cur_lp, terms)
-        stats.record("tmcmc", acc)
-        state.theta, cur_lp, terms, acc, _ = mixing_enhancement(state, ctx, cfg, rng_t, cur_lp, terms)
-        stats.record("enhance", acc)
+        for move, propose in (("tmcmc", tmcmc_proposal), ("enhance", enhancement_proposal)):
+            proposal, log_jac = propose(state.theta, cfg, rng_t)
+            lp_prop, terms_prop = theta_logpost(proposal, state, ctx)
+            accepted = _log_uniform(rng_t.random()) < lp_prop - cur_lp + log_jac
+            stats.record(move, accepted)
+            if accepted:
+                state.theta, cur_lp, terms = proposal, lp_prop, terms_prop
         state.terms = terms
 
         # random-effect draws (explicit mode): one (m, n) normal array, row k
@@ -1014,22 +1002,25 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
     q, mt = new_locations.shape[0], new_times.size
     phi0_new = effects.phi0_predict(data.locations, data.times, data.y, new_locations, new_times)
 
-    rng = stream(seed, _S_PREDICT)
-    draws = np.empty((len(samples), q, mt))
+    # every normal in one draw, in the order of a loop over samples, then
+    # times, then (explicit mode) the effect's q normals and the noise's q
+    S = len(samples)
+    z = stream(seed, _S_PREDICT).standard_normal((S, mt, q) if marginalized else (S, mt, 2, q))
+    fields = np.empty((S, q, mt))
     for s_i, smp in enumerate(samples):
-        kp, mp, _, _ = unpack_theta(smp.theta, layout, ar_mode, smp.nu, smp.omega_sq)
+        kp, mp, _, _ = unpack_theta(smp.theta, layout, ar_mode)
         fit = monotone_map_fit(list(knots), mp)
         mapped_new = np.column_stack([monotone_map_extend(new_locations[:, ell], ell, fit, mp)
                                       for ell in range(data.p)])
-        fields = field_rows(mapped_new, data.times[time_idx], smp.store.take(time_idx), kp)
-        for b in range(mt):
-            mean = smp.alpha + phi0_new[:, b] + fields[b]
-            if marginalized:
-                noise_sd = math.sqrt(smp.sigma_sq_eps + smp.sigma_sq_phi)
-                draws[s_i, :, b] = mean + noise_sd * rng.standard_normal(q)
-            else:
-                phi_draw = math.sqrt(smp.sigma_sq_phi) * rng.standard_normal(q)
-                draws[s_i, :, b] = mean + phi_draw + math.sqrt(smp.sigma_sq_eps) * rng.standard_normal(q)
+        fields[s_i] = field_rows(mapped_new, data.times[time_idx], smp.store.take(time_idx), kp).T
+    alpha, ssq_eps, ssq_phi = (np.array([getattr(smp, name) for smp in samples])[:, None, None]
+                               for name in ("alpha", "sigma_sq_eps", "sigma_sq_phi"))
+    mean = alpha + phi0_new + fields
+    if marginalized:
+        draws = mean + np.sqrt(ssq_eps + ssq_phi) * z.transpose(0, 2, 1)
+    else:
+        z_phi, z_eps = z.transpose(2, 0, 3, 1)
+        draws = mean + np.sqrt(ssq_phi) * z_phi + np.sqrt(ssq_eps) * z_eps
 
     if data.standardized:
         draws = draws * data.sd + data.mean

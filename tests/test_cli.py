@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 from dataclasses import replace
@@ -8,7 +9,8 @@ import pytest
 import levyst.cli as cli
 from levyst.chainio import read_chain
 from levyst.cli import _sampler_config, main
-from levyst.data import GqnConfig, gqn_simulate, load_csv, write_csv
+from levyst.data import GqnConfig, SpaceTimeDataset, gqn_simulate, load_csv, write_csv
+from levyst.errors import InvalidStateError, NumericError
 from levyst.sampler import SamplerConfig
 
 
@@ -165,6 +167,52 @@ def test_usage_errors(sim_dir, fit_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--nonsense"])
     assert exc.value.code == 2
+
+
+def test_bad_input_exits_2_naming_the_cause(sim_dir, tmp_path, capsys, monkeypatch):
+    train = load_csv(sim_dir / "train.csv")
+    constant, one_location, small = tmp_path / "constant.csv", tmp_path / "one.csv", tmp_path / "small.csv"
+    write_csv(replace(train, y=np.ones_like(train.y)), constant)
+    write_csv(SpaceTimeDataset(train.locations[:1], train.times, train.y[:1]), one_location)
+    write_csv(SpaceTimeDataset(train.locations[:2], train.times, train.y[:2]), small)  # 8 cells
+    existing = tmp_path / "taken"
+    existing.write_text("")
+    fit_flags = ["--iters", "4", "--burnin", "0", "--thin", "1", "--jmax", "4"]
+    cases = [
+        (["fit", "--data", str(constant), "--out", str(tmp_path / "f1"), *fit_flags], ["constant response"]),
+        (["fit", "--data", str(one_location), "--out", str(tmp_path / "f2"), *fit_flags], ["two locations"]),
+        (["diagnose", "--data", str(small), "--out", str(tmp_path / "d")], ["at least 20 points"]),
+        (["fit", "--data", str(tmp_path), "--out", str(tmp_path / "f3"), *fit_flags],
+         [os.strerror(errno.EISDIR), str(tmp_path)]),
+        (["fit", "--data", str(sim_dir / "train.csv"), "--out", str(existing), *fit_flags],
+         [os.strerror(errno.EEXIST), str(existing)]),
+    ]
+    capsys.readouterr()
+    for argv, causes in cases:
+        assert _run(*argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        for cause in causes:
+            assert cause in captured.err, (argv, captured.err)
+    # a failure of the run itself still exits 1
+    for error in (NumericError("diverged"), InvalidStateError("inconsistent")):
+        def failing(_cfg, error=error):
+            raise error
+        monkeypatch.setattr(cli, "gqn_simulate", failing)
+        assert _run("simulate", "--out", str(tmp_path / "sim")) == 1
+        assert f"error: {error}" in capsys.readouterr().err
+
+
+def test_config_key_the_subcommand_does_not_take_is_rejected(sim_dir, tmp_path, capsys):
+    for line in ("c0 = 0.3", "n_train = 5"):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"iters = 4\nburnin = 0\nthin = 1\njmax = 4\n{line}\n")
+        out = tmp_path / "fit"
+        capsys.readouterr()
+        assert _run("fit", "--config", str(cfgfile), "--data", str(sim_dir / "train.csv"), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert line.split(" =")[0] in err and "fit" in err
+        assert not (out / "manifest.json").exists()
 
 
 def test_out_of_memory_exits_1(monkeypatch, tmp_path, capsys):

@@ -10,7 +10,7 @@ from levyst.effects import (
     phi0_predict,
     phi0_training_matrix,
 )
-from levyst.errors import InvalidStateError
+from levyst.errors import InvalidArgumentError, InvalidStateError
 
 
 def test_phi0_two_locations_swap():
@@ -29,7 +29,7 @@ def test_phi0_tie_averaging():
 
 
 def test_phi0_training_needs_two_locations():
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(InvalidArgumentError):
         phi0_training_matrix(np.array([[0.0]]), np.array([[1.0]]))
 
 

@@ -42,7 +42,7 @@ def test_one_block_kernel_keeps_its_target():
     # theta from one prior draw, held fixed; the huge noise variance flattens the likelihood
     state = draw_prior_state(ctx, cfg, rng)
     hypers = ScalarHypers(lam=LAM, sigma_sq_eps=1e12, sigma_sq_phi=0.0)
-    cache = ThetaCache.build(state.theta, ctx, state.nu, state.omega_sq)
+    cache = ThetaCache.build(state.theta, ctx)
     beta_var = cache.beta_spec.initial_variance
 
     J = 0

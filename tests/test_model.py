@@ -13,6 +13,7 @@ from levyst.model import (
     COORD_BOUND,
     LOG_HI,
     LOG_LO,
+    MAP_EXPONENT,
     AtomStore,
     KernelParams,
     LatentAtoms,
@@ -70,9 +71,8 @@ def test_kernel_bounded_property(ds, dt):
         assert v < 1.0
 
 
-def _map_params(C, C_tilde, X, p=1, r=2):
-    return MonotoneMapParams(C=np.full(p, C), C_tilde=np.full(p, C_tilde),
-                             X=np.full(p, X), nu=np.zeros(p), omega_sq=np.ones(p), r=r)
+def _map_params(C, C_tilde, X, p=1):
+    return MonotoneMapParams(C=np.full(p, C), C_tilde=np.full(p, C_tilde), X=np.full(p, X))
 
 
 def test_map_fit_values():
@@ -116,9 +116,9 @@ def _extend_pointwise(s, dim, fit, mp):
     knots, values = fit.knots[dim], fit.values[dim]
     slope = mp.C[dim] * mp.X[dim]
     if s < knots[0]:
-        return float(values[0] - slope * (knots[0] - s) ** mp.r)
+        return float(values[0] - slope * (knots[0] - s) ** MAP_EXPONENT)
     i = int(np.searchsorted(knots, s, side="right")) - 1
-    return float(values[i] + slope * (s - knots[i]) ** mp.r)
+    return float(values[i] + slope * (s - knots[i]) ** MAP_EXPONENT)
 
 
 def test_map_extend_array_matches_pointwise():
@@ -392,7 +392,7 @@ def test_log_joint_matches_independent_assembly():
     total = log_joint_posterior(atoms, theta, hypers, nu, omega, None, y, mapped,
                                 times, phi0, prior, ArMode.REGULAR_AR1, True)
 
-    kp, _, bspec, mspecs = unpack_theta(theta, layout, ArMode.REGULAR_AR1, nu, omega)
+    kp, _, bspec, mspecs = unpack_theta(theta, layout, ArMode.REGULAR_AR1)
     expected = 0.0
     for k in range(2):
         f = np.array([f_eval(mapped[i], times[k], atoms[k], kp) for i in range(2)])
@@ -418,7 +418,7 @@ def test_log_joint_observation_additivity():
     y2 = y.copy()
     y2[1, 1] += 0.7
     moved = log_joint_posterior(*args, y2, mapped, times, phi0, prior, ArMode.REGULAR_AR1, True)
-    kp, _, _, _ = unpack_theta(theta, layout, ArMode.REGULAR_AR1, nu, omega)
+    kp, _, _, _ = unpack_theta(theta, layout, ArMode.REGULAR_AR1)
     f = f_eval(mapped[1], times[1], atoms[1], kp)
     expected_delta = (log_observation_density(y2[1, 1], 0.0, 0.0, f, 0.5)
                       - log_observation_density(y[1, 1], 0.0, 0.0, f, 0.5))
@@ -447,7 +447,7 @@ def test_log_joint_marginalized_uses_effective_variance():
     parts = log_joint_parts(atoms, theta, hypers, nu, omega, None, y, mapped, times,
                             phi0, prior, ArMode.REGULAR_AR1, True)
     assert "random_effects" not in parts
-    kp, _, _, _ = unpack_theta(theta, layout, ArMode.REGULAR_AR1, nu, omega)
+    kp, _, _, _ = unpack_theta(theta, layout, ArMode.REGULAR_AR1)
     lik = 0.0
     for k in range(2):
         f = np.array([f_eval(mapped[i], times[k], atoms[k], kp) for i in range(2)])

@@ -64,7 +64,7 @@ def test_prior_draws_and_observations_match_per_block_reference(tiny_dataset, ta
 
         y = draw_observations(state, ctx, np.random.default_rng(100 + seed))
         rng = np.random.default_rng(100 + seed)
-        cache = ThetaCache.build(state.theta, ctx, state.nu, state.omega_sq)
+        cache = ThetaCache.build(state.theta, ctx)
         phi_eff = ctx.phi_effective(state.phi)
         sd = math.sqrt(ctx.var_effective(state.hypers))
         for k in range(ctx.m):

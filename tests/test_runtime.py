@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyst.errors import NumericError
-from levyst.runtime import WorkerPool, WorkPlan, reduce_sum
+from levyst.runtime import WorkerPool, WorkPlan
+from levyst.sampler import reduce_sum
 
 
 def test_reduce_sum_fixed_order():

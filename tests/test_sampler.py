@@ -26,16 +26,16 @@ from levyst.sampler import (
     block_scores,
     build_context,
     draw_blocks,
+    enhancement_proposal,
     gibbs_update_zeta,
     loglik_rows,
-    mixing_enhancement,
     move_weights,
     posterior_predict,
     propose_blocks,
     run_chain,
     stream,
     theta_logpost,
-    tmcmc_update_theta,
+    tmcmc_proposal,
     update_time_block,
 )
 from rounding import assert_factor_close, exponent_tolerance, field_tolerance, process_tolerance
@@ -68,7 +68,7 @@ def _state_pieces(ctx, j0=1, seed=3):
     theta[layout.i_logit_rho_beta] = -0.2
     theta[layout.i_log_ssq_beta] = 0.1
     nu, omega = np.zeros(ctx.p), np.ones(ctx.p)
-    cache = ThetaCache.build(theta, ctx, nu, omega)
+    cache = ThetaCache.build(theta, ctx)
     atoms = [LatentAtoms(rng.normal(size=(j0, ctx.p)), rng.normal(size=j0))
              for _ in range(ctx.m)]
     hypers = ScalarHypers(lam=2.0, sigma_sq_eps=0.5, sigma_sq_phi=0.0)
@@ -343,7 +343,7 @@ def test_theta_logpost_ratio_matches_joint_difference(tame_prior):
                 mapped=cache.mapped, times=ctx.times, phi0=ctx.phi0,
                 prior=ctx.prior, mode=ctx.ar_mode, marginalized=True)
     j1 = log_joint_posterior(atoms, theta, **args)
-    cache2 = ThetaCache.build(theta2, ctx, nu, omega)
+    cache2 = ThetaCache.build(theta2, ctx)
     args2 = dict(args, mapped=cache2.mapped)
     j2 = log_joint_posterior(atoms, theta2, **args2)
     assert lp2 - lp1 == pytest.approx(j2 - j1, rel=1e-9)
@@ -360,32 +360,68 @@ def test_tmcmc_rejects_out_of_bounds_and_accepts_identity(tame_prior):
     lp_bad, _ = theta_logpost(bad, state, ctx)
     assert lp_bad == -np.inf
 
-    lp, cache0 = theta_logpost(theta, state, ctx)
+    lp, _ = theta_logpost(theta, state, ctx)
     cfg = replace(CFG, p_add=0.0)
-    scripted = _ScriptedRng(uniforms=[0.9, 0.5, 0.2],
+    scripted = _ScriptedRng(uniforms=[0.9, 0.5],
                             integer_arrays=[np.zeros(ctx.layout.dim, dtype=int)])
-    new_theta, *_rest, accepted, info = tmcmc_update_theta(
-        state, ctx, cfg, scripted, lp, cache0)
-    assert np.all(info["b"] == 0)
-    assert accepted
-    np.testing.assert_array_equal(info["proposal"], theta)
+    proposal, log_jac = tmcmc_proposal(theta, cfg, scripted)
+    np.testing.assert_array_equal(proposal, theta)
+    assert log_jac == 0.0
+    # log_alpha is 0, so every acceptance uniform accepts
+    lp_prop, _ = theta_logpost(proposal, state, ctx)
+    assert all(sampler_module._log_uniform(u) < lp_prop - lp + log_jac for u in (0.0, 0.2, 1.0 - 2.0 ** -53))
 
 
-def test_enhancement_jacobian(tame_prior):
-    from levyst.sampler import SamplerState
-
-    ctx = _tiny_ctx(tame_prior, n=2, m=2, p=1)
-    theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=1)
-    state = SamplerState(atoms=AtomStore.from_blocks(atoms), theta=theta, hypers=hypers, nu=nu, omega_sq=omega)
-    d = ctx.layout.dim
-    lp, cache0 = theta_logpost(theta, state, ctx)
+def test_enhancement_jacobian():
+    d = 9
+    theta = np.linspace(-2.0, 2.5, d)
+    assert np.all(theta != 0.0)
     cfg = replace(CFG, q_add=0.0)
     for seed in range(8):
-        *_ignore, info = mixing_enhancement(state, ctx, cfg, stream(seed, 15), lp, cache0)
-        expected = (d if info["up"] else -d) * math.log(abs(info["eps"]))
-        assert info["log_jac"] == pytest.approx(expected, rel=1e-12)
+        proposal, log_jac = enhancement_proposal(theta, cfg, stream(seed, 15))
+        expected = float(np.sum(np.log(np.abs(proposal / theta))))
+        assert log_jac == pytest.approx(expected, rel=1e-12, abs=d * 1e-15)
     # spec example: d=3, eps=0.5, multiply branch -> |J| = 0.125
     assert math.exp(3 * math.log(0.5)) == pytest.approx(0.125)
+
+
+def test_zero_acceptance_uniform_accepts_any_finite_log_alpha(tiny_dataset, tame_prior, monkeypatch):
+    """log(0) is -inf, below every finite log_alpha: a theta proposal whose
+    acceptance uniform is exactly 0.0 is accepted however low its ratio."""
+    sampler = Sampler(tiny_dataset, SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=5, seed=2), tame_prior)
+    state = sampler.initial_state()
+    real_stream, real_logpost = sampler_module.stream, sampler_module.theta_logpost
+    scored = []
+
+    class ZeroUniforms:
+        """The theta phase's generator with every scalar uniform 0.0: both
+        moves take their additive branch, and both acceptance uniforms are 0."""
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self):
+            return 0.0
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    def stream_(seed, *key):
+        rng = real_stream(seed, *key)
+        return ZeroUniforms(rng) if key[0] == sampler_module._S_THETA else rng
+
+    def low_logpost(theta, state_, ctx):
+        lp, terms = real_logpost(theta, state_, ctx)
+        assert math.isfinite(lp)
+        scored.append(theta)
+        return lp - 1e6, terms
+
+    monkeypatch.setattr(sampler_module, "stream", stream_)
+    monkeypatch.setattr(sampler_module, "theta_logpost", low_logpost)
+    stats = MoveStats()
+    state = sampler.iterate(state, 0, stats)
+    assert len(scored) == 2 and stats.accepts["tmcmc"] == stats.accepts["enhance"] == 1
+    assert state.theta is scored[-1]
 
 
 class _ScriptedRng:
@@ -925,7 +961,6 @@ def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypa
     it leaves, and the theta phase starts from `theta_score` on those."""
     import levyst.sampler as sampler_module
     from levyst.model import atom_block_log_density, field_values, log_prior_theta, theta_in_bounds
-    from levyst.sampler import theta_score
 
     data = SpaceTimeDataset(tiny_dataset.locations, times, tiny_dataset.y)
     cfg = SamplerConfig(iterations=30, burn_in=0, thin=1, j_max=5, seed=3)
@@ -940,15 +975,15 @@ def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypa
         builds.append(1)
         return build(cls, *args)
 
-    def counting(move):
-        def counted_step(*args):
-            out = move(*args)
-            in_bounds.append(theta_in_bounds(out[-1]["proposal"], ctx.layout))
+    def counting(propose):
+        def counted_proposal(theta, cfg_, rng):
+            out = propose(theta, cfg_, rng)
+            in_bounds.append(theta_in_bounds(out[0], ctx.layout))
             return out
-        return counted_step
+        return counted_proposal
 
-    fresh_logliks, starts = [], []
-    sweep, tmcmc = sampler_module.update_time_block, sampler_module.tmcmc_update_theta
+    fresh_logliks, swept_terms, scores = [], [], []
+    sweep, score = sampler_module.update_time_block, sampler_module.theta_score
 
     def checked_sweep(phases, atoms, terms, ctx_, hypers, cfg_, phi):
         moves, accepted, log_alpha, swept = sweep(phases, atoms, terms, ctx_, hypers, cfg_, phi)
@@ -957,28 +992,36 @@ def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypa
         fresh = loglik_rows(range(ctx.m), terms.field.T, ctx, hypers, phi)
         assert np.array_equal(loglik, fresh)
         fresh_logliks.append(fresh)
+        swept_terms.append(terms)
         return moves, accepted, log_alpha, swept
 
-    def checked_tmcmc(state_, ctx_, cfg_, rng, cur_lp, cur_terms):
-        log_prior = log_prior_theta(state_.theta, ctx.layout, state_.nu, state_.omega_sq, ctx.prior)
-        assert cur_lp == theta_score(log_prior, cur_terms, fresh_logliks[-1])
-        starts.append(cur_lp)
-        return tmcmc(state_, ctx_, cfg_, rng, cur_lp, cur_terms)
+    def recorded_score(log_prior, terms, loglik):
+        lp = score(log_prior, terms, loglik)
+        scores.append((terms, lp))
+        return lp
 
     monkeypatch.setattr(sampler_module, "update_time_block", checked_sweep)
-    monkeypatch.setattr(sampler_module, "tmcmc_update_theta", checked_tmcmc)
+    monkeypatch.setattr(sampler_module, "theta_score", recorded_score)
     monkeypatch.setattr(ThetaCache, "build", classmethod(counting_build))
-    for name in ("tmcmc_update_theta", "mixing_enhancement"):
+    for name in ("tmcmc_proposal", "enhancement_proposal"):
         monkeypatch.setattr(sampler_module, name, counting(getattr(sampler_module, name)))
     state, stats = sampler.initial_state(), MoveStats()
     for r in range(cfg.iterations):
         builds.clear()
         in_bounds.clear()
+        scores.clear()
+        theta, nu, omega_sq = state.theta, state.nu.copy(), state.omega_sq.copy()
         state = sampler.iterate(state, r, stats)
         assert len(in_bounds) == 2
         assert len(builds) <= sum(in_bounds) + (r == 0)
-        assert len(fresh_logliks) == len(starts) == r + 1 and np.isfinite(starts[-1])
-        fresh = build(ThetaCache, state.theta, ctx, state.nu, state.omega_sq)
+        # the current theta is scored first, from the sweep's terms and
+        # likelihoods, then each in-bounds proposal
+        assert len(fresh_logliks) == r + 1 and len(scores) == 1 + sum(in_bounds)
+        log_prior = log_prior_theta(theta, ctx.layout, nu, omega_sq, ctx.prior)
+        cur_terms, cur_lp = scores[0]
+        assert cur_terms is swept_terms[-1]
+        assert cur_lp == score(log_prior, cur_terms, fresh_logliks[-1]) and np.isfinite(cur_lp)
+        fresh = build(ThetaCache, state.theta, ctx)
         terms = state.terms
         np.testing.assert_array_equal(terms.cache.mapped, fresh.mapped)
         for k in range(ctx.m):
@@ -1109,7 +1152,7 @@ def test_gibbs_block_matches_per_column_references(tame_prior, monkeypatch, marg
     with row k of the iteration's (m, n) effect normals for column k,
     `resid @ resid` and `resid.sum()`."""
     from levyst import effects
-    from levyst.runtime import reduce_sum
+    from levyst.sampler import reduce_sum
 
     m = 4
     rng = np.random.default_rng(n)
