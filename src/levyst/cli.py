@@ -22,7 +22,7 @@ from . import __version__, chainio, diagnostics
 from .data import GqnConfig, gqn_simulate, load_csv, standardize, write_csv
 from .errors import ConfigError, LevystError, ParseError
 from .model import PriorConfig
-from .sampler import SamplerConfig, posterior_predict, run_chain
+from .sampler import Sampler, SamplerConfig, posterior_predict
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -82,8 +82,8 @@ def _sampler_config(cfg: dict) -> SamplerConfig:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    os.makedirs(args.out, exist_ok=True)
     result = gqn_simulate(GqnConfig(**{key: cfg[key] for key in _GQN_FIELDS if key in cfg}))
+    os.makedirs(args.out, exist_ok=True)
     write_csv(result.train, os.path.join(args.out, "train.csv"))
     write_csv(result.test, os.path.join(args.out, "test.csv"))
     cfg["n_clamped"] = result.n_clamped
@@ -95,12 +95,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    os.makedirs(args.out, exist_ok=True)
     raw = load_csv(args.data)
     data, _ = standardize(raw)
     marginalized = bool(cfg.get("marginalized", 1))
     scfg = _sampler_config(cfg)
-    result = run_chain(data, scfg, PriorConfig(), marginalized=marginalized)
+    sampler = Sampler(data, scfg, PriorConfig(), marginalized=marginalized)
+    # after the inputs load and the model accepts them, before the run: bad
+    # input leaves no directory, and an unusable --out fails before a long fit
+    os.makedirs(args.out, exist_ok=True)
+    result = sampler.run()
     result.meta["data"] = os.path.abspath(args.data)
     result.meta["standardize_mean"] = data.mean
     result.meta["standardize_sd"] = data.sd
@@ -134,7 +137,6 @@ def _check_training_data(data, meta: dict) -> None:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    os.makedirs(args.out, exist_ok=True)
     samples, meta = chainio.read_chain(args.chain)
     if not samples:
         raise ConfigError("chain file holds no samples")
@@ -149,6 +151,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     bands = posterior_predict(samples, new.locations, new.times, data,
                               marginalized=marginalized, seed=cfg.get("seed", 0),
                               probs=tuple(probs))
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "bands.csv")
     names = {1 / 16: "lower_0875", 0.5: "median", 15 / 16: "upper_0875",
              0.025: "lower_95", 0.975: "upper_95"}
@@ -169,23 +172,25 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    os.makedirs(args.out, exist_ok=True)
     data = load_csv(args.data)
     c0 = cfg.get("c0", 0.26)
 
     regions = [data.y[i] for i in range(data.n)]
     stat = diagnostics.recursive_stationarity_test(regions, c0=c0)
+    span = float(np.hypot(
+        np.linalg.norm(data.locations.max(axis=0) - data.locations.min(axis=0)),
+        data.times.max() - data.times.min()))
+    edges = np.linspace(0.0, max(span, 1e-9), 13)[1:]
+    bins = diagnostics.lagged_correlation(data.locations, data.times, data.y, edges)
+    summ = diagnostics.normality_summary(data.y)
+
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "stationarity.csv"), "w", encoding="utf-8") as fh:
         fh.write("region,threshold,distance,posterior_mean,posterior_var\n")
         for j in range(len(regions)):
             fh.write(f"{j + 1},{stat.thresholds[j]:.8g},{stat.distances[j]:.8g},"
                      f"{stat.posterior_mean[j]:.8g},{stat.posterior_var[j]:.8g}\n")
 
-    span = float(np.hypot(
-        np.linalg.norm(data.locations.max(axis=0) - data.locations.min(axis=0)),
-        data.times.max() - data.times.min()))
-    edges = np.linspace(0.0, max(span, 1e-9), 13)[1:]
-    bins = diagnostics.lagged_correlation(data.locations, data.times, data.y, edges)
     with open(os.path.join(args.out, "lag_correlation.csv"), "w", encoding="utf-8") as fh:
         fh.write("lag_lo,lag_hi,pairs,correlation\n")
         for b in range(bins.counts.size):
@@ -193,7 +198,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             fh.write(f"{bins.edges[b]:.8g},{bins.edges[b + 1]:.8g},{bins.counts[b]},"
                      f"{'' if np.isnan(c) else '%.8g' % c}\n")
 
-    summ = diagnostics.normality_summary(data.y)
     with open(os.path.join(args.out, "normality.csv"), "w", encoding="utf-8") as fh:
         fh.write("prob,sample_quantile,normal_quantile\n")
         for pr, sq, nq in zip(summ.probs, summ.sample_q, summ.normal_q):

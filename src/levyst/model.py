@@ -78,14 +78,20 @@ class MonotoneMapParams:
     def __post_init__(self):
         for name in ("C", "C_tilde", "X"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        if np.any(self.C <= 0.0) or np.any(self.C_tilde <= 0.0):
-            raise InvalidArgumentError("C, C_tilde must be positive")
-        if np.any(self.X < 0.0):
-            raise InvalidArgumentError("X entries are |Z| and must be nonnegative")
+        check_map_params(self.C, self.C_tilde, self.X)
 
     @property
     def p(self) -> int:
         return self.C.size
+
+
+def check_map_params(C: np.ndarray, C_tilde: np.ndarray, X: np.ndarray) -> None:
+    """Raise InvalidArgumentError unless every C and C~ is positive and
+    every X nonnegative, for arrays of any shape."""
+    if np.any(C <= 0.0) or np.any(C_tilde <= 0.0):
+        raise InvalidArgumentError("C, C_tilde must be positive")
+    if np.any(X < 0.0):
+        raise InvalidArgumentError("X entries are |Z| and must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -223,29 +229,79 @@ def kernel_eval(delta_s: np.ndarray, delta_t: float, kp: KernelParams) -> float:
     return float(np.exp(-0.5 * np.dot(kp.tilde_sigma_sq, ds * ds) - kp.xi * abs(delta_t)))
 
 
-def monotone_map_fit(coords_per_dim, mp: MonotoneMapParams) -> MonotoneMapFit:
-    """Evaluate the increment recursion at sorted coordinates, per dimension.
+@dataclass(frozen=True)
+class MapGrid:
+    """The terms of the monotone maps that depend on the coordinates alone,
+    per dimension: the sorted knots, |s_(1)|^r and the increments
+    (s_(i) - s_(i-1))^r.
 
-    M_l(s_(1)) = C~_l - C_l X_l |s_(1)|^r and
-    M_l(s_(i)) = M_l(s_(i-1)) + C_l X_l (s_(i) - s_(i-1))^r.
+    Built once per set of training coordinates; `knot_values` combines them
+    with the slopes C_l X_l and anchors C~_l of a batch of thetas.  Each
+    theta's row takes the same operations on the same operands as it would
+    alone, and the running sum adds along the row in knot order, so a row
+    does not depend on the others in its batch.
     """
+
+    knots: tuple[np.ndarray, ...]
+    lead: tuple[float, ...]        # |s_(1)|^r
+    steps: tuple[np.ndarray, ...]  # (s_(i) - s_(i-1))^r for i >= 2
+
+    @classmethod
+    def build(cls, coords_per_dim) -> "MapGrid":
+        knots, lead, steps = [], [], []
+        for ell, coords in enumerate(coords_per_dim):
+            c = np.asarray(coords, dtype=float)
+            if c.ndim != 1 or c.size == 0:
+                raise InvalidArgumentError("each dimension needs a nonempty coordinate vector")
+            if c.size > 1 and np.any(np.diff(c) < 0.0):
+                raise InvalidArgumentError(f"coordinates for dimension {ell} are not sorted")
+            knots.append(c)
+            lead.append(abs(c[0]) ** MAP_EXPONENT)
+            steps.append(np.diff(c) ** MAP_EXPONENT)
+        return cls(tuple(knots), tuple(lead), tuple(steps))
+
+    def knot_values(self, dim: int, slope: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
+        """M_dim at the knots for B thetas, as a (B, K) array: row b for
+        slope C X = slope[b] and anchor C~ = c_tilde[b], by the increment
+        recursion M(s_(1)) = C~ - C X |s_(1)|^r and
+        M(s_(i)) = M(s_(i-1)) + C X (s_(i) - s_(i-1))^r."""
+        slope = slope[:, None]
+        values = np.empty((slope.shape[0], self.knots[dim].size))
+        values[:, :1] = c_tilde[:, None] - slope * self.lead[dim]
+        np.cumsum(slope * self.steps[dim], axis=1, out=values[:, 1:])
+        values[:, 1:] += values[:, :1]
+        return values
+
+
+def map_extension(knots: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The data-only terms of extending a map with sorted `knots` to the
+    coordinates s: each coordinate's knot i (the nearest lower one, or the
+    first), whether it lies below the first knot, and its offset from knot i
+    to the power r.  Under a theta with knot values v and slope C X, the map
+    at s is v[0] - C X powered below the first knot and v[i] + C X powered
+    elsewhere."""
+    s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise InvalidArgumentError("s_new must be finite")
+    below = s < knots[0]
+    i = np.maximum(np.searchsorted(knots, s, side="right") - 1, 0)
+    offset = np.where(below, knots[0] - s, s - knots[i])
+    # A float64 scalar power calls libm pow, which in rare cases rounds
+    # differently from the squaring an array power does; the scalar power
+    # keeps each value equal to extending its coordinate alone.
+    powered = np.array([d ** MAP_EXPONENT for d in offset.ravel()]).reshape(s.shape)
+    return i, below, powered
+
+
+def monotone_map_fit(coords_per_dim, mp: MonotoneMapParams) -> MonotoneMapFit:
+    """Evaluate the increment recursion at sorted coordinates, per dimension
+    (`MapGrid.knot_values` for one theta)."""
     if len(coords_per_dim) != mp.p:
         raise InvalidArgumentError("one coordinate vector per dimension required")
-    knots, values = [], []
-    for ell, coords in enumerate(coords_per_dim):
-        c = np.asarray(coords, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise InvalidArgumentError("each dimension needs a nonempty coordinate vector")
-        if c.size > 1 and np.any(np.diff(c) < 0.0):
-            raise InvalidArgumentError(f"coordinates for dimension {ell} are not sorted")
-        slope = mp.C[ell] * mp.X[ell]
-        m = np.empty_like(c)
-        m[0] = mp.C_tilde[ell] - slope * abs(c[0]) ** MAP_EXPONENT
-        if c.size > 1:
-            m[1:] = m[0] + np.cumsum(slope * np.diff(c) ** MAP_EXPONENT)
-        knots.append(c)
-        values.append(m)
-    return MonotoneMapFit(tuple(knots), tuple(values))
+    grid = MapGrid.build(coords_per_dim)
+    slope = mp.C * mp.X
+    return MonotoneMapFit(grid.knots, tuple(grid.knot_values(ell, slope[ell:ell + 1], mp.C_tilde[ell:ell + 1])[0]
+                                            for ell in range(mp.p)))
 
 
 def monotone_map_extend(s_new, dim: int, fit: MonotoneMapFit, mp: MonotoneMapParams) -> np.ndarray:
@@ -255,18 +311,8 @@ def monotone_map_extend(s_new, dim: int, fit: MonotoneMapFit, mp: MonotoneMapPar
     smallest knot the same increment is subtracted.  Takes one coordinate or
     an array of them and returns an array of the same shape.
     """
-    s = np.asarray(s_new, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise InvalidArgumentError("s_new must be finite")
-    knots, values = fit.knots[dim], fit.values[dim]
-    slope = mp.C[dim] * mp.X[dim]
-    below = s < knots[0]
-    i = np.maximum(np.searchsorted(knots, s, side="right") - 1, 0)
-    offset = np.where(below, knots[0] - s, s - knots[i])
-    # A float64 scalar power calls libm pow, which in rare cases rounds
-    # differently from the squaring an array power does; the scalar power
-    # keeps each value equal to extending its coordinate alone.
-    powered = np.array([d ** MAP_EXPONENT for d in offset.ravel()]).reshape(s.shape)
+    i, below, powered = map_extension(fit.knots[dim], s_new)
+    values, slope = fit.values[dim], mp.C[dim] * mp.X[dim]
     return np.where(below, values[0] - slope * powered, values[i] + slope * powered)
 
 

@@ -85,7 +85,7 @@ def _draw_atoms(counts, ctx, cache, rng):
                 mu[:, ell] = math.sqrt(spec.initial_variance) * rng.standard_normal(J)
         else:
             prev = atoms[k - 1]
-            gap = ctx.times[k] - ctx.times[k - 1]
+            gap = ctx.gaps[ctx.gap_index[k]]
             shared = min(J, prev.count)
             beta = np.empty(J)
             beta[:shared] = _trans_draw(prev.beta[:shared], gap, beta_spec, rng)

@@ -61,6 +61,13 @@ exponent is within 4 (p+2) eps (sum_l ksq_l (M_l^2 + mu_l^2) + time term
 + 1) of the per-coordinate form, and agrees with `field_values` to the
 field error those kernel errors allow.  Carried terms are the values a
 batched evaluation gives, so carrying changes no bit.
+
+Prediction (`posterior_predict`) forms only each sample's field per
+sample: one `field_rows` call under the sample's kernel parameters.  The
+exponentials of every theta, the mapped new locations (the map's data-only
+terms once, then each chunk of samples' knot values and extensions as
+arrays), the grid index of every new time, the noise and every band are
+whole-chain arrays, each value equal to a per-sample loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -78,28 +85,32 @@ from .errors import ConfigError, InvalidArgumentError, InvalidStateError, Numeri
 from .model import (
     COORD_BOUND,
     AtomStore,
+    KernelParams,
     LatentAtoms,
+    MapGrid,
     PriorConfig,
     ProcessTable,
     ScalarHypers,
     ThetaLayout,
     atom_block_log_density,
     atom_process_log_density,
+    check_map_params,
     count_log_factor,
     field_rows,
     field_values,
     log_observation_density,
     log_prior_theta,
+    map_extension,
     monotone_map_extend,
-    monotone_map_fit,
     unpack_theta,
 )
 
 # `atom_block_log_density` and `atom_process_log_density` are the reference
-# process densities that `ProcessTable` reproduces within rounding, and
+# process densities that `ProcessTable` reproduces within rounding,
 # `field_values` the reference field that `field_rows` reproduces within
-# rounding; they stay importable from this module, where perfbench's traced
-# runs look them up.
+# rounding, and `monotone_map_extend` the one-theta form of the map
+# extension that prediction runs over the whole chain; they stay importable
+# from this module, where perfbench's traced runs look them up.
 
 # Random stream identifiers.
 _S_INIT, _S_BLOCK, _S_THETA, _S_PHI, _S_ZETA, _S_PREDICT = range(6)
@@ -255,10 +266,10 @@ class ModelContext:
     marginalized: bool
     alpha_pinned: bool
     ar_mode: ArMode
-    knots: tuple[np.ndarray, ...]
+    map_grid: MapGrid             # the maps' data-only terms on the sorted unique coordinates
     knot_inverse: tuple[np.ndarray, ...]
-    gaps: np.ndarray              # distinct gaps between consecutive times, sorted
-    gap_index: np.ndarray         # gap_index[k]: row of times[k] - times[k-1] in gaps (-1 at k=0)
+    gaps: np.ndarray              # distinct transition gaps, sorted (only 1 on a regular AR(1) grid)
+    gap_index: np.ndarray         # gap_index[k]: row of the gap from times[k-1] to times[k] in gaps (-1 at k=0)
     layout: ThetaLayout
 
     @property
@@ -282,14 +293,15 @@ class ModelContext:
         return hypers.sigma_sq_eps
 
 
-def _map_knots(locations: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Sorted unique coordinates per dimension, and each location's index into them."""
+def _map_grid(locations: np.ndarray) -> tuple[MapGrid, tuple[np.ndarray, ...]]:
+    """The map grid on the sorted unique coordinates per dimension, and each
+    location's index into them."""
     knots, inverse = [], []
     for ell in range(locations.shape[1]):
         uniq, inv = np.unique(locations[:, ell], return_inverse=True)
         knots.append(uniq)
         inverse.append(inv)
-    return tuple(knots), tuple(inverse)
+    return MapGrid.build(knots), tuple(inverse)
 
 
 def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool = True,
@@ -302,12 +314,18 @@ def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool
             raise InvalidArgumentError("phi0 override must match the response shape")
     else:
         phi0 = effects.phi0_training_matrix(data.locations, data.y)
-    knots, inverse = _map_knots(data.locations)
-    gaps, gap_rows = np.unique(np.diff(data.times), return_inverse=True)
+    grid, inverse = _map_grid(data.locations)
+    ar_mode = mode_for_times(data.times)
+    steps = np.diff(data.times)
+    if ar_mode is ArMode.REGULAR_AR1:
+        # the regular AR(1) takes unit steps, also where a computed time
+        # difference is off 1 by rounding (which a negative rho rejects)
+        steps = np.ones_like(steps)
+    gaps, gap_rows = np.unique(steps, return_inverse=True)
     return ModelContext(
         y=data.y, locations=data.locations, times=data.times, phi0=phi0,
         prior=prior, marginalized=marginalized, alpha_pinned=alpha_pinned,
-        ar_mode=mode_for_times(data.times), knots=knots, knot_inverse=inverse,
+        ar_mode=ar_mode, map_grid=grid, knot_inverse=inverse,
         gaps=gaps, gap_index=np.concatenate([[-1], gap_rows]).astype(np.int64),
         layout=ThetaLayout(p=data.p),
     )
@@ -332,10 +350,11 @@ class ThetaCache:
     @classmethod
     def build(cls, theta: np.ndarray, ctx: ModelContext) -> "ThetaCache":
         kp, mp, beta_spec, mu_specs = unpack_theta(theta, ctx.layout, ctx.ar_mode)
-        fit = monotone_map_fit(list(ctx.knots), mp)
+        slope = mp.C * mp.X
         mapped = np.empty((ctx.n, ctx.p))
         for ell in range(ctx.p):
-            mapped[:, ell] = fit.values[ell][ctx.knot_inverse[ell]]
+            values = ctx.map_grid.knot_values(ell, slope[ell:ell + 1], mp.C_tilde[ell:ell + 1])[0]
+            mapped[:, ell] = values[ctx.knot_inverse[ell]]
         return cls(kp=kp, beta_spec=beta_spec, mu_specs=mu_specs, mapped=mapped,
                    table=ProcessTable.build(ctx.gaps, beta_spec, mu_specs))
 
@@ -971,13 +990,47 @@ class PredictionBands:
     draws: np.ndarray | None = None     # (S, q, mt), original scale
 
 
-def _grid_index(t: float, times: np.ndarray) -> int:
-    hits = np.flatnonzero(times == t)
-    if hits.size == 0:
-        hits = np.flatnonzero(np.isclose(times, t, rtol=0.0, atol=1e-12))
-    if hits.size == 0:
-        raise UnsupportedPredictionError(f"time {t} is not on the training grid")
-    return int(hits[0])
+def _grid_indices(new_times: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Index of each new time on the training grid: its first exact match,
+    else the first time within 1e-12 of it."""
+    exact = new_times[:, None] == times
+    hits = np.where(exact.any(axis=1, keepdims=True), exact,
+                    np.isclose(new_times[:, None], times, rtol=0.0, atol=1e-12))
+    missing = np.flatnonzero(~hits.any(axis=1))
+    if missing.size:
+        raise UnsupportedPredictionError(f"time {new_times[missing[0]]} is not on the training grid")
+    return hits.argmax(axis=1)
+
+
+# Knot values held at once while mapping new locations: a chunk of samples
+# takes this many (sample, knot) pairs, so no array grows with samples x knots.
+_KNOT_VALUES_HELD = 1 << 16
+
+
+def _map_new_locations(grid: MapGrid, new_locations: np.ndarray, thetas: np.ndarray, natural: np.ndarray,
+                       layout: ThetaLayout) -> np.ndarray:
+    """Mapped new locations of every sample, an (S, q, p) array, from the
+    chain's (S, d) thetas and their exponentials `natural`.
+
+    The new locations' data-only terms are formed once per dimension; each
+    chunk of samples then forms its knot values and the extensions as
+    whole-chunk arrays, each value as `monotone_map_extend` forms it for one
+    theta.
+    """
+    c, c_tilde, x = natural[:, layout.sl_log_c], natural[:, layout.sl_log_c_tilde], thetas[:, layout.sl_x]
+    check_map_params(c, c_tilde, x)
+    slope = c * x
+    S, (q, p) = thetas.shape[0], new_locations.shape
+    mapped = np.empty((S, q, p))
+    for ell in range(p):
+        index, below, powered = map_extension(grid.knots[ell], new_locations[:, ell])
+        rows = max(1, _KNOT_VALUES_HELD // grid.knots[ell].size)
+        for start in range(0, S, rows):
+            chunk = slice(start, start + rows)
+            values = grid.knot_values(ell, slope[chunk, ell], c_tilde[chunk, ell])
+            step = slope[chunk, ell, None] * powered
+            mapped[chunk, :, ell] = np.where(below, values[:, :1] - step, values[:, index] + step)
+    return mapped
 
 
 def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
@@ -989,6 +1042,16 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
 
     Predictions run in the (standardized) model scale and are transformed
     back to the original units when the dataset carries statistics.
+
+    Only each sample's field, one `field_rows` call under its kernel
+    parameters, is formed per sample.  The rest is formed once over the
+    whole chain: the exponentials of every theta, the mapped new locations
+    (`_map_new_locations`), the grid index of every new time, the noise
+    (one normal array), the draws and every band (one `np.quantile` call).
+    Each value equals the per-sample computation's bit for bit.  The draws
+    take S x q x mt floats and the mapped locations S x q x p; the map's
+    knot values are formed in chunks of samples (`_KNOT_VALUES_HELD`), so
+    no array grows as the samples times the training locations.
     """
     if not samples:
         raise InvalidArgumentError("empty chain")
@@ -996,9 +1059,8 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
         raise ConfigError(f"seed must be >= 0, got {seed}")
     new_locations = np.atleast_2d(np.asarray(new_locations, dtype=float))
     new_times = np.atleast_1d(np.asarray(new_times, dtype=float))
-    layout, ar_mode = ThetaLayout(p=data.p), mode_for_times(data.times)
-    knots, _ = _map_knots(data.locations)
-    time_idx = np.array([_grid_index(t, data.times) for t in new_times])
+    layout = ThetaLayout(p=data.p)
+    time_idx = _grid_indices(new_times, data.times)
     q, mt = new_locations.shape[0], new_times.size
     phi0_new = effects.phi0_predict(data.locations, data.times, data.y, new_locations, new_times)
 
@@ -1006,13 +1068,15 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
     # times, then (explicit mode) the effect's q normals and the noise's q
     S = len(samples)
     z = stream(seed, _S_PREDICT).standard_normal((S, mt, q) if marginalized else (S, mt, 2, q))
+    thetas = np.array([smp.theta for smp in samples])
+    natural = np.exp(thetas)
+    mapped = _map_new_locations(_map_grid(data.locations)[0], new_locations, thetas, natural, layout)
+    times_new = data.times[time_idx]
     fields = np.empty((S, q, mt))
     for s_i, smp in enumerate(samples):
-        kp, mp, _, _ = unpack_theta(smp.theta, layout, ar_mode)
-        fit = monotone_map_fit(list(knots), mp)
-        mapped_new = np.column_stack([monotone_map_extend(new_locations[:, ell], ell, fit, mp)
-                                      for ell in range(data.p)])
-        fields[s_i] = field_rows(mapped_new, data.times[time_idx], smp.store.take(time_idx), kp).T
+        kp = KernelParams(natural[s_i, layout.sl_log_ksq], float(natural[s_i, layout.i_log_tau]),
+                          float(natural[s_i, layout.i_log_xi]))
+        fields[s_i] = field_rows(mapped[s_i], times_new, smp.store.take(time_idx), kp).T
     alpha, ssq_eps, ssq_phi = (np.array([getattr(smp, name) for smp in samples])[:, None, None]
                                for name in ("alpha", "sigma_sq_eps", "sigma_sq_phi"))
     mean = alpha + phi0_new + fields
@@ -1024,6 +1088,6 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
 
     if data.standardized:
         draws = draws * data.sd + data.mean
-    bands = {float(pr): np.quantile(draws, pr, axis=0) for pr in probs}
+    bands = dict(zip((float(pr) for pr in probs), np.quantile(draws, probs, axis=0)))
     return PredictionBands(locations=new_locations, times=new_times, quantiles=bands,
                            draws=draws if keep_draws else None)

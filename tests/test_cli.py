@@ -184,6 +184,10 @@ def test_bad_input_exits_2_naming_the_cause(sim_dir, tmp_path, capsys, monkeypat
         (["diagnose", "--data", str(small), "--out", str(tmp_path / "d")], ["at least 20 points"]),
         (["fit", "--data", str(tmp_path), "--out", str(tmp_path / "f3"), *fit_flags],
          [os.strerror(errno.EISDIR), str(tmp_path)]),
+        (["fit", "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "f4"), *fit_flags],
+         [os.strerror(errno.ENOENT), str(tmp_path / "missing.csv")]),
+        (["predict", "--chain", str(tmp_path / "missing.txt"), "--data", str(sim_dir / "train.csv"),
+          "--points", str(sim_dir / "test.csv"), "--out", str(tmp_path / "p")], [os.strerror(errno.ENOENT)]),
         (["fit", "--data", str(sim_dir / "train.csv"), "--out", str(existing), *fit_flags],
          [os.strerror(errno.EEXIST), str(existing)]),
     ]
@@ -194,6 +198,8 @@ def test_bad_input_exits_2_naming_the_cause(sim_dir, tmp_path, capsys, monkeypat
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         for cause in causes:
             assert cause in captured.err, (argv, captured.err)
+        out = argv[argv.index("--out") + 1]
+        assert out == str(existing) or not os.path.exists(out), argv  # bad input leaves no output directory
     # a failure of the run itself still exits 1
     for error in (NumericError("diverged"), InvalidStateError("inconsistent")):
         def failing(_cfg, error=error):

@@ -17,6 +17,7 @@ from levyst.model import (
     AtomStore,
     KernelParams,
     LatentAtoms,
+    MapGrid,
     MonotoneMapParams,
     PriorConfig,
     ProcessTable,
@@ -41,6 +42,7 @@ from levyst.model import (
     theta_in_bounds,
     unpack_theta,
 )
+from oracles import map_extend, map_fit
 from rounding import assert_factor_close, assert_kernel_close, exponent_tolerance, field_tolerance, process_tolerance
 
 KP2 = KernelParams(tilde_sigma_sq=np.array([1.0, 1.0]), tau=1.0, xi=0.5)
@@ -131,6 +133,24 @@ def test_map_extend_array_matches_pointwise():
     np.testing.assert_array_equal(monotone_map_extend(pts, 0, fit, mp), want)
     with pytest.raises(InvalidArgumentError):
         monotone_map_extend(np.array([0.2, np.nan]), 0, fit, mp)
+
+
+def test_map_grid_rows_equal_the_one_theta_recursion():
+    """A batch's knot values, and the one-theta fit and extension built on
+    them, equal the per-dimension recursion and extension bit for bit."""
+    rng = np.random.default_rng(5)
+    coords = [np.sort(rng.uniform(-1.0, 2.0, 40)), np.array([0.3])]
+    grid = MapGrid.build(coords)
+    slope, c_tilde = rng.uniform(0.01, 20.0, (7, 2)), rng.uniform(0.1, 5.0, (7, 2))
+    pts = rng.uniform(-2.0, 3.0, 500)
+    for ell in range(2):
+        batch = grid.knot_values(ell, slope[:, ell], c_tilde[:, ell])
+        for b in range(7):
+            mp = MonotoneMapParams(C=slope[b], C_tilde=c_tilde[b], X=np.ones(2))
+            want = map_fit(coords, mp)
+            assert np.array_equal(batch[b], want.values[ell])
+            assert np.array_equal(monotone_map_fit(coords, mp).values[ell], want.values[ell])
+            assert np.array_equal(monotone_map_extend(pts, ell, want, mp), map_extend(pts, ell, want, mp))
 
 
 @pytest.mark.parametrize("mode", [ArMode.IAR, ArMode.REGULAR_AR1])

@@ -71,3 +71,16 @@ def test_prior_draws_and_observations_match_per_block_reference(tiny_dataset, ta
             f = field_values(cache.mapped, ctx.times[k], state.atoms.block(k), cache.kp)
             assert np.array_equal(y[:, k], state.hypers.alpha + phi_eff[:, k] + f + sd * rng.standard_normal(ctx.n))
     assert not all(checked)  # some thetas fall outside the box and are drawn again
+
+
+def test_prior_draws_on_a_near_unit_grid(near_unit_dataset, tame_prior):
+    """The regular AR(1) draws its transitions over gap 1 where the computed
+    gap is off 1 by rounding, so a negative rho draws."""
+    ctx = build_context(near_unit_dataset, tame_prior)
+    cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=6)
+    rho_signs = []
+    for seed in range(4):
+        state = draw_prior_state(ctx, cfg, np.random.default_rng(seed))
+        rho_signs.append(np.sign(state.theta[ctx.layout.sl_logit_rho]))
+        assert np.all(np.isfinite(draw_observations(state, ctx, np.random.default_rng(seed))))
+    assert np.any(np.array(rho_signs) < 0.0)

@@ -512,6 +512,20 @@ def test_single_time_dataset_runs(tame_prior):
     assert all(len(s.atoms) == 1 for s in res.samples)
 
 
+def test_near_unit_grid_takes_unit_gaps(near_unit_dataset, tame_prior):
+    """The regular AR(1) takes gap 1 between every pair of times, so chains
+    with negative rho run (a gap off 1 rejects them)."""
+    data = near_unit_dataset
+    ctx = build_context(data, tame_prior)
+    assert ctx.ar_mode is ArMode.REGULAR_AR1
+    assert ctx.gaps.tolist() == [1.0] and ctx.gap_index.tolist() == [-1] + [0] * 7
+    res = run_chain(data, SamplerConfig(iterations=300, burn_in=0, thin=1, j_max=5, seed=1), tame_prior)
+    layout = ctx.layout
+    logit_rho = np.array([np.append(s.theta[layout.sl_logit_rho], s.theta[layout.i_logit_rho_beta])
+                          for s in res.samples])
+    assert np.any(logit_rho < 0.0)  # rho < 0 in the regular AR(1)
+
+
 def test_run_chain_move_frequencies(tiny_dataset, tame_prior):
     cfg = SamplerConfig(iterations=300, burn_in=0, thin=300, j_max=4, seed=2)
     res = run_chain(tiny_dataset, cfg, tame_prior)
