@@ -84,17 +84,27 @@ def ar_initial_log_density(x1, spec: ArSpec):
     return _gauss_logpdf(np.asarray(x1, dtype=float), 0.0, spec.initial_variance)
 
 
+def step_gaps(times: np.ndarray, mode: ArMode) -> np.ndarray:
+    """Transition gaps between successive times.  The regular AR(1) takes
+    unit steps, also where a computed time difference is off 1 by rounding
+    (which a negative rho rejects)."""
+    steps = np.diff(times)
+    return np.ones_like(steps) if mode is ArMode.REGULAR_AR1 else steps
+
+
 def ar_sample_path(times: np.ndarray, spec: ArSpec, rng: np.random.Generator) -> np.ndarray:
-    """Simulate one path of the process on a strictly increasing time grid."""
+    """Simulate one path of the process on a strictly increasing time grid,
+    with the transition gaps of `step_gaps`."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise InvalidArgumentError("times must be a nonempty 1-d array")
     if times.size > 1 and np.any(np.diff(times) <= 0.0):
         raise InvalidArgumentError("times must be strictly increasing")
+    gaps = step_gaps(times, spec.mode)
     path = np.empty(times.size)
     path[0] = math.sqrt(spec.initial_variance) * rng.standard_normal()
     for k in range(1, times.size):
-        mult, var = transition_moments(times[k] - times[k - 1], spec)
+        mult, var = transition_moments(gaps[k - 1], spec)
         path[k] = mult * path[k - 1] + math.sqrt(var) * rng.standard_normal()
     return path
 

@@ -7,7 +7,7 @@ per-time variable-length groups, each led by its explicit count J:
     J mu[1,1] .. mu[1,p] .. mu[J,p] beta[1] .. beta[J]
 
 Floats are written with 17 significant digits, so a write/read round trip is
-bit-exact.
+bit-exact.  A sample cell that is not a finite number fails the read.
 """
 
 from __future__ import annotations
@@ -118,13 +118,16 @@ def read_chain(path) -> tuple[list[ChainSample], dict]:
             vals = [float(c) for c in cells[1:]]
         except ValueError:
             raise ParseError(f"row {row_no}: non-numeric cell") from None
+        row = np.array(vals)
+        if not np.isfinite(row).all():
+            raise ParseError(f"row {row_no}: non-finite cell")
         pos = n_scalars - 1
         if len(vals) < pos:
             raise ParseError(f"row {row_no}: truncated scalars")
         lam, ssq_eps, alpha, ssq_alpha, ssq_phi = vals[0:5]
-        nu = np.array(vals[5:5 + p])
-        omega_sq = np.array(vals[5 + p:5 + 2 * p])
-        theta = np.array(vals[5 + 2 * p:pos])
+        nu = row[5:5 + p].copy()
+        omega_sq = row[5 + p:5 + 2 * p].copy()
+        theta = row[5 + 2 * p:pos].copy()
         first, counts = pos, []
         for _ in range(m):
             if pos >= len(vals):
@@ -139,14 +142,14 @@ def read_chain(path) -> tuple[list[ChainSample], dict]:
             counts.append(J)
         store = AtomStore(np.zeros((p + 1, m, max(counts))), np.array(counts, dtype=np.int64))
         _, block, slot, beta_at, mu_at = _group_cells(store)
-        groups = np.array(vals[first:pos])
+        groups = row[first:pos]
         store.values[0, block, slot] = groups[beta_at]
         store.values[1:, block, slot] = groups[mu_at]
         phi = None
         if store_phi:
             if pos + n * m > len(vals):
                 raise ParseError(f"row {row_no}: truncated phi field")
-            phi = np.array(vals[pos:pos + n * m]).reshape(n, m)
+            phi = row[pos:pos + n * m].reshape(n, m).copy()
             pos += n * m
         if pos != len(vals):
             raise ParseError(f"row {row_no}: {len(vals) - pos} trailing cells")

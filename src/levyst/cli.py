@@ -1,12 +1,14 @@
 """Command-line front end: simulate, fit, predict, diagnose.
 
 Configuration comes from a flat `key = value` text file plus command-line
-flags; flags override file values.  Every run writes a JSON manifest with
-the full configuration echo, the seed and the package version, sufficient to
-reproduce it.  Exit codes: 0 success; 2 for bad input (usage, configuration,
-data or file errors: every `ValueError`-kind package error and every
-`OSError`); 1 for numeric failures, inconsistent states and running out of
-memory.
+flags; flags override file values.  `simulate`, `fit` and `predict` take a
+`--seed`; `diagnose` draws nothing and takes none.  A flag or configuration
+key that a subcommand does not take is a usage error.  Every run writes a
+JSON manifest with the full configuration echo, the seed and the package
+version, sufficient to reproduce it.  Exit codes: 0 success; 2 for bad
+input (usage, configuration, data or file errors: every `ValueError`-kind
+package error and every `OSError`); 1 for numeric failures, inconsistent
+states and running out of memory.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 _CONFIG_KEYS = {
-    "seed": int, "workers": int, "iters": int, "burnin": int, "thin": int,
+    "seed": int, "iters": int, "burnin": int, "thin": int,
     "jmax": int, "scale": float, "shrink": float, "marginalized": int,
     "c0": float, "n_train": int, "n_test": int, "m": int, "coef_sd": float,
     "wide_band": int,
@@ -72,7 +74,7 @@ def _write_manifest(out_dir: str, command: str, cfg: dict) -> None:
 # configuration keys -> the config fields they set; a key the user did not
 # give leaves the field at its default
 _SAMPLER_FIELDS = {"iters": "iterations", "burnin": "burn_in", "thin": "thin", "jmax": "j_max",
-                   "scale": "scale", "shrink": "shrink", "workers": "workers", "seed": "seed"}
+                   "scale": "scale", "shrink": "shrink", "seed": "seed"}
 _GQN_FIELDS = ("n_train", "n_test", "m", "coef_sd", "seed")
 
 
@@ -218,11 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="flat key = value configuration file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--workers", type=int)
 
     sp = sub.add_parser("simulate", help="generate synthetic train/test CSVs")
     common(sp)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--n-train", dest="n_train", type=int)
     sp.add_argument("--n-test", dest="n_test", type=int)
     sp.add_argument("--m", type=int)
@@ -231,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit", help="run the sampler on a training CSV")
     common(sp)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--data", required=True)
     sp.add_argument("--iters", type=int)
     sp.add_argument("--burnin", type=int)
@@ -243,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("predict", help="posterior predictive bands at new points")
     common(sp)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--chain", required=True)
     sp.add_argument("--data", required=True, help="training CSV the chain was fitted on")
     sp.add_argument("--points", required=True, help="CSV of prediction points")

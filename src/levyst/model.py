@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .ar import (ArMode, ArSpec, ar_initial_log_density, ar_transition_log_density, rho_from_transformed,
-                 transition_moments)
+                 step_gaps, transition_moments)
 from .errors import InvalidArgumentError, InvalidStateError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -718,12 +718,14 @@ class ProcessTable:
 
 def atom_process_log_density(atoms: list[LatentAtoms], times: np.ndarray,
                              beta_spec: ArSpec, mu_specs) -> float:
-    """Process factors over all time blocks (initial laws plus transitions)."""
+    """Process factors over all time blocks (initial laws plus transitions
+    over the gaps of `step_gaps`)."""
+    gaps = step_gaps(times, beta_spec.mode)
     total = atom_block_log_density(atoms[0], None, None, beta_spec, mu_specs)
     for k in range(1, len(atoms)):
         if not np.isfinite(total):
             return -np.inf
-        total += atom_block_log_density(atoms[k], atoms[k - 1], times[k] - times[k - 1], beta_spec, mu_specs)
+        total += atom_block_log_density(atoms[k], atoms[k - 1], gaps[k - 1], beta_spec, mu_specs)
     return total
 
 

@@ -79,7 +79,7 @@ import numpy as np
 from scipy.stats import invgamma, norm
 
 from . import effects
-from .ar import ArMode, ArSpec, mode_for_times
+from .ar import ArMode, ArSpec, mode_for_times, step_gaps
 from .data import SpaceTimeDataset
 from .errors import ConfigError, InvalidArgumentError, InvalidStateError, NumericError, UnsupportedPredictionError
 from .model import (
@@ -139,7 +139,7 @@ class SamplerConfig:
     q_add: float = 0.5         # additive weight in the enhancement step
     eps_floor: float = 0.01    # |eps| floor for multiplicative draws
     base_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    workers: int = 1           # recorded in the chain's metadata; a chain runs in one thread
+    workers: int = 1           # only recorded in the chain's metadata; a chain runs in one thread
     seed: int = 0
 
     def __post_init__(self):
@@ -316,12 +316,7 @@ def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool
         phi0 = effects.phi0_training_matrix(data.locations, data.y)
     grid, inverse = _map_grid(data.locations)
     ar_mode = mode_for_times(data.times)
-    steps = np.diff(data.times)
-    if ar_mode is ArMode.REGULAR_AR1:
-        # the regular AR(1) takes unit steps, also where a computed time
-        # difference is off 1 by rounding (which a negative rho rejects)
-        steps = np.ones_like(steps)
-    gaps, gap_rows = np.unique(steps, return_inverse=True)
+    gaps, gap_rows = np.unique(step_gaps(data.times, ar_mode), return_inverse=True)
     return ModelContext(
         y=data.y, locations=data.locations, times=data.times, phi0=phi0,
         prior=prior, marginalized=marginalized, alpha_pinned=alpha_pinned,
@@ -369,12 +364,11 @@ class BlockFactors:
     contribute to their conditionals under one theta.
 
     `p_in[b]` is block b's incoming process factor and `p_out[b]` the next
-    block's (0.0 where `has_next[b]` is False: no next block).
+    block's (0.0 at the last time, which has no next block).
     """
 
-    p_in: np.ndarray      # (B,)
-    p_out: np.ndarray     # (B,)
-    has_next: np.ndarray  # (B,) bool
+    p_in: np.ndarray   # (B,)
+    p_out: np.ndarray  # (B,)
 
 
 @dataclass
@@ -399,9 +393,7 @@ class StateTerms:
         return cls(cache=cache, process=process, field=rows.T)
 
     def factors(self, ks: np.ndarray) -> BlockFactors:
-        has_next = ks + 1 < self.process.size
-        p_out = np.where(has_next, self.process[np.minimum(ks + 1, self.process.size - 1)], 0.0)
-        return BlockFactors(self.process[ks], p_out, has_next)
+        return BlockFactors(self.process[ks], np.append(self.process[1:], 0.0)[ks])
 
 
 def _pool(*stores: AtomStore) -> AtomStore:
@@ -424,15 +416,14 @@ def block_factors(table: ProcessTable, pool: AtomStore, src: np.ndarray, ks: np.
     last pool block is empty (`_pool`).  Block b thus follows pool block
     src[ks[b] - 1] (none at the first time) and precedes src[ks[b] + 1].
     """
-    has_next = ks + 1 < src.size
-    linked = np.flatnonzero(has_next)
+    linked = np.flatnonzero(ks + 1 < src.size)
     prev = np.where(ks > 0, src[ks - 1], -1)
     factors = table.log_densities(pool.take(np.concatenate([at, src[ks[linked] + 1]])),
                                   pool.take(np.concatenate([prev, at[linked]])),
                                   np.concatenate([gap_index[ks], gap_index[ks[linked] + 1]]))
     p_out = np.zeros(ks.size)
     p_out[linked] = factors[ks.size:]
-    return BlockFactors(factors[:ks.size], p_out, has_next)
+    return BlockFactors(factors[:ks.size], p_out)
 
 
 def loglik_slice(k: int, f: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
@@ -471,8 +462,7 @@ def block_scores(counts: np.ndarray, factors: BlockFactors, loglik: np.ndarray, 
     """
     with np.errstate(invalid="ignore"):
         lp = count_log_factor(counts, hypers.lam) + factors.p_in
-        lp = np.where(np.isfinite(lp), lp, -np.inf)
-        lp = np.where(factors.has_next, lp + factors.p_out, lp)
+        lp = np.where(np.isfinite(lp), lp, -np.inf) + factors.p_out
         valid = np.isfinite(lp) & (counts >= 1) & (counts <= j_max)
         return np.where(valid, lp + loglik, -np.inf)
 
@@ -674,7 +664,7 @@ def update_time_block(phases: list[tuple[np.ndarray, np.random.Generator]], atom
         won = np.flatnonzero(accepted[mine])
         k_won = ks[mine[won]]
         terms.process[k_won] = proposed.p_in[won]
-        linked = proposed.has_next[won]
+        linked = k_won + 1 < m
         terms.process[k_won[linked] + 1] = proposed.p_out[won[linked]]
         src[k_won] = m + mine[won]
     won = np.flatnonzero(accepted[scored])

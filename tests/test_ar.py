@@ -114,6 +114,15 @@ def test_sample_path_rho_near_one():
     assert np.max(np.abs(np.diff(path))) < 1e-4
 
 
+def test_sample_path_takes_unit_gaps_on_near_unit_grid():
+    # a computed gap off 1 by rounding would reject the negative rho
+    spec = ArSpec(rho=-0.5, sigma_sq=1.0, mode=ArMode.REGULAR_AR1)
+    near_unit = 0.1 + np.arange(8.0)
+    assert np.diff(near_unit).min() < 1.0
+    path = ar_sample_path(near_unit, spec, np.random.default_rng(3))
+    assert np.array_equal(path, ar_sample_path(np.arange(8.0), spec, np.random.default_rng(3)))
+
+
 def test_sample_path_input_validation():
     spec = ArSpec(rho=0.5, sigma_sq=1.0)
     with pytest.raises(InvalidArgumentError):

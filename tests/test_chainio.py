@@ -120,6 +120,9 @@ _MALFORMED = {
     "nan count": (2, _set(_COUNT, lambda _: "nan")),
     "inf count": (2, _set(_COUNT, lambda _: "inf")),
     "fractional count": (2, _set(_COUNT, lambda c: c + ".5")),  # read as the whole count before
+    "nan atom": (2, _set(_COUNT + 1, lambda _: "nan")),
+    "inf x1": (2, _set(scalar_header(2).index("x1"), lambda _: "inf")),
+    "nan phi": (2, lambda cells: cells[:-1] + ["nan"]),
     "meta value": (0, lambda cells: [c.replace("p=2", "p=x") for c in cells]),
     "missing meta": (0, lambda cells: [c for c in cells if not c.startswith("m=")]),
 }

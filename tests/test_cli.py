@@ -42,8 +42,7 @@ def test_simulate_outputs(sim_dir):
 def fit_dir(sim_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("fit")
     code = _run("fit", "--data", str(sim_dir / "train.csv"), "--out", str(out),
-                "--seed", "5", "--iters", "40", "--burnin", "10", "--thin", "3",
-                "--jmax", "5", "--workers", "2")
+                "--seed", "5", "--iters", "40", "--burnin", "10", "--thin", "3", "--jmax", "5")
     assert code == 0
     return out
 
@@ -61,8 +60,7 @@ def test_fit_deterministic_chain_bytes(sim_dir, tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         code = _run("fit", "--data", str(sim_dir / "train.csv"), "--out", str(out),
-                    "--seed", "5", "--iters", "25", "--burnin", "5", "--thin", "4",
-                    "--jmax", "5", "--workers", "1")
+                    "--seed", "5", "--iters", "25", "--burnin", "5", "--thin", "4", "--jmax", "5")
         assert code == 0
         outs.append((out / "chain.txt").read_bytes())
     assert outs[0] == outs[1]
@@ -163,10 +161,40 @@ def test_usage_errors(sim_dir, fit_dir, tmp_path, capsys):
         assert _run("predict", "--chain", str(fit_dir / "chain.txt"), "--data", str(other),
                     "--points", str(sim_dir / "test.csv"), "--out", str(tmp_path / "p")) == 2
         assert cause in capsys.readouterr().err
+    # a chain with a non-finite atom cell and theta cell, named by its row
+    lines = (fit_dir / "chain.txt").read_text().splitlines()
+    cells = lines[2].split(" ")
+    cells[-1], cells[lines[1].split(" ").index("x1")] = "nan", "inf"
+    broken = tmp_path / "broken.txt"
+    broken.write_text("\n".join(lines[:2] + [" ".join(cells)] + lines[3:]) + "\n")
+    assert _run("predict", "--chain", str(broken), "--data", str(sim_dir / "train.csv"),
+                "--points", str(sim_dir / "test.csv"), "--out", str(tmp_path / "p")) == 2
+    assert "row 3: non-finite cell" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "p")
     # unknown flag exits 2 via argparse
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--nonsense"])
     assert exc.value.code == 2
+    # no subcommand takes --workers, and diagnose, which draws nothing, takes no --seed
+    required = {"simulate": [], "fit": ["--data", str(sim_dir / "train.csv")],
+                "predict": ["--chain", str(fit_dir / "chain.txt"), "--data", str(sim_dir / "train.csv"),
+                            "--points", str(sim_dir / "test.csv")],
+                "diagnose": ["--data", str(sim_dir / "train.csv")]}
+    retired = [[command, "--workers", "2"] for command in required] + [["diagnose", "--seed", "1"]]
+    capsys.readouterr()
+    for command, *flag in retired:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required[command], "--out", str(tmp_path / "w"), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "w")
+    # nor a config file that gives them
+    cfgfile = tmp_path / "retired.cfg"
+    for command, key in [(command, "workers") for command in required] + [("diagnose", "seed")]:
+        cfgfile.write_text(f"{key} = 2\n")
+        assert _run(command, *required[command], "--config", str(cfgfile), "--out", str(tmp_path / "w")) == 2
+        assert f"config key {key} does not apply to {command}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "w")
 
 
 def test_bad_input_exits_2_naming_the_cause(sim_dir, tmp_path, capsys, monkeypatch):
@@ -231,9 +259,9 @@ def test_out_of_memory_exits_1(monkeypatch, tmp_path, capsys):
 
 def test_sampler_config_takes_only_given_keys():
     assert _sampler_config({}) == SamplerConfig()
-    given = {"iters": 40, "burnin": 10, "thin": 3, "jmax": 5, "scale": 0.1, "shrink": 0.2, "workers": 2, "seed": 5}
+    given = {"iters": 40, "burnin": 10, "thin": 3, "jmax": 5, "scale": 0.1, "shrink": 0.2, "seed": 5}
     assert _sampler_config(given) == SamplerConfig(iterations=40, burn_in=10, thin=3, j_max=5, scale=0.1,
-                                                   shrink=0.2, workers=2, seed=5)
+                                                   shrink=0.2, seed=5)
     assert _sampler_config({"seed": 4}) == replace(SamplerConfig(), seed=4)
 
 

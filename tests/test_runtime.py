@@ -41,12 +41,12 @@ def test_reduce_sum_chunking_property(parts, w):
 
 
 def test_pool_run_phase_and_map():
-    with WorkerPool(3) as pool:
-        plan = WorkPlan(parity="odd", assignments=((0, 2), (4, 6), (8,)))
-        results = pool.run_phase(plan, lambda k: k * k)
-        assert results == {k: k * k for k in plan.indices}
-        out = pool.map_indices([4, 1, 7], lambda k: -k)
-        assert out == [-4, -1, -7]
+    pool = WorkerPool()
+    plan = WorkPlan(parity="odd", assignments=((0, 2), (4, 6), (8,)))
+    results = pool.run_phase(plan, lambda k: k * k)
+    assert results == {k: k * k for k in plan.indices}
+    out = pool.map_indices([4, 1, 7], lambda k: -k)
+    assert out == [-4, -1, -7]
 
 
 def test_pool_serial_equivalence():
@@ -55,7 +55,5 @@ def test_pool_serial_equivalence():
 
     plan1 = WorkPlan(parity="even", assignments=((1, 3, 5, 7, 9, 11),))
     plan4 = WorkPlan(parity="even", assignments=((1, 3), (5, 7), (9,), (11,)))
-    with WorkerPool(1) as p1, WorkerPool(4) as p4:
-        r1 = p1.run_phase(plan1, fn)
-        r4 = p4.run_phase(plan4, fn)
-    assert r1 == r4
+    pool = WorkerPool()
+    assert pool.run_phase(plan1, fn) == pool.run_phase(plan4, fn)

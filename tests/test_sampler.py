@@ -295,7 +295,7 @@ def test_block_scores_boundary_structure(tame_prior):
     assert np.all(np.isfinite(lp))
     # k=0 holds the initial factor and the forward factor; k=m-1 no forward factor
     assert terms.p_in[0] == atom_block_log_density(atoms[0], None, None, cache.beta_spec, cache.mu_specs)
-    assert terms.has_next.tolist() == [True, False] and terms.p_out[1] == 0.0
+    assert terms.p_out[1] == 0.0
     assert terms.p_out[0] == atom_block_log_density(atoms[1], atoms[0], 1.0, cache.beta_spec, cache.mu_specs)
 
     # changing y at an unrelated time leaves the block conditional unchanged
@@ -526,6 +526,23 @@ def test_near_unit_grid_takes_unit_gaps(near_unit_dataset, tame_prior):
     assert np.any(logit_rho < 0.0)  # rho < 0 in the regular AR(1)
 
 
+def test_near_unit_grid_reference_density_takes_unit_gaps(near_unit_dataset, tame_prior):
+    """The reference joint density takes the sampler's unit gaps too: with a
+    negative rho it scores the atom process as on the exact unit grid."""
+    from levyst.model import atom_process_log_density, log_joint_parts
+
+    ctx = build_context(near_unit_dataset, tame_prior)
+    theta, nu, omega, _, atoms, hypers = _state_pieces(ctx, j0=2)
+    theta[ctx.layout.i_logit_rho_beta] = -1.0
+    cache = ThetaCache.build(theta, ctx)
+    assert cache.beta_spec.rho < 0.0
+    parts = log_joint_parts(atoms, theta, hypers, nu, omega, None, ctx.y, cache.mapped, ctx.times, ctx.phi0,
+                            tame_prior, ctx.ar_mode, True)
+    unit_grid = np.arange(ctx.m, dtype=float)
+    assert np.isfinite(parts["atom_process"])
+    assert parts["atom_process"] == atom_process_log_density(atoms, unit_grid, cache.beta_spec, cache.mu_specs)
+
+
 def test_run_chain_move_frequencies(tiny_dataset, tame_prior):
     cfg = SamplerConfig(iterations=300, burn_in=0, thin=300, j_max=4, seed=2)
     res = run_chain(tiny_dataset, cfg, tame_prior)
@@ -727,8 +744,9 @@ def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, b
         p_in = atom_block_log_density(a, prev, gap, cache.beta_spec, cache.mu_specs)
         assert_factor_close(terms.p_in[b], p_in, process_tolerance(a, prev, gap, specs))
         assert np.all(np.abs(a.mu) <= 10.0) == np.isfinite(p_in)
-        assert terms.has_next[b] == (nxt is not None)
-        if nxt is not None:
+        if nxt is None:
+            assert terms.p_out[b] == 0.0
+        else:
             p_out = atom_block_log_density(nxt, a, gaps[k], cache.beta_spec, cache.mu_specs)
             assert_factor_close(terms.p_out[b], p_out, process_tolerance(nxt, a, gaps[k], specs))
         want = field_values(cache.mapped, ctx.times[k], a, cache.kp)
