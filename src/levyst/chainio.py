@@ -168,6 +168,5 @@ def write_move_stats(path, stats: MoveStats) -> None:
             fh.write(f"{move},{stats.proposals[move]},{stats.accepts[move]},"
                      f"{'' if rate is None else '%.6f' % rate}\n")
         overall = stats.overall_ttmcmc_rate()
-        props = sum(stats.proposals[m] for m in ("birth", "death", "no_change"))
-        accs = sum(stats.accepts[m] for m in ("birth", "death", "no_change"))
+        props, accs = stats.ttmcmc_counts()
         fh.write(f"overall_ttmcmc,{props},{accs},{'' if overall is None else '%.6f' % overall}\n")

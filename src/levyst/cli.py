@@ -41,12 +41,27 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+# configuration keys -> the converter and the allowed values of their flags,
+# which are the keys with dashes for underscores (`build_parser`)
 _CONFIG_KEYS = {
-    "seed": int, "iters": int, "burnin": int, "thin": int,
-    "jmax": int, "scale": float, "shrink": float, "marginalized": int,
-    "c0": float, "n_train": int, "n_test": int, "m": int, "coef_sd": float,
-    "wide_band": int,
+    "seed": {"type": int}, "iters": {"type": int}, "burnin": {"type": int}, "thin": {"type": int},
+    "jmax": {"type": int}, "scale": {"type": float}, "shrink": {"type": float},
+    "marginalized": {"type": int, "choices": (0, 1)}, "c0": {"type": float}, "n_train": {"type": int},
+    "n_test": {"type": int}, "m": {"type": int}, "coef_sd": {"type": float},
+    "wide_band": {"type": int, "choices": (0, 1)},
 }
+
+
+def _config_value(key: str, raw: str):
+    """A config file's value of `key`, converted and checked as its flag's."""
+    convert, choices = _CONFIG_KEYS[key]["type"], _CONFIG_KEYS[key].get("choices")
+    try:
+        value = convert(raw)
+    except ValueError:
+        raise ConfigError(f"config key {key}: invalid {convert.__name__} value: {raw!r}") from None
+    if choices is not None and value not in choices:
+        raise ConfigError(f"config key {key}: invalid choice: {value} (choose from {', '.join(map(str, choices))})")
+    return value
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -56,7 +71,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         for key, raw in file_values.items():
             if key not in _CONFIG_KEYS or not hasattr(args, key):
                 raise ConfigError(f"config key {key} does not apply to {args.command}")
-            merged[key] = _CONFIG_KEYS[key](raw)
+            merged[key] = _config_value(key, raw)
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -84,11 +99,13 @@ def _sampler_config(cfg: dict) -> SamplerConfig:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    result = gqn_simulate(GqnConfig(**{key: cfg[key] for key in _GQN_FIELDS if key in cfg}))
+    gqn = GqnConfig(**{key: cfg[key] for key in _GQN_FIELDS if key in cfg})
+    result = gqn_simulate(gqn)
     os.makedirs(args.out, exist_ok=True)
     write_csv(result.train, os.path.join(args.out, "train.csv"))
     write_csv(result.test, os.path.join(args.out, "test.csv"))
     cfg["n_clamped"] = result.n_clamped
+    cfg["seed"] = gqn.seed
     _write_manifest(args.out, "simulate", cfg)
     print(f"simulate: train {result.train.n}x{result.train.m}, "
           f"test {result.test.n}x{result.test.m}, clamped cells {result.n_clamped}")
@@ -151,8 +168,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if cfg.get("wide_band"):
         probs = [0.025] + probs + [0.975]
     bands = posterior_predict(samples, new.locations, new.times, data,
-                              marginalized=marginalized, seed=cfg.get("seed", 0),
-                              probs=tuple(probs))
+                              marginalized=marginalized, seed=cfg.setdefault("seed", 0), probs=tuple(probs))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "bands.csv")
     names = {1 / 16: "lower_0875", 0.5: "median", 15 / 16: "upper_0875",
@@ -217,45 +233,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, *keys):
         sp.add_argument("--config", help="flat key = value configuration file")
         sp.add_argument("--out", required=True, help="output directory")
+        for key in keys:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, **_CONFIG_KEYS[key])
 
     sp = sub.add_parser("simulate", help="generate synthetic train/test CSVs")
-    common(sp)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--n-train", dest="n_train", type=int)
-    sp.add_argument("--n-test", dest="n_test", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--coef-sd", dest="coef_sd", type=float)
+    common(sp, "seed", "n_train", "n_test", "m", "coef_sd")
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("fit", help="run the sampler on a training CSV")
-    common(sp)
-    sp.add_argument("--seed", type=int)
+    common(sp, "seed", "iters", "burnin", "thin", "jmax", "scale", "shrink", "marginalized")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--iters", type=int)
-    sp.add_argument("--burnin", type=int)
-    sp.add_argument("--thin", type=int)
-    sp.add_argument("--jmax", type=int)
-    sp.add_argument("--scale", type=float)
-    sp.add_argument("--shrink", type=float)
-    sp.add_argument("--marginalized", type=int, choices=(0, 1))
     sp.set_defaults(fn=cmd_fit)
 
     sp = sub.add_parser("predict", help="posterior predictive bands at new points")
-    common(sp)
-    sp.add_argument("--seed", type=int)
+    common(sp, "seed", "wide_band")
     sp.add_argument("--chain", required=True)
     sp.add_argument("--data", required=True, help="training CSV the chain was fitted on")
     sp.add_argument("--points", required=True, help="CSV of prediction points")
-    sp.add_argument("--wide-band", dest="wide_band", type=int, choices=(0, 1))
     sp.set_defaults(fn=cmd_predict)
 
     sp = sub.add_parser("diagnose", help="stationarity/correlation/normality reports")
-    common(sp)
+    common(sp, "c0")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--c0", type=float)
     sp.set_defaults(fn=cmd_diagnose)
     return parser
 

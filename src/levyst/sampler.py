@@ -26,11 +26,14 @@ every proposal and of every current block from its stored field.  An
 earlier phase writes no atom and no field column of a later one, so these
 are the values each phase would compute for itself.  Then, phase by phase:
 one `ProcessTable.log_densities` call gives the incoming and outgoing
-process factors of the phase's proposals against their neighbours as they
-stand (`block_factors`), and one comparison of each block's log acceptance
-uniform with its log ratio accepts or rejects.  A multiplicative merge that
-no birth can undo is rejected without a score.  `Sampler.iterate` sweeps
-once per iteration; a single block is a sweep of one phase of one.
+process factors of the phase's proposals against their neighbours in the
+store (`block_factors`), one comparison of each block's log acceptance
+uniform with its log ratio accepts or rejects, and the accepted atoms,
+field columns and process factors are written back, so the store always
+holds the current atoms and the next phase reads its neighbours there.  A
+multiplicative merge that no birth can undo is rejected without a score.
+`Sampler.iterate` sweeps once per iteration; a single block is a sweep of
+one phase of one.
 
 The state carries the terms of its current theta (`StateTerms`): the
 theta's `ThetaCache`, each block's incoming process factor
@@ -201,9 +204,12 @@ class MoveStats:
         n = self.proposals[move]
         return None if n == 0 else self.accepts[move] / n
 
+    def ttmcmc_counts(self) -> tuple[int, int]:
+        """Proposals and accepts of the block moves (birth, death, no-change) together."""
+        return sum(self.proposals[m] for m in MOVE_NAMES[:3]), sum(self.accepts[m] for m in MOVE_NAMES[:3])
+
     def overall_ttmcmc_rate(self) -> float | None:
-        props = sum(self.proposals[m] for m in ("birth", "death", "no_change"))
-        accs = sum(self.accepts[m] for m in ("birth", "death", "no_change"))
+        props, accs = self.ttmcmc_counts()
         return None if props == 0 else accs / props
 
 
@@ -359,19 +365,6 @@ class ThetaCache:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BlockFactors:
-    """The process factors that the atoms of a batch of time blocks
-    contribute to their conditionals under one theta.
-
-    `p_in[b]` is block b's incoming process factor and `p_out[b]` the next
-    block's (0.0 at the last time, which has no next block).
-    """
-
-    p_in: np.ndarray   # (B,)
-    p_out: np.ndarray  # (B,)
-
-
-@dataclass
 class StateTerms:
     """Terms of the atoms under one theta: the theta's cache, every block's
     incoming process factor P_k, and the (n, m) field matrix with columns f_k.
@@ -387,43 +380,43 @@ class StateTerms:
     @classmethod
     def build(cls, cache: ThetaCache, atoms: AtomStore, ctx: ModelContext) -> "StateTerms":
         """Process factors and field columns of every block under the theta of `cache`."""
-        # block k - 1 of the pool, the empty last block for k = 0
-        process = cache.table.log_densities(atoms, _pool(atoms).take(np.arange(ctx.m) - 1), ctx.gap_index)
+        process = cache.table.log_densities(atoms, _predecessors(atoms, np.arange(ctx.m)), ctx.gap_index)
         rows = field_rows(cache.mapped, ctx.times, atoms, cache.kp)
         return cls(cache=cache, process=process, field=rows.T)
 
-    def factors(self, ks: np.ndarray) -> BlockFactors:
-        return BlockFactors(self.process[ks], np.append(self.process[1:], 0.0)[ks])
+
+def _predecessors(atoms: AtomStore, ks: np.ndarray) -> AtomStore:
+    """The blocks of `atoms` at times ks - 1, with count 0 (no predecessor)
+    at the first time."""
+    prev = atoms.take(ks - 1)
+    prev.counts[ks == 0] = 0
+    return prev
 
 
-def _pool(*stores: AtomStore) -> AtomStore:
-    """The blocks of several stores, then one empty block (count 0), cut to
-    the largest count: one array that every pair of a process factor is
-    gathered from, with index -1 for a missing predecessor."""
-    counts = np.concatenate([s.counts for s in stores] + [[0]])
-    width = int(counts.max())
-    empty = np.zeros((stores[0].values.shape[0], 1, width))
-    return AtomStore(np.concatenate([s.values[:, :, :width] for s in stores] + [empty], axis=1), counts)
+def _join(first: AtomStore, second: AtomStore) -> AtomStore:
+    """The blocks of two stores of one width, those of `first` first."""
+    return AtomStore(np.concatenate([first.values, second.values], axis=1),
+                     np.concatenate([first.counts, second.counts]))
 
 
-def block_factors(table: ProcessTable, pool: AtomStore, src: np.ndarray, ks: np.ndarray, at: np.ndarray,
-                  gap_index: np.ndarray) -> BlockFactors:
+def block_factors(table: ProcessTable, atoms: AtomStore, proposal: AtomStore, ks: np.ndarray,
+                  gap_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Incoming and outgoing process factors of several time blocks in one
     `ProcessTable.log_densities` pass.
 
-    Block b sits at time ks[b] and holds the atoms of pool block at[b]; the
-    atoms of every time block k as they stand are pool block src[k], and the
-    last pool block is empty (`_pool`).  Block b thus follows pool block
-    src[ks[b] - 1] (none at the first time) and precedes src[ks[b] + 1].
+    Block b sits at time ks[b] and holds the atoms of `proposal` block b; it
+    follows block ks[b] - 1 of `atoms` (none at the first time) and precedes
+    block ks[b] + 1.  `proposal` has the width of `atoms`.  Returns
+    (p_in, p_out): each block's incoming process factor and the next
+    block's (0.0 at the last time, which has no next block).
     """
-    linked = np.flatnonzero(ks + 1 < src.size)
-    prev = np.where(ks > 0, src[ks - 1], -1)
-    factors = table.log_densities(pool.take(np.concatenate([at, src[ks[linked] + 1]])),
-                                  pool.take(np.concatenate([prev, at[linked]])),
+    linked = np.flatnonzero(ks + 1 < atoms.counts.size)
+    factors = table.log_densities(_join(proposal, atoms.take(ks[linked] + 1)),
+                                  _join(_predecessors(atoms, ks), proposal.take(linked)),
                                   np.concatenate([gap_index[ks], gap_index[ks[linked] + 1]]))
     p_out = np.zeros(ks.size)
     p_out[linked] = factors[ks.size:]
-    return BlockFactors(factors[:ks.size], p_out)
+    return factors[:ks.size], p_out
 
 
 def loglik_slice(k: int, f: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
@@ -450,10 +443,10 @@ def loglik_rows(ks, rows: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
     return np.ascontiguousarray(dens).sum(axis=1)
 
 
-def block_scores(counts: np.ndarray, factors: BlockFactors, loglik: np.ndarray, hypers: ScalarHypers,
-                 j_max: int) -> np.ndarray:
-    """Log full conditionals of time blocks from their process factors and
-    likelihoods (boundary blocks one-sided).
+def block_scores(counts: np.ndarray, p_in: np.ndarray, p_out: np.ndarray, loglik: np.ndarray,
+                 hypers: ScalarHypers, j_max: int) -> np.ndarray:
+    """Log full conditionals of time blocks from their incoming and outgoing
+    process factors and likelihoods (boundary blocks one-sided).
 
     Each contains the count factor, the incoming process factors of block k,
     the outgoing factors of block k+1 (whose transition-vs-initial split
@@ -461,8 +454,8 @@ def block_scores(counts: np.ndarray, factors: BlockFactors, loglik: np.ndarray, 
     outside the count range or the bounds.
     """
     with np.errstate(invalid="ignore"):
-        lp = count_log_factor(counts, hypers.lam) + factors.p_in
-        lp = np.where(np.isfinite(lp), lp, -np.inf) + factors.p_out
+        lp = count_log_factor(counts, hypers.lam) + p_in
+        lp = np.where(np.isfinite(lp), lp, -np.inf) + p_out
         valid = np.isfinite(lp) & (counts >= 1) & (counts <= j_max)
         return np.where(valid, lp + loglik, -np.inf)
 
@@ -504,15 +497,15 @@ class BlockMoves:
     steps.
 
     Block b sits at time ks[b] and makes move `move[b]` (an index into
-    MOVE_NAMES) from `current` to `proposal`.  `log_ratio[b]` is every term
-    of its log acceptance ratio besides the two conditionals (log_struct or
-    log_jac).  A merge that no birth can undo is not `reachable` and is
-    rejected unscored.  `u_accept[b]` is the block's acceptance uniform.
+    MOVE_NAMES) to block b of `proposal`, which has the width of the store
+    it was proposed from.  `log_ratio[b]` is every term of its log
+    acceptance ratio besides the two conditionals (log_struct or log_jac).
+    A merge that no birth can undo is not `reachable` and is rejected
+    unscored.  `u_accept[b]` is the block's acceptance uniform.
     """
 
     ks: np.ndarray
     move: np.ndarray
-    current: AtomStore
     proposal: AtomStore
     log_ratio: np.ndarray
     reachable: np.ndarray
@@ -605,7 +598,7 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
                                       np.where(flips == 1, z * e, np.where(flips == -1, z / e, z)))
     log_ratio = np.where(birth, split_ratio + log_w, np.where(death, merge_ratio + log_w, log_w))
     new_counts = counts + birth - death
-    return BlockMoves(ks, moves, current, AtomStore(values, new_counts), log_ratio, reachable, u[:, 3].copy())
+    return BlockMoves(ks, moves, AtomStore(values, new_counts), log_ratio, reachable, u[:, 3].copy())
 
 
 def update_time_block(phases: list[tuple[np.ndarray, np.random.Generator]], atoms: AtomStore, terms: StateTerms,
@@ -622,11 +615,11 @@ def update_time_block(phases: list[tuple[np.ndarray, np.random.Generator]], atom
     likelihoods of the current and proposed rows come from one `loglik_rows`
     call: none of these read another block's atoms, so an earlier phase
     changes none of them.  Each phase then scores its proposals' process
-    factors against its neighbours as they stand (`block_factors`), accepts
+    factors against its neighbours in `atoms` (`block_factors`), accepts
     with one comparison of log(u) and log_alpha (a NaN rejects), and writes
-    back its accepted factors; a multiplicative merge that no birth can
-    undo is rejected unscored.  The accepted atoms go into `atoms` and
-    their field columns into `terms` at the end.
+    its accepted atoms into `atoms` and their field columns and process
+    factors into `terms`, where the next phase reads them; a multiplicative
+    merge that no birth can undo is rejected unscored.
 
     Returns the moves of the phases' blocks in phase order, their
     acceptances, their log acceptance ratios (-inf for an unreachable
@@ -640,9 +633,7 @@ def update_time_block(phases: list[tuple[np.ndarray, np.random.Generator]], atom
     rows = field_rows(cache.mapped, ctx.times[ks[scored]], moves.proposal.take(scored), cache.kp)
     logliks = loglik_rows(np.concatenate([ks, ks[scored]]), np.concatenate([terms.field.T[ks], rows]),
                           ctx, hypers, phi)
-    # pool blocks: the store's, then the proposals', then an empty one;
-    # src[k] is the pool block that holds time block k's atoms as they stand
-    pool, src = _pool(atoms, moves.proposal), np.arange(m)
+    loglik = logliks[:B].copy()
     with np.errstate(divide="ignore"):
         log_u = np.log(moves.u_accept)
     log_alpha, accepted = np.empty(B), np.zeros(B, dtype=bool)
@@ -652,26 +643,24 @@ def update_time_block(phases: list[tuple[np.ndarray, np.random.Generator]], atom
         phase = slice(start, end)
         lo, hi = np.searchsorted(scored, [start, end])
         mine = scored[lo:hi]
-        lp_cur = block_scores(moves.current.counts[phase], terms.factors(ks[phase]), logliks[phase], hypers,
-                              cfg.j_max)
-        proposed = block_factors(cache.table, pool, src, ks[mine], m + mine, ctx.gap_index)
+        here = ks[phase]
+        lp_cur = block_scores(atoms.counts[here], terms.process[here], np.append(terms.process[1:], 0.0)[here],
+                              logliks[phase], hypers, cfg.j_max)
+        proposal = moves.proposal.take(mine)
+        p_in, p_out = block_factors(cache.table, atoms, proposal, ks[mine], ctx.gap_index)
         lp_prop = np.full(end - start, np.nan)
-        lp_prop[mine - start] = block_scores(moves.proposal.counts[mine], proposed, logliks[B + lo:B + hi],
-                                             hypers, cfg.j_max)
+        lp_prop[mine - start] = block_scores(proposal.counts, p_in, p_out, logliks[B + lo:B + hi], hypers, cfg.j_max)
         with np.errstate(invalid="ignore"):
             log_alpha[phase] = np.where(moves.reachable[phase], lp_prop - lp_cur + moves.log_ratio[phase], -np.inf)
             accepted[phase] = log_u[phase] < log_alpha[phase]
         won = np.flatnonzero(accepted[mine])
         k_won = ks[mine[won]]
-        terms.process[k_won] = proposed.p_in[won]
+        atoms.put(k_won, proposal.take(won))
+        terms.field[:, k_won] = rows[lo + won].T
+        terms.process[k_won] = p_in[won]
         linked = k_won + 1 < m
-        terms.process[k_won[linked] + 1] = proposed.p_out[won[linked]]
-        src[k_won] = m + mine[won]
-    won = np.flatnonzero(accepted[scored])
-    atoms.put(ks[scored[won]], moves.proposal.take(scored[won]))
-    terms.field[:, ks[scored[won]]] = rows[won].T
-    loglik = logliks[:B].copy()
-    loglik[scored[won]] = logliks[B + won]
+        terms.process[k_won[linked] + 1] = p_out[won[linked]]
+        loglik[mine[won]] = logliks[B + lo + won]
     return moves, accepted, log_alpha, loglik
 
 

@@ -83,6 +83,16 @@ def test_fit_defaults_to_one_worker(sim_dir, tmp_path):
     assert meta["workers"] == 1
 
 
+def test_manifests_record_the_seed_used(sim_dir, fit_dir, tmp_path):
+    """Without --seed, `simulate` records the simulator's default seed and
+    `predict` seed 0, the seeds their runs draw from."""
+    assert _run("simulate", "--out", str(tmp_path / "sim"), "--n-train", "5", "--n-test", "2", "--m", "3") == 0
+    assert json.loads((tmp_path / "sim" / "manifest.json").read_text())["config"]["seed"] == GqnConfig().seed
+    assert _run("predict", "--chain", str(fit_dir / "chain.txt"), "--data", str(sim_dir / "train.csv"),
+                "--points", str(sim_dir / "test.csv"), "--out", str(tmp_path / "pred")) == 0
+    assert json.loads((tmp_path / "pred" / "manifest.json").read_text())["config"] == {"seed": 0}
+
+
 def test_predict_round_trip(sim_dir, fit_dir, tmp_path):
     out = tmp_path / "pred"
     code = _run("predict", "--chain", str(fit_dir / "chain.txt"),
@@ -135,6 +145,15 @@ def test_usage_errors(sim_dir, fit_dir, tmp_path, capsys):
     bad.write_text("bogus = 1\n")
     assert _run("fit", "--config", str(bad), "--data", str(sim_dir / "train.csv"),
                 "--out", str(tmp_path / "y")) == 2
+    # config values that the flags' converters reject, named by their key
+    capsys.readouterr()
+    for line, cause in (("iters = abc", "config key iters: invalid int value: 'abc'"),
+                        ("marginalized = 7", "config key marginalized: invalid choice: 7")):
+        bad.write_text(line + "\n")
+        assert _run("fit", "--config", str(bad), "--data", str(sim_dir / "train.csv"),
+                    "--out", str(tmp_path / "y")) == 2
+        assert cause in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "y")
     # inconsistent sampler settings
     assert _run("fit", "--data", str(sim_dir / "train.csv"),
                 "--out", str(tmp_path / "z"), "--iters", "5", "--burnin", "9") == 2

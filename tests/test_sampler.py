@@ -141,12 +141,13 @@ def _one_block_update(atoms_k, cache, ctx, hypers, cfg, key):
 
 
 def _fresh_block_conditionals(ks, store, cache, ctx, hypers, j_max=6):
-    """Log full conditionals of blocks ks of `store`, scored afresh, and their process factors."""
+    """Log full conditionals of blocks ks of `store`, scored afresh, and their
+    incoming and outgoing process factors."""
     ks = np.asarray(ks)
-    factors = block_factors(cache.table, sampler_module._pool(store), np.arange(ctx.m), ks, ks, ctx.gap_index)
+    p_in, p_out = block_factors(cache.table, store, store.take(ks), ks, ctx.gap_index)
     rows = sampler_module.field_rows(cache.mapped, ctx.times[ks], store.take(ks), cache.kp)
-    return block_scores(store.counts[ks], factors, loglik_rows(ks, rows, ctx, hypers, None), hypers,
-                        j_max), factors
+    return block_scores(store.counts[ks], p_in, p_out, loglik_rows(ks, rows, ctx, hypers, None), hypers,
+                        j_max), (p_in, p_out)
 
 
 def test_birth_acceptance_matches_oracle(tame_prior):
@@ -291,12 +292,12 @@ def test_block_scores_boundary_structure(tame_prior):
     ctx = _tiny_ctx(tame_prior, n=2, m=3, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=2)
     store = AtomStore.from_blocks(atoms)
-    lp, terms = _fresh_block_conditionals([0, 2], store, cache, ctx, hypers)
+    lp, (p_in, p_out) = _fresh_block_conditionals([0, 2], store, cache, ctx, hypers)
     assert np.all(np.isfinite(lp))
     # k=0 holds the initial factor and the forward factor; k=m-1 no forward factor
-    assert terms.p_in[0] == atom_block_log_density(atoms[0], None, None, cache.beta_spec, cache.mu_specs)
-    assert terms.p_out[1] == 0.0
-    assert terms.p_out[0] == atom_block_log_density(atoms[1], atoms[0], 1.0, cache.beta_spec, cache.mu_specs)
+    assert p_in[0] == atom_block_log_density(atoms[0], None, None, cache.beta_spec, cache.mu_specs)
+    assert p_out[1] == 0.0
+    assert p_out[0] == atom_block_log_density(atoms[1], atoms[0], 1.0, cache.beta_spec, cache.mu_specs)
 
     # changing y at an unrelated time leaves the block conditional unchanged
     y_saved = ctx.y.copy()
@@ -565,8 +566,8 @@ def test_update_time_block_invalid_rate_guard(tame_prior):
     stats.record(move, bool(accepted[0]))
     assert move in ("birth", "death", "no_change")
     assert stats.accepts[move] <= stats.proposals[move]
-    assert np.array_equal(store.block(0).beta, (moves.proposal if accepted[0] else moves.current).block(0).beta)
-    assert np.array_equal(moves.current.block(0).beta, before.beta)
+    kept = moves.proposal.block(0) if accepted[0] else before
+    assert np.array_equal(store.block(0).beta, kept.beta) and np.array_equal(store.block(0).mu, kept.mu)
 
 
 def _degenerate_chain_sample(ctx, theta, nu, omega, m):
@@ -653,9 +654,9 @@ def test_unreachable_merges_are_never_scored(tiny_dataset, tame_prior, monkeypat
         unreachable.extend(key(times[moves.ks[b]], moves.proposal, b) for b in np.flatnonzero(~moves.reachable))
         return moves
 
-    def counting_factors(table, pool, src, ks, at, gap_index):
-        factored.extend(key(times[k], pool, b) for k, b in zip(ks, at))
-        return factors(table, pool, src, ks, at, gap_index)
+    def counting_factors(table, atoms, proposal, ks, gap_index):
+        factored.extend(key(times[k], proposal, b) for b, k in enumerate(ks))
+        return factors(table, atoms, proposal, ks, gap_index)
 
     def counting_rows(mapped, t, atoms, kp):
         fielded.extend(key(t[b], atoms, b) for b in range(atoms.counts.size))
@@ -729,11 +730,11 @@ def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, b
     prevs = [state[k - 1] if k > 0 else None for k in ks]
     nexts = [state[k + 1] if k < 5 else None for k in ks]
     B = len(batch)
-    # pool blocks: the batch's atoms, then the state's, then the empty one
-    padded = AtomStore.from_blocks(atoms + state)
-    terms = block_factors(cache.table, sampler_module._pool(padded), B + np.arange(6), ks, np.arange(B),
-                          ctx.gap_index)
-    field = field_rows(cache.mapped, ctx.times[ks], padded.take(np.arange(B)), cache.kp)
+    # the state and the batch as two stores of one width
+    width = max(a.count for a in atoms + state)
+    proposal = AtomStore.from_blocks(atoms, width)
+    p_ins, p_outs = block_factors(cache.table, AtomStore.from_blocks(state, width), proposal, ks, ctx.gap_index)
+    field = field_rows(cache.mapped, ctx.times[ks], proposal, cache.kp)
     rows = np.where(np.array(stored)[:, None], rng.normal(size=(B, n)), field)
     logliks = loglik_rows(ks, rows, ctx, hypers, phi)
     specs = (cache.beta_spec, *cache.mu_specs)
@@ -742,13 +743,13 @@ def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, b
         assert logliks[b] == loglik_slice(k, rows[b], ctx, hypers, phi)
         gap = None if prev is None else gaps[k - 1]
         p_in = atom_block_log_density(a, prev, gap, cache.beta_spec, cache.mu_specs)
-        assert_factor_close(terms.p_in[b], p_in, process_tolerance(a, prev, gap, specs))
+        assert_factor_close(p_ins[b], p_in, process_tolerance(a, prev, gap, specs))
         assert np.all(np.abs(a.mu) <= 10.0) == np.isfinite(p_in)
         if nxt is None:
-            assert terms.p_out[b] == 0.0
+            assert p_outs[b] == 0.0
         else:
             p_out = atom_block_log_density(nxt, a, gaps[k], cache.beta_spec, cache.mu_specs)
-            assert_factor_close(terms.p_out[b], p_out, process_tolerance(nxt, a, gaps[k], specs))
+            assert_factor_close(p_outs[b], p_out, process_tolerance(nxt, a, gaps[k], specs))
         want = field_values(cache.mapped, ctx.times[k], a, cache.kp)
         time_term = cache.kp.xi * abs(ctx.times[k] - cache.kp.tau)
         tol = exponent_tolerance(cache.mapped, a.mu.T, ksq, time_term)
@@ -935,11 +936,12 @@ def test_array_proposals_match_per_block_oracle(tame_prior, p, blocks, p_add, se
 
 
 def _proposals(J, cfg, ctx, size, seed):
-    """`size` proposals from one block of J distinct atoms, in one batch."""
+    """The store of `size` copies of one block of J distinct atoms, and one
+    proposal from each copy, in one batch."""
     block = LatentAtoms(np.linspace(1.0, 2.0, J * ctx.p).reshape(J, ctx.p), np.linspace(0.5, 1.5, J))
     current = AtomStore.from_blocks([block] * size, cfg.j_max)
-    return propose_blocks(np.zeros(size, dtype=np.int64), current, ctx, cfg,
-                          *draw_blocks(stream(seed, 1, 0, 0), size, ctx.p, cfg.j_max))
+    return current, propose_blocks(np.zeros(size, dtype=np.int64), current, ctx, cfg,
+                                   *draw_blocks(stream(seed, 1, 0, 0), size, ctx.p, cfg.j_max))
 
 
 @pytest.mark.parametrize("J", [1, 3, 6])
@@ -947,7 +949,7 @@ def test_move_type_frequencies_match_move_weights(tame_prior, J):
     """Chi-square of the drawn move types against `move_weights`, at J = 1,
     a middle count and j_max; a move of weight 0 is never drawn."""
     cfg = replace(CFG, j_max=6)
-    moves = _proposals(J, cfg, _tiny_ctx(tame_prior, n=1, m=1, p=1), 6000, J)
+    _, moves = _proposals(J, cfg, _tiny_ctx(tame_prior, n=1, m=1, p=1), 6000, J)
     counts = np.bincount(moves.move, minlength=3)
     weights = np.array(move_weights(J, cfg), dtype=float)
     allowed = weights > 0.0
@@ -972,9 +974,9 @@ def test_picked_slot_is_uniform(tame_prior, move, J):
     """A birth splits each of the J atoms, a death merges each of the J - 1
     below the last, equally often (chi-square)."""
     cfg = replace(CFG, j_max=6)
-    moves = _proposals(J, cfg, _tiny_ctx(tame_prior, n=1, m=1, p=1), 6000, 11)
+    current, moves = _proposals(J, cfg, _tiny_ctx(tame_prior, n=1, m=1, p=1), 6000, 11)
     picked = np.flatnonzero(moves.move == MOVE_NAMES.index(move))
-    before = moves.current.values[:, picked, :J - 1 if move == "death" else J]
+    before = current.values[:, picked, :J - 1 if move == "death" else J]
     after = moves.proposal.values[:, picked, :before.shape[2]]
     changed = np.any(after != before, axis=0)
     assert np.all(changed.sum(axis=1) == 1)
