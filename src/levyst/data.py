@@ -49,6 +49,7 @@ class SpaceTimeDataset:
 
 
 MAX_COEF_BYTES = 2 ** 30  # see GqnConfig
+TAN_CLAMP = 1.0e6  # the simulator clips tan values to +-TAN_CLAMP
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,13 @@ class GqnConfig:
     The simulator draws an (n_all, n_all, n_all) coefficient tensor, n_all =
     n_train + n_test, so it needs 8 n_all^3 bytes; a configuration needing
     more than MAX_COEF_BYTES (1 GiB, n_all <= 512) raises ConfigError.
+    Every field is a `simulate` flag; the tan clamp is fixed (`TAN_CLAMP`).
     """
 
     n_train: int = 100
     n_test: int = 20
     m: int = 50
     coef_sd: float = 0.001
-    tan_clamp: float = 1.0e6
     seed: int = 0
 
     def __post_init__(self):
@@ -120,7 +121,7 @@ def gqn_simulate(cfg: GqnConfig) -> GqnResult:
     interaction term with g(x) = x^2, and fresh process noise each step.
     All fields are independent draws from the exponential-covariance process,
     whose covariance is factored once per simulation; the interaction
-    coefficients are N(0, coef_sd^2).  tan values are clamped at +-tan_clamp,
+    coefficients are N(0, coef_sd^2).  tan values are clamped at +-TAN_CLAMP,
     and the count of clamped cells is reported.  The quadratic recursion can
     diverge; a latent field that is no longer finite raises NumericError
     naming the seed and the step.
@@ -147,8 +148,8 @@ def gqn_simulate(cfg: GqnConfig) -> GqnResult:
         f2 = gp_sample(chol, rng)
         eps = gp_sample(chol, rng)
         t = np.tan(beta)
-        n_clamped += int(np.sum(np.abs(t) > cfg.tan_clamp))
-        t = np.clip(t, -cfg.tan_clamp, cfg.tan_clamp)
+        n_clamped += int(np.sum(np.abs(t) > TAN_CLAMP))
+        t = np.clip(t, -TAN_CLAMP, TAN_CLAMP)
         y[:, k] = f1 + f2 * t + eps
 
     train = SpaceTimeDataset(locations[: cfg.n_train], times, y[: cfg.n_train])

@@ -1,6 +1,9 @@
 """Empirical validation tooling: recursive stationarity detection, lagged
 correlations, the same-time covariance identity checked by double Monte
 Carlo, and normality summaries.
+
+Their tuning is fixed by the module constants below; only the detectors'
+first threshold c0 is a parameter (`levyst diagnose --c0`).
 """
 
 from __future__ import annotations
@@ -13,6 +16,12 @@ from scipy.stats import norm
 
 from .errors import InvalidArgumentError, UndefinedBinError
 from .model import KernelParams
+
+THRESHOLD_DECAY = 0.1    # detector thresholds c_j = max(c0 j^-THRESHOLD_DECAY, THRESHOLD_FLOOR)
+THRESHOLD_FLOOR = 1e-6
+PRIOR_A = PRIOR_B = 1.0  # Beta prior of the indicator probability
+N_PROBS = 19             # probabilities of the normality table, 0.05 .. 0.95
+PAIR_CHUNK = 512         # rows of cells per block of lagged-correlation pairs
 
 
 # ---------------------------------------------------------------------------
@@ -31,10 +40,13 @@ def ks_distance(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def threshold_sequence(c0: float, count: int, decay: float = 0.1, floor: float = 1e-6) -> np.ndarray:
-    """Slowly decreasing thresholds c_j = max(c0 * j**(-decay), floor)."""
+def threshold_sequence(c0: float, count: int) -> np.ndarray:
+    """Slowly decreasing thresholds c_j = max(c0 * j**(-THRESHOLD_DECAY),
+    THRESHOLD_FLOOR), for a finite c0 >= 0."""
+    if not 0.0 <= c0 < math.inf:
+        raise InvalidArgumentError(f"c0 must be finite and >= 0, got {c0}")
     j = np.arange(1, count + 1, dtype=float)
-    return np.maximum(c0 * j ** (-decay), floor)
+    return np.maximum(c0 * j ** (-THRESHOLD_DECAY), THRESHOLD_FLOOR)
 
 
 @dataclass
@@ -64,9 +76,7 @@ def _verdict(terminal: float) -> str:
     return "inconclusive"
 
 
-def recursive_stationarity_test(regions: list[np.ndarray], c0: float,
-                                prior_a: float = 1.0, prior_b: float = 1.0,
-                                decay: float = 0.1, floor: float = 1e-6) -> StationarityResult:
+def recursive_stationarity_test(regions: list[np.ndarray], c0: float) -> StationarityResult:
     """Recursive Bernoulli-probability posterior over threshold indicators.
 
     Each region's sample is compared to the pooled global sample by the
@@ -76,10 +86,10 @@ def recursive_stationarity_test(regions: list[np.ndarray], c0: float,
     if len(regions) < 2:
         raise InvalidArgumentError("at least two regions required")
     pooled = np.concatenate([np.asarray(r, dtype=float).ravel() for r in regions])
-    thresholds = threshold_sequence(c0, len(regions), decay, floor)
+    thresholds = threshold_sequence(c0, len(regions))
     distances = np.array([ks_distance(r, pooled) for r in regions])
     indicators = (distances < thresholds).astype(float)
-    mean, var = _beta_recursion(indicators, prior_a, prior_b)
+    mean, var = _beta_recursion(indicators, PRIOR_A, PRIOR_B)
     return StationarityResult(mean, var, thresholds, distances, _verdict(float(mean[-1])))
 
 
@@ -108,9 +118,7 @@ def _region_lag_cov(series: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
 
 
 def recursive_cov_stationarity_test(regions: list[np.ndarray], times: np.ndarray,
-                                    lag_bin: tuple[float, float], c0: float,
-                                    prior_a: float = 1.0, prior_b: float = 1.0,
-                                    decay: float = 0.1, floor: float = 1e-6) -> StationarityResult:
+                                    lag_bin: tuple[float, float], c0: float) -> StationarityResult:
     """Same recursion with |local - global| lag-bin covariances as distances."""
     if len(regions) < 2:
         raise InvalidArgumentError("at least two regions required")
@@ -133,9 +141,9 @@ def recursive_cov_stationarity_test(regions: list[np.ndarray], times: np.ndarray
     total_pairs = sum(c for _, c in global_parts)
     global_cov = sum(v * c for v, c in global_parts) / total_pairs
     distances = np.abs(np.array(local) - global_cov)
-    thresholds = threshold_sequence(c0, len(regions), decay, floor)
+    thresholds = threshold_sequence(c0, len(regions))
     indicators = (distances < thresholds).astype(float)
-    mean, var = _beta_recursion(indicators, prior_a, prior_b)
+    mean, var = _beta_recursion(indicators, PRIOR_A, PRIOR_B)
     return StationarityResult(mean, var, thresholds, distances, _verdict(float(mean[-1])))
 
 
@@ -151,14 +159,14 @@ class LagBins:
 
 
 def lagged_correlation(locations: np.ndarray, times: np.ndarray, y: np.ndarray,
-                       edges: np.ndarray, chunk: int = 512) -> LagBins:
+                       edges: np.ndarray) -> LagBins:
     """Pearson correlation of observation pairs binned by joint lag.
 
     The lag of cells (i, k) and (i', k') is sqrt(||s_i - s_i'||^2 +
     (t_k - t_k')^2).  Both pair orientations enter, which makes the
     estimator symmetric; bins with fewer than two pairs or zero variance
-    report NaN.  Pairs are accumulated in row chunks, so memory stays
-    O(chunk * cells).
+    report NaN.  Pairs are accumulated PAIR_CHUNK rows at a time, so memory
+    stays O(PAIR_CHUNK * cells).
     """
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2 or np.any(np.diff(edges) <= 0.0):
@@ -178,8 +186,8 @@ def lagged_correlation(locations: np.ndarray, times: np.ndarray, y: np.ndarray,
     s1 = np.zeros(B)   # sum of (x_a + x_b) over pairs
     s2 = np.zeros(B)   # sum of (x_a^2 + x_b^2)
     sp = np.zeros(B)   # sum of x_a * x_b
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, PAIR_CHUNK):
+        stop = min(start + PAIR_CHUNK, total)
         diff = coords[start:stop, None, :] - coords[None, :, :]
         lag = np.sqrt(np.sum(diff * diff, axis=2))
         which = np.digitize(lag, edges) - 1
@@ -296,12 +304,12 @@ class NormalitySummary:
     degenerate: bool = False
 
 
-def normality_summary(sample: np.ndarray, n_probs: int = 19) -> NormalitySummary:
+def normality_summary(sample: np.ndarray) -> NormalitySummary:
     """Quantile table against a moment-fitted normal plus the max deviation."""
     x = np.asarray(sample, dtype=float).ravel()
     if x.size < 20:
         raise InvalidArgumentError("normality summary needs at least 20 points")
-    probs = np.linspace(0.05, 0.95, n_probs)
+    probs = np.linspace(0.05, 0.95, N_PROBS)
     sq = np.quantile(x, probs)
     sd = x.std(ddof=1)
     if sd <= 0.0:

@@ -130,18 +130,26 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 # configuration and bookkeeping
 # ---------------------------------------------------------------------------
 
+# Fixed proposal tuning of the TTMCMC block moves (Das and Bhattacharya
+# 2019) and the TMCMC theta moves (Dutta and Bhattacharya 2014).
+BASE_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)  # birth, death, no-change, before the boundary rule
+P_ADD = 0.5      # additive share of the block and theta moves
+Q_ADD = 0.5      # additive share of the enhancement step
+EPS_FLOOR = 0.01  # |e| floor of multiplicative factors
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
+    """The schedule, the atom cap, the additive scale a and the shrink
+    factor c of a chain; the rest of the proposal tuning is fixed
+    (`BASE_WEIGHTS`, `P_ADD`, `Q_ADD`, `EPS_FLOOR`)."""
+
     iterations: int = 110_000
     burn_in: int = 10_000
     thin: int = 10
     j_max: int = 50
     scale: float = 0.05        # additive scaling constant a
     shrink: float = 0.01       # factor c applied for joint/no-change proposals
-    p_add: float = 0.5         # mixture weight of the additive branch
-    q_add: float = 0.5         # additive weight in the enhancement step
-    eps_floor: float = 0.01    # |eps| floor for multiplicative draws
-    base_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
     workers: int = 1           # only recorded in the chain's metadata; a chain runs in one thread
     seed: int = 0
 
@@ -152,31 +160,22 @@ class SamplerConfig:
             raise ConfigError("thinning stride must be in [1, iterations]")
         if self.j_max < 1:
             raise ConfigError("j_max must be >= 1")
-        if self.scale <= 0.0 or not 0.0 < self.shrink < 1.0:
-            raise ConfigError("scale must be > 0 and shrink in (0, 1)")
-        if not 0.0 < self.eps_floor < 1.0:
-            raise ConfigError("eps_floor must be in (0, 1)")
-        if not (0.0 <= self.p_add <= 1.0 and 0.0 <= self.q_add <= 1.0):
-            raise ConfigError("mixture weights must be in [0, 1]")
-        wb, wd, wnc = self.base_weights
-        if min(wb, wd, wnc) < 0.0 or not math.isclose(wb + wd + wnc, 1.0, rel_tol=1e-9):
-            raise ConfigError("base move weights must be nonnegative and sum to one")
-        # every count needs a move to draw, and a birth's or a death's ratio
-        # holds the reverse move's weight
-        if wb == 0.0 or wd == 0.0 or (wnc == 0.0 and self.j_max == 1):
-            raise ConfigError("birth and death weights must be > 0, and the no-change weight too when j_max == 1")
+        if not 0.0 < self.scale < math.inf:
+            raise ConfigError(f"scale must be positive and finite, got {self.scale}")
+        if not 0.0 < self.shrink < 1.0:
+            raise ConfigError(f"shrink must be in (0, 1), got {self.shrink}")
         if self.workers < 1:
             raise ConfigError("worker count must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def move_weights(J, cfg: SamplerConfig):
+def move_weights(J, j_max: int):
     """(birth, death, no-change) probabilities at the current count J, or
-    elementwise at an array of counts."""
-    wb, wd, wnc = cfg.base_weights
+    elementwise at an array of counts, below the cap j_max."""
+    wb, wd, wnc = BASE_WEIGHTS
     J = np.asarray(J)
-    wb = np.where(J >= cfg.j_max, 0.0, wb)
+    wb = np.where(J >= j_max, 0.0, wb)
     wd = np.where(J <= 1, 0.0, wd)
     total = wb + wd + wnc
     return wb / total, wd / total, wnc / total
@@ -270,7 +269,7 @@ class ModelContext:
     phi0: np.ndarray
     prior: PriorConfig
     marginalized: bool
-    alpha_pinned: bool
+    alpha_pinned: bool            # the data are standardized: alpha stays at 0
     ar_mode: ArMode
     map_grid: MapGrid             # the maps' data-only terms on the sorted unique coordinates
     knot_inverse: tuple[np.ndarray, ...]
@@ -311,9 +310,10 @@ def _map_grid(locations: np.ndarray) -> tuple[MapGrid, tuple[np.ndarray, ...]]:
 
 
 def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool = True,
-                  alpha_pinned: bool | None = None, phi0_override: np.ndarray | None = None) -> ModelContext:
-    if alpha_pinned is None:
-        alpha_pinned = data.standardized
+                  phi0_override: np.ndarray | None = None) -> ModelContext:
+    """The constants of a chain on `data`.  Alpha is pinned at 0 exactly when
+    the data carry standardization statistics.  `phi0_override` replaces the
+    empirical baseline phi0 (a matrix of the response's shape)."""
     if phi0_override is not None:
         phi0 = np.asarray(phi0_override, dtype=float)
         if phi0.shape != data.y.shape:
@@ -325,7 +325,7 @@ def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool
     gaps, gap_rows = np.unique(step_gaps(data.times, ar_mode), return_inverse=True)
     return ModelContext(
         y=data.y, locations=data.locations, times=data.times, phi0=phi0,
-        prior=prior, marginalized=marginalized, alpha_pinned=alpha_pinned,
+        prior=prior, marginalized=marginalized, alpha_pinned=data.standardized,
         ar_mode=ar_mode, map_grid=grid, knot_inverse=inverse,
         gaps=gaps, gap_index=np.concatenate([[-1], gap_rows]).astype(np.int64),
         layout=ThetaLayout(p=data.p),
@@ -546,14 +546,14 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
     """
     counts = current.counts
     B, p1, W = counts.size, ctx.p + 1, current.width
-    wb, wd, _ = move_weights(counts, cfg)
+    wb, wd, _ = move_weights(counts, cfg.j_max)
     moves = np.where(u[:, 0] < wb, BIRTH, np.where(u[:, 0] < wb + wd, DEATH, NO_CHANGE))
     birth, death, no_change = moves == BIRTH, moves == DEATH, moves == NO_CHANGE
-    additive = u[:, 1] < cfg.p_add
+    additive = u[:, 1] < P_ADD
     # a birth picks one of the J atoms, a death one of the J-1 below the last
     slot = np.where(no_change, 0, (u[:, 2] * (counts - death)).astype(np.int64))
     rows, add = np.arange(B), additive[:, None]
-    eps = np.where(add, normals, _mult_eps(u[:, 4:4 + p1], cfg.eps_floor))
+    eps = np.where(add, normals, _mult_eps(u[:, 4:4 + p1], EPS_FLOOR))
     signs = np.where(u[:, 4 + p1:4 + 2 * p1] < 0.5, 1.0, -1.0)
     # no-change flips of the coordinates in use, as (p+1, S, W): +-1 or -1, 0, 1
     sel = np.flatnonzero(no_change)
@@ -562,15 +562,15 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
     flips *= np.arange(W) < counts[sel, None]
     # the move-weight ratio of a birth or death, a no-change move's log_jac
     with np.errstate(divide="ignore"):
-        log_w = np.where(birth, np.log(move_weights(counts + 1, cfg)[1]) - np.log(wb),
-                         np.log(move_weights(counts - 1, cfg)[0]) - np.log(wd))
+        log_w = np.where(birth, np.log(move_weights(counts + 1, cfg.j_max)[1]) - np.log(wb),
+                         np.log(move_weights(counts - 1, cfg.j_max)[0]) - np.log(wd))
         log_w[sel] = np.where(additive[sel], 0.0, flips.sum(axis=(0, 2)) * np.log(np.abs(eps[sel, 0])))
     # Every block's birth and death arithmetic at once on its picked atom x
     # (birth: j, death: lo) and its last atom y, as C-ordered (B, p+1) rows,
     # whose row sums add like one block's sums; each block keeps its move's.
     x = np.ascontiguousarray(current.values[:, rows, slot].T)
     y = np.ascontiguousarray(current.values[:, rows, np.maximum(counts - 1, 0)].T)
-    log_4a, pair_factor = math.log(4.0 * cfg.scale), p1 * (math.log(2.0) + math.log(1.0 - cfg.eps_floor))
+    log_4a, pair_factor = math.log(4.0 * cfg.scale), p1 * (math.log(2.0) + math.log(1.0 - EPS_FLOOR))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # a birth splits x into (keep, child), a death merges x and y
         size = np.abs(eps)
@@ -587,7 +587,7 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
         # a multiplicative birth makes a same-sign pair (x e, x / e) with
         # |x e| < |x / e| and |e| above the floor
         reachable = ~death | additive | np.all((x * y > 0.0) & (np.abs(x) < np.abs(y))
-                                                & (np.sqrt(np.abs(x) / np.abs(y)) > cfg.eps_floor), axis=1)
+                                                & (np.sqrt(np.abs(x) / np.abs(y)) > EPS_FLOOR), axis=1)
         values = current.values.copy()
         values[:, rows, slot] = np.where(birth[:, None], keep, np.where(death[:, None], merged, x)).T
         grow = np.flatnonzero(birth)
@@ -710,11 +710,11 @@ def tmcmc_proposal(theta: np.ndarray, cfg: SamplerConfig, rng: np.random.Generat
     signs (additive) or factors (multiplicative); returns the proposal and
     its log Jacobian."""
     d = theta.size
-    if rng.random() < cfg.p_add:
+    if rng.random() < P_ADD:
         eps = rng.standard_normal()
         b = rng.integers(0, 2, size=d) * 2 - 1
         return theta + b * cfg.scale * abs(eps), 0.0
-    eps = float(_mult_eps(rng.random(), cfg.eps_floor))
+    eps = float(_mult_eps(rng.random(), EPS_FLOOR))
     b = rng.integers(-1, 2, size=d)
     proposal = theta.copy()
     proposal[b == 1] *= eps
@@ -727,11 +727,11 @@ def enhancement_proposal(theta: np.ndarray, cfg: SamplerConfig,
     """Common-direction proposal of the mixing-enhancement pass: every
     coordinate shifted by one step, or multiplied or divided by one factor;
     returns the proposal and its log Jacobian."""
-    if rng.random() < cfg.q_add:
+    if rng.random() < Q_ADD:
         u_dir = rng.random()
         step = (cfg.shrink * cfg.scale) * abs(rng.standard_normal())
         return (theta + step if u_dir < 0.5 else theta - step), 0.0
-    eps = float(_mult_eps(rng.random(), cfg.eps_floor))
+    eps = float(_mult_eps(rng.random(), EPS_FLOOR))
     if rng.random() < 0.5:
         return theta * eps, theta.size * math.log(abs(eps))
     return theta / eps, -theta.size * math.log(abs(eps))
@@ -801,10 +801,9 @@ class Sampler:
     """Owns the iteration schedule and the random streams of one chain."""
 
     def __init__(self, data: SpaceTimeDataset, cfg: SamplerConfig, prior: PriorConfig,
-                 marginalized: bool = True, alpha_pinned: bool | None = None,
-                 phi0_override: np.ndarray | None = None):
+                 marginalized: bool = True, phi0_override: np.ndarray | None = None):
         self.cfg = cfg
-        self.ctx = build_context(data, prior, marginalized, alpha_pinned, phi0_override)
+        self.ctx = build_context(data, prior, marginalized, phi0_override)
 
     # -- initialization ----------------------------------------------------
 
@@ -952,9 +951,9 @@ class Sampler:
 
 
 def run_chain(data: SpaceTimeDataset, cfg: SamplerConfig, prior: PriorConfig,
-              marginalized: bool = True, alpha_pinned: bool | None = None) -> ChainResult:
+              marginalized: bool = True) -> ChainResult:
     """Run the full schedule and return the thinned post-burn-in chain."""
-    return Sampler(data, cfg, prior, marginalized=marginalized, alpha_pinned=alpha_pinned).run()
+    return Sampler(data, cfg, prior, marginalized=marginalized).run()
 
 
 # ---------------------------------------------------------------------------
@@ -1037,6 +1036,9 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     new_locations = np.atleast_2d(np.asarray(new_locations, dtype=float))
+    if new_locations.shape[1] != data.p:
+        raise InvalidArgumentError(f"prediction points have {new_locations.shape[1]} coordinates, "
+                                   f"the training locations {data.p}")
     new_times = np.atleast_1d(np.asarray(new_times, dtype=float))
     layout = ThetaLayout(p=data.p)
     time_idx = _grid_indices(new_times, data.times)

@@ -43,11 +43,11 @@ def _prior() -> PriorConfig:
 
 
 def _sampler(marginalized: bool, seed: int) -> Sampler:
-    """Two locations, three irregular times, p = 1."""
+    """Two locations, three irregular times, p = 1; unstandardized, so
+    alpha is sampled."""
     data = SpaceTimeDataset(np.array([[0.25], [0.75]]), np.array([1.0, 2.2, 3.0]), np.zeros((2, 3)))
     cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=15, seed=seed)
-    return Sampler(data, cfg, _prior(), marginalized=marginalized, alpha_pinned=False,
-                   phi0_override=np.zeros((2, 3)))
+    return Sampler(data, cfg, _prior(), marginalized=marginalized, phi0_override=np.zeros((2, 3)))
 
 
 def _summaries(state, ctx) -> np.ndarray:

@@ -1,7 +1,7 @@
 import errno
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -157,6 +157,16 @@ def test_usage_errors(sim_dir, fit_dir, tmp_path, capsys):
     # inconsistent sampler settings
     assert _run("fit", "--data", str(sim_dir / "train.csv"),
                 "--out", str(tmp_path / "z"), "--iters", "5", "--burnin", "9") == 2
+    # a scale that is not positive and finite, and a first stationarity
+    # threshold that is not finite and >= 0, named in the message
+    capsys.readouterr()
+    for argv, cause in [(["fit", "--data", str(sim_dir / "train.csv"), "--iters", "4", "--burnin", "0",
+                          "--thin", "1", "--scale", value], "scale") for value in ("nan", "inf")] + [
+                        (["diagnose", "--data", str(sim_dir / "train.csv"), "--c0", value], "c0")
+                        for value in ("nan", "inf", "-1")]:
+        assert _run(*argv, "--out", str(tmp_path / "bad")) == 2, argv
+        assert cause in capsys.readouterr().err, argv
+        assert not os.path.exists(tmp_path / "bad"), argv
     # a negative seed is a configuration error, named in the message
     capsys.readouterr()
     assert _run("fit", "--data", str(sim_dir / "train.csv"),
@@ -216,8 +226,12 @@ def test_usage_errors(sim_dir, fit_dir, tmp_path, capsys):
         assert not os.path.exists(tmp_path / "w")
 
 
-def test_bad_input_exits_2_naming_the_cause(sim_dir, tmp_path, capsys, monkeypatch):
+def test_bad_input_exits_2_naming_the_cause(sim_dir, fit_dir, tmp_path, capsys, monkeypatch):
     train = load_csv(sim_dir / "train.csv")
+    test = load_csv(sim_dir / "test.csv")
+    three_coordinates = tmp_path / "points3.csv"
+    write_csv(SpaceTimeDataset(np.column_stack([test.locations, np.zeros(test.n)]), test.times, test.y),
+              three_coordinates)
     constant, one_location, small = tmp_path / "constant.csv", tmp_path / "one.csv", tmp_path / "small.csv"
     write_csv(replace(train, y=np.ones_like(train.y)), constant)
     write_csv(SpaceTimeDataset(train.locations[:1], train.times, train.y[:1]), one_location)
@@ -237,6 +251,9 @@ def test_bad_input_exits_2_naming_the_cause(sim_dir, tmp_path, capsys, monkeypat
           "--points", str(sim_dir / "test.csv"), "--out", str(tmp_path / "p")], [os.strerror(errno.ENOENT)]),
         (["fit", "--data", str(sim_dir / "train.csv"), "--out", str(existing), *fit_flags],
          [os.strerror(errno.EEXIST), str(existing)]),
+        (["predict", "--chain", str(fit_dir / "chain.txt"), "--data", str(sim_dir / "train.csv"),
+          "--points", str(three_coordinates), "--out", str(tmp_path / "p3")],
+         ["prediction points have 3 coordinates, the training locations 2"]),
     ]
     capsys.readouterr()
     for argv, causes in cases:
@@ -282,6 +299,14 @@ def test_sampler_config_takes_only_given_keys():
     assert _sampler_config(given) == SamplerConfig(iterations=40, burn_in=10, thin=3, j_max=5, scale=0.1,
                                                    shrink=0.2, seed=5)
     assert _sampler_config({"seed": 4}) == replace(SamplerConfig(), seed=4)
+
+
+def test_every_config_field_is_set_by_a_config_key():
+    """An option that no user can set fails here on the day it is added.
+    `SamplerConfig.workers` is the one exception: only the chain's metadata
+    and the benchmark's worker-invariance check read it."""
+    assert {f.name for f in fields(SamplerConfig)} - {"workers"} <= set(cli._SAMPLER_FIELDS.values())
+    assert tuple(f.name for f in fields(GqnConfig)) == cli._GQN_FIELDS
 
 
 def test_simulate_without_flags_uses_simulator_defaults(monkeypatch, tmp_path):

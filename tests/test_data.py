@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import levyst.data as data_module
 from levyst.data import (
     MAX_COEF_BYTES,
     GqnConfig,
@@ -79,7 +80,7 @@ def test_gqn_divergence_raises_numeric_error():
             assert np.all(np.isfinite(sim.train.y)) and np.all(np.isfinite(sim.test.y))
 
 
-def _gqn_reference(cfg: GqnConfig) -> GqnResult:
+def _gqn_reference(cfg: GqnConfig, tan_clamp: float = data_module.TAN_CLAMP) -> GqnResult:
     """The simulator as first written: it builds and factors the covariance
     again for every field draw."""
     def draw(locations, rng):
@@ -109,23 +110,29 @@ def _gqn_reference(cfg: GqnConfig) -> GqnResult:
                                f"of {cfg.m} (seed {cfg.seed})")
         f1, f2, eps = draw(locations, rng), draw(locations, rng), draw(locations, rng)
         t = np.tan(beta)
-        n_clamped += int(np.sum(np.abs(t) > cfg.tan_clamp))
-        y[:, k] = f1 + f2 * np.clip(t, -cfg.tan_clamp, cfg.tan_clamp) + eps
+        n_clamped += int(np.sum(np.abs(t) > tan_clamp))
+        y[:, k] = f1 + f2 * np.clip(t, -tan_clamp, tan_clamp) + eps
     return GqnResult(SpaceTimeDataset(locations[: cfg.n_train], times, y[: cfg.n_train]),
                      SpaceTimeDataset(locations[cfg.n_train:], times, y[cfg.n_train:]), n_clamped)
 
 
-@pytest.mark.parametrize("cfg", [
-    GqnConfig(n_train=6, n_test=2, m=4, seed=0),
-    GqnConfig(n_train=6, n_test=0, m=5, seed=3),
-    GqnConfig(n_train=12, n_test=4, m=6, seed=5),
-    GqnConfig(n_train=30, n_test=10, m=20, seed=7),
-    GqnConfig(n_train=30, n_test=10, m=20, seed=11, tan_clamp=1.0),
-], ids=lambda cfg: f"{cfg.n_train}x{cfg.m}-seed{cfg.seed}")
-def test_gqn_matches_per_draw_factor_reference(cfg):
+def _gqn_case(tan_clamp: float = data_module.TAN_CLAMP, **fields):
+    cfg = GqnConfig(**fields)
+    return pytest.param(cfg, tan_clamp, id=f"{cfg.n_train}x{cfg.m}-seed{cfg.seed}")
+
+
+@pytest.mark.parametrize("cfg, tan_clamp", [
+    _gqn_case(n_train=6, n_test=2, m=4, seed=0),
+    _gqn_case(n_train=6, n_test=0, m=5, seed=3),
+    _gqn_case(n_train=12, n_test=4, m=6, seed=5),
+    _gqn_case(n_train=30, n_test=10, m=20, seed=7),
+    _gqn_case(n_train=30, n_test=10, m=20, seed=11, tan_clamp=1.0),
+])
+def test_gqn_matches_per_draw_factor_reference(cfg, tan_clamp, monkeypatch):
     """Factoring the covariance once per simulation keeps every bit of the
     per-draw factorization."""
-    got, want = gqn_simulate(cfg), _gqn_reference(cfg)
+    monkeypatch.setattr(data_module, "TAN_CLAMP", tan_clamp)
+    got, want = gqn_simulate(cfg), _gqn_reference(cfg, tan_clamp)
     for part in ("train", "test"):
         for name in ("locations", "times", "y"):
             assert np.array_equal(getattr(getattr(got, part), name), getattr(getattr(want, part), name))
@@ -175,8 +182,9 @@ def test_gqn_config_rejects_bad_values():
         GqnConfig(n_train=2800)
 
 
-def test_gqn_clamp_counts():
-    res = gqn_simulate(GqnConfig(n_train=30, n_test=5, m=30, seed=0, tan_clamp=1.0))
+def test_gqn_clamp_counts(monkeypatch):
+    monkeypatch.setattr(data_module, "TAN_CLAMP", 1.0)
+    res = gqn_simulate(GqnConfig(n_train=30, n_test=5, m=30, seed=0))
     assert res.n_clamped > 0
     assert np.all(np.isfinite(res.train.y))
 

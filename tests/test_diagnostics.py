@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import levyst.diagnostics as diagnostics_module
 from levyst.diagnostics import (
     CovOracleResult,
     covariance_oracle_check,
@@ -40,6 +41,16 @@ def test_threshold_sequence_slowly_decreasing():
     assert np.all(np.diff(c) <= 0.0)
     assert c[-1] == pytest.approx(0.26 * 500 ** (-0.1), rel=1e-12)
     assert np.all(threshold_sequence(1e-9, 10) >= 1e-6)
+
+
+@pytest.mark.parametrize("c0", [-1.0, -1e-300, math.nan, math.inf])
+def test_threshold_sequence_rejects_bad_c0(c0):
+    """c0 must be finite and >= 0 (0 is a valid start: see the zero-threshold
+    test); a NaN c0 would turn every threshold into NaN."""
+    with pytest.raises(InvalidArgumentError, match="c0"):
+        threshold_sequence(c0, 5)
+    with pytest.raises(InvalidArgumentError, match="c0"):
+        recursive_stationarity_test([np.zeros(3), np.ones(3)], c0=c0)
 
 
 def test_recursive_stationarity_iid_vs_drift():
@@ -105,7 +116,7 @@ def test_lagged_correlation_white_noise():
             assert abs(bins.correlation[b]) < 5 * se
 
 
-def test_lagged_correlation_decay_on_ar_field():
+def test_lagged_correlation_decay_on_ar_field(monkeypatch):
     rng = np.random.default_rng(9)
     n_t = 2000
     x = np.empty(n_t)
@@ -116,7 +127,8 @@ def test_lagged_correlation_decay_on_ar_field():
     locs = np.zeros((1, 2))
     times = np.arange(float(n_t))
     edges = np.arange(0.5, 11.0)
-    bins = lagged_correlation(locs, times, x[None, :], edges, chunk=256)
+    monkeypatch.setattr(diagnostics_module, "PAIR_CHUNK", 256)
+    bins = lagged_correlation(locs, times, x[None, :], edges)
     corr = bins.correlation
     assert np.all(np.isfinite(corr))
     expected = rho ** np.arange(1, 11)

@@ -34,10 +34,11 @@ def _batch_z(x: np.ndarray, target: float) -> float:
 
 def test_one_block_kernel_keeps_its_target():
     rng = np.random.default_rng(42)
-    data = SpaceTimeDataset(np.array([[0.2], [0.8]]), np.array([1.0]), np.zeros((2, 1)))
+    # standardized data: alpha is pinned
+    data = SpaceTimeDataset(np.array([[0.2], [0.8]]), np.array([1.0]), np.zeros((2, 1)), mean=0.0, sd=1.0)
     prior = PriorConfig(ig_a=3.0, ig_b=2.0, ig_a_tight=3.0, ig_b_tight=2.0,
                         lambda_a=6.0, lambda_b=2.0, nu_var=1.0, rho_var=1.0)
-    ctx = build_context(data, prior, marginalized=True, alpha_pinned=True, phi0_override=np.zeros((2, 1)))
+    ctx = build_context(data, prior, marginalized=True, phi0_override=np.zeros((2, 1)))
     cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=J_MAX, seed=1)
     # theta from one prior draw, held fixed; the huge noise variance flattens the likelihood
     state = draw_prior_state(ctx, cfg, rng)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import levyst.sampler as sampler_module
 
@@ -48,9 +49,8 @@ def _tiny_ctx(tame_prior, n=1, m=1, p=1, marginalized=True):
     locs = rng.random((max(n, 2), p))[:n] if n >= 2 else np.array([[0.4]] if p == 1 else [[0.4] * p])
     times = np.arange(1.0, m + 1.0)
     y = rng.standard_normal((n, m))
-    data = SpaceTimeDataset(locs, times, y)
-    return build_context(data, tame_prior, marginalized=marginalized,
-                         alpha_pinned=True, phi0_override=np.zeros((n, m)))
+    data = SpaceTimeDataset(locs, times, y, mean=0.0, sd=1.0)  # standardized: alpha pinned
+    return build_context(data, tame_prior, marginalized=marginalized, phi0_override=np.zeros((n, m)))
 
 
 def _state_pieces(ctx, j0=1, seed=3):
@@ -76,12 +76,10 @@ def _state_pieces(ctx, j0=1, seed=3):
 
 
 def test_move_weights_boundaries():
-    cfg = replace(CFG, j_max=6)
-    assert move_weights(1, cfg) == pytest.approx((0.5, 0.0, 0.5))
-    assert move_weights(6, cfg) == pytest.approx((0.0, 0.5, 0.5))
-    assert move_weights(3, cfg) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
-    one = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=1, seed=0)
-    assert move_weights(1, one) == pytest.approx((0.0, 0.0, 1.0))
+    assert move_weights(1, 6) == pytest.approx((0.5, 0.0, 0.5))
+    assert move_weights(6, 6) == pytest.approx((0.0, 0.5, 0.5))
+    assert move_weights(3, 6) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+    assert move_weights(1, 1) == pytest.approx((0.0, 0.0, 1.0))
 
 
 def test_config_validation():
@@ -91,16 +89,11 @@ def test_config_validation():
         SamplerConfig(iterations=10, burn_in=0, thin=11)
     with pytest.raises(ConfigError):
         SamplerConfig(iterations=10, burn_in=0, thin=1, shrink=1.5)
-    with pytest.raises(ConfigError):
-        SamplerConfig(iterations=10, burn_in=0, thin=1, base_weights=(0.5, 0.5, 0.5))
     with pytest.raises(ConfigError, match="seed"):
         SamplerConfig(iterations=10, burn_in=0, thin=1, seed=-1)
-    # a zero birth or death weight, or a zero no-change weight with a single
-    # count, leaves a move without its reverse or a count without a move
-    for weights, j_max in (((0.0, 0.5, 0.5), 5), ((1.0, 0.0, 0.0), 5), ((0.5, 0.5, 0.0), 1)):
-        with pytest.raises(ConfigError, match="weight"):
-            SamplerConfig(iterations=10, burn_in=0, thin=1, j_max=j_max, base_weights=weights)
-    SamplerConfig(iterations=10, burn_in=0, thin=1, j_max=2, base_weights=(0.5, 0.5, 0.0))
+    for scale in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="scale"):
+            SamplerConfig(iterations=10, burn_in=0, thin=1, scale=scale)
 
 
 def _independent_block_conditional(atoms_k, cache, ctx, hypers):
@@ -150,34 +143,35 @@ def _fresh_block_conditionals(ks, store, cache, ctx, hypers, j_max=6):
                         j_max), (p_in, p_out)
 
 
-def test_birth_acceptance_matches_oracle(tame_prior):
+def test_birth_acceptance_matches_oracle(tame_prior, monkeypatch):
     ctx = _tiny_ctx(tame_prior, n=1, m=1, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=1)
     lp_cur = _independent_block_conditional(atoms[0], cache, ctx, hypers)
     store = AtomStore.from_blocks(atoms)
     assert _fresh_block_conditionals([0], store, cache, ctx, hypers)[0][0] == pytest.approx(lp_cur, rel=1e-10)
-    for branch_cfg in (replace(CFG, p_add=1.0), replace(CFG, p_add=0.0)):
+    for p_add in (1.0, 0.0):
+        monkeypatch.setattr(sampler_module, "P_ADD", p_add)
         births = 0
         for seed in range(24):
             moves, accepted, log_alpha, after, move, info = _one_block_update(
-                atoms[0], cache, ctx, hypers, branch_cfg, (seed, 9))
+                atoms[0], cache, ctx, hypers, CFG, (seed, 9))
             if move != "birth":
                 continue
             births += 1
             # independent recomputation of the full log acceptance ratio
             J, p = 1, 1
-            wb = move_weights(J, branch_cfg)[0]
-            wd_new = move_weights(J + 1, branch_cfg)[1]
+            wb = move_weights(J, CFG.j_max)[0]
+            wd_new = move_weights(J + 1, CFG.j_max)[1]
             if info["branch"] == "additive":
                 u = np.abs(np.array([info["eps1"], *np.atleast_1d(info["eps_mu"])]))
                 g = 0.5 * math.log(2 / math.pi) - 0.5 * u * u
-                struct = math.log(wd_new / wb) + float(np.sum(math.log(4 * branch_cfg.scale) - g))
+                struct = math.log(wd_new / wb) + float(np.sum(math.log(4 * CFG.scale) - g))
             else:
                 eps = np.array([info["eps1"], *np.atleast_1d(info["eps_mu"])])
                 x = np.array([atoms[0].beta[0], atoms[0].mu[0, 0]])
                 struct = (math.log(wd_new / wb)
                           + float(np.sum(np.log(np.abs(x)) - np.log(np.abs(eps))))
-                          + (p + 1) * (math.log(2.0) + math.log(1 - branch_cfg.eps_floor)))
+                          + (p + 1) * (math.log(2.0) + math.log(1 - sampler_module.EPS_FLOOR)))
             assert moves.log_ratio[0] == pytest.approx(struct, rel=1e-10)
             lp_prop = _independent_block_conditional(moves.proposal.block(0), cache, ctx, hypers)
             assert log_alpha == pytest.approx(lp_prop - lp_cur + struct, rel=1e-9)
@@ -185,32 +179,33 @@ def test_birth_acceptance_matches_oracle(tame_prior):
         assert births >= 8
 
 
-def test_death_acceptance_matches_oracle(tame_prior):
+def test_death_acceptance_matches_oracle(tame_prior, monkeypatch):
     ctx = _tiny_ctx(tame_prior, n=1, m=1, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=3)
     lp_cur = _independent_block_conditional(atoms[0], cache, ctx, hypers)
-    for branch_cfg in (replace(CFG, p_add=1.0), replace(CFG, p_add=0.0)):
+    for p_add in (1.0, 0.0):
+        monkeypatch.setattr(sampler_module, "P_ADD", p_add)
         deaths = 0
         for seed in range(36):
             moves, accepted, log_alpha, _, move, info = _one_block_update(
-                atoms[0], cache, ctx, hypers, branch_cfg, (seed, 10))
+                atoms[0], cache, ctx, hypers, CFG, (seed, 10))
             if move != "death":
                 continue
             deaths += 1
             J, p = 3, 1
-            wd = move_weights(J, branch_cfg)[1]
-            wb_new = move_weights(J - 1, branch_cfg)[0]
+            wd = move_weights(J, CFG.j_max)[1]
+            wb_new = move_weights(J - 1, CFG.j_max)[0]
             lo, hi = info["lo"], J - 1  # the partner is always the last atom
             if info["branch"] == "additive":
                 pair_lo = np.array([atoms[0].beta[lo], atoms[0].mu[lo, 0]])
                 pair_hi = np.array([atoms[0].beta[hi], atoms[0].mu[hi, 0]])
-                u = np.abs(pair_lo - pair_hi) / (2 * branch_cfg.scale)
+                u = np.abs(pair_lo - pair_hi) / (2 * CFG.scale)
                 g = 0.5 * math.log(2 / math.pi) - 0.5 * u * u
-                struct = math.log(wb_new / wd) + float(np.sum(g - math.log(4 * branch_cfg.scale)))
+                struct = math.log(wb_new / wd) + float(np.sum(g - math.log(4 * CFG.scale)))
             else:
                 y_hi = np.array([atoms[0].beta[hi], atoms[0].mu[hi, 0]])
                 struct = (math.log(wb_new / wd) - float(np.sum(np.log(np.abs(y_hi))))
-                          - (p + 1) * (math.log(2.0) + math.log(1 - branch_cfg.eps_floor)))
+                          - (p + 1) * (math.log(2.0) + math.log(1 - sampler_module.EPS_FLOOR)))
             assert moves.log_ratio[0] == pytest.approx(struct, rel=1e-10)
             if info["unreachable"]:
                 assert log_alpha == -np.inf and not accepted
@@ -220,12 +215,13 @@ def test_death_acceptance_matches_oracle(tame_prior):
         assert deaths >= 8
 
 
-def test_birth_death_structural_reciprocity(tame_prior):
+def test_birth_death_structural_reciprocity(tame_prior, monkeypatch):
     """Factors of a matched split/merge pair are exact reciprocals and the
     merge restores the pre-split values."""
     ctx = _tiny_ctx(tame_prior, n=1, m=1, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=2)
-    cfg = replace(CFG, p_add=1.0, scale=0.5)
+    monkeypatch.setattr(sampler_module, "P_ADD", 1.0)
+    cfg = replace(CFG, scale=0.5)
     restored = 0
     for seed in range(400):
         births, accepted, _, born, move, binfo = _one_block_update(atoms[0], cache, ctx, hypers, cfg, (seed, 11))
@@ -261,14 +257,14 @@ def test_birth_death_guards(tame_prior):
         assert ("death" in drawn) == (block.count > 1)
 
 
-def test_no_change_jacobian_and_identity(tame_prior):
+def test_no_change_jacobian_and_identity(tame_prior, monkeypatch):
     ctx = _tiny_ctx(tame_prior, n=1, m=1, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=1)
-    cfg = replace(CFG, p_add=0.0)
+    monkeypatch.setattr(sampler_module, "P_ADD", 0.0)
     seen_identity = False
     for seed in range(400):
         moves, accepted, log_alpha, after, move, info = _one_block_update(
-            atoms[0], cache, ctx, hypers, cfg, (seed, 13))
+            atoms[0], cache, ctx, hypers, CFG, (seed, 13))
         if move != "no_change":
             continue
         b = info["b"]
@@ -350,7 +346,7 @@ def test_theta_logpost_ratio_matches_joint_difference(tame_prior):
     assert lp2 - lp1 == pytest.approx(j2 - j1, rel=1e-9)
 
 
-def test_tmcmc_rejects_out_of_bounds_and_accepts_identity(tame_prior):
+def test_tmcmc_rejects_out_of_bounds_and_accepts_identity(tame_prior, monkeypatch):
     from levyst.sampler import SamplerState
 
     ctx = _tiny_ctx(tame_prior, n=2, m=2, p=1)
@@ -362,10 +358,10 @@ def test_tmcmc_rejects_out_of_bounds_and_accepts_identity(tame_prior):
     assert lp_bad == -np.inf
 
     lp, _ = theta_logpost(theta, state, ctx)
-    cfg = replace(CFG, p_add=0.0)
+    monkeypatch.setattr(sampler_module, "P_ADD", 0.0)
     scripted = _ScriptedRng(uniforms=[0.9, 0.5],
                             integer_arrays=[np.zeros(ctx.layout.dim, dtype=int)])
-    proposal, log_jac = tmcmc_proposal(theta, cfg, scripted)
+    proposal, log_jac = tmcmc_proposal(theta, CFG, scripted)
     np.testing.assert_array_equal(proposal, theta)
     assert log_jac == 0.0
     # log_alpha is 0, so every acceptance uniform accepts
@@ -373,13 +369,13 @@ def test_tmcmc_rejects_out_of_bounds_and_accepts_identity(tame_prior):
     assert all(sampler_module._log_uniform(u) < lp_prop - lp + log_jac for u in (0.0, 0.2, 1.0 - 2.0 ** -53))
 
 
-def test_enhancement_jacobian():
+def test_enhancement_jacobian(monkeypatch):
     d = 9
     theta = np.linspace(-2.0, 2.5, d)
     assert np.all(theta != 0.0)
-    cfg = replace(CFG, q_add=0.0)
+    monkeypatch.setattr(sampler_module, "Q_ADD", 0.0)
     for seed in range(8):
-        proposal, log_jac = enhancement_proposal(theta, cfg, stream(seed, 15))
+        proposal, log_jac = enhancement_proposal(theta, CFG, stream(seed, 15))
         expected = float(np.sum(np.log(np.abs(proposal / theta))))
         assert log_jac == pytest.approx(expected, rel=1e-12, abs=d * 1e-15)
     # spec example: d=3, eps=0.5, multiply branch -> |J| = 0.125
@@ -460,9 +456,8 @@ def test_gibbs_zeta_closed_forms(tame_prior):
                         lambda_a=0.01, lambda_b=0.001)
     rng0 = np.random.default_rng(0)
     data = SpaceTimeDataset(rng0.random((3, 1)), np.array([1.0, 2.0]),
-                            rng0.standard_normal((3, 2)))
-    ctx = build_context(data, prior, marginalized=True, alpha_pinned=True,
-                        phi0_override=np.zeros((3, 2)))
+                            rng0.standard_normal((3, 2)), mean=0.0, sd=1.0)  # standardized: alpha pinned
+    ctx = build_context(data, prior, marginalized=True, phi0_override=np.zeros((3, 2)))
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=3)
     atoms[1] = LatentAtoms(np.zeros((4, 1)), np.zeros(4))  # J = (3, 4)
     state = SamplerState(atoms=atoms, theta=theta, hypers=hypers, nu=nu, omega_sq=omega)
@@ -640,7 +635,8 @@ def test_unreachable_merges_are_never_scored(tiny_dataset, tame_prior, monkeypat
     process factors (`block_factors`) nor its field row (`field_rows`) is
     computed, and the chain equals one in which such merges are scored and
     then rejected."""
-    cfg = SamplerConfig(iterations=40, burn_in=0, thin=1, j_max=5, seed=9, p_add=0.2)
+    monkeypatch.setattr(sampler_module, "P_ADD", 0.2)
+    cfg = SamplerConfig(iterations=40, burn_in=0, thin=1, j_max=5, seed=9)
     propose, factors, rows = sampler_module.propose_blocks, sampler_module.block_factors, sampler_module.field_rows
     times = tiny_dataset.times
     unreachable, factored, fielded = [], [], []
@@ -711,8 +707,7 @@ def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, b
     rng = np.random.default_rng(seed)
     n = 37
     data = SpaceTimeDataset(rng.random((n, 2)), _IRREGULAR_TIMES, rng.standard_normal((n, 6)))
-    ctx = build_context(data, tame_prior, marginalized=marginalized, alpha_pinned=False,
-                        phi0_override=rng.standard_normal((n, 6)))
+    ctx = build_context(data, tame_prior, marginalized=marginalized, phi0_override=rng.standard_normal((n, 6)))
     assert len(ctx.gaps) == 4
     theta, nu, omega, cache, _, _ = _state_pieces(ctx)
     hypers = ScalarHypers(lam=2.0, sigma_sq_eps=0.7, alpha=0.3, sigma_sq_phi=0.0 if marginalized else 0.4)
@@ -790,7 +785,7 @@ def _oracle_log_half_normal(u):
 
 def _oracle_birth(atoms_k, cfg, row):
     J, p = atoms_k.count, atoms_k.mu.shape[1]
-    additive = row.branch < cfg.p_add
+    additive = row.branch < sampler_module.P_ADD
     j = int(row.slot * J)
     info = {"branch": "additive" if additive else "multiplicative", "j": j, "child_pos": J}
     mu, beta = atoms_k.mu, atoms_k.beta
@@ -806,18 +801,18 @@ def _oracle_birth(atoms_k, cfg, row):
         log_struct = float(np.sum(math.log(4.0 * cfg.scale) - _oracle_log_half_normal(u)))
         info.update(eps1=eps1, eps_mu=eps_mu, signs=signs)
     else:
-        eps1 = _oracle_mult_eps(row.eps[0], cfg.eps_floor)
-        eps_mu = np.array([_oracle_mult_eps(u, cfg.eps_floor) for u in row.eps[1:]])
+        eps1 = _oracle_mult_eps(row.eps[0], sampler_module.EPS_FLOOR)
+        eps_mu = np.array([_oracle_mult_eps(u, sampler_module.EPS_FLOOR) for u in row.eps[1:]])
         beta_new = np.insert(beta, J, beta[j] / eps1)
         beta_new[j] = beta[j] * eps1
         mu_new = np.insert(mu, J, mu[j] / eps_mu, axis=0)
         mu_new[j] = mu[j] * eps_mu
         log_struct = float(np.log(abs(beta[j])) - np.log(abs(eps1))
                            + np.sum(np.log(np.abs(mu[j])) - np.log(np.abs(eps_mu))))
-        log_struct += (p + 1) * (math.log(2.0) + math.log(1.0 - cfg.eps_floor))
+        log_struct += (p + 1) * (math.log(2.0) + math.log(1.0 - sampler_module.EPS_FLOOR))
         info.update(eps1=eps1, eps_mu=eps_mu)
-    wb, _, _ = move_weights(J, cfg)
-    _, wd_new, _ = move_weights(J + 1, cfg)
+    wb, _, _ = move_weights(J, cfg.j_max)
+    _, wd_new, _ = move_weights(J + 1, cfg.j_max)
     log_struct += np.log(wd_new) - np.log(wb)
     info["log_struct"] = log_struct
     return LatentAtoms(mu_new, beta_new), log_struct, info
@@ -825,7 +820,7 @@ def _oracle_birth(atoms_k, cfg, row):
 
 def _oracle_death(atoms_k, cfg, row):
     J, p = atoms_k.count, atoms_k.mu.shape[1]
-    additive = row.branch < cfg.p_add
+    additive = row.branch < sampler_module.P_ADD
     lo, hi = int(row.slot * (J - 1)), J - 1
     info = {"branch": "additive" if additive else "multiplicative", "lo": lo, "hi": hi}
     mu, beta = atoms_k.mu, atoms_k.beta
@@ -843,17 +838,17 @@ def _oracle_death(atoms_k, cfg, row):
         merged_beta = sign_beta * math.sqrt(abs(beta[lo] * beta[hi]))
         merged_mu = signs_mu * np.sqrt(np.abs(mu[lo] * mu[hi]))
         log_struct = float(-np.log(abs(beta[hi])) - np.sum(np.log(np.abs(mu[hi]))))
-        log_struct -= (p + 1) * (math.log(2.0) + math.log(1.0 - cfg.eps_floor))
+        log_struct -= (p + 1) * (math.log(2.0) + math.log(1.0 - sampler_module.EPS_FLOOR))
         implied = np.sqrt(np.abs(pair_lo) / np.abs(pair_hi))
         unreachable = not (np.all(pair_lo * pair_hi > 0.0) and np.all(np.abs(pair_lo) < np.abs(pair_hi))
-                           and np.all(implied > cfg.eps_floor))
+                           and np.all(implied > sampler_module.EPS_FLOOR))
         info.update(sign_beta=sign_beta, signs_mu=signs_mu)
     beta_new = np.delete(beta, hi)
     beta_new[lo] = merged_beta
     mu_new = np.delete(mu, hi, axis=0)
     mu_new[lo] = merged_mu
-    _, wd, _ = move_weights(J, cfg)
-    wb_new, _, _ = move_weights(J - 1, cfg)
+    _, wd, _ = move_weights(J, cfg.j_max)
+    wb_new, _, _ = move_weights(J - 1, cfg.j_max)
     log_struct += np.log(wb_new) - np.log(wd)
     info.update(log_struct=log_struct, unreachable=unreachable)
     return LatentAtoms(mu_new, beta_new), log_struct, info
@@ -861,7 +856,7 @@ def _oracle_death(atoms_k, cfg, row):
 
 def _oracle_no_change(atoms_k, cfg, row):
     J, p = atoms_k.count, atoms_k.mu.shape[1]
-    additive = row.branch < cfg.p_add
+    additive = row.branch < sampler_module.P_ADD
     v = np.concatenate([atoms_k.beta, atoms_k.mu.ravel()])
     info = {"branch": "additive" if additive else "multiplicative"}
     # one flip per coordinate in use, in the order of v: beta_1 .. beta_J,
@@ -873,7 +868,7 @@ def _oracle_no_change(atoms_k, cfg, row):
         v_new = v + b * (cfg.shrink * cfg.scale) * abs(eps)
         log_jac = 0.0
     else:
-        eps = _oracle_mult_eps(row.eps[0], cfg.eps_floor)
+        eps = _oracle_mult_eps(row.eps[0], sampler_module.EPS_FLOOR)
         b = np.array([int(3.0 * x) - 1 for x in u])
         v_new = v.copy()
         v_new[b == 1] *= eps
@@ -888,7 +883,7 @@ _ORACLES = {"birth": _oracle_birth, "death": _oracle_death, "no_change": _oracle
 
 def _oracle_draw(atoms_k, cfg, row):
     """The move-type draw, then that move's oracle: (move, proposal, log ratio, draws)."""
-    wb, wd, _ = move_weights(atoms_k.count, cfg)
+    wb, wd, _ = move_weights(atoms_k.count, cfg.j_max)
     move = "birth" if row.move < wb else "death" if row.move < wb + wd else "no_change"
     return (move, *_ORACLES[move](atoms_k, cfg, row))
 
@@ -909,7 +904,7 @@ def test_array_proposals_match_per_block_oracle(tame_prior, p, blocks, p_add, se
     acceptance uniform equal those of the per-block proposers replaying the
     block's row of the same phase draws (`==`)."""
 
-    cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=6, seed=0, p_add=p_add)
+    cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=6, seed=0)
     ctx = _tiny_ctx(tame_prior, n=2, m=1, p=p)
     rng = np.random.default_rng(seed)
     atoms = []
@@ -922,17 +917,18 @@ def test_array_proposals_match_per_block_oracle(tame_prior, p, blocks, p_add, se
             mu[rng.integers(J), rng.integers(p)] = 10.5
         atoms.append(LatentAtoms(mu, beta))
     ks = np.arange(len(blocks))
-    moves = propose_blocks(ks, AtomStore.from_blocks(atoms, cfg.j_max), ctx, cfg,
-                           *draw_blocks(stream(seed, 1, 0, 1), ks.size, p, cfg.j_max))
-    for b, atoms_b in enumerate(atoms):
-        row = _PhaseRow(stream(seed, 1, 0, 1), ks.size, p, cfg.j_max, b)
-        move, proposal, log_ratio, info = _oracle_draw(atoms_b, cfg, row)
-        assert MOVE_NAMES[moves.move[b]] == move
-        got = moves.proposal.block(b)
-        assert np.array_equal(got.beta, proposal.beta) and np.array_equal(got.mu, proposal.mu)
-        assert moves.log_ratio[b] == log_ratio
-        assert moves.reachable[b] == (not info.get("unreachable", False))
-        assert moves.u_accept[b] == row.accept
+    with patch.object(sampler_module, "P_ADD", p_add):
+        moves = propose_blocks(ks, AtomStore.from_blocks(atoms, cfg.j_max), ctx, cfg,
+                               *draw_blocks(stream(seed, 1, 0, 1), ks.size, p, cfg.j_max))
+        for b, atoms_b in enumerate(atoms):
+            row = _PhaseRow(stream(seed, 1, 0, 1), ks.size, p, cfg.j_max, b)
+            move, proposal, log_ratio, info = _oracle_draw(atoms_b, cfg, row)
+            assert MOVE_NAMES[moves.move[b]] == move
+            got = moves.proposal.block(b)
+            assert np.array_equal(got.beta, proposal.beta) and np.array_equal(got.mu, proposal.mu)
+            assert moves.log_ratio[b] == log_ratio
+            assert moves.reachable[b] == (not info.get("unreachable", False))
+            assert moves.u_accept[b] == row.accept
 
 
 def _proposals(J, cfg, ctx, size, seed):
@@ -951,7 +947,7 @@ def test_move_type_frequencies_match_move_weights(tame_prior, J):
     cfg = replace(CFG, j_max=6)
     _, moves = _proposals(J, cfg, _tiny_ctx(tame_prior, n=1, m=1, p=1), 6000, J)
     counts = np.bincount(moves.move, minlength=3)
-    weights = np.array(move_weights(J, cfg), dtype=float)
+    weights = np.array(move_weights(J, cfg.j_max), dtype=float)
     allowed = weights > 0.0
     assert np.all(counts[~allowed] == 0)
     assert chisquare(counts[allowed], 6000 * weights[allowed]).pvalue > 1e-4
@@ -1192,8 +1188,7 @@ def test_gibbs_block_matches_per_column_references(tame_prior, monkeypatch, marg
     rng = np.random.default_rng(n)
     data = SpaceTimeDataset(rng.random((n, 2)), np.arange(1.0, m + 1.0), 2.0 + rng.standard_normal((n, m)))
     cfg = SamplerConfig(iterations=3, burn_in=0, thin=1, j_max=4, seed=8)
-    sampler = Sampler(data, cfg, tame_prior, marginalized=marginalized, alpha_pinned=False,
-                      phi0_override=rng.standard_normal((n, m)))
+    sampler = Sampler(data, cfg, tame_prior, marginalized=marginalized, phi0_override=rng.standard_normal((n, m)))
     ctx = sampler.ctx
     seen = []
     real_zeta = sampler_module.gibbs_update_zeta
