@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__, chainio, diagnostics
 from .data import GqnConfig, gqn_simulate, load_csv, standardize, write_csv
 from .errors import ConfigError, LevystError, ParseError
-from .model import PriorConfig
-from .sampler import Sampler, SamplerConfig, posterior_predict
+from .model import COORD_BOUND, PriorConfig
+from .sampler import Sampler, SamplerConfig, posterior_predict, samples_outside_atom_box
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -118,6 +118,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     data, _ = standardize(raw)
     marginalized = bool(cfg.get("marginalized", 1))
     scfg = _sampler_config(cfg)
+    if (scfg.iterations - scfg.burn_in) // scfg.thin == 0:
+        raise ConfigError(f"iters {scfg.iterations}, burnin {scfg.burn_in} and thin {scfg.thin} store no sample: "
+                          "need (iters - burnin) // thin >= 1")
     sampler = Sampler(data, scfg, PriorConfig(), marginalized=marginalized)
     # after the inputs load and the model accepts them, before the run: bad
     # input leaves no directory, and an unusable --out fails before a long fit
@@ -130,7 +133,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     chainio.write_move_stats(os.path.join(args.out, "movestats.csv"), result.stats)
     cfg["marginalized"] = int(marginalized)
     cfg["seed"] = scfg.seed
+    cfg["samples_outside_atom_box"] = outside = samples_outside_atom_box(result.samples, data.locations)
     _write_manifest(args.out, "fit", cfg)
+    if outside:
+        print(f"warning: {outside} of {len(result.samples)} stored samples map a training location outside "
+              f"the atom box [-{COORD_BOUND:g}, {COORD_BOUND:g}], where the field fades", file=sys.stderr)
     overall = result.stats.overall_ttmcmc_rate()
     print(f"fit: {len(result.samples)} stored samples; "
           f"overall TTMCMC acceptance {overall if overall is None else round(overall, 4)}")

@@ -328,19 +328,21 @@ def f_eval(mapped_s: np.ndarray, t: float, atoms: LatentAtoms, kp: KernelParams)
     return float(np.exp(logk) @ atoms.beta)
 
 
-def kernel_matrix(mapped: np.ndarray, mu_rows: np.ndarray, kp: KernelParams, time_term) -> np.ndarray:
-    """Kernel values exp(-0.5 * sum_l ksq_l (M_l - mu_l)^2 - time_term) of
-    every (location, atom) pair: an (n, N) array for the rows of an (n, p)
-    mapped-location matrix and the N atom coordinates in the (p, N) `mu_rows`.
+def kernel_exponent(mapped: np.ndarray, mu_rows: np.ndarray, kp: KernelParams, time_term,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """The kernel's exponent -0.5 * sum_l ksq_l (M_l - mu_l)^2 - time_term
+    of every (location, atom) pair: an (n, N) array for the rows of an
+    (n, p) mapped-location matrix and the N atom coordinates in the (p, N)
+    `mu_rows`, written to `out` when it is given.
 
     The exponent is expanded into one (n, p+2) @ (p+2, N) product, rows
     [ksq * M, -0.5 sum ksq M^2, 1] times columns
-    [mu, 1, -0.5 sum ksq mu^2 - time_term], and exponentiated in place.
-    Expanding the square cancels, so the exponent's rounding error scales
-    with sum_l ksq_l (M_l^2 + mu_l^2) + time_term rather than with its own
-    size: it is within 4 (p+2) eps (that sum + 1) of the per-coordinate
-    form -0.5 * sum_l ksq_l (M_l - mu_l)^2 - time_term, which the values
-    therefore match in all but the last bits.
+    [mu, 1, -0.5 sum ksq mu^2 - time_term].  Expanding the square cancels,
+    so the rounding error scales with sum_l ksq_l (M_l^2 + mu_l^2) +
+    time_term rather than with the exponent's own size: it is within
+    4 (p+2) eps (that sum + 1) of the per-coordinate form.  The product's
+    bits can depend on N (numpy and BLAS pick their routine by shape), so a
+    caller that must reproduce them keeps the same atoms in one call.
     """
     ksq = kp.tilde_sigma_sq
     p = ksq.size
@@ -353,7 +355,16 @@ def kernel_matrix(mapped: np.ndarray, mu_rows: np.ndarray, kp: KernelParams, tim
     right[p] = 1.0
     right[p + 1] = -0.5 * (ksq @ (mu_rows * mu_rows))
     right[p + 1] -= time_term
-    out = left @ right
+    return np.matmul(left, right, out=out)
+
+
+def kernel_matrix(mapped: np.ndarray, mu_rows: np.ndarray, kp: KernelParams, time_term) -> np.ndarray:
+    """Kernel values exp(-0.5 * sum_l ksq_l (M_l - mu_l)^2 - time_term) of
+    every (location, atom) pair, the exponent formed by `kernel_exponent`
+    and exponentiated in place, so the values match the per-coordinate form
+    in all but the last bits.
+    """
+    out = kernel_exponent(mapped, mu_rows, kp, time_term)
     return np.exp(out, out=out)
 
 
@@ -373,7 +384,7 @@ def field_rows(mapped: np.ndarray, times: np.ndarray, atoms: AtomStore, kp: Kern
     its block's time term; each row is then its block's own column slice
     times its beta.  Row b agrees with `field_values(mapped, times[b],
     atoms.block(b), kp)` within the kernel's rounding bound (see
-    `kernel_matrix`), not bit for bit: the product's rounding for a column
+    `kernel_exponent`), not bit for bit: the product's rounding for a column
     can depend on the other columns it is computed with.
     """
     block, slot = atoms.slots()

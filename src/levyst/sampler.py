@@ -65,12 +65,16 @@ exponent is within 4 (p+2) eps (sum_l ksq_l (M_l^2 + mu_l^2) + time term
 field error those kernel errors allow.  Carried terms are the values a
 batched evaluation gives, so carrying changes no bit.
 
-Prediction (`posterior_predict`) forms only each sample's field per
-sample: one `field_rows` call under the sample's kernel parameters.  The
+Prediction (`posterior_predict`) works on the whole chain at once.  The
 exponentials of every theta, the mapped new locations (the map's data-only
 terms once, then each chunk of samples' knot values and extensions as
 arrays), the grid index of every new time, the noise and every band are
-whole-chain arrays, each value equal to a per-sample loop's bit for bit.
+whole-chain arrays.  So are the fields' atom gathers, time terms and
+exponentials, chunk by chunk (`_chain_fields`); per sample remain only the
+kernel parameter checks and the kernel exponent product, whose bits follow
+the sample's own atom count, and each (sample, time) field is one slice of
+a stacked product over every pair with the same atom count.  Each value
+equals a per-sample loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -101,6 +105,7 @@ from .model import (
     count_log_factor,
     field_rows,
     field_values,
+    kernel_exponent,
     log_observation_density,
     log_prior_theta,
     map_extension,
@@ -980,9 +985,13 @@ def _grid_indices(new_times: np.ndarray, times: np.ndarray) -> np.ndarray:
     return hits.argmax(axis=1)
 
 
-# Knot values held at once while mapping new locations: a chunk of samples
-# takes this many (sample, knot) pairs, so no array grows with samples x knots.
-_KNOT_VALUES_HELD = 1 << 16
+# Values held at once while predicting.  Mapping new locations takes at most
+# this many (sample, knot) pairs per chunk of samples, and forming fields at
+# most this many kernel values, gathered atom values and store entries per
+# chunk (`_chain_fields`); a single sample that needs more is a chunk of its
+# own.  So no array grows as the chain's length times the training locations
+# or the atoms.
+_VALUES_HELD = 1 << 20
 
 
 def _map_new_locations(grid: MapGrid, new_locations: np.ndarray, thetas: np.ndarray, natural: np.ndarray,
@@ -995,20 +1004,139 @@ def _map_new_locations(grid: MapGrid, new_locations: np.ndarray, thetas: np.ndar
     whole-chunk arrays, each value as `monotone_map_extend` forms it for one
     theta.
     """
-    c, c_tilde, x = natural[:, layout.sl_log_c], natural[:, layout.sl_log_c_tilde], thetas[:, layout.sl_x]
-    check_map_params(c, c_tilde, x)
-    slope = c * x
+    slope, c_tilde = _map_slopes(thetas, natural, layout)
     S, (q, p) = thetas.shape[0], new_locations.shape
     mapped = np.empty((S, q, p))
     for ell in range(p):
         index, below, powered = map_extension(grid.knots[ell], new_locations[:, ell])
-        rows = max(1, _KNOT_VALUES_HELD // grid.knots[ell].size)
-        for start in range(0, S, rows):
-            chunk = slice(start, start + rows)
-            values = grid.knot_values(ell, slope[chunk, ell], c_tilde[chunk, ell])
+        for chunk, values in _knot_value_chunks(grid, ell, slope, c_tilde):
             step = slope[chunk, ell, None] * powered
             mapped[chunk, :, ell] = np.where(below, values[:, :1] - step, values[:, index] + step)
     return mapped
+
+
+def _map_slopes(thetas: np.ndarray, natural: np.ndarray, layout: ThetaLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The checked map slopes C X and anchors C~ of the chain's (S, d) thetas."""
+    c, c_tilde, x = natural[:, layout.sl_log_c], natural[:, layout.sl_log_c_tilde], thetas[:, layout.sl_x]
+    check_map_params(c, c_tilde, x)
+    return c * x, c_tilde
+
+
+def _knot_value_chunks(grid: MapGrid, dim: int, slope: np.ndarray, c_tilde: np.ndarray):
+    """(samples, knot values) of dimension `dim` for chunks of samples that
+    hold at most `_VALUES_HELD` knot values, or one sample each."""
+    rows = max(1, _VALUES_HELD // grid.knots[dim].size)
+    for start in range(0, slope.shape[0], rows):
+        chunk = slice(start, start + rows)
+        yield chunk, grid.knot_values(dim, slope[chunk, dim], c_tilde[chunk, dim])
+
+
+def samples_outside_atom_box(samples: list[ChainSample], locations: np.ndarray) -> int:
+    """The number of samples whose map sends some training location outside
+    the atom box [-COORD_BOUND, COORD_BOUND]^p.  No atom reaches such a
+    location, so the field fades there.  The maps increase, so each
+    dimension's first and last knot values are its extremes."""
+    layout = ThetaLayout(p=locations.shape[1])
+    thetas = np.array([smp.theta for smp in samples]).reshape(len(samples), layout.dim)
+    slope, c_tilde = _map_slopes(thetas, np.exp(thetas), layout)
+    grid = _map_grid(locations)[0]
+    outside = np.zeros(len(samples), dtype=bool)
+    for ell in range(layout.p):
+        for chunk, values in _knot_value_chunks(grid, ell, slope, c_tilde):
+            outside[chunk] |= (values[:, 0] < -COORD_BOUND) | (values[:, -1] > COORD_BOUND)
+    return int(outside.sum())
+
+
+def _sample_chunks(held: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive sample ranges [lo, hi) whose `held` values sum to at most
+    `_VALUES_HELD`, or a single sample that holds more on its own."""
+    chunks, lo, total = [], 0, 0
+    for s, size in enumerate(held.tolist()):
+        if s > lo and total + size > _VALUES_HELD:
+            chunks.append((lo, s))
+            lo, total = s, 0
+        total += size
+    return chunks + [(lo, held.size)]
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Where each of consecutive segments of the given sizes starts."""
+    return np.cumsum(sizes) - sizes
+
+
+def _windows(values: np.ndarray, width: int) -> np.ndarray:
+    """Read-only view whose entry c is values[..., c:c + width]."""
+    step = values.strides[-1]
+    return np.lib.stride_tricks.as_strided(values, (values.shape[-1] - width + 1, *values.shape[:-1], width),
+                                           (step, *values.strides[:-1], step), writeable=False)
+
+
+def _chain_fields(samples: list[ChainSample], mapped: np.ndarray, natural: np.ndarray, layout: ThetaLayout,
+                  time_idx: np.ndarray, times_new: np.ndarray) -> np.ndarray:
+    """Fields of every sample at its mapped new locations and the new times,
+    an (S, q, mt) array; sample s's values equal `field_rows(mapped[s],
+    times_new, samples[s].store.take(time_idx), kp_s).T` bit for bit.
+
+    Each chunk of samples (`_sample_chunks`) gathers the atoms of its
+    (sample, time) pairs, their time terms and exponentials as whole-chunk
+    arrays.  Only what rounds according to a sample's own atom count N_s
+    stays per sample: its `KernelParams` checks and its (q, N_s) kernel
+    exponent (`kernel_exponent`), the product whose routine numpy and BLAS
+    pick by shape.  Each pair's field is the (q, J) kernel slice of its J
+    atoms times their beta, which is the same routine on the same shapes
+    whether alone or stacked, so the slices of every pair with J atoms are
+    multiplied in one stacked `np.matmul`.  A chunk's kernel values (q N_s
+    per sample), gathered atoms ((p + 1) N_s) and store entries add up to at
+    most `_VALUES_HELD`, unless one sample holds more alone; the stacked
+    slices of one atom count take at most its q N kernel values again.
+    """
+    S, q, p = mapped.shape
+    mt = time_idx.size
+    stores = [smp.store for smp in samples]
+    counts = np.array([st.counts for st in stores])[:, time_idx]  # (S, mt) atoms of every pair
+    widths = np.array([st.width for st in stores])
+    atoms_per_sample = counts.sum(axis=1)
+    store_values = np.array([st.values.size for st in stores])
+    tau, xi = natural[:, layout.i_log_tau], natural[:, layout.i_log_xi]
+    fields = np.zeros((S, q, mt))
+    for lo, hi in _sample_chunks((q + p + 1) * atoms_per_sample + store_values):
+        pair_atoms = counts[lo:hi].ravel()  # pair i is (sample lo + i // mt, time i % mt)
+        n_atoms = atoms_per_sample[lo:hi]
+        pair_first, atom_first = _starts(pair_atoms), _starts(n_atoms)
+        atoms_held = int(n_atoms.sum())
+        # every atom in (sample, time, slot) order: its column in the chunk's
+        # stores laid side by side, and its pair's time term
+        flat = np.concatenate([st.values.reshape(p + 1, -1) for st in stores[lo:hi]], axis=1)
+        pair_column = _starts(store_values[lo:hi] // (p + 1))[:, None] + time_idx * widths[lo:hi, None]
+        column = np.repeat(pair_column.ravel() - pair_first, pair_atoms) + np.arange(atoms_held)
+        atoms = np.take(flat, column, axis=1)
+        beta = atoms[0]
+        # (p, N) in column order, as `field_rows` gathers its atoms: the
+        # bits of the ksq @ mu^2 row depend on this layout
+        mu = np.asfortranarray(atoms[1:])
+        time_term = np.repeat((xi[lo:hi, None] * np.abs(times_new - tau[lo:hi, None])).ravel(), pair_atoms)
+
+        # every sample's (q, N_s) kernel side by side, atoms in chunk order
+        kernel = np.empty((q, atoms_held))
+        for i, (a, n) in enumerate(zip(atom_first.tolist(), n_atoms.tolist())):
+            s = lo + i
+            kp = KernelParams(natural[s, layout.sl_log_ksq], float(tau[s]), float(xi[s]))
+            kernel_exponent(mapped[s], mu[:, a:a + n], kp, time_term[a:a + n], out=kernel[:, a:a + n])
+        np.exp(kernel, out=kernel)
+
+        # each pair's field: its (q, J) kernel columns times its J betas,
+        # every pair with J atoms in one stacked product
+        order = np.argsort(pair_atoms, kind="stable")
+        count_values, groups = np.unique(pair_atoms[order], return_counts=True)
+        products = np.zeros((order.size, q, 1))
+        g0 = 0
+        for j, g in zip(count_values.tolist(), groups.tolist()):
+            first = pair_first[order[g0:g0 + g]]
+            if j:
+                np.matmul(_windows(kernel, j)[first], _windows(beta, j)[first, :, None], out=products[g0:g0 + g])
+            g0 += g
+        fields[lo + order // mt, :, order % mt] = products[:, :, 0]
+    return fields
 
 
 def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
@@ -1021,15 +1149,18 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
     Predictions run in the (standardized) model scale and are transformed
     back to the original units when the dataset carries statistics.
 
-    Only each sample's field, one `field_rows` call under its kernel
-    parameters, is formed per sample.  The rest is formed once over the
-    whole chain: the exponentials of every theta, the mapped new locations
-    (`_map_new_locations`), the grid index of every new time, the noise
-    (one normal array), the draws and every band (one `np.quantile` call).
-    Each value equals the per-sample computation's bit for bit.  The draws
-    take S x q x mt floats and the mapped locations S x q x p; the map's
-    knot values are formed in chunks of samples (`_KNOT_VALUES_HELD`), so
-    no array grows as the samples times the training locations.
+    Everything is formed over the whole chain: the exponentials of every
+    theta, the mapped new locations (`_map_new_locations`), the grid index
+    of every new time, the fields (`_chain_fields`), the noise (one normal
+    array), the draws and every band (one `np.quantile` call).  Per sample
+    there remain only the steps whose rounding follows that sample's own
+    atom count: its kernel parameter checks and its kernel exponent
+    product.  Each value equals the per-sample computation's bit for bit.
+    The draws take S x q x mt floats and the mapped locations S x q x p;
+    the map's knot values and the fields' kernels and atoms are formed in
+    chunks of samples that hold at most `_VALUES_HELD` values (or one
+    sample that needs more), so no array grows as the chain's length times
+    the training locations or the atoms.
     """
     if not samples:
         raise InvalidArgumentError("empty chain")
@@ -1053,11 +1184,7 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
     natural = np.exp(thetas)
     mapped = _map_new_locations(_map_grid(data.locations)[0], new_locations, thetas, natural, layout)
     times_new = data.times[time_idx]
-    fields = np.empty((S, q, mt))
-    for s_i, smp in enumerate(samples):
-        kp = KernelParams(natural[s_i, layout.sl_log_ksq], float(natural[s_i, layout.i_log_tau]),
-                          float(natural[s_i, layout.i_log_xi]))
-        fields[s_i] = field_rows(mapped[s_i], times_new, smp.store.take(time_idx), kp).T
+    fields = _chain_fields(samples, mapped, natural, layout, time_idx, times_new)
     alpha, ssq_eps, ssq_phi = (np.array([getattr(smp, name) for smp in samples])[:, None, None]
                                for name in ("alpha", "sigma_sq_eps", "sigma_sq_phi"))
     mean = alpha + phi0_new + fields

@@ -11,7 +11,7 @@ from levyst.chainio import read_chain
 from levyst.cli import _sampler_config, main
 from levyst.data import GqnConfig, SpaceTimeDataset, gqn_simulate, load_csv, write_csv
 from levyst.errors import InvalidStateError, NumericError
-from levyst.sampler import SamplerConfig
+from levyst.sampler import SamplerConfig, samples_outside_atom_box
 
 
 def _run(*argv):
@@ -47,12 +47,26 @@ def fit_dir(sim_dir, tmp_path_factory):
     return out
 
 
-def test_fit_outputs(fit_dir):
+def test_fit_outputs(sim_dir, fit_dir):
     assert (fit_dir / "chain.txt").exists()
     stats = (fit_dir / "movestats.csv").read_text()
     assert stats.startswith("move,proposals")
     manifest = json.loads((fit_dir / "manifest.json").read_text())
     assert manifest["config"]["iters"] == 40
+    samples, _ = read_chain(fit_dir / "chain.txt")
+    train = load_csv(sim_dir / "train.csv")
+    assert manifest["config"]["samples_outside_atom_box"] == samples_outside_atom_box(samples, train.locations)
+
+
+def test_fit_warns_when_samples_leave_the_atom_box(sim_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "samples_outside_atom_box", lambda samples, locations: 2)
+    out = tmp_path / "fit"
+    capsys.readouterr()
+    assert _run("fit", "--data", str(sim_dir / "train.csv"), "--out", str(out),
+                "--iters", "6", "--burnin", "0", "--thin", "2", "--jmax", "4") == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: 2 of 3 stored samples") and "[-10, 10]" in err[0]
+    assert json.loads((out / "manifest.json").read_text())["config"]["samples_outside_atom_box"] == 2
 
 
 def test_fit_deterministic_chain_bytes(sim_dir, tmp_path):
@@ -254,6 +268,9 @@ def test_bad_input_exits_2_naming_the_cause(sim_dir, fit_dir, tmp_path, capsys, 
         (["predict", "--chain", str(fit_dir / "chain.txt"), "--data", str(sim_dir / "train.csv"),
           "--points", str(three_coordinates), "--out", str(tmp_path / "p3")],
          ["prediction points have 3 coordinates, the training locations 2"]),
+        (["fit", "--data", str(sim_dir / "train.csv"), "--out", str(tmp_path / "f5"),
+          "--iters", "100", "--burnin", "95", "--thin", "10", "--jmax", "4"],
+         ["iters 100, burnin 95 and thin 10 store no sample"]),
     ]
     capsys.readouterr()
     for argv, causes in cases:

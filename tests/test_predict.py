@@ -23,8 +23,8 @@ def _dataset(times):
     return data
 
 
-def _chain(data, tame_prior, marginalized, seed=4):
-    cfg = SamplerConfig(iterations=90, burn_in=30, thin=3, j_max=5, seed=seed)
+def _chain(data, tame_prior, marginalized, seed=4, j_max=5):
+    cfg = SamplerConfig(iterations=90, burn_in=30, thin=3, j_max=j_max, seed=seed)
     return run_chain(data, cfg, tame_prior, marginalized=marginalized).samples
 
 
@@ -49,17 +49,37 @@ def test_prediction_equals_per_sample_reference(tame_prior, monkeypatch, grid, m
     samples = _chain(data, tame_prior, marginalized)
     counts = np.array([smp.store.counts for smp in samples])
     assert np.unique(counts).size > 1 and np.any(counts.min(axis=1) < counts.max(axis=1))
+    one_atom = _chain(data, tame_prior, marginalized, j_max=1)
+    assert all(np.all(smp.store.counts == 1) for smp in one_atom)
     points = _points(data)
     assert np.all(points.min(axis=0) < data.locations.min(axis=0))
     assert np.all(points.max(axis=0) > data.locations.max(axis=0))
     # repeated, unsorted, and one time within 1e-12 of the grid
     times = data.times[[3, 0, 3, 5, 1]] + np.array([0.0, 0.0, 0.0, 0.0, 5e-13])
-    want = oracles.posterior_predict(samples, points, times, data, marginalized=marginalized, seed=4, probs=PROBS)
-    for held in (sampler_module._KNOT_VALUES_HELD, 2 * data.n, 1):  # every sample in one chunk .. one per chunk
-        monkeypatch.setattr(sampler_module, "_KNOT_VALUES_HELD", held)
-        got = posterior_predict(samples, points, times, data, marginalized=marginalized, seed=4, probs=PROBS,
-                                keep_draws=True)
-        _assert_same_bands(got, want)
+    chunkings = []
+
+    def recording(held, chunks=sampler_module._sample_chunks):
+        chunkings.append((held, chunks(held)))
+        return chunkings[-1][1]
+
+    monkeypatch.setattr(sampler_module, "_sample_chunks", recording)
+    everything = sampler_module._VALUES_HELD
+    # blocks of several counts, a single point (q = 1: numpy's dot path) and one atom per block
+    for chain, pts in ((samples, points), (samples, points[3:4]), (one_atom, points)):
+        want = oracles.posterior_predict(chain, pts, times, data, marginalized=marginalized, seed=4, probs=PROBS)
+        S = len(chain)
+        monkeypatch.setattr(sampler_module, "_VALUES_HELD", everything)
+        _assert_same_bands(posterior_predict(chain, pts, times, data, marginalized=marginalized, seed=4,
+                                             probs=PROBS, keep_draws=True), want)
+        held, chunks = chunkings[-1]
+        assert chunks == [(0, S)]
+        # a few samples per field chunk, two per map chunk, one per chunk
+        for bound, n_chunks in ((3 * int(held.max()), range(2, S)), (2 * data.n, [S]), (1, [S])):
+            monkeypatch.setattr(sampler_module, "_VALUES_HELD", bound)
+            got = posterior_predict(chain, pts, times, data, marginalized=marginalized, seed=4, probs=PROBS,
+                                    keep_draws=True)
+            _assert_same_bands(got, want)
+            assert len(chunkings[-1][1]) in n_chunks, bound
 
 
 def _with_theta(samples, i, value):

@@ -10,11 +10,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, kstest, norm
 
-from levyst.ar import ArMode
+from levyst.ar import ArMode, mode_for_times
 from levyst.data import SpaceTimeDataset, standardize
 from levyst.chainio import read_chain, write_chain
 from levyst.errors import ConfigError, InvalidStateError, UnsupportedPredictionError
-from levyst.model import AtomStore, LatentAtoms, PriorConfig, ScalarHypers, count_log_factor, kernel_matrix
+from levyst.model import (COORD_BOUND, AtomStore, LatentAtoms, PriorConfig, ScalarHypers, ThetaLayout, count_log_factor,
+                          kernel_matrix, monotone_map_extend, monotone_map_fit, unpack_theta)
 from levyst.sampler import (
     MOVE_NAMES,
     ChainSample,
@@ -34,6 +35,7 @@ from levyst.sampler import (
     posterior_predict,
     propose_blocks,
     run_chain,
+    samples_outside_atom_box,
     stream,
     theta_logpost,
     tmcmc_proposal,
@@ -589,6 +591,48 @@ def test_posterior_predict_bands(tiny_dataset, tame_prior):
                                tiny_dataset, marginalized=True, seed=1)
     lo2, med2, hi2 = (bands2.quantiles[q] for q in (1 / 16, 0.5, 15 / 16))
     assert np.all(lo2 <= med2 + 1e-12) and np.all(med2 <= hi2 + 1e-12)
+
+
+def _outside_atom_box(samples, locations, mode):
+    """Per sample: whether the one-theta map sends a training location
+    outside [-COORD_BOUND, COORD_BOUND]."""
+    layout = ThetaLayout(p=locations.shape[1])
+    knots = [np.unique(locations[:, ell]) for ell in range(layout.p)]
+    flags = []
+    for smp in samples:
+        _, mp, _, _ = unpack_theta(smp.theta, layout, mode)
+        fit = monotone_map_fit(knots, mp)
+        mapped = np.column_stack([monotone_map_extend(locations[:, ell], ell, fit, mp) for ell in range(layout.p)])
+        flags.append(bool(np.any(np.abs(mapped) > COORD_BOUND)))
+    return flags
+
+
+def test_samples_outside_atom_box_counts_crafted_maps(tiny_dataset, tame_prior):
+    samples = run_chain(tiny_dataset, SamplerConfig(iterations=20, burn_in=0, thin=1, j_max=4, seed=3),
+                        tame_prior).samples
+    layout, mode = ThetaLayout(p=tiny_dataset.p), mode_for_times(tiny_dataset.times)
+    locations = tiny_dataset.locations
+    assert not any(_outside_atom_box(samples, locations, mode))
+    assert samples_outside_atom_box(samples, locations) == 0
+
+    def crafted(changes):
+        chain = list(samples)
+        for i, (index, value) in changes.items():
+            theta = chain[i].theta.copy()
+            theta[index] = value
+            chain[i] = replace(chain[i], theta=theta)
+        return chain
+
+    # log C~ = 5 puts the second dimension's map at about e^5 = 148
+    high = crafted({i: (layout.sl_log_c_tilde.start + 1, 5.0) for i in (2, 5, 11)})
+    assert _outside_atom_box(high, locations, mode) == [i in (2, 5, 11) for i in range(len(samples))]
+    assert samples_outside_atom_box(high, locations) == 3
+    # a steep first-dimension map takes locations near -3 below -COORD_BOUND
+    shifted = locations - np.array([3.0, 0.0])
+    low = crafted({4: (layout.sl_log_c.start, 3.0)})
+    flags = _outside_atom_box(low, shifted, mode)
+    assert flags[4] and samples_outside_atom_box(low, shifted) == sum(flags)
+    assert samples_outside_atom_box(samples, shifted) == sum(_outside_atom_box(samples, shifted, mode))
 
 
 def test_posterior_predict_off_grid_time(tiny_dataset, tame_prior):
