@@ -34,7 +34,7 @@ class ArSpec:
     mode: ArMode = ArMode.IAR
 
     def __post_init__(self):
-        if not np.isfinite(self.rho) or not np.isfinite(self.sigma_sq):
+        if not math.isfinite(self.rho) or not math.isfinite(self.sigma_sq):
             raise InvalidArgumentError("non-finite AR parameters")
         if self.sigma_sq <= 0.0:
             raise InvalidArgumentError(f"sigma_sq must be positive, got {self.sigma_sq}")

@@ -34,6 +34,15 @@ def phi0_training_matrix(locations: np.ndarray, y: np.ndarray) -> np.ndarray:
     return phi0
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a 1-D array, in the order first seen, and the
+    position of each entry among them.  For the few values a prediction has
+    this costs a fraction of `np.unique`'s sort."""
+    position: dict[float, int] = {}
+    of = [position.setdefault(v, len(position)) for v in values.tolist()]
+    return np.array(list(position), dtype=float), np.array(of, dtype=np.intp)
+
+
 def phi0_predict(locations: np.ndarray, times: np.ndarray, y: np.ndarray,
                  s_new: np.ndarray, t_new) -> np.ndarray:
     """Baselines at prediction points: joint space-time nearest neighbor.
@@ -52,14 +61,18 @@ def phi0_predict(locations: np.ndarray, times: np.ndarray, y: np.ndarray,
     # is monotone, so the least distance is the rounded sum of the two
     # minima, and a cell (i, k) at that distance has d_sp[a, i] + min d_t and
     # min d_sp + d_t[b, k] at it as well.  Ties are sought only among those
-    # rows i and columns k; most points have one of each.
+    # rows i and columns k; most points have one of each.  The rows depend
+    # on the time b only through t_min[b], so they are formed once for each
+    # of the u distinct t_min: u = 1 when every time is on the grid.
     sp_min, t_min = d_sp.min(axis=1), d_t.min(axis=1)
-    best = sp_min[:, None] + t_min[None, :]                                     # (q, mt)
-    near_i = d_sp[:, None, :] + t_min[None, :, None] == best[:, :, None]        # (q, mt, n)
-    near_k = sp_min[:, None, None] + d_t[None, :, :] == best[:, :, None]        # (q, mt, m)
-    out = y[near_i.argmax(axis=2), near_k.argmax(axis=2)]
-    for a, b in zip(*np.nonzero((near_i.sum(axis=2) > 1) | (near_k.sum(axis=2) > 1))):
-        rows, cols = np.flatnonzero(near_i[a, b]), np.flatnonzero(near_k[a, b])
+    t_vals, t_of = _distinct(t_min)
+    best = sp_min[:, None] + t_vals                                             # (q, u)
+    near_i = d_sp[:, None, :] + t_vals[:, None] == best[:, :, None]             # (q, u, n)
+    best = best[:, t_of]                                                        # (q, mt)
+    near_k = sp_min[:, None, None] + d_t == best[:, :, None]                    # (q, mt, m)
+    out = y[near_i.argmax(axis=2)[:, t_of], near_k.argmax(axis=2)]
+    for a, b in zip(*np.nonzero((near_i.sum(axis=2) > 1)[:, t_of] | (near_k.sum(axis=2) > 1))):
+        rows, cols = np.flatnonzero(near_i[a, t_of[b]]), np.flatnonzero(near_k[a, b])
         ties = d_sp[a, rows][:, None] + d_t[b, cols][None, :] == best[a, b]
         out[a, b] = y[np.ix_(rows, cols)][ties].mean()
     return out

@@ -56,7 +56,7 @@ class KernelParams:
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.tilde_sigma_sq, dtype=float))
         object.__setattr__(self, "tilde_sigma_sq", v)
-        if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+        if not all(0.0 < x < math.inf for x in v.tolist()):
             raise InvalidArgumentError("tilde_sigma_sq entries must be positive and finite")
         if self.tau <= 0.0 or self.xi <= 0.0:
             raise InvalidArgumentError("tau and xi must be positive")
@@ -328,12 +328,14 @@ def f_eval(mapped_s: np.ndarray, t: float, atoms: LatentAtoms, kp: KernelParams)
     return float(np.exp(logk) @ atoms.beta)
 
 
-def kernel_exponent(mapped: np.ndarray, mu_rows: np.ndarray, kp: KernelParams, time_term,
+def kernel_exponent(mapped: np.ndarray, mu_rows: np.ndarray, ksq: np.ndarray, time_term,
                     out: np.ndarray | None = None) -> np.ndarray:
     """The kernel's exponent -0.5 * sum_l ksq_l (M_l - mu_l)^2 - time_term
     of every (location, atom) pair: an (n, N) array for the rows of an
     (n, p) mapped-location matrix and the N atom coordinates in the (p, N)
-    `mu_rows`, written to `out` when it is given.
+    `mu_rows`, written to `out` when it is given.  `ksq` is the kernel's
+    checked length-p precision vector (`KernelParams.tilde_sigma_sq`); the
+    exponent does not read tau or xi, which enter through `time_term`.
 
     The exponent is expanded into one (n, p+2) @ (p+2, N) product, rows
     [ksq * M, -0.5 sum ksq M^2, 1] times columns
@@ -344,7 +346,6 @@ def kernel_exponent(mapped: np.ndarray, mu_rows: np.ndarray, kp: KernelParams, t
     bits can depend on N (numpy and BLAS pick their routine by shape), so a
     caller that must reproduce them keeps the same atoms in one call.
     """
-    ksq = kp.tilde_sigma_sq
     p = ksq.size
     left = np.empty((mapped.shape[0], p + 2))
     left[:, :p] = mapped * ksq
@@ -364,7 +365,7 @@ def kernel_matrix(mapped: np.ndarray, mu_rows: np.ndarray, kp: KernelParams, tim
     and exponentiated in place, so the values match the per-coordinate form
     in all but the last bits.
     """
-    out = kernel_exponent(mapped, mu_rows, kp, time_term)
+    out = kernel_exponent(mapped, mu_rows, kp.tilde_sigma_sq, time_term)
     return np.exp(out, out=out)
 
 

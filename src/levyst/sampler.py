@@ -68,13 +68,14 @@ batched evaluation gives, so carrying changes no bit.
 Prediction (`posterior_predict`) works on the whole chain at once.  The
 exponentials of every theta, the mapped new locations (the map's data-only
 terms once, then each chunk of samples' knot values and extensions as
-arrays), the grid index of every new time, the noise and every band are
-whole-chain arrays.  So are the fields' atom gathers, time terms and
-exponentials, chunk by chunk (`_chain_fields`); per sample remain only the
-kernel parameter checks and the kernel exponent product, whose bits follow
-the sample's own atom count, and each (sample, time) field is one slice of
-a stacked product over every pair with the same atom count.  Each value
-equals a per-sample loop's bit for bit.
+arrays), the kernel parameter checks, the grid index of every new time, the
+noise and every band are whole-chain arrays; the bands interpolate between
+the draws as `np.quantile` does, after one sort of the sample axis
+(`_bands`).  So are the fields' atom gathers, time terms and exponentials,
+chunk by chunk (`_chain_fields`); per sample remains only the kernel
+exponent product, whose bits follow the sample's own atom count, and each
+(sample, time) field is one slice of a stacked product over every pair with
+the same atom count.  Each value equals a per-sample loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -1077,12 +1078,14 @@ def _chain_fields(samples: list[ChainSample], mapped: np.ndarray, natural: np.nd
     an (S, q, mt) array; sample s's values equal `field_rows(mapped[s],
     times_new, samples[s].store.take(time_idx), kp_s).T` bit for bit.
 
-    Each chunk of samples (`_sample_chunks`) gathers the atoms of its
-    (sample, time) pairs, their time terms and exponentials as whole-chunk
-    arrays.  Only what rounds according to a sample's own atom count N_s
-    stays per sample: its `KernelParams` checks and its (q, N_s) kernel
-    exponent (`kernel_exponent`), the product whose routine numpy and BLAS
-    pick by shape.  Each pair's field is the (q, J) kernel slice of its J
+    The kernel parameters of every sample are checked once, as (S, p) and
+    (S,) arrays; the first sample that fails raises what its `KernelParams`
+    raises.  Each chunk of samples (`_sample_chunks`) gathers the atoms of
+    its (sample, time) pairs, their time terms and exponentials as
+    whole-chunk arrays.  Only what rounds according to a sample's own atom
+    count N_s stays per sample: its (q, N_s) kernel exponent
+    (`kernel_exponent`), the product whose routine numpy and BLAS pick by
+    shape.  Each pair's field is the (q, J) kernel slice of its J
     atoms times their beta, which is the same routine on the same shapes
     whether alone or stacked, so the slices of every pair with J atoms are
     multiplied in one stacked `np.matmul`.  A chunk's kernel values (q N_s
@@ -1097,7 +1100,11 @@ def _chain_fields(samples: list[ChainSample], mapped: np.ndarray, natural: np.nd
     widths = np.array([st.width for st in stores])
     atoms_per_sample = counts.sum(axis=1)
     store_values = np.array([st.values.size for st in stores])
-    tau, xi = natural[:, layout.i_log_tau], natural[:, layout.i_log_xi]
+    ksq, tau, xi = natural[:, layout.sl_log_ksq], natural[:, layout.i_log_tau], natural[:, layout.i_log_xi]
+    bad = ~np.all((ksq > 0.0) & (ksq < np.inf), axis=1) | (tau <= 0.0) | (xi <= 0.0)
+    if bad.any():  # raise what the first bad sample's own checks raise
+        s = int(bad.argmax())
+        KernelParams(ksq[s], float(tau[s]), float(xi[s]))
     fields = np.zeros((S, q, mt))
     for lo, hi in _sample_chunks((q + p + 1) * atoms_per_sample + store_values):
         pair_atoms = counts[lo:hi].ravel()  # pair i is (sample lo + i // mt, time i % mt)
@@ -1118,10 +1125,8 @@ def _chain_fields(samples: list[ChainSample], mapped: np.ndarray, natural: np.nd
 
         # every sample's (q, N_s) kernel side by side, atoms in chunk order
         kernel = np.empty((q, atoms_held))
-        for i, (a, n) in enumerate(zip(atom_first.tolist(), n_atoms.tolist())):
-            s = lo + i
-            kp = KernelParams(natural[s, layout.sl_log_ksq], float(tau[s]), float(xi[s]))
-            kernel_exponent(mapped[s], mu[:, a:a + n], kp, time_term[a:a + n], out=kernel[:, a:a + n])
+        for s, a, n in zip(range(lo, hi), atom_first.tolist(), n_atoms.tolist()):
+            kernel_exponent(mapped[s], mu[:, a:a + n], ksq[s], time_term[a:a + n], out=kernel[:, a:a + n])
         np.exp(kernel, out=kernel)
 
         # each pair's field: its (q, J) kernel columns times its J betas,
@@ -1139,6 +1144,36 @@ def _chain_fields(samples: list[ChainSample], mapped: np.ndarray, natural: np.nd
     return fields
 
 
+def _bands(draws: np.ndarray, probs: tuple[float, ...]) -> np.ndarray:
+    """`np.quantile(draws, probs, axis=0)` by its default `linear` method,
+    bit for bit, from one sort of the sample axis: a (len(probs), ...)
+    array.
+
+    The contract holds for finite draws with no -0.0: the sort and numpy's
+    partition may order +0.0 and -0.0 differently, and numpy returns NaN
+    where a NaN draw sorts.  Each band takes numpy's own formulas: the
+    virtual index is (S - 1) q; the lower index is its floor and the upper
+    one the next, both the last sample's (index -1) from S - 1 on; the
+    weight g is the virtual index minus the lower index, and the band
+    between the sorted draws a and b is a + (b - a) g, or b - (b - a) (1 - g)
+    where g >= 0.5.
+    """
+    if not all(0.0 <= pr <= 1.0 for pr in probs):
+        raise InvalidArgumentError(f"band probabilities must lie in [0, 1], got {probs}")
+    S = draws.shape[0]
+    virtual = (S - 1) * np.asarray(probs, dtype=float)
+    top = virtual >= S - 1
+    lower = np.where(top, -1, np.floor(virtual)).astype(np.intp)
+    upper = np.where(top, -1, lower + 1)
+    gamma = (virtual - lower).reshape(-1, *(1,) * (draws.ndim - 1))
+    ordered = np.sort(draws, axis=0)
+    a, b = ordered[lower], ordered[upper]
+    diff = b - a
+    bands = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=bands, where=gamma >= 0.5)
+    return bands
+
+
 def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
                       new_times: np.ndarray, data: SpaceTimeDataset,
                       marginalized: bool = True, seed: int = 0,
@@ -1150,12 +1185,13 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
     back to the original units when the dataset carries statistics.
 
     Everything is formed over the whole chain: the exponentials of every
-    theta, the mapped new locations (`_map_new_locations`), the grid index
-    of every new time, the fields (`_chain_fields`), the noise (one normal
-    array), the draws and every band (one `np.quantile` call).  Per sample
-    there remain only the steps whose rounding follows that sample's own
-    atom count: its kernel parameter checks and its kernel exponent
-    product.  Each value equals the per-sample computation's bit for bit.
+    theta, the mapped new locations (`_map_new_locations`), the kernel
+    parameter checks and the fields (`_chain_fields`), the grid index of
+    every new time, the noise (one normal array), the draws and every band
+    (one sort of the draws, `_bands`).  Per sample there remains only the
+    step whose rounding follows that sample's own atom count: its kernel
+    exponent product.  Each value equals the per-sample computation's bit
+    for bit, and each band `np.quantile`'s.
     The draws take S x q x mt floats and the mapped locations S x q x p;
     the map's knot values and the fields' kernels and atoms are formed in
     chunks of samples that hold at most `_VALUES_HELD` values (or one
@@ -1196,6 +1232,6 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
 
     if data.standardized:
         draws = draws * data.sd + data.mean
-    bands = dict(zip((float(pr) for pr in probs), np.quantile(draws, probs, axis=0)))
+    bands = dict(zip((float(pr) for pr in probs), _bands(draws, probs)))
     return PredictionBands(locations=new_locations, times=new_times, quantiles=bands,
                            draws=draws if keep_draws else None)

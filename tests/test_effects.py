@@ -73,6 +73,19 @@ def test_phi0_prediction_matches_pointwise_scan(grid):
     np.testing.assert_array_equal(phi0_predict(locs, times, y, pts, t_new), want)
 
 
+def test_phi0_prediction_rounding_tie():
+    """Which locations are nearest depends on the time's t_min: at t_min = 0
+    only location 0 is, while at t_min = 1 the sums 0.25 + 1 and
+    (0.25 + 2**-53) + 1 round equal, so all four cells tie."""
+    locs = np.array([[0.5], [np.nextafter(0.5, 1.0)]])
+    times = np.array([1.0, 3.0])
+    y = np.array([[1.0, 2.0], [4.0, 8.0]])
+    t_new = np.array([1.0, 2.0, 2.0])
+    want = np.array([[_phi0_predict_scan(locs, times, y, np.array([0.0]), t) for t in t_new]])
+    assert want[0, 0] == 1.0 and want[0, 1] == 3.75
+    np.testing.assert_array_equal(phi0_predict(locs, times, y, np.array([0.0]), t_new), want)
+
+
 def test_compute_phi0_permutation_invariant():
     rng = np.random.default_rng(2)
     locs = rng.random((6, 2))

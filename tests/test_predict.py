@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levyst.sampler as sampler_module
 from levyst.data import SpaceTimeDataset, standardize
@@ -82,15 +84,39 @@ def test_prediction_equals_per_sample_reference(tame_prior, monkeypatch, grid, m
             assert len(chunkings[-1][1]) in n_chunks, bound
 
 
-def _with_theta(samples, i, value):
-    """The chain with entry i of its second sample's theta set to value."""
-    theta = samples[1].theta.copy()
+@given(S=st.sampled_from([1, 2, 3, 16, 17, 25]),
+       probs=st.lists(st.sampled_from([0.0, 0.025, 1 / 16, 0.5, 15 / 16, 0.975, 1.0]), min_size=1, max_size=7),
+       values=st.sampled_from(["integer", "continuous"]), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_bands_equal_np_quantile(S, probs, values, data):
+    """The band helper equals `np.quantile` bit for bit on finite draws with
+    no -0.0 (adding +0.0 turns a -0.0 into +0.0); integer draws force ties.
+    Draws stay within 1e300, so that b - a cannot overflow in either form."""
+    element = (st.integers(-3, 3).map(float) if values == "integer"
+               else st.floats(-1e300, 1e300).map(lambda x: x + 0.0))
+    draws = np.array(data.draw(st.lists(element, min_size=S * 6, max_size=S * 6))).reshape(S, 2, 3)
+    got, want = sampler_module._bands(draws, tuple(probs)), np.quantile(draws, tuple(probs), axis=0)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("pr", [-0.1, 1.5, float("nan")])
+def test_bands_reject_probabilities_outside_unit_interval(pr):
+    with pytest.raises(InvalidArgumentError, match="band probabilities"):
+        sampler_module._bands(np.zeros((3, 2, 2)), (0.5, pr))
+
+
+def _with_theta(samples, i, value, sample=1):
+    """The chain with entry i of one sample's theta (the second by default)
+    set to value."""
+    theta = samples[sample].theta.copy()
     theta[i] = value
-    return [samples[0], replace(samples[1], theta=theta), *samples[2:]]
+    return [*samples[:sample], replace(samples[sample], theta=theta), *samples[sample + 1:]]
 
 
 @pytest.mark.parametrize("case", ["empty chain", "negative seed", "negative X", "C underflows to 0",
-                                  "tau underflows to 0", "non-finite location", "off-grid time"])
+                                  "tau underflows to 0", "ksq overflows to inf", "first bad sample wins",
+                                  "non-finite location", "off-grid time"])
 def test_prediction_errors_equal_per_sample_reference(tiny_dataset, tame_prior, case):
     data, samples = tiny_dataset, _chain(tiny_dataset, tame_prior, True)
     layout = ThetaLayout(p=data.p)
@@ -105,12 +131,18 @@ def test_prediction_errors_equal_per_sample_reference(tiny_dataset, tame_prior, 
         chain = _with_theta(samples, layout.sl_log_c.start, -800.0)
     elif case == "tau underflows to 0":
         chain = _with_theta(samples, layout.i_log_tau, -800.0)
+    elif case == "ksq overflows to inf":
+        chain = _with_theta(samples, layout.sl_log_ksq.start, 800.0)
+    elif case == "first bad sample wins":  # sample 1's tau message, not sample 2's ksq one
+        chain = _with_theta(_with_theta(samples, layout.sl_log_ksq.start, 800.0, sample=2), layout.i_log_tau, -800.0)
     elif case == "non-finite location":
         points = np.array([[0.5, 0.5], [0.5, np.inf]])
     else:
         times = np.array([data.times[0], data.times[0] + 0.5])
-    with pytest.raises((ConfigError, InvalidArgumentError, UnsupportedPredictionError)) as want:
+    # exp(800) overflows to inf with a warning; the check after it raises
+    with np.errstate(over="ignore"), pytest.raises((ConfigError, InvalidArgumentError,
+                                                    UnsupportedPredictionError)) as want:
         oracles.posterior_predict(chain, points, times, data, seed=seed)
-    with pytest.raises(want.type) as got:
+    with np.errstate(over="ignore"), pytest.raises(want.type) as got:
         posterior_predict(chain, points, times, data, seed=seed)
     assert str(got.value) == str(want.value)
