@@ -71,11 +71,13 @@ terms once, then each chunk of samples' knot values and extensions as
 arrays), the kernel parameter checks, the grid index of every new time, the
 noise and every band are whole-chain arrays; the bands interpolate between
 the draws as `np.quantile` does, after one sort of the sample axis
-(`_bands`).  So are the fields' atom gathers, time terms and exponentials,
-chunk by chunk (`_chain_fields`); per sample remains only the kernel
-exponent product, whose bits follow the sample's own atom count, and each
-(sample, time) field is one slice of a stacked product over every pair with
-the same atom count.  Each value equals a per-sample loop's bit for bit.
+(`_bands`).  So are the fields' kernel operands, atom gathers, time terms
+and exponentials, chunk by chunk (`_chain_fields`); per sample remain only
+the two products whose bits follow the sample's own atom count (its
+ksq @ mu^2 row and its kernel exponent), and each (sample, time) field is
+one slice of a stacked product over every pair with the same atom count,
+read as a view of the chunk's kernel regrouped by count.  Each value equals
+a per-sample loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ from .model import (
     count_log_factor,
     field_rows,
     field_values,
-    kernel_exponent,
     log_observation_density,
     log_prior_theta,
     map_extension,
@@ -976,22 +977,26 @@ class PredictionBands:
 
 def _grid_indices(new_times: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Index of each new time on the training grid: its first exact match,
-    else the first time within 1e-12 of it."""
+    else the first time within 1e-12 of it.  Only the times without an
+    exact match are compared within 1e-12."""
     exact = new_times[:, None] == times
-    hits = np.where(exact.any(axis=1, keepdims=True), exact,
-                    np.isclose(new_times[:, None], times, rtol=0.0, atol=1e-12))
-    missing = np.flatnonzero(~hits.any(axis=1))
-    if missing.size:
-        raise UnsupportedPredictionError(f"time {new_times[missing[0]]} is not on the training grid")
-    return hits.argmax(axis=1)
+    index = exact.argmax(axis=1)
+    inexact = np.flatnonzero(~exact.any(axis=1))
+    if inexact.size:
+        near = np.isclose(new_times[inexact, None], times, rtol=0.0, atol=1e-12)
+        missing = inexact[~near.any(axis=1)]
+        if missing.size:
+            raise UnsupportedPredictionError(f"time {new_times[missing[0]]} is not on the training grid")
+        index[inexact] = near.argmax(axis=1)
+    return index
 
 
 # Values held at once while predicting.  Mapping new locations takes at most
 # this many (sample, knot) pairs per chunk of samples, and forming fields at
-# most this many kernel values, gathered atom values and store entries per
-# chunk (`_chain_fields`); a single sample that needs more is a chunk of its
-# own.  So no array grows as the chain's length times the training locations
-# or the atoms.
+# most this many kernel values, kernel operands, gathered atom values and
+# store entries per chunk (`_chain_fields`); a single sample that needs more
+# is a chunk of its own.  So no array grows as the chain's length times the
+# training locations or the atoms.
 _VALUES_HELD = 1 << 20
 
 
@@ -1065,13 +1070,6 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return np.cumsum(sizes) - sizes
 
 
-def _windows(values: np.ndarray, width: int) -> np.ndarray:
-    """Read-only view whose entry c is values[..., c:c + width]."""
-    step = values.strides[-1]
-    return np.lib.stride_tricks.as_strided(values, (values.shape[-1] - width + 1, *values.shape[:-1], width),
-                                           (step, *values.strides[:-1], step), writeable=False)
-
-
 def _chain_fields(samples: list[ChainSample], mapped: np.ndarray, natural: np.ndarray, layout: ThetaLayout,
                   time_idx: np.ndarray, times_new: np.ndarray) -> np.ndarray:
     """Fields of every sample at its mapped new locations and the new times,
@@ -1080,18 +1078,24 @@ def _chain_fields(samples: list[ChainSample], mapped: np.ndarray, natural: np.nd
 
     The kernel parameters of every sample are checked once, as (S, p) and
     (S,) arrays; the first sample that fails raises what its `KernelParams`
-    raises.  Each chunk of samples (`_sample_chunks`) gathers the atoms of
-    its (sample, time) pairs, their time terms and exponentials as
-    whole-chunk arrays.  Only what rounds according to a sample's own atom
-    count N_s stays per sample: its (q, N_s) kernel exponent
-    (`kernel_exponent`), the product whose routine numpy and BLAS pick by
-    shape.  Each pair's field is the (q, J) kernel slice of its J
-    atoms times their beta, which is the same routine on the same shapes
-    whether alone or stacked, so the slices of every pair with J atoms are
-    multiplied in one stacked `np.matmul`.  A chunk's kernel values (q N_s
-    per sample), gathered atoms ((p + 1) N_s) and store entries add up to at
-    most `_VALUES_HELD`, unless one sample holds more alone; the stacked
-    slices of one atom count take at most its q N kernel values again.
+    raises.  The operands of `kernel_exponent`'s product are formed by its
+    own elementwise steps for many samples at once: the (q, p+2) left
+    operand [ksq M, -0.5 sum ksq M^2, 1] of every sample, and per chunk of
+    samples (`_sample_chunks`) the (p+2, N) right operand [mu, 1,
+    -0.5 ksq mu^2 - time term] of every atom of its (sample, time) pairs.
+    Per sample remain only the two products whose routine numpy and BLAS
+    pick by the sample's atom count N_s: its ksq @ mu^2 row and its
+    (q, p+2) @ (p+2, N_s) kernel exponent.
+
+    The exponent columns are then taken once in (atom count, pair) order
+    and exponentiated in place, so the (q, J) kernel slices of all g pairs
+    with J atoms are one (g, q, J) view.  Each pair's field is its slice
+    times its J betas: the same routine on the same shapes whether alone or
+    stacked, so each count takes one stacked `np.matmul`.  A chunk's
+    per-atom arrays (two q N kernel arrays, (3p + 3) N operand and gathered
+    atom values, N betas and 3 N time terms and indices) and its store
+    entries add up to at most `_VALUES_HELD`, unless one sample holds more
+    alone.
     """
     S, q, p = mapped.shape
     mt = time_idx.size
@@ -1105,11 +1109,16 @@ def _chain_fields(samples: list[ChainSample], mapped: np.ndarray, natural: np.nd
     if bad.any():  # raise what the first bad sample's own checks raise
         s = int(bad.argmax())
         KernelParams(ksq[s], float(tau[s]), float(xi[s]))
+    left = np.empty((S, q, p + 2))
+    left[..., :p] = mapped * ksq[:, None, :]
+    left[..., p] = -0.5 * np.einsum("sij,sij->si", left[..., :p], mapped)
+    left[..., p + 1] = 1.0
     fields = np.zeros((S, q, mt))
-    for lo, hi in _sample_chunks((q + p + 1) * atoms_per_sample + store_values):
+    for lo, hi in _sample_chunks((2 * q + 3 * p + 7) * atoms_per_sample + store_values):
         pair_atoms = counts[lo:hi].ravel()  # pair i is (sample lo + i // mt, time i % mt)
         n_atoms = atoms_per_sample[lo:hi]
-        pair_first, atom_first = _starts(pair_atoms), _starts(n_atoms)
+        pair_first = _starts(pair_atoms)
+        samples_held = list(zip(range(lo, hi), _starts(n_atoms).tolist(), n_atoms.tolist()))
         atoms_held = int(n_atoms.sum())
         # every atom in (sample, time, slot) order: its column in the chunk's
         # stores laid side by side, and its pair's time term
@@ -1117,30 +1126,43 @@ def _chain_fields(samples: list[ChainSample], mapped: np.ndarray, natural: np.nd
         pair_column = _starts(store_values[lo:hi] // (p + 1))[:, None] + time_idx * widths[lo:hi, None]
         column = np.repeat(pair_column.ravel() - pair_first, pair_atoms) + np.arange(atoms_held)
         atoms = np.take(flat, column, axis=1)
-        beta = atoms[0]
-        # (p, N) in column order, as `field_rows` gathers its atoms: the
-        # bits of the ksq @ mu^2 row depend on this layout
-        mu = np.asfortranarray(atoms[1:])
         time_term = np.repeat((xi[lo:hi, None] * np.abs(times_new - tau[lo:hi, None])).ravel(), pair_atoms)
 
-        # every sample's (q, N_s) kernel side by side, atoms in chunk order
-        kernel = np.empty((q, atoms_held))
-        for s, a, n in zip(range(lo, hi), atom_first.tolist(), n_atoms.tolist()):
-            kernel_exponent(mapped[s], mu[:, a:a + n], ksq[s], time_term[a:a + n], out=kernel[:, a:a + n])
-        np.exp(kernel, out=kernel)
+        # the right operand of every atom; mu^2 is (p, N) in column order, as
+        # `field_rows` gathers its atoms: the bits of ksq @ mu^2 depend on it
+        right = np.empty((p + 2, atoms_held))
+        right[:p] = atoms[1:]
+        right[p] = 1.0
+        mu_sq = np.multiply(atoms[1:], atoms[1:], out=np.empty((atoms_held, p)).T)
+        for s, a, n in samples_held:
+            np.matmul(ksq[s], mu_sq[:, a:a + n], out=right[p + 1, a:a + n])
+        right[p + 1] *= -0.5
+        right[p + 1] -= time_term
+        exponent = np.empty((q, atoms_held))
+        for s, a, n in samples_held:
+            # with q = 1 numpy takes a vector product whose bits follow the
+            # right operand's layout: that sample gets its own copy
+            operand = right[:, a:a + n] if q > 1 else right[:, a:a + n].copy()
+            np.matmul(left[s], operand, out=exponent[:, a:a + n])
 
         # each pair's field: its (q, J) kernel columns times its J betas,
-        # every pair with J atoms in one stacked product
+        # every pair with J atoms in one stacked product over a view
         order = np.argsort(pair_atoms, kind="stable")
-        count_values, groups = np.unique(pair_atoms[order], return_counts=True)
+        grouped_atoms = pair_atoms[order]
+        grouped = np.repeat(pair_first[order] - _starts(grouped_atoms), grouped_atoms) + np.arange(atoms_held)
+        kernel = np.take(exponent, grouped, axis=1)
+        np.exp(kernel, out=kernel)
+        beta = atoms[0, grouped]
         products = np.zeros((order.size, q, 1))
-        g0 = 0
-        for j, g in zip(count_values.tolist(), groups.tolist()):
-            first = pair_first[order[g0:g0 + g]]
-            if j:
-                np.matmul(_windows(kernel, j)[first], _windows(beta, j)[first, :, None], out=products[g0:g0 + g])
-            g0 += g
-        fields[lo + order // mt, :, order % mt] = products[:, :, 0]
+        g0 = c0 = 0
+        for j, g in enumerate(np.bincount(grouped_atoms).tolist()):
+            if j and g:
+                np.matmul(kernel[:, c0:c0 + g * j].reshape(q, g, j).transpose(1, 0, 2),
+                          beta[c0:c0 + g * j].reshape(g, j, 1), out=products[g0:g0 + g])
+            g0, c0 = g0 + g, c0 + g * j
+        pair_fields = np.empty((order.size, q))
+        pair_fields[order] = products[:, :, 0]
+        fields[lo:hi] = pair_fields.reshape(hi - lo, mt, q).transpose(0, 2, 1)
     return fields
 
 
@@ -1186,17 +1208,18 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
 
     Everything is formed over the whole chain: the exponentials of every
     theta, the mapped new locations (`_map_new_locations`), the kernel
-    parameter checks and the fields (`_chain_fields`), the grid index of
-    every new time, the noise (one normal array), the draws and every band
-    (one sort of the draws, `_bands`).  Per sample there remains only the
-    step whose rounding follows that sample's own atom count: its kernel
-    exponent product.  Each value equals the per-sample computation's bit
-    for bit, and each band `np.quantile`'s.
-    The draws take S x q x mt floats and the mapped locations S x q x p;
-    the map's knot values and the fields' kernels and atoms are formed in
-    chunks of samples that hold at most `_VALUES_HELD` values (or one
-    sample that needs more), so no array grows as the chain's length times
-    the training locations or the atoms.
+    parameter checks, operands and fields (`_chain_fields`), the grid index
+    of every new time, the noise (one normal array), the draws and every
+    band (one sort of the draws, `_bands`).  Per sample there remain only
+    the two products whose rounding follows that sample's own atom count:
+    its ksq @ mu^2 row and its kernel exponent.  Each value equals the
+    per-sample computation's bit for bit, and each band `np.quantile`'s.
+    The draws take S x q x mt floats, and the mapped locations and the
+    kernel's left operands S x q x (2p + 2); the map's knot values and the
+    fields' kernels, operands and atoms are formed in chunks of samples
+    that hold at most `_VALUES_HELD` values (or one sample that needs
+    more), so no array grows as the chain's length times the training
+    locations or the atoms.
     """
     if not samples:
         raise InvalidArgumentError("empty chain")

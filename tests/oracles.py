@@ -14,6 +14,17 @@ from levyst.model import MAP_EXPONENT, MonotoneMapFit, ThetaLayout, field_rows, 
 from levyst.sampler import PredictionBands, _S_PREDICT, stream
 
 
+def phi0_training_matrix(locations, y) -> np.ndarray:
+    """Training baselines one location at a time: the mean response of the
+    nearest other locations."""
+    phi0 = np.empty_like(y)
+    for i in range(locations.shape[0]):
+        d = np.sum((locations - locations[i]) ** 2, axis=1)
+        d[i] = np.inf
+        phi0[i] = y[np.flatnonzero(d == d.min())].mean(axis=0)
+    return phi0
+
+
 def map_fit(coords_per_dim, mp) -> MonotoneMapFit:
     """The increment recursion, one dimension at a time."""
     knots, values = [], []

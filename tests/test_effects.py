@@ -10,7 +10,10 @@ from levyst.effects import (
     phi0_predict,
     phi0_training_matrix,
 )
+from levyst import effects
 from levyst.errors import InvalidArgumentError, InvalidStateError
+
+import oracles
 
 
 def test_phi0_two_locations_swap():
@@ -31,6 +34,29 @@ def test_phi0_tie_averaging():
 def test_phi0_training_needs_two_locations():
     with pytest.raises(InvalidArgumentError):
         phi0_training_matrix(np.array([[0.0]]), np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("kind", ["continuous", "duplicates", "equidistant"])
+def test_phi0_training_equals_per_location_loop(monkeypatch, kind):
+    """Whole-chunk baselines equal the per-location loop bit for bit, with
+    every row in one chunk, a few rows per chunk and one row per chunk."""
+    rng = np.random.default_rng(21)
+    if kind == "continuous":
+        locs = rng.random((17, 3))
+    elif kind == "duplicates":  # distance-0 ties
+        locs = rng.random((9, 2))[rng.integers(0, 9, size=17)]
+    else:  # integer coordinates: equidistant neighbours
+        locs = rng.integers(0, 4, size=(17, 2)).astype(float)
+    y = rng.standard_normal((17, 5))
+    want = oracles.phi0_training_matrix(locs, y)
+    d = np.sum((locs[:, None] - locs) ** 2, axis=2) + np.diag(np.full(17, np.inf))
+    ties = (d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1
+    assert ties.any() == (kind != "continuous")
+    if kind == "duplicates":
+        assert np.any(d.min(axis=1)[ties] == 0.0)
+    for bound in (effects._VALUES_HELD, 3 * locs.size, 1):
+        monkeypatch.setattr(effects, "_VALUES_HELD", bound)
+        assert np.array_equal(phi0_training_matrix(locs, y), want), bound
 
 
 def test_phi0_prediction_zero_distance():

@@ -1,6 +1,8 @@
 """Whole-chain prediction against its per-sample reference (`oracles`)."""
 
 from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 import levyst.sampler as sampler_module
 from levyst.data import SpaceTimeDataset, standardize
 from levyst.errors import ConfigError, InvalidArgumentError, UnsupportedPredictionError
-from levyst.model import ThetaLayout
+from levyst.model import AtomStore, KernelParams, ThetaLayout, field_rows
 from levyst.sampler import SamplerConfig, posterior_predict, run_chain
 
 import oracles
@@ -82,6 +84,64 @@ def test_prediction_equals_per_sample_reference(tame_prior, monkeypatch, grid, m
                                     keep_draws=True)
             _assert_same_bands(got, want)
             assert len(chunkings[-1][1]) in n_chunks, bound
+
+
+@given(p=st.sampled_from([1, 2, 3]), q=st.sampled_from([1, 2, 7]), j_max=st.integers(1, 6), S=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_chain_fields_equal_each_samples_field_rows(p, q, j_max, S, seed):
+    """The whole-chain fields equal each sample's own `field_rows` bit for
+    bit, over p, q (q = 1 takes numpy's dot path) and random stores whose
+    counts include 1 and j_max, with every sample in one chunk, a few
+    samples per chunk and one sample per chunk."""
+    rng = np.random.default_rng(seed)
+    m, layout = 5, ThetaLayout(p=p)
+    times = np.cumsum(rng.uniform(0.5, 2.0, m))
+    samples = []
+    for _ in range(S):
+        counts = rng.integers(1, j_max + 1, size=m)
+        counts[rng.permutation(m)[:2]] = 1, j_max
+        values = rng.standard_normal((p + 1, m, j_max + int(rng.integers(0, 3))))
+        samples.append(SimpleNamespace(store=AtomStore(values, counts)))
+    natural = np.exp(0.5 * rng.standard_normal((S, layout.dim)))
+    mapped = rng.standard_normal((S, q, p))
+    time_idx = rng.integers(0, m, size=int(rng.integers(1, 7))).astype(np.intp)
+    times_new = times[time_idx]
+    want = np.stack([field_rows(mapped[s], times_new, smp.store.take(time_idx),
+                                KernelParams(natural[s, layout.sl_log_ksq], float(natural[s, layout.i_log_tau]),
+                                             float(natural[s, layout.i_log_xi]))).T
+                     for s, smp in enumerate(samples)])
+    chunkings = []
+
+    def recording(held, chunks=sampler_module._sample_chunks):
+        chunkings.append((held, chunks(held)))
+        return chunkings[-1][1]
+
+    with mock.patch.object(sampler_module, "_sample_chunks", recording):
+        for bound, n_chunks in ((sampler_module._VALUES_HELD, [1]), (None, range(1, S + 1)), (1, [S])):
+            bound = 2 * int(chunkings[0][0].max()) if bound is None else bound
+            with mock.patch.object(sampler_module, "_VALUES_HELD", bound):
+                got = sampler_module._chain_fields(samples, mapped, natural, layout, time_idx, times_new)
+            assert np.array_equal(got, want), bound
+            assert len(chunkings[-1][1]) in n_chunks, bound
+
+
+def test_grid_index_prefers_an_exact_match():
+    """A time equal to one grid value and within 1e-12 of an earlier one
+    takes the exact match; a time with no exact match the first near one."""
+    times = np.array([1.0, 1.0 + 5e-13, 2.0, 3.0])
+    new_times = np.array([1.0 + 5e-13, 1.0, 2.0 + 3e-13, 3.0, 1.0 + 2e-13])
+    got = sampler_module._grid_indices(new_times, times)
+    assert got.tolist() == [1, 0, 2, 3, 0]
+    assert got.tolist() == [oracles.grid_index(t, times) for t in new_times]
+
+
+def test_grid_index_names_the_first_off_grid_time():
+    times = np.arange(1.0, 5.0)
+    new_times = np.array([2.0, 1.0 + 4e-13, 3.5, 4.0, 2.25, 3.0 - 1e-13])
+    with pytest.raises(UnsupportedPredictionError) as got:
+        sampler_module._grid_indices(new_times, times)
+    assert str(got.value) == "time 3.5 is not on the training grid"
 
 
 @given(S=st.sampled_from([1, 2, 3, 16, 17, 25]),
