@@ -1,8 +1,11 @@
 """Chain persistence: a self-describing columnar text format.
 
 Line 1 holds `# key=value` metadata, line 2 the header naming every scalar
-column, then one row per stored sample.  Atom blocks follow the scalars as
-per-time variable-length groups, each led by its explicit count J:
+column, then one row per stored sample.  A metadata value is written as its
+text, or, when that text holds whitespace or starts with a double quote, as
+that text encoded as a JSON string, so every value's text reads back as
+written.  Atom blocks follow the scalars as per-time variable-length groups,
+each led by its explicit count J:
 
     J mu[1,1] .. mu[1,p] .. mu[J,p] beta[1] .. beta[J]
 
@@ -11,6 +14,9 @@ bit-exact.  A sample cell that is not a finite number fails the read.
 """
 
 from __future__ import annotations
+
+import json
+import re
 
 import numpy as np
 
@@ -56,13 +62,49 @@ def _group_cells(store: AtomStore) -> tuple[np.ndarray, ...]:
     return group_at, block, slot, first + counts[block] * p + slot, first + slot * p + np.arange(p)[:, None]
 
 
+def _meta_cell(value) -> str:
+    """A metadata value as written: its text, or that text as a JSON string
+    when it holds whitespace or starts with a double quote."""
+    text = str(value)
+    if text.startswith('"') or any(c.isspace() for c in text):
+        return json.dumps(text)
+    return text
+
+
+# One metadata token, from a non-whitespace character on: a key, then "="
+# and a value, which is a JSON string ending at whitespace or the end of the
+# line, or else any run of non-whitespace.  A token without "=" is a key with
+# an empty value.
+_META_TOKEN = re.compile(r'(?=\S)([^\s=]*)(?:=("(?:[^"\\]|\\.)*"(?!\S)|\S*))?')
+
+
+def _read_meta(text: str) -> dict:
+    """The metadata of a line's text after its "# ": a JSON string value
+    decoded (one that is not valid JSON kept as written), any other value
+    an int where it reads as one and its text otherwise."""
+    meta: dict = {}
+    for token in _META_TOKEN.finditer(text):
+        key, value = token.group(1), token.group(2) or ""
+        if value.startswith('"'):
+            try:
+                meta[key] = json.loads(value)
+                continue
+            except ValueError:
+                pass
+        try:
+            meta[key] = int(value)
+        except ValueError:
+            meta[key] = value
+    return meta
+
+
 def write_chain(path, samples: list[ChainSample], meta: dict) -> None:
     p, m = int(meta["p"]), int(meta["m"])
     store_phi = any(s.phi is not None for s in samples)
     meta = dict(meta)
     meta["phi_stored"] = int(store_phi)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())) + "\n")
+        fh.write("# " + " ".join(f"{k}={_meta_cell(v)}" for k, v in sorted(meta.items())) + "\n")
         fh.write(" ".join(scalar_header(p) + ["atoms..."]) + "\n")
         for s in samples:
             cells = [str(s.iteration)]
@@ -96,13 +138,7 @@ def read_chain(path) -> tuple[list[ChainSample], dict]:
         raise ParseError("chain file is not UTF-8 text") from None
     if len(lines) < 2 or not lines[0].startswith("# "):
         raise ParseError("missing chain metadata line")
-    meta: dict = {}
-    for token in lines[0][2:].split():
-        key, _, value = token.partition("=")
-        try:
-            meta[key] = int(value)
-        except ValueError:
-            meta[key] = value
+    meta = _read_meta(lines[0][2:])
     p, m = _meta_int(meta, "p", 1), _meta_int(meta, "m", 1)
     n = _meta_int(meta, "n", 0, default=0)
     store_phi = bool(_meta_int(meta, "phi_stored", 0, default=0))

@@ -78,7 +78,11 @@ class MonotoneMapParams:
     def __post_init__(self):
         for name in ("C", "C_tilde", "X"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        check_map_params(self.C, self.C_tilde, self.X)
+        # `check_map_params` on p values, in plain Python
+        if any(v <= 0.0 for v in self.C.ravel().tolist() + self.C_tilde.ravel().tolist()):
+            raise InvalidArgumentError("C, C_tilde must be positive")
+        if any(v < 0.0 for v in self.X.ravel().tolist()):
+            raise InvalidArgumentError("X entries are |Z| and must be nonnegative")
 
     @property
     def p(self) -> int:
@@ -376,27 +380,80 @@ def field_values(mapped: np.ndarray, t: float, atoms: LatentAtoms, kp: KernelPar
     return kernel_matrix(mapped, atoms.mu.T, kp, kp.xi * abs(t - kp.tau)) @ atoms.beta
 
 
+@dataclass(frozen=True)
+class FieldOperands:
+    """The atoms of a store laid out for `field_rows`: every atom in
+    (count, block, slot) order, so that the blocks with J atoms sit side by
+    side, J columns each.
+
+    `mu` is column-major, as a fancy gather of the store lays it out: the
+    bits of the kernel's ksq @ mu^2 row follow that layout.  The arrays are
+    copies, so they stay valid when the store changes.
+    """
+
+    counts: np.ndarray   # (B,) atoms per block
+    order: np.ndarray    # (B,) the blocks by count, ties in block order
+    block: np.ndarray    # (N,) block of every atom
+    slot: np.ndarray     # (N,) slot of every atom
+    mu: np.ndarray       # (p, N) coordinates
+    beta: np.ndarray     # (N,)
+    groups: list[int]    # the number of blocks with 0, 1, 2, .. atoms
+
+    @classmethod
+    def build(cls, atoms: AtomStore) -> "FieldOperands":
+        counts = atoms.counts.copy()
+        order = np.argsort(counts, kind="stable")
+        grouped = counts[order]
+        rank, slot = np.nonzero(np.arange(atoms.width) < grouped[:, None])
+        block = order[rank]
+        return cls(counts, order, block, slot, atoms.values[1:, block, slot], atoms.values[0, block, slot],
+                   np.bincount(grouped).tolist())
+
+    def rows(self, mapped: np.ndarray, times: np.ndarray, kp: KernelParams) -> np.ndarray:
+        """`field_rows(mapped, times, atoms, kp)` for the store these
+        operands were built from."""
+        n = mapped.shape[0]
+        time_term = (kp.xi * np.abs(np.asarray(times, dtype=float) - kp.tau))[self.block]
+        if n > 1:
+            kernel = kernel_matrix(mapped, self.mu, kp, time_term)
+        else:
+            # With one location numpy takes a vector product, whose bits
+            # follow each column's place: form the exponent in block order,
+            # as over the store's own slots, then regroup it.
+            place = (np.cumsum(self.counts) - self.counts)[self.block] + self.slot
+            mu, block_term = np.empty_like(self.mu), np.empty_like(time_term)
+            mu[:, place], block_term[place] = self.mu, time_term
+            kernel = kernel_matrix(mapped, mu, kp, block_term)[:, place]
+        grouped = np.zeros((self.order.size, n, 1))
+        g0 = c0 = 0
+        for j, g in enumerate(self.groups):
+            if j and g:
+                # the (n, J) kernel slices of the g blocks, a view
+                np.matmul(kernel[:, c0:c0 + g * j].reshape(n, g, j).transpose(1, 0, 2),
+                          self.beta[c0:c0 + g * j].reshape(g, j, 1), out=grouped[g0:g0 + g])
+            g0, c0 = g0 + g, c0 + g * j
+        rows = np.empty((self.order.size, n))
+        rows[self.order] = grouped[:, :, 0]
+        return rows
+
+
 def field_rows(mapped: np.ndarray, times: np.ndarray, atoms: AtomStore, kp: KernelParams) -> np.ndarray:
     """Fields of the blocks of a store over the rows of an (n, p)
     mapped-location matrix, one (B, n) row per block, where block b sits at
     times[b].
 
     One (n, sum J) kernel matrix covers every block's atoms, each atom with
-    its block's time term; each row is then its block's own column slice
-    times its beta.  Row b agrees with `field_values(mapped, times[b],
-    atoms.block(b), kp)` within the kernel's rounding bound (see
-    `kernel_exponent`), not bit for bit: the product's rounding for a column
-    can depend on the other columns it is computed with.
+    its block's time term, its columns in the order of `FieldOperands`.
+    Row b is block b's (n, J) column slice times its J betas; the blocks
+    with J atoms take one stacked product over a view of their slices, the
+    same routine on the same shapes and strides as each block's own
+    `kernel[:, start:end] @ beta`, so each row keeps that product's bits.
+    Row b agrees with `field_values(mapped, times[b], atoms.block(b), kp)`
+    within the kernel's rounding bound (see `kernel_exponent`), not bit for
+    bit: the product's rounding for a column can depend on the other
+    columns it is computed with.
     """
-    block, slot = atoms.slots()
-    time_term = (kp.xi * np.abs(np.asarray(times, dtype=float) - kp.tau))[block]
-    kernel = kernel_matrix(mapped, atoms.values[1:, block, slot], kp, time_term)
-    rows = np.empty((atoms.counts.size, mapped.shape[0]))
-    end = 0
-    for b, count in enumerate(atoms.counts.tolist()):
-        start, end = end, end + count
-        rows[b] = kernel[:, start:end] @ atoms.values[0, b, :count]
-    return rows
+    return FieldOperands.build(atoms).rows(mapped, times, kp)
 
 
 def log_observation_density(y, alpha: float, phi, f, sigma_sq_eff: float):
@@ -490,8 +547,10 @@ def _theta_bounds(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def theta_in_bounds(theta: np.ndarray, layout: ThetaLayout) -> bool:
+    """Whether every coordinate lies within its truncation bounds (a NaN
+    does not), in one pass over plain floats."""
     lo, hi = layout.bounds()
-    return bool(np.all(theta >= lo) and np.all(theta <= hi))
+    return all(a <= t <= b for a, t, b in zip(lo.tolist(), theta.tolist(), hi.tolist(), strict=True))
 
 
 def unpack_theta(theta: np.ndarray, layout: ThetaLayout, mode: ArMode):
@@ -678,14 +737,12 @@ class ProcessTable:
     def build(cls, gaps: np.ndarray, beta_spec: ArSpec, mu_specs) -> "ProcessTable":
         specs = (beta_spec, *mu_specs)
         shape = (len(specs), len(gaps) + 1)
-        mult, var, norm = np.zeros(shape), np.empty(shape), np.empty(shape)
+        mult, var = np.zeros(shape), np.empty(shape)
         for c, spec in enumerate(specs):
             for g, gap in enumerate(gaps):
                 mult[c, g], var[c, g] = transition_moments(gap, spec)
             var[c, -1] = spec.initial_variance
-            for g in range(shape[1]):
-                norm[c, g] = _LOG_2PI + np.log(var[c, g])
-        return cls(mult, var, norm)
+        return cls(mult, var, _LOG_2PI + np.log(var))
 
     def log_densities(self, atoms: AtomStore, prev: AtomStore, g: np.ndarray) -> np.ndarray:
         """Incoming process factors of the blocks of a store in one pass.
@@ -694,15 +751,53 @@ class ProcessTable:
         first time) across the gap of table column g[b].
         Blocks with an atom out of bounds get -inf.  Atom j of a block
         follows atom j of its predecessor while both exist and starts from
-        the initial law beyond that.  The terms form one (p+1, B, W) array
-        over the first W slots, W the largest count of the batch; slots at
-        or past a block's count are zeroed before the sums.  An empty batch
+        the initial law beyond that.  The atoms' operands
+        (`ProcessOperands`) are formed first, then scored (`score`): the
+        terms form one (p+1, B, W) array over the first W slots, W the
+        largest count of the batch; slots at or past a block's count are
+        zeroed before the sums, whose bits depend on W.  An empty batch
         gives an empty array.
         """
+        return self.score(ProcessOperands.build(atoms, prev, g))
+
+    def score(self, operands: ProcessOperands) -> np.ndarray:
+        """`log_densities` of the blocks whose operands are given."""
+        col, shape = operands.col, operands.x.shape
+
+        def lookup(table):
+            return table.take(col, axis=1).reshape(shape)
+
+        terms = operands.x - lookup(self.mult) * operands.prev_x
+        terms *= terms
+        terms /= lookup(self.var)
+        terms += lookup(self.norm)
+        terms *= -0.5
+        terms[:, operands.unused[0], operands.unused[1]] = 0.0
+        total = terms.sum(axis=2).sum(axis=0)
+        total[operands.out_of_bounds] = -np.inf
+        return total
+
+
+@dataclass(frozen=True)
+class ProcessOperands:
+    """The atom-only operands of `ProcessTable.log_densities` for a batch of
+    B blocks and their predecessors, over the first W slots, W the largest
+    count of the batch (0 for an empty batch).
+
+    `x` is a view of the store's values, so it holds the atoms only while
+    the store does not change.
+    """
+
+    x: np.ndarray              # (p+1, B, W) the blocks' slots
+    prev_x: np.ndarray         # (p+1, B, W) each linked slot's predecessor atom, 0 elsewhere
+    col: np.ndarray            # (B W,) each slot's table column: its block's gap, or -1 (the initial law)
+    unused: tuple              # (block, slot) of every slot at or past its block's count
+    out_of_bounds: np.ndarray  # (B,) whether the block has an atom out of bounds
+
+    @classmethod
+    def build(cls, atoms: AtomStore, prev: AtomStore, g: np.ndarray) -> "ProcessOperands":
         counts = atoms.counts
-        if counts.size == 0:
-            return np.zeros(0)
-        width = int(counts.max())
+        width = int(counts.max()) if counts.size else 0
         slot = np.arange(width)
         used = slot < counts[:, None]
         linked = slot < np.minimum(counts, prev.counts)[:, None]
@@ -712,20 +807,8 @@ class ProcessTable:
         shared = min(width, prev.width)
         np.copyto(prev_x[:, :, :shared], prev.values[:, :, :shared], where=linked[:, :shared])
         col = np.where(linked, np.asarray(g)[:, None], -1).ravel()
-
-        def lookup(table):
-            return table.take(col, axis=1).reshape(x.shape)
-
-        terms = x - lookup(self.mult) * prev_x
-        terms *= terms
-        terms /= lookup(self.var)
-        terms += lookup(self.norm)
-        terms *= -0.5
-        terms[:, ~used] = 0.0
-        total = terms.sum(axis=2).sum(axis=0)
-        out_of_bounds = ~np.all(np.abs(x[1:]) <= COORD_BOUND, axis=0)
-        total[np.any(out_of_bounds & used, axis=1)] = -np.inf
-        return total
+        out_of_bounds = np.any(~np.all(np.abs(x[1:]) <= COORD_BOUND, axis=0) & used, axis=1)
+        return cls(x, prev_x, col, np.nonzero(~used), out_of_bounds)
 
 
 def atom_process_log_density(atoms: list[LatentAtoms], times: np.ndarray,

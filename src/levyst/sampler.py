@@ -21,13 +21,15 @@ move (`draw_blocks`); the two phases' arrays are stacked, odd blocks first.
 Propose: the move types, every proposal of both parities and their log
 ratios are formed at once as masked array arithmetic on the store
 (`propose_blocks`).  Field and likelihood: one `field_rows` call builds the
-field row of every proposal, and one `loglik_rows` call the likelihood of
-every proposal and of every current block from its stored field.  An
-earlier phase writes no atom and no field column of a later one, so these
-are the values each phase would compute for itself.  Then, phase by phase:
+field row of every proposal, with one stacked product per atom count, and
+one `loglik_rows` call the likelihood of every proposal and of every current
+block from its stored field.  An earlier phase writes no atom and no field
+column of a later one, so these are the values each phase would compute for
+itself.  Then, phase by phase:
 one `ProcessTable.log_densities` call gives the incoming and outgoing
 process factors of the phase's proposals against their neighbours in the
-store (`block_factors`), one comparison of each block's log acceptance
+store (`block_factors`), one `block_scores` call values the phase's current
+blocks and proposals together, one comparison of each block's log acceptance
 uniform with its log ratio accepts or rejects, and the accepted atoms,
 field columns and process factors are written back, so the store always
 holds the current atoms and the next phase reads its neighbours there.  A
@@ -49,6 +51,12 @@ generator; each in-bounds proposal builds one cache and scores all m blocks
 in one batched pass (`theta_logpost`), one uniform drawn after its draws
 accepts it by the sweep's rule, log(u) < log_alpha with a NaN rejecting,
 and an accepted proposal hands over its own cache, factors and columns.
+What that pass forms from the atoms alone (`AtomOperands`: the
+predecessor store, the slot masks and table columns, the out-of-bounds
+blocks and the atoms in the field's count order) is formed once per theta
+phase, from the atoms the sweep leaves, and shared by both proposals; per
+proposal remain the cache, the table lookups and sums, the kernel, the
+field products and the likelihoods.
 The cache is a function of theta alone and holds the AR transition table
 (mean multiplier, variance and log variance for every distinct time gap and
 coordinate chain).  Nothing in the terms reads the Gibbs scalars or the
@@ -62,8 +70,11 @@ another order, within 2 L eps sum|t| of it over a block's L = (p+1) J
 terms t; each field row is built from the one-product kernel, whose
 exponent is within 4 (p+2) eps (sum_l ksq_l (M_l^2 + mu_l^2) + time term
 + 1) of the per-coordinate form, and agrees with `field_values` to the
-field error those kernel errors allow.  Carried terms are the values a
-batched evaluation gives, so carrying changes no bit.
+field error those kernel errors allow.  Each row's product with its betas
+is its block's own (n, J) matrix-vector product on the same shapes and
+strides, whether taken alone or stacked with the other blocks of count J.
+Carried terms are the values a batched evaluation gives, so carrying
+changes no bit.
 
 Prediction (`posterior_predict`) works on the whole chain at once.  The
 exponentials of every theta, the mapped new locations (the map's data-only
@@ -95,10 +106,12 @@ from .errors import ConfigError, InvalidArgumentError, InvalidStateError, Numeri
 from .model import (
     COORD_BOUND,
     AtomStore,
+    FieldOperands,
     KernelParams,
     LatentAtoms,
     MapGrid,
     PriorConfig,
+    ProcessOperands,
     ProcessTable,
     ScalarHypers,
     ThetaLayout,
@@ -230,6 +243,9 @@ class SamplerState:
     # Terms of theta and the atoms, kept by `Sampler.iterate`, which computes
     # them when None.  Reset to None after changing theta or atoms elsewhere.
     terms: StateTerms | None = None
+    # The atoms' operands, formed once for both proposals of `Sampler.iterate`'s
+    # theta phase and None outside it.
+    operands: AtomOperands | None = None
 
 
 @dataclass
@@ -385,11 +401,34 @@ class StateTerms:
     field: np.ndarray
 
     @classmethod
-    def build(cls, cache: ThetaCache, atoms: AtomStore, ctx: ModelContext) -> "StateTerms":
-        """Process factors and field columns of every block under the theta of `cache`."""
-        process = cache.table.log_densities(atoms, _predecessors(atoms, np.arange(ctx.m)), ctx.gap_index)
-        rows = field_rows(cache.mapped, ctx.times, atoms, cache.kp)
+    def build(cls, cache: ThetaCache, atoms: AtomStore, ctx: ModelContext,
+              operands: AtomOperands | None = None) -> "StateTerms":
+        """Process factors and field columns of every block under the theta
+        of `cache`: `ProcessTable.log_densities` and `field_rows` over the
+        store, from its `AtomOperands`.  `operands`, when given, are those
+        of `atoms`, formed earlier; otherwise they are formed here.  Either
+        way the terms are the same bit for bit."""
+        if operands is None:
+            operands = AtomOperands.build(atoms, ctx)
+        process = cache.table.score(operands.process)
+        rows = operands.field.rows(cache.mapped, ctx.times, cache.kp)
         return cls(cache=cache, process=process, field=rows.T)
+
+
+@dataclass(frozen=True)
+class AtomOperands:
+    """The operands that `StateTerms.build` forms from a store of every time
+    block alone, whatever the theta: the process operands of each block
+    against its predecessor and the field operands.  Their `x` views the
+    store, so they hold its atoms only while it does not change."""
+
+    process: ProcessOperands
+    field: FieldOperands
+
+    @classmethod
+    def build(cls, atoms: AtomStore, ctx: ModelContext) -> "AtomOperands":
+        return cls(ProcessOperands.build(atoms, _predecessors(atoms, np.arange(ctx.m)), ctx.gap_index),
+                   FieldOperands.build(atoms))
 
 
 def _predecessors(atoms: AtomStore, ks: np.ndarray) -> AtomStore:
@@ -437,13 +476,14 @@ def loglik_slice(k: int, f: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
 def loglik_rows(ks, rows: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
                 phi: np.ndarray | None) -> np.ndarray:
     """Log likelihoods of several field rows: entry b is
-    `loglik_slice(ks[b], rows[b], ...)` bit for bit.
+    `loglik_slice(ks[b], rows[b], ...)` bit for bit.  `ks` indexes the
+    time blocks: integers, or a slice, whose data and effect rows are read
+    as views, with no copy.
 
     The densities form a C-ordered (B, n) array before the row sums: a
     reduction over rows of a transposed layout adds them sequentially
     instead of pairwise.
     """
-    ks = np.asarray(ks)
     y = ctx.y.T[ks]
     phi_rows = ctx.phi_effective(phi).T[ks]
     dens = log_observation_density(y, hypers.alpha, phi_rows, rows, ctx.var_effective(hypers))
@@ -651,12 +691,15 @@ def update_time_block(phases: list[tuple[np.ndarray, np.random.Generator]], atom
         lo, hi = np.searchsorted(scored, [start, end])
         mine = scored[lo:hi]
         here = ks[phase]
-        lp_cur = block_scores(atoms.counts[here], terms.process[here], np.append(terms.process[1:], 0.0)[here],
-                              logliks[phase], hypers, cfg.j_max)
         proposal = moves.proposal.take(mine)
         p_in, p_out = block_factors(cache.table, atoms, proposal, ks[mine], ctx.gap_index)
-        lp_prop = np.full(end - start, np.nan)
-        lp_prop[mine - start] = block_scores(proposal.counts, p_in, p_out, logliks[B + lo:B + hi], hypers, cfg.j_max)
+        # the current blocks' scores, then their scored proposals'
+        scores = block_scores(np.concatenate([atoms.counts[here], proposal.counts]),
+                              np.concatenate([terms.process[here], p_in]),
+                              np.concatenate([np.append(terms.process[1:], 0.0)[here], p_out]),
+                              np.concatenate([logliks[phase], logliks[B + lo:B + hi]]), hypers, cfg.j_max)
+        lp_cur, lp_prop = scores[:here.size], np.full(here.size, np.nan)
+        lp_prop[mine - start] = scores[here.size:]
         with np.errstate(invalid="ignore"):
             log_alpha[phase] = np.where(moves.reachable[phase], lp_prop - lp_cur + moves.log_ratio[phase], -np.inf)
             accepted[phase] = log_u[phase] < log_alpha[phase]
@@ -707,8 +750,8 @@ def theta_logpost(theta, state, ctx):
     log_prior = log_prior_theta(theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
     if not math.isfinite(log_prior):
         return -np.inf, None
-    terms = StateTerms.build(ThetaCache.build(theta, ctx), state.atoms, ctx)
-    loglik = loglik_rows(range(ctx.m), terms.field.T, ctx, state.hypers, state.phi)
+    terms = StateTerms.build(ThetaCache.build(theta, ctx), state.atoms, ctx, state.operands)
+    loglik = loglik_rows(slice(None), terms.field.T, ctx, state.hypers, state.phi)
     return theta_score(log_prior, terms, loglik), terms
 
 
@@ -886,13 +929,17 @@ class Sampler:
         rng_t = stream(cfg.seed, _S_THETA, r)
         log_prior = log_prior_theta(state.theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
         cur_lp = theta_score(log_prior, terms, loglik)
-        for move, propose in (("tmcmc", tmcmc_proposal), ("enhance", enhancement_proposal)):
-            proposal, log_jac = propose(state.theta, cfg, rng_t)
-            lp_prop, terms_prop = theta_logpost(proposal, state, ctx)
-            accepted = _log_uniform(rng_t.random()) < lp_prop - cur_lp + log_jac
-            stats.record(move, accepted)
-            if accepted:
-                state.theta, cur_lp, terms = proposal, lp_prop, terms_prop
+        state.operands = AtomOperands.build(atoms, ctx)
+        try:
+            for move, propose in (("tmcmc", tmcmc_proposal), ("enhance", enhancement_proposal)):
+                proposal, log_jac = propose(state.theta, cfg, rng_t)
+                lp_prop, terms_prop = theta_logpost(proposal, state, ctx)
+                accepted = _log_uniform(rng_t.random()) < lp_prop - cur_lp + log_jac
+                stats.record(move, accepted)
+                if accepted:
+                    state.theta, cur_lp, terms = proposal, lp_prop, terms_prop
+        finally:
+            state.operands = None
         state.terms = terms
 
         # random-effect draws (explicit mode): one (m, n) normal array, row k

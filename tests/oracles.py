@@ -10,7 +10,7 @@ import numpy as np
 from levyst import effects
 from levyst.ar import mode_for_times
 from levyst.errors import ConfigError, InvalidArgumentError, UnsupportedPredictionError
-from levyst.model import MAP_EXPONENT, MonotoneMapFit, ThetaLayout, field_rows, unpack_theta
+from levyst.model import MAP_EXPONENT, MonotoneMapFit, ThetaLayout, field_rows, kernel_matrix, unpack_theta
 from levyst.sampler import PredictionBands, _S_PREDICT, stream
 
 
@@ -53,6 +53,21 @@ def map_extend(s_new, dim, fit, mp) -> np.ndarray:
     offset = np.where(below, knots[0] - s, s - knots[i])
     powered = np.array([d ** MAP_EXPONENT for d in offset.ravel()]).reshape(s.shape)
     return np.where(below, values[0] - slope * powered, values[i] + slope * powered)
+
+
+def field_rows_per_block(mapped, times, atoms, kp) -> np.ndarray:
+    """`levyst.model.field_rows` as one kernel matrix over the store's atoms
+    in (block, slot) order, then each block's own column slice times its
+    betas, one block at a time."""
+    block, slot = atoms.slots()
+    time_term = (kp.xi * np.abs(np.asarray(times, dtype=float) - kp.tau))[block]
+    kernel = kernel_matrix(mapped, atoms.values[1:, block, slot], kp, time_term)
+    rows = np.empty((atoms.counts.size, mapped.shape[0]))
+    end = 0
+    for b, count in enumerate(atoms.counts.tolist()):
+        start, end = end, end + count
+        rows[b] = kernel[:, start:end] @ atoms.values[0, b, :count]
+    return rows
 
 
 def grid_index(t, times) -> int:

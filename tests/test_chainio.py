@@ -49,6 +49,22 @@ def test_chain_round_trip_bit_exact(tmp_path, with_phi):
             assert b.phi is None
 
 
+def test_metadata_values_with_whitespace_round_trip(tmp_path):
+    """A metadata value that holds whitespace or "=", or starts with a
+    double quote, reads back as written, and so do the plain values beside
+    it: no value is cut at its first space into a bogus key."""
+    rng = np.random.default_rng(3)
+    meta = {"p": 2, "m": 3, "n": 2, "mode": "marginalized", "data": "/tmp/my data/a=b/train.csv",
+            "note": '"quoted"\tand\nmore', "empty": ""}
+    path = tmp_path / "chain.txt"
+    write_chain(path, [_sample(rng)], meta)
+    assert len(path.read_text().splitlines()) == 3
+    samples, meta2 = read_chain(path)
+    assert meta2 == {**meta, "phi_stored": 0} and len(samples) == 1
+    write_chain(tmp_path / "again.txt", samples, meta2)
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
 def test_chain_file_is_self_describing(tmp_path):
     rng = np.random.default_rng(2)
     path = tmp_path / "chain.txt"

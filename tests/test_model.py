@@ -42,7 +42,7 @@ from levyst.model import (
     theta_in_bounds,
     unpack_theta,
 )
-from oracles import map_extend, map_fit
+from oracles import field_rows_per_block, map_extend, map_fit
 from rounding import assert_factor_close, assert_kernel_close, exponent_tolerance, field_tolerance, process_tolerance
 
 KP2 = KernelParams(tilde_sigma_sq=np.array([1.0, 1.0]), tau=1.0, xi=0.5)
@@ -265,6 +265,34 @@ def test_field_kernel_matches_einsum_reference(p, data):
         bound = field_tolerance(want_kernel, tol, atoms.beta)
         assert np.all(np.abs(rows[b] - want_kernel @ atoms.beta) <= bound)
         assert np.all(np.abs(field_values(mapped, times[b], atoms, kp) - want_kernel @ atoms.beta) <= bound)
+
+
+_COUNT_PATTERNS = ("equal", "distinct", "repeated")
+
+
+@given(p=st.sampled_from([1, 2, 3]), n=st.sampled_from([1, 2, 7, 30]), j_max=st.integers(1, 9),
+       pattern=st.sampled_from(_COUNT_PATTERNS), blocks=st.integers(1, 12), extra=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_field_rows_equal_the_per_block_loop(p, n, j_max, pattern, blocks, extra, seed):
+    """`field_rows`, grouped by atom count, equals the per-block loop in
+    `tests/oracles.py` bit for bit: over p, n (n = 1 takes numpy's vector
+    product), stores whose counts in 1..j_max are all equal, all distinct or
+    repeated, stores wider than j_max, and times with repeats."""
+    rng = np.random.default_rng(seed)
+    if pattern == "equal":
+        counts = np.full(blocks, rng.integers(1, j_max + 1))
+    elif pattern == "distinct":
+        counts = rng.permutation(np.arange(1, j_max + 1))[:blocks]
+    else:
+        counts = rng.choice(rng.integers(1, j_max + 1, size=2), size=blocks)
+    values = 3.0 * rng.standard_normal((p + 1, counts.size, j_max + extra))
+    atoms = AtomStore(values, counts.astype(np.int64))
+    times = rng.choice(np.array([0.0, 1.0, 2.5, 4.0]), size=counts.size)
+    mapped = 2.0 * rng.standard_normal((n, p))
+    kp = KernelParams(np.exp(rng.standard_normal(p)), math.exp(rng.standard_normal()),
+                      math.exp(rng.standard_normal()))
+    assert np.array_equal(field_rows(mapped, times, atoms, kp), field_rows_per_block(mapped, times, atoms, kp))
 
 
 def test_log_observation_density():

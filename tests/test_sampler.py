@@ -1109,6 +1109,56 @@ def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypa
 
 
 @pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
+def test_theta_phase_shares_the_atom_operands(tiny_dataset, tame_prior, monkeypatch, marginalized):
+    """Each iteration forms the field operands twice, once for the sweep's
+    proposals and once for the theta phase, and the whole store's operands
+    once, for the theta phase, however many of its proposals are in bounds
+    (plus once for the first terms).  Every in-bounds proposal's terms
+    from the shared operands equal a fresh `StateTerms.build` bit for bit."""
+    from levyst.model import FieldOperands
+
+    sampler = Sampler(tiny_dataset, SamplerConfig(iterations=30, burn_in=0, thin=1, j_max=5, seed=4), tame_prior,
+                      marginalized=marginalized)
+    ctx = sampler.ctx
+    field_builds, store_builds, scored = [], [], []
+    field_build = vars(FieldOperands)["build"].__func__
+    store_build = vars(sampler_module.AtomOperands)["build"].__func__
+    real_logpost = sampler_module.theta_logpost
+
+    def counting_field_build(cls, *args):
+        field_builds.append(1)
+        return field_build(cls, *args)
+
+    def counting_store_build(cls, *args):
+        store_builds.append(1)
+        return store_build(cls, *args)
+
+    def recording_logpost(theta, state_, ctx_):
+        lp, terms = real_logpost(theta, state_, ctx_)
+        if terms is not None:
+            assert state_.operands is not None
+            scored.append(terms)
+        return lp, terms
+
+    monkeypatch.setattr(FieldOperands, "build", classmethod(counting_field_build))
+    monkeypatch.setattr(sampler_module.AtomOperands, "build", classmethod(counting_store_build))
+    monkeypatch.setattr(sampler_module, "theta_logpost", recording_logpost)
+    state, stats, in_bounds = sampler.initial_state(), MoveStats(), []
+    for r in range(30):
+        for seen in (field_builds, store_builds, scored):
+            seen.clear()
+        state = sampler.iterate(state, r, stats)
+        assert len(field_builds) == 2 + (r == 0) and len(store_builds) == 1 + (r == 0)
+        assert state.operands is None
+        in_bounds.append(len(scored))
+        # the theta phase leaves the atoms as it found them
+        for terms in scored:
+            fresh = StateTerms.build(terms.cache, state.atoms, ctx)
+            assert np.array_equal(terms.process, fresh.process) and np.array_equal(terms.field, fresh.field)
+    assert in_bounds.count(2) > 0
+
+
+@pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
 @pytest.mark.parametrize("times", [np.arange(1.0, 7.0), _IRREGULAR_TIMES, np.array([1.0])],
                          ids=["regular", "irregular", "single-time"])
 def test_sweep_equals_phase_by_phase(tiny_dataset, tame_prior, marginalized, times):

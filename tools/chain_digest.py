@@ -2,6 +2,7 @@
 """Digest of the chains, predictive draws and move counts of fixed problems.
 
     python3 tools/chain_digest.py > digest.txt
+    python3 tools/chain_digest.py --check tools/chain_digest.expected
 
 Run from the root of a source checkout: the program is imported from that
 checkout's `src/`.  Each line names one problem and gives a SHA-256 prefix of
@@ -9,6 +10,10 @@ the `write_chain` bytes, one of the `posterior_predict` draws, and the
 accepted/proposed count of every move; the last line digests all lines.  Two
 commits that sample the same chains print the same output, so comparing the
 output of two checkouts with `diff` checks that a change kept every bit.
+`--check FILE` compares the output with FILE instead of printing it: it
+prints the lines that differ and exits 1 if any do, 0 if none do.
+`tools/chain_digest.expected` holds the output of the commit that last
+changed chain bits on purpose.
 
 Problems: the three benchmark shapes (desk size marginalized and explicit,
 paper size marginalized) with seeds 101 and 202, and the 4 x 6 test fixture on
@@ -18,6 +23,8 @@ with one and two workers.
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import os
 import sys
@@ -106,13 +113,25 @@ def fixture_cases(workers_counts):
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Digest the chains of fixed problems.")
+    parser.add_argument("--check", metavar="FILE", type=Path,
+                        help="compare the output with FILE: print the lines that differ and exit 1 if any do")
+    args = parser.parse_args()
+    expected = args.check.read_text(encoding="utf-8").splitlines() if args.check else None
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for label, train, cfg, prior, marginalized, points, times, predict_seed in cases():
             line = f"{label}: " + digest(train, cfg, prior, marginalized, points, times, predict_seed, Path(tmp))
-            print(line, flush=True)
+            if expected is None:
+                print(line, flush=True)
             lines.append(line)
-    print("all: " + _hash("\n".join(lines).encode()))
+    lines.append("all: " + _hash("\n".join(lines).encode()))
+    if expected is None:
+        print(lines[-1])
+        return
+    diff = list(difflib.unified_diff(expected, lines, str(args.check), "this checkout", n=0, lineterm=""))
+    print("\n".join(diff) if diff else f"every line matches {args.check}")
+    sys.exit(1 if diff else 0)
 
 
 if __name__ == "__main__":
