@@ -135,9 +135,3 @@ def rho_from_transformed(v: float, mode: ArMode) -> float:
         return 1.0 / (1.0 + math.exp(-v))
     return -1.0 + 2.0 / (1.0 + math.exp(-v))
 
-
-def rho_to_transformed(rho: float, mode: ArMode) -> float:
-    if mode is ArMode.IAR:
-        return math.log(rho / (1.0 - rho))
-    u = (rho + 1.0) / 2.0
-    return math.log(u / (1.0 - u))

@@ -1,6 +1,5 @@
 """Empirical validation tooling: recursive stationarity detection, lagged
-correlations, the same-time covariance identity checked by double Monte
-Carlo, and normality summaries.
+correlations and normality summaries.
 
 Their tuning is fixed by the module constants below; only the detectors'
 first threshold c0 is a parameter (`levyst diagnose --c0`).
@@ -15,7 +14,6 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import InvalidArgumentError, UndefinedBinError
-from .model import KernelParams
 
 THRESHOLD_DECAY = 0.1    # detector thresholds c_j = max(c0 j^-THRESHOLD_DECAY, THRESHOLD_FLOOR)
 THRESHOLD_FLOOR = 1e-6
@@ -215,80 +213,6 @@ def lagged_correlation(locations: np.ndarray, times: np.ndarray, y: np.ndarray,
         cov = sp[b] / counts[b] - mean * mean
         corr[b] = cov / var
     return LagBins(edges=edges, counts=counts, correlation=corr)
-
-
-# ---------------------------------------------------------------------------
-# covariance identity oracle
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CovOracleResult:
-    mc_cov: float
-    analytic: float
-    se: float          # combined standard error of the two estimates
-
-    @property
-    def z(self) -> float:
-        return abs(self.mc_cov - self.analytic) / self.se
-
-
-def covariance_oracle_check(lam: float, kp: KernelParams, sigma_sq_mu: np.ndarray,
-                            sigma_sq_beta: float, m1: np.ndarray, m2: np.ndarray,
-                            t: float, n_mc: int, rng: np.random.Generator) -> CovOracleResult:
-    """Monte Carlo same-time covariance of the field against the conditional
-    identity lam * E[K(m1 - mu) K(m2 - mu) beta^2].
-
-    The field side draws Poisson counts and fresh atoms per replicate; the
-    analytic side is an independent Monte Carlo of the expectation with ten
-    times the sample size.
-    """
-    if n_mc < 10_000:
-        raise InvalidArgumentError("n_mc must be at least 1e4")
-    rng_field, rng_exp = rng.spawn(2)
-    m1 = np.atleast_1d(np.asarray(m1, dtype=float))
-    m2 = np.atleast_1d(np.asarray(m2, dtype=float))
-    p = m1.size
-    sd_mu = np.sqrt(np.asarray(sigma_sq_mu, dtype=float))
-    sd_beta = math.sqrt(sigma_sq_beta)
-    time_factor = math.exp(-kp.xi * abs(t - kp.tau))
-
-    def kernel_cols(mu):
-        d1 = m1[None, :] - mu
-        d2 = m2[None, :] - mu
-        k1 = np.exp(-0.5 * (d1 * d1) @ kp.tilde_sigma_sq) * time_factor
-        k2 = np.exp(-0.5 * (d2 * d2) @ kp.tilde_sigma_sq) * time_factor
-        return k1, k2
-
-    # field replicates
-    counts = rng_field.poisson(lam, size=n_mc)
-    total = int(counts.sum())
-    mu_all = rng_field.standard_normal((total, p)) * sd_mu
-    beta_all = rng_field.standard_normal(total) * sd_beta
-    k1_all, k2_all = kernel_cols(mu_all)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    w1 = k1_all * beta_all
-    w2 = k2_all * beta_all
-    c1 = np.add.reduceat(np.concatenate([w1, [0.0]]), bounds[:-1])
-    c2 = np.add.reduceat(np.concatenate([w2, [0.0]]), bounds[:-1])
-    c1[counts == 0] = 0.0
-    c2[counts == 0] = 0.0
-    f1 = c1
-    f2 = c2
-    prod = (f1 - f1.mean()) * (f2 - f2.mean())
-    mc_cov = float(prod.mean())
-    se_mc = float(prod.std(ddof=1) / math.sqrt(n_mc))
-
-    # independent estimate of the expectation term
-    n_an = 10 * n_mc
-    mu_e = rng_exp.standard_normal((n_an, p)) * sd_mu
-    beta_e = rng_exp.standard_normal(n_an) * sd_beta
-    k1_e, k2_e = kernel_cols(mu_e)
-    vals = lam * k1_e * k2_e * beta_e**2
-    analytic = float(vals.mean())
-    se_an = float(vals.std(ddof=1) / math.sqrt(n_an))
-
-    return CovOracleResult(mc_cov=mc_cov, analytic=analytic,
-                           se=math.sqrt(se_mc**2 + se_an**2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Process definition: kernel, monotone coordinate maps, field evaluation,
-observation density, priors, and the joint log posterior.
+"""Process definition: kernel, monotone coordinate maps, the padded atom
+store, field evaluation, observation density, the theta prior, the
+atom-process densities and the count factor.
 
 The latent field at time t is a finite sum of bounded kernel evaluations,
 
@@ -16,6 +17,10 @@ and the map slopes X_l raw on [0, 10].  Priors on transformed
 coordinates include the change-of-variable Jacobian; truncation is
 enforced by a -inf sentinel without renormalizing (constants cancel in
 all Metropolis ratios).
+
+The sampler scores only the terms a move changes, so nothing here forms the
+joint log posterior; the tests keep it, the Gibbs scalars' prior and the
+one-point field as reference forms (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from scipy.special import gammaln
 
 from .ar import (ArMode, ArSpec, ar_initial_log_density, ar_transition_log_density, rho_from_transformed,
                  step_gaps, transition_moments)
-from .errors import InvalidArgumentError, InvalidStateError
+from .errors import InvalidArgumentError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -225,14 +230,6 @@ class ScalarHypers:
 # kernel / map / field
 # ---------------------------------------------------------------------------
 
-def kernel_eval(delta_s: np.ndarray, delta_t: float, kp: KernelParams) -> float:
-    """Bounded kernel exp(-0.5 * sum ksq_l ds_l^2 - xi |dt|), in (0, 1]."""
-    ds = np.atleast_1d(np.asarray(delta_s, dtype=float))
-    if ds.size != kp.p or not np.all(np.isfinite(ds)) or not np.isfinite(delta_t):
-        raise InvalidArgumentError("delta_s/delta_t must be finite and match p")
-    return float(np.exp(-0.5 * np.dot(kp.tilde_sigma_sq, ds * ds) - kp.xi * abs(delta_t)))
-
-
 @dataclass(frozen=True)
 class MapGrid:
     """The terms of the monotone maps that depend on the coordinates alone,
@@ -297,17 +294,6 @@ def map_extension(knots: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, np.ndar
     return i, below, powered
 
 
-def monotone_map_fit(coords_per_dim, mp: MonotoneMapParams) -> MonotoneMapFit:
-    """Evaluate the increment recursion at sorted coordinates, per dimension
-    (`MapGrid.knot_values` for one theta)."""
-    if len(coords_per_dim) != mp.p:
-        raise InvalidArgumentError("one coordinate vector per dimension required")
-    grid = MapGrid.build(coords_per_dim)
-    slope = mp.C * mp.X
-    return MonotoneMapFit(grid.knots, tuple(grid.knot_values(ell, slope[ell:ell + 1], mp.C_tilde[ell:ell + 1])[0]
-                                            for ell in range(mp.p)))
-
-
 def monotone_map_extend(s_new, dim: int, fit: MonotoneMapFit, mp: MonotoneMapParams) -> np.ndarray:
     """Map values at unseen coordinates via the nearest-lower-knot increment.
 
@@ -318,18 +304,6 @@ def monotone_map_extend(s_new, dim: int, fit: MonotoneMapFit, mp: MonotoneMapPar
     i, below, powered = map_extension(fit.knots[dim], s_new)
     values, slope = fit.values[dim], mp.C[dim] * mp.X[dim]
     return np.where(below, values[0] - slope * powered, values[i] + slope * powered)
-
-
-def f_eval(mapped_s: np.ndarray, t: float, atoms: LatentAtoms, kp: KernelParams) -> float:
-    """Field value at one mapped location: sum_j K(M(s)-mu_j, t-tau) beta_j."""
-    ms = np.atleast_1d(np.asarray(mapped_s, dtype=float))
-    if atoms.count == 0:
-        return 0.0
-    if atoms.mu.shape[1] != ms.size or ms.size != kp.p:
-        raise InvalidArgumentError("dimension mismatch between mapped_s, atoms and kernel")
-    d = ms[None, :] - atoms.mu
-    logk = -0.5 * (d * d) @ kp.tilde_sigma_sq - kp.xi * abs(t - kp.tau)
-    return float(np.exp(logk) @ atoms.beta)
 
 
 def kernel_exponent(mapped: np.ndarray, mu_rows: np.ndarray, ksq: np.ndarray, time_term,
@@ -424,17 +398,31 @@ class FieldOperands:
             mu, block_term = np.empty_like(self.mu), np.empty_like(time_term)
             mu[:, place], block_term[place] = self.mu, time_term
             kernel = kernel_matrix(mapped, mu, kp, block_term)[:, place]
-        grouped = np.zeros((self.order.size, n, 1))
-        g0 = c0 = 0
-        for j, g in enumerate(self.groups):
-            if j and g:
-                # the (n, J) kernel slices of the g blocks, a view
-                np.matmul(kernel[:, c0:c0 + g * j].reshape(n, g, j).transpose(1, 0, 2),
-                          self.beta[c0:c0 + g * j].reshape(g, j, 1), out=grouped[g0:g0 + g])
-            g0, c0 = g0 + g, c0 + g * j
-        rows = np.empty((self.order.size, n))
-        rows[self.order] = grouped[:, :, 0]
-        return rows
+        return rows_by_count(kernel, self.beta, self.groups, self.order)
+
+
+def rows_by_count(kernel: np.ndarray, beta: np.ndarray, groups, order: np.ndarray) -> np.ndarray:
+    """The (B, n) rows of B blocks from an (n, N) kernel and N betas whose
+    columns are laid out in (count, block, slot) order: `groups[j]` blocks
+    with j atoms each, and `order` the blocks in that order.
+
+    Row b is block b's (n, J) column slice times its J betas.  The g blocks
+    with J atoms take one stacked `np.matmul` over a (g, n, J) view of
+    their slices: the same routine on the same shapes and strides as each
+    block's own `kernel[:, start:end] @ beta`, so each row keeps that
+    product's bits.  A block with no atoms gets a row of zeros.
+    """
+    n = kernel.shape[0]
+    grouped = np.zeros((order.size, n, 1))
+    g0 = c0 = 0
+    for j, g in enumerate(groups):
+        if j and g:
+            np.matmul(kernel[:, c0:c0 + g * j].reshape(n, g, j).transpose(1, 0, 2),
+                      beta[c0:c0 + g * j].reshape(g, j, 1), out=grouped[g0:g0 + g])
+        g0, c0 = g0 + g, c0 + g * j
+    rows = np.empty((order.size, n))
+    rows[order] = grouped[:, :, 0]
+    return rows
 
 
 def field_rows(mapped: np.ndarray, times: np.ndarray, atoms: AtomStore, kp: KernelParams) -> np.ndarray:
@@ -443,11 +431,8 @@ def field_rows(mapped: np.ndarray, times: np.ndarray, atoms: AtomStore, kp: Kern
     times[b].
 
     One (n, sum J) kernel matrix covers every block's atoms, each atom with
-    its block's time term, its columns in the order of `FieldOperands`.
-    Row b is block b's (n, J) column slice times its J betas; the blocks
-    with J atoms take one stacked product over a view of their slices, the
-    same routine on the same shapes and strides as each block's own
-    `kernel[:, start:end] @ beta`, so each row keeps that product's bits.
+    its block's time term, its columns in the order of `FieldOperands`, and
+    `rows_by_count` forms the rows with one stacked product per atom count.
     Row b agrees with `field_values(mapped, times[b], atoms.block(b), kp)`
     within the kernel's rounding bound (see `kernel_exponent`), not bit for
     bit: the product's rounding for a column can depend on the other
@@ -588,25 +573,6 @@ def unpack_theta(theta: np.ndarray, layout: ThetaLayout, mode: ArMode):
 # priors
 # ---------------------------------------------------------------------------
 
-def log_ig(x: float, a: float, b: float) -> float:
-    """Inverse-gamma log density, shape a, scale b."""
-    if x <= 0.0:
-        return -np.inf
-    return a * math.log(b) - gammaln(a) - (a + 1.0) * math.log(x) - b / x
-
-
-def log_gamma_pdf(x: float, a: float, b: float) -> float:
-    """Gamma log density, shape a, rate b."""
-    if x <= 0.0:
-        return -np.inf
-    return a * math.log(b) - gammaln(a) + (a - 1.0) * math.log(x) - b * x
-
-
-def log_ig_transformed(phi: float, a: float, b: float) -> float:
-    """Inverse-gamma density of exp(phi) with the log-scale Jacobian."""
-    return a * math.log(b) - gammaln(a) - (a + 1.0) * phi - b * math.exp(-phi) + phi
-
-
 def _gauss_logpdf_scalar(x: float, mean: float, var: float) -> float:
     return -0.5 * (_LOG_2PI + math.log(var) + (x - mean) ** 2 / var)
 
@@ -627,7 +593,7 @@ def log_prior_theta(theta: np.ndarray, layout: ThetaLayout, nu: np.ndarray,
     a, b = prior.ig_a, prior.ig_b
     ig_const = a * math.log(b) - gammaln(a)
 
-    def ig(phi):  # log_ig_transformed(phi, a, b), same operations in the same order
+    def ig(phi):  # inverse-gamma log density of exp(phi), with the log-scale Jacobian
         return ig_const - (a + 1.0) * phi - b * math.exp(-phi) + phi
 
     x, c_tilde, c, ksq, rho, ssq = (sl.start for sl in (
@@ -648,34 +614,8 @@ def log_prior_theta(theta: np.ndarray, layout: ThetaLayout, nu: np.ndarray,
     return total
 
 
-def log_prior_zeta(hypers: ScalarHypers, nu: np.ndarray, omega_sq: np.ndarray,
-                   prior: PriorConfig, marginalized: bool, alpha_pinned: bool) -> float:
-    """Prior of the Gibbs-updated scalars."""
-    total = log_gamma_pdf(hypers.lam, prior.lambda_a, prior.lambda_b)
-    total += log_ig(hypers.sigma_sq_eps, prior.ig_a_tight, prior.ig_b_tight)
-    for ell in range(nu.size):
-        total += _gauss_logpdf_scalar(float(nu[ell]), 0.0, prior.nu_var)
-        total += log_ig(float(omega_sq[ell]), prior.ig_a, prior.ig_b)
-    if not alpha_pinned:
-        total += _gauss_logpdf_scalar(hypers.alpha, prior.mu_alpha, hypers.sigma_sq_alpha)
-        total += log_ig(hypers.sigma_sq_alpha, prior.ig_a_tight, prior.ig_b_tight)
-    if not marginalized:
-        total += log_ig(hypers.sigma_sq_phi, prior.ig_a_tight, prior.ig_b_tight)
-    return total
-
-
-def log_prior(theta: np.ndarray, layout: ThetaLayout, hypers: ScalarHypers,
-              nu: np.ndarray, omega_sq: np.ndarray, prior: PriorConfig,
-              marginalized: bool = True, alpha_pinned: bool = True) -> float:
-    """Joint prior of theta and the scalar hyperparameters."""
-    lp = log_prior_theta(theta, layout, nu, omega_sq, prior)
-    if not np.isfinite(lp):
-        return -np.inf
-    return lp + log_prior_zeta(hypers, nu, omega_sq, prior, marginalized, alpha_pinned)
-
-
 # ---------------------------------------------------------------------------
-# atom-process density and joint posterior
+# atom-process density and count factor
 # ---------------------------------------------------------------------------
 
 def atoms_in_bounds(atoms: LatentAtoms) -> bool:
@@ -832,53 +772,3 @@ def count_log_factor(J, lam: float):
     lambda update through its conjugate rate instead.
     """
     return J * math.log(lam) - gammaln(J + 1)
-
-
-def log_joint_parts(atoms: list[LatentAtoms], theta: np.ndarray, hypers: ScalarHypers,
-                    nu: np.ndarray, omega_sq: np.ndarray, phi: np.ndarray | None,
-                    y: np.ndarray, mapped: np.ndarray, times: np.ndarray, phi0: np.ndarray,
-                    prior: PriorConfig, mode: ArMode, marginalized: bool,
-                    alpha_pinned: bool = True) -> dict[str, float]:
-    """Named factors of the joint log posterior (up to an additive constant).
-
-    phi is ignored in marginalized mode, where the observation mean uses
-    phi0 and the noise variance sigma_sq_eps + sigma_sq_phi.
-    """
-    layout = ThetaLayout(p=mapped.shape[1])
-    if len(atoms) != times.size:
-        raise InvalidStateError("one atom block per time index required")
-    kp, _, beta_spec, mu_specs = unpack_theta(theta, layout, mode)
-    parts: dict[str, float] = {}
-
-    if marginalized:
-        phi_eff = phi0
-        var_eff = hypers.sigma_sq_eps + hypers.sigma_sq_phi
-    else:
-        if phi is None:
-            raise InvalidStateError("explicit mode requires a phi field")
-        phi_eff = phi
-        var_eff = hypers.sigma_sq_eps
-    loglik = 0.0
-    for k in range(times.size):
-        f = field_values(mapped, times[k], atoms[k], kp)
-        loglik += float(np.sum(log_observation_density(y[:, k], hypers.alpha, phi_eff[:, k], f, var_eff)))
-    parts["likelihood"] = loglik
-    parts["counts"] = sum(count_log_factor(a.count, hypers.lam) for a in atoms)
-    parts["atom_process"] = atom_process_log_density(atoms, times, beta_spec, mu_specs)
-    parts["theta_prior"] = log_prior_theta(theta, layout, nu, omega_sq, prior)
-    parts["zeta_prior"] = log_prior_zeta(hypers, nu, omega_sq, prior, marginalized, alpha_pinned)
-    if not marginalized:
-        parts["random_effects"] = float(
-            np.sum(-0.5 * (_LOG_2PI + math.log(hypers.sigma_sq_phi))
-                   - 0.5 * (phi - phi0) ** 2 / hypers.sigma_sq_phi)
-        )
-    return parts
-
-
-def log_joint_posterior(*args, **kwargs) -> float:
-    """Sum of `log_joint_parts` (up to the constant of proportionality)."""
-    parts = log_joint_parts(*args, **kwargs)
-    values = np.array(list(parts.values()))
-    if np.any(~np.isfinite(values)):
-        return -np.inf
-    return float(values.sum())

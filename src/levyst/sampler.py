@@ -125,15 +125,29 @@ from .model import (
     log_prior_theta,
     map_extension,
     monotone_map_extend,
+    rows_by_count,
     unpack_theta,
 )
 
-# `atom_block_log_density` and `atom_process_log_density` are the reference
-# process densities that `ProcessTable` reproduces within rounding,
-# `field_values` the reference field that `field_rows` reproduces within
-# rounding, and `monotone_map_extend` the one-theta form of the map
-# extension that prediction runs over the whole chain; they stay importable
-# from this module, where perfbench's traced runs look them up.
+# The names that perfbench's traced run (`perfbench/run.py install_tracing`)
+# patches, and `tests/test_perfbench_tracing.py` checks, though neither
+# `fit` nor `predict` calls them.  Each stays where the benchmark looks it
+# up until the benchmark reads per-layer times from the program itself:
+# - `atom_block_log_density` (here and in `model`), with its helpers
+#   `model.chain_factor` and `model.atoms_in_bounds`, and
+#   `atom_process_log_density`: the per-block process densities that
+#   `ProcessTable` reproduces within rounding;
+# - `field_values`: the one-block field that `field_rows` reproduces within
+#   rounding;
+# - `loglik_slice`: the one-block likelihood that `loglik_rows` equals bit
+#   for bit;
+# - `monotone_map_extend`, with `model.MonotoneMapFit`: the one-theta map
+#   extension that prediction forms for the whole chain;
+# - `effects.gibbs_update_phi_column`: one effect column's draw, which
+#   `effects.gibbs_update_phi_matrix` forms for every column at once;
+# - `levyst.runtime.WorkerPool`, which the program does not import, and
+#   `SamplerConfig.workers`, which only the chain's metadata records; the
+#   benchmark's worker-invariance check and `tools/chain_digest.py` set it.
 
 # Random stream identifiers.
 _S_INIT, _S_BLOCK, _S_THETA, _S_PHI, _S_ZETA, _S_PREDICT = range(6)
@@ -1136,9 +1150,9 @@ def _chain_fields(samples: list[ChainSample], mapped: np.ndarray, natural: np.nd
 
     The exponent columns are then taken once in (atom count, pair) order
     and exponentiated in place, so the (q, J) kernel slices of all g pairs
-    with J atoms are one (g, q, J) view.  Each pair's field is its slice
-    times its J betas: the same routine on the same shapes whether alone or
-    stacked, so each count takes one stacked `np.matmul`.  A chunk's
+    with J atoms are one (g, q, J) view, and `rows_by_count` forms each
+    pair's field, its slice times its J betas, with one stacked product
+    per count.  A chunk's
     per-atom arrays (two q N kernel arrays, (3p + 3) N operand and gathered
     atom values, N betas and 3 N time terms and indices) and its store
     entries add up to at most `_VALUES_HELD`, unless one sample holds more
@@ -1199,16 +1213,7 @@ def _chain_fields(samples: list[ChainSample], mapped: np.ndarray, natural: np.nd
         grouped = np.repeat(pair_first[order] - _starts(grouped_atoms), grouped_atoms) + np.arange(atoms_held)
         kernel = np.take(exponent, grouped, axis=1)
         np.exp(kernel, out=kernel)
-        beta = atoms[0, grouped]
-        products = np.zeros((order.size, q, 1))
-        g0 = c0 = 0
-        for j, g in enumerate(np.bincount(grouped_atoms).tolist()):
-            if j and g:
-                np.matmul(kernel[:, c0:c0 + g * j].reshape(q, g, j).transpose(1, 0, 2),
-                          beta[c0:c0 + g * j].reshape(g, j, 1), out=products[g0:g0 + g])
-            g0, c0 = g0 + g, c0 + g * j
-        pair_fields = np.empty((order.size, q))
-        pair_fields[order] = products[:, :, 0]
+        pair_fields = rows_by_count(kernel, atoms[0, grouped], np.bincount(grouped_atoms).tolist(), order)
         fields[lo:hi] = pair_fields.reshape(hi - lo, mt, q).transpose(0, 2, 1)
     return fields
 

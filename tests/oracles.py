@@ -1,17 +1,26 @@
-"""Per-sample reference forms of whole-chain computations, for tests that
-pin the batched forms to them with `==`.
+"""Reference forms that tests compare the program against: per-sample forms
+of whole-chain computations, which the batched forms equal with `==`, and
+the one-point field, the prior densities and the joint log posterior, which
+the sampler's batched terms agree with.
 
 (Named `oracles`, not `reference`: the benchmark's own `reference` module is
 imported by name in the same test process.)
 """
 
+import math
+
 import numpy as np
+from scipy.special import gammaln
 
 from levyst import effects
 from levyst.ar import mode_for_times
-from levyst.errors import ConfigError, InvalidArgumentError, UnsupportedPredictionError
-from levyst.model import MAP_EXPONENT, MonotoneMapFit, ThetaLayout, field_rows, kernel_matrix, unpack_theta
+from levyst.errors import ConfigError, InvalidArgumentError, InvalidStateError, UnsupportedPredictionError
+from levyst.model import (MAP_EXPONENT, MonotoneMapFit, ThetaLayout, atom_process_log_density, count_log_factor,
+                          field_rows, field_values, kernel_matrix, log_observation_density, log_prior_theta,
+                          unpack_theta)
 from levyst.sampler import PredictionBands, _S_PREDICT, stream
+
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def phi0_training_matrix(locations, y) -> np.ndarray:
@@ -115,3 +124,101 @@ def posterior_predict(samples, new_locations, new_times, data, marginalized=True
         draws = draws * data.sd + data.mean
     bands = {float(pr): np.quantile(draws, pr, axis=0) for pr in probs}
     return PredictionBands(locations=new_locations, times=new_times, quantiles=bands, draws=draws)
+
+
+def f_eval(mapped_s, t, atoms, kp) -> float:
+    """Field value at one mapped location: sum_j K(M(s)-mu_j, t-tau) beta_j."""
+    ms = np.atleast_1d(np.asarray(mapped_s, dtype=float))
+    if atoms.count == 0:
+        return 0.0
+    if atoms.mu.shape[1] != ms.size or ms.size != kp.p:
+        raise InvalidArgumentError("dimension mismatch between mapped_s, atoms and kernel")
+    d = ms[None, :] - atoms.mu
+    logk = -0.5 * (d * d) @ kp.tilde_sigma_sq - kp.xi * abs(t - kp.tau)
+    return float(np.exp(logk) @ atoms.beta)
+
+
+def log_ig(x, a, b) -> float:
+    """Inverse-gamma log density, shape a, scale b."""
+    if x <= 0.0:
+        return -np.inf
+    return a * math.log(b) - gammaln(a) - (a + 1.0) * math.log(x) - b / x
+
+
+def log_gamma_pdf(x, a, b) -> float:
+    """Gamma log density, shape a, rate b."""
+    if x <= 0.0:
+        return -np.inf
+    return a * math.log(b) - gammaln(a) + (a - 1.0) * math.log(x) - b * x
+
+
+def log_ig_transformed(phi, a, b) -> float:
+    """Inverse-gamma density of exp(phi) with the log-scale Jacobian."""
+    return a * math.log(b) - gammaln(a) - (a + 1.0) * phi - b * math.exp(-phi) + phi
+
+
+def _gauss_logpdf(x, mean, var) -> float:
+    return -0.5 * (_LOG_2PI + math.log(var) + (x - mean) ** 2 / var)
+
+
+def log_prior_zeta(hypers, nu, omega_sq, prior, marginalized, alpha_pinned) -> float:
+    """Prior of the Gibbs-updated scalars."""
+    total = log_gamma_pdf(hypers.lam, prior.lambda_a, prior.lambda_b)
+    total += log_ig(hypers.sigma_sq_eps, prior.ig_a_tight, prior.ig_b_tight)
+    for ell in range(nu.size):
+        total += _gauss_logpdf(float(nu[ell]), 0.0, prior.nu_var)
+        total += log_ig(float(omega_sq[ell]), prior.ig_a, prior.ig_b)
+    if not alpha_pinned:
+        total += _gauss_logpdf(hypers.alpha, prior.mu_alpha, hypers.sigma_sq_alpha)
+        total += log_ig(hypers.sigma_sq_alpha, prior.ig_a_tight, prior.ig_b_tight)
+    if not marginalized:
+        total += log_ig(hypers.sigma_sq_phi, prior.ig_a_tight, prior.ig_b_tight)
+    return total
+
+
+def log_joint_parts(atoms, theta, hypers, nu, omega_sq, phi, y, mapped, times, phi0, prior, mode, marginalized,
+                    alpha_pinned=True) -> dict[str, float]:
+    """Named factors of the joint log posterior (up to an additive constant),
+    one time block at a time.
+
+    phi is ignored in marginalized mode, where the observation mean uses
+    phi0 and the noise variance sigma_sq_eps + sigma_sq_phi.
+    """
+    layout = ThetaLayout(p=mapped.shape[1])
+    if len(atoms) != times.size:
+        raise InvalidStateError("one atom block per time index required")
+    kp, _, beta_spec, mu_specs = unpack_theta(theta, layout, mode)
+    parts: dict[str, float] = {}
+
+    if marginalized:
+        phi_eff = phi0
+        var_eff = hypers.sigma_sq_eps + hypers.sigma_sq_phi
+    else:
+        if phi is None:
+            raise InvalidStateError("explicit mode requires a phi field")
+        phi_eff = phi
+        var_eff = hypers.sigma_sq_eps
+    loglik = 0.0
+    for k in range(times.size):
+        f = field_values(mapped, times[k], atoms[k], kp)
+        loglik += float(np.sum(log_observation_density(y[:, k], hypers.alpha, phi_eff[:, k], f, var_eff)))
+    parts["likelihood"] = loglik
+    parts["counts"] = sum(count_log_factor(a.count, hypers.lam) for a in atoms)
+    parts["atom_process"] = atom_process_log_density(atoms, times, beta_spec, mu_specs)
+    parts["theta_prior"] = log_prior_theta(theta, layout, nu, omega_sq, prior)
+    parts["zeta_prior"] = log_prior_zeta(hypers, nu, omega_sq, prior, marginalized, alpha_pinned)
+    if not marginalized:
+        parts["random_effects"] = float(
+            np.sum(-0.5 * (_LOG_2PI + math.log(hypers.sigma_sq_phi))
+                   - 0.5 * (phi - phi0) ** 2 / hypers.sigma_sq_phi)
+        )
+    return parts
+
+
+def log_joint_posterior(*args, **kwargs) -> float:
+    """Sum of `log_joint_parts` (up to the constant of proportionality)."""
+    parts = log_joint_parts(*args, **kwargs)
+    values = np.array(list(parts.values()))
+    if np.any(~np.isfinite(values)):
+        return -np.inf
+    return float(values.sum())

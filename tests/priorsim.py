@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 
-from .ar import transition_moments
-from .errors import InvalidArgumentError
-from .model import COORD_BOUND, AtomStore, LatentAtoms, ScalarHypers, field_rows, theta_in_bounds
-from .sampler import ModelContext, SamplerConfig, SamplerState, ThetaCache
+from levyst.ar import transition_moments
+from levyst.errors import InvalidArgumentError
+from levyst.model import COORD_BOUND, AtomStore, LatentAtoms, ScalarHypers, field_rows, theta_in_bounds
+from levyst.sampler import ModelContext, SamplerConfig, SamplerState, ThetaCache
 
 _MAX_TRIES = 200_000
 

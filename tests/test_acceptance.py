@@ -26,8 +26,8 @@ from scipy.stats import t as student_t
 from levyst.ar import rho_from_transformed
 from levyst.data import SpaceTimeDataset
 from levyst.model import PriorConfig
-from levyst.priorsim import draw_observations, draw_prior_state
 from levyst.sampler import MoveStats, Sampler, SamplerConfig
+from priorsim import draw_observations, draw_prior_state
 
 REPLICAS = 16
 SWEEPS = 800           # successive-conditional iterations per replica

@@ -14,9 +14,16 @@ from levyst.ar import (
     ar_transition_log_density,
     mode_for_times,
     rho_from_transformed,
-    rho_to_transformed,
 )
 from levyst.errors import InvalidArgumentError
+
+
+def rho_to_transformed(rho: float, mode: ArMode) -> float:
+    """The inverse of `rho_from_transformed`."""
+    if mode is ArMode.IAR:
+        return math.log(rho / (1.0 - rho))
+    u = (rho + 1.0) / 2.0
+    return math.log(u / (1.0 - u))
 
 
 def test_spec_validation():

@@ -4,7 +4,8 @@ For each of the 8 one-worker fixture problems of `tools/chain_digest.py`
 (both time grids, both modes, seeds 1 and 2), the digest of the
 `write_chain` bytes, of the predictive draws and the move counts must equal
 the line below.  A change that alters chain bits on purpose updates these
-lines and says so.
+lines and `tools/chain_digest.expected` together, and says so; a second
+test checks that the two agree.
 """
 
 import importlib.util
@@ -44,3 +45,10 @@ def test_fixture_chains_match_pinned_digests(monkeypatch, tmp_path):
     spec.loader.exec_module(tool)
     got = [f"{label}: " + tool.digest(*case, tmp_path) for label, *case in tool.fixture_cases((1,))]
     assert got == EXPECTED
+
+
+def test_expected_file_pins_the_same_fixture_lines():
+    """`tools/chain_digest.expected`, which `--check` compares with, holds
+    the same one-worker fixture lines as `EXPECTED`."""
+    lines = (TOOLS / "chain_digest.expected").read_text().splitlines()
+    assert [line for line in lines if line.startswith("fixture-") and " workers=1: " in line] == EXPECTED

@@ -16,8 +16,8 @@ from scipy.stats import poisson
 
 from levyst.data import SpaceTimeDataset
 from levyst.model import AtomStore, LatentAtoms, PriorConfig, ScalarHypers
-from levyst.priorsim import draw_prior_state
 from levyst.sampler import SamplerConfig, StateTerms, ThetaCache, build_context, stream, update_time_block
+from priorsim import draw_prior_state
 
 LAM = 3.0
 J_MAX = 15

@@ -18,6 +18,7 @@ from levyst.model import (
     KernelParams,
     LatentAtoms,
     MapGrid,
+    MonotoneMapFit,
     MonotoneMapParams,
     PriorConfig,
     ProcessTable,
@@ -26,39 +27,38 @@ from levyst.model import (
     atom_block_log_density,
     atom_process_log_density,
     count_log_factor,
-    f_eval,
     field_rows,
     field_values,
-    kernel_eval,
     kernel_matrix,
-    log_ig_transformed,
-    log_joint_parts,
-    log_joint_posterior,
     log_observation_density,
-    log_prior,
     log_prior_theta,
     monotone_map_extend,
-    monotone_map_fit,
     theta_in_bounds,
     unpack_theta,
 )
-from oracles import field_rows_per_block, map_extend, map_fit
+from oracles import (f_eval, field_rows_per_block, log_ig_transformed, log_joint_parts, log_joint_posterior,
+                     log_prior_zeta, map_extend, map_fit)
 from rounding import assert_factor_close, assert_kernel_close, exponent_tolerance, field_tolerance, process_tolerance
 
 KP2 = KernelParams(tilde_sigma_sq=np.array([1.0, 1.0]), tau=1.0, xi=0.5)
 
 
+def _kernel(delta_s, delta_t, kp):
+    """The kernel at one coordinate difference and time difference, from
+    `kernel_matrix` with the atom at the origin and tau at 0."""
+    mapped = np.atleast_2d(np.asarray(delta_s, dtype=float))
+    return float(kernel_matrix(mapped, np.zeros((kp.p, 1)), kp, kp.xi * abs(delta_t))[0, 0])
+
+
 def test_kernel_values():
-    assert kernel_eval(np.zeros(2), 0.0, KP2) == pytest.approx(1.0)
-    got = kernel_eval(np.array([1.0, 1.0]), 2.0, KP2)
+    assert _kernel(np.zeros(2), 0.0, KP2) == pytest.approx(1.0)
+    got = _kernel(np.array([1.0, 1.0]), 2.0, KP2)
     assert got == pytest.approx(math.exp(-2.0), rel=1e-12)
     kp1 = KernelParams(tilde_sigma_sq=np.array([1.0]), tau=3.0, xi=1.0)
-    assert kernel_eval(np.zeros(1), 1.0, kp1) < kernel_eval(np.zeros(1), 0.0, kp1)
+    assert _kernel(np.zeros(1), 1.0, kp1) < _kernel(np.zeros(1), 0.0, kp1)
 
 
 def test_kernel_rejects_nonfinite():
-    with pytest.raises(InvalidArgumentError):
-        kernel_eval(np.array([np.nan, 0.0]), 0.0, KP2)
     with pytest.raises(InvalidArgumentError):
         KernelParams(tilde_sigma_sq=np.array([-1.0]), tau=1.0, xi=1.0)
 
@@ -67,7 +67,7 @@ def test_kernel_rejects_nonfinite():
        dt=st.floats(-5, 5))
 @settings(max_examples=50, deadline=None)
 def test_kernel_bounded_property(ds, dt):
-    v = kernel_eval(np.array(ds), dt, KP2)
+    v = _kernel(np.array(ds), dt, KP2)
     assert 0.0 < v <= 1.0
     if any(abs(x) > 1e-3 for x in ds) or abs(dt) > 1e-3:
         assert v < 1.0
@@ -77,19 +77,25 @@ def _map_params(C, C_tilde, X, p=1):
     return MonotoneMapParams(C=np.full(p, C), C_tilde=np.full(p, C_tilde), X=np.full(p, X))
 
 
+def _grid_fit(coords, mp):
+    """The one-dimensional map's knot values under one theta, from `MapGrid`."""
+    grid = MapGrid.build([coords])
+    return MonotoneMapFit(grid.knots, (grid.knot_values(0, mp.C * mp.X, mp.C_tilde)[0],))
+
+
 def test_map_fit_values():
     mp = _map_params(1.0, 1.0, 0.0)
-    fit = monotone_map_fit([np.array([0.7])], mp)
+    fit = _grid_fit(np.array([0.7]), mp)
     assert fit.values[0] == pytest.approx([1.0])
 
     mp = _map_params(2.0, 1.0, 1.0)
-    fit = monotone_map_fit([np.array([0.0, 0.5, 1.0])], mp)
+    fit = _grid_fit(np.array([0.0, 0.5, 1.0]), mp)
     np.testing.assert_allclose(fit.values[0], [1.0, 1.5, 2.0])
 
 
 def test_map_fit_rejects_unsorted():
     with pytest.raises(InvalidArgumentError):
-        monotone_map_fit([np.array([1.0, 0.0])], _map_params(1.0, 1.0, 1.0))
+        MapGrid.build([np.array([1.0, 0.0])])
 
 
 @given(coords=st.lists(st.floats(-3, 3), min_size=1, max_size=8),
@@ -97,13 +103,13 @@ def test_map_fit_rejects_unsorted():
 @settings(max_examples=60, deadline=None)
 def test_map_fit_nondecreasing_property(coords, c, ct, x):
     coords = np.sort(np.asarray(coords))
-    fit = monotone_map_fit([coords], _map_params(c, ct, x))
+    fit = _grid_fit(coords, _map_params(c, ct, x))
     assert np.all(np.diff(fit.values[0]) >= -1e-15)
 
 
 def test_map_extend():
     mp = _map_params(2.0, 1.0, 1.0)
-    fit = monotone_map_fit([np.array([0.0, 0.5, 1.0])], mp)
+    fit = _grid_fit(np.array([0.0, 0.5, 1.0]), mp)
     assert monotone_map_extend(0.5, 0, fit, mp) == pytest.approx(1.5)
     assert monotone_map_extend(0.25, 0, fit, mp) == pytest.approx(1.125)
     assert monotone_map_extend(-0.5, 0, fit, mp) == pytest.approx(0.5)
@@ -127,7 +133,7 @@ def test_map_extend_array_matches_pointwise():
     # enough points that squaring in place of the scalar power would show
     rng = np.random.default_rng(4)
     mp = _map_params(1.7, 0.9, 2.3)
-    fit = monotone_map_fit([np.sort(rng.random(15))], mp)
+    fit = map_fit([np.sort(rng.random(15))], mp)
     pts = np.concatenate([rng.uniform(-1.0, 2.0, 20_000), fit.knots[0]])
     want = np.array([_extend_pointwise(s, 0, fit, mp) for s in pts])
     np.testing.assert_array_equal(monotone_map_extend(pts, 0, fit, mp), want)
@@ -136,8 +142,8 @@ def test_map_extend_array_matches_pointwise():
 
 
 def test_map_grid_rows_equal_the_one_theta_recursion():
-    """A batch's knot values, and the one-theta fit and extension built on
-    them, equal the per-dimension recursion and extension bit for bit."""
+    """A batch's knot values, and the one-theta extension built on them,
+    equal the per-dimension recursion and extension bit for bit."""
     rng = np.random.default_rng(5)
     coords = [np.sort(rng.uniform(-1.0, 2.0, 40)), np.array([0.3])]
     grid = MapGrid.build(coords)
@@ -149,7 +155,6 @@ def test_map_grid_rows_equal_the_one_theta_recursion():
             mp = MonotoneMapParams(C=slope[b], C_tilde=c_tilde[b], X=np.ones(2))
             want = map_fit(coords, mp)
             assert np.array_equal(batch[b], want.values[ell])
-            assert np.array_equal(monotone_map_fit(coords, mp).values[ell], want.values[ell])
             assert np.array_equal(monotone_map_extend(pts, ell, want, mp), map_extend(pts, ell, want, mp))
 
 
@@ -453,8 +458,8 @@ def test_log_joint_matches_independent_assembly():
                             math.sqrt(bspec.sigma_sq * (1 - bspec.rho**2)))
     expected += norm.logpdf(atoms[1].mu[0, 0], mspecs[0].rho * atoms[0].mu[0, 0],
                             math.sqrt(mspecs[0].sigma_sq * (1 - mspecs[0].rho**2)))
-    expected += log_prior(theta, layout, hypers, nu, omega, prior,
-                          marginalized=True, alpha_pinned=True)
+    expected += log_prior_theta(theta, layout, nu, omega, prior)
+    expected += log_prior_zeta(hypers, nu, omega, prior, marginalized=True, alpha_pinned=True)
     assert total == pytest.approx(expected, rel=1e-10)
 
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-import levyst.priorsim as priorsim
+import priorsim
 from levyst.model import COORD_BOUND, LOG_HI, LOG_LO, LOGIT_BOUND, X_HI, X_LO, field_values
-from levyst.priorsim import draw_observations, draw_prior_state
 from levyst.sampler import SamplerConfig, ThetaCache, build_context
+from priorsim import draw_observations, draw_prior_state
 
 
 @pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])

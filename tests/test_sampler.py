@@ -15,7 +15,7 @@ from levyst.data import SpaceTimeDataset, standardize
 from levyst.chainio import read_chain, write_chain
 from levyst.errors import ConfigError, InvalidStateError, UnsupportedPredictionError
 from levyst.model import (COORD_BOUND, AtomStore, LatentAtoms, PriorConfig, ScalarHypers, ThetaLayout, count_log_factor,
-                          kernel_matrix, monotone_map_extend, monotone_map_fit, unpack_theta)
+                          kernel_matrix, monotone_map_extend, unpack_theta)
 from levyst.sampler import (
     MOVE_NAMES,
     ChainSample,
@@ -41,6 +41,7 @@ from levyst.sampler import (
     tmcmc_proposal,
     update_time_block,
 )
+from oracles import log_joint_parts, log_joint_posterior, map_fit
 from rounding import assert_factor_close, exponent_tolerance, field_tolerance, process_tolerance
 
 CFG = SamplerConfig(iterations=10, burn_in=0, thin=1, j_max=6, seed=0)
@@ -308,8 +309,6 @@ def test_block_scores_boundary_structure(tame_prior):
 def test_block_scores_ratio_matches_joint_difference(tame_prior):
     """Move-target consistency: a block-k change shifts the joint by exactly
     the block conditional difference."""
-    from levyst.model import log_joint_posterior
-
     ctx = _tiny_ctx(tame_prior, n=2, m=3, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=2)
     new_atoms_1 = LatentAtoms(np.vstack([atoms[1].mu + 0.3, [[0.1]]]),
@@ -326,7 +325,6 @@ def test_block_scores_ratio_matches_joint_difference(tame_prior):
 
 
 def test_theta_logpost_ratio_matches_joint_difference(tame_prior):
-    from levyst.model import log_joint_posterior
     from levyst.sampler import SamplerState
 
     ctx = _tiny_ctx(tame_prior, n=2, m=3, p=1)
@@ -527,7 +525,7 @@ def test_near_unit_grid_takes_unit_gaps(near_unit_dataset, tame_prior):
 def test_near_unit_grid_reference_density_takes_unit_gaps(near_unit_dataset, tame_prior):
     """The reference joint density takes the sampler's unit gaps too: with a
     negative rho it scores the atom process as on the exact unit grid."""
-    from levyst.model import atom_process_log_density, log_joint_parts
+    from levyst.model import atom_process_log_density
 
     ctx = build_context(near_unit_dataset, tame_prior)
     theta, nu, omega, _, atoms, hypers = _state_pieces(ctx, j0=2)
@@ -601,7 +599,7 @@ def _outside_atom_box(samples, locations, mode):
     flags = []
     for smp in samples:
         _, mp, _, _ = unpack_theta(smp.theta, layout, mode)
-        fit = monotone_map_fit(knots, mp)
+        fit = map_fit(knots, mp)
         mapped = np.column_stack([monotone_map_extend(locations[:, ell], ell, fit, mp) for ell in range(layout.p)])
         flags.append(bool(np.any(np.abs(mapped) > COORD_BOUND)))
     return flags
