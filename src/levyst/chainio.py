@@ -10,7 +10,9 @@ each led by its explicit count J:
     J mu[1,1] .. mu[1,p] .. mu[J,p] beta[1] .. beta[J]
 
 Floats are written with 17 significant digits, so a write/read round trip is
-bit-exact.  A sample cell that is not a finite number fails the read.
+bit-exact.  A sample cell that is not a finite number fails the read.  The
+writer formats each row with one `%` over a row template and writes it at
+once, so a long chain is never held as text.
 """
 
 from __future__ import annotations
@@ -99,6 +101,13 @@ def _read_meta(text: str) -> dict:
 
 
 def write_chain(path, samples: list[ChainSample], meta: dict) -> None:
+    """Write the chain: the metadata line, the header, then one row per sample.
+
+    Each row is formatted by one `%` over a row template, "%d" for the
+    iteration and " %.17g" for each of its k cells (an atom count J prints
+    the same through "%.17g" as through `str`), and written as soon as it
+    is formatted, so no more than one row is held as text.
+    """
     p, m = int(meta["p"]), int(meta["m"])
     store_phi = any(s.phi is not None for s in samples)
     meta = dict(meta)
@@ -107,20 +116,15 @@ def write_chain(path, samples: list[ChainSample], meta: dict) -> None:
         fh.write("# " + " ".join(f"{k}={_meta_cell(v)}" for k, v in sorted(meta.items())) + "\n")
         fh.write(" ".join(scalar_header(p) + ["atoms..."]) + "\n")
         for s in samples:
-            cells = [str(s.iteration)]
-            scalars = [s.lam, s.sigma_sq_eps, s.alpha, s.sigma_sq_alpha, s.sigma_sq_phi]
-            scalars += list(s.nu) + list(s.omega_sq) + list(s.theta)
-            cells += [_FMT % v for v in scalars]
-            # a count J prints the same through _FMT as through str
             group_at, block, slot, beta_at, mu_at = _group_cells(s.store)
             groups = np.empty(group_at[-1])
             groups[group_at[:-1]] = s.store.counts
             groups[beta_at] = s.store.values[0, block, slot]
             groups[mu_at] = s.store.values[1:, block, slot]
-            cells += [_FMT % v for v in groups.tolist()]
-            if store_phi:
-                cells += [_FMT % v for v in s.phi.ravel()]
-            fh.write(" ".join(cells) + "\n")
+            cells = np.concatenate([[s.lam, s.sigma_sq_eps, s.alpha, s.sigma_sq_alpha, s.sigma_sq_phi],
+                                    s.nu, s.omega_sq, s.theta, groups,
+                                    s.phi.ravel() if store_phi else []])
+            fh.write(("%d" + (" " + _FMT) * cells.size + "\n") % (s.iteration, *cells.tolist()))
 
 
 def _meta_int(meta: dict, key: str, lowest: int, default: int | None = None) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -168,15 +169,58 @@ def standardize(data: SpaceTimeDataset) -> tuple[SpaceTimeDataset, tuple[float, 
 
 
 def write_csv(data: SpaceTimeDataset, path) -> None:
-    """Long format, one row per (location, time): s1..sp, t, y."""
-    p = data.p
+    """Long format, one row per (location, time): s1..sp, t, y, every value
+    with 17 significant digits.
+
+    Each location's m rows are formatted by one `%` over a template that
+    holds its formatted coordinates, and written at once.
+    """
+    p, m = data.p, data.m
     header = ",".join([f"s{ell + 1}" for ell in range(p)] + ["t", "y"])
+    coords = ",".join(["%.17g"] * p)
+    cells = np.empty((m, 2))  # one location's t, y pairs in time order
+    cells[:, 0] = data.times
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(data.n):
-            coords = ",".join("%.17g" % v for v in data.locations[i])
-            for k in range(data.m):
-                fh.write(f"{coords},{'%.17g' % data.times[k]},{'%.17g' % data.y[i, k]}\n")
+        for loc, y in zip(data.locations.tolist(), data.y):
+            cells[:, 1] = y
+            fh.write(((coords % tuple(loc) + ",%.17g,%.17g\n") * m) % tuple(cells.ravel().tolist()))
+
+
+PARSE_ROWS = 1024  # rows split into fields at a time, so that few field strings are held at once
+
+
+def _parse_rows(rows: list[str], width: int) -> np.ndarray:
+    """The fields of rows of `width` comma-separated fields, parsed by `float`
+    in one pass, as a (rows, width) array; when `float` rejects a field, the
+    array holds only the rows before that field's row."""
+    cells = ",".join(rows).split(",")
+    try:
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells)).reshape(-1, width)
+    except ValueError:
+        pass
+    for at, cell in enumerate(cells):  # find the rejected field
+        try:
+            float(cell)
+        except ValueError:
+            break
+    parsed = at // width * width
+    return np.fromiter(map(float, cells[:parsed]), dtype=float, count=parsed).reshape(-1, width)
+
+
+def _sorted_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of `keys` (r, c), -0.0 and 0.0 being equal.
+
+    Returns each row's group and each group's first row; groups are numbered
+    in sorted key order.
+    """
+    # lexsort is stable, so a group's first row leads it
+    order = np.lexsort(keys.T[::-1])
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
 
 
 def load_csv(path) -> SpaceTimeDataset:
@@ -184,6 +228,14 @@ def load_csv(path) -> SpaceTimeDataset:
 
     Rows must cover the full location-by-time grid exactly once; violations
     raise ParseError naming the row, as does a file that is not UTF-8 text.
+    Blank lines are skipped.  The first bad row in file order is named, and
+    within a row the field count is checked first, then that every field
+    parses with `float`, then that every value is finite; a duplicate
+    (location, time) pair is named at its second row.  Locations are
+    numbered in order of first appearance and times sorted, each kept as
+    first spelled (-0.0 and 0.0 being one value).  The fields are parsed by
+    `float`, one pass per PARSE_ROWS rows, and the checks, the indexing and
+    the grid fill run on arrays.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -196,42 +248,53 @@ def load_csv(path) -> SpaceTimeDataset:
     if len(header) < 3 or header[-1] != "y" or header[-2] != "t":
         raise ParseError("header must be s1,...,sp,t,y")
     p = len(header) - 2
+    width = p + 2
 
-    loc_index: dict[tuple, int] = {}
-    rows = []
-    for row_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != p + 2:
-            raise ParseError(f"row {row_no}: expected {p + 2} fields, got {len(cells)}")
-        try:
-            values = [float(c) for c in cells]
-        except ValueError:
-            raise ParseError(f"row {row_no}: non-numeric field") from None
-        if not all(math.isfinite(v) for v in values):
-            raise ParseError(f"row {row_no}: non-finite value")
-        loc = tuple(values[:p])
-        if loc not in loc_index:
-            loc_index[loc] = len(loc_index)
-        rows.append((row_no, loc_index[loc], values[p], values[p + 1]))
-
+    kept = np.fromiter(map(bool, map(str.strip, lines[1:])), dtype=bool, count=len(lines) - 1)
+    rows = list(compress(lines[1:], kept))
+    row_nos = np.flatnonzero(kept) + 2
     if not rows:
         raise ParseError("no data rows")
-    times = np.array(sorted({t for _, _, t, _ in rows}))
-    time_index = {t: k for k, t in enumerate(times)}
-    n, m = len(loc_index), times.size
+    # parse the rows before the first with a wrong field count; a failed
+    # parse ends them at the first row with a non-numeric field instead
+    fields = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.intp, count=len(rows)) + 1
+    wrong = np.flatnonzero(fields != width)
+    good = int(wrong[0]) if wrong.size else len(rows)
+    error = f"expected {width} fields, got {fields[good]}" if wrong.size else None
+    values = np.empty((good, width))
+    for start in range(0, good, PARSE_ROWS):
+        chunk = rows[start:min(start + PARSE_ROWS, good)]
+        parsed = _parse_rows(chunk, width)
+        values[start:start + len(parsed)] = parsed
+        if len(parsed) < len(chunk):
+            good, error = start + len(parsed), "non-numeric field"
+            values = values[:good]
+            break
+    nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if nonfinite.size:
+        good, error = int(nonfinite[0]), "non-finite value"
+    if error is not None:
+        raise ParseError(f"row {row_nos[good]}: {error}")
+
+    loc_group, loc_first = _sorted_groups(values[:, :p])
+    time_of_row, time_first = _sorted_groups(values[:, p:p + 1])
+    # number the locations in order of first appearance: a location's number
+    # is the count of first appearances before its own
+    first_rows = np.zeros(len(rows), dtype=bool)
+    first_rows[loc_first] = True
+    loc_of_row = (np.cumsum(first_rows) - 1)[loc_first][loc_group]
+    times = values[time_first, p]
+    n, m = loc_first.size, times.size
+    pair = loc_of_row * m + time_of_row
+    if np.bincount(pair).max() > 1:
+        _, pair_first = np.unique(pair, return_index=True)
+        repeated = np.ones(len(rows), dtype=bool)
+        repeated[pair_first] = False
+        raise ParseError(f"row {row_nos[np.argmax(repeated)]}: duplicate (location, time) pair")
     y = np.full((n, m), np.nan)
-    for row_no, i, t, val in rows:
-        k = time_index[t]
-        if not np.isnan(y[i, k]):
-            raise ParseError(f"row {row_no}: duplicate (location, time) pair")
-        y[i, k] = val
+    y[loc_of_row, time_of_row] = values[:, p + 1]
     missing = np.argwhere(np.isnan(y))
     if missing.size:
         i, k = missing[0]
         raise ParseError(f"ragged grid: location index {i} lacks time {times[k]}")
-    locations = np.empty((n, p))
-    for loc, i in loc_index.items():
-        locations[i] = loc
-    return SpaceTimeDataset(locations, times, y)
+    return SpaceTimeDataset(values[first_rows, :p], times, y)

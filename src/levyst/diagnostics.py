@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .errors import InvalidArgumentError, UndefinedBinError
+from .errors import InvalidArgumentError
 
 THRESHOLD_DECAY = 0.1    # detector thresholds c_j = max(c0 j^-THRESHOLD_DECAY, THRESHOLD_FLOOR)
 THRESHOLD_FLOOR = 1e-6
@@ -86,60 +86,6 @@ def recursive_stationarity_test(regions: list[np.ndarray], c0: float) -> Station
     pooled = np.concatenate([np.asarray(r, dtype=float).ravel() for r in regions])
     thresholds = threshold_sequence(c0, len(regions))
     distances = np.array([ks_distance(r, pooled) for r in regions])
-    indicators = (distances < thresholds).astype(float)
-    mean, var = _beta_recursion(indicators, PRIOR_A, PRIOR_B)
-    return StationarityResult(mean, var, thresholds, distances, _verdict(float(mean[-1])))
-
-
-def _lag_pairs(times: np.ndarray, lag_lo: float, lag_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i <= j, whose |time lag| falls in the bin, in
-    upper-triangle order.
-
-    Self-pairs enter when the bin includes lag zero, making the statistic the
-    plain variance there.
-    """
-    lag = np.abs(times[:, None] - times[None, :])
-    mask = (lag >= lag_lo) & (lag < lag_hi)
-    iu = np.triu_indices(times.size, k=0)
-    sel = mask[iu]
-    return iu[0][sel], iu[1][sel]
-
-
-def _region_lag_cov(series: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
-                    center: float) -> tuple[float, int]:
-    """Centered product moment over the lag pairs of `_lag_pairs`."""
-    i, j = pairs
-    if i.size == 0:
-        return math.nan, 0
-    x = series - center
-    return float((x[i] * x[j]).mean()), int(i.size)
-
-
-def recursive_cov_stationarity_test(regions: list[np.ndarray], times: np.ndarray,
-                                    lag_bin: tuple[float, float], c0: float) -> StationarityResult:
-    """Same recursion with |local - global| lag-bin covariances as distances."""
-    if len(regions) < 2:
-        raise InvalidArgumentError("at least two regions required")
-    lo, hi = lag_bin
-    times = np.asarray(times, dtype=float)
-    regions = [np.asarray(r, dtype=float).ravel() for r in regions]
-    if any(r.size != times.size for r in regions):
-        raise InvalidArgumentError("every region needs one value per time")
-    pairs = _lag_pairs(times, lo, hi)
-    local = []
-    counts = []
-    for r in regions:
-        cov, cnt = _region_lag_cov(r, pairs, float(r.mean()))
-        local.append(cov)
-        counts.append(cnt)
-    if min(counts) < 2:
-        raise UndefinedBinError(f"lag bin [{lo}, {hi}) has fewer than 2 pairs in some region")
-    pooled_mean = float(np.mean(np.concatenate(regions)))
-    global_parts = [_region_lag_cov(r, pairs, pooled_mean) for r in regions]
-    total_pairs = sum(c for _, c in global_parts)
-    global_cov = sum(v * c for v, c in global_parts) / total_pairs
-    distances = np.abs(np.array(local) - global_cov)
-    thresholds = threshold_sequence(c0, len(regions))
     indicators = (distances < thresholds).astype(float)
     mean, var = _beta_recursion(indicators, PRIOR_A, PRIOR_B)
     return StationarityResult(mean, var, thresholds, distances, _verdict(float(mean[-1])))

@@ -29,9 +29,5 @@ class UnsupportedPredictionError(LevystError, ValueError):
     """Prediction requested outside the supported domain (off-grid time)."""
 
 
-class UndefinedBinError(LevystError, ValueError):
-    """A lag bin has too few pairs for the requested statistic."""
-
-
 class NumericError(LevystError, ArithmeticError):
     """A numerical routine failed (non-finite values, factorization failure)."""

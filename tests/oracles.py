@@ -1,7 +1,8 @@
 """Reference forms that tests compare the program against: per-sample forms
 of whole-chain computations, which the batched forms equal with `==`, and
 the one-point field, the prior densities and the joint log posterior, which
-the sampler's batched terms agree with.
+the sampler's batched terms agree with, and the per-value text writers and
+per-row CSV reader, whose bytes and arrays the program's equal.
 
 (Named `oracles`, not `reference`: the benchmark's own `reference` module is
 imported by name in the same test process.)
@@ -14,11 +15,14 @@ from scipy.special import gammaln
 
 from levyst import effects
 from levyst.ar import mode_for_times
-from levyst.errors import ConfigError, InvalidArgumentError, InvalidStateError, UnsupportedPredictionError
+from levyst.chainio import _FMT, _group_cells, _meta_cell, scalar_header
+from levyst.data import SpaceTimeDataset
+from levyst.errors import (ConfigError, InvalidArgumentError, InvalidStateError, ParseError,
+                           UnsupportedPredictionError)
 from levyst.model import (MAP_EXPONENT, MonotoneMapFit, ThetaLayout, atom_process_log_density, count_log_factor,
                           field_rows, field_values, kernel_matrix, log_observation_density, log_prior_theta,
                           unpack_theta)
-from levyst.sampler import PredictionBands, _S_PREDICT, stream
+from levyst.sampler import ChainSample, PredictionBands, _S_PREDICT, stream
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -222,3 +226,106 @@ def log_joint_posterior(*args, **kwargs) -> float:
     if np.any(~np.isfinite(values)):
         return -np.inf
     return float(values.sum())
+
+
+# Values that the text writers' and the CSV reader's tests include: signed
+# zeros, the least subnormal, the largest finite, integer-valued floats and
+# values that need all 17 significant digits.
+TEXT_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -7.0,
+                    2.0 ** 53, 1e22, 0.1, 1 / 3, 2.2250738585072014e-308, 9007199254740993.0,
+                    1.2345678901234567e-5)
+
+
+def write_chain_per_value(path, samples: list[ChainSample], meta: dict) -> None:
+    p, m = int(meta["p"]), int(meta["m"])
+    store_phi = any(s.phi is not None for s in samples)
+    meta = dict(meta)
+    meta["phi_stored"] = int(store_phi)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# " + " ".join(f"{k}={_meta_cell(v)}" for k, v in sorted(meta.items())) + "\n")
+        fh.write(" ".join(scalar_header(p) + ["atoms..."]) + "\n")
+        for s in samples:
+            cells = [str(s.iteration)]
+            scalars = [s.lam, s.sigma_sq_eps, s.alpha, s.sigma_sq_alpha, s.sigma_sq_phi]
+            scalars += list(s.nu) + list(s.omega_sq) + list(s.theta)
+            cells += [_FMT % v for v in scalars]
+            # a count J prints the same through _FMT as through str
+            group_at, block, slot, beta_at, mu_at = _group_cells(s.store)
+            groups = np.empty(group_at[-1])
+            groups[group_at[:-1]] = s.store.counts
+            groups[beta_at] = s.store.values[0, block, slot]
+            groups[mu_at] = s.store.values[1:, block, slot]
+            cells += [_FMT % v for v in groups.tolist()]
+            if store_phi:
+                cells += [_FMT % v for v in s.phi.ravel()]
+            fh.write(" ".join(cells) + "\n")
+
+
+def write_csv_per_value(data: SpaceTimeDataset, path) -> None:
+    """Long format, one row per (location, time): s1..sp, t, y."""
+    p = data.p
+    header = ",".join([f"s{ell + 1}" for ell in range(p)] + ["t", "y"])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i in range(data.n):
+            coords = ",".join("%.17g" % v for v in data.locations[i])
+            for k in range(data.m):
+                fh.write(f"{coords},{'%.17g' % data.times[k]},{'%.17g' % data.y[i, k]}\n")
+
+
+def load_csv_per_row(path) -> SpaceTimeDataset:
+    """Parse the long CSV format back into a gridded dataset.
+
+    Rows must cover the full location-by-time grid exactly once; violations
+    raise ParseError naming the row, as does a file that is not UTF-8 text.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ParseError("data file is not UTF-8 text") from None
+    if not lines:
+        raise ParseError("empty file")
+    header = [h.strip() for h in lines[0].split(",")]
+    if len(header) < 3 or header[-1] != "y" or header[-2] != "t":
+        raise ParseError("header must be s1,...,sp,t,y")
+    p = len(header) - 2
+
+    loc_index: dict[tuple, int] = {}
+    rows = []
+    for row_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != p + 2:
+            raise ParseError(f"row {row_no}: expected {p + 2} fields, got {len(cells)}")
+        try:
+            values = [float(c) for c in cells]
+        except ValueError:
+            raise ParseError(f"row {row_no}: non-numeric field") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ParseError(f"row {row_no}: non-finite value")
+        loc = tuple(values[:p])
+        if loc not in loc_index:
+            loc_index[loc] = len(loc_index)
+        rows.append((row_no, loc_index[loc], values[p], values[p + 1]))
+
+    if not rows:
+        raise ParseError("no data rows")
+    times = np.array(sorted({t for _, _, t, _ in rows}))
+    time_index = {t: k for k, t in enumerate(times)}
+    n, m = len(loc_index), times.size
+    y = np.full((n, m), np.nan)
+    for row_no, i, t, val in rows:
+        k = time_index[t]
+        if not np.isnan(y[i, k]):
+            raise ParseError(f"row {row_no}: duplicate (location, time) pair")
+        y[i, k] = val
+    missing = np.argwhere(np.isnan(y))
+    if missing.size:
+        i, k = missing[0]
+        raise ParseError(f"ragged grid: location index {i} lacks time {times[k]}")
+    locations = np.empty((n, p))
+    for loc, i in loc_index.items():
+        locations[i] = loc
+    return SpaceTimeDataset(locations, times, y)

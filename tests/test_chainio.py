@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from levyst.chainio import read_chain, scalar_header, write_chain, write_move_stats
 from levyst.data import SpaceTimeDataset
 from levyst.errors import ParseError
 from levyst.model import AtomStore, LatentAtoms, PriorConfig
 from levyst.sampler import ChainSample, MoveStats, SamplerConfig, run_chain
+from oracles import TEXT_EDGE_FLOATS, write_chain_per_value
 
 
 def _sample(rng, p=2, m=3, with_phi=False, n=2, iteration=40):
@@ -186,6 +188,51 @@ def test_read_chain_fuzzed_rows_round_trip_or_raise(fitted_chains, tmp_path, mod
     except ParseError:
         return
     assert _rewrite(path) == first
+
+
+CELLS = st.one_of(st.sampled_from(TEXT_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def chains(draw):
+    """(samples, meta): p 1-3, m 1-4 blocks, n 1-3 locations, phi stored or
+    not, and every atom count in 1..j_max."""
+    p, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    j_max = draw(st.integers(1, 4))
+    with_phi = draw(st.booleans())
+    samples = []
+    for _ in range(draw(st.integers(1, 3))):
+        counts = draw(st.lists(st.integers(1, j_max), min_size=m, max_size=m))
+        atoms = [LatentAtoms(draw(arrays(float, (J, p), elements=CELLS)), draw(arrays(float, J, elements=CELLS)))
+                 for J in counts]
+        lam, ssq_eps, alpha, ssq_alpha, ssq_phi = draw(st.lists(CELLS, min_size=5, max_size=5))
+        samples.append(ChainSample(
+            iteration=draw(st.integers(0, 10 ** 6)), store=AtomStore.from_blocks(atoms),
+            theta=draw(arrays(float, 6 * p + 4, elements=CELLS)), lam=lam, sigma_sq_eps=ssq_eps, alpha=alpha,
+            sigma_sq_alpha=ssq_alpha, sigma_sq_phi=ssq_phi, nu=draw(arrays(float, p, elements=CELLS)),
+            omega_sq=draw(arrays(float, p, elements=CELLS)),
+            phi=draw(arrays(float, (n, m), elements=CELLS)) if with_phi else None))
+    return samples, {"p": p, "m": m, "n": n, "mode": "explicit" if with_phi else "marginalized", "seed": 3}
+
+
+@given(chain=chains())
+@settings(max_examples=200, deadline=None)
+def test_write_chain_bytes_equal_per_value_writer(tmp_path_factory, chain):
+    """The row-template writer writes the bytes of the per-value writer."""
+    samples, meta = chain
+    tmp = tmp_path_factory.mktemp("chain")
+    write_chain(tmp / "rows.txt", samples, meta)
+    write_chain_per_value(tmp / "cells.txt", samples, meta)
+    assert (tmp / "rows.txt").read_bytes() == (tmp / "cells.txt").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["marginalized", "explicit"])
+def test_write_chain_of_a_fit_equals_per_value_writer(fitted_chains, tmp_path, mode):
+    path = tmp_path / "chain.txt"
+    path.write_text(fitted_chains[mode])
+    samples, meta = read_chain(path)
+    write_chain_per_value(path, samples, meta)
+    assert path.read_text() == fitted_chains[mode]
 
 
 def test_move_stats_table(tmp_path):

@@ -1,12 +1,14 @@
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import levyst.data as data_module
 from levyst.data import (
@@ -24,6 +26,7 @@ from levyst.data import (
 from levyst.errors import ConfigError, DegenerateDataError, InvalidArgumentError, NumericError, ParseError
 from levyst.model import AtomStore, LatentAtoms
 from levyst.sampler import ChainSample, posterior_predict
+from oracles import TEXT_EDGE_FLOATS, load_csv_per_row, write_csv_per_value
 
 
 def test_dataset_validation():
@@ -302,3 +305,137 @@ def test_load_csv_fuzzed_loads_or_raises(tmp_path_factory, op, where, token, byt
     assert data.y.shape == (data.n, data.m)
     assert np.all(np.isfinite(data.y)) and np.all(np.isfinite(data.locations))
 
+
+CELLS = st.one_of(st.sampled_from(TEXT_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def datasets(draw):
+    """p 1-3, n 1-4 locations (equal ones allowed), m 1-4 times (within
+    +-1e300, so that their gaps are finite)."""
+    p, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    times = sorted(draw(st.lists(CELLS.filter(lambda t: abs(t) <= 1e300), min_size=m, max_size=m, unique=True)))
+    return SpaceTimeDataset(draw(arrays(float, (n, p), elements=CELLS)), times,
+                            draw(arrays(float, (n, m), elements=CELLS)))
+
+
+@given(data=datasets())
+@settings(max_examples=200, deadline=None)
+def test_write_csv_bytes_equal_per_value_writer(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("csv")
+    write_csv(data, tmp / "rows.csv")
+    write_csv_per_value(data, tmp / "cells.csv")
+    assert (tmp / "rows.csv").read_bytes() == (tmp / "cells.csv").read_bytes()
+
+
+def _outcome(load, path):
+    """What a loader makes of a file: its arrays' bytes (so the sign of every
+    zero counts), or its ParseError's message."""
+    try:
+        data = load(path)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    return data.locations.shape, data.locations.tobytes(), data.times.tobytes(), data.y.tobytes()
+
+
+def _spell(draw, v: float) -> str:
+    """A text that `float` reads as v, zeros in either sign's spelling."""
+    if v == 0.0:
+        return draw(st.sampled_from(["0", "-0", "0.0", "-0.0", " 0 ", "+0e5", "0_0"]))
+    return draw(st.sampled_from(["%.17g" % v, repr(v), f" {v!r}\t"]))
+
+
+@st.composite
+def grid_files(draw):
+    """The text of a full grid whose locations and times include zeros in
+    both signs' spellings, in shuffled row order with blank lines."""
+    p, n, m = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324])
+    locs = draw(st.lists(st.lists(values, min_size=p, max_size=p), min_size=n, max_size=n,
+                         unique_by=lambda loc: tuple(v + 0.0 for v in loc)))
+    times = draw(st.lists(values, min_size=m, max_size=m, unique_by=lambda t: t + 0.0))
+    cells = [(loc, t, draw(CELLS)) for loc in locs for t in times]
+    rows = [",".join([_spell(draw, v) for v in (*loc, t)] + ["%.17g" % y])
+            for loc, t, y in draw(st.permutations(cells))]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", "  ", "\t"])))
+    return ",".join([f"s{ell + 1}" for ell in range(p)] + ["t", "y"]) + "\n" + "\n".join(rows) + "\n"
+
+
+# rows parsed at a time: a few, so that files span several parse chunks, and the default
+PARSE_ROWS = st.sampled_from([1, 2, 3, data_module.PARSE_ROWS])
+
+
+@given(text=grid_files(), parse_rows=PARSE_ROWS)
+@settings(max_examples=200, deadline=None)
+def test_load_csv_arrays_equal_per_row_reader(tmp_path_factory, text, parse_rows):
+    """Bit for bit, sign of zero included: a location or time keeps its first
+    spelling, and -0.0 and 0.0 are one location or time."""
+    path = tmp_path_factory.mktemp("grid") / "d.csv"
+    path.write_text(text)
+    with mock.patch.object(data_module, "PARSE_ROWS", parse_rows):
+        outcome = _outcome(load_csv, path)
+    assert outcome[0] != "ParseError"
+    assert outcome == _outcome(load_csv_per_row, path)
+
+
+@given(data=datasets())
+@settings(max_examples=100, deadline=None)
+def test_csv_round_trip_equals_per_row_reader(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("trip") / "d.csv"
+    write_csv(data, path)
+    assert _outcome(load_csv, path) == _outcome(load_csv_per_row, path)
+
+
+_MALFORMED_CSV = {
+    "wrong field count": ("s1,t,y\n0,1,10\n0,2\n", "row 3"),
+    "too many fields": ("s1,t,y\n0,1,10\n0,2,20,1\n", "row 3"),
+    "non-numeric": ("s1,t,y\n0,1,10\n0,2,x\n", "row 3"),
+    "empty field": ("s1,t,y\n0,1,10\n0,2,\n", "row 3"),
+    "nan": ("s1,t,y\n0,1,10\n0,2,nan\n", "row 3"),
+    "overflow to inf": ("s1,t,y\n0,1,10\n1e400,2,1\n", "row 3"),
+    "duplicate pair": ("s1,t,y\n0,1,10\n0,2,20\n-0,1.0,11\n", "row 4"),
+    "ragged grid": ("s1,t,y\n0,1,10\n0,2,20\n1,1,30\n", "ragged"),
+    "blank lines": ("s1,t,y\n\n0,1,10\n   \n\t\n0,2,x\n", "row 6"),
+    "non-finite then wrong count": ("s1,t,y\n0,1,10\n0,2,inf\n\n0,3\n", "row 3"),
+    "wrong count then non-numeric": ("s1,t,y\n0,1\n0,2,x\n", "row 2"),
+    "non-numeric then non-finite": ("s1,t,y\n0,1,10\n0,x,20\n0,3,nan\n", "row 3"),
+    "non-finite then non-numeric": ("s1,t,y\n0,1,nan\n0,x,20\n", "row 2"),
+    "duplicate then non-numeric": ("s1,t,y\n0,1,10\n0,1,11\n0,2,x\n", "row 4"),
+    "nan and text in one row": ("s1,t,y\n0,nan,x\n", "non-numeric"),
+    "text in a short row": ("s1,t,y\n0,x\n", "fields"),
+    "no data rows": ("s1,t,y\n\n  \n", "no data rows"),
+    "bad header": ("a,b\n0,1\n", "header"),
+}
+
+
+@pytest.mark.parametrize("parse_rows", [1, 2, data_module.PARSE_ROWS])
+@pytest.mark.parametrize("case", list(_MALFORMED_CSV))
+def test_load_csv_errors_equal_per_row_reader(tmp_path, monkeypatch, case, parse_rows):
+    """The first bad row in file order is named; within a row, the field
+    count is checked before the fields parse, and they before finiteness."""
+    text, named = _MALFORMED_CSV[case]
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    monkeypatch.setattr(data_module, "PARSE_ROWS", parse_rows)
+    outcome = _outcome(load_csv, path)
+    assert outcome[0] == "ParseError" and named in outcome[1]
+    assert outcome == _outcome(load_csv_per_row, path)
+
+
+@given(op=st.sampled_from(["truncate", "insert", "replace", "delete", "corrupt"]),
+       where=st.floats(0.0, 1.0, exclude_max=True), token=_CSV_TOKENS, byte=st.integers(0, 255),
+       parse_rows=PARSE_ROWS)
+@settings(max_examples=300, deadline=None)
+def test_load_csv_fuzzed_equals_per_row_reader(tmp_path_factory, op, where, token, byte, parse_rows):
+    """An edited data file loads to the per-row reader's arrays, or raises
+    its ParseError message."""
+    raw = _CSV_TEXT.encode()
+    i = int(where * len(raw))
+    edits = {"truncate": raw[:i], "insert": raw[:i] + token.encode() + raw[i:],
+             "replace": raw[:i] + token.encode() + raw[i + 1:], "delete": raw[:i] + raw[i + 1:],
+             "corrupt": raw[:i] + bytes([byte]) + raw[i + 1:]}
+    path = tmp_path_factory.mktemp("fuzz") / "d.csv"
+    path.write_bytes(edits[op])
+    with mock.patch.object(data_module, "PARSE_ROWS", parse_rows):
+        assert _outcome(load_csv, path) == _outcome(load_csv_per_row, path)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digest of the chains, predictive draws and move counts of fixed problems.
+"""Digest of the data files, chains, predictive draws and move counts of fixed problems.
 
     python3 tools/chain_digest.py > digest.txt
     python3 tools/chain_digest.py --check tools/chain_digest.expected
@@ -7,9 +7,12 @@
 Run from the root of a source checkout: the program is imported from that
 checkout's `src/`.  Each line names one problem and gives a SHA-256 prefix of
 the `write_chain` bytes, one of the `posterior_predict` draws, and the
-accepted/proposed count of every move; the last line digests all lines.  Two
-commits that sample the same chains print the same output, so comparing the
-output of two checkouts with `diff` checks that a change kept every bit.
+accepted/proposed count of every move.  A `csv` line per benchmark shape
+comes first: SHA-256 prefixes of the `write_csv` bytes of the simulated train
+and test sets, and of the arrays `load_csv` reads back from those files.  The
+last line digests all lines.  Two commits that write the same files and
+sample the same chains print the same output, so comparing the output of two
+checkouts with `diff` checks that a change kept every bit.
 `--check FILE` compares the output with FILE instead of printing it: it
 prints the lines that differ and exits 1 if any do, 0 if none do.
 `tools/chain_digest.expected` holds the output of the commit that last
@@ -41,6 +44,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import levyst  # noqa: E402
 from levyst.chainio import write_chain  # noqa: E402
+from levyst.data import load_csv, write_csv  # noqa: E402
 
 # (name, n_train, n_test, m, simulator seed, marginalized, iterations); the
 # shapes are those of perfbench's workloads, run for about twice as long.
@@ -85,6 +89,25 @@ def digest(train, cfg, prior, marginalized, points, times, predict_seed, workdir
     return f"chain={_hash(path.read_bytes())} draws={_hash(bands.draws.tobytes())} {moves}"
 
 
+def csv_digest(sim: levyst.GqnResult, workdir: Path) -> str:
+    """Digest of the `write_csv` bytes of both splits and of what `load_csv`
+    reads back from them."""
+    files, arrays = {}, []
+    for part in ("train", "test"):
+        path = workdir / f"{part}.csv"
+        write_csv(getattr(sim, part), path)
+        files[part] = _hash(path.read_bytes())
+        data = load_csv(path)
+        arrays += [data.locations.tobytes(), data.times.tobytes(), data.y.tobytes()]
+    return f"train={files['train']} test={files['test']} loaded={_hash(b''.join(arrays))}"
+
+
+def csv_cases():
+    """(label, simulated data) per benchmark shape."""
+    for name, n_train, n_test, m, gqn_seed, _, _ in SHAPES:
+        yield f"{name} csv", levyst.gqn_simulate(levyst.GqnConfig(n_train=n_train, n_test=n_test, m=m, seed=gqn_seed))
+
+
 def cases():
     """(label, train, config, prior, marginalized, points, times, predict seed) per problem."""
     for name, n_train, n_test, m, gqn_seed, marginalized, iterations in SHAPES:
@@ -112,6 +135,14 @@ def fixture_cases(workers_counts):
                            marginalized, FIXTURE_POINTS, times, seed + 1)
 
 
+def digest_lines(workdir: Path):
+    """The `csv` lines, then one line per problem of `cases`."""
+    for label, sim in csv_cases():
+        yield f"{label}: " + csv_digest(sim, workdir)
+    for label, *case in cases():
+        yield f"{label}: " + digest(*case, workdir)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description="Digest the chains of fixed problems.")
     parser.add_argument("--check", metavar="FILE", type=Path,
@@ -120,8 +151,7 @@ def main() -> None:
     expected = args.check.read_text(encoding="utf-8").splitlines() if args.check else None
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for label, train, cfg, prior, marginalized, points, times, predict_seed in cases():
-            line = f"{label}: " + digest(train, cfg, prior, marginalized, points, times, predict_seed, Path(tmp))
+        for line in digest_lines(Path(tmp)):
             if expected is None:
                 print(line, flush=True)
             lines.append(line)
