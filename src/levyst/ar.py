@@ -98,7 +98,7 @@ def ar_sample_path(times: np.ndarray, spec: ArSpec, rng: np.random.Generator) ->
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise InvalidArgumentError("times must be a nonempty 1-d array")
-    if times.size > 1 and np.any(np.diff(times) <= 0.0):
+    if np.any(times[1:] <= times[:-1]):
         raise InvalidArgumentError("times must be strictly increasing")
     gaps = step_gaps(times, spec.mode)
     path = np.empty(times.size)

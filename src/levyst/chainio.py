@@ -12,7 +12,10 @@ each led by its explicit count J:
 Floats are written with 17 significant digits, so a write/read round trip is
 bit-exact.  A sample cell that is not a finite number fails the read.  The
 writer formats each row with one `%` over a row template and writes it at
-once, so a long chain is never held as text.
+once, and the reader reads the file one line at a time, so a long chain is
+never held as text.  A row in the writer's layout, its cells one space
+apart, is parsed in one `np.fromstring` pass; any other row is read cell by
+cell with `float`, which gives the same values and names a row's faults.
 """
 
 from __future__ import annotations
@@ -134,50 +137,70 @@ def _meta_int(meta: dict, key: str, lowest: int, default: int | None = None) -> 
     return value
 
 
-def read_chain(path) -> tuple[list[ChainSample], dict]:
+def _row_values(line: str, row_no: int) -> tuple[int, np.ndarray]:
+    """A data row's iteration, read with `int`, and its other cells as a
+    float array.
+
+    A row in the writer's layout, one space between cells, is parsed by
+    one `np.fromstring` pass, which is kept only if it read one finite
+    value per space-separated cell.  Every other row, and every row that
+    fails, is read cell by cell with `float`, which names its first fault:
+    a non-numeric cell, then a non-finite one.
+    """
+    first, _, cells = line.partition(" ")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError:
-        raise ParseError("chain file is not UTF-8 text") from None
-    if len(lines) < 2 or not lines[0].startswith("# "):
+        it = int(first)
+        row = np.fromstring(cells, sep=" ")
+    except ValueError:
+        pass
+    else:
+        if row.size == cells.count(" ") + 1 and np.isfinite(row).all():
+            return it, row
+    cells = line.split()
+    try:
+        it = int(cells[0])
+        row = np.array([float(c) for c in cells[1:]])
+    except ValueError:
+        raise ParseError(f"row {row_no}: non-numeric cell") from None
+    if not np.isfinite(row).all():
+        raise ParseError(f"row {row_no}: non-finite cell")
+    return it, row
+
+
+def _read_rows(fh) -> tuple[list[ChainSample], dict]:
+    """The samples and metadata of an open chain file (`read_chain`)."""
+    rows = (row for line in fh for row in line.splitlines())
+    meta_line, header = next(rows, None), next(rows, None)
+    if header is None or not meta_line.startswith("# "):
         raise ParseError("missing chain metadata line")
-    meta = _read_meta(lines[0][2:])
+    meta = _read_meta(meta_line[2:])
     p, m = _meta_int(meta, "p", 1), _meta_int(meta, "m", 1)
     n = _meta_int(meta, "n", 0, default=0)
     store_phi = bool(_meta_int(meta, "phi_stored", 0, default=0))
     n_scalars = 6 + 2 * p + ThetaLayout(p=p).dim  # len(scalar_header(p)), without building it
 
     samples: list[ChainSample] = []
-    for row_no, line in enumerate(lines[2:], start=3):
+    for row_no, line in enumerate(rows, start=3):
         if not line.strip():
             continue
-        cells = line.split()
-        try:
-            it = int(cells[0])
-            vals = [float(c) for c in cells[1:]]
-        except ValueError:
-            raise ParseError(f"row {row_no}: non-numeric cell") from None
-        row = np.array(vals)
-        if not np.isfinite(row).all():
-            raise ParseError(f"row {row_no}: non-finite cell")
+        it, row = _row_values(line, row_no)
         pos = n_scalars - 1
-        if len(vals) < pos:
+        if row.size < pos:
             raise ParseError(f"row {row_no}: truncated scalars")
-        lam, ssq_eps, alpha, ssq_alpha, ssq_phi = vals[0:5]
+        lam, ssq_eps, alpha, ssq_alpha, ssq_phi = row[:5].tolist()
         nu = row[5:5 + p].copy()
         omega_sq = row[5 + p:5 + 2 * p].copy()
         theta = row[5 + 2 * p:pos].copy()
         first, counts = pos, []
         for _ in range(m):
-            if pos >= len(vals):
+            if pos >= row.size:
                 raise ParseError(f"row {row_no}: truncated atom groups")
-            J = vals[pos]
+            J = row.item(pos)
             if not (J.is_integer() and J >= 1):
-                raise ParseError(f"row {row_no}: atom count {cells[pos + 1]} is not a whole number >= 1")
+                raise ParseError(f"row {row_no}: atom count {line.split()[pos + 1]} is not a whole number >= 1")
             J = int(J)
             pos += 1 + J * (p + 1)
-            if pos > len(vals):
+            if pos > row.size:
                 raise ParseError(f"row {row_no}: truncated atom group (J={J})")
             counts.append(J)
         store = AtomStore(np.zeros((p + 1, m, max(counts))), np.array(counts, dtype=np.int64))
@@ -187,17 +210,41 @@ def read_chain(path) -> tuple[list[ChainSample], dict]:
         store.values[1:, block, slot] = groups[mu_at]
         phi = None
         if store_phi:
-            if pos + n * m > len(vals):
+            if pos + n * m > row.size:
                 raise ParseError(f"row {row_no}: truncated phi field")
             phi = row[pos:pos + n * m].reshape(n, m).copy()
             pos += n * m
-        if pos != len(vals):
-            raise ParseError(f"row {row_no}: {len(vals) - pos} trailing cells")
+        if pos != row.size:
+            raise ParseError(f"row {row_no}: {row.size - pos} trailing cells")
         samples.append(ChainSample(
             iteration=it, store=store, theta=theta, lam=lam, sigma_sq_eps=ssq_eps,
             alpha=alpha, sigma_sq_alpha=ssq_alpha, sigma_sq_phi=ssq_phi,
             nu=nu, omega_sq=omega_sq, phi=phi))
     return samples, meta
+
+
+def read_chain(path) -> tuple[list[ChainSample], dict]:
+    """The samples and metadata of a chain file, as `write_chain` wrote them.
+
+    The file is read one line at a time, and each line is split into rows
+    by `str.splitlines`, so rows and their numbers are those of the whole
+    text's `splitlines`; blank rows are skipped.  A malformed file raises
+    ParseError naming its first bad row in file order; within a row the
+    faults are checked in the order non-numeric cell, non-finite cell,
+    truncated scalars, truncated atom groups, bad atom count, truncated
+    atom group, truncated phi field, trailing cells.  A file that is not
+    UTF-8 text fails as such, before any row error.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                return _read_rows(fh)
+            except ParseError:
+                while fh.read(1 << 16):  # decode the rest: a decoding fault wins over a row's
+                    pass
+                raise
+    except UnicodeDecodeError:
+        raise ParseError("chain file is not UTF-8 text") from None
 
 
 def write_move_stats(path, stats: MoveStats) -> None:

@@ -21,10 +21,10 @@ import sys
 import numpy as np
 
 from . import __version__, chainio, diagnostics
-from .data import GqnConfig, gqn_simulate, load_csv, standardize, write_csv
+from .data import GqnConfig, SpaceTimeDataset, gqn_simulate, load_csv, standardize, write_csv, write_rows
 from .errors import ConfigError, LevystError, ParseError
 from .model import COORD_BOUND, PriorConfig
-from .sampler import Sampler, SamplerConfig, posterior_predict, samples_outside_atom_box
+from .sampler import PredictionBands, Sampler, SamplerConfig, posterior_predict, samples_outside_atom_box
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -161,6 +161,18 @@ def _check_training_data(data, meta: dict) -> None:
                               f"the chain's is {meta[key]}")
 
 
+_BAND_NAMES = {1 / 16: "lower_0875", 0.5: "median", 15 / 16: "upper_0875", 0.025: "lower_95", 0.975: "upper_95"}
+
+
+def write_bands(path, points: SpaceTimeDataset, bands: PredictionBands, probs) -> None:
+    """bands.csv: one row per (point, time), s1..sp, t, then the band of each
+    probability in probs, named by `_BAND_NAMES` (`write_rows`)."""
+    header = [f"s{ell + 1}" for ell in range(points.p)] + ["t"] + [_BAND_NAMES[pr] for pr in probs]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        write_rows(fh, points.locations, points.times, np.stack([bands.quantiles[pr] for pr in probs], axis=-1))
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     samples, meta = chainio.read_chain(args.chain)
@@ -178,18 +190,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                               marginalized=marginalized, seed=cfg.setdefault("seed", 0), probs=tuple(probs))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "bands.csv")
-    names = {1 / 16: "lower_0875", 0.5: "median", 15 / 16: "upper_0875",
-             0.025: "lower_95", 0.975: "upper_95"}
-    cols = [names[pr] for pr in probs]
-    with open(path, "w", encoding="utf-8") as fh:
-        p = new.p
-        fh.write(",".join([f"s{ell + 1}" for ell in range(p)] + ["t"] + cols) + "\n")
-        for a in range(new.n):
-            for b in range(new.m):
-                row = ["%.17g" % v for v in new.locations[a]]
-                row.append("%.17g" % new.times[b])
-                row += ["%.17g" % bands.quantiles[pr][a, b] for pr in probs]
-                fh.write(",".join(row) + "\n")
+    write_bands(path, new, bands, probs)
     _write_manifest(args.out, "predict", cfg)
     print(f"predict: bands for {new.n * new.m} points -> {path}")
     return 0

@@ -29,7 +29,7 @@ class SpaceTimeDataset:
             raise InvalidArgumentError("y must be (n locations, m times)")
         if not (np.all(np.isfinite(self.locations)) and np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.y))):
             raise InvalidArgumentError("dataset contains non-finite values")
-        if self.times.size > 1 and np.any(np.diff(self.times) <= 0.0):
+        if np.any(self.times[1:] <= self.times[:-1]):
             raise InvalidArgumentError("times must be strictly increasing")
 
     @property
@@ -168,23 +168,31 @@ def standardize(data: SpaceTimeDataset) -> tuple[SpaceTimeDataset, tuple[float, 
     return out, (mean, sd)
 
 
-def write_csv(data: SpaceTimeDataset, path) -> None:
-    """Long format, one row per (location, time): s1..sp, t, y, every value
-    with 17 significant digits.
+def write_rows(fh, locations: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
+    """Write one CSV row per (location, time), locations outermost: the
+    location's coordinates, the time, then values[i, k, :], every value with
+    17 significant digits.
 
     Each location's m rows are formatted by one `%` over a template that
     holds its formatted coordinates, and written at once.
     """
-    p, m = data.p, data.m
-    header = ",".join([f"s{ell + 1}" for ell in range(p)] + ["t", "y"])
-    coords = ",".join(["%.17g"] * p)
-    cells = np.empty((m, 2))  # one location's t, y pairs in time order
-    cells[:, 0] = data.times
+    m, k = values.shape[1:]
+    coords = ",".join(["%.17g"] * locations.shape[1])
+    rows = ",%.17g" * (1 + k) + "\n"
+    cells = np.empty((m, 1 + k))  # one location's rows in time order
+    cells[:, 0] = times
+    for loc, v in zip(locations.tolist(), values):
+        cells[:, 1:] = v
+        fh.write(((coords % tuple(loc) + rows) * m) % tuple(cells.ravel().tolist()))
+
+
+def write_csv(data: SpaceTimeDataset, path) -> None:
+    """Long format, one row per (location, time): s1..sp, t, y, every value
+    with 17 significant digits (`write_rows`)."""
+    header = ",".join([f"s{ell + 1}" for ell in range(data.p)] + ["t", "y"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for loc, y in zip(data.locations.tolist(), data.y):
-            cells[:, 1] = y
-            fh.write(((coords % tuple(loc) + ",%.17g,%.17g\n") * m) % tuple(cells.ravel().tolist()))
+        write_rows(fh, data.locations, data.times, data.y[:, :, None])
 
 
 PARSE_ROWS = 1024  # rows split into fields at a time, so that few field strings are held at once

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import InvalidArgumentError
 
@@ -113,7 +113,7 @@ def lagged_correlation(locations: np.ndarray, times: np.ndarray, y: np.ndarray,
     stays O(PAIR_CHUNK * cells).
     """
     edges = np.asarray(edges, dtype=float)
-    if edges.size < 2 or np.any(np.diff(edges) <= 0.0):
+    if edges.size < 2 or np.any(edges[1:] <= edges[:-1]):
         raise InvalidArgumentError("bin edges must be increasing and at least two")
     if y.size == 0:
         raise InvalidArgumentError("empty data")
@@ -184,7 +184,7 @@ def normality_summary(sample: np.ndarray) -> NormalitySummary:
     sd = x.std(ddof=1)
     if sd <= 0.0:
         return NormalitySummary(probs, sq, np.full_like(sq, x.mean()), 0.0, degenerate=True)
-    nq = norm.ppf(probs, loc=x.mean(), scale=sd)
+    nq = ndtri(probs) * sd + x.mean()  # normal quantiles, as norm.ppf(probs, loc=mean, scale=sd)
     dev = float(np.max(np.abs(sq - nq)))
     return NormalitySummary(probs, sq, nq, dev)
 

@@ -254,7 +254,7 @@ class MapGrid:
             c = np.asarray(coords, dtype=float)
             if c.ndim != 1 or c.size == 0:
                 raise InvalidArgumentError("each dimension needs a nonempty coordinate vector")
-            if c.size > 1 and np.any(np.diff(c) < 0.0):
+            if np.any(c[1:] < c[:-1]):
                 raise InvalidArgumentError(f"coordinates for dimension {ell} are not sorted")
             knots.append(c)
             lead.append(abs(c[0]) ** MAP_EXPONENT)

@@ -97,7 +97,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import invgamma, norm
+from scipy.special import gammainccinv, ndtri
 
 from . import effects
 from .ar import ArMode, ArSpec, mode_for_times, step_gaps
@@ -876,9 +876,9 @@ class Sampler:
         scalars, and atoms from their initial laws."""
         ctx, prior, cfg = self.ctx, self.ctx.prior, self.cfg
         layout = ctx.layout
-        ig_med = float(invgamma.median(prior.ig_a, scale=prior.ig_b))
+        ig_med = float((1.0 / gammainccinv(prior.ig_a, 0.5)) * prior.ig_b)  # the inverse-gamma median
         omega0 = prior.ig_b / (prior.ig_a - 1.0) if prior.ig_a > 1.0 else ig_med
-        x0 = math.sqrt(omega0) * float(norm.ppf(0.75))
+        x0 = math.sqrt(omega0) * float(ndtri(0.75))
 
         theta = np.empty(layout.dim)
         theta[layout.sl_x] = min(max(x0, 0.0), 10.0)
@@ -906,17 +906,15 @@ class Sampler:
         rng = stream(cfg.seed, _S_INIT)
         _, _, beta_spec, mu_specs = unpack_theta(theta, layout, ctx.ar_mode)
         j0 = max(1, min(cfg.j_max, round(lam0)))
-        atoms = []
-        for _ in range(ctx.m):
-            beta = math.sqrt(beta_spec.initial_variance) * rng.standard_normal(j0)
-            mu = np.column_stack([
-                np.clip(math.sqrt(spec.initial_variance) * rng.standard_normal(j0),
-                        -COORD_BOUND, COORD_BOUND)
-                for spec in mu_specs])
-            atoms.append(LatentAtoms(mu, beta))
+        # block by block: j0 betas, then j0 values of each mu coordinate
+        z = rng.standard_normal((ctx.m, ctx.p + 1, j0)).transpose(1, 0, 2)
+        sd = np.sqrt([beta_spec.initial_variance] + [spec.initial_variance for spec in mu_specs])
+        values = np.zeros((ctx.p + 1, ctx.m, cfg.j_max))
+        values[:, :, :j0] = sd[:, None, None] * z
+        np.clip(values[1:], -COORD_BOUND, COORD_BOUND, out=values[1:])
         phi = ctx.phi0.copy() if not ctx.marginalized else None
-        return SamplerState(atoms=AtomStore.from_blocks(atoms, cfg.j_max), theta=theta, hypers=hypers, nu=nu,
-                            omega_sq=omega_sq, phi=phi)
+        return SamplerState(atoms=AtomStore(values, np.full(ctx.m, j0, dtype=np.int64)), theta=theta, hypers=hypers,
+                            nu=nu, omega_sq=omega_sq, phi=phi)
 
     # -- one full iteration --------------------------------------------------
 

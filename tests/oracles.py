@@ -1,8 +1,9 @@
 """Reference forms that tests compare the program against: per-sample forms
-of whole-chain computations, which the batched forms equal with `==`, and
+of whole-chain computations, the initial state through `scipy.stats`, which the batched forms equal with `==`, and
 the one-point field, the prior densities and the joint log posterior, which
-the sampler's batched terms agree with, and the per-value text writers and
-per-row CSV reader, whose bytes and arrays the program's equal.
+the sampler's batched terms agree with, and the per-value text writers, the
+per-cell chain reader and the per-row CSV reader, whose bytes, values and
+errors the program's equal.
 
 (Named `oracles`, not `reference`: the benchmark's own `reference` module is
 imported by name in the same test process.)
@@ -12,19 +13,68 @@ import math
 
 import numpy as np
 from scipy.special import gammaln
+from scipy.stats import invgamma, norm
 
 from levyst import effects
 from levyst.ar import mode_for_times
-from levyst.chainio import _FMT, _group_cells, _meta_cell, scalar_header
+from levyst.chainio import _FMT, _group_cells, _meta_cell, _meta_int, _read_meta, scalar_header
 from levyst.data import SpaceTimeDataset
 from levyst.errors import (ConfigError, InvalidArgumentError, InvalidStateError, ParseError,
                            UnsupportedPredictionError)
-from levyst.model import (MAP_EXPONENT, MonotoneMapFit, ThetaLayout, atom_process_log_density, count_log_factor,
-                          field_rows, field_values, kernel_matrix, log_observation_density, log_prior_theta,
-                          unpack_theta)
-from levyst.sampler import ChainSample, PredictionBands, _S_PREDICT, stream
+from levyst.model import (COORD_BOUND, MAP_EXPONENT, AtomStore, LatentAtoms, MonotoneMapFit, ThetaLayout,
+                          atom_process_log_density, count_log_factor, field_rows, field_values, kernel_matrix,
+                          log_observation_density, log_prior_theta, unpack_theta)
+from levyst.sampler import _S_INIT, _S_PREDICT, ChainSample, PredictionBands, SamplerState, ScalarHypers, stream
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def initial_state_per_block(sampler) -> SamplerState:
+    """`levyst.Sampler.initial_state` with the quantiles of `scipy.stats`
+    and each block's atoms drawn by their own calls."""
+    ctx, prior, cfg = sampler.ctx, sampler.ctx.prior, sampler.cfg
+    layout = ctx.layout
+    ig_med = float(invgamma.median(prior.ig_a, scale=prior.ig_b))
+    omega0 = prior.ig_b / (prior.ig_a - 1.0) if prior.ig_a > 1.0 else ig_med
+    x0 = math.sqrt(omega0) * float(norm.ppf(0.75))
+
+    theta = np.empty(layout.dim)
+    theta[layout.sl_x] = min(max(x0, 0.0), 10.0)
+    log_med = math.log(ig_med)
+    for sl in (layout.sl_log_c_tilde, layout.sl_log_c, layout.sl_log_ksq, layout.sl_log_ssq):
+        theta[sl] = log_med
+    theta[layout.i_log_tau] = log_med
+    theta[layout.i_log_xi] = log_med
+    theta[layout.sl_logit_rho] = 0.0
+    theta[layout.i_logit_rho_beta] = 0.0
+    theta[layout.i_log_ssq_beta] = log_med
+    lo, hi = layout.bounds()
+    theta = np.clip(theta, lo, hi)
+
+    lam0 = prior.lambda_a / prior.lambda_b
+    ig_tight_mean = prior.ig_b_tight / (prior.ig_a_tight - 1.0)
+    hypers = ScalarHypers(
+        lam=lam0, sigma_sq_eps=ig_tight_mean, alpha=0.0,
+        sigma_sq_alpha=ig_tight_mean,
+        sigma_sq_phi=0.0 if ctx.marginalized else ig_tight_mean,
+    )
+    nu = np.zeros(ctx.p)
+    omega_sq = np.full(ctx.p, omega0)
+
+    rng = stream(cfg.seed, _S_INIT)
+    _, _, beta_spec, mu_specs = unpack_theta(theta, layout, ctx.ar_mode)
+    j0 = max(1, min(cfg.j_max, round(lam0)))
+    atoms = []
+    for _ in range(ctx.m):
+        beta = math.sqrt(beta_spec.initial_variance) * rng.standard_normal(j0)
+        mu = np.column_stack([
+            np.clip(math.sqrt(spec.initial_variance) * rng.standard_normal(j0),
+                    -COORD_BOUND, COORD_BOUND)
+            for spec in mu_specs])
+        atoms.append(LatentAtoms(mu, beta))
+    phi = ctx.phi0.copy() if not ctx.marginalized else None
+    return SamplerState(atoms=AtomStore.from_blocks(atoms, cfg.j_max), theta=theta, hypers=hypers, nu=nu,
+                        omega_sq=omega_sq, phi=phi)
 
 
 def phi0_training_matrix(locations, y) -> np.ndarray:
@@ -261,6 +311,72 @@ def write_chain_per_value(path, samples: list[ChainSample], meta: dict) -> None:
             fh.write(" ".join(cells) + "\n")
 
 
+def read_chain_per_cell(path) -> tuple[list[ChainSample], dict]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ParseError("chain file is not UTF-8 text") from None
+    if len(lines) < 2 or not lines[0].startswith("# "):
+        raise ParseError("missing chain metadata line")
+    meta = _read_meta(lines[0][2:])
+    p, m = _meta_int(meta, "p", 1), _meta_int(meta, "m", 1)
+    n = _meta_int(meta, "n", 0, default=0)
+    store_phi = bool(_meta_int(meta, "phi_stored", 0, default=0))
+    n_scalars = 6 + 2 * p + ThetaLayout(p=p).dim  # len(scalar_header(p)), without building it
+
+    samples: list[ChainSample] = []
+    for row_no, line in enumerate(lines[2:], start=3):
+        if not line.strip():
+            continue
+        cells = line.split()
+        try:
+            it = int(cells[0])
+            vals = [float(c) for c in cells[1:]]
+        except ValueError:
+            raise ParseError(f"row {row_no}: non-numeric cell") from None
+        row = np.array(vals)
+        if not np.isfinite(row).all():
+            raise ParseError(f"row {row_no}: non-finite cell")
+        pos = n_scalars - 1
+        if len(vals) < pos:
+            raise ParseError(f"row {row_no}: truncated scalars")
+        lam, ssq_eps, alpha, ssq_alpha, ssq_phi = vals[0:5]
+        nu = row[5:5 + p].copy()
+        omega_sq = row[5 + p:5 + 2 * p].copy()
+        theta = row[5 + 2 * p:pos].copy()
+        first, counts = pos, []
+        for _ in range(m):
+            if pos >= len(vals):
+                raise ParseError(f"row {row_no}: truncated atom groups")
+            J = vals[pos]
+            if not (J.is_integer() and J >= 1):
+                raise ParseError(f"row {row_no}: atom count {cells[pos + 1]} is not a whole number >= 1")
+            J = int(J)
+            pos += 1 + J * (p + 1)
+            if pos > len(vals):
+                raise ParseError(f"row {row_no}: truncated atom group (J={J})")
+            counts.append(J)
+        store = AtomStore(np.zeros((p + 1, m, max(counts))), np.array(counts, dtype=np.int64))
+        _, block, slot, beta_at, mu_at = _group_cells(store)
+        groups = row[first:pos]
+        store.values[0, block, slot] = groups[beta_at]
+        store.values[1:, block, slot] = groups[mu_at]
+        phi = None
+        if store_phi:
+            if pos + n * m > len(vals):
+                raise ParseError(f"row {row_no}: truncated phi field")
+            phi = row[pos:pos + n * m].reshape(n, m).copy()
+            pos += n * m
+        if pos != len(vals):
+            raise ParseError(f"row {row_no}: {len(vals) - pos} trailing cells")
+        samples.append(ChainSample(
+            iteration=it, store=store, theta=theta, lam=lam, sigma_sq_eps=ssq_eps,
+            alpha=alpha, sigma_sq_alpha=ssq_alpha, sigma_sq_phi=ssq_phi,
+            nu=nu, omega_sq=omega_sq, phi=phi))
+    return samples, meta
+
+
 def write_csv_per_value(data: SpaceTimeDataset, path) -> None:
     """Long format, one row per (location, time): s1..sp, t, y."""
     p = data.p
@@ -271,6 +387,21 @@ def write_csv_per_value(data: SpaceTimeDataset, path) -> None:
             coords = ",".join("%.17g" % v for v in data.locations[i])
             for k in range(data.m):
                 fh.write(f"{coords},{'%.17g' % data.times[k]},{'%.17g' % data.y[i, k]}\n")
+
+
+def write_bands_per_value(path, new: SpaceTimeDataset, bands: PredictionBands, probs) -> None:
+    names = {1 / 16: "lower_0875", 0.5: "median", 15 / 16: "upper_0875",
+             0.025: "lower_95", 0.975: "upper_95"}
+    cols = [names[pr] for pr in probs]
+    with open(path, "w", encoding="utf-8") as fh:
+        p = new.p
+        fh.write(",".join([f"s{ell + 1}" for ell in range(p)] + ["t"] + cols) + "\n")
+        for a in range(new.n):
+            for b in range(new.m):
+                row = ["%.17g" % v for v in new.locations[a]]
+                row.append("%.17g" % new.times[b])
+                row += ["%.17g" % bands.quantiles[pr][a, b] for pr in probs]
+                fh.write(",".join(row) + "\n")
 
 
 def load_csv_per_row(path) -> SpaceTimeDataset:

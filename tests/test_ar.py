@@ -134,6 +134,8 @@ def test_sample_path_input_validation():
     spec = ArSpec(rho=0.5, sigma_sq=1.0)
     with pytest.raises(InvalidArgumentError):
         ar_sample_path(np.array([0.0, 0.0, 1.0]), spec, np.random.default_rng(0))
+    with pytest.raises(InvalidArgumentError):  # a gap beyond the largest float
+        ar_sample_path(np.array([1e292, -1.7976931348623157e308]), spec, np.random.default_rng(0))
 
 
 def test_mode_selection_and_transform_round_trip():

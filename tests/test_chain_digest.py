@@ -5,12 +5,17 @@ For each of the 8 one-worker fixture problems of `tools/chain_digest.py`
 `write_chain` bytes, of the predictive draws and the move counts must equal
 the line below.  A change that alters chain bits on purpose updates these
 lines and `tools/chain_digest.expected` together, and says so; a second
-test checks that the two agree.
+test checks that the two agree.  The tool also reads every chain back and
+fails unless `read_chain` returns each stored number bit for bit, so the
+first test checks the reader on the fixture chains too.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -34,7 +39,9 @@ EXPECTED = [
 ]
 
 
-def test_fixture_chains_match_pinned_digests(monkeypatch, tmp_path):
+@pytest.fixture
+def tool(monkeypatch):
+    """The `tools/chain_digest.py` module."""
     # importing the tool sets these and puts its checkout's src/ on the path;
     # monkeypatch puts both back at teardown
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -43,8 +50,31 @@ def test_fixture_chains_match_pinned_digests(monkeypatch, tmp_path):
     spec = importlib.util.spec_from_file_location("chain_digest", TOOLS / "chain_digest.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_fixture_chains_match_pinned_digests(tool, tmp_path):
     got = [f"{label}: " + tool.digest(*case, tmp_path) for label, *case in tool.fixture_cases((1,))]
     assert got == EXPECTED
+
+
+def test_round_trip_check_names_a_changed_sample(tool, tmp_path):
+    """A chain file whose stored numbers differ from the samples in the last
+    bit of one cell fails the tool's read-back check."""
+    from levyst.chainio import write_chain
+    from levyst.sampler import SamplerConfig, run_chain
+
+    label, train, _, prior, marginalized, *_ = next(iter(tool.fixture_cases((1,))))
+    chain = run_chain(train, SamplerConfig(iterations=6, burn_in=0, thin=1, j_max=5, seed=1), prior,
+                      marginalized=marginalized)
+    path = tmp_path / "chain.txt"
+    write_chain(path, chain.samples, chain.meta)
+    tool.check_round_trip(chain.samples, path)
+    chain.samples[3].theta[0] = np.nextafter(chain.samples[3].theta[0], np.inf)
+    with pytest.raises(tool.RoundTripError, match="sample 3 "):
+        tool.check_round_trip(chain.samples, path)
+    with pytest.raises(tool.RoundTripError, match="6 samples of 7"):
+        tool.check_round_trip(chain.samples + chain.samples[:1], path)
 
 
 def test_expected_file_pins_the_same_fixture_lines():

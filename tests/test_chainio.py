@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,7 +11,7 @@ from levyst.data import SpaceTimeDataset
 from levyst.errors import ParseError
 from levyst.model import AtomStore, LatentAtoms, PriorConfig
 from levyst.sampler import ChainSample, MoveStats, SamplerConfig, run_chain
-from oracles import TEXT_EDGE_FLOATS, write_chain_per_value
+from oracles import TEXT_EDGE_FLOATS, read_chain_per_cell, write_chain_per_value
 
 
 def _sample(rng, p=2, m=3, with_phi=False, n=2, iteration=40):
@@ -112,6 +114,29 @@ def _rewrite(path) -> str:
     return path.read_text()
 
 
+def _array(a):
+    """An array as read: its type, dtype, shape, whether it is C-contiguous
+    and owns its data, and its bytes (so the sign of every zero counts)."""
+    if a is None:
+        return None
+    return type(a), a.dtype, a.shape, a.flags.c_contiguous, a.base is None, a.tobytes()
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: the metadata and every sample's
+    values, types and array layouts, or its ParseError's message."""
+    try:
+        samples, meta = read(path)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    rows = []
+    for s in samples:
+        scalars = [s.lam, s.sigma_sq_eps, s.alpha, s.sigma_sq_alpha, s.sigma_sq_phi]
+        rows.append((type(s.iteration), s.iteration, [(type(v), struct.pack("<d", v)) for v in scalars],
+                     *map(_array, (s.nu, s.omega_sq, s.theta, s.phi, s.store.values, s.store.counts))))
+    return meta, rows
+
+
 @pytest.mark.parametrize("mode", ["marginalized", "explicit"])
 def test_fitted_chain_round_trip_keeps_bytes(fitted_chains, tmp_path, mode):
     path = tmp_path / "chain.txt"
@@ -158,7 +183,8 @@ def test_read_chain_rejects_malformed_rows(fitted_chains, tmp_path, case):
 
 
 _TOKENS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1", "2", "10.5", "1e400", "-0", "x", "1e3",
-                           "99999999999", "0.25", ""])
+                           "99999999999", "0.25", "", "1\t2", "1  2", "1_0", "\u0661", "nan(1)", "0x1p3",
+                           "1.5-2.5", "1\x0c2", "1\x852", "1\xa02", "2 ", "\x00"])
 
 
 @given(mode=st.sampled_from(["marginalized", "explicit"]), line=st.integers(0, 6),
@@ -167,7 +193,8 @@ _TOKENS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1", "2", "10.5", "1
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_read_chain_fuzzed_rows_round_trip_or_raise(fitted_chains, tmp_path, mode, line, where, op, token):
     """A truncated or mutated line of a real chain either reads as a chain
-    that survives a write/read round trip, or raises ParseError."""
+    that survives a write/read round trip, or raises ParseError; either
+    way the outcome is the per-cell reader's."""
     text = fitted_chains[mode]
     line = min(line, len(text.splitlines()) - 1)
 
@@ -183,6 +210,7 @@ def test_read_chain_fuzzed_rows_round_trip_or_raise(fitted_chains, tmp_path, mod
 
     path = tmp_path / "chain.txt"
     path.write_text(_edit_line(text, line, edit))
+    assert _outcome(read_chain, path) == _outcome(read_chain_per_cell, path)
     try:
         first = _rewrite(path)
     except ParseError:
@@ -224,6 +252,95 @@ def test_write_chain_bytes_equal_per_value_writer(tmp_path_factory, chain):
     write_chain(tmp / "rows.txt", samples, meta)
     write_chain_per_value(tmp / "cells.txt", samples, meta)
     assert (tmp / "rows.txt").read_bytes() == (tmp / "cells.txt").read_bytes()
+
+
+@given(chain=chains())
+@settings(max_examples=200, deadline=None)
+def test_read_chain_equals_per_cell_reader(tmp_path_factory, chain):
+    """Every value, sign of zero, type and array layout read from a written
+    chain is the per-cell reader's."""
+    samples, meta = chain
+    path = tmp_path_factory.mktemp("chain") / "chain.txt"
+    write_chain(path, samples, meta)
+    outcome = _outcome(read_chain, path)
+    assert outcome[0] != "ParseError"
+    assert outcome == _outcome(read_chain_per_cell, path)
+
+
+def _cell_edit(row: int, cell: int, token: str):
+    """A text edit that sets cell `cell` of data row `row` (0 = the first) to token."""
+    return lambda text: _edit_line(text, 2 + row, _set(cell, lambda _: token))
+
+
+def _row_edit(row: int, edit):
+    """A text edit that applies edit to the text of data row `row`."""
+    return lambda text: _edit_line(text, 2 + row, lambda cells: [edit(" ".join(cells))])
+
+
+_LAM = 1  # cell of lambda
+_PHI_CELLS = 5 * 4  # n x m of the fitted chains
+
+# text edits of the explicit fitted chain, each giving bytes that both readers
+# must read alike: rows out of the writer's layout that read, and malformed files
+_CORPUS = {
+    "tab": _row_edit(0, lambda r: r.replace(" ", "\t", 3)),
+    "double spaces": _row_edit(1, lambda r: r.replace(" ", "  ")),
+    "trailing space": _row_edit(0, lambda r: r + " "),
+    "leading space": _row_edit(0, lambda r: " " + r),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "form feed in a row": _row_edit(1, lambda r: r.replace(" ", "\x0c", 9).replace("\x0c", " ", 8)),
+    "next line in a row": _row_edit(0, lambda r: r.replace(" ", "\x85", 20).replace("\x85", " ", 19)),
+    "vertical tab in the metadata line": lambda text: text.replace(" ", "\x0b", 1),
+    "underscore digits": _cell_edit(0, _LAM, "1_0"),
+    "arabic-indic digits": _cell_edit(1, _LAM, "\u0663.\u0665"),
+    "arabic-indic iteration": _cell_edit(0, 0, "\u0661\u0662"),
+    "no-break space": _row_edit(0, lambda r: r.replace(" ", "\xa0", 2)),
+    "nan(1)": _cell_edit(0, _LAM, "nan(1)"),
+    "hex float": _cell_edit(0, _LAM, "0x1p3"),
+    "inf": _cell_edit(1, _LAM, "inf"),
+    "overflow to inf": _cell_edit(1, _LAM, "1e400"),
+    "nan then text": lambda text: _cell_edit(0, _LAM, "nan")(_cell_edit(0, _LAM + 1, "x")(text)),
+    "count 0": _cell_edit(0, _COUNT, "0"),
+    "count 2.5": _cell_edit(0, _COUNT, "2.5"),
+    "count 1e300": _cell_edit(0, _COUNT, "1e300"),
+    "count -0": _cell_edit(0, _COUNT, "-0"),
+    "truncated scalars": _row_edit(0, lambda r: " ".join(r.split(" ")[:8])),
+    "truncated groups": _row_edit(0, lambda r: " ".join(r.split(" ")[:_COUNT])),
+    "truncated group": _row_edit(0, lambda r: " ".join(r.split(" ")[:_COUNT + 1])),
+    "truncated cells": _row_edit(0, lambda r: " ".join(r.split(" ")[:-3])),
+    "extra cells": _row_edit(0, lambda r: r + " 1.5 2"),
+    "missing phi": _row_edit(0, lambda r: " ".join(r.split(" ")[:-_PHI_CELLS])),
+    "bad rows in order": lambda text: _row_edit(0, lambda r: r + " 1")(_cell_edit(1, _LAM, "x")(text)),
+    "blank lines": _row_edit(0, lambda r: "\n \n\t\n" + r + "\n\n"),
+    "blank lines then a bad row": lambda text: _row_edit(0, lambda r: "\n \n" + r + "\n")(_cell_edit(1, 3, "x")(text)),
+    "iteration only": _row_edit(0, lambda r: r.split(" ")[0]),
+    "no data rows": lambda text: "\n".join(text.split("\n")[:2]) + "\n",
+    "no header": lambda text: text.split("\n")[0] + "\n",
+    "no metadata marker": lambda text: text[2:],
+    "bad metadata value": lambda text: text.replace(" p=2 ", " p=x ", 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_CORPUS))
+def test_read_chain_outcome_equals_per_cell_reader(fitted_chains, tmp_path, case):
+    """On each file of the corpus, the reader returns the per-cell reader's
+    values and types, or raises its ParseError with the same message."""
+    text = fitted_chains["explicit"]
+    edited = _CORPUS[case](text)
+    assert edited != text
+    path = tmp_path / "chain.txt"
+    path.write_bytes(edited.encode("utf-8"))
+    assert _outcome(read_chain, path) == _outcome(read_chain_per_cell, path)
+
+
+@pytest.mark.parametrize("case", ["bad rows in order", "missing phi", "no metadata marker", "crlf"])
+def test_undecodable_bytes_win_over_a_row_error(fitted_chains, tmp_path, case):
+    """Bytes that are not UTF-8 after a bad row, or after a valid file,
+    fail the file as not UTF-8 text, as in the per-cell reader."""
+    path = tmp_path / "chain.txt"
+    path.write_bytes(_CORPUS[case](fitted_chains["explicit"]).encode("utf-8") + b"1 \xff\n")
+    assert _outcome(read_chain, path) == ("ParseError", "chain file is not UTF-8 text")
+    assert _outcome(read_chain_per_cell, path) == ("ParseError", "chain file is not UTF-8 text")
 
 
 @pytest.mark.parametrize("mode", ["marginalized", "explicit"])

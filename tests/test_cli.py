@@ -11,7 +11,8 @@ from levyst.chainio import read_chain
 from levyst.cli import _sampler_config, main
 from levyst.data import GqnConfig, SpaceTimeDataset, gqn_simulate, load_csv, write_csv
 from levyst.errors import InvalidStateError, NumericError
-from levyst.sampler import SamplerConfig, samples_outside_atom_box
+from levyst.sampler import PredictionBands, SamplerConfig, samples_outside_atom_box
+from oracles import TEXT_EDGE_FLOATS, write_bands_per_value
 
 
 def _run(*argv):
@@ -105,6 +106,24 @@ def test_manifests_record_the_seed_used(sim_dir, fit_dir, tmp_path):
     assert _run("predict", "--chain", str(fit_dir / "chain.txt"), "--data", str(sim_dir / "train.csv"),
                 "--points", str(sim_dir / "test.csv"), "--out", str(tmp_path / "pred")) == 0
     assert json.loads((tmp_path / "pred" / "manifest.json").read_text())["config"] == {"seed": 0}
+
+
+@pytest.mark.parametrize("wide_band", [False, True])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_write_bands_bytes_equal_per_value_writer(tmp_path, p, wide_band):
+    """bands.csv holds the bytes of the per-value writer, edge values included."""
+    rng = np.random.default_rng(p)
+    probs = [0.025, 1 / 16, 0.5, 15 / 16, 0.975] if wide_band else [1 / 16, 0.5, 15 / 16]
+
+    def cells(shape):
+        return np.where(rng.random(shape) < 0.5, rng.choice(TEXT_EDGE_FLOATS, shape), rng.standard_normal(shape))
+
+    times = np.sort(rng.choice(np.unique(TEXT_EDGE_FLOATS), 4, replace=False))
+    new = SpaceTimeDataset(cells((3, p)), times, cells((3, 4)))
+    bands = PredictionBands(new.locations, new.times, {pr: cells((3, 4)) for pr in probs})
+    cli.write_bands(tmp_path / "bands.csv", new, bands, probs)
+    write_bands_per_value(tmp_path / "oracle.csv", new, bands, probs)
+    assert (tmp_path / "bands.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_predict_round_trip(sim_dir, fit_dir, tmp_path):

@@ -36,6 +36,16 @@ def test_dataset_validation():
         SpaceTimeDataset(np.zeros((2, 1)), np.array([1.0, 2.0]), np.zeros((3, 2)))
 
 
+def test_dataset_order_check_does_not_overflow():
+    """Times whose gap exceeds the largest float are ordered by comparison:
+    increasing ones are accepted and decreasing ones rejected, with no
+    overflow warning (which the test settings make an error)."""
+    times = np.array([-1.7976931348623157e308, 1e292])
+    assert SpaceTimeDataset(np.zeros((1, 1)), times, np.zeros((1, 2))).m == 2
+    with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+        SpaceTimeDataset(np.zeros((1, 1)), times[::-1], np.zeros((1, 2)))
+
+
 def test_gp_cov_at_log2_distance():
     # covariance exp(-d) halves at d = log 2
     locs = np.array([[0.0, 0.0], [math.log(2.0), 0.0], [5.0, 5.0]])
@@ -311,10 +321,9 @@ CELLS = st.one_of(st.sampled_from(TEXT_EDGE_FLOATS), st.floats(allow_nan=False, 
 
 @st.composite
 def datasets(draw):
-    """p 1-3, n 1-4 locations (equal ones allowed), m 1-4 times (within
-    +-1e300, so that their gaps are finite)."""
+    """p 1-3, n 1-4 locations (equal ones allowed), m 1-4 distinct times."""
     p, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    times = sorted(draw(st.lists(CELLS.filter(lambda t: abs(t) <= 1e300), min_size=m, max_size=m, unique=True)))
+    times = sorted(draw(st.lists(CELLS, min_size=m, max_size=m, unique=True)))
     return SpaceTimeDataset(draw(arrays(float, (n, p), elements=CELLS)), times,
                             draw(arrays(float, (n, m), elements=CELLS)))
 

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, norm
 
 import levyst.diagnostics as diagnostics_module
 from levyst.diagnostics import (
@@ -165,6 +165,12 @@ def test_cov_stationarity_undefined_bin():
     regions = [np.array([0.1, 0.2]), np.array([0.3, 0.4])]
     with pytest.raises(UndefinedBinError):
         recursive_cov_stationarity_test(regions, times, (5.0, 6.0), c0=0.1)
+
+
+@pytest.mark.parametrize("edges", [[0.0, 1.0, 1.0], [1e292, -1.7976931348623157e308], [2.0]])
+def test_lagged_correlation_rejects_edges_not_increasing(edges):
+    with pytest.raises(InvalidArgumentError, match="bin edges"):
+        lagged_correlation(np.zeros((1, 1)), np.array([0.0, 1.0]), np.zeros((1, 2)), np.array(edges))
 
 
 def test_lagged_correlation_white_noise():
@@ -335,6 +341,15 @@ def test_normality_summary():
     assert const.degenerate
     with pytest.raises(InvalidArgumentError):
         normality_summary(np.arange(5.0))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 250.0])
+def test_normality_summary_normal_quantiles_equal_scipy_stats(scale):
+    """The normal quantiles are `norm.ppf` at the sample's mean and sd, bit for bit."""
+    x = np.random.default_rng(9).standard_normal(57) * scale - 3.0
+    summary = normality_summary(x)
+    want = norm.ppf(summary.probs, loc=x.mean(), scale=x.std(ddof=1))
+    assert summary.normal_q.tobytes() == want.tobytes()
 
 
 def test_acceptance_report():

@@ -96,6 +96,8 @@ def test_map_fit_values():
 def test_map_fit_rejects_unsorted():
     with pytest.raises(InvalidArgumentError):
         MapGrid.build([np.array([1.0, 0.0])])
+    with pytest.raises(InvalidArgumentError):  # a step beyond the largest float
+        MapGrid.build([np.array([1e292, -1.7976931348623157e308])])
 
 
 @given(coords=st.lists(st.floats(-3, 3), min_size=1, max_size=8),

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import levyst.sampler as sampler_module
@@ -41,8 +45,10 @@ from levyst.sampler import (
     tmcmc_proposal,
     update_time_block,
 )
-from oracles import log_joint_parts, log_joint_posterior, map_fit
+from oracles import initial_state_per_block, log_joint_parts, log_joint_posterior, map_fit
 from rounding import assert_factor_close, exponent_tolerance, field_tolerance, process_tolerance
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 CFG = SamplerConfig(iterations=10, burn_in=0, thin=1, j_max=6, seed=0)
 
@@ -1225,6 +1231,31 @@ def test_iterate_draws_from_one_stream_per_phase(tiny_dataset, tame_prior, monke
     assert keys == [key for r in range(3) for key in
                     [(S._S_BLOCK, r, 0), (S._S_BLOCK, r, 1), (S._S_THETA, r)]
                     + ([] if marginalized else [(S._S_PHI, r)]) + [(S._S_ZETA, r)]]
+
+
+# the default, two others, and one whose initial atoms are clipped to the atom box
+@pytest.mark.parametrize("ig", [(2.01, 1.01), (3.0, 2.0), (6.5, 0.05), (0.5, 20.0)])
+@pytest.mark.parametrize("marginalized", [True, False])
+def test_initial_state_equals_scipy_stats_reference(tiny_dataset, ig, marginalized):
+    """The initial state's inverse-gamma median and normal quartile are
+    scipy.stats', and its atoms the per-block draws, bit for bit."""
+    prior = PriorConfig(ig_a=ig[0], ig_b=ig[1], lambda_a=6.0, lambda_b=2.0)
+    sampler = Sampler(tiny_dataset, SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=5, seed=4), prior,
+                      marginalized=marginalized)
+    got, want = sampler.initial_state(), initial_state_per_block(sampler)
+    for name in ("theta", "nu", "omega_sq"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.hypers == want.hypers
+    assert (got.phi is None and want.phi is None) or got.phi.tobytes() == want.phi.tobytes()
+    assert got.atoms.counts.tobytes() == want.atoms.counts.tobytes()
+    assert got.atoms.values.tobytes() == want.atoms.values.tobytes()
+
+
+def test_import_leaves_out_scipy_stats():
+    """The program imports `scipy.special` only: importing the CLI loads no
+    `scipy.stats`."""
+    code = "import sys, levyst.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC}).returncode == 0
 
 
 def test_fit_and_prediction_build_no_latent_atoms(tiny_dataset, tame_prior, monkeypatch, tmp_path):

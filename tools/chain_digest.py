@@ -12,7 +12,9 @@ comes first: SHA-256 prefixes of the `write_csv` bytes of the simulated train
 and test sets, and of the arrays `load_csv` reads back from those files.  The
 last line digests all lines.  Two commits that write the same files and
 sample the same chains print the same output, so comparing the output of two
-checkouts with `diff` checks that a change kept every bit.
+checkouts with `diff` checks that a change kept every bit.  Every chain is
+also read back with `read_chain`: unless each stored number equals the
+sampled one bit for bit, the tool prints which sample differs and exits 1.
 `--check FILE` compares the output with FILE instead of printing it: it
 prints the lines that differ and exits 1 if any do, 0 if none do.
 `tools/chain_digest.expected` holds the output of the commit that last
@@ -30,6 +32,7 @@ import argparse
 import difflib
 import hashlib
 import os
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -43,7 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import levyst  # noqa: E402
-from levyst.chainio import write_chain  # noqa: E402
+from levyst.chainio import read_chain, write_chain  # noqa: E402
 from levyst.data import load_csv, write_csv  # noqa: E402
 
 # (name, n_train, n_test, m, simulator seed, marginalized, iterations); the
@@ -79,10 +82,36 @@ def tame_prior() -> levyst.PriorConfig:
                               lambda_a=6.0, lambda_b=2.0, nu_var=1.0, rho_var=1.0)
 
 
+class RoundTripError(Exception):
+    """`read_chain` did not give back the samples that `write_chain` wrote."""
+
+
+def _stored_bits(s) -> bytes:
+    """Every number a chain row stores of sample s, bit for bit."""
+    block, slot = s.store.slots()
+    scalars = [s.lam, s.sigma_sq_eps, s.alpha, s.sigma_sq_alpha, s.sigma_sq_phi]
+    arrays = [s.nu, s.omega_sq, s.theta, s.store.counts, s.store.values[:, block, slot]]
+    return b"".join([struct.pack("<q5d", s.iteration, *scalars)] + [np.ascontiguousarray(a).tobytes() for a in arrays]
+                    + [b"" if s.phi is None else np.ascontiguousarray(s.phi).tobytes()])
+
+
+def check_round_trip(samples, path: Path) -> None:
+    """Read the chain at path back and raise RoundTripError unless every
+    stored number equals the in-memory samples' bit for bit."""
+    back, _ = read_chain(path)
+    if len(back) != len(samples):
+        raise RoundTripError(f"read_chain gave {len(back)} samples of {len(samples)}")
+    for i, (a, b) in enumerate(zip(samples, back)):
+        if _stored_bits(a) != _stored_bits(b):
+            raise RoundTripError(f"read_chain changed sample {i} (iteration {a.iteration})")
+
+
 def digest(train, cfg, prior, marginalized, points, times, predict_seed, workdir: Path) -> str:
+    """The problem's digest line, once its chain reads back bit for bit."""
     chain = levyst.run_chain(train, cfg, prior, marginalized=marginalized)
     path = workdir / "chain.txt"
     write_chain(path, chain.samples, chain.meta)
+    check_round_trip(chain.samples, path)
     bands = levyst.posterior_predict(chain.samples, points, times, train, marginalized=marginalized,
                                      seed=predict_seed, keep_draws=True)
     moves = " ".join(f"{m}={chain.stats.accepts[m]}/{chain.stats.proposals[m]}" for m in chain.stats.proposals)
@@ -151,10 +180,13 @@ def main() -> None:
     expected = args.check.read_text(encoding="utf-8").splitlines() if args.check else None
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for line in digest_lines(Path(tmp)):
-            if expected is None:
-                print(line, flush=True)
-            lines.append(line)
+        try:
+            for line in digest_lines(Path(tmp)):
+                if expected is None:
+                    print(line, flush=True)
+                lines.append(line)
+        except RoundTripError as exc:
+            sys.exit(f"chain_digest: {exc}")
     lines.append("all: " + _hash("\n".join(lines).encode()))
     if expected is None:
         print(lines[-1])
