@@ -87,8 +87,12 @@ def ar_initial_log_density(x1, spec: ArSpec):
 def step_gaps(times: np.ndarray, mode: ArMode) -> np.ndarray:
     """Transition gaps between successive times.  The regular AR(1) takes
     unit steps, also where a computed time difference is off 1 by rounding
-    (which a negative rho rejects)."""
-    steps = np.diff(times)
+    (which a negative rho rejects).  A difference that is not finite raises
+    InvalidArgumentError."""
+    with np.errstate(over="ignore"):
+        steps = np.diff(times)
+    if not np.all(np.isfinite(steps)):
+        raise InvalidArgumentError("time gaps must be finite")
     return np.ones_like(steps) if mode is ArMode.REGULAR_AR1 else steps
 
 
@@ -123,7 +127,8 @@ def mode_for_times(times: np.ndarray) -> ArMode:
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         return ArMode.REGULAR_AR1
-    gaps = np.diff(times)
+    with np.errstate(over="ignore"):
+        gaps = np.diff(times)
     if np.allclose(gaps, 1.0, rtol=0.0, atol=1e-12):
         return ArMode.REGULAR_AR1
     return ArMode.IAR

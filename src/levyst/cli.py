@@ -182,7 +182,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     data, _ = standardize(raw)
     _check_training_data(data, meta)
     new = load_csv(args.points)
-    marginalized = meta.get("mode", "marginalized") == "marginalized"
+    mode = meta.get("mode", "marginalized")
+    if mode not in ("marginalized", "explicit"):
+        raise ParseError(f"chain metadata mode={mode} is neither marginalized nor explicit")
+    marginalized = mode == "marginalized"
     probs = [1 / 16, 0.5, 15 / 16]
     if cfg.get("wide_band"):
         probs = [0.025] + probs + [0.975]

@@ -19,21 +19,22 @@ enforced by a -inf sentinel without renormalizing (constants cancel in
 all Metropolis ratios).
 
 The sampler scores only the terms a move changes, so nothing here forms the
-joint log posterior; the tests keep it, the Gibbs scalars' prior and the
-one-point field as reference forms (`tests/oracles.py`).
+joint log posterior; the tests keep it, the Gibbs scalars' prior, the
+one-point field and the per-block process densities and field as reference
+forms (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .ar import (ArMode, ArSpec, ar_initial_log_density, ar_transition_log_density, rho_from_transformed,
-                 step_gaps, transition_moments)
+from .ar import ArMode, ArSpec, rho_from_transformed, step_gaps, transition_moments
 from .errors import InvalidArgumentError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -127,9 +128,6 @@ class LatentAtoms:
     @property
     def count(self) -> int:
         return self.beta.size
-
-    def copy(self) -> "LatentAtoms":
-        return LatentAtoms(self.mu.copy(), self.beta.copy())
 
 
 @dataclass
@@ -256,9 +254,13 @@ class MapGrid:
                 raise InvalidArgumentError("each dimension needs a nonempty coordinate vector")
             if np.any(c[1:] < c[:-1]):
                 raise InvalidArgumentError(f"coordinates for dimension {ell} are not sorted")
+            with np.errstate(over="ignore"):
+                first, increments = abs(c[0]) ** MAP_EXPONENT, np.diff(c) ** MAP_EXPONENT
+            if not (math.isfinite(first) and np.all(np.isfinite(increments))):
+                raise InvalidArgumentError(f"coordinates for dimension {ell} overflow the map's terms")
             knots.append(c)
-            lead.append(abs(c[0]) ** MAP_EXPONENT)
-            steps.append(np.diff(c) ** MAP_EXPONENT)
+            lead.append(first)
+            steps.append(increments)
         return cls(tuple(knots), tuple(lead), tuple(steps))
 
     def knot_values(self, dim: int, slope: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
@@ -306,14 +308,13 @@ def monotone_map_extend(s_new, dim: int, fit: MonotoneMapFit, mp: MonotoneMapPar
     return np.where(below, values[0] - slope * powered, values[i] + slope * powered)
 
 
-def kernel_exponent(mapped: np.ndarray, mu_rows: np.ndarray, ksq: np.ndarray, time_term,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def kernel_exponent(mapped: np.ndarray, mu_rows: np.ndarray, ksq: np.ndarray, time_term) -> np.ndarray:
     """The kernel's exponent -0.5 * sum_l ksq_l (M_l - mu_l)^2 - time_term
     of every (location, atom) pair: an (n, N) array for the rows of an
     (n, p) mapped-location matrix and the N atom coordinates in the (p, N)
-    `mu_rows`, written to `out` when it is given.  `ksq` is the kernel's
-    checked length-p precision vector (`KernelParams.tilde_sigma_sq`); the
-    exponent does not read tau or xi, which enter through `time_term`.
+    `mu_rows`.  `ksq` is the kernel's checked length-p precision vector
+    (`KernelParams.tilde_sigma_sq`); the exponent does not read tau or xi,
+    which enter through `time_term`.
 
     The exponent is expanded into one (n, p+2) @ (p+2, N) product, rows
     [ksq * M, -0.5 sum ksq M^2, 1] times columns
@@ -334,7 +335,38 @@ def kernel_exponent(mapped: np.ndarray, mu_rows: np.ndarray, ksq: np.ndarray, ti
     right[p] = 1.0
     right[p + 1] = -0.5 * (ksq @ (mu_rows * mu_rows))
     right[p + 1] -= time_term
-    return np.matmul(left, right, out=out)
+    return np.matmul(left, right)
+
+
+def check_grid(locations: np.ndarray, times: np.ndarray) -> None:
+    """Raise InvalidArgumentError, naming the times or the dimension, unless
+    every theta in the box keeps the map values, squared distances, kernel
+    exponents and time gaps on this grid finite.
+
+    In the box C~, C, ksq, tau, xi <= e^5, X <= 10 and |mu| <= 10.  With S_l
+    the largest |coordinate| of dimension l, |s_(1)|^2 <= S_l^2 and the
+    increments (s_(i) - s_(i-1))^2 add up to at most (2 S_l)^2, so
+    |M_l| <= A_l = e^5 + 10 e^5 (2 S_l)^2, and ksq_l (|M_l| + |mu_l|)^2 <=
+    D_l = e^5 (A_l + 10)^2 bounds the squared distance and the three terms
+    of the expanded exponent (`kernel_exponent`).  With T the largest
+    |time|, xi |t - tau| <= e^5 (T + e^5) and a gap is at most 2 T.  The
+    grid passes when each D_l and the time bound are at most
+    DBL_MAX / (2 (p + 1)), so every partial sum of an exponent stays below
+    DBL_MAX / 2: at p = 1, |coordinates| up to about 3e74 and |times| up
+    to about 3e305.
+    """
+    limit = sys.float_info.max / (2 * (locations.shape[1] + 1))
+    top = math.exp(LOG_HI)
+    # Python floats: a product past the float range is inf, with no warning
+    reach = float(np.max(np.abs(times)))
+    if top * (reach + top) > limit:
+        raise InvalidArgumentError(f"times reach {reach:g}: the kernel's time term overflows in the theta box")
+    for ell in range(locations.shape[1]):
+        reach = float(np.max(np.abs(locations[:, ell])))
+        bound = top + X_HI * top * (4.0 * reach * reach) + COORD_BOUND
+        if top * bound * bound > limit:
+            raise InvalidArgumentError(f"coordinates of dimension {ell} reach {reach:g}: the kernel's exponent "
+                                       "overflows in the theta box")
 
 
 def kernel_matrix(mapped: np.ndarray, mu_rows: np.ndarray, kp: KernelParams, time_term) -> np.ndarray:
@@ -345,13 +377,6 @@ def kernel_matrix(mapped: np.ndarray, mu_rows: np.ndarray, kp: KernelParams, tim
     """
     out = kernel_exponent(mapped, mu_rows, kp.tilde_sigma_sq, time_term)
     return np.exp(out, out=out)
-
-
-def field_values(mapped: np.ndarray, t: float, atoms: LatentAtoms, kp: KernelParams) -> np.ndarray:
-    """Vectorized f over the rows of an (n, p) mapped-location matrix."""
-    if atoms.count == 0:
-        return np.zeros(mapped.shape[0])
-    return kernel_matrix(mapped, atoms.mu.T, kp, kp.xi * abs(t - kp.tau)) @ atoms.beta
 
 
 @dataclass(frozen=True)
@@ -433,12 +458,18 @@ def field_rows(mapped: np.ndarray, times: np.ndarray, atoms: AtomStore, kp: Kern
     One (n, sum J) kernel matrix covers every block's atoms, each atom with
     its block's time term, its columns in the order of `FieldOperands`, and
     `rows_by_count` forms the rows with one stacked product per atom count.
-    Row b agrees with `field_values(mapped, times[b], atoms.block(b), kp)`
-    within the kernel's rounding bound (see `kernel_exponent`), not bit for
-    bit: the product's rounding for a column can depend on the other
-    columns it is computed with.
+    Row b agrees with the per-block field of `tests/oracles.py` within the
+    kernel's rounding bound (see `kernel_exponent`), not bit for bit: the
+    product's rounding for a column can depend on the other columns it is
+    computed with.
     """
     return FieldOperands.build(atoms).rows(mapped, times, kp)
+
+
+def field_values(mapped: np.ndarray, t: float, atoms: LatentAtoms, kp: KernelParams) -> np.ndarray:
+    """One block's field at time t over the rows of an (n, p) mapped-location
+    matrix: `field_rows` on a one-block store."""
+    return field_rows(mapped, [t], AtomStore.from_blocks([atoms]), kp)[0]
 
 
 def log_observation_density(y, alpha: float, phi, f, sigma_sq_eff: float):
@@ -618,42 +649,6 @@ def log_prior_theta(theta: np.ndarray, layout: ThetaLayout, nu: np.ndarray,
 # atom-process density and count factor
 # ---------------------------------------------------------------------------
 
-def atoms_in_bounds(atoms: LatentAtoms) -> bool:
-    return bool(np.all(np.abs(atoms.mu) <= COORD_BOUND))
-
-
-def chain_factor(values_curr: np.ndarray, values_prev, j_prev: int, gap, spec: ArSpec):
-    """Log density of one coordinate column at time k given its predecessor.
-
-    Atom chains are index-matched across time; chains without a predecessor
-    (index beyond the previous count) start from the initial law.
-    """
-    J = values_curr.size
-    shared = min(J, j_prev)
-    total = 0.0
-    if shared > 0:
-        total += float(np.sum(ar_transition_log_density(values_curr[:shared], values_prev[:shared], gap, spec)))
-    if J > shared:
-        total += float(np.sum(ar_initial_log_density(values_curr[shared:], spec)))
-    return total
-
-
-def atom_block_log_density(atoms_k: LatentAtoms, atoms_prev: LatentAtoms | None,
-                           gap, beta_spec: ArSpec, mu_specs) -> float:
-    """All incoming process factors of one time block (bounds included)."""
-    if not atoms_in_bounds(atoms_k):
-        return -np.inf
-    if atoms_prev is None:
-        total = float(np.sum(ar_initial_log_density(atoms_k.beta, beta_spec)))
-        for ell, spec in enumerate(mu_specs):
-            total += float(np.sum(ar_initial_log_density(atoms_k.mu[:, ell], spec)))
-        return total
-    total = chain_factor(atoms_k.beta, atoms_prev.beta, atoms_prev.count, gap, beta_spec)
-    for ell, spec in enumerate(mu_specs):
-        total += chain_factor(atoms_k.mu[:, ell], atoms_prev.mu[:, ell], atoms_prev.count, gap, spec)
-    return total
-
-
 @dataclass(frozen=True)
 class ProcessTable:
     """The Gaussian terms of every process factor under one theta, tabled.
@@ -662,11 +657,11 @@ class ProcessTable:
     distinct time gaps of a dataset and, last, the initial law (mean
     multiplier 0), so gap index -1 selects the initial law.
     `log_densities` computes each term with the elementwise operations of
-    `atom_block_log_density` but sums a block's terms in another order: per
-    chain over the padded slots (linked and initial-law terms together),
-    then over chains.  Its values agree with that reference within
-    2 L eps sum|t| over the block's L = (p+1) J terms t, not bit for bit;
-    the -inf of a block with an atom out of bounds is exact.
+    the per-block density in `tests/oracles.py` but sums a block's terms in
+    another order: per chain over the padded slots (linked and initial-law
+    terms together), then over chains.  Its values agree with that reference
+    within 2 L eps sum|t| over the block's L = (p+1) J terms t, not bit for
+    bit; the -inf of a block with an atom out of bounds is exact.
     """
 
     mult: np.ndarray   # (p+1, G+1) transition mean multipliers rho**gap; 0 for the initial law
@@ -751,17 +746,34 @@ class ProcessOperands:
         return cls(x, prev_x, col, np.nonzero(~used), out_of_bounds)
 
 
+def predecessors(atoms: AtomStore, ks: np.ndarray) -> AtomStore:
+    """The blocks of `atoms` at times ks - 1, with count 0 (no predecessor)
+    at the first time."""
+    prev = atoms.take(ks - 1)
+    prev.counts[ks == 0] = 0
+    return prev
+
+
+def atom_block_log_density(atoms_k: LatentAtoms, atoms_prev: LatentAtoms | None,
+                           gap, beta_spec: ArSpec, mu_specs) -> float:
+    """All incoming process factors of one time block (bounds included): one
+    `ProcessTable` pass on a one-block store that follows `atoms_prev`
+    across `gap`, or starts from the initial law when it is None."""
+    initial = atoms_prev is None
+    store = AtomStore.from_blocks([atoms_prev, atoms_k])
+    table = ProcessTable.build([] if initial else [gap], beta_spec, mu_specs)
+    return float(table.log_densities(store.take([1]), store.take([0]), np.array([-1 if initial else 0]))[0])
+
+
 def atom_process_log_density(atoms: list[LatentAtoms], times: np.ndarray,
                              beta_spec: ArSpec, mu_specs) -> float:
     """Process factors over all time blocks (initial laws plus transitions
-    over the gaps of `step_gaps`)."""
-    gaps = step_gaps(times, beta_spec.mode)
-    total = atom_block_log_density(atoms[0], None, None, beta_spec, mu_specs)
-    for k in range(1, len(atoms)):
-        if not np.isfinite(total):
-            return -np.inf
-        total += atom_block_log_density(atoms[k], atoms[k - 1], gaps[k - 1], beta_spec, mu_specs)
-    return total
+    over the gaps of `step_gaps`): one `ProcessTable.log_densities` pass over
+    the blocks against their predecessors."""
+    store = AtomStore.from_blocks(atoms)
+    table = ProcessTable.build(step_gaps(times, beta_spec.mode), beta_spec, mu_specs)
+    ks = np.arange(len(atoms))
+    return float(table.log_densities(store, predecessors(store, ks), ks - 1).sum())
 
 
 def count_log_factor(J, lam: float):

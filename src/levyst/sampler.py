@@ -63,13 +63,13 @@ coordinate chain).  Nothing in the terms reads the Gibbs scalars or the
 effects, so they carry over to the next iteration; only the likelihood is
 recomputed from the stored columns.
 
-Batching keeps the terms, not every bit.  Each batched likelihood equals
-its per-block reference `loglik_slice` bit for bit.  Each batched process
-factor adds the same elementwise terms as `atom_block_log_density` in
-another order, within 2 L eps sum|t| of it over a block's L = (p+1) J
-terms t; each field row is built from the one-product kernel, whose
-exponent is within 4 (p+2) eps (sum_l ksq_l (M_l^2 + mu_l^2) + time term
-+ 1) of the per-coordinate form, and agrees with `field_values` to the
+Batching keeps the terms, not every bit; `tests/oracles.py` keeps the
+per-block references.  Each batched likelihood equals its reference bit for
+bit.  Each batched process factor adds the same elementwise terms in
+another order, within 2 L eps sum|t| of its reference over a block's
+L = (p+1) J terms t; each field row is built from the one-product kernel,
+whose exponent is within 4 (p+2) eps (sum_l ksq_l (M_l^2 + mu_l^2) + time
+term + 1) of the per-coordinate form, and agrees with its reference to the
 field error those kernel errors allow.  Each row's product with its betas
 is its block's own (n, J) matrix-vector product on the same shapes and
 strides, whether taken alone or stacked with the other blocks of count J.
@@ -100,7 +100,7 @@ import numpy as np
 from scipy.special import gammainccinv, ndtri
 
 from . import effects
-from .ar import ArMode, ArSpec, mode_for_times, step_gaps
+from .ar import ArMode, mode_for_times, step_gaps
 from .data import SpaceTimeDataset
 from .errors import ConfigError, InvalidArgumentError, InvalidStateError, NumericError, UnsupportedPredictionError
 from .model import (
@@ -117,6 +117,7 @@ from .model import (
     ThetaLayout,
     atom_block_log_density,
     atom_process_log_density,
+    check_grid,
     check_map_params,
     count_log_factor,
     field_rows,
@@ -125,29 +126,22 @@ from .model import (
     log_prior_theta,
     map_extension,
     monotone_map_extend,
+    predecessors,
     rows_by_count,
     unpack_theta,
 )
 
-# The names that perfbench's traced run (`perfbench/run.py install_tracing`)
-# patches, and `tests/test_perfbench_tracing.py` checks, though neither
-# `fit` nor `predict` calls them.  Each stays where the benchmark looks it
-# up until the benchmark reads per-layer times from the program itself:
-# - `atom_block_log_density` (here and in `model`), with its helpers
-#   `model.chain_factor` and `model.atoms_in_bounds`, and
-#   `atom_process_log_density`: the per-block process densities that
-#   `ProcessTable` reproduces within rounding;
-# - `field_values`: the one-block field that `field_rows` reproduces within
-#   rounding;
-# - `loglik_slice`: the one-block likelihood that `loglik_rows` equals bit
-#   for bit;
-# - `monotone_map_extend`, with `model.MonotoneMapFit`: the one-theta map
-#   extension that prediction forms for the whole chain;
-# - `effects.gibbs_update_phi_column`: one effect column's draw, which
-#   `effects.gibbs_update_phi_matrix` forms for every column at once;
-# - `levyst.runtime.WorkerPool`, which the program does not import, and
-#   `SamplerConfig.workers`, which only the chain's metadata records; the
-#   benchmark's worker-invariance check and `tools/chain_digest.py` set it.
+# Neither `fit` nor `predict` calls these; each stays because perfbench's
+# traced run (`perfbench/run.py install_tracing`) patches it where it looks
+# it up:
+# - `atom_block_log_density` (here and in `model`) and
+#   `atom_process_log_density`, one `ProcessTable` pass each;
+# - `field_values` and `loglik_slice`, one `field_rows` or `loglik_rows` call;
+# - `monotone_map_extend` with `model.MonotoneMapFit`,
+#   `effects.gibbs_update_phi_column` and `levyst.runtime.WorkerPool`.
+# `SamplerConfig.workers`, which only the chain's metadata records, stays
+# because the benchmark's worker-invariance check and
+# `tools/chain_digest.py` set it.
 
 # Random stream identifiers.
 _S_INIT, _S_BLOCK, _S_THETA, _S_PHI, _S_ZETA, _S_PREDICT = range(6)
@@ -257,9 +251,6 @@ class SamplerState:
     # Terms of theta and the atoms, kept by `Sampler.iterate`, which computes
     # them when None.  Reset to None after changing theta or atoms elsewhere.
     terms: StateTerms | None = None
-    # The atoms' operands, formed once for both proposals of `Sampler.iterate`'s
-    # theta phase and None outside it.
-    operands: AtomOperands | None = None
 
 
 @dataclass
@@ -346,17 +337,12 @@ def _map_grid(locations: np.ndarray) -> tuple[MapGrid, tuple[np.ndarray, ...]]:
     return MapGrid.build(knots), tuple(inverse)
 
 
-def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool = True,
-                  phi0_override: np.ndarray | None = None) -> ModelContext:
-    """The constants of a chain on `data`.  Alpha is pinned at 0 exactly when
-    the data carry standardization statistics.  `phi0_override` replaces the
-    empirical baseline phi0 (a matrix of the response's shape)."""
-    if phi0_override is not None:
-        phi0 = np.asarray(phi0_override, dtype=float)
-        if phi0.shape != data.y.shape:
-            raise InvalidArgumentError("phi0 override must match the response shape")
-    else:
-        phi0 = effects.phi0_training_matrix(data.locations, data.y)
+def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool = True) -> ModelContext:
+    """The constants of a chain on `data`, whose grid `check_grid` accepts.
+    Alpha is pinned at 0 exactly when the data carry standardization
+    statistics."""
+    check_grid(data.locations, data.times)
+    phi0 = effects.phi0_training_matrix(data.locations, data.y)
     grid, inverse = _map_grid(data.locations)
     ar_mode = mode_for_times(data.times)
     gaps, gap_rows = np.unique(step_gaps(data.times, ar_mode), return_inverse=True)
@@ -380,8 +366,6 @@ class ThetaCache:
     """
 
     kp: object
-    beta_spec: ArSpec
-    mu_specs: list[ArSpec]
     mapped: np.ndarray
     table: ProcessTable
 
@@ -393,8 +377,7 @@ class ThetaCache:
         for ell in range(ctx.p):
             values = ctx.map_grid.knot_values(ell, slope[ell:ell + 1], mp.C_tilde[ell:ell + 1])[0]
             mapped[:, ell] = values[ctx.knot_inverse[ell]]
-        return cls(kp=kp, beta_spec=beta_spec, mu_specs=mu_specs, mapped=mapped,
-                   table=ProcessTable.build(ctx.gaps, beta_spec, mu_specs))
+        return cls(kp=kp, mapped=mapped, table=ProcessTable.build(ctx.gaps, beta_spec, mu_specs))
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +424,8 @@ class AtomOperands:
 
     @classmethod
     def build(cls, atoms: AtomStore, ctx: ModelContext) -> "AtomOperands":
-        return cls(ProcessOperands.build(atoms, _predecessors(atoms, np.arange(ctx.m)), ctx.gap_index),
+        return cls(ProcessOperands.build(atoms, predecessors(atoms, np.arange(ctx.m)), ctx.gap_index),
                    FieldOperands.build(atoms))
-
-
-def _predecessors(atoms: AtomStore, ks: np.ndarray) -> AtomStore:
-    """The blocks of `atoms` at times ks - 1, with count 0 (no predecessor)
-    at the first time."""
-    prev = atoms.take(ks - 1)
-    prev.counts[ks == 0] = 0
-    return prev
 
 
 def _join(first: AtomStore, second: AtomStore) -> AtomStore:
@@ -472,27 +447,20 @@ def block_factors(table: ProcessTable, atoms: AtomStore, proposal: AtomStore, ks
     """
     linked = np.flatnonzero(ks + 1 < atoms.counts.size)
     factors = table.log_densities(_join(proposal, atoms.take(ks[linked] + 1)),
-                                  _join(_predecessors(atoms, ks), proposal.take(linked)),
+                                  _join(predecessors(atoms, ks), proposal.take(linked)),
                                   np.concatenate([gap_index[ks], gap_index[ks[linked] + 1]]))
     p_out = np.zeros(ks.size)
     p_out[linked] = factors[ks.size:]
     return factors[:ks.size], p_out
 
 
-def loglik_slice(k: int, f: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
-                 phi: np.ndarray | None) -> float:
-    """Time-k log likelihood of the field column f."""
-    phi_col = ctx.phi_effective(phi)[:, k]
-    return float(np.sum(log_observation_density(
-        ctx.y[:, k], hypers.alpha, phi_col, f, ctx.var_effective(hypers))))
-
-
 def loglik_rows(ks, rows: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
                 phi: np.ndarray | None) -> np.ndarray:
-    """Log likelihoods of several field rows: entry b is
-    `loglik_slice(ks[b], rows[b], ...)` bit for bit.  `ks` indexes the
-    time blocks: integers, or a slice, whose data and effect rows are read
-    as views, with no copy.
+    """Log likelihoods of several field rows: entry b is the time-ks[b] log
+    likelihood of the field column rows[b], bit for bit the sum of its own
+    densities (the per-block likelihood that `tests/oracles.py` keeps).
+    `ks` indexes the time blocks: integers, or a slice, whose data and
+    effect rows are read as views, with no copy.
 
     The densities form a C-ordered (B, n) array before the row sums: a
     reduction over rows of a transposed layout adds them sequentially
@@ -502,6 +470,12 @@ def loglik_rows(ks, rows: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
     phi_rows = ctx.phi_effective(phi).T[ks]
     dens = log_observation_density(y, hypers.alpha, phi_rows, rows, ctx.var_effective(hypers))
     return np.ascontiguousarray(dens).sum(axis=1)
+
+
+def loglik_slice(k: int, f: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
+                 phi: np.ndarray | None) -> float:
+    """Time-k log likelihood of the field column f: `loglik_rows` on one row."""
+    return float(loglik_rows([k], f[None], ctx, hypers, phi)[0])
 
 
 def block_scores(counts: np.ndarray, p_in: np.ndarray, p_out: np.ndarray, loglik: np.ndarray,
@@ -758,13 +732,14 @@ def theta_score(log_prior: float, terms: StateTerms, loglik: np.ndarray) -> floa
     return lp + reduce_sum(loglik)
 
 
-def theta_logpost(theta, state, ctx):
+def theta_logpost(theta, state, ctx, operands):
     """Log conditional of the fixed-dimension block given everything else,
-    with the state's terms under theta ((-inf, None) outside the bounds)."""
+    with the state's terms under theta ((-inf, None) outside the bounds).
+    `operands` are the `AtomOperands` of the state's atoms."""
     log_prior = log_prior_theta(theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
     if not math.isfinite(log_prior):
         return -np.inf, None
-    terms = StateTerms.build(ThetaCache.build(theta, ctx), state.atoms, ctx, state.operands)
+    terms = StateTerms.build(ThetaCache.build(theta, ctx), state.atoms, ctx, operands)
     loglik = loglik_rows(slice(None), terms.field.T, ctx, state.hypers, state.phi)
     return theta_score(log_prior, terms, loglik), terms
 
@@ -865,9 +840,9 @@ class Sampler:
     """Owns the iteration schedule and the random streams of one chain."""
 
     def __init__(self, data: SpaceTimeDataset, cfg: SamplerConfig, prior: PriorConfig,
-                 marginalized: bool = True, phi0_override: np.ndarray | None = None):
+                 marginalized: bool = True):
         self.cfg = cfg
-        self.ctx = build_context(data, prior, marginalized, phi0_override)
+        self.ctx = build_context(data, prior, marginalized)
 
     # -- initialization ----------------------------------------------------
 
@@ -941,17 +916,14 @@ class Sampler:
         rng_t = stream(cfg.seed, _S_THETA, r)
         log_prior = log_prior_theta(state.theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
         cur_lp = theta_score(log_prior, terms, loglik)
-        state.operands = AtomOperands.build(atoms, ctx)
-        try:
-            for move, propose in (("tmcmc", tmcmc_proposal), ("enhance", enhancement_proposal)):
-                proposal, log_jac = propose(state.theta, cfg, rng_t)
-                lp_prop, terms_prop = theta_logpost(proposal, state, ctx)
-                accepted = _log_uniform(rng_t.random()) < lp_prop - cur_lp + log_jac
-                stats.record(move, accepted)
-                if accepted:
-                    state.theta, cur_lp, terms = proposal, lp_prop, terms_prop
-        finally:
-            state.operands = None
+        operands = AtomOperands.build(atoms, ctx)
+        for move, propose in (("tmcmc", tmcmc_proposal), ("enhance", enhancement_proposal)):
+            proposal, log_jac = propose(state.theta, cfg, rng_t)
+            lp_prop, terms_prop = theta_logpost(proposal, state, ctx, operands)
+            accepted = _log_uniform(rng_t.random()) < lp_prop - cur_lp + log_jac
+            stats.record(move, accepted)
+            if accepted:
+                state.theta, cur_lp, terms = proposal, lp_prop, terms_prop
         state.terms = terms
 
         # random-effect draws (explicit mode): one (m, n) normal array, row k

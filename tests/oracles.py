@@ -1,9 +1,10 @@
 """Reference forms that tests compare the program against: per-sample forms
 of whole-chain computations, the initial state through `scipy.stats`, which the batched forms equal with `==`, and
-the one-point field, the prior densities and the joint log posterior, which
-the sampler's batched terms agree with, and the per-value text writers, the
-per-cell chain reader and the per-row CSV reader, whose bytes, values and
-errors the program's equal.
+the one-point field, the per-block process densities, field and likelihood,
+the prior densities and the joint log posterior, which the sampler's batched
+terms agree with, and the per-value text writers, the per-cell chain reader
+and the per-row CSV reader, whose bytes, values and errors the program's
+equal.
 
 (Named `oracles`, not `reference`: the benchmark's own `reference` module is
 imported by name in the same test process.)
@@ -16,14 +17,14 @@ from scipy.special import gammaln
 from scipy.stats import invgamma, norm
 
 from levyst import effects
-from levyst.ar import mode_for_times
+from levyst.ar import ar_initial_log_density, ar_transition_log_density, mode_for_times, step_gaps
 from levyst.chainio import _FMT, _group_cells, _meta_cell, _meta_int, _read_meta, scalar_header
 from levyst.data import SpaceTimeDataset
 from levyst.errors import (ConfigError, InvalidArgumentError, InvalidStateError, ParseError,
                            UnsupportedPredictionError)
 from levyst.model import (COORD_BOUND, MAP_EXPONENT, AtomStore, LatentAtoms, MonotoneMapFit, ThetaLayout,
-                          atom_process_log_density, count_log_factor, field_rows, field_values, kernel_matrix,
-                          log_observation_density, log_prior_theta, unpack_theta)
+                          count_log_factor, field_rows, kernel_matrix, log_observation_density, log_prior_theta,
+                          unpack_theta)
 from levyst.sampler import _S_INIT, _S_PREDICT, ChainSample, PredictionBands, SamplerState, ScalarHypers, stream
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -131,6 +132,68 @@ def field_rows_per_block(mapped, times, atoms, kp) -> np.ndarray:
         start, end = end, end + count
         rows[b] = kernel[:, start:end] @ atoms.values[0, b, :count]
     return rows
+
+
+def field_values(mapped: np.ndarray, t: float, atoms: LatentAtoms, kp) -> np.ndarray:
+    """Vectorized f over the rows of an (n, p) mapped-location matrix."""
+    if atoms.count == 0:
+        return np.zeros(mapped.shape[0])
+    return kernel_matrix(mapped, atoms.mu.T, kp, kp.xi * abs(t - kp.tau)) @ atoms.beta
+
+
+def loglik_slice(k: int, f: np.ndarray, ctx, hypers, phi) -> float:
+    """Time-k log likelihood of the field column f."""
+    phi_col = ctx.phi_effective(phi)[:, k]
+    return float(np.sum(log_observation_density(
+        ctx.y[:, k], hypers.alpha, phi_col, f, ctx.var_effective(hypers))))
+
+
+def atoms_in_bounds(atoms: LatentAtoms) -> bool:
+    return bool(np.all(np.abs(atoms.mu) <= COORD_BOUND))
+
+
+def chain_factor(values_curr: np.ndarray, values_prev, j_prev: int, gap, spec):
+    """Log density of one coordinate column at time k given its predecessor.
+
+    Atom chains are index-matched across time; chains without a predecessor
+    (index beyond the previous count) start from the initial law.
+    """
+    J = values_curr.size
+    shared = min(J, j_prev)
+    total = 0.0
+    if shared > 0:
+        total += float(np.sum(ar_transition_log_density(values_curr[:shared], values_prev[:shared], gap, spec)))
+    if J > shared:
+        total += float(np.sum(ar_initial_log_density(values_curr[shared:], spec)))
+    return total
+
+
+def atom_block_log_density(atoms_k: LatentAtoms, atoms_prev: LatentAtoms | None,
+                           gap, beta_spec, mu_specs) -> float:
+    """All incoming process factors of one time block (bounds included)."""
+    if not atoms_in_bounds(atoms_k):
+        return -np.inf
+    if atoms_prev is None:
+        total = float(np.sum(ar_initial_log_density(atoms_k.beta, beta_spec)))
+        for ell, spec in enumerate(mu_specs):
+            total += float(np.sum(ar_initial_log_density(atoms_k.mu[:, ell], spec)))
+        return total
+    total = chain_factor(atoms_k.beta, atoms_prev.beta, atoms_prev.count, gap, beta_spec)
+    for ell, spec in enumerate(mu_specs):
+        total += chain_factor(atoms_k.mu[:, ell], atoms_prev.mu[:, ell], atoms_prev.count, gap, spec)
+    return total
+
+
+def atom_process_log_density(atoms: list[LatentAtoms], times: np.ndarray, beta_spec, mu_specs) -> float:
+    """Process factors over all time blocks (initial laws plus transitions
+    over the gaps of `step_gaps`)."""
+    gaps = step_gaps(times, beta_spec.mode)
+    total = atom_block_log_density(atoms[0], None, None, beta_spec, mu_specs)
+    for k in range(1, len(atoms)):
+        if not np.isfinite(total):
+            return -np.inf
+        total += atom_block_log_density(atoms[k], atoms[k - 1], gaps[k - 1], beta_spec, mu_specs)
+    return total
 
 
 def grid_index(t, times) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from levyst.ar import transition_moments
 from levyst.errors import InvalidArgumentError
-from levyst.model import COORD_BOUND, AtomStore, LatentAtoms, ScalarHypers, field_rows, theta_in_bounds
+from levyst.model import COORD_BOUND, AtomStore, LatentAtoms, ScalarHypers, field_rows, theta_in_bounds, unpack_theta
 from levyst.sampler import ModelContext, SamplerConfig, SamplerState, ThetaCache
 
 _MAX_TRIES = 200_000
@@ -59,8 +59,7 @@ def draw_prior_state(ctx: ModelContext, cfg: SamplerConfig, rng: np.random.Gener
         if np.any(counts < 1) or np.any(counts > cfg.j_max):
             continue
 
-        cache = ThetaCache.build(theta, ctx)
-        atoms, ok = _draw_atoms(counts, ctx, cache, rng)
+        atoms, ok = _draw_atoms(counts, ctx, *unpack_theta(theta, layout, ctx.ar_mode)[2:], rng)
         if not ok:
             continue
 
@@ -74,8 +73,7 @@ def draw_prior_state(ctx: ModelContext, cfg: SamplerConfig, rng: np.random.Gener
     raise InvalidArgumentError("prior rejection sampling failed; priors too diffuse for the bounds")
 
 
-def _draw_atoms(counts, ctx, cache, rng):
-    beta_spec, mu_specs = cache.beta_spec, cache.mu_specs
+def _draw_atoms(counts, ctx, beta_spec, mu_specs, rng):
     atoms: list[LatentAtoms] = []
     for k, J in enumerate(counts):
         mu = np.empty((J, ctx.p))

@@ -1,9 +1,10 @@
 """Rounding bounds for batched values checked against per-block references.
 
-The batched process factors sum a block's terms in another order than
-`atom_block_log_density`, and the kernel matrix expands its exponent into
-one product.  Neither changes which terms are added, only how they round, so
-each comparison allows the error a floating-point analysis gives and no more.
+The batched process factors sum a block's terms in another order than the
+per-block `atom_block_log_density` of `tests/oracles.py`, and the kernel
+matrix expands its exponent into one product.  Neither changes which terms
+are added, only how they round, so each comparison allows the error a
+floating-point analysis gives and no more.
 """
 
 import numpy as np
@@ -14,10 +15,10 @@ EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
 
 
-def process_tolerance(atoms, prev, gap, specs) -> float:
-    """2 L eps sum|t| for one block's process factor: its L = (p+1) J terms
-    t (transition terms for the atoms linked to `prev`, initial-law terms
-    beyond) summed in two orders, each within (L-1) eps sum|t| of the exact sum."""
+def _terms(atoms, prev, gap, specs) -> tuple[int, float]:
+    """The number L = (p+1) J of one block's process terms t (transition
+    terms for the atoms linked to `prev`, initial-law terms beyond) and
+    sum|t|."""
     shared = 0 if prev is None else min(atoms.count, prev.count)
     cols = [atoms.beta, *atoms.mu.T]
     prev_cols = [None] * len(cols) if prev is None else [prev.beta, *prev.mu.T]
@@ -26,7 +27,25 @@ def process_tolerance(atoms, prev, gap, specs) -> float:
         if shared:
             abs_sum += np.abs(ar_transition_log_density(x[:shared], x_prev[:shared], gap, spec)).sum()
         abs_sum += np.abs(ar_initial_log_density(x[shared:], spec)).sum()
-    return 2.0 * len(cols) * atoms.count * EPS * abs_sum
+    return len(cols) * atoms.count, abs_sum
+
+
+def process_tolerance(atoms, prev, gap, specs) -> float:
+    """2 L eps sum|t| for one block's process factor: its L terms t summed
+    in two orders, each within (L-1) eps sum|t| of the exact sum."""
+    count, abs_sum = _terms(atoms, prev, gap, specs)
+    return 2.0 * count * EPS * abs_sum
+
+
+def chain_process_tolerance(atoms, gaps, specs) -> float:
+    """`process_tolerance` over the terms of every block of a chain, block k
+    following block k - 1 across gaps[k - 1]: all its L terms t summed in
+    two orders, within 2 L eps sum|t|."""
+    count = abs_sum = 0.0
+    for k, block in enumerate(atoms):
+        n, s = _terms(block, None if k == 0 else atoms[k - 1], None if k == 0 else gaps[k - 1], specs)
+        count, abs_sum = count + n, abs_sum + s
+    return 2.0 * count * EPS * abs_sum
 
 
 def exponent_tolerance(mapped, mu_rows, ksq, time_term):

@@ -47,7 +47,9 @@ def _sampler(marginalized: bool, seed: int) -> Sampler:
     alpha is sampled."""
     data = SpaceTimeDataset(np.array([[0.25], [0.75]]), np.array([1.0, 2.2, 3.0]), np.zeros((2, 3)))
     cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=15, seed=seed)
-    return Sampler(data, cfg, _prior(), marginalized=marginalized, phi0_override=np.zeros((2, 3)))
+    sampler = Sampler(data, cfg, _prior(), marginalized=marginalized)
+    sampler.ctx.phi0 = np.zeros((2, 3))
+    return sampler
 
 
 def _summaries(state, ctx) -> np.ndarray:

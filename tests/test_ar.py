@@ -136,6 +136,12 @@ def test_sample_path_input_validation():
         ar_sample_path(np.array([0.0, 0.0, 1.0]), spec, np.random.default_rng(0))
     with pytest.raises(InvalidArgumentError):  # a gap beyond the largest float
         ar_sample_path(np.array([1e292, -1.7976931348623157e308]), spec, np.random.default_rng(0))
+    # increasing times whose gap overflows: raised with no overflow warning
+    far = np.array([-1.7976931348623157e308, 1e292])
+    for ar_spec in (spec, ArSpec(rho=0.5, sigma_sq=1.0, mode=ArMode.REGULAR_AR1)):
+        with pytest.raises(InvalidArgumentError, match="time gaps must be finite"):
+            ar_sample_path(far, ar_spec, np.random.default_rng(0))
+    assert mode_for_times(far) is ArMode.IAR
 
 
 def test_mode_selection_and_transform_round_trip():

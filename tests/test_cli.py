@@ -142,6 +142,26 @@ def test_predict_round_trip(sim_dir, fit_dir, tmp_path):
         assert cells[i_lo] <= cells[i_md] <= cells[i_hi]
 
 
+def test_predict_reads_the_chain_mode(sim_dir, fit_dir, tmp_path, capsys):
+    """A chain whose metadata holds a mode other than marginalized or
+    explicit is bad input (exit 2, naming the value), not an explicit-mode
+    chain; a chain without a mode predicts as a marginalized one."""
+    chain_text = (fit_dir / "chain.txt").read_text()
+    assert chain_text.count(" mode=marginalized ") == 1
+    paths = {}
+    for name, token in (("misnamed", " mode=marginalised "), ("modeless", " ")):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(chain_text.replace(" mode=marginalized ", token))
+    flags = ["--data", str(sim_dir / "train.csv"), "--points", str(sim_dir / "test.csv"), "--seed", "2"]
+    capsys.readouterr()
+    assert _run("predict", "--chain", str(paths["misnamed"]), *flags, "--out", str(tmp_path / "bad")) == 2
+    assert "chain metadata mode=marginalised is neither marginalized nor explicit" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    for name, chain in (("marginalized", fit_dir / "chain.txt"), ("modeless", paths["modeless"])):
+        assert _run("predict", "--chain", str(chain), *flags, "--out", str(tmp_path / name)) == 0
+    assert (tmp_path / "modeless" / "bands.csv").read_bytes() == (tmp_path / "marginalized" / "bands.csv").read_bytes()
+
+
 def test_diagnose_outputs(sim_dir, tmp_path):
     out = tmp_path / "diag"
     code = _run("diagnose", "--data", str(sim_dir / "train.csv"),
@@ -271,6 +291,9 @@ def test_bad_input_exits_2_naming_the_cause(sim_dir, fit_dir, tmp_path, capsys, 
     write_csv(SpaceTimeDataset(train.locations[:2], train.times, train.y[:2]), small)  # 8 cells
     existing = tmp_path / "taken"
     existing.write_text("")
+    far = tmp_path / "far.csv"
+    write_csv(SpaceTimeDataset(np.column_stack([train.locations[:, 0], train.locations[:, 1] * 1e100]), train.times,
+                               train.y), far)
     fit_flags = ["--iters", "4", "--burnin", "0", "--thin", "1", "--jmax", "4"]
     cases = [
         (["fit", "--data", str(constant), "--out", str(tmp_path / "f1"), *fit_flags], ["constant response"]),
@@ -290,6 +313,7 @@ def test_bad_input_exits_2_naming_the_cause(sim_dir, fit_dir, tmp_path, capsys, 
         (["fit", "--data", str(sim_dir / "train.csv"), "--out", str(tmp_path / "f5"),
           "--iters", "100", "--burnin", "95", "--thin", "10", "--jmax", "4"],
          ["iters 100, burnin 95 and thin 10 store no sample"]),
+        (["fit", "--data", str(far), "--out", str(tmp_path / "f6"), *fit_flags], ["coordinates of dimension 1"]),
     ]
     capsys.readouterr()
     for argv, causes in cases:

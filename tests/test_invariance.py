@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import poisson
 
 from levyst.data import SpaceTimeDataset
-from levyst.model import AtomStore, LatentAtoms, PriorConfig, ScalarHypers
+from levyst.model import AtomStore, LatentAtoms, PriorConfig, ScalarHypers, unpack_theta
 from levyst.sampler import SamplerConfig, StateTerms, ThetaCache, build_context, stream, update_time_block
 from priorsim import draw_prior_state
 
@@ -38,19 +38,21 @@ def test_one_block_kernel_keeps_its_target():
     data = SpaceTimeDataset(np.array([[0.2], [0.8]]), np.array([1.0]), np.zeros((2, 1)), mean=0.0, sd=1.0)
     prior = PriorConfig(ig_a=3.0, ig_b=2.0, ig_a_tight=3.0, ig_b_tight=2.0,
                         lambda_a=6.0, lambda_b=2.0, nu_var=1.0, rho_var=1.0)
-    ctx = build_context(data, prior, marginalized=True, phi0_override=np.zeros((2, 1)))
+    ctx = build_context(data, prior, marginalized=True)
+    ctx.phi0 = np.zeros((2, 1))
     cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=J_MAX, seed=1)
     # theta from one prior draw, held fixed; the huge noise variance flattens the likelihood
     state = draw_prior_state(ctx, cfg, rng)
     hypers = ScalarHypers(lam=LAM, sigma_sq_eps=1e12, sigma_sq_phi=0.0)
     cache = ThetaCache.build(state.theta, ctx)
-    beta_var = cache.beta_spec.initial_variance
+    _, _, beta_spec, mu_specs = unpack_theta(state.theta, ctx.layout, ctx.ar_mode)
+    beta_var = beta_spec.initial_variance
 
     J = 0
     while not 1 <= J <= J_MAX:
         J = int(rng.poisson(LAM))
     start = LatentAtoms(np.column_stack([math.sqrt(spec.initial_variance) * rng.standard_normal(J)
-                                         for spec in cache.mu_specs]),
+                                         for spec in mu_specs]),
                         math.sqrt(beta_var) * rng.standard_normal(J))
     atoms = AtomStore.from_blocks([start], J_MAX)
     terms = StateTerms.build(cache, atoms, ctx)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import invgamma, norm, poisson
 
-from levyst.ar import ArMode, ArSpec
+import oracles
+from levyst import model
+from levyst.ar import ArMode, ArSpec, step_gaps
 from levyst.errors import InvalidArgumentError, InvalidStateError
 from levyst.model import (
     COORD_BOUND,
@@ -24,7 +26,6 @@ from levyst.model import (
     ProcessTable,
     ScalarHypers,
     ThetaLayout,
-    atom_block_log_density,
     atom_process_log_density,
     count_log_factor,
     field_rows,
@@ -36,9 +37,10 @@ from levyst.model import (
     theta_in_bounds,
     unpack_theta,
 )
-from oracles import (f_eval, field_rows_per_block, log_ig_transformed, log_joint_parts, log_joint_posterior,
-                     log_prior_zeta, map_extend, map_fit)
-from rounding import assert_factor_close, assert_kernel_close, exponent_tolerance, field_tolerance, process_tolerance
+from oracles import (atom_block_log_density, f_eval, field_rows_per_block, log_ig_transformed, log_joint_parts,
+                     log_joint_posterior, log_prior_zeta, map_extend, map_fit)
+from rounding import (assert_factor_close, assert_kernel_close, chain_process_tolerance, exponent_tolerance,
+                      field_tolerance, process_tolerance)
 
 KP2 = KernelParams(tilde_sigma_sq=np.array([1.0, 1.0]), tau=1.0, xi=0.5)
 
@@ -98,6 +100,11 @@ def test_map_fit_rejects_unsorted():
         MapGrid.build([np.array([1.0, 0.0])])
     with pytest.raises(InvalidArgumentError):  # a step beyond the largest float
         MapGrid.build([np.array([1e292, -1.7976931348623157e308])])
+    # sorted coordinates whose increment or |s_(1)|^r overflows: raised with
+    # no overflow warning
+    for far in (np.array([-1.7976931348623157e308, 1e292]), np.array([1e200])):
+        with pytest.raises(InvalidArgumentError, match="dimension 1 overflow"):
+            MapGrid.build([np.array([0.0, 1.0]), far])
 
 
 @given(coords=st.lists(st.floats(-3, 3), min_size=1, max_size=8),
@@ -184,6 +191,61 @@ def test_process_table_matches_reference_density(mode):
         assert_factor_close(got[1], want[1], process_tolerance(atoms, None, None, specs))
     # a parity with no blocks (m = 1 has no second parity) scores nothing
     assert table.log_densities(store.take(np.arange(0)), before.take(np.arange(0)), np.arange(0)).shape == (0,)
+
+
+@given(mode=st.sampled_from(list(ArMode)), p=st.integers(1, 3),
+       blocks=st.lists(st.tuples(st.integers(0, 11), st.booleans()), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@example(mode=ArMode.IAR, p=1, blocks=[(0, False)], seed=0)
+@example(mode=ArMode.REGULAR_AR1, p=2, blocks=[(3, False), (0, False), (2, True), (5, False)], seed=1)
+@settings(max_examples=200, deadline=None)
+def test_process_delegations_match_the_per_block_densities(mode, p, blocks, seed):
+    """`model.atom_block_log_density` and `model.atom_process_log_density`,
+    each one `ProcessTable` pass, agree with the per-block densities of
+    `tests/oracles.py` within their rounding bounds, on a unit grid (the
+    regular AR(1), rho of either sign) and an irregular one, with counts
+    from 0 and -inf exact where a block has an atom outside the box."""
+    rng = np.random.default_rng(seed)
+    rho_lo = 0.05 if mode is ArMode.IAR else -0.95
+    specs = [ArSpec(rho=float(rng.uniform(rho_lo, 0.95)), sigma_sq=float(np.exp(rng.uniform(-3, 2))), mode=mode)
+             for _ in range(p + 1)]
+    m = len(blocks)
+    times = np.arange(1.0, m + 1.0) if mode is ArMode.REGULAR_AR1 else np.cumsum(rng.uniform(0.2, 3.0, size=m))
+    atoms = []
+    for J, outside in blocks:
+        mu = rng.normal(scale=3.0, size=(J, p))
+        if outside and J:
+            mu[rng.integers(J), rng.integers(p)] = rng.choice([-1.0, 1.0]) * 10.5
+        atoms.append(LatentAtoms(mu, rng.normal(size=J)))
+    gaps = step_gaps(times, mode)
+    for k, block in enumerate(atoms):
+        prev, gap = (None, None) if k == 0 else (atoms[k - 1], gaps[k - 1])
+        assert_factor_close(model.atom_block_log_density(block, prev, gap, specs[0], specs[1:]),
+                            oracles.atom_block_log_density(block, prev, gap, specs[0], specs[1:]),
+                            process_tolerance(block, prev, gap, specs))
+    assert_factor_close(model.atom_process_log_density(atoms, times, specs[0], specs[1:]),
+                        oracles.atom_process_log_density(atoms, times, specs[0], specs[1:]),
+                        chain_process_tolerance(atoms, gaps, specs))
+
+
+@given(p=st.integers(1, 3), n=st.sampled_from([1, 2, 7, 30, 100]), J=st.integers(0, 11),
+       seed=st.integers(0, 2**32 - 1))
+@example(p=1, n=1, J=0, seed=0)
+@example(p=2, n=1, J=4, seed=1)
+@example(p=3, n=30, J=0, seed=2)
+@settings(max_examples=300, deadline=None)
+def test_field_values_equals_the_per_block_field(p, n, J, seed):
+    """`model.field_values`, one `field_rows` call on a one-block store,
+    equals the per-block field of `tests/oracles.py` bit for bit, one
+    location (numpy's vector product) and no atoms included."""
+    rng = np.random.default_rng(seed)
+    kp = KernelParams(tilde_sigma_sq=np.exp(rng.uniform(-3.0, 1.0, size=p)), tau=math.exp(rng.uniform(-3.0, 2.0)),
+                      xi=math.exp(rng.uniform(-3.0, 0.0)))
+    mapped = rng.normal(scale=2.0, size=(n, p))
+    atoms = LatentAtoms(rng.normal(scale=2.0, size=(J, p)), rng.normal(size=J))
+    t = float(rng.uniform(0.0, 10.0))
+    got, want = model.field_values(mapped, t, atoms, kp), oracles.field_values(mapped, t, atoms, kp)
+    assert got.shape == want.shape == (n,) and got.tobytes() == want.tobytes()
 
 
 def test_f_eval_cases():

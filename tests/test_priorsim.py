@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import priorsim
-from levyst.model import COORD_BOUND, LOG_HI, LOG_LO, LOGIT_BOUND, X_HI, X_LO, field_values
+from levyst.model import COORD_BOUND, LOG_HI, LOG_LO, LOGIT_BOUND, X_HI, X_LO
 from levyst.sampler import SamplerConfig, ThetaCache, build_context
+from oracles import field_values
 from priorsim import draw_observations, draw_prior_state
 
 

@@ -14,14 +14,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, kstest, norm
 
+from levyst import effects
 from levyst.ar import ArMode, mode_for_times
 from levyst.data import SpaceTimeDataset, standardize
 from levyst.chainio import read_chain, write_chain
-from levyst.errors import ConfigError, InvalidStateError, UnsupportedPredictionError
+from levyst.errors import ConfigError, InvalidArgumentError, InvalidStateError, UnsupportedPredictionError
 from levyst.model import (COORD_BOUND, AtomStore, LatentAtoms, PriorConfig, ScalarHypers, ThetaLayout, count_log_factor,
                           kernel_matrix, monotone_map_extend, unpack_theta)
 from levyst.sampler import (
     MOVE_NAMES,
+    AtomOperands,
     ChainSample,
     MoveStats,
     Sampler,
@@ -45,7 +47,8 @@ from levyst.sampler import (
     tmcmc_proposal,
     update_time_block,
 )
-from oracles import initial_state_per_block, log_joint_parts, log_joint_posterior, map_fit
+from oracles import (atom_block_log_density, atom_process_log_density, field_values, initial_state_per_block,
+                     log_joint_parts, log_joint_posterior, loglik_slice, map_fit)
 from rounding import assert_factor_close, exponent_tolerance, field_tolerance, process_tolerance
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -59,7 +62,14 @@ def _tiny_ctx(tame_prior, n=1, m=1, p=1, marginalized=True):
     times = np.arange(1.0, m + 1.0)
     y = rng.standard_normal((n, m))
     data = SpaceTimeDataset(locs, times, y, mean=0.0, sd=1.0)  # standardized: alpha pinned
-    return build_context(data, tame_prior, marginalized=marginalized, phi0_override=np.zeros((n, m)))
+    # a zero baseline, which also lets n = 1 through
+    with patch.object(effects, "phi0_training_matrix", lambda locations, y_: np.zeros((n, m))):
+        return build_context(data, tame_prior, marginalized=marginalized)
+
+
+def _specs(theta, ctx):
+    """The (beta, mu) autoregression specs of theta."""
+    return unpack_theta(theta, ctx.layout, ctx.ar_mode)[2:]
 
 
 def _state_pieces(ctx, j0=1, seed=3):
@@ -105,10 +115,53 @@ def test_config_validation():
             SamplerConfig(iterations=10, burn_in=0, thin=1, scale=scale)
 
 
-def _independent_block_conditional(atoms_k, cache, ctx, hypers):
+_FAR = np.array([-1.7976931348623157e308, 1e292])
+
+
+@pytest.mark.parametrize("case", ["far times", "far coordinates", "coordinates 1e100", "coordinates 3.05e74",
+                                  "times 3.03e305"])
+def test_build_context_rejects_grids_that_overflow_in_the_theta_box(tame_prior, case):
+    """A grid on which some theta in the box gives a non-finite map value,
+    squared distance, kernel exponent or time gap is bad input: an
+    InvalidArgumentError naming the times or the dimension, raised before
+    any of those terms is formed, so with no overflow warning."""
+    locations, times = np.array([[0.2, 0.1], [0.7, 0.4], [0.9, 0.3]]), np.array([1.0, 2.0])
+    if case == "far times":
+        times, cause = _FAR, "times reach"
+    elif case == "times 3.03e305":
+        # the bound at p = 1 lies between 3.02e305 and 3.03e305
+        locations, times, cause = locations[:, :1], np.array([0.0, 3.03e305]), "times reach"
+    else:
+        reach = {"far coordinates": _FAR, "coordinates 1e100": np.array([0.0, 1e100]),
+                 "coordinates 3.05e74": np.array([0.0, 3.05e74])}[case]
+        locations, cause = np.column_stack([locations[:, 0], np.append(reach, 0.5)]), "coordinates of dimension 1"
+        if case == "coordinates 3.05e74":  # the bound at p = 1 lies between 3.04e74 and 3.05e74
+            locations, cause = locations[:, 1:], "coordinates of dimension 0"
+    data = SpaceTimeDataset(locations, times, np.random.default_rng(0).standard_normal((3, 2)))
+    with pytest.raises(InvalidArgumentError, match=cause):
+        build_context(data, tame_prior)
+
+
+@pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
+def test_grid_just_inside_the_bound_fits_without_a_warning(tame_prior, marginalized):
+    """Coordinates of 3.04e74 and times of 3.02e305 lie just inside the
+    bound at p = 1; a chain on them runs with no warning (the test settings
+    make one an error) and keeps finite terms."""
+    data = SpaceTimeDataset(np.array([[-3.04e74], [0.0], [1.0], [3.04e74]]), np.array([-3.02e305, 0.0, 1.0, 3.02e305]),
+                            np.random.default_rng(1).standard_normal((4, 4)))
+    cfg = SamplerConfig(iterations=60, burn_in=0, thin=20, j_max=5, seed=1)
+    sampler = Sampler(data, cfg, tame_prior, marginalized=marginalized)
+    state, stats = sampler.initial_state(), MoveStats()
+    for r in range(cfg.iterations):
+        state = sampler.iterate(state, r, stats)
+    assert np.all(np.isfinite(state.terms.field)) and np.all(np.isfinite(state.terms.process))
+    assert stats.proposals["tmcmc"] == cfg.iterations
+
+
+def _independent_block_conditional(atoms_k, theta, cache, ctx, hypers):
     """scipy reassembly of the block conditional for a single-time instance."""
     lp = count_log_factor(atoms_k.count, hypers.lam)
-    bspec, mspecs = cache.beta_spec, cache.mu_specs
+    bspec, mspecs = _specs(theta, ctx)
     if np.any(np.abs(atoms_k.mu) > 10.0):
         return -np.inf
     lp += norm.logpdf(atoms_k.beta, 0.0, math.sqrt(bspec.initial_variance)).sum()
@@ -155,7 +208,7 @@ def _fresh_block_conditionals(ks, store, cache, ctx, hypers, j_max=6):
 def test_birth_acceptance_matches_oracle(tame_prior, monkeypatch):
     ctx = _tiny_ctx(tame_prior, n=1, m=1, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=1)
-    lp_cur = _independent_block_conditional(atoms[0], cache, ctx, hypers)
+    lp_cur = _independent_block_conditional(atoms[0], theta, cache, ctx, hypers)
     store = AtomStore.from_blocks(atoms)
     assert _fresh_block_conditionals([0], store, cache, ctx, hypers)[0][0] == pytest.approx(lp_cur, rel=1e-10)
     for p_add in (1.0, 0.0):
@@ -182,7 +235,7 @@ def test_birth_acceptance_matches_oracle(tame_prior, monkeypatch):
                           + float(np.sum(np.log(np.abs(x)) - np.log(np.abs(eps))))
                           + (p + 1) * (math.log(2.0) + math.log(1 - sampler_module.EPS_FLOOR)))
             assert moves.log_ratio[0] == pytest.approx(struct, rel=1e-10)
-            lp_prop = _independent_block_conditional(moves.proposal.block(0), cache, ctx, hypers)
+            lp_prop = _independent_block_conditional(moves.proposal.block(0), theta, cache, ctx, hypers)
             assert log_alpha == pytest.approx(lp_prop - lp_cur + struct, rel=1e-9)
             assert after.counts[0] == (2 if accepted else 1)
         assert births >= 8
@@ -191,7 +244,7 @@ def test_birth_acceptance_matches_oracle(tame_prior, monkeypatch):
 def test_death_acceptance_matches_oracle(tame_prior, monkeypatch):
     ctx = _tiny_ctx(tame_prior, n=1, m=1, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=3)
-    lp_cur = _independent_block_conditional(atoms[0], cache, ctx, hypers)
+    lp_cur = _independent_block_conditional(atoms[0], theta, cache, ctx, hypers)
     for p_add in (1.0, 0.0):
         monkeypatch.setattr(sampler_module, "P_ADD", p_add)
         deaths = 0
@@ -219,7 +272,7 @@ def test_death_acceptance_matches_oracle(tame_prior, monkeypatch):
             if info["unreachable"]:
                 assert log_alpha == -np.inf and not accepted
             else:
-                lp_prop = _independent_block_conditional(moves.proposal.block(0), cache, ctx, hypers)
+                lp_prop = _independent_block_conditional(moves.proposal.block(0), theta, cache, ctx, hypers)
                 assert log_alpha == pytest.approx(lp_prop - lp_cur + struct, rel=1e-9)
         assert deaths >= 8
 
@@ -292,17 +345,16 @@ def test_no_change_jacobian_and_identity(tame_prior, monkeypatch):
 
 
 def test_block_scores_boundary_structure(tame_prior):
-    from levyst.model import atom_block_log_density
-
     ctx = _tiny_ctx(tame_prior, n=2, m=3, p=1)
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=2)
+    beta_spec, mu_specs = _specs(theta, ctx)
     store = AtomStore.from_blocks(atoms)
     lp, (p_in, p_out) = _fresh_block_conditionals([0, 2], store, cache, ctx, hypers)
     assert np.all(np.isfinite(lp))
     # k=0 holds the initial factor and the forward factor; k=m-1 no forward factor
-    assert p_in[0] == atom_block_log_density(atoms[0], None, None, cache.beta_spec, cache.mu_specs)
+    assert p_in[0] == atom_block_log_density(atoms[0], None, None, beta_spec, mu_specs)
     assert p_out[1] == 0.0
-    assert p_out[0] == atom_block_log_density(atoms[1], atoms[0], 1.0, cache.beta_spec, cache.mu_specs)
+    assert p_out[0] == atom_block_log_density(atoms[1], atoms[0], 1.0, beta_spec, mu_specs)
 
     # changing y at an unrelated time leaves the block conditional unchanged
     y_saved = ctx.y.copy()
@@ -339,9 +391,10 @@ def test_theta_logpost_ratio_matches_joint_difference(tame_prior):
     theta2 = theta.copy()
     theta2[0] += 0.15
     theta2[-1] -= 0.2
-    lp1, _ = theta_logpost(theta, state, ctx)
+    operands = AtomOperands.build(state.atoms, ctx)
+    lp1, _ = theta_logpost(theta, state, ctx, operands)
     state2 = SamplerState(atoms=state.atoms, theta=theta2, hypers=hypers, nu=nu, omega_sq=omega)
-    lp2, _ = theta_logpost(theta2, state2, ctx)
+    lp2, _ = theta_logpost(theta2, state2, ctx, operands)
     args = dict(hypers=hypers, nu=nu, omega_sq=omega, phi=None, y=ctx.y,
                 mapped=cache.mapped, times=ctx.times, phi0=ctx.phi0,
                 prior=ctx.prior, mode=ctx.ar_mode, marginalized=True)
@@ -360,10 +413,11 @@ def test_tmcmc_rejects_out_of_bounds_and_accepts_identity(tame_prior, monkeypatc
     state = SamplerState(atoms=AtomStore.from_blocks(atoms), theta=theta, hypers=hypers, nu=nu, omega_sq=omega)
     bad = theta.copy()
     bad[ctx.layout.i_log_tau] = 7.0
-    lp_bad, _ = theta_logpost(bad, state, ctx)
+    operands = AtomOperands.build(state.atoms, ctx)
+    lp_bad, _ = theta_logpost(bad, state, ctx, operands)
     assert lp_bad == -np.inf
 
-    lp, _ = theta_logpost(theta, state, ctx)
+    lp, _ = theta_logpost(theta, state, ctx, operands)
     monkeypatch.setattr(sampler_module, "P_ADD", 0.0)
     scripted = _ScriptedRng(uniforms=[0.9, 0.5],
                             integer_arrays=[np.zeros(ctx.layout.dim, dtype=int)])
@@ -371,7 +425,7 @@ def test_tmcmc_rejects_out_of_bounds_and_accepts_identity(tame_prior, monkeypatc
     np.testing.assert_array_equal(proposal, theta)
     assert log_jac == 0.0
     # log_alpha is 0, so every acceptance uniform accepts
-    lp_prop, _ = theta_logpost(proposal, state, ctx)
+    lp_prop, _ = theta_logpost(proposal, state, ctx, operands)
     assert all(sampler_module._log_uniform(u) < lp_prop - lp + log_jac for u in (0.0, 0.2, 1.0 - 2.0 ** -53))
 
 
@@ -413,8 +467,8 @@ def test_zero_acceptance_uniform_accepts_any_finite_log_alpha(tiny_dataset, tame
         rng = real_stream(seed, *key)
         return ZeroUniforms(rng) if key[0] == sampler_module._S_THETA else rng
 
-    def low_logpost(theta, state_, ctx):
-        lp, terms = real_logpost(theta, state_, ctx)
+    def low_logpost(theta, state_, ctx, operands):
+        lp, terms = real_logpost(theta, state_, ctx, operands)
         assert math.isfinite(lp)
         scored.append(theta)
         return lp - 1e6, terms
@@ -463,7 +517,8 @@ def test_gibbs_zeta_closed_forms(tame_prior):
     rng0 = np.random.default_rng(0)
     data = SpaceTimeDataset(rng0.random((3, 1)), np.array([1.0, 2.0]),
                             rng0.standard_normal((3, 2)), mean=0.0, sd=1.0)  # standardized: alpha pinned
-    ctx = build_context(data, prior, marginalized=True, phi0_override=np.zeros((3, 2)))
+    ctx = build_context(data, prior, marginalized=True)
+    ctx.phi0 = np.zeros((3, 2))
     theta, nu, omega, cache, atoms, hypers = _state_pieces(ctx, j0=3)
     atoms[1] = LatentAtoms(np.zeros((4, 1)), np.zeros(4))  # J = (3, 4)
     state = SamplerState(atoms=atoms, theta=theta, hypers=hypers, nu=nu, omega_sq=omega)
@@ -531,18 +586,17 @@ def test_near_unit_grid_takes_unit_gaps(near_unit_dataset, tame_prior):
 def test_near_unit_grid_reference_density_takes_unit_gaps(near_unit_dataset, tame_prior):
     """The reference joint density takes the sampler's unit gaps too: with a
     negative rho it scores the atom process as on the exact unit grid."""
-    from levyst.model import atom_process_log_density
-
     ctx = build_context(near_unit_dataset, tame_prior)
     theta, nu, omega, _, atoms, hypers = _state_pieces(ctx, j0=2)
     theta[ctx.layout.i_logit_rho_beta] = -1.0
     cache = ThetaCache.build(theta, ctx)
-    assert cache.beta_spec.rho < 0.0
+    beta_spec, mu_specs = _specs(theta, ctx)
+    assert beta_spec.rho < 0.0
     parts = log_joint_parts(atoms, theta, hypers, nu, omega, None, ctx.y, cache.mapped, ctx.times, ctx.phi0,
                             tame_prior, ctx.ar_mode, True)
     unit_grid = np.arange(ctx.m, dtype=float)
     assert np.isfinite(parts["atom_process"])
-    assert parts["atom_process"] == atom_process_log_density(atoms, unit_grid, cache.beta_spec, cache.mu_specs)
+    assert parts["atom_process"] == atom_process_log_density(atoms, unit_grid, beta_spec, mu_specs)
 
 
 def test_run_chain_move_frequencies(tiny_dataset, tame_prior):
@@ -553,6 +607,30 @@ def test_run_chain_move_frequencies(tiny_dataset, tame_prior):
     for m in ("birth", "death", "no_change"):
         share = res.stats.proposals[m] / total
         assert 0.1 < share < 0.6  # near the (1/3, 1/3, 1/3) mix averaged over J
+
+
+@pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
+@given(n=st.sampled_from([1, 2, 7, 30, 100]), m=st.integers(1, 4), no_atoms=st.booleans(), strided=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, m=1, no_atoms=True, strided=False, seed=0)
+@settings(max_examples=100, deadline=None)
+def test_loglik_slice_equals_the_per_block_likelihood(marginalized, n, m, no_atoms, strided, seed):
+    """`sampler.loglik_slice`, one `loglik_rows` call, equals the per-block
+    likelihood of `tests/oracles.py` bit for bit: one location, a field of
+    a block with no atoms (zeros) and a column read from a field matrix
+    included."""
+    rng = np.random.default_rng(seed)
+    data = SpaceTimeDataset(rng.random((n, 2)), np.arange(1.0, m + 1.0), rng.standard_normal((n, m)))
+    with patch.object(effects, "phi0_training_matrix", lambda locations, y: rng.standard_normal((n, m))):
+        ctx = build_context(data, PriorConfig(), marginalized=marginalized)
+    hypers = ScalarHypers(lam=2.0, sigma_sq_eps=float(rng.uniform(0.1, 2.0)), alpha=float(rng.normal()),
+                          sigma_sq_phi=0.0 if marginalized else float(rng.uniform(0.1, 2.0)))
+    phi = None if marginalized else rng.standard_normal((n, m))
+    field = np.zeros((n, m)) if no_atoms else rng.standard_normal((n, m))
+    for k in range(m):
+        f = field[:, k] if strided else field[:, k].copy()
+        got = sampler_module.loglik_slice(k, f, ctx, hypers, phi)
+        assert type(got) is float and got == loglik_slice(k, f, ctx, hypers, phi)
 
 
 def test_update_time_block_invalid_rate_guard(tame_prior):
@@ -749,13 +827,14 @@ def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, b
     give each block the per-block reference values: the likelihoods and the
     out-of-bounds and neighbour patterns `==`, the process factors and field
     rows within their rounding bounds (`tests/rounding.py`)."""
-    from levyst.model import atom_block_log_density, field_rows, field_values
-    from levyst.sampler import loglik_rows, loglik_slice
+    from levyst.model import field_rows
+    from levyst.sampler import loglik_rows
 
     rng = np.random.default_rng(seed)
     n = 37
     data = SpaceTimeDataset(rng.random((n, 2)), _IRREGULAR_TIMES, rng.standard_normal((n, 6)))
-    ctx = build_context(data, tame_prior, marginalized=marginalized, phi0_override=rng.standard_normal((n, 6)))
+    ctx = build_context(data, tame_prior, marginalized=marginalized)
+    ctx.phi0 = rng.standard_normal((n, 6))
     assert len(ctx.gaps) == 4
     theta, nu, omega, cache, _, _ = _state_pieces(ctx)
     hypers = ScalarHypers(lam=2.0, sigma_sq_eps=0.7, alpha=0.3, sigma_sq_phi=0.0 if marginalized else 0.4)
@@ -780,18 +859,19 @@ def test_batched_scorer_matches_per_block_references(tame_prior, marginalized, b
     field = field_rows(cache.mapped, ctx.times[ks], proposal, cache.kp)
     rows = np.where(np.array(stored)[:, None], rng.normal(size=(B, n)), field)
     logliks = loglik_rows(ks, rows, ctx, hypers, phi)
-    specs = (cache.beta_spec, *cache.mu_specs)
+    beta_spec, mu_specs = _specs(theta, ctx)
+    specs = (beta_spec, *mu_specs)
     ksq = cache.kp.tilde_sigma_sq
     for b, (k, a, prev, nxt) in enumerate(zip(ks, atoms, prevs, nexts)):
         assert logliks[b] == loglik_slice(k, rows[b], ctx, hypers, phi)
         gap = None if prev is None else gaps[k - 1]
-        p_in = atom_block_log_density(a, prev, gap, cache.beta_spec, cache.mu_specs)
+        p_in = atom_block_log_density(a, prev, gap, beta_spec, mu_specs)
         assert_factor_close(p_ins[b], p_in, process_tolerance(a, prev, gap, specs))
         assert np.all(np.abs(a.mu) <= 10.0) == np.isfinite(p_in)
         if nxt is None:
             assert p_outs[b] == 0.0
         else:
-            p_out = atom_block_log_density(nxt, a, gaps[k], cache.beta_spec, cache.mu_specs)
+            p_out = atom_block_log_density(nxt, a, gaps[k], beta_spec, mu_specs)
             assert_factor_close(p_outs[b], p_out, process_tolerance(nxt, a, gaps[k], specs))
         want = field_values(cache.mapped, ctx.times[k], a, cache.kp)
         time_term = cache.kp.xi * abs(ctx.times[k] - cache.kp.tau)
@@ -1038,7 +1118,7 @@ def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypa
     block sweep returns equal a fresh `loglik_rows` pass over the columns
     it leaves, and the theta phase starts from `theta_score` on those."""
     import levyst.sampler as sampler_module
-    from levyst.model import atom_block_log_density, field_values, log_prior_theta, theta_in_bounds
+    from levyst.model import log_prior_theta, theta_in_bounds
 
     data = SpaceTimeDataset(tiny_dataset.locations, times, tiny_dataset.y)
     cfg = SamplerConfig(iterations=30, burn_in=0, thin=1, j_max=5, seed=3)
@@ -1105,8 +1185,7 @@ def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypa
         for k in range(ctx.m):
             atoms = state.atoms.blocks()
             prev, gap = (None, None) if k == 0 else (atoms[k - 1], ctx.times[k] - ctx.times[k - 1])
-            assert terms.process[k] == atom_block_log_density(
-                atoms[k], prev, gap, fresh.beta_spec, fresh.mu_specs)
+            assert terms.process[k] == atom_block_log_density(atoms[k], prev, gap, *_specs(state.theta, ctx))
             assert np.array_equal(terms.field[:, k],
                                   field_values(fresh.mapped, ctx.times[k], atoms[k], fresh.kp))
     assert stats.accepts["no_change"] > 0 and stats.accepts["tmcmc"] > 0
@@ -1117,16 +1196,17 @@ def test_theta_phase_shares_the_atom_operands(tiny_dataset, tame_prior, monkeypa
     """Each iteration forms the field operands twice, once for the sweep's
     proposals and once for the theta phase, and the whole store's operands
     once, for the theta phase, however many of its proposals are in bounds
-    (plus once for the first terms).  Every in-bounds proposal's terms
-    from the shared operands equal a fresh `StateTerms.build` bit for bit."""
+    (plus once for the first terms), and passes those operands to both
+    proposals' `theta_logpost`.  Every in-bounds proposal's terms from the
+    shared operands equal a fresh `StateTerms.build` bit for bit."""
     from levyst.model import FieldOperands
 
     sampler = Sampler(tiny_dataset, SamplerConfig(iterations=30, burn_in=0, thin=1, j_max=5, seed=4), tame_prior,
                       marginalized=marginalized)
     ctx = sampler.ctx
-    field_builds, store_builds, scored = [], [], []
+    field_builds, store_builds, scored, passed = [], [], [], []
     field_build = vars(FieldOperands)["build"].__func__
-    store_build = vars(sampler_module.AtomOperands)["build"].__func__
+    store_build = vars(AtomOperands)["build"].__func__
     real_logpost = sampler_module.theta_logpost
 
     def counting_field_build(cls, *args):
@@ -1134,26 +1214,27 @@ def test_theta_phase_shares_the_atom_operands(tiny_dataset, tame_prior, monkeypa
         return field_build(cls, *args)
 
     def counting_store_build(cls, *args):
-        store_builds.append(1)
-        return store_build(cls, *args)
+        store_builds.append(store_build(cls, *args))
+        return store_builds[-1]
 
-    def recording_logpost(theta, state_, ctx_):
-        lp, terms = real_logpost(theta, state_, ctx_)
+    def recording_logpost(theta, state_, ctx_, operands):
+        passed.append(operands)
+        lp, terms = real_logpost(theta, state_, ctx_, operands)
         if terms is not None:
-            assert state_.operands is not None
             scored.append(terms)
         return lp, terms
 
     monkeypatch.setattr(FieldOperands, "build", classmethod(counting_field_build))
-    monkeypatch.setattr(sampler_module.AtomOperands, "build", classmethod(counting_store_build))
+    monkeypatch.setattr(AtomOperands, "build", classmethod(counting_store_build))
     monkeypatch.setattr(sampler_module, "theta_logpost", recording_logpost)
     state, stats, in_bounds = sampler.initial_state(), MoveStats(), []
     for r in range(30):
-        for seen in (field_builds, store_builds, scored):
+        for seen in (field_builds, store_builds, scored, passed):
             seen.clear()
         state = sampler.iterate(state, r, stats)
         assert len(field_builds) == 2 + (r == 0) and len(store_builds) == 1 + (r == 0)
-        assert state.operands is None
+        # both proposals take the theta phase's one build, the last of the iteration
+        assert len(passed) == 2 and all(operands is store_builds[-1] for operands in passed)
         in_bounds.append(len(scored))
         # the theta phase leaves the atoms as it found them
         for terms in scored:
@@ -1304,14 +1385,16 @@ def test_gibbs_block_matches_per_column_references(tame_prior, monkeypatch, marg
     expressions, equal per-column references: `gibbs_update_phi_column`
     with row k of the iteration's (m, n) effect normals for column k,
     `resid @ resid` and `resid.sum()`."""
-    from levyst import effects
     from levyst.sampler import reduce_sum
 
     m = 4
     rng = np.random.default_rng(n)
     data = SpaceTimeDataset(rng.random((n, 2)), np.arange(1.0, m + 1.0), 2.0 + rng.standard_normal((n, m)))
     cfg = SamplerConfig(iterations=3, burn_in=0, thin=1, j_max=4, seed=8)
-    sampler = Sampler(data, cfg, tame_prior, marginalized=marginalized, phi0_override=rng.standard_normal((n, m)))
+    with monkeypatch.context() as patched:
+        # a random baseline, which also lets n = 1 through
+        patched.setattr(effects, "phi0_training_matrix", lambda locations, y: rng.standard_normal((n, m)))
+        sampler = Sampler(data, cfg, tame_prior, marginalized=marginalized)
     ctx = sampler.ctx
     seen = []
     real_zeta = sampler_module.gibbs_update_zeta
