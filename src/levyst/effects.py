@@ -9,6 +9,7 @@ distance ||s~ - s_i||^2 + (t~ - t_k)^2.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -20,6 +21,9 @@ from .errors import InvalidArgumentError, InvalidStateError
 # an n x n x p array.  At n = 2786 this bound ran as fast as 2^20 or faster,
 # with a peak of 2 MB in place of 18 MB.
 _VALUES_HELD = 1 << 16
+
+# The largest float whose square is finite.
+_SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 
 def phi0_training_matrix(locations: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -70,7 +74,11 @@ def phi0_predict(locations: np.ndarray, times: np.ndarray, y: np.ndarray,
     s_new = np.atleast_2d(np.asarray(s_new, dtype=float))
     t_new = np.atleast_1d(np.asarray(t_new, dtype=float))
     d_sp = np.sum((locations[None, :, :] - s_new[:, None, :]) ** 2, axis=2)   # (q, n)
-    d_t = (times[None, :] - t_new[:, None]) ** 2                               # (mt, m)
+    # A time gap past _SQUARE_MAX takes inf, which its square rounds to,
+    # without forming the square; it never holds the nearest cell of a time
+    # on the grid.
+    gap = np.abs(times[None, :] - t_new[:, None])                               # (mt, m)
+    d_t = np.square(gap, out=np.full_like(gap, np.inf), where=gap <= _SQUARE_MAX)
     # A cell's distance is the rounded sum d_sp[a, i] + d_t[b, k].  Rounding
     # is monotone, so the least distance is the rounded sum of the two
     # minima, and a cell (i, k) at that distance has d_sp[a, i] + min d_t and

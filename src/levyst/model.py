@@ -230,38 +230,38 @@ class ScalarHypers:
 
 @dataclass(frozen=True)
 class MapGrid:
-    """The terms of the monotone maps that depend on the coordinates alone,
-    per dimension: the sorted knots, |s_(1)|^r and the increments
-    (s_(i) - s_(i-1))^r.
+    """The terms of the monotone maps that depend on the (n, p) training
+    locations alone, per dimension: the sorted unique coordinates (knots),
+    each location's knot, |s_(1)|^r and the increments (s_(i) - s_(i-1))^r.
 
-    Built once per set of training coordinates; `knot_values` combines them
-    with the slopes C_l X_l and anchors C~_l of a batch of thetas.  Each
-    theta's row takes the same operations on the same operands as it would
-    alone, and the running sum adds along the row in knot order, so a row
-    does not depend on the others in its batch.
+    `knot_values` combines them with the slopes C_l X_l and anchors C~_l of
+    a batch of thetas.  Each theta's row takes the same operations on the
+    same operands as it would alone, and the running sum adds along the row
+    in knot order, so a row does not depend on the others in its batch.
     """
 
     knots: tuple[np.ndarray, ...]
+    index: tuple[np.ndarray, ...]  # each location's knot
     lead: tuple[float, ...]        # |s_(1)|^r
     steps: tuple[np.ndarray, ...]  # (s_(i) - s_(i-1))^r for i >= 2
 
     @classmethod
-    def build(cls, coords_per_dim) -> "MapGrid":
-        knots, lead, steps = [], [], []
-        for ell, coords in enumerate(coords_per_dim):
-            c = np.asarray(coords, dtype=float)
-            if c.ndim != 1 or c.size == 0:
-                raise InvalidArgumentError("each dimension needs a nonempty coordinate vector")
-            if np.any(c[1:] < c[:-1]):
-                raise InvalidArgumentError(f"coordinates for dimension {ell} are not sorted")
+    def build(cls, locations: np.ndarray) -> "MapGrid":
+        locations = np.asarray(locations, dtype=float)
+        if locations.ndim != 2 or locations.size == 0:
+            raise InvalidArgumentError("the map grid needs a nonempty (n, p) location array")
+        knots, index, lead, steps = [], [], [], []
+        for ell in range(locations.shape[1]):
+            c, inverse = np.unique(locations[:, ell], return_inverse=True)
             with np.errstate(over="ignore"):
                 first, increments = abs(c[0]) ** MAP_EXPONENT, np.diff(c) ** MAP_EXPONENT
             if not (math.isfinite(first) and np.all(np.isfinite(increments))):
                 raise InvalidArgumentError(f"coordinates for dimension {ell} overflow the map's terms")
             knots.append(c)
+            index.append(inverse)
             lead.append(first)
             steps.append(increments)
-        return cls(tuple(knots), tuple(lead), tuple(steps))
+        return cls(tuple(knots), tuple(index), tuple(lead), tuple(steps))
 
     def knot_values(self, dim: int, slope: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
         """M_dim at the knots for B thetas, as a (B, K) array: row b for
@@ -275,25 +275,39 @@ class MapGrid:
         values[:, 1:] += values[:, :1]
         return values
 
+    def mapped(self, slope: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
+        """The (n, p) mapped locations under one theta's length-p slopes C X
+        and anchors C~: each location takes its knot's value."""
+        out = np.empty((self.index[0].size, len(self.knots)))
+        for ell, index in enumerate(self.index):
+            out[:, ell] = self.knot_values(ell, slope[ell:ell + 1], c_tilde[ell:ell + 1])[0, index]
+        return out
 
-def map_extension(knots: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+def map_extension(knots: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
     """The data-only terms of extending a map with sorted `knots` to the
     coordinates s: each coordinate's knot i (the nearest lower one, or the
-    first), whether it lies below the first knot, and its offset from knot i
-    to the power r.  Under a theta with knot values v and slope C X, the map
-    at s is v[0] - C X powered below the first knot and v[i] + C X powered
-    elsewhere."""
+    first) and its step, the offset from knot i to the power r, negated
+    below the first knot.  `extend_map` combines them with a theta's knot
+    values and slope."""
     s = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s)):
         raise InvalidArgumentError("s_new must be finite")
     below = s < knots[0]
     i = np.maximum(np.searchsorted(knots, s, side="right") - 1, 0)
-    offset = np.where(below, knots[0] - s, s - knots[i])
+    offset = np.abs(s - knots[i])
     # A float64 scalar power calls libm pow, which in rare cases rounds
     # differently from the squaring an array power does; the scalar power
     # keeps each value equal to extending its coordinate alone.
     powered = np.array([d ** MAP_EXPONENT for d in offset.ravel()]).reshape(s.shape)
-    return i, below, powered
+    return i, np.where(below, -powered, powered)
+
+
+def extend_map(values: np.ndarray, slope, index: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """v[i] + C X step at coordinates with `map_extension` terms i, step,
+    for one theta's (K,) knot values and slope or B thetas' (B, K) and (B, 1):
+    below the first knot (i = 0) that is v[0] - C X |s_(1) - s|^r, bit for bit."""
+    return values[..., index] + slope * step
 
 
 def monotone_map_extend(s_new, dim: int, fit: MonotoneMapFit, mp: MonotoneMapParams) -> np.ndarray:
@@ -303,9 +317,7 @@ def monotone_map_extend(s_new, dim: int, fit: MonotoneMapFit, mp: MonotoneMapPar
     smallest knot the same increment is subtracted.  Takes one coordinate or
     an array of them and returns an array of the same shape.
     """
-    i, below, powered = map_extension(fit.knots[dim], s_new)
-    values, slope = fit.values[dim], mp.C[dim] * mp.X[dim]
-    return np.where(below, values[0] - slope * powered, values[i] + slope * powered)
+    return np.asarray(extend_map(fit.values[dim], mp.C[dim] * mp.X[dim], *map_extension(fit.knots[dim], s_new)))
 
 
 def kernel_exponent(mapped: np.ndarray, mu_rows: np.ndarray, ksq: np.ndarray, time_term) -> np.ndarray:
@@ -367,6 +379,37 @@ def check_grid(locations: np.ndarray, times: np.ndarray) -> None:
         if top * bound * bound > limit:
             raise InvalidArgumentError(f"coordinates of dimension {ell} reach {reach:g}: the kernel's exponent "
                                        "overflows in the theta box")
+
+
+def check_points(grid: MapGrid, points: np.ndarray) -> None:
+    """Raise InvalidArgumentError, naming the dimension, unless every theta
+    in the box keeps the map extension, squared distances and kernel
+    exponents at the (q, p) prediction points finite, the bound of
+    `check_grid` carried past the knots.
+
+    In the box the knot values of dimension l lie within A_l = e^5 +
+    10 e^5 (2 S_l)^2, S_l the largest |knot| (`check_grid`).  A point
+    between two knots maps between their values.  One at distance E_l below
+    the first knot or above the last takes the step E_l^2 and maps within
+    A_l + 10 e^5 E_l^2, so an extended value can reach about twice A_l.  The
+    points pass when e^5 (A_l + 10 e^5 E_l^2 + 10)^2 <= DBL_MAX / (2 (p + 1))
+    for every l, as in `check_grid`: at p = 1 with knots in [0, 1], up to
+    about 6.1e74 beyond the knots.  Their squared distances to the training
+    locations, which the baselines form, then stay finite too.
+    """
+    if not np.all(np.isfinite(points)):
+        raise InvalidArgumentError("s_new must be finite")
+    limit = sys.float_info.max / (2 * (len(grid.knots) + 1))
+    top = math.exp(LOG_HI)
+    for ell, knots in enumerate(grid.knots):
+        # Python floats: a product past the float range is inf, with no warning
+        first, last = float(knots[0]), float(knots[-1])
+        reach = max(abs(first), abs(last))
+        beyond = max(first - float(points[:, ell].min()), float(points[:, ell].max()) - last, 0.0)
+        bound = top + X_HI * top * (4.0 * reach * reach + beyond * beyond) + COORD_BOUND
+        if top * bound * bound > limit:
+            raise InvalidArgumentError(f"prediction points reach {beyond:g} beyond the training coordinates of "
+                                       f"dimension {ell}: the kernel's exponent overflows in the theta box")
 
 
 def kernel_matrix(mapped: np.ndarray, mu_rows: np.ndarray, kp: KernelParams, time_term) -> np.ndarray:

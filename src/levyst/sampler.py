@@ -119,7 +119,9 @@ from .model import (
     atom_process_log_density,
     check_grid,
     check_map_params,
+    check_points,
     count_log_factor,
+    extend_map,
     field_rows,
     field_values,
     log_observation_density,
@@ -140,8 +142,7 @@ from .model import (
 # - `monotone_map_extend` with `model.MonotoneMapFit`,
 #   `effects.gibbs_update_phi_column` and `levyst.runtime.WorkerPool`.
 # `SamplerConfig.workers`, which only the chain's metadata records, stays
-# because the benchmark's worker-invariance check and
-# `tools/chain_digest.py` set it.
+# because the benchmark's worker-invariance check sets it.
 
 # Random stream identifiers.
 _S_INIT, _S_BLOCK, _S_THETA, _S_PHI, _S_ZETA, _S_PREDICT = range(6)
@@ -299,8 +300,7 @@ class ModelContext:
     marginalized: bool
     alpha_pinned: bool            # the data are standardized: alpha stays at 0
     ar_mode: ArMode
-    map_grid: MapGrid             # the maps' data-only terms on the sorted unique coordinates
-    knot_inverse: tuple[np.ndarray, ...]
+    map_grid: MapGrid             # the maps' data-only terms on the training locations
     gaps: np.ndarray              # distinct transition gaps, sorted (only 1 on a regular AR(1) grid)
     gap_index: np.ndarray         # gap_index[k]: row of the gap from times[k-1] to times[k] in gaps (-1 at k=0)
     layout: ThetaLayout
@@ -320,22 +320,6 @@ class ModelContext:
     def phi_effective(self, phi: np.ndarray | None) -> np.ndarray:
         return self.phi0 if self.marginalized else phi
 
-    def var_effective(self, hypers: ScalarHypers) -> float:
-        if self.marginalized:
-            return hypers.sigma_sq_eps + hypers.sigma_sq_phi
-        return hypers.sigma_sq_eps
-
-
-def _map_grid(locations: np.ndarray) -> tuple[MapGrid, tuple[np.ndarray, ...]]:
-    """The map grid on the sorted unique coordinates per dimension, and each
-    location's index into them."""
-    knots, inverse = [], []
-    for ell in range(locations.shape[1]):
-        uniq, inv = np.unique(locations[:, ell], return_inverse=True)
-        knots.append(uniq)
-        inverse.append(inv)
-    return MapGrid.build(knots), tuple(inverse)
-
 
 def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool = True) -> ModelContext:
     """The constants of a chain on `data`, whose grid `check_grid` accepts.
@@ -343,13 +327,12 @@ def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool
     statistics."""
     check_grid(data.locations, data.times)
     phi0 = effects.phi0_training_matrix(data.locations, data.y)
-    grid, inverse = _map_grid(data.locations)
     ar_mode = mode_for_times(data.times)
     gaps, gap_rows = np.unique(step_gaps(data.times, ar_mode), return_inverse=True)
     return ModelContext(
         y=data.y, locations=data.locations, times=data.times, phi0=phi0,
         prior=prior, marginalized=marginalized, alpha_pinned=data.standardized,
-        ar_mode=ar_mode, map_grid=grid, knot_inverse=inverse,
+        ar_mode=ar_mode, map_grid=MapGrid.build(data.locations),
         gaps=gaps, gap_index=np.concatenate([[-1], gap_rows]).astype(np.int64),
         layout=ThetaLayout(p=data.p),
     )
@@ -372,12 +355,8 @@ class ThetaCache:
     @classmethod
     def build(cls, theta: np.ndarray, ctx: ModelContext) -> "ThetaCache":
         kp, mp, beta_spec, mu_specs = unpack_theta(theta, ctx.layout, ctx.ar_mode)
-        slope = mp.C * mp.X
-        mapped = np.empty((ctx.n, ctx.p))
-        for ell in range(ctx.p):
-            values = ctx.map_grid.knot_values(ell, slope[ell:ell + 1], mp.C_tilde[ell:ell + 1])[0]
-            mapped[:, ell] = values[ctx.knot_inverse[ell]]
-        return cls(kp=kp, mapped=mapped, table=ProcessTable.build(ctx.gaps, beta_spec, mu_specs))
+        return cls(kp=kp, mapped=ctx.map_grid.mapped(mp.C * mp.X, mp.C_tilde),
+                   table=ProcessTable.build(ctx.gaps, beta_spec, mu_specs))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +447,7 @@ def loglik_rows(ks, rows: np.ndarray, ctx: ModelContext, hypers: ScalarHypers,
     """
     y = ctx.y.T[ks]
     phi_rows = ctx.phi_effective(phi).T[ks]
-    dens = log_observation_density(y, hypers.alpha, phi_rows, rows, ctx.var_effective(hypers))
+    dens = log_observation_density(y, hypers.alpha, phi_rows, rows, hypers.sigma_sq_eps)
     return np.ascontiguousarray(dens).sum(axis=1)
 
 
@@ -806,7 +785,7 @@ def gibbs_update_zeta(state: SamplerState, ctx: ModelContext, rng: np.random.Gen
 
     if not ctx.alpha_pinned:
         hyp.alpha = effects.gibbs_update_alpha(
-            reduced["resid_alpha"], n_obs, ctx.var_effective(hyp), hyp.sigma_sq_alpha,
+            reduced["resid_alpha"], n_obs, hyp.sigma_sq_eps, hyp.sigma_sq_alpha,
             prior.mu_alpha, rng)
         hyp.sigma_sq_alpha = effects.gibbs_update_sigma_sq_alpha(
             hyp.alpha, prior.mu_alpha, prior.ig_a_tight, prior.ig_b_tight, rng)
@@ -1045,10 +1024,9 @@ def _map_new_locations(grid: MapGrid, new_locations: np.ndarray, thetas: np.ndar
     S, (q, p) = thetas.shape[0], new_locations.shape
     mapped = np.empty((S, q, p))
     for ell in range(p):
-        index, below, powered = map_extension(grid.knots[ell], new_locations[:, ell])
+        index, step = map_extension(grid.knots[ell], new_locations[:, ell])
         for chunk, values in _knot_value_chunks(grid, ell, slope, c_tilde):
-            step = slope[chunk, ell, None] * powered
-            mapped[chunk, :, ell] = np.where(below, values[:, :1] - step, values[:, index] + step)
+            mapped[chunk, :, ell] = extend_map(values, slope[chunk, ell, None], index, step)
     return mapped
 
 
@@ -1076,7 +1054,7 @@ def samples_outside_atom_box(samples: list[ChainSample], locations: np.ndarray) 
     layout = ThetaLayout(p=locations.shape[1])
     thetas = np.array([smp.theta for smp in samples]).reshape(len(samples), layout.dim)
     slope, c_tilde = _map_slopes(thetas, np.exp(thetas), layout)
-    grid = _map_grid(locations)[0]
+    grid = MapGrid.build(locations)
     outside = np.zeros(len(samples), dtype=bool)
     for ell in range(layout.p):
         for chunk, values in _knot_value_chunks(grid, ell, slope, c_tilde):
@@ -1226,7 +1204,9 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
     """Per-sample predictive draws and pointwise quantile bands.
 
     Predictions run in the (standardized) model scale and are transformed
-    back to the original units when the dataset carries statistics.
+    back to the original units when the dataset carries statistics.  Points
+    that some theta in the box would map to a non-finite value, squared
+    distance or kernel exponent are rejected first (`check_points`).
 
     Everything is formed over the whole chain: the exponentials of every
     theta, the mapped new locations (`_map_new_locations`), the kernel
@@ -1254,6 +1234,8 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
     new_times = np.atleast_1d(np.asarray(new_times, dtype=float))
     layout = ThetaLayout(p=data.p)
     time_idx = _grid_indices(new_times, data.times)
+    grid = MapGrid.build(data.locations)
+    check_points(grid, new_locations)
     q, mt = new_locations.shape[0], new_times.size
     phi0_new = effects.phi0_predict(data.locations, data.times, data.y, new_locations, new_times)
 
@@ -1263,7 +1245,7 @@ def posterior_predict(samples: list[ChainSample], new_locations: np.ndarray,
     z = stream(seed, _S_PREDICT).standard_normal((S, mt, q) if marginalized else (S, mt, 2, q))
     thetas = np.array([smp.theta for smp in samples])
     natural = np.exp(thetas)
-    mapped = _map_new_locations(_map_grid(data.locations)[0], new_locations, thetas, natural, layout)
+    mapped = _map_new_locations(grid, new_locations, thetas, natural, layout)
     times_new = data.times[time_idx]
     fields = _chain_fields(samples, mapped, natural, layout, time_idx, times_new)
     alpha, ssq_eps, ssq_phi = (np.array([getattr(smp, name) for smp in samples])[:, None, None]

@@ -145,7 +145,7 @@ def loglik_slice(k: int, f: np.ndarray, ctx, hypers, phi) -> float:
     """Time-k log likelihood of the field column f."""
     phi_col = ctx.phi_effective(phi)[:, k]
     return float(np.sum(log_observation_density(
-        ctx.y[:, k], hypers.alpha, phi_col, f, ctx.var_effective(hypers))))
+        ctx.y[:, k], hypers.alpha, phi_col, f, hypers.sigma_sq_eps)))
 
 
 def atoms_in_bounds(atoms: LatentAtoms) -> bool:
@@ -298,27 +298,24 @@ def log_joint_parts(atoms, theta, hypers, nu, omega_sq, phi, y, mapped, times, p
     """Named factors of the joint log posterior (up to an additive constant),
     one time block at a time.
 
-    phi is ignored in marginalized mode, where the observation mean uses
-    phi0 and the noise variance sigma_sq_eps + sigma_sq_phi.
+    The noise variance is sigma_sq_eps in both modes.  Marginalized mode
+    holds phi at phi0 and sigma_sq_phi at 0: phi is ignored there, and the
+    observation mean uses phi0.
     """
     layout = ThetaLayout(p=mapped.shape[1])
     if len(atoms) != times.size:
         raise InvalidStateError("one atom block per time index required")
+    if not marginalized and phi is None:
+        raise InvalidStateError("explicit mode requires a phi field")
     kp, _, beta_spec, mu_specs = unpack_theta(theta, layout, mode)
     parts: dict[str, float] = {}
 
-    if marginalized:
-        phi_eff = phi0
-        var_eff = hypers.sigma_sq_eps + hypers.sigma_sq_phi
-    else:
-        if phi is None:
-            raise InvalidStateError("explicit mode requires a phi field")
-        phi_eff = phi
-        var_eff = hypers.sigma_sq_eps
+    phi_eff = phi0 if marginalized else phi
     loglik = 0.0
     for k in range(times.size):
         f = field_values(mapped, times[k], atoms[k], kp)
-        loglik += float(np.sum(log_observation_density(y[:, k], hypers.alpha, phi_eff[:, k], f, var_eff)))
+        loglik += float(np.sum(log_observation_density(y[:, k], hypers.alpha, phi_eff[:, k], f,
+                                                       hypers.sigma_sq_eps)))
     parts["likelihood"] = loglik
     parts["counts"] = sum(count_log_factor(a.count, hypers.lam) for a in atoms)
     parts["atom_process"] = atom_process_log_density(atoms, times, beta_spec, mu_specs)

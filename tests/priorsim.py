@@ -108,7 +108,7 @@ def draw_observations(state: SamplerState, ctx: ModelContext, rng: np.random.Gen
     """Responses given the latent state, on the context's grid."""
     cache = ThetaCache.build(state.theta, ctx)
     phi_eff = ctx.phi_effective(state.phi)
-    sd = math.sqrt(ctx.var_effective(state.hypers))
+    sd = math.sqrt(state.hypers.sigma_sq_eps)
     # column k's noise is the k-th run of n normals, as drawn column by column
     noise = rng.standard_normal((ctx.m, ctx.n)).T
     return state.hypers.alpha + phi_eff + field_rows(cache.mapped, ctx.times, state.atoms, cache.kp).T + sd * noise

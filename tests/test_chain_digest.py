@@ -1,13 +1,12 @@
-"""The chains of the fixture problems, pinned bit for bit.
+"""Every chain bit pinned in `tools/chain_digest.expected`, checked in full.
 
-For each of the 8 one-worker fixture problems of `tools/chain_digest.py`
-(both time grids, both modes, seeds 1 and 2), the digest of the
-`write_chain` bytes, of the predictive draws and the move counts must equal
-the line below.  A change that alters chain bits on purpose updates these
-lines and `tools/chain_digest.expected` together, and says so; a second
-test checks that the two agree.  The tool also reads every chain back and
-fails unless `read_chain` returns each stored number bit for bit, so the
-first test checks the reader on the fixture chains too.
+The file is the only record of the digests: the first test runs the tool's
+own `--check` comparison against every line of it (the `csv` lines, the
+benchmark shapes, the fixture problems and `all:`).  A change that alters
+chain bits on purpose re-pins that one file with the tool's output, and
+says so.  The tool also reads every chain back and fails unless
+`read_chain` returns each stored number bit for bit, so the first test
+checks the reader on every pinned chain too.
 """
 
 import importlib.util
@@ -18,25 +17,7 @@ import numpy as np
 import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-
-EXPECTED = [
-    "fixture-regular-marginalized seed=1 workers=1: chain=d8edcd0776972132 "
-    "draws=4ea9b2e5ac9072ab birth=5/423 death=3/399 no_change=230/378 tmcmc=101/200 enhance=114/200",
-    "fixture-regular-marginalized seed=2 workers=1: chain=51ea34221f377a62 "
-    "draws=3adf050b361e35e5 birth=5/397 death=5/384 no_change=279/419 tmcmc=106/200 enhance=122/200",
-    "fixture-regular-explicit seed=1 workers=1: chain=07c25417fe681b71 "
-    "draws=3aedf37e1b34f66f birth=8/419 death=7/399 no_change=245/382 tmcmc=100/200 enhance=113/200",
-    "fixture-regular-explicit seed=2 workers=1: chain=d5f8e18c6bd7773b "
-    "draws=9c1d91e0b1f2e688 birth=5/405 death=7/371 no_change=296/424 tmcmc=101/200 enhance=119/200",
-    "fixture-irregular-marginalized seed=1 workers=1: chain=d9677da59bdfc82d "
-    "draws=fb6ce27ebb1fa57d birth=3/423 death=2/399 no_change=227/378 tmcmc=99/200 enhance=112/200",
-    "fixture-irregular-marginalized seed=2 workers=1: chain=7463f9292fc307a0 "
-    "draws=366429b7ccbda702 birth=4/397 death=4/384 no_change=253/419 tmcmc=98/200 enhance=118/200",
-    "fixture-irregular-explicit seed=1 workers=1: chain=ef8d2ffa0519f3e8 "
-    "draws=feca1778e99e4c81 birth=3/423 death=3/399 no_change=225/378 tmcmc=99/200 enhance=114/200",
-    "fixture-irregular-explicit seed=2 workers=1: chain=76658422dc08ddb8 "
-    "draws=12598e0d35d06674 birth=3/397 death=2/384 no_change=253/419 tmcmc=92/200 enhance=120/200",
-]
+EXPECTED = TOOLS / "chain_digest.expected"
 
 
 @pytest.fixture
@@ -53,9 +34,33 @@ def tool(monkeypatch):
     return tool
 
 
-def test_fixture_chains_match_pinned_digests(tool, tmp_path):
-    got = [f"{label}: " + tool.digest(*case, tmp_path) for label, *case in tool.fixture_cases((1,))]
-    assert got == EXPECTED
+def _check(tool, path, capsys):
+    """The exit code and output of `chain_digest.py --check path`."""
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["--check", str(path)])
+    return exit_.value.code, capsys.readouterr().out
+
+
+def test_every_pinned_line_matches(tool, capsys):
+    code, out = _check(tool, EXPECTED, capsys)
+    assert (code, out) == (0, f"every line matches {EXPECTED}\n"), out
+
+
+def test_check_prints_the_differing_lines_and_exits_1(tool, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tool, "digest_lines", lambda workdir: iter(["one: chain=aaaa", "two: chain=bbbb"]))
+    all_line = "all: " + tool._hash(b"one: chain=aaaa\ntwo: chain=bbbb")
+    exact = tmp_path / "exact.expected"
+    exact.write_text(f"one: chain=aaaa\ntwo: chain=bbbb\n{all_line}\n")
+    assert _check(tool, exact, capsys) == (0, f"every line matches {exact}\n")
+    # one changed digest and one missing line
+    stale = tmp_path / "stale.expected"
+    stale.write_text(f"one: chain=ffff\n{all_line}\n")
+    code, out = _check(tool, stale, capsys)
+    assert code == 1
+    diff = out.splitlines()
+    assert "-one: chain=ffff" in diff and "+one: chain=aaaa" in diff and "+two: chain=bbbb" in diff
+    assert all_line not in "\n".join(line for line in diff if line[:1] in "+-")
+    assert "every line matches" not in out
 
 
 def test_round_trip_check_names_a_changed_sample(tool, tmp_path):
@@ -64,7 +69,7 @@ def test_round_trip_check_names_a_changed_sample(tool, tmp_path):
     from levyst.chainio import write_chain
     from levyst.sampler import SamplerConfig, run_chain
 
-    label, train, _, prior, marginalized, *_ = next(iter(tool.fixture_cases((1,))))
+    label, train, _, prior, marginalized, *_ = next(iter(tool.fixture_cases()))
     chain = run_chain(train, SamplerConfig(iterations=6, burn_in=0, thin=1, j_max=5, seed=1), prior,
                       marginalized=marginalized)
     path = tmp_path / "chain.txt"
@@ -75,10 +80,3 @@ def test_round_trip_check_names_a_changed_sample(tool, tmp_path):
         tool.check_round_trip(chain.samples, path)
     with pytest.raises(tool.RoundTripError, match="6 samples of 7"):
         tool.check_round_trip(chain.samples + chain.samples[:1], path)
-
-
-def test_expected_file_pins_the_same_fixture_lines():
-    """`tools/chain_digest.expected`, which `--check` compares with, holds
-    the same one-worker fixture lines as `EXPECTED`."""
-    lines = (TOOLS / "chain_digest.expected").read_text().splitlines()
-    assert [line for line in lines if line.startswith("fixture-") and " workers=1: " in line] == EXPECTED

@@ -294,6 +294,9 @@ def test_bad_input_exits_2_naming_the_cause(sim_dir, fit_dir, tmp_path, capsys, 
     far = tmp_path / "far.csv"
     write_csv(SpaceTimeDataset(np.column_stack([train.locations[:, 0], train.locations[:, 1] * 1e100]), train.times,
                                train.y), far)
+    far_points = tmp_path / "far_points.csv"
+    write_csv(SpaceTimeDataset(np.column_stack([np.full(test.n, 1e155), test.locations[:, 1]]), test.times, test.y),
+              far_points)
     fit_flags = ["--iters", "4", "--burnin", "0", "--thin", "1", "--jmax", "4"]
     cases = [
         (["fit", "--data", str(constant), "--out", str(tmp_path / "f1"), *fit_flags], ["constant response"]),
@@ -310,6 +313,9 @@ def test_bad_input_exits_2_naming_the_cause(sim_dir, fit_dir, tmp_path, capsys, 
         (["predict", "--chain", str(fit_dir / "chain.txt"), "--data", str(sim_dir / "train.csv"),
           "--points", str(three_coordinates), "--out", str(tmp_path / "p3")],
          ["prediction points have 3 coordinates, the training locations 2"]),
+        (["predict", "--chain", str(fit_dir / "chain.txt"), "--data", str(sim_dir / "train.csv"),
+          "--points", str(far_points), "--out", str(tmp_path / "p4")],
+         ["prediction points reach 1e+155 beyond the training coordinates of dimension 0"]),
         (["fit", "--data", str(sim_dir / "train.csv"), "--out", str(tmp_path / "f5"),
           "--iters", "100", "--burnin", "95", "--thin", "10", "--jmax", "4"],
          ["iters 100, burnin 95 and thin 10 store no sample"]),

@@ -112,6 +112,26 @@ def test_phi0_prediction_rounding_tie():
     np.testing.assert_array_equal(phi0_predict(locs, times, y, np.array([0.0]), t_new), want)
 
 
+def test_phi0_prediction_far_times_square_nothing_past_the_float_range():
+    """A time gap whose square would overflow counts as inf, with no
+    overflow warning (the test settings make one an error); every gap up to
+    the largest one with a finite square keeps its square, so the baselines
+    are the scan's.  At -_SQUARE_MAX the nearest time's distance rounds to
+    the same float at both locations, so their responses are averaged."""
+    top = effects._SQUARE_MAX
+    past = float(np.nextafter(top, math.inf))
+    assert math.isfinite(top * top) and not math.isfinite(past * past)
+    locs = np.array([[0.0], [1.0]])
+    times = np.array([-3.02e305, 0.0, top, past, 3.02e305])
+    y = np.random.default_rng(3).standard_normal((2, 5))
+    pts = np.array([[0.2], [0.9]])
+    t_new = np.array([-top, 0.0, top, 3.02e305, -3.02e305])
+    with np.errstate(over="ignore"):
+        want = np.array([[_phi0_predict_scan(locs, times, y, s, t) for t in t_new] for s in pts])
+    assert want[0, 0] == want[1, 0] == y[:, 1].mean()
+    np.testing.assert_array_equal(phi0_predict(locs, times, y, pts, t_new), want)
+
+
 def test_compute_phi0_permutation_invariant():
     rng = np.random.default_rng(2)
     locs = rng.random((6, 2))

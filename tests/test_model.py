@@ -81,7 +81,7 @@ def _map_params(C, C_tilde, X, p=1):
 
 def _grid_fit(coords, mp):
     """The one-dimensional map's knot values under one theta, from `MapGrid`."""
-    grid = MapGrid.build([coords])
+    grid = MapGrid.build(np.asarray(coords)[:, None])
     return MonotoneMapFit(grid.knots, (grid.knot_values(0, mp.C * mp.X, mp.C_tilde)[0],))
 
 
@@ -95,16 +95,29 @@ def test_map_fit_values():
     np.testing.assert_allclose(fit.values[0], [1.0, 1.5, 2.0])
 
 
-def test_map_fit_rejects_unsorted():
-    with pytest.raises(InvalidArgumentError):
-        MapGrid.build([np.array([1.0, 0.0])])
-    with pytest.raises(InvalidArgumentError):  # a step beyond the largest float
-        MapGrid.build([np.array([1e292, -1.7976931348623157e308])])
-    # sorted coordinates whose increment or |s_(1)|^r overflows: raised with
-    # no overflow warning
-    for far in (np.array([-1.7976931348623157e308, 1e292]), np.array([1e200])):
+def test_map_grid_rejects_overflowing_terms():
+    # coordinates whose increment or |s_(1)|^r overflows, in either order:
+    # raised with no overflow warning
+    for far in (np.array([-1.7976931348623157e308, 1e292]), np.array([1e292, -1.7976931348623157e308]),
+                np.array([1e200, 1e200])):
         with pytest.raises(InvalidArgumentError, match="dimension 1 overflow"):
-            MapGrid.build([np.array([0.0, 1.0]), far])
+            MapGrid.build(np.column_stack([[0.0, 1.0], far]))
+    for empty in (np.empty((0, 2)), np.zeros(3)):
+        with pytest.raises(InvalidArgumentError, match="nonempty"):
+            MapGrid.build(empty)
+
+
+def test_map_grid_keeps_each_locations_knot():
+    """Unsorted, repeated training coordinates: the knots are the sorted
+    unique values, and `mapped` gives each location its knot's value."""
+    locations = np.array([[0.7, 2.0], [0.1, -1.0], [0.7, 0.5], [0.4, 2.0]])
+    grid = MapGrid.build(locations)
+    assert [k.tolist() for k in grid.knots] == [[0.1, 0.4, 0.7], [-1.0, 0.5, 2.0]]
+    slope, c_tilde = np.array([1.3, 0.2]), np.array([0.5, 2.0])
+    mapped = grid.mapped(slope, c_tilde)
+    for ell in range(2):
+        values = grid.knot_values(ell, slope[ell:ell + 1], c_tilde[ell:ell + 1])[0]
+        assert np.array_equal(mapped[:, ell], values[np.searchsorted(grid.knots[ell], locations[:, ell])])
 
 
 @given(coords=st.lists(st.floats(-3, 3), min_size=1, max_size=8),
@@ -155,7 +168,7 @@ def test_map_grid_rows_equal_the_one_theta_recursion():
     equal the per-dimension recursion and extension bit for bit."""
     rng = np.random.default_rng(5)
     coords = [np.sort(rng.uniform(-1.0, 2.0, 40)), np.array([0.3])]
-    grid = MapGrid.build(coords)
+    grid = MapGrid.build(np.column_stack([coords[0], np.full(40, 0.3)]))
     slope, c_tilde = rng.uniform(0.01, 20.0, (7, 2)), rng.uniform(0.1, 5.0, (7, 2))
     pts = rng.uniform(-2.0, 3.0, 500)
     for ell in range(2):
@@ -558,6 +571,8 @@ def test_log_joint_single_factor_bookkeeping():
 
 
 def test_log_joint_marginalized_uses_effective_variance():
+    """The marginalized likelihood's noise variance is sigma_sq_eps alone:
+    that mode holds sigma_sq_phi at 0, and the reference does not read it."""
     layout, theta, atoms, hypers, nu, omega, y, mapped, times, phi0 = _tiny_joint_inputs()
     prior = PriorConfig()
     hypers.sigma_sq_phi = 0.25
@@ -568,7 +583,7 @@ def test_log_joint_marginalized_uses_effective_variance():
     lik = 0.0
     for k in range(2):
         f = np.array([f_eval(mapped[i], times[k], atoms[k], kp) for i in range(2)])
-        lik += norm.logpdf(y[:, k], f, math.sqrt(0.75)).sum()
+        lik += norm.logpdf(y[:, k], f, math.sqrt(0.5)).sum()
     assert parts["likelihood"] == pytest.approx(lik, rel=1e-10)
 
 

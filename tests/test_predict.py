@@ -206,3 +206,35 @@ def test_prediction_errors_equal_per_sample_reference(tiny_dataset, tame_prior, 
     with np.errstate(over="ignore"), pytest.raises(want.type) as got:
         posterior_predict(chain, points, times, data, seed=seed)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_prediction_rejects_points_past_the_bound(tiny_dataset, tame_prior, dim, side):
+    """At p = 2 with knots in [0, 1] the bound lies between 5.50e74 and
+    5.51e74 beyond the knots: a point 5.51e74 below the first knot or above
+    the last is bad input, an InvalidArgumentError naming the dimension,
+    raised before any term of the map or the baselines is formed, so with
+    no overflow warning."""
+    data = tiny_dataset
+    samples = _chain(data, tame_prior, True)
+    points = data.locations[:2].copy()
+    lo, hi = data.locations[:, dim].min(), data.locations[:, dim].max()
+    points[1, dim] = lo - 5.51e74 if side == "below" else hi + 5.51e74
+    with pytest.raises(InvalidArgumentError, match=f"training coordinates of dimension {dim}:"):
+        posterior_predict(samples, points, data.times[:2], data)
+
+
+@pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
+def test_points_just_inside_the_bound_predict_without_a_warning(tiny_dataset, tame_prior, marginalized):
+    """Points 5.50e74 beyond the knots on every side predict with no warning
+    (the test settings make one an error), to the per-sample reference's
+    bits."""
+    data = tiny_dataset
+    samples = _chain(data, tame_prior, marginalized)
+    lo, hi = data.locations.min(axis=0), data.locations.max(axis=0)
+    points = np.vstack([lo - 5.50e74, hi + 5.50e74, [lo[0] - 5.50e74, hi[1] + 5.50e74], data.locations[:1]])
+    got = posterior_predict(samples, points, data.times, data, marginalized=marginalized, seed=3, keep_draws=True)
+    want = oracles.posterior_predict(samples, points, data.times, data, marginalized=marginalized, seed=3)
+    assert np.all(np.isfinite(got.draws))
+    _assert_same_bands(got, want)

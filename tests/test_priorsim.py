@@ -67,7 +67,7 @@ def test_prior_draws_and_observations_match_per_block_reference(tiny_dataset, ta
         rng = np.random.default_rng(100 + seed)
         cache = ThetaCache.build(state.theta, ctx)
         phi_eff = ctx.phi_effective(state.phi)
-        sd = math.sqrt(ctx.var_effective(state.hypers))
+        sd = math.sqrt(state.hypers.sigma_sq_eps)
         for k in range(ctx.m):
             f = field_values(cache.mapped, ctx.times[k], state.atoms.block(k), cache.kp)
             assert np.array_equal(y[:, k], state.hypers.alpha + phi_eff[:, k] + f + sd * rng.standard_normal(ctx.n))

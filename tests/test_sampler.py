@@ -158,6 +158,20 @@ def test_grid_just_inside_the_bound_fits_without_a_warning(tame_prior, marginali
     assert stats.proposals["tmcmc"] == cfg.iterations
 
 
+@pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
+def test_prediction_on_the_widest_grid_runs_without_a_warning(tame_prior, marginalized):
+    """A chain on times of +-3.02e305 (and coordinates of +-3.04e74) predicts
+    at its training cells with no warning: the baselines' time gaps of
+    6.04e305 have no finite square and are never formed."""
+    data = SpaceTimeDataset(np.array([[-3.04e74], [0.0], [1.0], [3.04e74]]), np.array([-3.02e305, 0.0, 1.0, 3.02e305]),
+                            np.random.default_rng(1).standard_normal((4, 4)))
+    cfg = SamplerConfig(iterations=30, burn_in=0, thin=10, j_max=5, seed=1)
+    samples = run_chain(data, cfg, tame_prior, marginalized=marginalized).samples
+    bands = posterior_predict(samples, data.locations, data.times, data, marginalized=marginalized, seed=2,
+                              keep_draws=True)
+    assert bands.draws.shape == (3, 4, 4) and np.all(np.isfinite(bands.draws))
+
+
 def _independent_block_conditional(atoms_k, theta, cache, ctx, hypers):
     """scipy reassembly of the block conditional for a single-time instance."""
     lp = count_log_factor(atoms_k.count, hypers.lam)
@@ -742,6 +756,8 @@ def test_worker_count_invariance(tiny_dataset, tame_prior, marginalized):
                 np.testing.assert_array_equal(xa.mu, xb.mu)
                 np.testing.assert_array_equal(xa.beta, xb.beta)
             assert (sa.phi is None) == marginalized and (sb.phi is None) == marginalized
+            # marginalized mode holds sigma_sq_phi at 0, which its likelihood does not read
+            assert (sa.sigma_sq_phi == 0.0) == marginalized
             if not marginalized:
                 np.testing.assert_array_equal(sa.phi, sb.phi)
 

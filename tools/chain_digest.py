@@ -18,12 +18,14 @@ sampled one bit for bit, the tool prints which sample differs and exits 1.
 `--check FILE` compares the output with FILE instead of printing it: it
 prints the lines that differ and exits 1 if any do, 0 if none do.
 `tools/chain_digest.expected` holds the output of the commit that last
-changed chain bits on purpose.
+changed chain bits on purpose; it is the only record of those bits, and
+Tier-1's `tests/test_chain_digest.py` runs `--check` against all of it.
 
 Problems: the three benchmark shapes (desk size marginalized and explicit,
 paper size marginalized) with seeds 101 and 202, and the 4 x 6 test fixture on
-a regular and on an irregular time grid in both modes with seeds 1 and 2, each
-with one and two workers.
+a regular and on an irregular time grid in both modes with seeds 1 and 2.
+Each is fitted once: the worker count is written only to the chain's
+metadata, and the tests show that the draws do not depend on it.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ SHAPE_SEEDS = (101, 202)
 FIXTURE_TIMES = {"regular": np.arange(1.0, 7.0), "irregular": np.array([0.0, 1.0, 2.5, 3.0, 4.5, 7.0])}
 FIXTURE_SEEDS = (1, 2)
 FIXTURE_POINTS = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
-WORKERS = (1, 2)
 
 
 def _hash(data: bytes) -> str:
@@ -143,25 +144,22 @@ def cases():
         sim = levyst.gqn_simulate(levyst.GqnConfig(n_train=n_train, n_test=n_test, m=m, seed=gqn_seed))
         train, _ = levyst.standardize(sim.train)
         for seed in SHAPE_SEEDS:
-            for workers in WORKERS:
-                cfg = levyst.SamplerConfig(iterations=iterations, burn_in=0, thin=1, seed=seed, workers=workers)
-                yield (f"{name} seed={seed} workers={workers}", train, cfg, levyst.PriorConfig(),
-                       marginalized, sim.test.locations, sim.test.times, seed + 1)
-    yield from fixture_cases(WORKERS)
+            cfg = levyst.SamplerConfig(iterations=iterations, burn_in=0, thin=1, seed=seed)
+            yield (f"{name} seed={seed}", train, cfg, levyst.PriorConfig(), marginalized, sim.test.locations,
+                   sim.test.times, seed + 1)
+    yield from fixture_cases()
 
 
-def fixture_cases(workers_counts):
-    """The fixture problems of `cases`, with each of the given worker counts."""
+def fixture_cases():
+    """The fixture problems of `cases`."""
     for grid, times in FIXTURE_TIMES.items():
         train = fixture(times)
         for marginalized in (True, False):
             mode = "marginalized" if marginalized else "explicit"
             for seed in FIXTURE_SEEDS:
-                for workers in workers_counts:
-                    cfg = levyst.SamplerConfig(iterations=200, burn_in=0, thin=1, j_max=5, seed=seed,
-                                               workers=workers)
-                    yield (f"fixture-{grid}-{mode} seed={seed} workers={workers}", train, cfg, tame_prior(),
-                           marginalized, FIXTURE_POINTS, times, seed + 1)
+                cfg = levyst.SamplerConfig(iterations=200, burn_in=0, thin=1, j_max=5, seed=seed)
+                yield (f"fixture-{grid}-{mode} seed={seed}", train, cfg, tame_prior(), marginalized,
+                       FIXTURE_POINTS, times, seed + 1)
 
 
 def digest_lines(workdir: Path):
@@ -172,11 +170,11 @@ def digest_lines(workdir: Path):
         yield f"{label}: " + digest(*case, workdir)
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="Digest the chains of fixed problems.")
     parser.add_argument("--check", metavar="FILE", type=Path,
                         help="compare the output with FILE: print the lines that differ and exit 1 if any do")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     expected = args.check.read_text(encoding="utf-8").splitlines() if args.check else None
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
