@@ -25,6 +25,31 @@ class ArMode(Enum):
     REGULAR_AR1 = "ar1"
 
 
+def check_ar_params(rho: float, sigma_sq: float, mode: ArMode) -> None:
+    """Raise InvalidArgumentError unless rho and sigma_sq are finite,
+    sigma_sq is positive and rho lies in the range of `mode`: (0, 1) for the
+    gap-aware form, (-1, 1) for the regular AR(1)."""
+    if not math.isfinite(rho) or not math.isfinite(sigma_sq):
+        raise InvalidArgumentError("non-finite AR parameters")
+    if sigma_sq <= 0.0:
+        raise InvalidArgumentError(f"sigma_sq must be positive, got {sigma_sq}")
+    if mode is ArMode.IAR:
+        if not 0.0 < rho < 1.0:
+            raise InvalidArgumentError(f"IAR requires 0 < rho < 1, got {rho}")
+    else:
+        if not -1.0 < rho < 1.0:
+            raise InvalidArgumentError(f"AR(1) requires -1 < rho < 1, got {rho}")
+
+
+def initial_variance(rho: float, sigma_sq: float, mode: ArMode) -> float:
+    """Variance of a chain's first value.  Unit-gap AR(1) uses the
+    sigma_sq / (1 - rho^2) initial law; the irregular process is
+    parameterized so its marginal variance is sigma_sq directly."""
+    if mode is ArMode.REGULAR_AR1:
+        return sigma_sq / (1.0 - rho**2)
+    return sigma_sq
+
+
 @dataclass(frozen=True)
 class ArSpec:
     """Autoregression parameters for one latent coordinate chain."""
@@ -34,39 +59,26 @@ class ArSpec:
     mode: ArMode = ArMode.IAR
 
     def __post_init__(self):
-        if not math.isfinite(self.rho) or not math.isfinite(self.sigma_sq):
-            raise InvalidArgumentError("non-finite AR parameters")
-        if self.sigma_sq <= 0.0:
-            raise InvalidArgumentError(f"sigma_sq must be positive, got {self.sigma_sq}")
-        if self.mode is ArMode.IAR:
-            if not 0.0 < self.rho < 1.0:
-                raise InvalidArgumentError(f"IAR requires 0 < rho < 1, got {self.rho}")
-        else:
-            if not -1.0 < self.rho < 1.0:
-                raise InvalidArgumentError(f"AR(1) requires -1 < rho < 1, got {self.rho}")
+        check_ar_params(self.rho, self.sigma_sq, self.mode)
 
     @property
     def initial_variance(self) -> float:
-        # Unit-gap AR(1) uses the sigma_sq / (1 - rho^2) initial law; the
-        # irregular process is parameterized so its marginal variance is
-        # sigma_sq directly.
-        if self.mode is ArMode.REGULAR_AR1:
-            return self.sigma_sq / (1.0 - self.rho**2)
-        return self.sigma_sq
+        return initial_variance(self.rho, self.sigma_sq, self.mode)
 
 
 def _gauss_logpdf(x, mean, var):
     return -0.5 * (_LOG_2PI + np.log(var) + (x - mean) ** 2 / var)
 
 
-def transition_moments(gap: float, spec: ArSpec) -> tuple[float, float]:
-    """'(mean multiplier, variance)' of the one-step transition over `gap`."""
-    if gap <= 0.0 or not np.isfinite(gap):
+def transition_moments(gap: float, rho: float, sigma_sq: float) -> tuple[float, float]:
+    """'(mean multiplier, variance)' of the one-step transition over `gap`
+    of a chain with parameters rho and sigma_sq (an `ArSpec`'s)."""
+    if gap <= 0.0 or not math.isfinite(gap):
         raise InvalidArgumentError(f"gap must be positive, got {gap}")
-    if spec.rho < 0.0 and gap != round(gap):
+    if rho < 0.0 and gap != round(gap):
         raise InvalidArgumentError("negative rho needs integer gaps")
-    mult = spec.rho**gap
-    var = spec.sigma_sq * (1.0 - spec.rho ** (2.0 * gap))
+    mult = rho**gap
+    var = sigma_sq * (1.0 - rho ** (2.0 * gap))
     return mult, var
 
 
@@ -75,7 +87,7 @@ def ar_transition_log_density(x_curr, x_prev, gap: float, spec: ArSpec):
 
     Accepts scalars or equal-shaped arrays for x_curr / x_prev.
     """
-    mult, var = transition_moments(gap, spec)
+    mult, var = transition_moments(gap, spec.rho, spec.sigma_sq)
     return _gauss_logpdf(np.asarray(x_curr, dtype=float), mult * np.asarray(x_prev, dtype=float), var)
 
 
@@ -108,7 +120,7 @@ def ar_sample_path(times: np.ndarray, spec: ArSpec, rng: np.random.Generator) ->
     path = np.empty(times.size)
     path[0] = math.sqrt(spec.initial_variance) * rng.standard_normal()
     for k in range(1, times.size):
-        mult, var = transition_moments(gaps[k - 1], spec)
+        mult, var = transition_moments(gaps[k - 1], spec.rho, spec.sigma_sq)
         path[k] = mult * path[k - 1] + math.sqrt(var) * rng.standard_normal()
     return path
 

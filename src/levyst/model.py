@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .ar import ArMode, ArSpec, rho_from_transformed, step_gaps, transition_moments
+from .ar import ArMode, ArSpec, check_ar_params, initial_variance, rho_from_transformed, step_gaps, transition_moments
 from .errors import InvalidArgumentError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -84,15 +84,19 @@ class MonotoneMapParams:
     def __post_init__(self):
         for name in ("C", "C_tilde", "X"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        # `check_map_params` on p values, in plain Python
-        if any(v <= 0.0 for v in self.C.ravel().tolist() + self.C_tilde.ravel().tolist()):
-            raise InvalidArgumentError("C, C_tilde must be positive")
-        if any(v < 0.0 for v in self.X.ravel().tolist()):
-            raise InvalidArgumentError("X entries are |Z| and must be nonnegative")
+        check_map_values(self.C.ravel().tolist(), self.C_tilde.ravel().tolist(), self.X.ravel().tolist())
 
     @property
     def p(self) -> int:
         return self.C.size
+
+
+def check_map_values(C: list, C_tilde: list, X: list) -> None:
+    """`check_map_params` on a few values, in plain Python."""
+    if any(v <= 0.0 for v in C + C_tilde):
+        raise InvalidArgumentError("C, C_tilde must be positive")
+    if any(v < 0.0 for v in X):
+        raise InvalidArgumentError("X entries are |Z| and must be nonnegative")
 
 
 def check_map_params(C: np.ndarray, C_tilde: np.ndarray, X: np.ndarray) -> None:
@@ -176,8 +180,8 @@ class AtomStore:
         return AtomStore(self.values[:, :, :int(self.counts.max())].copy(), self.counts.copy())
 
     def take(self, index) -> "AtomStore":
-        """The blocks at `index`, copied."""
-        return AtomStore(self.values[:, index], self.counts[index])
+        """The blocks at `index`, copied into C order."""
+        return AtomStore(self.values.take(index, axis=1), self.counts.take(index))
 
     def put(self, index, blocks: "AtomStore") -> None:
         """Overwrite the blocks at `index` with those of `blocks`."""
@@ -238,12 +242,17 @@ class MapGrid:
     a batch of thetas.  Each theta's row takes the same operations on the
     same operands as it would alone, and the running sum adds along the row
     in knot order, so a row does not depend on the others in its batch.
+    `mapped` takes every dimension of one theta at once, each row padded
+    with zero steps to the most knots K: the running sums of a row stop at
+    its own knots, so they are the same sums.
     """
 
     knots: tuple[np.ndarray, ...]
     index: tuple[np.ndarray, ...]  # each location's knot
-    lead: tuple[float, ...]        # |s_(1)|^r
+    lead: np.ndarray               # (p,) |s_(1)|^r
     steps: tuple[np.ndarray, ...]  # (s_(i) - s_(i-1))^r for i >= 2
+    padded_steps: np.ndarray       # (p, K - 1) the steps, zero past each dimension's own
+    cell: np.ndarray               # (n, p) each location's knot as a flat index into (p, K) knot values
 
     @classmethod
     def build(cls, locations: np.ndarray) -> "MapGrid":
@@ -261,7 +270,12 @@ class MapGrid:
             index.append(inverse)
             lead.append(first)
             steps.append(increments)
-        return cls(tuple(knots), tuple(index), tuple(lead), tuple(steps))
+        width = max(c.size for c in knots)
+        padded = np.zeros((len(knots), width - 1))
+        for ell, increments in enumerate(steps):
+            padded[ell, :increments.size] = increments
+        cell = np.column_stack(index) + width * np.arange(len(knots))
+        return cls(tuple(knots), tuple(index), np.array(lead), tuple(steps), padded, cell)
 
     def knot_values(self, dim: int, slope: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
         """M_dim at the knots for B thetas, as a (B, K) array: row b for
@@ -277,11 +291,13 @@ class MapGrid:
 
     def mapped(self, slope: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
         """The (n, p) mapped locations under one theta's length-p slopes C X
-        and anchors C~: each location takes its knot's value."""
-        out = np.empty((self.index[0].size, len(self.knots)))
-        for ell, index in enumerate(self.index):
-            out[:, ell] = self.knot_values(ell, slope[ell:ell + 1], c_tilde[ell:ell + 1])[0, index]
-        return out
+        and anchors C~: each location takes its knot's value, the value
+        `knot_values` gives, bit for bit."""
+        values = np.empty((slope.size, self.padded_steps.shape[1] + 1))
+        values[:, 0] = c_tilde - slope * self.lead
+        np.cumsum(slope[:, None] * self.padded_steps, axis=1, out=values[:, 1:])
+        values[:, 1:] += values[:, :1]
+        return values.take(self.cell)
 
 
 def map_extension(knots: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
@@ -428,9 +444,9 @@ class FieldOperands:
     (count, block, slot) order, so that the blocks with J atoms sit side by
     side, J columns each.
 
-    `mu` is column-major, as a fancy gather of the store lays it out: the
-    bits of the kernel's ksq @ mu^2 row follow that layout.  The arrays are
-    copies, so they stay valid when the store changes.
+    `mu` is column-major (p, N), the layout a fancy gather of the store
+    gives: the bits of the kernel's ksq @ mu^2 row follow that layout.  The
+    arrays are copies, so they stay valid when the store changes.
     """
 
     counts: np.ndarray   # (B,) atoms per block
@@ -446,9 +462,10 @@ class FieldOperands:
         counts = atoms.counts.copy()
         order = np.argsort(counts, kind="stable")
         grouped = counts[order]
-        rank, slot = np.nonzero(np.arange(atoms.width) < grouped[:, None])
+        rank, slot = np.nonzero(np.arange(grouped[-1] if grouped.size else 0) < grouped[:, None])
         block = order[rank]
-        return cls(counts, order, block, slot, atoms.values[1:, block, slot], atoms.values[0, block, slot],
+        gathered = atoms.values.reshape(atoms.values.shape[0], -1).take(block * atoms.width + slot, axis=1)
+        return cls(counts, order, block, slot, np.asfortranarray(gathered[1:]), gathered[0],
                    np.bincount(grouped).tolist())
 
     def rows(self, mapped: np.ndarray, times: np.ndarray, kp: KernelParams) -> np.ndarray:
@@ -707,20 +724,46 @@ class ProcessTable:
     bit; the -inf of a block with an atom out of bounds is exact.
     """
 
-    mult: np.ndarray   # (p+1, G+1) transition mean multipliers rho**gap; 0 for the initial law
-    var: np.ndarray    # (p+1, G+1) transition variances, then the initial-law variances
-    norm: np.ndarray   # (p+1, G+1) log(2 pi) + log(var)
+    # (3, p+1, G+1): the transition mean multipliers rho**gap (0 for the
+    # initial law), the transition variances then the initial-law variances,
+    # and log(2 pi) + log(variance), stacked so one gather reads all three
+    moments: np.ndarray
+
+    @property
+    def mult(self) -> np.ndarray:
+        return self.moments[0]
+
+    @property
+    def var(self) -> np.ndarray:
+        return self.moments[1]
+
+    @property
+    def norm(self) -> np.ndarray:
+        return self.moments[2]
 
     @classmethod
-    def build(cls, gaps: np.ndarray, beta_spec: ArSpec, mu_specs) -> "ProcessTable":
+    def build(cls, gaps, beta_spec: ArSpec, mu_specs) -> "ProcessTable":
         specs = (beta_spec, *mu_specs)
-        shape = (len(specs), len(gaps) + 1)
-        mult, var = np.zeros(shape), np.empty(shape)
-        for c, spec in enumerate(specs):
-            for g, gap in enumerate(gaps):
-                mult[c, g], var[c, g] = transition_moments(gap, spec)
-            var[c, -1] = spec.initial_variance
-        return cls(mult, var, _LOG_2PI + np.log(var))
+        return cls.of_chains(gaps, [spec.rho for spec in specs], [spec.sigma_sq for spec in specs], beta_spec.mode)
+
+    @classmethod
+    def of_chains(cls, gaps, rhos: list, sigma_sqs: list, mode: ArMode) -> "ProcessTable":
+        """The table of chains with autoregression parameters rhos[c] and
+        sigma_sqs[c] over `gaps`, after the checks of their `ArSpec`s: each
+        entry is what `transition_moments` and `ArSpec.initial_variance`
+        give."""
+        for rho, sigma_sq in zip(rhos, sigma_sqs):
+            check_ar_params(rho, sigma_sq, mode)
+        mult, var = [], []
+        for rho, sigma_sq in zip(rhos, sigma_sqs):
+            pairs = [transition_moments(gap, rho, sigma_sq) for gap in gaps]
+            mult.append([m for m, _ in pairs] + [0.0])
+            var.append([v for _, v in pairs] + [initial_variance(rho, sigma_sq, mode)])
+        moments = np.empty((3, len(rhos), len(gaps) + 1))
+        moments[:2] = mult, var
+        np.log(moments[1], out=moments[2])
+        moments[2] += _LOG_2PI
+        return cls(moments)
 
     def log_densities(self, atoms: AtomStore, prev: AtomStore, g: np.ndarray) -> np.ndarray:
         """Incoming process factors of the blocks of a store in one pass.
@@ -740,17 +783,13 @@ class ProcessTable:
 
     def score(self, operands: ProcessOperands) -> np.ndarray:
         """`log_densities` of the blocks whose operands are given."""
-        col, shape = operands.col, operands.x.shape
-
-        def lookup(table):
-            return table.take(col, axis=1).reshape(shape)
-
-        terms = operands.x - lookup(self.mult) * operands.prev_x
+        mult, var, norm = self.moments.take(operands.col, axis=2).reshape(3, *operands.x.shape)
+        terms = operands.x - mult * operands.prev_x
         terms *= terms
-        terms /= lookup(self.var)
-        terms += lookup(self.norm)
+        terms /= var
+        terms += norm
         terms *= -0.5
-        terms[:, operands.unused[0], operands.unused[1]] = 0.0
+        np.copyto(terms, 0.0, where=operands.unused)
         total = terms.sum(axis=2).sum(axis=0)
         total[operands.out_of_bounds] = -np.inf
         return total
@@ -769,13 +808,13 @@ class ProcessOperands:
     x: np.ndarray              # (p+1, B, W) the blocks' slots
     prev_x: np.ndarray         # (p+1, B, W) each linked slot's predecessor atom, 0 elsewhere
     col: np.ndarray            # (B W,) each slot's table column: its block's gap, or -1 (the initial law)
-    unused: tuple              # (block, slot) of every slot at or past its block's count
+    unused: np.ndarray         # (B, W) whether the slot is at or past its block's count
     out_of_bounds: np.ndarray  # (B,) whether the block has an atom out of bounds
 
     @classmethod
     def build(cls, atoms: AtomStore, prev: AtomStore, g: np.ndarray) -> "ProcessOperands":
         counts = atoms.counts
-        width = int(counts.max()) if counts.size else 0
+        width = int(np.maximum.reduce(counts)) if counts.size else 0
         slot = np.arange(width)
         used = slot < counts[:, None]
         linked = slot < np.minimum(counts, prev.counts)[:, None]
@@ -785,8 +824,9 @@ class ProcessOperands:
         shared = min(width, prev.width)
         np.copyto(prev_x[:, :, :shared], prev.values[:, :, :shared], where=linked[:, :shared])
         col = np.where(linked, np.asarray(g)[:, None], -1).ravel()
-        out_of_bounds = np.any(~np.all(np.abs(x[1:]) <= COORD_BOUND, axis=0) & used, axis=1)
-        return cls(x, prev_x, col, np.nonzero(~used), out_of_bounds)
+        inside = np.logical_and.reduce(np.abs(x[1:]) <= COORD_BOUND, axis=0)
+        out_of_bounds = np.logical_or.reduce(used > inside, axis=1)  # a slot in use and out of bounds
+        return cls(x, prev_x, col, ~used, out_of_bounds)
 
 
 def predecessors(atoms: AtomStore, ks: np.ndarray) -> AtomStore:

@@ -20,15 +20,19 @@ a column for every draw a move can need, whatever each block's count or
 move (`draw_blocks`); the two phases' arrays are stacked, odd blocks first.
 Propose: the move types, every proposal of both parities and their log
 ratios are formed at once as masked array arithmetic on the store
-(`propose_blocks`).  Field and likelihood: one `field_rows` call builds the
+(`propose_blocks`), with the move weights and their log ratios read from
+tables built once per j_max (`_move_tables`).  No step reads a slot at or
+past its block's count: a no-change move perturbs the slots in use, and each
+batched pass reads the first W slots, W the largest count of its batch, and
+masks the rest.  Field and likelihood: one `field_rows` call builds the
 field row of every proposal, with one stacked product per atom count, and
 one `loglik_rows` call the likelihood of every proposal and of every current
 block from its stored field.  An earlier phase writes no atom and no field
 column of a later one, so these are the values each phase would compute for
-itself.  Then, phase by phase:
-one `ProcessTable.log_densities` call gives the incoming and outgoing
-process factors of the phase's proposals against their neighbours in the
-store (`block_factors`), one `block_scores` call values the phase's current
+itself.  Then, phase by phase: one `ProcessTable.log_densities` call gives
+the incoming and outgoing process factors of the phase's proposals against
+their neighbours in the store, gathered at the call's own width
+(`block_factors`), one `block_scores` call values the phase's current
 blocks and proposals together, one comparison of each block's log acceptance
 uniform with its log ratio accepts or rejects, and the accepted atoms,
 field columns and process factors are written back, so the store always
@@ -57,11 +61,13 @@ blocks and the atoms in the field's count order) is formed once per theta
 phase, from the atoms the sweep leaves, and shared by both proposals; per
 proposal remain the cache, the table lookups and sums, the kernel, the
 field products and the likelihoods.
-The cache is a function of theta alone and holds the AR transition table
-(mean multiplier, variance and log variance for every distinct time gap and
-coordinate chain).  Nothing in the terms reads the Gibbs scalars or the
-effects, so they carry over to the next iteration; only the likelihood is
-recomputed from the stored columns.
+The cache is a function of theta alone and holds the kernel parameters, the
+mapped training locations and the AR transition table (mean multiplier,
+variance and log variance for every distinct time gap and coordinate
+chain); it is built from one exponentiation of theta, with the checks and
+the bits of `unpack_theta`'s path.  Nothing in the terms reads the Gibbs
+scalars or the effects, so they carry over to the next iteration; only the
+likelihood is recomputed from the stored columns.
 
 Batching keeps the terms, not every bit; `tests/oracles.py` keeps the
 per-block references.  Each batched likelihood equals its reference bit for
@@ -93,6 +99,7 @@ a per-sample loop's bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -100,7 +107,7 @@ import numpy as np
 from scipy.special import gammainccinv, ndtri
 
 from . import effects
-from .ar import ArMode, mode_for_times, step_gaps
+from .ar import ArMode, mode_for_times, rho_from_transformed, step_gaps
 from .data import SpaceTimeDataset
 from .errors import ConfigError, InvalidArgumentError, InvalidStateError, NumericError, UnsupportedPredictionError
 from .model import (
@@ -119,6 +126,7 @@ from .model import (
     atom_process_log_density,
     check_grid,
     check_map_params,
+    check_map_values,
     check_points,
     count_log_factor,
     extend_map,
@@ -208,6 +216,25 @@ def move_weights(J, j_max: int):
     wd = np.where(J <= 1, 0.0, wd)
     total = wb + wd + wnc
     return wb / total, wd / total, wnc / total
+
+
+@functools.cache
+def _move_tables(j_max: int) -> np.ndarray:
+    """What `propose_blocks` reads of the move weights below the cap j_max,
+    per count J = 0 .. j_max + 1, as a read-only (4, j_max + 2) array: the
+    birth probability, the birth plus death probability, and the log
+    move-weight ratios of a birth, log w_death(J + 1) - log w_birth(J), and
+    of a death, log w_birth(J - 1) - log w_death(J), each from
+    `move_weights` and array logs.  Every count above j_max + 1 has the
+    weights and ratios of j_max + 1."""
+    J = np.arange(j_max + 2)
+    wb, wd, _ = move_weights(J, j_max)
+    with np.errstate(divide="ignore"):
+        birth = np.log(move_weights(J + 1, j_max)[1]) - np.log(wb)
+        death = np.log(move_weights(J - 1, j_max)[0]) - np.log(wd)
+    tables = np.stack([wb, wb + wd, birth, death])
+    tables.setflags(write=False)
+    return tables
 
 
 @dataclass
@@ -340,23 +367,36 @@ def build_context(data: SpaceTimeDataset, prior: PriorConfig, marginalized: bool
 
 @dataclass
 class ThetaCache:
-    """Natural-scale parameters, mapped locations and the AR transition
-    table for one theta value.
+    """The kernel parameters, the (n, p) mapped training locations and the
+    AR transition table of one theta value.
 
     It is built from theta alone: nothing kept here depends on nu, omega_sq
     or the Gibbs scalars, so a cache stays valid for its theta while those
     change.
     """
 
-    kp: object
+    kp: KernelParams
     mapped: np.ndarray
     table: ProcessTable
 
     @classmethod
     def build(cls, theta: np.ndarray, ctx: ModelContext) -> "ThetaCache":
-        kp, mp, beta_spec, mu_specs = unpack_theta(theta, ctx.layout, ctx.ar_mode)
-        return cls(kp=kp, mapped=ctx.map_grid.mapped(mp.C * mp.X, mp.C_tilde),
-                   table=ProcessTable.build(ctx.gaps, beta_spec, mu_specs))
+        """The cache of theta: what `unpack_theta` followed by
+        `MapGrid.mapped(C X, C~)` and `ProcessTable.build` give, bit for
+        bit, with every check of their `KernelParams`, `MonotoneMapParams`
+        and `ArSpec`s in the same order.  Theta is exponentiated once, and
+        the table is filled from plain floats with the same scalar powers
+        (`ProcessTable.of_chains`)."""
+        layout, natural = ctx.layout, np.exp(theta)
+        kp = KernelParams(natural[layout.sl_log_ksq], float(natural[layout.i_log_tau]),
+                          float(natural[layout.i_log_xi]))
+        c, c_tilde, x = natural[layout.sl_log_c], natural[layout.sl_log_c_tilde], theta[layout.sl_x]
+        check_map_values(c.tolist(), c_tilde.tolist(), x.tolist())
+        logits = [float(theta[layout.i_logit_rho_beta]), *theta[layout.sl_logit_rho].tolist()]
+        sigma_sqs = [float(natural[layout.i_log_ssq_beta]), *natural[layout.sl_log_ssq].tolist()]
+        table = ProcessTable.of_chains(ctx.gaps, [rho_from_transformed(v, ctx.ar_mode) for v in logits], sigma_sqs,
+                                       ctx.ar_mode)
+        return cls(kp=kp, mapped=ctx.map_grid.mapped(c * x, c_tilde), table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +447,6 @@ class AtomOperands:
                    FieldOperands.build(atoms))
 
 
-def _join(first: AtomStore, second: AtomStore) -> AtomStore:
-    """The blocks of two stores of one width, those of `first` first."""
-    return AtomStore(np.concatenate([first.values, second.values], axis=1),
-                     np.concatenate([first.counts, second.counts]))
-
-
 def block_factors(table: ProcessTable, atoms: AtomStore, proposal: AtomStore, ks: np.ndarray,
                   gap_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Incoming and outgoing process factors of several time blocks in one
@@ -423,11 +457,23 @@ def block_factors(table: ProcessTable, atoms: AtomStore, proposal: AtomStore, ks
     block ks[b] + 1.  `proposal` has the width of `atoms`.  Returns
     (p_in, p_out): each block's incoming process factor and the next
     block's (0.0 at the last time, which has no next block).
+
+    The pass scores the proposals, then each next block that exists, after
+    its predecessor.  Their slots and their predecessors' are gathered over
+    the pass's own width W, the largest count in it, the width at which
+    `ProcessTable.log_densities` forms the terms of a batch.
     """
-    linked = np.flatnonzero(ks + 1 < atoms.counts.size)
-    factors = table.log_densities(_join(proposal, atoms.take(ks[linked] + 1)),
-                                  _join(predecessors(atoms, ks), proposal.take(linked)),
-                                  np.concatenate([gap_index[ks], gap_index[ks[linked] + 1]]))
+    linked = (ks + 1 < atoms.counts.size).nonzero()[0]
+    following = ks[linked] + 1
+    counts = np.concatenate([proposal.counts, atoms.counts[following]])
+    # the first time has no predecessor
+    prev_counts = np.concatenate([np.where(ks > 0, atoms.counts[ks - 1], 0), proposal.counts[linked]])
+    W = int(np.maximum.reduce(counts)) if counts.size else 0
+    blocks = AtomStore(np.concatenate([proposal.values[:, :, :W], atoms.values.take(following, axis=1)[:, :, :W]],
+                                      axis=1), counts)
+    prev = AtomStore(np.concatenate([atoms.values.take(ks - 1, axis=1)[:, :, :W],
+                                     proposal.values.take(linked, axis=1)[:, :, :W]], axis=1), prev_counts)
+    factors = table.log_densities(blocks, prev, np.concatenate([gap_index[ks], gap_index[following]]))
     p_out = np.zeros(ks.size)
     p_out[linked] = factors[ks.size:]
     return factors[:ks.size], p_out
@@ -560,8 +606,8 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
     """
     counts = current.counts
     B, p1, W = counts.size, ctx.p + 1, current.width
-    wb, wd, _ = move_weights(counts, cfg.j_max)
-    moves = np.where(u[:, 0] < wb, BIRTH, np.where(u[:, 0] < wb + wd, DEATH, NO_CHANGE))
+    wb, wbd, log_birth, log_death = _move_tables(cfg.j_max)[:, np.minimum(counts, cfg.j_max + 1)]
+    moves = np.where(u[:, 0] < wb, BIRTH, np.where(u[:, 0] < wbd, DEATH, NO_CHANGE))
     birth, death, no_change = moves == BIRTH, moves == DEATH, moves == NO_CHANGE
     additive = u[:, 1] < P_ADD
     # a birth picks one of the J atoms, a death one of the J-1 below the last
@@ -569,16 +615,15 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
     rows, add = np.arange(B), additive[:, None]
     eps = np.where(add, normals, _mult_eps(u[:, 4:4 + p1], EPS_FLOOR))
     signs = np.where(u[:, 4 + p1:4 + 2 * p1] < 0.5, 1.0, -1.0)
-    # no-change flips of the coordinates in use, as (p+1, S, W): +-1 or -1, 0, 1
-    sel = np.flatnonzero(no_change)
-    u_flip = u[sel, 4 + 2 * p1:].reshape(sel.size, p1, W).transpose(1, 0, 2)
-    flips = np.where(add[sel], 2.0 * np.floor(2.0 * u_flip) - 1.0, np.floor(3.0 * u_flip) - 1.0)
-    flips *= np.arange(W) < counts[sel, None]
-    # the move-weight ratio of a birth or death, a no-change move's log_jac
-    with np.errstate(divide="ignore"):
-        log_w = np.where(birth, np.log(move_weights(counts + 1, cfg.j_max)[1]) - np.log(wb),
-                         np.log(move_weights(counts - 1, cfg.j_max)[0]) - np.log(wd))
-        log_w[sel] = np.where(additive[sel], 0.0, flips.sum(axis=(0, 2)) * np.log(np.abs(eps[sel, 0])))
+    # no-change flips of the coordinates in use, as (p+1, B, V) over the
+    # first V slots, V the largest count, and 0 for the other moves:
+    # 2 floor(2 u) - 1 = +-1 (additive) or floor(3 u) - 1 = -1, 0, 1, as
+    # floor(u k) f - 1 with each block's factors (k, f)
+    V = int(np.maximum.reduce(counts)) if B else 0
+    u_flip = u[:, 4 + 2 * p1:].reshape(B, p1, W)[:, :, :V].transpose(1, 0, 2)
+    k, f = np.where(add, (2.0, 2.0), (3.0, 1.0)).T[:, :, None]
+    flips = np.floor(u_flip * k) * f - 1.0
+    flips *= (np.arange(V) < counts[:, None]) & no_change[:, None]
     # Every block's birth and death arithmetic at once on its picked atom x
     # (birth: j, death: lo) and its last atom y, as C-ordered (B, p+1) rows,
     # whose row sums add like one block's sums; each block keeps its move's.
@@ -587,12 +632,12 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
     log_4a, pair_factor = math.log(4.0 * cfg.scale), p1 * (math.log(2.0) + math.log(1.0 - EPS_FLOOR))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # a birth splits x into (keep, child), a death merges x and y
-        size = np.abs(eps)
+        size, abs_x, abs_y = np.abs(eps), np.abs(x), np.abs(y)
         step = signs * (cfg.scale * size)
         keep = np.where(add, x + step, x * eps)
         child = np.where(add, x - step, x / eps)
         merged = np.where(add, 0.5 * (x + y), signs * np.sqrt(np.abs(x * y)))
-        log_x, log_e, log_y = np.log(np.abs(x)), np.log(size), np.log(np.abs(y))
+        log_x, log_e, log_y = np.log(abs_x), np.log(size), np.log(abs_y)
         mult_split = (log_x[:, 0] - log_e[:, 0] + (log_x[:, 1:] - log_e[:, 1:]).sum(axis=1)) + pair_factor
         split_ratio = np.where(additive, (log_4a - _log_half_normal(size)).sum(axis=1), mult_split)
         u_merge = np.abs(x - y) / (2.0 * cfg.scale)
@@ -600,17 +645,23 @@ def propose_blocks(ks: np.ndarray, current: AtomStore, ctx: ModelContext, cfg: S
         merge_ratio = np.where(additive, (_log_half_normal(u_merge) - log_4a).sum(axis=1), mult_merge)
         # a multiplicative birth makes a same-sign pair (x e, x / e) with
         # |x e| < |x / e| and |e| above the floor
-        reachable = ~death | additive | np.all((x * y > 0.0) & (np.abs(x) < np.abs(y))
-                                                & (np.sqrt(np.abs(x) / np.abs(y)) > EPS_FLOOR), axis=1)
+        reachable = ~death | additive | np.logical_and.reduce(
+            (x * y > 0.0) & (abs_x < abs_y) & (np.sqrt(abs_x / abs_y) > EPS_FLOOR), axis=1)
+        # a no-change move's log_jac
+        log_jac = np.where(additive, 0.0, flips.sum(axis=(0, 2)) * log_e[:, 0])
         values = current.values.copy()
         values[:, rows, slot] = np.where(birth[:, None], keep, np.where(death[:, None], merged, x)).T
-        grow = np.flatnonzero(birth)
+        grow = birth.nonzero()[0]
         values[:, grow, counts[grow]] = child[grow].T
-        if sel.size:
-            z, e = values[:, sel], eps[sel, 0][:, None]
-            values[:, sel] = np.where(add[sel], z + flips * (cfg.shrink * cfg.scale) * np.abs(e),
-                                      np.where(flips == 1, z * e, np.where(flips == -1, z / e, z)))
-    log_ratio = np.where(birth, split_ratio + log_w, np.where(death, merge_ratio + log_w, log_w))
+        # the no-change moves perturb their slots in use, by +-c a |e| or by
+        # multiplying or dividing by e; every other slot has flip 0 and keeps
+        # its value
+        z, e = values[:, :, :V], eps[:, :1]
+        shifted = z + flips * ((cfg.shrink * cfg.scale) * np.abs(e))
+        scaled = np.where(flips == 1, z * e, np.where(flips == -1, z / e, z))
+        values[:, :, :V] = np.where((additive & no_change)[:, None], shifted, scaled)
+    # a split or merge ratio with its move-weight ratio, or a no-change log_jac
+    log_ratio = np.where(birth, split_ratio + log_birth, np.where(death, merge_ratio + log_death, log_jac))
     new_counts = counts + birth - death
     return BlockMoves(ks, moves, AtomStore(values, new_counts), log_ratio, reachable, u[:, 3].copy())
 
@@ -643,35 +694,38 @@ def update_time_block(phases: list[tuple[np.ndarray, np.random.Generator]], atom
     drawn = [draw_blocks(rng, len(blocks), ctx.p, atoms.width) for blocks, rng in phases]
     moves = propose_blocks(ks, atoms.take(ks), ctx, cfg, *(np.concatenate(d) for d in zip(*drawn)))
     B, m, cache = ks.size, ctx.m, terms.cache
-    scored = np.flatnonzero(moves.reachable)
-    rows = field_rows(cache.mapped, ctx.times[ks[scored]], moves.proposal.take(scored), cache.kp)
-    logliks = loglik_rows(np.concatenate([ks, ks[scored]]), np.concatenate([terms.field.T[ks], rows]),
+    scored = moves.reachable.nonzero()[0]
+    k_scored, proposals = ks[scored], moves.proposal.take(scored)
+    rows = field_rows(cache.mapped, ctx.times[k_scored], proposals, cache.kp)
+    logliks = loglik_rows(np.concatenate([ks, k_scored]), np.concatenate([terms.field.T[ks], rows]),
                           ctx, hypers, phi)
     loglik = logliks[:B].copy()
     with np.errstate(divide="ignore"):
         log_u = np.log(moves.u_accept)
-    log_alpha, accepted = np.empty(B), np.zeros(B, dtype=bool)
-    end = 0
+    # an unreachable merge keeps log_alpha -inf and is rejected
+    log_alpha, accepted = np.full(B, -np.inf), np.zeros(B, dtype=bool)
+    ends = [0]
     for blocks, _ in phases:
-        start, end = end, end + len(blocks)
-        phase = slice(start, end)
-        lo, hi = np.searchsorted(scored, [start, end])
-        mine = scored[lo:hi]
-        here = ks[phase]
-        proposal = moves.proposal.take(mine)
-        p_in, p_out = block_factors(cache.table, atoms, proposal, ks[mine], ctx.gap_index)
+        ends.append(ends[-1] + len(blocks))
+    cuts = np.searchsorted(scored, ends).tolist()  # the phases' scored proposals
+    # each block's next time, where it has one
+    has_next = ks + 1 < m
+    next_k = np.where(has_next, ks + 1, 0)
+    for start, end, lo, hi in zip(ends, ends[1:], cuts, cuts[1:]):
+        here, mine, n = ks[start:end], scored[lo:hi], end - start
+        proposal = AtomStore(proposals.values[:, lo:hi], proposals.counts[lo:hi])
+        p_in, p_out = block_factors(cache.table, atoms, proposal, k_scored[lo:hi], ctx.gap_index)
         # the current blocks' scores, then their scored proposals'
         scores = block_scores(np.concatenate([atoms.counts[here], proposal.counts]),
                               np.concatenate([terms.process[here], p_in]),
-                              np.concatenate([np.append(terms.process[1:], 0.0)[here], p_out]),
-                              np.concatenate([logliks[phase], logliks[B + lo:B + hi]]), hypers, cfg.j_max)
-        lp_cur, lp_prop = scores[:here.size], np.full(here.size, np.nan)
-        lp_prop[mine - start] = scores[here.size:]
+                              np.concatenate([np.where(has_next[start:end], terms.process[next_k[start:end]], 0.0),
+                                              p_out]),
+                              np.concatenate([logliks[start:end], logliks[B + lo:B + hi]]), hypers, cfg.j_max)
         with np.errstate(invalid="ignore"):
-            log_alpha[phase] = np.where(moves.reachable[phase], lp_prop - lp_cur + moves.log_ratio[phase], -np.inf)
-            accepted[phase] = log_u[phase] < log_alpha[phase]
-        won = np.flatnonzero(accepted[mine])
-        k_won = ks[mine[won]]
+            log_alpha[mine] = scores[n:] - scores[mine - start] + moves.log_ratio[mine]
+        won = (log_u[mine] < log_alpha[mine]).nonzero()[0]
+        accepted[mine[won]] = True
+        k_won = k_scored[lo + won]
         atoms.put(k_won, proposal.take(won))
         terms.field[:, k_won] = rows[lo + won].T
         terms.process[k_won] = p_in[won]

@@ -1,5 +1,8 @@
 """Reference forms that tests compare the program against: per-sample forms
-of whole-chain computations, the initial state through `scipy.stats`, which the batched forms equal with `==`, and
+of whole-chain computations, the initial state through `scipy.stats`, the
+block factors over joined full-width stores, the process table entry by
+entry and the map one dimension at a time, which the program's forms equal
+with `==`, and
 the one-point field, the per-block process densities, field and likelihood,
 the prior densities and the joint log posterior, which the sampler's batched
 terms agree with, and the per-value text writers, the per-cell chain reader
@@ -17,14 +20,15 @@ from scipy.special import gammaln
 from scipy.stats import invgamma, norm
 
 from levyst import effects
-from levyst.ar import ar_initial_log_density, ar_transition_log_density, mode_for_times, step_gaps
+from levyst.ar import (ar_initial_log_density, ar_transition_log_density, mode_for_times, step_gaps,
+                       transition_moments)
 from levyst.chainio import _FMT, _group_cells, _meta_cell, _meta_int, _read_meta, scalar_header
 from levyst.data import SpaceTimeDataset
 from levyst.errors import (ConfigError, InvalidArgumentError, InvalidStateError, ParseError,
                            UnsupportedPredictionError)
 from levyst.model import (COORD_BOUND, MAP_EXPONENT, AtomStore, LatentAtoms, MonotoneMapFit, ThetaLayout,
                           count_log_factor, field_rows, kernel_matrix, log_observation_density, log_prior_theta,
-                          unpack_theta)
+                          predecessors, unpack_theta)
 from levyst.sampler import _S_INIT, _S_PREDICT, ChainSample, PredictionBands, SamplerState, ScalarHypers, stream
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -194,6 +198,44 @@ def atom_process_log_density(atoms: list[LatentAtoms], times: np.ndarray, beta_s
             return -np.inf
         total += atom_block_log_density(atoms[k], atoms[k - 1], gaps[k - 1], beta_spec, mu_specs)
     return total
+
+
+def block_factors_joined(table, atoms: AtomStore, proposal: AtomStore, ks: np.ndarray, gap_index: np.ndarray):
+    """`levyst.sampler.block_factors` as one `ProcessTable.log_densities`
+    pass over full-width stores joined along the block axis: the proposals,
+    then the next block of each that has one, against their predecessors."""
+    def join(first, second):
+        return AtomStore(np.concatenate([first.values, second.values], axis=1),
+                         np.concatenate([first.counts, second.counts]))
+
+    linked = np.flatnonzero(ks + 1 < atoms.counts.size)
+    factors = table.log_densities(join(proposal, atoms.take(ks[linked] + 1)),
+                                  join(predecessors(atoms, ks), proposal.take(linked)),
+                                  np.concatenate([gap_index[ks], gap_index[ks[linked] + 1]]))
+    p_out = np.zeros(ks.size)
+    p_out[linked] = factors[ks.size:]
+    return factors[:ks.size], p_out
+
+
+def process_table_per_entry(gaps, beta_spec, mu_specs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`ProcessTable.build`'s mean multipliers, variances and normalizers,
+    each entry from `transition_moments` or `ArSpec.initial_variance`."""
+    specs = (beta_spec, *mu_specs)
+    mult, var = np.zeros((len(specs), len(gaps) + 1)), np.empty((len(specs), len(gaps) + 1))
+    for c, spec in enumerate(specs):
+        for g, gap in enumerate(gaps):
+            mult[c, g], var[c, g] = transition_moments(gap, spec.rho, spec.sigma_sq)
+        var[c, -1] = spec.initial_variance
+    return mult, var, _LOG_2PI + np.log(var)
+
+
+def mapped_per_dimension(grid, slope: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
+    """`MapGrid.mapped` one dimension at a time: each location takes its
+    knot's value from `MapGrid.knot_values`."""
+    out = np.empty((grid.index[0].size, len(grid.knots)))
+    for ell, index in enumerate(grid.index):
+        out[:, ell] = grid.knot_values(ell, slope[ell:ell + 1], c_tilde[ell:ell + 1])[0, index]
+    return out
 
 
 def grid_index(t, times) -> int:

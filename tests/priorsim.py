@@ -100,7 +100,7 @@ def _draw_atoms(counts, ctx, beta_spec, mu_specs, rng):
 
 
 def _trans_draw(prev_vals, gap, spec, rng):
-    mult, var = transition_moments(gap, spec)
+    mult, var = transition_moments(gap, spec.rho, spec.sigma_sq)
     return mult * prev_vals + math.sqrt(var) * rng.standard_normal(prev_vals.size)
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -19,8 +20,8 @@ from levyst.ar import ArMode, mode_for_times
 from levyst.data import SpaceTimeDataset, standardize
 from levyst.chainio import read_chain, write_chain
 from levyst.errors import ConfigError, InvalidArgumentError, InvalidStateError, UnsupportedPredictionError
-from levyst.model import (COORD_BOUND, AtomStore, LatentAtoms, PriorConfig, ScalarHypers, ThetaLayout, count_log_factor,
-                          kernel_matrix, monotone_map_extend, unpack_theta)
+from levyst.model import (COORD_BOUND, AtomStore, LatentAtoms, PriorConfig, ProcessTable, ScalarHypers, ThetaLayout,
+                          count_log_factor, kernel_matrix, monotone_map_extend, unpack_theta)
 from levyst.sampler import (
     MOVE_NAMES,
     AtomOperands,
@@ -47,8 +48,9 @@ from levyst.sampler import (
     tmcmc_proposal,
     update_time_block,
 )
-from oracles import (atom_block_log_density, atom_process_log_density, field_values, initial_state_per_block,
-                     log_joint_parts, log_joint_posterior, loglik_slice, map_fit)
+from oracles import (atom_block_log_density, atom_process_log_density, block_factors_joined, field_values,
+                     initial_state_per_block, log_joint_parts, log_joint_posterior, loglik_slice, map_fit,
+                     mapped_per_dimension, process_table_per_entry)
 from rounding import assert_factor_close, exponent_tolerance, field_tolerance, process_tolerance
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -1480,3 +1482,207 @@ def test_theta_phase_checks_bounds_once_per_theta(tiny_dataset, tame_prior, monk
     iterations = 20
     run_chain(tiny_dataset, SamplerConfig(iterations=iterations, burn_in=0, thin=1, j_max=6, seed=3), tame_prior)
     assert 0 < len(calls) <= 3 * iterations
+
+
+def _unused_slots(atoms):
+    """The (block, slot) mask of every slot at or past its block's count."""
+    return np.arange(atoms.width) >= atoms.counts[:, None]
+
+
+def _used_values(atoms):
+    block, slot = atoms.slots()
+    return atoms.values[:, block, slot].tobytes()
+
+
+@pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
+def test_slots_past_a_blocks_count_are_never_read(tame_prior, marginalized):
+    """The contract the sweep and the theta phase narrow their arithmetic
+    and gathers on: before each of 60 iterations one chain's slots at or
+    past its blocks' counts are set to NaN and its twin's to 0, and the two
+    chains stay equal bit for bit: counts, used atom values, theta, the
+    Gibbs scalars, the carried field columns and process factors and the
+    move statistics."""
+    rng = np.random.default_rng(12)
+    data, _ = standardize(SpaceTimeDataset(rng.random((12, 2)), np.arange(1.0, 7.0), rng.standard_normal((12, 6))))
+    cfg = SamplerConfig(iterations=60, burn_in=0, thin=1, j_max=8, seed=7)
+    sampler = Sampler(data, cfg, tame_prior, marginalized=marginalized)
+    states, stats = [sampler.initial_state(), sampler.initial_state()], [MoveStats(), MoveStats()]
+    for r in range(cfg.iterations):
+        for state, stat, fill in zip(states, stats, (np.nan, 0.0)):
+            state.atoms.values[:, _unused_slots(state.atoms)] = fill
+            sampler.iterate(state, r, stat)
+        a, b = states
+        assert np.array_equal(a.atoms.counts, b.atoms.counts)
+        assert _used_values(a.atoms) == _used_values(b.atoms)
+        for name in ("theta", "nu", "omega_sq"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.hypers == b.hypers
+        assert (a.phi is None and b.phi is None) or a.phi.tobytes() == b.phi.tobytes()
+        assert a.terms.field.tobytes() == b.terms.field.tobytes()
+        assert a.terms.process.tobytes() == b.terms.process.tobytes()
+        assert stats[0] == stats[1]
+    # births and deaths were accepted, so slots went in and out of use
+    assert stats[0].accepts["birth"] > 0 and stats[0].accepts["death"] > 0
+
+
+@given(counts=st.lists(st.integers(1, 8), min_size=1, max_size=12), p_add=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_proposals_read_only_the_used_slots(tame_prior, counts, p_add, seed):
+    """`propose_blocks` on a store whose unused slots hold NaN and on its
+    zero-padded twin gives the same moves, log ratios, reachability,
+    acceptance uniforms, counts and used proposal cells, bit for bit."""
+    cfg = SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=8, seed=0)
+    ctx = _tiny_ctx(tame_prior, n=2, m=1, p=2)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(scale=3.0, size=(3, len(counts), cfg.j_max))
+    ks = np.arange(len(counts))
+    moves = []
+    for fill in (np.nan, 0.0):
+        store = AtomStore(values.copy(), np.array(counts, dtype=np.int64))
+        store.values[:, _unused_slots(store)] = fill
+        with patch.object(sampler_module, "P_ADD", p_add):
+            moves.append(propose_blocks(ks, store, ctx, cfg, *draw_blocks(stream(seed, 1, 0, 0), ks.size, 2,
+                                                                           cfg.j_max)))
+    a, b = moves
+    for name in ("move", "log_ratio", "reachable", "u_accept"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert np.array_equal(a.proposal.counts, b.proposal.counts)
+    assert _used_values(a.proposal) == _used_values(b.proposal)
+
+
+@pytest.mark.parametrize("j_max", [1, 2, 6, 50])
+def test_move_tables_equal_the_move_weights_and_their_logs(j_max):
+    """Row J of the move-weight tables, J = 0 .. j_max + 1, equals
+    `move_weights(J, j_max)` and the log ratios formed from it with array
+    logs over a batch of blocks; every count past j_max + 1 has the weights
+    and ratios of j_max + 1."""
+    tables = sampler_module._move_tables(j_max)
+    assert tables.shape == (4, j_max + 2) and not tables.flags.writeable
+    for J in range(j_max + 2):
+        wb, wd, _ = move_weights(J, j_max)
+        assert tables[0, J] == wb and tables[1, J] == wb + wd
+    batch = np.random.default_rng(j_max).permutation(np.arange(j_max + 9))
+    wb, wd, _ = move_weights(batch, j_max)
+    with np.errstate(divide="ignore"):
+        birth = np.log(move_weights(batch + 1, j_max)[1]) - np.log(wb)
+        death = np.log(move_weights(batch - 1, j_max)[0]) - np.log(wd)
+    looked_up = tables[:, np.minimum(batch, j_max + 1)]
+    for row, want in zip(looked_up, (wb, wb + wd, birth, death)):
+        assert row.tobytes() == want.tobytes()
+
+
+_BATCH_COUNTS = st.lists(st.integers(1, 12), min_size=1, max_size=9)
+
+
+@given(counts=_BATCH_COUNTS, proposed=_BATCH_COUNTS, nan_padding=st.booleans(), data=st.data())
+@example(counts=[3, 5, 2, 7, 1], proposed=[4, 6], nan_padding=False, data=None)
+@example(counts=[3, 12, 2, 9, 1], proposed=[8, 10], nan_padding=True, data=None)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_block_factors_equal_the_joined_store_formula(tame_prior, counts, proposed, nan_padding, data):
+    """`block_factors` gathers its operands at the batch's own width; its
+    factors equal those of one pass over the joined full-width stores
+    (`oracles.block_factors_joined`) bit for bit, whether the batch's
+    largest count is below 8 or not, with atoms out of bounds and garbage in
+    the unused slots."""
+    m = len(counts)
+    if data is None:
+        ks = np.arange(min(len(proposed), m))[::-1].copy()
+    else:
+        ks = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)))
+    proposed = (proposed * m)[:ks.size]
+    rng = np.random.default_rng(sum(counts) + 31 * len(proposed))
+    times = np.cumsum(rng.uniform(0.2, 2.0, m))
+    ctx = build_context(SpaceTimeDataset(rng.random((3, 2)), times, rng.standard_normal((3, m))), tame_prior)
+    cache = _state_pieces(ctx)[3]
+    width = 14
+    stores = []
+    for blocks in (counts, proposed):
+        store = AtomStore(rng.normal(scale=4.0, size=(3, len(blocks), width)), np.array(blocks, dtype=np.int64))
+        if nan_padding:
+            store.values[:, _unused_slots(store)] = np.nan
+        stores.append(store)
+    atoms, proposal = stores
+    got = block_factors(cache.table, atoms, proposal, ks, ctx.gap_index)
+    want = block_factors_joined(cache.table, atoms, proposal, ks, ctx.gap_index)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def _theta_grid_ctx(tame_prior, p, irregular, seed):
+    """A context on 7 locations with repeated coordinates and 5 times, on a
+    regular or an irregular time grid."""
+    rng = np.random.default_rng(seed)
+    locations = rng.choice([0.0, 0.3, 0.35, 1.0, 2.5], size=(7, p)) + rng.random((7, p)) * (rng.random((7, p)) < 0.5)
+    times = np.cumsum(rng.uniform(0.3, 2.0, 5)) if irregular else np.arange(1.0, 6.0)
+    data = SpaceTimeDataset(locations, times, rng.standard_normal((7, 5)))
+    return build_context(data, tame_prior)
+
+
+def _long_path_cache(theta, ctx):
+    """What the cache of theta holds, the long way: `unpack_theta`, the map
+    one dimension at a time and the process table entry by entry."""
+    kp, mp, beta_spec, mu_specs = unpack_theta(theta, ctx.layout, ctx.ar_mode)
+    return kp, mapped_per_dimension(ctx.map_grid, mp.C * mp.X, mp.C_tilde), \
+        process_table_per_entry(ctx.gaps, beta_spec, mu_specs)
+
+
+def _cache_bytes(kp, mapped, tables):
+    return (kp.tilde_sigma_sq.tobytes(), np.array([kp.tau, kp.xi]).tobytes(), mapped.tobytes(),
+            *(t.tobytes() for t in tables))
+
+
+@pytest.mark.parametrize("irregular", [False, True], ids=["regular", "irregular"])
+@given(p=st.integers(1, 3), unit=st.lists(st.floats(0.0, 1.0), min_size=22, max_size=22),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_theta_cache_equals_the_long_path(tame_prior, irregular, p, unit, seed):
+    """`ThetaCache.build` gives the long path's kernel parameters, mapped
+    locations and table bit for bit (`unpack_theta` to `KernelParams`,
+    `MapGrid.mapped(C X, C~)` and `ProcessTable.build`), for thetas across
+    the box, edges included.  `ProcessTable.build` and `MapGrid.mapped`
+    equal the per-entry and per-dimension forms too."""
+    ctx = _theta_grid_ctx(tame_prior, p, irregular, seed)
+    assert (len(ctx.gaps) > 1) == irregular
+    lo, hi = ctx.layout.bounds()
+    theta = lo + (hi - lo) * np.array(unit[:ctx.layout.dim])
+    cache = ThetaCache.build(theta, ctx)
+    got = _cache_bytes(cache.kp, cache.mapped, (cache.table.mult, cache.table.var, cache.table.norm))
+    assert got == _cache_bytes(*_long_path_cache(theta, ctx))
+    kp, mp, beta_spec, mu_specs = unpack_theta(theta, ctx.layout, ctx.ar_mode)
+    table = ProcessTable.build(ctx.gaps, beta_spec, mu_specs)
+    assert _cache_bytes(kp, ctx.map_grid.mapped(mp.C * mp.X, mp.C_tilde), (table.mult, table.var, table.norm)) == got
+
+
+@pytest.mark.parametrize("irregular", [False, True], ids=["regular", "irregular"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_theta_cache_with_a_nan_coordinate_fails_like_the_long_path(tame_prior, irregular, p):
+    """A NaN in any one coordinate of theta, in all of them, or a theta
+    past the box where a check fires (a negative slope variable X, an
+    autoregression logit whose coefficient rounds to 1): `ThetaCache.build`
+    raises the long path's first `InvalidArgumentError`, with its message,
+    where the long path raises, and gives its bits where it does not."""
+    ctx = _theta_grid_ctx(tame_prior, p, irregular, 0)
+    layout = ctx.layout
+    theta = np.clip(np.full(layout.dim, 0.4), *layout.bounds())
+    cases = []
+    for i in range(layout.dim):
+        cases.append(theta.copy())
+        cases[-1][i] = np.nan
+    cases += [np.full(layout.dim, np.nan), theta.copy(), theta.copy()]
+    cases[-2][layout.sl_x.start] = -1.0
+    cases[-1][layout.i_logit_rho_beta] = 40.0
+    raised = 0
+    for bad in cases:
+        try:
+            want = _cache_bytes(*_long_path_cache(bad, ctx))
+        except InvalidArgumentError as exc:
+            with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(exc))}$"):
+                ThetaCache.build(bad, ctx)
+            raised += 1
+            continue
+        cache = ThetaCache.build(bad, ctx)
+        assert _cache_bytes(cache.kp, cache.mapped, (cache.table.mult, cache.table.var, cache.table.norm)) == want
+    # NaN in log ksq, or in the logit rho or the log variance of a coordinate
+    # chain; all NaN; and the two thetas past the box
+    assert raised == p + 2 * (p + 1) + 3
