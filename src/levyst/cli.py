@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -125,7 +126,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     # after the inputs load and the model accepts them, before the run: bad
     # input leaves no directory, and an unusable --out fails before a long fit
     os.makedirs(args.out, exist_ok=True)
+    start = time.perf_counter()
     result = sampler.run()
+    fit_seconds = time.perf_counter() - start
     result.meta["data"] = os.path.abspath(args.data)
     result.meta["standardize_mean"] = data.mean
     result.meta["standardize_sd"] = data.sd
@@ -134,6 +137,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     cfg["marginalized"] = int(marginalized)
     cfg["seed"] = scfg.seed
     cfg["samples_outside_atom_box"] = outside = samples_outside_atom_box(result.samples, data.locations)
+    cfg["fit_seconds"] = fit_seconds
+    cfg["ms_per_iteration"] = 1e3 * fit_seconds / scfg.iterations
     _write_manifest(args.out, "fit", cfg)
     if outside:
         print(f"warning: {outside} of {len(result.samples)} stored samples map a training location outside "

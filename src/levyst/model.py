@@ -664,8 +664,27 @@ def unpack_theta(theta: np.ndarray, layout: ThetaLayout, mode: ArMode):
 # priors
 # ---------------------------------------------------------------------------
 
-def _gauss_logpdf_scalar(x: float, mean: float, var: float) -> float:
-    return -0.5 * (_LOG_2PI + math.log(var) + (x - mean) ** 2 / var)
+# kinds of the terms of `log_prior_theta`
+_SLOPE, _IG, _LOGIT_RHO = range(3)
+
+
+@functools.lru_cache(maxsize=16)
+def _theta_prior_terms(prior: PriorConfig, p: int) -> tuple:
+    """What `log_prior_theta` reads of the prior and of the layout of p,
+    formed once: the inverse-gamma constant a log b - gammaln(a), a + 1 and
+    b, the logit-rho normal's log(2 pi) + log(var) and var, and the
+    (coordinate, kind) of every term in the order they are added."""
+    layout = ThetaLayout(p=p)
+    a, b = prior.ig_a, prior.ig_b
+    order = []
+    for ell in range(p):
+        order += [(layout.sl_x.start + ell, _SLOPE), (layout.sl_log_c_tilde.start + ell, _IG),
+                  (layout.sl_log_c.start + ell, _IG), (layout.sl_log_ksq.start + ell, _IG),
+                  (layout.sl_logit_rho.start + ell, _LOGIT_RHO), (layout.sl_log_ssq.start + ell, _IG)]
+    order += [(layout.i_log_tau, _IG), (layout.i_log_xi, _IG), (layout.i_logit_rho_beta, _LOGIT_RHO),
+              (layout.i_log_ssq_beta, _IG)]
+    ig_const = a * math.log(b) - float(gammaln(a))
+    return ig_const, a + 1.0, b, _LOG_2PI + math.log(prior.rho_var), prior.rho_var, tuple(order)
 
 
 def log_prior_theta(theta: np.ndarray, layout: ThetaLayout, nu: np.ndarray,
@@ -676,32 +695,25 @@ def log_prior_theta(theta: np.ndarray, layout: ThetaLayout, nu: np.ndarray,
     carry their prior on the transformed scale directly (no Jacobian); the
     slope variables X_l use the conjugate Gaussian factor N(X | nu, omega_sq)
     restricted to the bound interval, matching the closed-form nu/omega_sq
-    updates.
+    updates.  Every log(sigma^2)-scale coordinate phi carries the
+    inverse-gamma density of exp(phi) with its log-scale Jacobian.  The
+    constants come from `_theta_prior_terms`; the terms are added in one
+    plain-float loop, per dimension, then tau, xi, rho_beta and
+    sigma_sq_beta.
     """
     if not theta_in_bounds(theta, layout):
         return -np.inf
+    ig_const, a1, b, rho_norm, rho_var, order = _theta_prior_terms(prior, layout.p)
     th, nu, omega_sq = theta.tolist(), np.asarray(nu).tolist(), np.asarray(omega_sq).tolist()
-    a, b = prior.ig_a, prior.ig_b
-    ig_const = a * math.log(b) - gammaln(a)
-
-    def ig(phi):  # inverse-gamma log density of exp(phi), with the log-scale Jacobian
-        return ig_const - (a + 1.0) * phi - b * math.exp(-phi) + phi
-
-    x, c_tilde, c, ksq, rho, ssq = (sl.start for sl in (
-        layout.sl_x, layout.sl_log_c_tilde, layout.sl_log_c, layout.sl_log_ksq, layout.sl_logit_rho,
-        layout.sl_log_ssq))
     total = 0.0
-    for ell in range(layout.p):
-        total += _gauss_logpdf_scalar(th[x + ell], nu[ell], omega_sq[ell])
-        total += ig(th[c_tilde + ell])
-        total += ig(th[c + ell])
-        total += ig(th[ksq + ell])
-        total += _gauss_logpdf_scalar(th[rho + ell], 0.0, prior.rho_var)
-        total += ig(th[ssq + ell])
-    total += ig(th[layout.i_log_tau])
-    total += ig(th[layout.i_log_xi])
-    total += _gauss_logpdf_scalar(th[layout.i_logit_rho_beta], 0.0, prior.rho_var)
-    total += ig(th[layout.i_log_ssq_beta])
+    for i, kind in order:
+        t = th[i]
+        if kind == _IG:
+            total += ig_const - a1 * t - b * math.exp(-t) + t
+        elif kind == _LOGIT_RHO:
+            total += -0.5 * (rho_norm + t ** 2 / rho_var)
+        else:  # X_l is coordinate l
+            total += -0.5 * (_LOG_2PI + math.log(omega_sq[i]) + (t - nu[i]) ** 2 / omega_sq[i])
     return total
 
 

@@ -8,7 +8,10 @@ phase draws from a dedicated generator keyed by (seed, stream id,
 iteration[, parity]) (`stream`), in arrays whose shapes depend on the
 problem's size alone, so each draw is a function of its key and its place
 in the array: the stored chain does not depend on the worker count, and a
-longer chain begins with a shorter one.
+longer chain begins with a shorter one.  The sampler's `StreamTable` gives
+the per-iteration generators: it hashes the keys of up to 512 iterations
+at once, as `SeedSequence` would one by one, and each generator equals
+`stream`'s for its key bit for bit.
 
 The atoms of every block live in one padded store (`AtomStore`): chain rows
 [beta | mu] per block and slot, plus a count per block.  Blocks of one
@@ -57,10 +60,11 @@ accepts it by the sweep's rule, log(u) < log_alpha with a NaN rejecting,
 and an accepted proposal hands over its own cache, factors and columns.
 What that pass forms from the atoms alone (`AtomOperands`: the
 predecessor store, the slot masks and table columns, the out-of-bounds
-blocks and the atoms in the field's count order) is formed once per theta
-phase, from the atoms the sweep leaves, and shared by both proposals; per
-proposal remain the cache, the table lookups and sums, the kernel, the
-field products and the likelihoods.
+blocks and the atoms in the field's count order) is formed at most once per
+theta phase, from the atoms the sweep leaves, for the first proposal inside
+the box, and shared by both proposals; when both leave the box it is not
+formed.  Per proposal remain the prior, the cache, the table lookups and
+sums, the kernel, the field products and the likelihoods.
 The cache is a function of theta alone and holds the kernel parameters, the
 mapped training locations and the AR transition table (mean multiplier,
 variance and log variance for every distinct time gap and coordinate
@@ -104,6 +108,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import gammainccinv, ndtri
 
 from . import effects
@@ -159,8 +164,150 @@ MOVE_NAMES = ("birth", "death", "no_change", "tmcmc", "enhance")
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Dedicated generator for one (stream id, iteration, index) slot."""
+    """Dedicated generator of one key (stream id[, iteration[, parity]]):
+    PCG64 seeded by numpy's `SeedSequence` of the seed and the key.  The
+    fit's one-off keys (`_S_INIT`, `_S_PREDICT`) are built here; its
+    per-iteration keys come from a `StreamTable`, which gives these same
+    generators bit for bit and is tested against this function."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+# numpy's `SeedSequence` hash (numpy/random/bit_generator.pyx): its pool
+# size, its hash and mix constants and its 32-bit word mask.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFF_FFFF
+# Iterations per `StreamTable` chunk: its largest array, (512, 8) uint32
+# words, is 16 KB, far below glibc's 128 KB mmap threshold, so a chunk
+# leaves the allocator's state as it finds it.
+_CHUNK = 512
+
+
+def _words(x: int) -> list[int]:
+    """A non-negative int as `SeedSequence` reads it: 32-bit words, least
+    significant first (0 is one zero word)."""
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _hashmix(value, h):
+    """`SeedSequence`'s hashmix of a word under hash constant h, each an int
+    or a uint32 array: the hashed word and the next constant."""
+    h_next = h * _MULT_A & _MASK32
+    value = (value ^ h) * h_next & _MASK32
+    return value ^ value >> 16, h_next
+
+
+def _hash_chain(h: int, mult: int, n: int) -> np.ndarray:
+    """h and the n hash constants that follow it, each the last times
+    `mult`, as a uint32 array."""
+    chain = [h]
+    for _ in range(n):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)
+
+
+def _mix(x, y):
+    """`SeedSequence`'s mix of two words, each an int or a uint32 array."""
+    r = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _entropy_pool(entropy: list[int]) -> tuple[list[int], int]:
+    """`SeedSequence.mix_entropy` over at least `_POOL_SIZE` words, in
+    Python ints: the pool and the next hash constant."""
+    pool, h = [], _INIT_A
+    for word in entropy[:_POOL_SIZE]:
+        v, h = _hashmix(word, h)
+        pool.append(v)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            v, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], v)
+    return pool, h
+
+
+# generate_state(4, uint64) hashes eight words, each with two successive
+# constants of this chain
+_STATE_CHAIN = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 one key's four precomputed `generate_state(4, uint64)`
+    words, from which it seeds itself."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:  # what PCG64 reads
+            raise InvalidArgumentError("seed words hold exactly four uint64 words")
+        return self.words
+
+
+class StreamTable:
+    """The generators of one seed's per-iteration keys (stream id, r,
+    *rest), each `stream(seed, stream id, r, *rest)`'s bit for bit.
+
+    `SeedSequence` hashes the seed's words, zero-padded to its pool size,
+    then the key's words in order.  So the pool is mixed up to the stream id
+    once per stream id, in Python ints; the rest of the hash -- mixing in r
+    and the words after it, then `generate_state(4, uint64)` -- runs as
+    uint32 array arithmetic over a chunk of `size` iterations at once, and
+    each PCG64 seeds itself from its row of four words in its own C code.
+    A kind of key (its stream id and rest) keeps one chunk, and computes the
+    chunk that holds r when r is outside it, so any r, in any order, gives
+    the same generator.  r must be one word: iterations past 2**32 raise a
+    `ConfigError`.
+    """
+
+    def __init__(self, seed: int, size: int):
+        words = _words(seed)
+        self.seed_words = words + [0] * (_POOL_SIZE - len(words))
+        self.size = size
+        self._pools: dict[int, tuple[list[int], int]] = {}
+        self._chunks: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
+
+    def generator(self, stream_id: int, r: int, *rest: int) -> np.random.Generator:
+        kind = (stream_id, *rest)
+        start, words = self._chunks.get(kind, (0, ()))
+        if not 0 <= r - start < len(words):
+            start, words = self._chunks[kind] = self._chunk(stream_id, r, rest)
+        return np.random.Generator(np.random.PCG64(_SeedWords(words[r - start])))
+
+    def _chunk(self, stream_id: int, r: int, rest: tuple[int, ...]) -> tuple[int, np.ndarray]:
+        """The first iteration and the (rows, 4) uint64 seed words of the
+        chunk of kind (stream_id, *rest) that holds r."""
+        if not 0 <= r <= _MASK32:
+            raise ConfigError(f"iterations past 2**32 have no stream key: iteration {r}")
+        if stream_id not in self._pools:
+            self._pools[stream_id] = _entropy_pool(self.seed_words + _words(stream_id))
+        pool, h = self._pools[stream_id]
+        start = r - r % self.size
+        # mix in r, then each later word, with the pool as a (4, rows) array
+        rs = np.arange(start, min(start + self.size, _MASK32 + 1)).astype(np.uint32)
+        chain = _hash_chain(h, _MULT_A, _POOL_SIZE)
+        pool = _mix(np.array(pool, dtype=np.uint32)[:, None], _hashmix(rs, chain[:-1, None])[0])
+        for word in rest:
+            for w in _words(word):
+                chain = _hash_chain(int(chain[-1]), _MULT_A, _POOL_SIZE)
+                pool = _mix(pool, _hashmix(w, chain[:-1, None])[0])
+        # generate_state: eight words cycling over the pool, read as four
+        # little-endian uint64 words
+        state = np.concatenate((pool, pool)).T.copy()
+        state ^= _STATE_CHAIN[:-1]
+        state *= _STATE_CHAIN[1:]
+        state ^= state >> 16
+        return start, state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +352,8 @@ class SamplerConfig:
             raise ConfigError("worker count must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.iterations > 2**32:  # an iteration's stream key holds one 32-bit word
+            raise ConfigError(f"iterations must be at most 2**32, got {self.iterations}")
 
 
 def move_weights(J, j_max: int):
@@ -768,11 +917,12 @@ def theta_score(log_prior: float, terms: StateTerms, loglik: np.ndarray) -> floa
 def theta_logpost(theta, state, ctx, operands):
     """Log conditional of the fixed-dimension block given everything else,
     with the state's terms under theta ((-inf, None) outside the bounds).
-    `operands` are the `AtomOperands` of the state's atoms."""
+    `operands()` gives the `AtomOperands` of the state's atoms; it is called
+    only for a theta inside the bounds."""
     log_prior = log_prior_theta(theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
     if not math.isfinite(log_prior):
         return -np.inf, None
-    terms = StateTerms.build(ThetaCache.build(theta, ctx), state.atoms, ctx, operands)
+    terms = StateTerms.build(ThetaCache.build(theta, ctx), state.atoms, ctx, operands())
     loglik = loglik_rows(slice(None), terms.field.T, ctx, state.hypers, state.phi)
     return theta_score(log_prior, terms, loglik), terms
 
@@ -876,6 +1026,8 @@ class Sampler:
                  marginalized: bool = True):
         self.cfg = cfg
         self.ctx = build_context(data, prior, marginalized)
+        # the per-iteration generators, in chunks no longer than the run
+        self.streams = StreamTable(cfg.seed, min(_CHUNK, max(cfg.iterations, 1)))
 
     # -- initialization ----------------------------------------------------
 
@@ -927,7 +1079,7 @@ class Sampler:
     # -- one full iteration --------------------------------------------------
 
     def iterate(self, state: SamplerState, r: int, stats: MoveStats) -> SamplerState:
-        ctx, cfg, atoms = self.ctx, self.cfg, state.atoms
+        ctx, cfg, atoms, streams = self.ctx, self.cfg, state.atoms, self.streams
         if state.terms is None:
             if atoms.width < cfg.j_max:
                 raise InvalidStateError("the atom store has fewer slots than j_max")
@@ -936,7 +1088,7 @@ class Sampler:
 
         # transdimensional sweep: odd (1-based) indices first, then even;
         # blocks of one parity are independent given the other parity
-        phases = [(np.arange(parity, ctx.m, 2), stream(cfg.seed, _S_BLOCK, r, parity)) for parity in (0, 1)]
+        phases = [(np.arange(parity, ctx.m, 2), streams.generator(_S_BLOCK, r, parity)) for parity in (0, 1)]
         moves, accepted, _, swept = update_time_block(phases, atoms, terms, ctx, state.hypers, cfg, state.phi)
         stats.record_blocks(moves.move, accepted)
         loglik = np.empty(ctx.m)
@@ -946,10 +1098,11 @@ class Sampler:
         # the sweep's likelihoods of the stored columns.  Each proposal's
         # draws are followed by its acceptance uniform, accepted as in the
         # block sweep: log(u) < log_alpha, where a NaN rejects.
-        rng_t = stream(cfg.seed, _S_THETA, r)
+        rng_t = streams.generator(_S_THETA, r)
         log_prior = log_prior_theta(state.theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
         cur_lp = theta_score(log_prior, terms, loglik)
-        operands = AtomOperands.build(atoms, ctx)
+        # the atoms' operands, built for the first proposal inside the box
+        operands = functools.cache(functools.partial(AtomOperands.build, atoms, ctx))
         for move, propose in (("tmcmc", tmcmc_proposal), ("enhance", enhancement_proposal)):
             proposal, log_jac = propose(state.theta, cfg, rng_t)
             lp_prop, terms_prop = theta_logpost(proposal, state, ctx, operands)
@@ -964,11 +1117,11 @@ class Sampler:
         fmat = terms.field
         if not ctx.marginalized:
             hyp = state.hypers
-            normals = stream(cfg.seed, _S_PHI, r).standard_normal((ctx.m, ctx.n))
+            normals = streams.generator(_S_PHI, r).standard_normal((ctx.m, ctx.n))
             state.phi = effects.gibbs_update_phi_matrix(ctx.y, fmat, hyp.alpha, hyp.sigma_sq_phi, hyp.sigma_sq_eps,
                                                         ctx.phi0, normals.T)
 
-        gibbs_update_zeta(state, ctx, stream(cfg.seed, _S_ZETA, r), self._reduced_sums(state, fmat))
+        gibbs_update_zeta(state, ctx, streams.generator(_S_ZETA, r), self._reduced_sums(state, fmat))
         return state
 
     def _reduced_sums(self, state: SamplerState, fmat: np.ndarray) -> dict:

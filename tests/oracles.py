@@ -1,8 +1,8 @@
 """Reference forms that tests compare the program against: per-sample forms
 of whole-chain computations, the initial state through `scipy.stats`, the
 block factors over joined full-width stores, the process table entry by
-entry and the map one dimension at a time, which the program's forms equal
-with `==`, and
+entry, the map one dimension at a time and the theta prior with its
+constants formed per call, which the program's forms equal with `==`, and
 the one-point field, the per-block process densities, field and likelihood,
 the prior densities and the joint log posterior, which the sampler's batched
 terms agree with, and the per-value text writers, the per-cell chain reader
@@ -28,7 +28,7 @@ from levyst.errors import (ConfigError, InvalidArgumentError, InvalidStateError,
                            UnsupportedPredictionError)
 from levyst.model import (COORD_BOUND, MAP_EXPONENT, AtomStore, LatentAtoms, MonotoneMapFit, ThetaLayout,
                           count_log_factor, field_rows, kernel_matrix, log_observation_density, log_prior_theta,
-                          predecessors, unpack_theta)
+                          predecessors, theta_in_bounds, unpack_theta)
 from levyst.sampler import _S_INIT, _S_PREDICT, ChainSample, PredictionBands, SamplerState, ScalarHypers, stream
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -318,6 +318,36 @@ def log_ig_transformed(phi, a, b) -> float:
 
 def _gauss_logpdf(x, mean, var) -> float:
     return -0.5 * (_LOG_2PI + math.log(var) + (x - mean) ** 2 / var)
+
+
+def log_prior_theta_per_term(theta, layout, nu, omega_sq, prior) -> float:
+    """`levyst.model.log_prior_theta` with its constants formed on every
+    call: the inverse-gamma constant, the bounds and the slice starts."""
+    if not theta_in_bounds(theta, layout):
+        return -np.inf
+    th, nu, omega_sq = theta.tolist(), np.asarray(nu).tolist(), np.asarray(omega_sq).tolist()
+    a, b = prior.ig_a, prior.ig_b
+    ig_const = a * math.log(b) - gammaln(a)
+
+    def ig(phi):  # inverse-gamma log density of exp(phi), with the log-scale Jacobian
+        return ig_const - (a + 1.0) * phi - b * math.exp(-phi) + phi
+
+    x, c_tilde, c, ksq, rho, ssq = (sl.start for sl in (
+        layout.sl_x, layout.sl_log_c_tilde, layout.sl_log_c, layout.sl_log_ksq, layout.sl_logit_rho,
+        layout.sl_log_ssq))
+    total = 0.0
+    for ell in range(layout.p):
+        total += _gauss_logpdf(th[x + ell], nu[ell], omega_sq[ell])
+        total += ig(th[c_tilde + ell])
+        total += ig(th[c + ell])
+        total += ig(th[ksq + ell])
+        total += _gauss_logpdf(th[rho + ell], 0.0, prior.rho_var)
+        total += ig(th[ssq + ell])
+    total += ig(th[layout.i_log_tau])
+    total += ig(th[layout.i_log_xi])
+    total += _gauss_logpdf(th[layout.i_logit_rho_beta], 0.0, prior.rho_var)
+    total += ig(th[layout.i_log_ssq_beta])
+    return total
 
 
 def log_prior_zeta(hypers, nu, omega_sq, prior, marginalized, alpha_pinned) -> float:

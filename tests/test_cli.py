@@ -1,4 +1,5 @@
 import errno
+import math
 import json
 import os
 from dataclasses import fields, replace
@@ -54,6 +55,10 @@ def test_fit_outputs(sim_dir, fit_dir):
     assert stats.startswith("move,proposals")
     manifest = json.loads((fit_dir / "manifest.json").read_text())
     assert manifest["config"]["iters"] == 40
+    # what the run cost: the wall time of `Sampler.run` and its share per iteration
+    cost = manifest["config"]["fit_seconds"], manifest["config"]["ms_per_iteration"]
+    assert all(isinstance(v, float) and math.isfinite(v) and v > 0.0 for v in cost)
+    assert cost[1] == pytest.approx(1e3 * cost[0] / 40, rel=1e-12)
     samples, _ = read_chain(fit_dir / "chain.txt")
     train = load_csv(sim_dir / "train.csv")
     assert manifest["config"]["samples_outside_atom_box"] == samples_outside_atom_box(samples, train.locations)
@@ -320,6 +325,8 @@ def test_bad_input_exits_2_naming_the_cause(sim_dir, fit_dir, tmp_path, capsys, 
           "--iters", "100", "--burnin", "95", "--thin", "10", "--jmax", "4"],
          ["iters 100, burnin 95 and thin 10 store no sample"]),
         (["fit", "--data", str(far), "--out", str(tmp_path / "f6"), *fit_flags], ["coordinates of dimension 1"]),
+        (["fit", "--data", str(sim_dir / "train.csv"), "--out", str(tmp_path / "f7"),
+          "--iters", str(2**32 + 1), "--burnin", "0", "--thin", "1"], ["iterations must be at most 2**32"]),
     ]
     capsys.readouterr()
     for argv, causes in cases:

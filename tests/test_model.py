@@ -477,18 +477,29 @@ def _log_prior_theta_reference(theta, layout, nu, omega_sq, prior):
 @given(p=st.integers(1, 3), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_log_prior_theta_matches_reference(p, data):
+    """`log_prior_theta`, with its constants formed once per prior and p,
+    equals the first-written form and the per-call form of
+    `tests/oracles.py` (`==`), for thetas inside and outside the box, on its
+    edges and with a NaN coordinate (-inf)."""
     layout = ThetaLayout(p=p)
     lo, hi = layout.bounds()
     spread = data.draw(st.sampled_from([1.0, 1.1]))  # 1.1: some coordinates fall outside the box
     u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=layout.dim, max_size=layout.dim)))
     mid = 0.5 * (lo + hi)
     theta = mid + spread * (u - 0.5) * (hi - lo)
+    if data.draw(st.booleans()):
+        theta[data.draw(st.integers(0, layout.dim - 1))] = math.nan
     positive = st.floats(0.05, 20.0)
     nu = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p)))
     omega_sq = np.array(data.draw(st.lists(positive, min_size=p, max_size=p)))
     prior = PriorConfig(ig_a=data.draw(positive), ig_b=data.draw(positive), rho_var=data.draw(positive))
     got = log_prior_theta(theta, layout, nu, omega_sq, prior)
     assert got == _log_prior_theta_reference(theta, layout, nu, omega_sq, prior)
+    assert got == oracles.log_prior_theta_per_term(theta, layout, nu, omega_sq, prior)
+    if np.isnan(theta).any():
+        assert got == -np.inf
+    # a prior met earlier reads its constants from the cache
+    assert log_prior_theta(theta, layout, nu, omega_sq, prior) == got
 
 
 def test_theta_bounds_are_shared_and_read_only():

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -112,6 +113,10 @@ def test_config_validation():
         SamplerConfig(iterations=10, burn_in=0, thin=1, shrink=1.5)
     with pytest.raises(ConfigError, match="seed"):
         SamplerConfig(iterations=10, burn_in=0, thin=1, seed=-1)
+    # an iteration's stream key holds one 32-bit word
+    SamplerConfig(iterations=2**32, burn_in=0, thin=1)
+    with pytest.raises(ConfigError, match="iterations"):
+        SamplerConfig(iterations=2**32 + 1, burn_in=0, thin=1)
     for scale in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="scale"):
             SamplerConfig(iterations=10, burn_in=0, thin=1, scale=scale)
@@ -407,7 +412,7 @@ def test_theta_logpost_ratio_matches_joint_difference(tame_prior):
     theta2 = theta.copy()
     theta2[0] += 0.15
     theta2[-1] -= 0.2
-    operands = AtomOperands.build(state.atoms, ctx)
+    operands = functools.cache(functools.partial(AtomOperands.build, state.atoms, ctx))
     lp1, _ = theta_logpost(theta, state, ctx, operands)
     state2 = SamplerState(atoms=state.atoms, theta=theta2, hypers=hypers, nu=nu, omega_sq=omega)
     lp2, _ = theta_logpost(theta2, state2, ctx, operands)
@@ -429,9 +434,13 @@ def test_tmcmc_rejects_out_of_bounds_and_accepts_identity(tame_prior, monkeypatc
     state = SamplerState(atoms=AtomStore.from_blocks(atoms), theta=theta, hypers=hypers, nu=nu, omega_sq=omega)
     bad = theta.copy()
     bad[ctx.layout.i_log_tau] = 7.0
-    operands = AtomOperands.build(state.atoms, ctx)
-    lp_bad, _ = theta_logpost(bad, state, ctx, operands)
+    def unused():
+        raise AssertionError("a theta outside the box needs no atom operands")
+
+    lp_bad, _ = theta_logpost(bad, state, ctx, unused)
     assert lp_bad == -np.inf
+
+    operands = functools.cache(functools.partial(AtomOperands.build, state.atoms, ctx))
 
     lp, _ = theta_logpost(theta, state, ctx, operands)
     monkeypatch.setattr(sampler_module, "P_ADD", 0.0)
@@ -463,7 +472,7 @@ def test_zero_acceptance_uniform_accepts_any_finite_log_alpha(tiny_dataset, tame
     acceptance uniform is exactly 0.0 is accepted however low its ratio."""
     sampler = Sampler(tiny_dataset, SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=5, seed=2), tame_prior)
     state = sampler.initial_state()
-    real_stream, real_logpost = sampler_module.stream, sampler_module.theta_logpost
+    real_generator, real_logpost = sampler.streams.generator, sampler_module.theta_logpost
     scored = []
 
     class ZeroUniforms:
@@ -479,9 +488,9 @@ def test_zero_acceptance_uniform_accepts_any_finite_log_alpha(tiny_dataset, tame
         def __getattr__(self, name):
             return getattr(self.rng, name)
 
-    def stream_(seed, *key):
-        rng = real_stream(seed, *key)
-        return ZeroUniforms(rng) if key[0] == sampler_module._S_THETA else rng
+    def generator(stream_id, *key):
+        rng = real_generator(stream_id, *key)
+        return ZeroUniforms(rng) if stream_id == sampler_module._S_THETA else rng
 
     def low_logpost(theta, state_, ctx, operands):
         lp, terms = real_logpost(theta, state_, ctx, operands)
@@ -489,7 +498,7 @@ def test_zero_acceptance_uniform_accepts_any_finite_log_alpha(tiny_dataset, tame
         scored.append(theta)
         return lp - 1e6, terms
 
-    monkeypatch.setattr(sampler_module, "stream", stream_)
+    monkeypatch.setattr(sampler.streams, "generator", generator)
     monkeypatch.setattr(sampler_module, "theta_logpost", low_logpost)
     stats = MoveStats()
     state = sampler.iterate(state, 0, stats)
@@ -1211,12 +1220,13 @@ def test_carried_terms_match_fresh_evaluation(tiny_dataset, tame_prior, monkeypa
 
 @pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
 def test_theta_phase_shares_the_atom_operands(tiny_dataset, tame_prior, monkeypatch, marginalized):
-    """Each iteration forms the field operands twice, once for the sweep's
-    proposals and once for the theta phase, and the whole store's operands
-    once, for the theta phase, however many of its proposals are in bounds
-    (plus once for the first terms), and passes those operands to both
-    proposals' `theta_logpost`.  Every in-bounds proposal's terms from the
-    shared operands equal a fresh `StateTerms.build` bit for bit."""
+    """Each iteration forms the field operands for the sweep's proposals,
+    and the whole store's operands (with their field operands) once for the
+    theta phase when one of its proposals is inside the box and not at all
+    when none is (plus once for the first terms).  Both proposals'
+    `theta_logpost` get the one callable that gives them.  Every in-bounds
+    proposal's terms from the shared operands equal a fresh
+    `StateTerms.build` bit for bit."""
     from levyst.model import FieldOperands
 
     sampler = Sampler(tiny_dataset, SamplerConfig(iterations=30, burn_in=0, thin=1, j_max=5, seed=4), tame_prior,
@@ -1250,15 +1260,16 @@ def test_theta_phase_shares_the_atom_operands(tiny_dataset, tame_prior, monkeypa
         for seen in (field_builds, store_builds, scored, passed):
             seen.clear()
         state = sampler.iterate(state, r, stats)
-        assert len(field_builds) == 2 + (r == 0) and len(store_builds) == 1 + (r == 0)
-        # both proposals take the theta phase's one build, the last of the iteration
-        assert len(passed) == 2 and all(operands is store_builds[-1] for operands in passed)
         in_bounds.append(len(scored))
+        assert len(store_builds) == (len(scored) > 0) + (r == 0) and len(field_builds) == 1 + len(store_builds)
+        # both proposals take the theta phase's one build, the last of the iteration
+        assert len(passed) == 2 and passed[0] is passed[1]
+        assert not scored or passed[0]() is store_builds[-1]
         # the theta phase leaves the atoms as it found them
         for terms in scored:
             fresh = StateTerms.build(terms.cache, state.atoms, ctx)
             assert np.array_equal(terms.process, fresh.process) and np.array_equal(terms.field, fresh.field)
-    assert in_bounds.count(2) > 0
+    assert in_bounds.count(2) > 0 and in_bounds.count(0) > 0
 
 
 @pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
@@ -1316,20 +1327,73 @@ def test_explicit_mode_runs_and_tracks_phi(tiny_dataset, tame_prior):
 
 @pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
 def test_iterate_draws_from_one_stream_per_phase(tiny_dataset, tame_prior, monkeypatch, marginalized):
-    """Each iteration builds one generator per phase: the two parity phases,
-    the theta block, the effect columns (explicit mode) and the Gibbs block."""
+    """Each iteration takes one generator per phase from the sampler's
+    stream table: the two parity phases, the theta block, the effect columns
+    (explicit mode) and the Gibbs block.  It builds no `stream`."""
     sampler = Sampler(tiny_dataset, SamplerConfig(iterations=3, burn_in=0, thin=1, j_max=5, seed=4), tame_prior,
                       marginalized=marginalized)
     state = sampler.initial_state()
-    keys = []
-    real_stream = sampler_module.stream
-    monkeypatch.setattr(sampler_module, "stream", lambda seed, *key: keys.append(key) or real_stream(seed, *key))
+    keys, built = [], []
+    real_generator, real_stream = sampler.streams.generator, sampler_module.stream
+    monkeypatch.setattr(sampler.streams, "generator", lambda *key: keys.append(key) or real_generator(*key))
+    monkeypatch.setattr(sampler_module, "stream", lambda seed, *key: built.append(key) or real_stream(seed, *key))
     for r in range(3):
         state = sampler.iterate(state, r, MoveStats())
     S = sampler_module
     assert keys == [key for r in range(3) for key in
                     [(S._S_BLOCK, r, 0), (S._S_BLOCK, r, 1), (S._S_THETA, r)]
                     + ([] if marginalized else [(S._S_PHI, r)]) + [(S._S_ZETA, r)]]
+    assert built == []
+
+
+_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**200))
+
+
+@given(seed=_SEEDS, size=st.integers(1, sampler_module._CHUNK), data=st.data())
+@settings(max_examples=150, deadline=None)
+@example(seed=0, size=512, data=None).via("r at 0 and the chunk edges")
+@example(seed=2**32 - 1, size=7, data=None).via("the last one-word seed and r at 2**32 - 1")
+@example(seed=2**64 + 5, size=1, data=None).via("a three-word seed, one iteration per chunk")
+def test_stream_table_equals_stream(seed, size, data):
+    """Each `StreamTable` generator has the bit generator state and the draws
+    of `stream(seed, *key)`: seeds of one, two and three or more words,
+    every stream id with and without a parity, r at 0, at the chunk edges,
+    at 2**32 - 1 and anywhere, asked in any order.  r at 2**32 or past it
+    raises a `ConfigError` naming iterations."""
+    table = sampler_module.StreamTable(seed, size)
+    top = 2**32 - 1
+    edges = [0, size - 1, size, 2 * size - 1, 2 * size, top - size, top - 1, top]
+    if data is None:
+        rs = edges
+    else:
+        rs = data.draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(0, top)), min_size=1, max_size=12))
+    for r in rs:
+        for key in [(sid, r) for sid in range(6)] + [(sampler_module._S_BLOCK, r, parity) for parity in (0, 1)]:
+            got, want = table.generator(*key), stream(seed, *key)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.random(3).tobytes() == want.random(3).tobytes()
+            assert got.standard_normal(2).tobytes() == want.standard_normal(2).tobytes()
+    for r in (2**32, 2**32 + size, 2**40, -1):
+        with pytest.raises(ConfigError, match="iterations"):
+            table.generator(sampler_module._S_THETA, r)
+
+
+@pytest.mark.parametrize("marginalized", [True, False], ids=["marginalized", "explicit"])
+def test_iterate_out_of_order_gives_the_in_order_chain(tiny_dataset, tame_prior, marginalized):
+    """Between the iterations of a chain, iterations far away (in other
+    chunks of the stream table, and at 2**32 - 1) run on a scratch state;
+    the chain equals the one run in order."""
+    cfg = SamplerConfig(iterations=8, burn_in=0, thin=1, j_max=5, seed=11)
+    want = run_chain(tiny_dataset, cfg, tame_prior, marginalized=marginalized)
+    sampler = Sampler(tiny_dataset, cfg, tame_prior, marginalized=marginalized)
+    state, stats, samples = sampler.initial_state(), MoveStats(), []
+    for r, far in zip(range(cfg.iterations), [2**32 - 1, 8, 7, 523, 0, 16, 2**31, 3]):
+        sampler.iterate(sampler.initial_state(), far, MoveStats())
+        state = sampler.iterate(state, r, stats)
+        samples.append(sampler._record(state, r))
+    _assert_same_chain(want, sampler_module.ChainResult(samples, stats, want.meta))
+    for a, b in zip(want.samples, samples):
+        assert (a.phi is None and b.phi is None) or a.phi.tobytes() == b.phi.tobytes()
 
 
 # the default, two others, and one whose initial atoms are clipped to the atom box
