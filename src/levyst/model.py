@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .ar import ArMode, ArSpec, check_ar_params, initial_variance, rho_from_transformed, step_gaps, transition_moments
+from .ar import ArMode, ArSpec, check_ar_params, initial_variance, step_gaps, transition_moments
 from .errors import InvalidArgumentError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -236,22 +236,20 @@ class ScalarHypers:
 class MapGrid:
     """The terms of the monotone maps that depend on the (n, p) training
     locations alone, per dimension: the sorted unique coordinates (knots),
-    each location's knot, |s_(1)|^r and the increments (s_(i) - s_(i-1))^r.
+    each location's knot, |s_(1)|^r and the increments (s_(i) - s_(i-1))^r,
+    each dimension's padded with zero steps to the most knots K.
 
     `knot_values` combines them with the slopes C_l X_l and anchors C~_l of
-    a batch of thetas.  Each theta's row takes the same operations on the
+    one theta or a batch.  Each theta's row takes the same operations on the
     same operands as it would alone, and the running sum adds along the row
     in knot order, so a row does not depend on the others in its batch.
-    `mapped` takes every dimension of one theta at once, each row padded
-    with zero steps to the most knots K: the running sums of a row stop at
-    its own knots, so they are the same sums.
+    `mapped` gives each training location its knot's value.
     """
 
     knots: tuple[np.ndarray, ...]
     index: tuple[np.ndarray, ...]  # each location's knot
     lead: np.ndarray               # (p,) |s_(1)|^r
-    steps: tuple[np.ndarray, ...]  # (s_(i) - s_(i-1))^r for i >= 2
-    padded_steps: np.ndarray       # (p, K - 1) the steps, zero past each dimension's own
+    padded_steps: np.ndarray       # (p, K - 1) each dimension's increments, then zeros
     cell: np.ndarray               # (n, p) each location's knot as a flat index into (p, K) knot values
 
     @classmethod
@@ -275,29 +273,24 @@ class MapGrid:
         for ell, increments in enumerate(steps):
             padded[ell, :increments.size] = increments
         cell = np.column_stack(index) + width * np.arange(len(knots))
-        return cls(tuple(knots), tuple(index), np.array(lead), tuple(steps), padded, cell)
+        return cls(tuple(knots), tuple(index), np.array(lead), padded, cell)
 
-    def knot_values(self, dim: int, slope: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
-        """M_dim at the knots for B thetas, as a (B, K) array: row b for
-        slope C X = slope[b] and anchor C~ = c_tilde[b], by the increment
+    def knot_values(self, slope: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
+        """M_l at the knots of every dimension l, as a (..., p, K) array, for
+        slopes C X and anchors C~ of shape (..., p), by the increment
         recursion M(s_(1)) = C~ - C X |s_(1)|^r and
-        M(s_(i)) = M(s_(i-1)) + C X (s_(i) - s_(i-1))^r."""
-        slope = slope[:, None]
-        values = np.empty((slope.shape[0], self.knots[dim].size))
-        values[:, :1] = c_tilde[:, None] - slope * self.lead[dim]
-        np.cumsum(slope * self.steps[dim], axis=1, out=values[:, 1:])
-        values[:, 1:] += values[:, :1]
+        M(s_(i)) = M(s_(i-1)) + C X (s_(i) - s_(i-1))^r.  Entries past a
+        dimension's own knots are padding."""
+        values = np.empty((*slope.shape, self.padded_steps.shape[1] + 1))
+        values[..., 0] = c_tilde - slope * self.lead
+        np.cumsum(slope[..., None] * self.padded_steps, axis=-1, out=values[..., 1:])
+        values[..., 1:] += values[..., :1]
         return values
 
     def mapped(self, slope: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
         """The (n, p) mapped locations under one theta's length-p slopes C X
-        and anchors C~: each location takes its knot's value, the value
-        `knot_values` gives, bit for bit."""
-        values = np.empty((slope.size, self.padded_steps.shape[1] + 1))
-        values[:, 0] = c_tilde - slope * self.lead
-        np.cumsum(slope[:, None] * self.padded_steps, axis=1, out=values[:, 1:])
-        values[:, 1:] += values[:, :1]
-        return values.take(self.cell)
+        and anchors C~: each location takes its knot's value."""
+        return self.knot_values(slope, c_tilde).take(self.cell)
 
 
 def map_extension(knots: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
@@ -321,8 +314,9 @@ def map_extension(knots: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
 
 def extend_map(values: np.ndarray, slope, index: np.ndarray, step: np.ndarray) -> np.ndarray:
     """v[i] + C X step at coordinates with `map_extension` terms i, step,
-    for one theta's (K,) knot values and slope or B thetas' (B, K) and (B, 1):
-    below the first knot (i = 0) that is v[0] - C X |s_(1) - s|^r, bit for bit."""
+    for one theta's (K,) knot values and slope, or a batch's rows of knot
+    values with slopes that broadcast against the gathered values: below
+    the first knot (i = 0) that is v[0] - C X |s_(1) - s|^r, bit for bit."""
     return values[..., index] + slope * step
 
 
@@ -366,6 +360,17 @@ def kernel_exponent(mapped: np.ndarray, mu_rows: np.ndarray, ksq: np.ndarray, ti
     return np.matmul(left, right)
 
 
+def _box_exponent_bound(reach: float, beyond: float) -> float:
+    """e^5 (A + 10 e^5 E^2 + 10)^2 with A = e^5 + 10 e^5 (2 S)^2: the bound
+    on every term of a kernel exponent in one dimension, over the theta box,
+    for coordinates that reach |S| and points up to E = `beyond` past them
+    (`check_points`; `check_grid` has nothing past the knots)."""
+    top = math.exp(LOG_HI)
+    # Python floats: a product past the float range is inf, with no warning
+    bound = top + X_HI * top * (4.0 * reach * reach + beyond * beyond) + COORD_BOUND
+    return top * bound * bound
+
+
 def check_grid(locations: np.ndarray, times: np.ndarray) -> None:
     """Raise InvalidArgumentError, naming the times or the dimension, unless
     every theta in the box keeps the map values, squared distances, kernel
@@ -391,8 +396,7 @@ def check_grid(locations: np.ndarray, times: np.ndarray) -> None:
         raise InvalidArgumentError(f"times reach {reach:g}: the kernel's time term overflows in the theta box")
     for ell in range(locations.shape[1]):
         reach = float(np.max(np.abs(locations[:, ell])))
-        bound = top + X_HI * top * (4.0 * reach * reach) + COORD_BOUND
-        if top * bound * bound > limit:
+        if _box_exponent_bound(reach, 0.0) > limit:
             raise InvalidArgumentError(f"coordinates of dimension {ell} reach {reach:g}: the kernel's exponent "
                                        "overflows in the theta box")
 
@@ -416,14 +420,10 @@ def check_points(grid: MapGrid, points: np.ndarray) -> None:
     if not np.all(np.isfinite(points)):
         raise InvalidArgumentError("s_new must be finite")
     limit = sys.float_info.max / (2 * (len(grid.knots) + 1))
-    top = math.exp(LOG_HI)
     for ell, knots in enumerate(grid.knots):
-        # Python floats: a product past the float range is inf, with no warning
         first, last = float(knots[0]), float(knots[-1])
-        reach = max(abs(first), abs(last))
         beyond = max(first - float(points[:, ell].min()), float(points[:, ell].max()) - last, 0.0)
-        bound = top + X_HI * top * (4.0 * reach * reach + beyond * beyond) + COORD_BOUND
-        if top * bound * bound > limit:
+        if _box_exponent_bound(max(abs(first), abs(last)), beyond) > limit:
             raise InvalidArgumentError(f"prediction points reach {beyond:g} beyond the training coordinates of "
                                        f"dimension {ell}: the kernel's exponent overflows in the theta box")
 
@@ -627,37 +627,6 @@ def theta_in_bounds(theta: np.ndarray, layout: ThetaLayout) -> bool:
     does not), in one pass over plain floats."""
     lo, hi = layout.bounds()
     return all(a <= t <= b for a, t, b in zip(lo.tolist(), theta.tolist(), hi.tolist(), strict=True))
-
-
-def unpack_theta(theta: np.ndarray, layout: ThetaLayout, mode: ArMode):
-    """Split the sampling-scale vector into natural-scale parameter groups.
-
-    Returns (KernelParams, MonotoneMapParams, beta ArSpec, list of mu ArSpecs).
-    """
-    kp = KernelParams(
-        tilde_sigma_sq=np.exp(theta[layout.sl_log_ksq]),
-        tau=float(np.exp(theta[layout.i_log_tau])),
-        xi=float(np.exp(theta[layout.i_log_xi])),
-    )
-    mp = MonotoneMapParams(
-        C=np.exp(theta[layout.sl_log_c]),
-        C_tilde=np.exp(theta[layout.sl_log_c_tilde]),
-        X=np.asarray(theta[layout.sl_x], dtype=float).copy(),
-    )
-    beta_spec = ArSpec(
-        rho=rho_from_transformed(float(theta[layout.i_logit_rho_beta]), mode),
-        sigma_sq=float(np.exp(theta[layout.i_log_ssq_beta])),
-        mode=mode,
-    )
-    mu_specs = [
-        ArSpec(
-            rho=rho_from_transformed(float(theta[layout.sl_logit_rho][ell]), mode),
-            sigma_sq=float(np.exp(theta[layout.sl_log_ssq][ell])),
-            mode=mode,
-        )
-        for ell in range(layout.p)
-    ]
-    return kp, mp, beta_spec, mu_specs
 
 
 # ---------------------------------------------------------------------------

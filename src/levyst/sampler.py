@@ -9,9 +9,10 @@ iteration[, parity]) (`stream`), in arrays whose shapes depend on the
 problem's size alone, so each draw is a function of its key and its place
 in the array: the stored chain does not depend on the worker count, and a
 longer chain begins with a shorter one.  The sampler's `StreamTable` gives
-the per-iteration generators: it hashes the keys of up to 512 iterations
-at once, as `SeedSequence` would one by one, and each generator equals
-`stream`'s for its key bit for bit.
+the per-iteration generators: it starts from numpy's own `SeedSequence`
+pool of the seed and the stream id and hashes only r and the parity on
+top, for up to 512 iterations at once, as `SeedSequence` would one by one,
+so each generator equals `stream`'s for its key bit for bit.
 
 The atoms of every block live in one padded store (`AtomStore`): chain rows
 [beta | mu] per block and slot, plus a count per block.  Blocks of one
@@ -69,9 +70,10 @@ The cache is a function of theta alone and holds the kernel parameters, the
 mapped training locations and the AR transition table (mean multiplier,
 variance and log variance for every distinct time gap and coordinate
 chain); it is built from one exponentiation of theta, with the checks and
-the bits of `unpack_theta`'s path.  Nothing in the terms reads the Gibbs
-scalars or the effects, so they carry over to the next iteration; only the
-likelihood is recomputed from the stored columns.
+the bits of the long path (`unpack_theta` in `tests/oracles.py`), and the
+initial state reads its initial-law variances from it.  Nothing in the
+terms reads the Gibbs scalars or the effects, so they carry over to the
+next iteration; only the likelihood is recomputed from the stored columns.
 
 Batching keeps the terms, not every bit; `tests/oracles.py` keeps the
 per-block references.  Each batched likelihood equals its reference bit for
@@ -88,7 +90,8 @@ changes no bit.
 
 Prediction (`posterior_predict`) works on the whole chain at once.  The
 exponentials of every theta, the mapped new locations (the map's data-only
-terms once, then each chunk of samples' knot values and extensions as
+terms once, then each chunk of samples' knot values over every dimension,
+from the one recursion that `MapGrid.mapped` also uses, and extensions as
 arrays), the kernel parameter checks, the grid index of every new time, the
 noise and every band are whole-chain arrays; the bands interpolate between
 the draws as `np.quantile` does, after one sort of the sample axis
@@ -143,7 +146,6 @@ from .model import (
     monotone_map_extend,
     predecessors,
     rows_by_count,
-    unpack_theta,
 )
 
 # Neither `fit` nor `predict` calls these; each stays because perfbench's
@@ -184,16 +186,6 @@ _MASK32 = 0xFFFF_FFFF
 _CHUNK = 512
 
 
-def _words(x: int) -> list[int]:
-    """A non-negative int as `SeedSequence` reads it: 32-bit words, least
-    significant first (0 is one zero word)."""
-    words = [x & _MASK32]
-    while x > _MASK32:
-        x >>= 32
-        words.append(x & _MASK32)
-    return words
-
-
 def _hashmix(value, h):
     """`SeedSequence`'s hashmix of a word under hash constant h, each an int
     or a uint32 array: the hashed word and the next constant."""
@@ -215,25 +207,6 @@ def _mix(x, y):
     """`SeedSequence`'s mix of two words, each an int or a uint32 array."""
     r = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
     return r ^ r >> 16
-
-
-def _entropy_pool(entropy: list[int]) -> tuple[list[int], int]:
-    """`SeedSequence.mix_entropy` over at least `_POOL_SIZE` words, in
-    Python ints: the pool and the next hash constant."""
-    pool, h = [], _INIT_A
-    for word in entropy[:_POOL_SIZE]:
-        v, h = _hashmix(word, h)
-        pool.append(v)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            v, h = _hashmix(word, h)
-            pool[dst] = _mix(pool[dst], v)
-    return pool, h
 
 
 # generate_state(4, uint64) hashes eight words, each with two successive
@@ -259,22 +232,24 @@ class StreamTable:
     *rest), each `stream(seed, stream id, r, *rest)`'s bit for bit.
 
     `SeedSequence` hashes the seed's words, zero-padded to its pool size,
-    then the key's words in order.  So the pool is mixed up to the stream id
-    once per stream id, in Python ints; the rest of the hash -- mixing in r
-    and the words after it, then `generate_state(4, uint64)` -- runs as
-    uint32 array arithmetic over a chunk of `size` iterations at once, and
-    each PCG64 seeds itself from its row of four words in its own C code.
-    A kind of key (its stream id and rest) keeps one chunk, and computes the
-    chunk that holds r when r is outside it, so any r, in any order, gives
-    the same generator.  r must be one word: iterations past 2**32 raise a
-    `ConfigError`.
+    then the key's words in order.  Its pool after the seed and the stream
+    id is numpy's own `SeedSequence(seed, spawn_key=(stream id,)).pool`,
+    and after those L = max(seed words, 4) + 1 words the hash constant is
+    `_INIT_A` times `_MULT_A`^(4 L): the first four words and their mixing
+    take 16 hashmix steps, and each later word four.  The rest of the hash
+    -- mixing in r and the words after it, then `generate_state(4, uint64)`
+    -- runs as uint32 array arithmetic over a chunk of `size` iterations at
+    once, and each PCG64 seeds itself from its row of four words in its own
+    C code.  A kind of key (its stream id and rest) keeps one chunk, and
+    computes the chunk that holds r when r is outside it, so any r, in any
+    order, gives the same generator.  The stream id, r and each later word
+    must be one word each: iterations past 2**32 raise a `ConfigError`.
     """
 
     def __init__(self, seed: int, size: int):
-        words = _words(seed)
-        self.seed_words = words + [0] * (_POOL_SIZE - len(words))
-        self.size = size
-        self._pools: dict[int, tuple[list[int], int]] = {}
+        self.seed, self.size = seed, size
+        n_words = max(-(-seed.bit_length() // 32), _POOL_SIZE) + 1
+        self._h = _INIT_A * pow(_MULT_A, 4 * n_words, _MASK32 + 1) & _MASK32
         self._chunks: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
 
     def generator(self, stream_id: int, r: int, *rest: int) -> np.random.Generator:
@@ -289,18 +264,13 @@ class StreamTable:
         chunk of kind (stream_id, *rest) that holds r."""
         if not 0 <= r <= _MASK32:
             raise ConfigError(f"iterations past 2**32 have no stream key: iteration {r}")
-        if stream_id not in self._pools:
-            self._pools[stream_id] = _entropy_pool(self.seed_words + _words(stream_id))
-        pool, h = self._pools[stream_id]
         start = r - r % self.size
-        # mix in r, then each later word, with the pool as a (4, rows) array
-        rs = np.arange(start, min(start + self.size, _MASK32 + 1)).astype(np.uint32)
-        chain = _hash_chain(h, _MULT_A, _POOL_SIZE)
-        pool = _mix(np.array(pool, dtype=np.uint32)[:, None], _hashmix(rs, chain[:-1, None])[0])
-        for word in rest:
-            for w in _words(word):
-                chain = _hash_chain(int(chain[-1]), _MULT_A, _POOL_SIZE)
-                pool = _mix(pool, _hashmix(w, chain[:-1, None])[0])
+        # mix in r, as a row of words, then each later word, with the pool
+        # as a (4, rows) array
+        pool, h = np.random.SeedSequence(self.seed, spawn_key=(stream_id,)).pool[:, None], self._h
+        for word in (np.arange(start, min(start + self.size, _MASK32 + 1)).astype(np.uint32), *rest):
+            chain = _hash_chain(h, _MULT_A, _POOL_SIZE)
+            pool, h = _mix(pool, _hashmix(word, chain[:-1, None])[0]), int(chain[-1])
         # generate_state: eight words cycling over the pool, read as four
         # little-endian uint64 words
         state = np.concatenate((pool, pool)).T.copy()
@@ -530,12 +500,12 @@ class ThetaCache:
 
     @classmethod
     def build(cls, theta: np.ndarray, ctx: ModelContext) -> "ThetaCache":
-        """The cache of theta: what `unpack_theta` followed by
-        `MapGrid.mapped(C X, C~)` and `ProcessTable.build` give, bit for
-        bit, with every check of their `KernelParams`, `MonotoneMapParams`
-        and `ArSpec`s in the same order.  Theta is exponentiated once, and
-        the table is filled from plain floats with the same scalar powers
-        (`ProcessTable.of_chains`)."""
+        """The cache of theta: what the tests' long path, `unpack_theta`
+        followed by `MapGrid.mapped(C X, C~)` and `ProcessTable.build`,
+        gives, bit for bit, with every check of their `KernelParams`,
+        `MonotoneMapParams` and `ArSpec`s in the same order.  Theta is
+        exponentiated once, and the table is filled from plain floats with
+        the same scalar powers (`ProcessTable.of_chains`)."""
         layout, natural = ctx.layout, np.exp(theta)
         kp = KernelParams(natural[layout.sl_log_ksq], float(natural[layout.i_log_tau]),
                           float(natural[layout.i_log_xi]))
@@ -566,15 +536,10 @@ class StateTerms:
     field: np.ndarray
 
     @classmethod
-    def build(cls, cache: ThetaCache, atoms: AtomStore, ctx: ModelContext,
-              operands: AtomOperands | None = None) -> "StateTerms":
-        """Process factors and field columns of every block under the theta
-        of `cache`: `ProcessTable.log_densities` and `field_rows` over the
-        store, from its `AtomOperands`.  `operands`, when given, are those
-        of `atoms`, formed earlier; otherwise they are formed here.  Either
-        way the terms are the same bit for bit."""
-        if operands is None:
-            operands = AtomOperands.build(atoms, ctx)
+    def build(cls, cache: ThetaCache, operands: AtomOperands, ctx: ModelContext) -> "StateTerms":
+        """Process factors and field columns of every block of a store under
+        the theta of `cache`: `ProcessTable.log_densities` and `field_rows`
+        over the store, from its `AtomOperands`."""
         process = cache.table.score(operands.process)
         rows = operands.field.rows(cache.mapped, ctx.times, cache.kp)
         return cls(cache=cache, process=process, field=rows.T)
@@ -582,10 +547,10 @@ class StateTerms:
 
 @dataclass(frozen=True)
 class AtomOperands:
-    """The operands that `StateTerms.build` forms from a store of every time
-    block alone, whatever the theta: the process operands of each block
-    against its predecessor and the field operands.  Their `x` views the
-    store, so they hold its atoms only while it does not change."""
+    """The operands that `StateTerms.build` reads, formed from a store of
+    every time block alone, whatever the theta: the process operands of
+    each block against its predecessor and the field operands.  Their `x`
+    views the store, so they hold its atoms only while it does not change."""
 
     process: ProcessOperands
     field: FieldOperands
@@ -922,7 +887,7 @@ def theta_logpost(theta, state, ctx, operands):
     log_prior = log_prior_theta(theta, ctx.layout, state.nu, state.omega_sq, ctx.prior)
     if not math.isfinite(log_prior):
         return -np.inf, None
-    terms = StateTerms.build(ThetaCache.build(theta, ctx), state.atoms, ctx, operands())
+    terms = StateTerms.build(ThetaCache.build(theta, ctx), operands(), ctx)
     loglik = loglik_rows(slice(None), terms.field.T, ctx, state.hypers, state.phi)
     return theta_score(log_prior, terms, loglik), terms
 
@@ -1064,11 +1029,10 @@ class Sampler:
         omega_sq = np.full(ctx.p, omega0)
 
         rng = stream(cfg.seed, _S_INIT)
-        _, _, beta_spec, mu_specs = unpack_theta(theta, layout, ctx.ar_mode)
         j0 = max(1, min(cfg.j_max, round(lam0)))
         # block by block: j0 betas, then j0 values of each mu coordinate
         z = rng.standard_normal((ctx.m, ctx.p + 1, j0)).transpose(1, 0, 2)
-        sd = np.sqrt([beta_spec.initial_variance] + [spec.initial_variance for spec in mu_specs])
+        sd = np.sqrt(ThetaCache.build(theta, ctx).table.var[:, -1])  # the chains' initial laws
         values = np.zeros((ctx.p + 1, ctx.m, cfg.j_max))
         values[:, :, :j0] = sd[:, None, None] * z
         np.clip(values[1:], -COORD_BOUND, COORD_BOUND, out=values[1:])
@@ -1083,7 +1047,7 @@ class Sampler:
         if state.terms is None:
             if atoms.width < cfg.j_max:
                 raise InvalidStateError("the atom store has fewer slots than j_max")
-            state.terms = StateTerms.build(ThetaCache.build(state.theta, ctx), atoms, ctx)
+            state.terms = StateTerms.build(ThetaCache.build(state.theta, ctx), AtomOperands.build(atoms, ctx), ctx)
         terms = state.terms
 
         # transdimensional sweep: odd (1-based) indices first, then even;
@@ -1222,18 +1186,18 @@ def _map_new_locations(grid: MapGrid, new_locations: np.ndarray, thetas: np.ndar
     """Mapped new locations of every sample, an (S, q, p) array, from the
     chain's (S, d) thetas and their exponentials `natural`.
 
-    The new locations' data-only terms are formed once per dimension; each
-    chunk of samples then forms its knot values and the extensions as
-    whole-chunk arrays, each value as `monotone_map_extend` forms it for one
-    theta.
+    The new locations' data-only terms are formed once; each chunk of
+    samples then forms its knot values and the extensions as whole-chunk
+    arrays, each value as `monotone_map_extend` forms it for one theta.
     """
     slope, c_tilde = _map_slopes(thetas, natural, layout)
-    S, (q, p) = thetas.shape[0], new_locations.shape
+    S, (q, p), K = thetas.shape[0], new_locations.shape, grid.padded_steps.shape[1] + 1
+    index, step = zip(*(map_extension(knots, new_locations[:, ell]) for ell, knots in enumerate(grid.knots)))
+    # each point's knot as a flat index into a sample's (p, K) knot values
+    cell, step = np.column_stack(index) + K * np.arange(p), np.column_stack(step)
     mapped = np.empty((S, q, p))
-    for ell in range(p):
-        index, step = map_extension(grid.knots[ell], new_locations[:, ell])
-        for chunk, values in _knot_value_chunks(grid, ell, slope, c_tilde):
-            mapped[chunk, :, ell] = extend_map(values, slope[chunk, ell, None], index, step)
+    for chunk, values in _knot_value_chunks(grid, slope, c_tilde):
+        mapped[chunk] = extend_map(values.reshape(values.shape[0], -1), slope[chunk, None], cell, step)
     return mapped
 
 
@@ -1244,13 +1208,14 @@ def _map_slopes(thetas: np.ndarray, natural: np.ndarray, layout: ThetaLayout) ->
     return c * x, c_tilde
 
 
-def _knot_value_chunks(grid: MapGrid, dim: int, slope: np.ndarray, c_tilde: np.ndarray):
-    """(samples, knot values) of dimension `dim` for chunks of samples that
-    hold at most `_VALUES_HELD` knot values, or one sample each."""
-    rows = max(1, _VALUES_HELD // grid.knots[dim].size)
+def _knot_value_chunks(grid: MapGrid, slope: np.ndarray, c_tilde: np.ndarray):
+    """(samples, (B, p, K) knot values) for chunks of samples that hold at
+    most `_VALUES_HELD` knot values, or one sample each."""
+    p, steps = grid.padded_steps.shape
+    rows = max(1, _VALUES_HELD // (p * (steps + 1)))
     for start in range(0, slope.shape[0], rows):
         chunk = slice(start, start + rows)
-        yield chunk, grid.knot_values(dim, slope[chunk, dim], c_tilde[chunk, dim])
+        yield chunk, grid.knot_values(slope[chunk], c_tilde[chunk])
 
 
 def samples_outside_atom_box(samples: list[ChainSample], locations: np.ndarray) -> int:
@@ -1262,10 +1227,11 @@ def samples_outside_atom_box(samples: list[ChainSample], locations: np.ndarray) 
     thetas = np.array([smp.theta for smp in samples]).reshape(len(samples), layout.dim)
     slope, c_tilde = _map_slopes(thetas, np.exp(thetas), layout)
     grid = MapGrid.build(locations)
+    last = [knots.size - 1 for knots in grid.knots]
     outside = np.zeros(len(samples), dtype=bool)
-    for ell in range(layout.p):
-        for chunk, values in _knot_value_chunks(grid, ell, slope, c_tilde):
-            outside[chunk] |= (values[:, 0] < -COORD_BOUND) | (values[:, -1] > COORD_BOUND)
+    for chunk, values in _knot_value_chunks(grid, slope, c_tilde):
+        ends = values[:, range(layout.p), last]
+        outside[chunk] = ((values[..., 0] < -COORD_BOUND) | (ends > COORD_BOUND)).any(axis=1)
     return int(outside.sum())
 
 

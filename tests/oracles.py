@@ -1,7 +1,8 @@
-"""Reference forms that tests compare the program against: per-sample forms
-of whole-chain computations, the initial state through `scipy.stats`, the
-block factors over joined full-width stores, the process table entry by
-entry, the map one dimension at a time and the theta prior with its
+"""Reference forms that tests compare the program against: the decoding of
+theta one parameter group at a time, per-sample forms of whole-chain
+computations, the initial state through `scipy.stats`, the block factors
+over joined full-width stores, the process table entry by entry, the map
+one dimension at a time and the theta prior with its
 constants formed per call, which the program's forms equal with `==`, and
 the one-point field, the per-block process densities, field and likelihood,
 the prior densities and the joint log posterior, which the sampler's batched
@@ -20,18 +21,51 @@ from scipy.special import gammaln
 from scipy.stats import invgamma, norm
 
 from levyst import effects
-from levyst.ar import (ar_initial_log_density, ar_transition_log_density, mode_for_times, step_gaps,
-                       transition_moments)
+from levyst.ar import (ArMode, ArSpec, ar_initial_log_density, ar_transition_log_density, mode_for_times,
+                       rho_from_transformed, step_gaps, transition_moments)
 from levyst.chainio import _FMT, _group_cells, _meta_cell, _meta_int, _read_meta, scalar_header
 from levyst.data import SpaceTimeDataset
 from levyst.errors import (ConfigError, InvalidArgumentError, InvalidStateError, ParseError,
                            UnsupportedPredictionError)
-from levyst.model import (COORD_BOUND, MAP_EXPONENT, AtomStore, LatentAtoms, MonotoneMapFit, ThetaLayout,
-                          count_log_factor, field_rows, kernel_matrix, log_observation_density, log_prior_theta,
-                          predecessors, theta_in_bounds, unpack_theta)
+from levyst.model import (COORD_BOUND, MAP_EXPONENT, AtomStore, KernelParams, LatentAtoms, MonotoneMapFit,
+                          MonotoneMapParams, ThetaLayout, count_log_factor, field_rows, kernel_matrix,
+                          log_observation_density, log_prior_theta, predecessors, theta_in_bounds)
 from levyst.sampler import _S_INIT, _S_PREDICT, ChainSample, PredictionBands, SamplerState, ScalarHypers, stream
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def unpack_theta(theta: np.ndarray, layout: ThetaLayout, mode: ArMode):
+    """Split the sampling-scale vector into natural-scale parameter groups,
+    one constructor per group: the long path that `ThetaCache.build` and
+    `Sampler.initial_state` equal bit for bit, checks included.
+
+    Returns (KernelParams, MonotoneMapParams, beta ArSpec, list of mu ArSpecs).
+    """
+    kp = KernelParams(
+        tilde_sigma_sq=np.exp(theta[layout.sl_log_ksq]),
+        tau=float(np.exp(theta[layout.i_log_tau])),
+        xi=float(np.exp(theta[layout.i_log_xi])),
+    )
+    mp = MonotoneMapParams(
+        C=np.exp(theta[layout.sl_log_c]),
+        C_tilde=np.exp(theta[layout.sl_log_c_tilde]),
+        X=np.asarray(theta[layout.sl_x], dtype=float).copy(),
+    )
+    beta_spec = ArSpec(
+        rho=rho_from_transformed(float(theta[layout.i_logit_rho_beta]), mode),
+        sigma_sq=float(np.exp(theta[layout.i_log_ssq_beta])),
+        mode=mode,
+    )
+    mu_specs = [
+        ArSpec(
+            rho=rho_from_transformed(float(theta[layout.sl_logit_rho][ell]), mode),
+            sigma_sq=float(np.exp(theta[layout.sl_log_ssq][ell])),
+            mode=mode,
+        )
+        for ell in range(layout.p)
+    ]
+    return kp, mp, beta_spec, mu_specs
 
 
 def initial_state_per_block(sampler) -> SamplerState:
@@ -93,19 +127,20 @@ def phi0_training_matrix(locations, y) -> np.ndarray:
     return phi0
 
 
+def knot_recursion(knots: np.ndarray, slope, c_tilde) -> np.ndarray:
+    """The map of one dimension at its sorted knots under one slope C X and
+    anchor C~, by the increment recursion."""
+    m = np.empty_like(knots)
+    m[0] = c_tilde - slope * abs(knots[0]) ** MAP_EXPONENT
+    m[1:] = m[0] + np.cumsum(slope * np.diff(knots) ** MAP_EXPONENT)
+    return m
+
+
 def map_fit(coords_per_dim, mp) -> MonotoneMapFit:
     """The increment recursion, one dimension at a time."""
-    knots, values = [], []
-    for ell, coords in enumerate(coords_per_dim):
-        c = np.asarray(coords, dtype=float)
-        slope = mp.C[ell] * mp.X[ell]
-        m = np.empty_like(c)
-        m[0] = mp.C_tilde[ell] - slope * abs(c[0]) ** MAP_EXPONENT
-        if c.size > 1:
-            m[1:] = m[0] + np.cumsum(slope * np.diff(c) ** MAP_EXPONENT)
-        knots.append(c)
-        values.append(m)
-    return MonotoneMapFit(tuple(knots), tuple(values))
+    knots = tuple(np.asarray(coords, dtype=float) for coords in coords_per_dim)
+    return MonotoneMapFit(knots, tuple(knot_recursion(c, mp.C[ell] * mp.X[ell], mp.C_tilde[ell])
+                                       for ell, c in enumerate(knots)))
 
 
 def map_extend(s_new, dim, fit, mp) -> np.ndarray:
@@ -231,11 +266,9 @@ def process_table_per_entry(gaps, beta_spec, mu_specs) -> tuple[np.ndarray, np.n
 
 def mapped_per_dimension(grid, slope: np.ndarray, c_tilde: np.ndarray) -> np.ndarray:
     """`MapGrid.mapped` one dimension at a time: each location takes its
-    knot's value from `MapGrid.knot_values`."""
-    out = np.empty((grid.index[0].size, len(grid.knots)))
-    for ell, index in enumerate(grid.index):
-        out[:, ell] = grid.knot_values(ell, slope[ell:ell + 1], c_tilde[ell:ell + 1])[0, index]
-    return out
+    knot's value from that dimension's `knot_recursion`."""
+    return np.column_stack([knot_recursion(knots, slope[ell], c_tilde[ell])[index]
+                            for ell, (knots, index) in enumerate(zip(grid.knots, grid.index))])
 
 
 def grid_index(t, times) -> int:

@@ -14,8 +14,9 @@ import numpy as np
 
 from levyst.ar import transition_moments
 from levyst.errors import InvalidArgumentError
-from levyst.model import COORD_BOUND, AtomStore, LatentAtoms, ScalarHypers, field_rows, theta_in_bounds, unpack_theta
+from levyst.model import COORD_BOUND, AtomStore, LatentAtoms, ScalarHypers, field_rows, theta_in_bounds
 from levyst.sampler import ModelContext, SamplerConfig, SamplerState, ThetaCache
+from oracles import unpack_theta
 
 _MAX_TRIES = 200_000
 

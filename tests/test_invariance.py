@@ -19,9 +19,10 @@ import pytest
 from scipy.stats import poisson, t as student_t
 
 from levyst.data import SpaceTimeDataset
-from levyst.model import COORD_BOUND, AtomStore, LatentAtoms, PriorConfig, ScalarHypers, ThetaLayout, unpack_theta
-from levyst.sampler import (_S_BLOCK, SamplerConfig, StateTerms, StreamTable, ThetaCache, build_context, stream,
-                            update_time_block)
+from levyst.model import COORD_BOUND, AtomStore, LatentAtoms, PriorConfig, ScalarHypers, ThetaLayout
+from levyst.sampler import (_S_BLOCK, AtomOperands, SamplerConfig, StateTerms, StreamTable, ThetaCache, build_context,
+                            stream, update_time_block)
+from oracles import unpack_theta
 from priorsim import draw_prior_state
 
 LAM = 3.0
@@ -60,7 +61,7 @@ def test_one_block_kernel_keeps_its_target():
                                          for spec in mu_specs]),
                         math.sqrt(beta_var) * rng.standard_normal(J))
     atoms = AtomStore.from_blocks([start], J_MAX)
-    terms = StateTerms.build(cache, atoms, ctx)
+    terms = StateTerms.build(cache, AtomOperands.build(atoms, ctx), ctx)
     ks = np.array([0])
     counts, beta_sq = np.empty(SWEEPS), np.empty(SWEEPS)
     for r in range(SWEEPS):
@@ -139,7 +140,7 @@ def test_independent_blocks_keep_the_count_and_atom_laws(kernel, lam, j_max):
         values[:, k, :J] = np.sqrt(variances)[:, None] * rng.standard_normal((p + 1, J))
     assert np.abs(values[1:]).max() <= COORD_BOUND
     atoms = AtomStore(values, counts.astype(np.int64))
-    terms = StateTerms.build(cache, atoms, ctx)
+    terms = StateTerms.build(cache, AtomOperands.build(atoms, ctx), ctx)
     streams = StreamTable(cfg.seed, 512)
 
     J_mean = np.empty(GATE_SWEEPS)

@@ -35,10 +35,9 @@ from levyst.model import (
     log_prior_theta,
     monotone_map_extend,
     theta_in_bounds,
-    unpack_theta,
 )
 from oracles import (atom_block_log_density, f_eval, field_rows_per_block, log_ig_transformed, log_joint_parts,
-                     log_joint_posterior, log_prior_zeta, map_extend, map_fit)
+                     log_joint_posterior, log_prior_zeta, map_extend, map_fit, unpack_theta)
 from rounding import (assert_factor_close, assert_kernel_close, chain_process_tolerance, exponent_tolerance,
                       field_tolerance, process_tolerance)
 
@@ -82,7 +81,7 @@ def _map_params(C, C_tilde, X, p=1):
 def _grid_fit(coords, mp):
     """The one-dimensional map's knot values under one theta, from `MapGrid`."""
     grid = MapGrid.build(np.asarray(coords)[:, None])
-    return MonotoneMapFit(grid.knots, (grid.knot_values(0, mp.C * mp.X, mp.C_tilde)[0],))
+    return MonotoneMapFit(grid.knots, (grid.knot_values(mp.C * mp.X, mp.C_tilde)[0],))
 
 
 def test_map_fit_values():
@@ -114,10 +113,9 @@ def test_map_grid_keeps_each_locations_knot():
     grid = MapGrid.build(locations)
     assert [k.tolist() for k in grid.knots] == [[0.1, 0.4, 0.7], [-1.0, 0.5, 2.0]]
     slope, c_tilde = np.array([1.3, 0.2]), np.array([0.5, 2.0])
-    mapped = grid.mapped(slope, c_tilde)
+    mapped, values = grid.mapped(slope, c_tilde), grid.knot_values(slope, c_tilde)
     for ell in range(2):
-        values = grid.knot_values(ell, slope[ell:ell + 1], c_tilde[ell:ell + 1])[0]
-        assert np.array_equal(mapped[:, ell], values[np.searchsorted(grid.knots[ell], locations[:, ell])])
+        assert np.array_equal(mapped[:, ell], values[ell, np.searchsorted(grid.knots[ell], locations[:, ell])])
 
 
 @given(coords=st.lists(st.floats(-3, 3), min_size=1, max_size=8),
@@ -171,8 +169,9 @@ def test_map_grid_rows_equal_the_one_theta_recursion():
     grid = MapGrid.build(np.column_stack([coords[0], np.full(40, 0.3)]))
     slope, c_tilde = rng.uniform(0.01, 20.0, (7, 2)), rng.uniform(0.1, 5.0, (7, 2))
     pts = rng.uniform(-2.0, 3.0, 500)
+    values = grid.knot_values(slope, c_tilde)
     for ell in range(2):
-        batch = grid.knot_values(ell, slope[:, ell], c_tilde[:, ell])
+        batch = values[:, ell, :coords[ell].size]
         for b in range(7):
             mp = MonotoneMapParams(C=slope[b], C_tilde=c_tilde[b], X=np.ones(2))
             want = map_fit(coords, mp)

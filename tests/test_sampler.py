@@ -22,7 +22,7 @@ from levyst.data import SpaceTimeDataset, standardize
 from levyst.chainio import read_chain, write_chain
 from levyst.errors import ConfigError, InvalidArgumentError, InvalidStateError, UnsupportedPredictionError
 from levyst.model import (COORD_BOUND, AtomStore, LatentAtoms, PriorConfig, ProcessTable, ScalarHypers, ThetaLayout,
-                          count_log_factor, kernel_matrix, monotone_map_extend, unpack_theta)
+                          count_log_factor, kernel_matrix, monotone_map_extend)
 from levyst.sampler import (
     MOVE_NAMES,
     AtomOperands,
@@ -51,7 +51,7 @@ from levyst.sampler import (
 )
 from oracles import (atom_block_log_density, atom_process_log_density, block_factors_joined, field_values,
                      initial_state_per_block, log_joint_parts, log_joint_posterior, loglik_slice, map_fit,
-                     mapped_per_dimension, process_table_per_entry)
+                     mapped_per_dimension, process_table_per_entry, unpack_theta)
 from rounding import assert_factor_close, exponent_tolerance, field_tolerance, process_tolerance
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -206,7 +206,7 @@ def _one_block_update(atoms_k, cache, ctx, hypers, cfg, key):
     the block's row of the same draws.
     """
     store = AtomStore.from_blocks([atoms_k], cfg.j_max)
-    terms = StateTerms.build(cache, store, ctx)
+    terms = StateTerms.build(cache, AtomOperands.build(store, ctx), ctx)
     moves, accepted, log_alpha, _ = update_time_block([(np.array([0]), stream(*key))], store, terms, ctx, hypers, cfg,
                                                       None)
     move, proposal, _, info = _oracle_draw(atoms_k, cfg, _PhaseRow(stream(*key), 1, ctx.p, cfg.j_max, 0))
@@ -664,8 +664,8 @@ def test_update_time_block_invalid_rate_guard(tame_prior):
     stats = MoveStats()
     store = AtomStore.from_blocks(atoms, CFG.j_max)
     before = store.block(0)
-    moves, accepted, _, _ = update_time_block([(np.array([0]), stream(5, 16))], store,
-                                              StateTerms.build(cache, store, ctx), ctx, hypers, CFG, None)
+    terms = StateTerms.build(cache, AtomOperands.build(store, ctx), ctx)
+    moves, accepted, _, _ = update_time_block([(np.array([0]), stream(5, 16))], store, terms, ctx, hypers, CFG, None)
     move = MOVE_NAMES[moves.move[0]]
     stats.record(move, bool(accepted[0]))
     assert move in ("birth", "death", "no_change")
@@ -1267,7 +1267,7 @@ def test_theta_phase_shares_the_atom_operands(tiny_dataset, tame_prior, monkeypa
         assert not scored or passed[0]() is store_builds[-1]
         # the theta phase leaves the atoms as it found them
         for terms in scored:
-            fresh = StateTerms.build(terms.cache, state.atoms, ctx)
+            fresh = StateTerms.build(terms.cache, AtomOperands.build(state.atoms, ctx), ctx)
             assert np.array_equal(terms.process, fresh.process) and np.array_equal(terms.field, fresh.field)
     assert in_bounds.count(2) > 0 and in_bounds.count(0) > 0
 
@@ -1354,11 +1354,17 @@ _SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.
 @example(seed=0, size=512, data=None).via("r at 0 and the chunk edges")
 @example(seed=2**32 - 1, size=7, data=None).via("the last one-word seed and r at 2**32 - 1")
 @example(seed=2**64 + 5, size=1, data=None).via("a three-word seed, one iteration per chunk")
+@example(seed=2**96 - 1, size=3, data=None).via("the last three-word seed")
+@example(seed=2**96, size=5, data=None).via("the first four-word seed")
+@example(seed=2**128 - 1, size=2, data=None).via("the last four-word seed")
+@example(seed=2**128, size=9, data=None).via("the first five-word seed, one more word before r")
 def test_stream_table_equals_stream(seed, size, data):
     """Each `StreamTable` generator has the bit generator state and the draws
-    of `stream(seed, *key)`: seeds of one, two and three or more words,
-    every stream id with and without a parity, r at 0, at the chunk edges,
-    at 2**32 - 1 and anywhere, asked in any order.  r at 2**32 or past it
+    of `stream(seed, *key)`: seeds of one, two and three or more words and
+    on each side of 2**96 and 2**128 (from 2**128 on, the seed's words and
+    so the hash constant after the stream id change), every stream id with
+    and without a parity, r at 0, at the chunk edges, at 2**32 - 1 and
+    anywhere, asked in any order.  r at 2**32 or past it
     raises a `ConfigError` naming iterations."""
     table = sampler_module.StreamTable(seed, size)
     top = 2**32 - 1
@@ -1401,17 +1407,20 @@ def test_iterate_out_of_order_gives_the_in_order_chain(tiny_dataset, tame_prior,
 @pytest.mark.parametrize("marginalized", [True, False])
 def test_initial_state_equals_scipy_stats_reference(tiny_dataset, ig, marginalized):
     """The initial state's inverse-gamma median and normal quartile are
-    scipy.stats', and its atoms the per-block draws, bit for bit."""
+    scipy.stats', and its atoms the per-block draws, bit for bit, on the
+    regular grid and on an irregular one, where the initial law's variance
+    is not a transition's."""
     prior = PriorConfig(ig_a=ig[0], ig_b=ig[1], lambda_a=6.0, lambda_b=2.0)
-    sampler = Sampler(tiny_dataset, SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=5, seed=4), prior,
-                      marginalized=marginalized)
-    got, want = sampler.initial_state(), initial_state_per_block(sampler)
-    for name in ("theta", "nu", "omega_sq"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    assert got.hypers == want.hypers
-    assert (got.phi is None and want.phi is None) or got.phi.tobytes() == want.phi.tobytes()
-    assert got.atoms.counts.tobytes() == want.atoms.counts.tobytes()
-    assert got.atoms.values.tobytes() == want.atoms.values.tobytes()
+    for data in (tiny_dataset, replace(tiny_dataset, times=_IRREGULAR_TIMES)):
+        sampler = Sampler(data, SamplerConfig(iterations=1, burn_in=0, thin=1, j_max=5, seed=4), prior,
+                          marginalized=marginalized)
+        got, want = sampler.initial_state(), initial_state_per_block(sampler)
+        for name in ("theta", "nu", "omega_sq"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.hypers == want.hypers
+        assert (got.phi is None and want.phi is None) or got.phi.tobytes() == want.phi.tobytes()
+        assert got.atoms.counts.tobytes() == want.atoms.counts.tobytes()
+        assert got.atoms.values.tobytes() == want.atoms.values.tobytes()
 
 
 def test_import_leaves_out_scipy_stats():
