@@ -70,10 +70,11 @@ The cache is a function of theta alone and holds the kernel parameters, the
 mapped training locations and the AR transition table (mean multiplier,
 variance and log variance for every distinct time gap and coordinate
 chain); it is built from one exponentiation of theta, with the checks and
-the bits of the long path (`unpack_theta` in `tests/oracles.py`), and the
-initial state reads its initial-law variances from it.  Nothing in the
-terms reads the Gibbs scalars or the effects, so they carry over to the
-next iteration; only the likelihood is recomputed from the stored columns.
+the bits of the long path (the tests' reference decode in
+`tests/oracles.py`), and the initial state reads its initial-law variances
+from it.  Nothing in the terms reads the Gibbs scalars or the effects, so
+they carry over to the next iteration; only the likelihood is recomputed
+from the stored columns.
 
 Batching keeps the terms, not every bit; `tests/oracles.py` keeps the
 per-block references.  Each batched likelihood equals its reference bit for
@@ -500,12 +501,12 @@ class ThetaCache:
 
     @classmethod
     def build(cls, theta: np.ndarray, ctx: ModelContext) -> "ThetaCache":
-        """The cache of theta: what the tests' long path, `unpack_theta`
-        followed by `MapGrid.mapped(C X, C~)` and `ProcessTable.build`,
-        gives, bit for bit, with every check of their `KernelParams`,
-        `MonotoneMapParams` and `ArSpec`s in the same order.  Theta is
-        exponentiated once, and the table is filled from plain floats with
-        the same scalar powers (`ProcessTable.of_chains`)."""
+        """The cache of theta: what the tests' long path, theta decoded one
+        parameter group at a time, then `MapGrid.mapped(C X, C~)` and
+        `ProcessTable.build`, gives, bit for bit, with every check of their
+        `KernelParams`, `MonotoneMapParams` and `ArSpec`s in the same order.
+        Theta is exponentiated once, and the table is filled from plain
+        floats with the same scalar powers (`ProcessTable.of_chains`)."""
         layout, natural = ctx.layout, np.exp(theta)
         kp = KernelParams(natural[layout.sl_log_ksq], float(natural[layout.i_log_tau]),
                           float(natural[layout.i_log_xi]))
